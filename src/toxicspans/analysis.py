@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .dataio import LabeledPost, PostPrediction
 from .errors import ValidationError
+from .span_codec import spans_to_labels
 from .tokenizer import tokenize
 
 CATEGORIES = ("exact", "spurious-on-clean", "missed-all", "partial-span", "wrong-offsets")
@@ -36,14 +37,7 @@ class ErrorBucket:
 
 def toxic_word_count(post: LabeledPost) -> int:
     """Number of tokens whose character range intersects the gold set."""
-    if not post.gold:
-        return 0
-    gold = set(post.gold.indexes)
-    return sum(
-        1
-        for tok in tokenize(post.text)
-        if any(c in gold for c in range(tok.start, tok.end))
-    )
+    return sum(spans_to_labels(tokenize(post.text), post.gold))
 
 
 def span_word_histogram(data: Sequence[LabeledPost]) -> SpanWordHistogram:

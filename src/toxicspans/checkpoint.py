@@ -24,6 +24,8 @@ from .training import TrainConfig
 
 MAGIC = b"TOXICSPANS-CKPT-1\n"
 _DTYPE = "<f8"
+_HEADER_KEYS = ("dtype", "dims", "train_config", "vocab_hash", "tensors")
+_DIM_KEYS = ("input_dim", "hidden_size")
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -79,15 +81,24 @@ def load_checkpoint(
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
-    newline = raw.index(b"\n", len(MAGIC))
+    newline = raw.find(b"\n", len(MAGIC))
+    if newline < 0:
+        raise DataFormatError(f"{path}: truncated checkpoint: header has no end")
     try:
         header = json.loads(raw[len(MAGIC) : newline].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: corrupt checkpoint header: {exc}") from None
-
-    if header.get("dtype") != _DTYPE:
-        raise DataFormatError(f"{path}: unsupported tensor dtype {header.get('dtype')!r}")
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise DataFormatError(f"{path}: checkpoint header lacks {missing}")
     dims = header["dims"]
+    if not isinstance(dims, dict) or any(key not in dims for key in _DIM_KEYS):
+        raise DataFormatError(f"{path}: checkpoint header dims must name {list(_DIM_KEYS)}")
+
+    if header["dtype"] != _DTYPE:
+        raise DataFormatError(f"{path}: unsupported tensor dtype {header['dtype']!r}")
     if dims["input_dim"] != table.dim:
         raise ValidationError(
             f"checkpoint input dim {dims['input_dim']} != embedding dim {table.dim}"

@@ -5,7 +5,7 @@ A label sequence ``y`` over emissions ``em`` (T x L) scores
     start[y_0] + sum_t em[t][y_t] + sum_t trans[y_{t-1}][y_t] + stop[y_{T-1}]
 
 and the CRF normalizes over all L^T sequences.  Everything runs in log space
-with max-shifted log-sum-exp, so arbitrarily large scores cannot overflow.
+(``np.logaddexp`` reductions), so arbitrarily large scores cannot overflow.
 The forward-backward marginals double as the analytic gradient of the
 negative log-likelihood: d NLL / d em[t][l] = marginal[t][l] - 1{gold_t = l},
 and likewise expected-minus-observed for transitions, start, and stop.
@@ -33,14 +33,6 @@ class CrfParams:
         return self.start.shape[0]
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None):
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
-
-
 def _check_emissions(em: np.ndarray, crf: CrfParams) -> None:
     if em.ndim != 2 or em.shape[0] < 1:
         raise ValidationError(f"emissions must be T x L with T >= 1, got shape {em.shape}")
@@ -50,47 +42,65 @@ def _check_emissions(em: np.ndarray, crf: CrfParams) -> None:
         )
 
 
-def _check_labels(labels, length: int, num_labels: int) -> None:
+def _label_array(labels, length: int, num_labels: int) -> np.ndarray:
     if len(labels) != length:
         raise ValidationError(f"label count {len(labels)} != sequence length {length}")
-    for y in labels:
-        if not 0 <= y < num_labels:
-            raise ValidationError(f"label {y} outside [0, {num_labels})")
+    y = np.asarray(labels, dtype=np.int64)
+    bad = (y < 0) | (y >= num_labels)
+    if bad.any():
+        raise ValidationError(f"label {y[bad][0]} outside [0, {num_labels})")
+    return y
 
 
-def _forward_alphas(em: np.ndarray, crf: CrfParams) -> np.ndarray:
+def _gold_score(em: np.ndarray, crf: CrfParams, y: np.ndarray) -> float:
+    return float(
+        crf.start[y[0]]
+        + em[np.arange(len(y)), y].sum()
+        + crf.trans[y[:-1], y[1:]].sum()
+        + crf.stop[y[-1]]
+    )
+
+
+@dataclass
+class _ForwardBackward:
+    alphas: np.ndarray  # (T, L) log-scores of all prefixes ending in each label
+    betas: np.ndarray  # (T, L) log-scores of all suffixes after each label
+    log_z: float
+    marginals: np.ndarray  # (T, L)
+    expected: np.ndarray  # (L, L) expected transition counts
+
+
+def _forward_backward(em: np.ndarray, crf: CrfParams) -> _ForwardBackward:
+    """The one forward-backward pass every CRF quantity is read from."""
+    _check_emissions(em, crf)
     T = em.shape[0]
     alphas = np.empty_like(em)
     alphas[0] = crf.start + em[0]
     for t in range(1, T):
-        alphas[t] = _logsumexp(alphas[t - 1][:, None] + crf.trans, axis=0) + em[t]
-    return alphas
-
-
-def _backward_betas(em: np.ndarray, crf: CrfParams) -> np.ndarray:
-    T = em.shape[0]
+        alphas[t] = np.logaddexp.reduce(alphas[t - 1][:, None] + crf.trans, axis=0)
+        alphas[t] += em[t]
     betas = np.empty_like(em)
     betas[T - 1] = crf.stop
     for t in range(T - 2, -1, -1):
-        betas[t] = _logsumexp(crf.trans + (em[t + 1] + betas[t + 1])[None, :], axis=1)
-    return betas
+        betas[t] = np.logaddexp.reduce(crf.trans + (em[t + 1] + betas[t + 1]), axis=1)
+    log_z = float(np.logaddexp.reduce(alphas[-1] + crf.stop))
+    marginals = np.exp(alphas + betas - log_z)
+    # log-probability of label pair (i, j) at positions (t, t + 1), all t at once
+    pair = alphas[:-1, :, None] + crf.trans + (em[1:] + betas[1:])[:, None, :]
+    pair -= log_z
+    expected = np.exp(pair).sum(axis=0)
+    return _ForwardBackward(alphas, betas, log_z, marginals, expected)
 
 
 def crf_log_partition(em: np.ndarray, crf: CrfParams) -> float:
     """log sum over all label sequences of exp(path score)."""
-    _check_emissions(em, crf)
-    alphas = _forward_alphas(em, crf)
-    return _logsumexp(alphas[-1] + crf.stop)
+    return _forward_backward(em, crf).log_z
 
 
 def crf_gold_score(em: np.ndarray, crf: CrfParams, labels: list[int]) -> float:
     """Path score of one label sequence."""
     _check_emissions(em, crf)
-    _check_labels(labels, em.shape[0], crf.num_labels)
-    score = crf.start[labels[0]] + em[0, labels[0]]
-    for t in range(1, len(labels)):
-        score += crf.trans[labels[t - 1], labels[t]] + em[t, labels[t]]
-    return float(score + crf.stop[labels[-1]])
+    return _gold_score(em, crf, _label_array(labels, em.shape[0], crf.num_labels))
 
 
 def crf_nll(em: np.ndarray, crf: CrfParams, labels: list[int]) -> float:
@@ -104,18 +114,8 @@ def crf_marginals(em: np.ndarray, crf: CrfParams) -> tuple[np.ndarray, np.ndarra
     Marginals sum to 1 at every position; the L x L expected transition
     counts sum to T - 1.
     """
-    _check_emissions(em, crf)
-    T = em.shape[0]
-    alphas = _forward_alphas(em, crf)
-    betas = _backward_betas(em, crf)
-    log_z = _logsumexp(alphas[-1] + crf.stop)
-    marginals = np.exp(alphas + betas - log_z)
-    expected = np.zeros_like(crf.trans)
-    for t in range(T - 1):
-        expected += np.exp(
-            alphas[t][:, None] + crf.trans + (em[t + 1] + betas[t + 1])[None, :] - log_z
-        )
-    return marginals, expected
+    fb = _forward_backward(em, crf)
+    return fb.marginals, fb.expected
 
 
 def crf_nll_grad(
@@ -125,30 +125,16 @@ def crf_nll_grad(
 
     Each gradient is the marginal expectation minus the gold indicator.
     """
-    _check_emissions(em, crf)
+    fb = _forward_backward(em, crf)
     T, L = em.shape
-    _check_labels(labels, T, L)
-    alphas = _forward_alphas(em, crf)
-    betas = _backward_betas(em, crf)
-    log_z = _logsumexp(alphas[-1] + crf.stop)
-    marginals = np.exp(alphas + betas - log_z)
-
-    d_em = marginals.copy()
-    d_em[np.arange(T), labels] -= 1.0
-
-    d_trans = np.zeros_like(crf.trans)
-    for t in range(T - 1):
-        d_trans += np.exp(
-            alphas[t][:, None] + crf.trans + (em[t + 1] + betas[t + 1])[None, :] - log_z
-        )
-        d_trans[labels[t], labels[t + 1]] -= 1.0
-
-    d_start = marginals[0].copy()
-    d_start[labels[0]] -= 1.0
-    d_stop = marginals[-1].copy()
-    d_stop[labels[-1]] -= 1.0
-
-    nll = log_z - crf_gold_score(em, crf, labels)
+    y = _label_array(labels, T, L)
+    d_em = fb.marginals
+    d_em[np.arange(T), y] -= 1.0
+    d_trans = fb.expected - np.bincount(y[:-1] * L + y[1:], minlength=L * L).reshape(L, L)
+    # start and stop gradients are the first and last emission gradient rows
+    d_start = d_em[0].copy()
+    d_stop = d_em[-1].copy()
+    nll = fb.log_z - _gold_score(em, crf, y)
     return nll, d_em, d_trans, d_start, d_stop
 
 
@@ -165,7 +151,7 @@ def viterbi_decode(em: np.ndarray, crf: CrfParams) -> list[int]:
     for t in range(1, T):
         cand = score[:, None] + crf.trans  # (prev, next)
         backptr[t] = np.argmax(cand, axis=0)
-        score = cand[backptr[t], np.arange(L)] + em[t]
+        score = cand.max(axis=0) + em[t]
     final = score + crf.stop
     best = int(np.argmax(final))
     path = [best]

@@ -16,6 +16,7 @@ import csv
 import io
 import logging
 import re
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
@@ -34,7 +35,9 @@ _INT_RE = re.compile(r"-?\d+")
 class CharSpanSet:
     """A set of character indexes, stored sorted and deduplicated.
 
-    An empty set is legal and means "non-toxic post".
+    An empty set is legal and means "non-toxic post".  Membership is a
+    binary search of the sorted tuple: a frozenset kept beside it would
+    cost several times the tuple's memory for every span set held.
     """
 
     indexes: tuple[int, ...] = ()
@@ -53,7 +56,8 @@ class CharSpanSet:
         return iter(self.indexes)
 
     def __contains__(self, index: int) -> bool:
-        return index in set(self.indexes)
+        pos = bisect_left(self.indexes, index)
+        return pos < len(self.indexes) and self.indexes[pos] == index
 
     def __and__(self, other: "CharSpanSet") -> "CharSpanSet":
         return CharSpanSet(set(self.indexes) & set(other.indexes))

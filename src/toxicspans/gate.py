@@ -102,6 +102,11 @@ def gate_score(
         return model.scores[post_id]
     if pooled is None:
         raise ValidationError("internal gate needs the pooled embedding vector")
+    if model.weights.shape != (pooled.shape[0] + 1,):
+        raise ValidationError(
+            f"gate has {model.weights.size} weights; a {pooled.shape[0]}-dim pooled "
+            f"vector needs {pooled.shape[0] + 1}"
+        )
     logit = float(model.weights[:-1] @ pooled + model.weights[-1])
     # keep the score strictly inside (0, 1) even when the sigmoid saturates
     return float(np.clip(_sigmoid(np.float64(logit)), 1e-12, 1.0 - 1e-12))

@@ -8,9 +8,19 @@ candidate, output.  The recurrence starts from zero hidden and cell state:
     c_t = f * c_{t-1} + i * g
     h_t = o * tanh(c_t)
 
-A reversed pass consumes the inputs back-to-front but reports hidden states
-in original order; the cache keeps everything in processing order for the
-backward pass.  All arithmetic is float64.
+Only ``W_rec h_{t-1}`` depends on the previous step, so the input
+projection of all T steps is one (T, D) x (D, 4H) product taken before the
+recurrence, and each step adds one matrix-vector product to its row of the
+(T, 4H) ``gates`` array and activates that row in place.  The backward pass
+mirrors this: the loop carries only the hidden and cell gradients and writes
+each step's pre-activation gradient into a (T, 4H) buffer dZ; the parameter
+and input gradients are then dZ^T X, dZ^T H_prev, sum(dZ) and dZ W_in.
+
+:class:`LstmCache` holds, in processing order, the inputs, the activated
+``gates`` (T, 4H, blocks in gate order), and the (T, H) ``cell``,
+``tanh_cell`` and ``hidden`` states.  A reversed pass consumes the inputs
+back-to-front but reports hidden states in original order.  All arithmetic
+is float64.
 """
 
 from __future__ import annotations
@@ -44,19 +54,20 @@ class LstmCache:
     """Forward-pass intermediates, all in processing order."""
 
     inputs: np.ndarray  # (T, D)
-    i_gate: np.ndarray  # (T, H)
-    f_gate: np.ndarray
-    g_gate: np.ndarray
-    o_gate: np.ndarray
-    cell: np.ndarray
+    gates: np.ndarray  # (T, 4H) activated i, f, g, o
+    cell: np.ndarray  # (T, H)
     tanh_cell: np.ndarray
     hidden: np.ndarray
     reverse: bool
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_inplace(x: np.ndarray) -> None:
+    """In-place logistic sigmoid; exp overflow saturates to 0 (caller
+    ignores the overflow warning)."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
 
 
 def lstm_forward(
@@ -79,27 +90,25 @@ def lstm_forward(
     H = params.hidden_size
     xs = inputs[::-1] if reverse else inputs
 
-    i_gate = np.empty((T, H))
-    f_gate = np.empty((T, H))
-    g_gate = np.empty((T, H))
-    o_gate = np.empty((T, H))
+    gates = xs @ params.W_in.T + params.b  # pre-activations until row s is activated
     cell = np.empty((T, H))
     tanh_cell = np.empty((T, H))
     hidden = np.empty((T, H))
-
-    h = np.zeros(H)
-    c = np.zeros(H)
-    for s in range(T):
-        z = params.W_in @ xs[s] + params.W_rec @ h + params.b
-        i = _sigmoid(z[:H])
-        f = _sigmoid(z[H : 2 * H])
-        g = np.tanh(z[2 * H : 3 * H])
-        o = _sigmoid(z[3 * H :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        i_gate[s], f_gate[s], g_gate[s], o_gate[s] = i, f, g, o
-        cell[s], tanh_cell[s], hidden[s] = c, tc, h
+    W_rec_T = params.W_rec.T
+    with np.errstate(over="ignore"):
+        for s in range(T):
+            z = gates[s]
+            if s:
+                z += hidden[s - 1] @ W_rec_T
+            g = np.tanh(z[2 * H : 3 * H])
+            _sigmoid_inplace(z)
+            z[2 * H : 3 * H] = g
+            c = cell[s]
+            np.multiply(z[:H], g, out=c)
+            if s:
+                c += z[H : 2 * H] * cell[s - 1]
+            np.tanh(c, out=tanh_cell[s])
+            np.multiply(z[3 * H :], tanh_cell[s], out=hidden[s])
 
     if not np.all(np.isfinite(hidden)):
         raise NonFiniteError("LSTM hidden state is non-finite; inputs or parameters diverged")
@@ -107,10 +116,7 @@ def lstm_forward(
     out = hidden[::-1].copy() if reverse else hidden
     cache = LstmCache(
         inputs=xs,
-        i_gate=i_gate,
-        f_gate=f_gate,
-        g_gate=g_gate,
-        o_gate=o_gate,
+        gates=gates,
         cell=cell,
         tanh_cell=tanh_cell,
         hidden=hidden,
@@ -133,43 +139,32 @@ def lstm_backward(
         raise ValidationError(f"upstream gradient shape {d_hidden.shape} != {(T, H)}")
     d_h_seq = d_hidden[::-1] if cache.reverse else d_hidden
 
-    d_W_in = np.zeros_like(params.W_in)
-    d_W_rec = np.zeros_like(params.W_rec)
-    d_b = np.zeros_like(params.b)
-    d_x = np.empty_like(cache.inputs)
+    # Local derivatives of every step, taken over whole arrays: dz for the
+    # i, f, g blocks is dc times dz_dc, for the o block dh times dz_dh.
+    i, f, g, o = (cache.gates[:, k * H : (k + 1) * H] for k in range(4))
+    tc = cache.tanh_cell
+    dz_dc = np.empty((T, 3, H))
+    np.multiply(g, i * (1.0 - i), out=dz_dc[:, 0])
+    dz_dc[0, 1] = 0.0  # c_{-1} = 0
+    np.multiply(cache.cell[:-1], f[1:] * (1.0 - f[1:]), out=dz_dc[1:, 1])
+    np.multiply(i, 1.0 - g * g, out=dz_dc[:, 2])
+    dz_dh = tc * o * (1.0 - o)
+    dc_dh = o * (1.0 - tc * tc)
 
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
+    dZ = np.empty((T, 4 * H))
+    dh = d_h_seq[T - 1]
+    dc = dh * dc_dh[T - 1]
     for s in range(T - 1, -1, -1):
-        i = cache.i_gate[s]
-        f = cache.f_gate[s]
-        g = cache.g_gate[s]
-        o = cache.o_gate[s]
-        tc = cache.tanh_cell[s]
-        c_prev = cache.cell[s - 1] if s > 0 else np.zeros(H)
-        h_prev = cache.hidden[s - 1] if s > 0 else np.zeros(H)
+        np.multiply(dz_dc[s], dc, out=dZ[s, : 3 * H].reshape(3, H))
+        np.multiply(dz_dh[s], dh, out=dZ[s, 3 * H :])
+        if s:
+            dh = d_h_seq[s - 1] + dZ[s] @ params.W_rec
+            dc *= f[s]
+            dc += dh * dc_dh[s - 1]
 
-        dh = d_h_seq[s] + dh_next
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ]
-        )
-        d_W_in += np.outer(dz, cache.inputs[s])
-        d_W_rec += np.outer(dz, h_prev)
-        d_b += dz
-        d_x[s] = params.W_in.T @ dz
-        dh_next = params.W_rec.T @ dz
-        dc_next = dc * f
-
+    d_W_in = dZ.T @ cache.inputs
+    d_W_rec = dZ[1:].T @ cache.hidden[:-1]  # h_{-1} = 0 adds nothing
+    d_b = dZ.sum(axis=0)
+    d_x = dZ @ params.W_in
     d_inputs = d_x[::-1].copy() if cache.reverse else d_x
     return d_inputs, {"W_in": d_W_in, "W_rec": d_W_rec, "b": d_b}

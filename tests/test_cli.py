@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from toxicspans.checkpoint import MAGIC
 from toxicspans.cli import main
 from toxicspans.dataio import read_predictions
 from toxicspans.synthetic import generate_posts, write_corpus_csv, write_embedding_file
@@ -214,6 +215,41 @@ class TestPredict:
         with open(workspace / "gated2.tsv", "rb") as f:
             gated = read_predictions(f)
         assert all(g.spans.issubset(u.spans) for g, u in zip(gated, ungated))
+
+    @pytest.mark.parametrize("damage", ["no-header-newline", "header-without-dims"])
+    def test_malformed_checkpoint_header_exits_2(self, workspace, tmp_path, capsys, damage):
+        raw = (workspace / "model.ckpt").read_bytes()
+        header_end = raw.index(b"\n", len(MAGIC))
+        if damage == "no-header-newline":
+            bad = raw[: header_end - 10]
+        else:
+            header = json.loads(raw[len(MAGIC) : header_end])
+            del header["dims"]
+            bad = MAGIC + json.dumps(header).encode() + raw[header_end:]
+        (tmp_path / "bad.ckpt").write_bytes(bad)
+        code = main(
+            [
+                "predict",
+                "--data", str(workspace / "dev.csv"),
+                "--embeddings", str(workspace / "vectors.txt"),
+                "--embedding-dim", str(DIM),
+                "--checkpoint", str(tmp_path / "bad.ckpt"),
+                "--out", str(tmp_path / "x.tsv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint" in err and "Traceback" not in err
+
+    def test_gate_of_wrong_size_exits_2(self, workspace, tmp_path, capsys):
+        gate_path = tmp_path / "small_gate.json"
+        gate_path.write_text(
+            json.dumps({"kind": "internal-logreg", "threshold": 0.5, "weights": [0.1] * 5})
+        )
+        code = run_predict(workspace, "x.tsv", "--gate", "internal", "--gate-model", str(gate_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "weights" in err and "Traceback" not in err
 
     def test_bad_gate_mode_exits_2(self, workspace, capsys):
         assert run_predict(workspace, "x.tsv", "--gate", "sideways") == 2

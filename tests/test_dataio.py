@@ -43,6 +43,10 @@ class TestCharSpanSet:
         s = CharSpanSet(tuple(values))
         assert list(s.indexes) == sorted(set(values))
 
+    @given(st.lists(st.integers(-50, 500)), st.integers(-60, 510))
+    def test_membership_matches_set_membership(self, values, probe):
+        assert (probe in CharSpanSet(tuple(values))) == (probe in set(values))
+
 
 class TestParseDataset:
     def test_table_row_with_contiguous_span(self):
