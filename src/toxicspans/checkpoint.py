@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from .crf import CrfParams
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError, ValidationError
 from .lstm import LstmDirectionParams
-from .model import EmissionParams, ModelParams, NUM_LABELS
+from .model import EMBEDDING_TENSOR, NUM_LABELS, TENSOR_NAMES, EmissionParams, ModelParams
 from .training import TrainConfig
 
 MAGIC = b"TOXICSPANS-CKPT-1\n"
@@ -28,13 +30,29 @@ _HEADER_KEYS = ("dtype", "dims", "train_config", "vocab_hash", "tensors")
 _DIM_KEYS = ("input_dim", "hidden_size")
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+_FILE_MODE = 0o666 & ~_umask()  # what a plain open() would create
+
+
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
+    """Write via a uniquely named sibling temp file and rename, so readers
+    never see a partial file and concurrent writers never share a temp
+    file: the last rename wins with one writer's complete bytes."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.chmod(tmp, _FILE_MODE)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -97,6 +115,13 @@ def load_checkpoint(
     if not isinstance(dims, dict) or any(key not in dims for key in _DIM_KEYS):
         raise DataFormatError(f"{path}: checkpoint header dims must name {list(_DIM_KEYS)}")
 
+    train_config = header["train_config"]
+    if not isinstance(train_config, dict):
+        raise DataFormatError(f"{path}: checkpoint train_config is not a JSON object")
+    unknown = sorted(set(train_config) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise DataFormatError(f"{path}: checkpoint train_config has unknown keys {unknown}")
+
     if header["dtype"] != _DTYPE:
         raise DataFormatError(f"{path}: unsupported tensor dtype {header['dtype']!r}")
     if dims["input_dim"] != table.dim:
@@ -121,13 +146,7 @@ def load_checkpoint(
     if offset != len(raw):
         raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    required = [
-        "fwd.W_in", "fwd.W_rec", "fwd.b",
-        "bwd.W_in", "bwd.W_rec", "bwd.b",
-        "emit.W_out", "emit.b_out",
-        "crf.trans", "crf.start", "crf.stop",
-    ]
-    missing = [name for name in required if name not in arrays]
+    missing = [name for name in TENSOR_NAMES if name not in arrays]
     if missing:
         raise DataFormatError(f"{path}: checkpoint lacks tensors {missing}")
 
@@ -139,7 +158,7 @@ def load_checkpoint(
 
     embedding = table
     if header.get("finetuned_embeddings"):
-        matrix = arrays.get("embedding.matrix")
+        matrix = arrays.get(EMBEDDING_TENSOR)
         if matrix is None:
             raise DataFormatError(f"{path}: fine-tuned checkpoint lacks embedding matrix")
         embedding = table.with_matrix(matrix)
@@ -151,5 +170,5 @@ def load_checkpoint(
         crf=CrfParams(arrays["crf.trans"], arrays["crf.start"], arrays["crf.stop"]),
         embedding=embedding,
     )
-    cfg = TrainConfig.from_dict(header["train_config"])
+    cfg = TrainConfig.from_dict(train_config)
     return params, cfg

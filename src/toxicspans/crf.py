@@ -9,6 +9,12 @@ and the CRF normalizes over all L^T sequences.  Everything runs in log space
 The forward-backward marginals double as the analytic gradient of the
 negative log-likelihood: d NLL / d em[t][l] = marginal[t][l] - 1{gold_t = l},
 and likewise expected-minus-observed for transitions, start, and stop.
+
+Forward-backward always runs on the time-major, length-sorted batch layout
+of :mod:`batching`: (T, B, L) emissions, whose alpha and beta recursions
+touch only each step's active posts.  A single (T, L) post runs as a batch
+of one; :func:`crf_nll_grad` also takes a whole training batch.  Viterbi
+decoding is per post.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batching import check_lengths, step_index, valid_mask
 from .errors import ValidationError
 
 
@@ -52,55 +59,76 @@ def _label_array(labels, length: int, num_labels: int) -> np.ndarray:
     return y
 
 
-def _gold_score(em: np.ndarray, crf: CrfParams, y: np.ndarray) -> float:
+def _gold_score(em: np.ndarray, crf: CrfParams, y: np.ndarray, lengths: np.ndarray) -> float:
+    """Summed path score of the (T, B) label grid ``y`` of a sorted batch."""
+    valid = valid_mask(lengths, len(y))
     return float(
-        crf.start[y[0]]
-        + em[np.arange(len(y)), y].sum()
-        + crf.trans[y[:-1], y[1:]].sum()
-        + crf.stop[y[-1]]
+        crf.start[y[0]].sum()
+        + np.take_along_axis(em, y[:, :, None], axis=2)[valid].sum()
+        + crf.trans[y[:-1], y[1:]][valid[1:]].sum()
+        + crf.stop[y[lengths - 1, np.arange(len(lengths))]].sum()
     )
 
 
 @dataclass
 class _ForwardBackward:
-    alphas: np.ndarray  # (T, L) log-scores of all prefixes ending in each label
-    betas: np.ndarray  # (T, L) log-scores of all suffixes after each label
-    log_z: float
-    marginals: np.ndarray  # (T, L)
-    expected: np.ndarray  # (L, L) expected transition counts
+    """Forward-backward quantities of a sorted (T, B, L) batch."""
+
+    alphas: np.ndarray  # (T, B, L) log-scores of all prefixes ending in each label
+    betas: np.ndarray  # (T, B, L) log-scores of all suffixes after each label
+    log_z: np.ndarray  # (B,)
+    marginals: np.ndarray  # (T, B, L), zero on padding
+    expected: np.ndarray  # (L, L) expected transition counts, summed over the batch
 
 
-def _forward_backward(em: np.ndarray, crf: CrfParams) -> _ForwardBackward:
-    """The one forward-backward pass every CRF quantity is read from."""
-    _check_emissions(em, crf)
-    T = em.shape[0]
-    alphas = np.empty_like(em)
+def _forward_backward(em: np.ndarray, crf: CrfParams, lengths: np.ndarray) -> _ForwardBackward:
+    """The one forward-backward pass every CRF quantity is read from.
+
+    ``em`` is a sorted batch with finite padding.  The recursions touch only
+    the rows of each step's active posts; every padded alpha and beta stays
+    -inf, so padding adds exp(-inf) = 0 to the marginals and transitions.
+    """
+    T, B, _ = em.shape
+    rows, _, _ = step_index(lengths, T)
+    last, cols = lengths - 1, np.arange(B)
+    alphas = np.full_like(em, -np.inf)
     alphas[0] = crf.start + em[0]
     for t in range(1, T):
-        alphas[t] = np.logaddexp.reduce(alphas[t - 1][:, None] + crf.trans, axis=0)
-        alphas[t] += em[t]
-    betas = np.empty_like(em)
-    betas[T - 1] = crf.stop
+        r = rows[t]
+        alphas[t, r] = np.logaddexp.reduce(alphas[t - 1, r, :, None] + crf.trans, axis=1)
+        alphas[t, r] += em[t, r]
+    betas = np.full_like(em, -np.inf)
+    betas[last, cols] = crf.stop
     for t in range(T - 2, -1, -1):
-        betas[t] = np.logaddexp.reduce(crf.trans + (em[t + 1] + betas[t + 1]), axis=1)
-    log_z = float(np.logaddexp.reduce(alphas[-1] + crf.stop))
-    marginals = np.exp(alphas + betas - log_z)
+        r = rows[t + 1]
+        betas[t, r] = np.logaddexp.reduce(
+            crf.trans + (em[t + 1, r] + betas[t + 1, r])[:, None, :], axis=2
+        )
+    log_z = np.logaddexp.reduce(alphas[last, cols] + crf.stop, axis=1)
+    marginals = np.exp(alphas + betas - log_z[:, None])
     # log-probability of label pair (i, j) at positions (t, t + 1), all t at once
-    pair = alphas[:-1, :, None] + crf.trans + (em[1:] + betas[1:])[:, None, :]
-    pair -= log_z
-    expected = np.exp(pair).sum(axis=0)
+    pair = alphas[:-1, :, :, None] + crf.trans + (em[1:] + betas[1:])[:, :, None, :]
+    pair -= log_z[:, None, None]
+    expected = np.exp(pair).sum(axis=(0, 1))
     return _ForwardBackward(alphas, betas, log_z, marginals, expected)
+
+
+def _single(em: np.ndarray, crf: CrfParams) -> _ForwardBackward:
+    """Forward-backward of one (T, L) post, as a batch of one."""
+    _check_emissions(em, crf)
+    return _forward_backward(em[:, None, :], crf, np.array([em.shape[0]]))
 
 
 def crf_log_partition(em: np.ndarray, crf: CrfParams) -> float:
     """log sum over all label sequences of exp(path score)."""
-    return _forward_backward(em, crf).log_z
+    return float(_single(em, crf).log_z[0])
 
 
 def crf_gold_score(em: np.ndarray, crf: CrfParams, labels: list[int]) -> float:
     """Path score of one label sequence."""
     _check_emissions(em, crf)
-    return _gold_score(em, crf, _label_array(labels, em.shape[0], crf.num_labels))
+    y = _label_array(labels, em.shape[0], crf.num_labels)
+    return _gold_score(em[:, None, :], crf, y[:, None], np.array([len(y)]))
 
 
 def crf_nll(em: np.ndarray, crf: CrfParams, labels: list[int]) -> float:
@@ -114,28 +142,52 @@ def crf_marginals(em: np.ndarray, crf: CrfParams) -> tuple[np.ndarray, np.ndarra
     Marginals sum to 1 at every position; the L x L expected transition
     counts sum to T - 1.
     """
-    fb = _forward_backward(em, crf)
-    return fb.marginals, fb.expected
+    fb = _single(em, crf)
+    return fb.marginals[:, 0], fb.expected
 
 
 def crf_nll_grad(
-    em: np.ndarray, crf: CrfParams, labels: list[int]
+    em: np.ndarray, crf: CrfParams, labels, lengths: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """NLL and its gradients wrt emissions, trans, start, and stop.
 
-    Each gradient is the marginal expectation minus the gold indicator.
+    Takes one post, (T, L) emissions and its labels, or a sorted batch:
+    (T, B, L) emissions (any finite values as padding), one label list per
+    post and the post lengths.  A batch returns the summed NLL, per-post
+    emission gradients (zero on padding) and the summed trans, start and
+    stop gradients.  Each gradient is the marginal expectation minus the
+    gold indicator.
     """
-    fb = _forward_backward(em, crf)
-    T, L = em.shape
-    y = _label_array(labels, T, L)
+    single = lengths is None
+    if single:
+        _check_emissions(em, crf)
+        em, labels, lengths = em[:, None, :], [labels], np.array([em.shape[0]])
+    elif em.ndim != 3 or em.shape[2] != crf.num_labels:
+        raise ValidationError(
+            f"batch emissions must be T x B x {crf.num_labels}, got shape {em.shape}"
+        )
+    else:
+        lengths = check_lengths(lengths, em.shape[0], em.shape[1])
+        if len(labels) != len(lengths):
+            raise ValidationError(f"{len(labels)} label lists for {len(lengths)} posts")
+    T, B, L = em.shape
+    valid = valid_mask(lengths, T)
+    y = np.zeros((T, B), dtype=np.int64)
+    for b, (labs, n) in enumerate(zip(labels, lengths)):
+        y[:n, b] = _label_array(labs, int(n), L)
+
+    fb = _forward_backward(em, crf, lengths)
+    t_idx, b_idx = np.nonzero(valid)
     d_em = fb.marginals
-    d_em[np.arange(T), y] -= 1.0
-    d_trans = fb.expected - np.bincount(y[:-1] * L + y[1:], minlength=L * L).reshape(L, L)
+    d_em[t_idx, b_idx, y[t_idx, b_idx]] -= 1.0
+    # gold transitions: pairs (t, t + 1) inside a post
+    pairs = (y[:-1] * L + y[1:])[valid[1:]]
+    d_trans = fb.expected - np.bincount(pairs, minlength=L * L).reshape(L, L)
     # start and stop gradients are the first and last emission gradient rows
-    d_start = d_em[0].copy()
-    d_stop = d_em[-1].copy()
-    nll = fb.log_z - _gold_score(em, crf, y)
-    return nll, d_em, d_trans, d_start, d_stop
+    d_start = d_em[0].sum(axis=0)
+    d_stop = d_em[lengths - 1, np.arange(B)].sum(axis=0)
+    nll = float(fb.log_z.sum()) - _gold_score(em, crf, y, lengths)
+    return nll, (d_em[:, 0] if single else d_em), d_trans, d_start, d_stop
 
 
 def viterbi_decode(em: np.ndarray, crf: CrfParams) -> list[int]:

@@ -147,6 +147,8 @@ def _parse_dataset_stream(stream, has_gold: bool, lenient: bool) -> list[Labeled
         header = next(reader)
     except StopIteration:
         raise DataFormatError("empty file: missing CSV header") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"CSV header: {exc}") from None
     columns = {name.strip(): pos for pos, name in enumerate(header)}
     if "text" not in columns:
         raise DataFormatError("CSV header lacks required column 'text'")
@@ -154,10 +156,16 @@ def _parse_dataset_stream(stream, has_gold: bool, lenient: bool) -> list[Labeled
         raise DataFormatError("CSV header lacks required column 'spans'")
 
     posts: list[LabeledPost] = []
-    for row in reader:
+    while True:
+        record_no = len(posts) + 1
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise DataFormatError(f"record {record_no}: {exc}") from None
+        if row is None:
+            break
         if not row:
             continue  # stray blank line
-        record_no = len(posts) + 1
         if len(row) != len(header):
             raise DataFormatError(
                 f"record {record_no}: expected {len(header)} fields, found {len(row)}"

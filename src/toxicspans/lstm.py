@@ -8,17 +8,24 @@ candidate, output.  The recurrence starts from zero hidden and cell state:
     c_t = f * c_{t-1} + i * g
     h_t = o * tanh(c_t)
 
+Both kernels take one post as a (T, D) array or a minibatch in the
+time-major, length-sorted layout of :mod:`batching`: a (T, B, D) array plus
+the B post lengths, longest first.  Step ``s`` runs only the posts longer
+than ``s`` (the first rows of the step), and a reversed pass reads each
+post's own prefix back to front, so padding is never computed.
+
 Only ``W_rec h_{t-1}`` depends on the previous step, so the input
-projection of all T steps is one (T, D) x (D, 4H) product taken before the
-recurrence, and each step adds one matrix-vector product to its row of the
-(T, 4H) ``gates`` array and activates that row in place.  The backward pass
+projection of all steps is one (T*B, D) x (D, 4H) product taken before the
+recurrence, and each step adds one (rows, H) x (H, 4H) product to its rows
+of the ``gates`` array and activates them in place.  The backward pass
 mirrors this: the loop carries only the hidden and cell gradients and writes
-each step's pre-activation gradient into a (T, 4H) buffer dZ; the parameter
-and input gradients are then dZ^T X, dZ^T H_prev, sum(dZ) and dZ W_in.
+each step's pre-activation gradient into a buffer dZ that is zero on
+padding; the parameter and input gradients are then products over all T*B
+rows: dZ^T X, dZ^T H_prev, sum(dZ) and dZ W_in.
 
 :class:`LstmCache` holds, in processing order, the inputs, the activated
-``gates`` (T, 4H, blocks in gate order), and the (T, H) ``cell``,
-``tanh_cell`` and ``hidden`` states.  A reversed pass consumes the inputs
+``gates`` (4H, blocks in gate order), and the ``cell``, ``tanh_cell`` and
+``hidden`` states (H), zero on padding.  A reversed pass consumes the inputs
 back-to-front but reports hidden states in original order.  All arithmetic
 is float64.
 """
@@ -29,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batching import check_lengths, matmul_rows, reverse_prefixes, step_index, valid_mask
 from .errors import NonFiniteError, ValidationError
 
 
@@ -53,12 +61,19 @@ class LstmDirectionParams:
 class LstmCache:
     """Forward-pass intermediates, all in processing order."""
 
-    inputs: np.ndarray  # (T, D)
-    gates: np.ndarray  # (T, 4H) activated i, f, g, o
-    cell: np.ndarray  # (T, H)
+    inputs: np.ndarray  # (T, [B,] D)
+    gates: np.ndarray  # (T, [B,] 4H) activated i, f, g, o
+    cell: np.ndarray  # (T, [B,] H)
     tanh_cell: np.ndarray
     hidden: np.ndarray
     reverse: bool
+    lengths: np.ndarray | None = None  # (B,) for a batch, None for one post
+
+
+def _gate_blocks(H: int, batched: bool) -> list:
+    """Index of the i, f, g, o column blocks of one step's gate rows."""
+    blocks = [slice(k * H, (k + 1) * H) for k in range(4)]
+    return [(slice(None), b) for b in blocks] if batched else blocks
 
 
 def _sigmoid_inplace(x: np.ndarray) -> None:
@@ -71,49 +86,65 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
 
 
 def lstm_forward(
-    inputs: np.ndarray, params: LstmDirectionParams, reverse: bool = False
+    inputs: np.ndarray,
+    params: LstmDirectionParams,
+    reverse: bool = False,
+    lengths: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LstmCache]:
-    """Run the recurrence over a (T, D) input matrix.
+    """Run the recurrence over a (T, D) post or a sorted (T, B, D) batch.
 
-    Returns the (T, H) hidden states in original order plus the cache needed
-    by :func:`lstm_backward`.  Raises :class:`NonFiniteError` if any hidden
+    ``lengths`` is required for, and only for, a batch.  Returns the hidden
+    states in original order (zero on padding) plus the cache needed by
+    :func:`lstm_backward`.  Raises :class:`NonFiniteError` if any hidden
     state diverges, which only happens when parameters or inputs are already
     non-finite (the activations themselves are bounded).
     """
-    if inputs.ndim != 2 or inputs.shape[0] < 1:
-        raise ValidationError(f"inputs must be T x D with T >= 1, got {inputs.shape}")
-    if inputs.shape[1] != params.input_size:
+    if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
+        raise ValidationError(f"inputs must be T x D or T x B x D with T >= 1, got {inputs.shape}")
+    if (inputs.ndim == 3) != (lengths is not None):
+        raise ValidationError("lengths must be given for a T x B x D batch and only for one")
+    if inputs.shape[-1] != params.input_size:
         raise ValidationError(
-            f"input width {inputs.shape[1]} != parameter input size {params.input_size}"
+            f"input width {inputs.shape[-1]} != parameter input size {params.input_size}"
         )
     T = inputs.shape[0]
     H = params.hidden_size
-    xs = inputs[::-1] if reverse else inputs
+    if lengths is not None:
+        lengths = check_lengths(lengths, T, inputs.shape[1])
+    _, now, prev = step_index(lengths, T)
+    i_, f_, g_, o_ = _gate_blocks(H, lengths is not None)
+    xs = reverse_prefixes(inputs, lengths) if reverse else inputs
 
-    gates = xs @ params.W_in.T + params.b  # pre-activations until row s is activated
-    cell = np.empty((T, H))
-    tanh_cell = np.empty((T, H))
-    hidden = np.empty((T, H))
-    W_rec_T = params.W_rec.T
+    gates = matmul_rows(xs, params.W_in.T)  # pre-activations until a row is activated
+    gates += params.b
+    state = gates.shape[:-1] + (H,)
+    cell = np.zeros(state)
+    tanh_cell = np.zeros(state)
+    hidden = np.zeros(state)
+    # A batch's per-step product runs faster against a contiguous copy; a
+    # single post keeps the transposed view its outputs are pinned to.
+    W_rec_T = params.W_rec.T if lengths is None else np.ascontiguousarray(params.W_rec.T)
     with np.errstate(over="ignore"):
         for s in range(T):
-            z = gates[s]
+            r, q = now[s], prev[s]
+            z = gates[r]
             if s:
-                z += hidden[s - 1] @ W_rec_T
-            g = np.tanh(z[2 * H : 3 * H])
+                z += hidden[q] @ W_rec_T
+            g = np.tanh(z[g_])
             _sigmoid_inplace(z)
-            z[2 * H : 3 * H] = g
-            c = cell[s]
-            np.multiply(z[:H], g, out=c)
+            z[g_] = g
+            c = cell[r]
+            np.multiply(z[i_], g, out=c)
             if s:
-                c += z[H : 2 * H] * cell[s - 1]
-            np.tanh(c, out=tanh_cell[s])
-            np.multiply(z[3 * H :], tanh_cell[s], out=hidden[s])
+                c += z[f_] * cell[q]
+            tc = tanh_cell[r]
+            np.tanh(c, out=tc)
+            np.multiply(z[o_], tc, out=hidden[r])
 
     if not np.all(np.isfinite(hidden)):
         raise NonFiniteError("LSTM hidden state is non-finite; inputs or parameters diverged")
 
-    out = hidden[::-1].copy() if reverse else hidden
+    out = np.ascontiguousarray(reverse_prefixes(hidden, lengths)) if reverse else hidden
     cache = LstmCache(
         inputs=xs,
         gates=gates,
@@ -121,6 +152,7 @@ def lstm_forward(
         tanh_cell=tanh_cell,
         hidden=hidden,
         reverse=reverse,
+        lengths=lengths,
     )
     return out, cache
 
@@ -130,41 +162,70 @@ def lstm_backward(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Backpropagate upstream hidden-state gradients through the recurrence.
 
-    ``d_hidden`` is (T, H) in original order.  Returns the (T, D) input
-    gradients in original order and the parameter gradients keyed
-    ``W_in`` / ``W_rec`` / ``b``.
+    ``d_hidden`` has the shape of the forward pass's hidden states, in
+    original order; its padded rows are ignored.  Returns the input
+    gradients in original order (zero on padding) and the parameter
+    gradients keyed ``W_in`` / ``W_rec`` / ``b``, summed over a batch.
     """
-    T, H = cache.hidden.shape
-    if d_hidden.shape != (T, H):
-        raise ValidationError(f"upstream gradient shape {d_hidden.shape} != {(T, H)}")
-    d_h_seq = d_hidden[::-1] if cache.reverse else d_hidden
+    shape = cache.hidden.shape
+    if d_hidden.shape != shape:
+        raise ValidationError(f"upstream gradient shape {d_hidden.shape} != {shape}")
+    T, H = shape[0], shape[-1]
+    rows, now, _ = step_index(cache.lengths, T)
+    d_h_seq = reverse_prefixes(d_hidden, cache.lengths) if cache.reverse else d_hidden
 
-    # Local derivatives of every step, taken over whole arrays: dz for the
-    # i, f, g blocks is dc times dz_dc, for the o block dh times dz_dh.
-    i, f, g, o = (cache.gates[:, k * H : (k + 1) * H] for k in range(4))
+    # Local derivatives of every step, taken over whole arrays and written
+    # into dZ, which the loop then scales in place (no separate arrays to
+    # hold): dz for the i, f, g blocks is dc times the local derivative,
+    # for the o block dh times it.
+    i, f, g, o = (cache.gates[..., k * H : (k + 1) * H] for k in range(4))
     tc = cache.tanh_cell
-    dz_dc = np.empty((T, 3, H))
-    np.multiply(g, i * (1.0 - i), out=dz_dc[:, 0])
-    dz_dc[0, 1] = 0.0  # c_{-1} = 0
-    np.multiply(cache.cell[:-1], f[1:] * (1.0 - f[1:]), out=dz_dc[1:, 1])
-    np.multiply(i, 1.0 - g * g, out=dz_dc[:, 2])
-    dz_dh = tc * o * (1.0 - o)
-    dc_dh = o * (1.0 - tc * tc)
+    dZ = np.empty(shape[:-1] + (4, H))
+    di, df, dg, do = (dZ[..., k, :] for k in range(4))
+    np.subtract(1.0, i, out=di)
+    di *= i
+    di *= g
+    df[0] = 0.0  # c_{-1} = 0
+    np.subtract(1.0, f[1:], out=df[1:])
+    df[1:] *= f[1:]
+    df[1:] *= cache.cell[:-1]
+    np.multiply(g, g, out=dg)
+    np.subtract(1.0, dg, out=dg)
+    dg *= i
+    np.subtract(1.0, o, out=do)
+    do *= o
+    do *= tc
+    dc_dh = tc * tc
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    if cache.lengths is not None:
+        dZ[~valid_mask(cache.lengths, T)] = 0.0  # padding adds nothing below
 
-    dZ = np.empty((T, 4 * H))
-    dh = d_h_seq[T - 1]
-    dc = dh * dc_dh[T - 1]
+    dZ_flat = dZ.reshape(cache.gates.shape)
+    dh = d_h_seq[now[T - 1]]
+    dc = dh * dc_dh[now[T - 1]]
     for s in range(T - 1, -1, -1):
-        np.multiply(dz_dc[s], dc, out=dZ[s, : 3 * H].reshape(3, H))
-        np.multiply(dz_dh[s], dh, out=dZ[s, 3 * H :])
+        r = now[s]
+        dz = dZ[r]
+        dz[..., :3, :] *= dc[..., None, :]
+        dz[..., 3, :] *= dh
         if s:
-            dh = d_h_seq[s - 1] + dZ[s] @ params.W_rec
-            dc *= f[s]
-            dc += dh * dc_dh[s - 1]
+            # the posts active at s are the first rows of those active at s - 1
+            q = now[s - 1]
+            head = rows[s]
+            dh = d_h_seq[q].copy()
+            dh[head] += dZ_flat[r] @ params.W_rec
+            dc_prev = dh * dc_dh[q]
+            dc_prev[head] += dc * f[r]
+            dc = dc_prev
 
-    d_W_in = dZ.T @ cache.inputs
-    d_W_rec = dZ[1:].T @ cache.hidden[:-1]  # h_{-1} = 0 adds nothing
-    d_b = dZ.sum(axis=0)
-    d_x = dZ @ params.W_in
-    d_inputs = d_x[::-1].copy() if cache.reverse else d_x
-    return d_inputs, {"W_in": d_W_in, "W_rec": d_W_rec, "b": d_b}
+    D = cache.inputs.shape[-1]
+    dZ_rows = dZ_flat.reshape(-1, 4 * H)
+    d_W_in = dZ_rows.T @ cache.inputs.reshape(-1, D)
+    # h_{-1} = 0 adds nothing
+    d_W_rec = dZ_flat[1:].reshape(-1, 4 * H).T @ cache.hidden[:-1].reshape(-1, H)
+    d_b = dZ_rows.sum(axis=0)
+    d_x = matmul_rows(dZ_flat, params.W_in)
+    if cache.reverse:
+        d_x = np.ascontiguousarray(reverse_prefixes(d_x, cache.lengths))
+    return d_x, {"W_in": d_W_in, "W_rec": d_W_rec, "b": d_b}

@@ -1,18 +1,26 @@
 """The BiLSTM-CRF tagger: embedding lookup, both LSTM directions, a linear
 projection to per-label emission scores, and the CRF on top.
 
-Recurrences run only over the unpadded prefix of an encoded post, so PAD
-rows never enter any computation and need no masking arithmetic.  The
-backward pass is fully manual (projection, then both LSTM directions) and
-optionally accumulates embedding-row gradients when fine-tuning is enabled.
+Inference tags one post at a time over its unpadded prefix.  Training runs
+a whole minibatch as one pass in the time-major, length-sorted layout of
+:mod:`batching`: a (T, B) grid of embedding rows, T the batch's longest
+post, padding the PAD row (zeros), where each step's recurrence runs only
+the posts still active, so no padded slot is computed and no mask enters
+the arithmetic.  The backward pass is fully manual (projection, then both
+LSTM directions), returns gradients summed over the batch, and optionally
+accumulates embedding-row gradients when fine-tuning is enabled; padded
+slots add exact zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
+from .batching import matmul_rows
 from .crf import CrfParams, crf_nll_grad, viterbi_decode
 from .dataio import CharSpanSet
 from .embeddings import EmbeddingTable, EncodedPost, encode_post
@@ -22,6 +30,15 @@ from .span_codec import BridgePolicy, labels_to_spans
 from .tokenizer import tokenize
 
 NUM_LABELS = 2  # 0 = non-toxic, 1 = toxic
+# Trainable tensors in their declared (checkpoint) order, as attribute paths
+# of ModelParams; a fine-tuned embedding matrix follows them.
+TENSOR_NAMES = (
+    "fwd.W_in", "fwd.W_rec", "fwd.b",
+    "bwd.W_in", "bwd.W_rec", "bwd.b",
+    "emit.W_out", "emit.b_out",
+    "crf.trans", "crf.start", "crf.stop",
+)
+EMBEDDING_TENSOR = "embedding.matrix"
 
 
 @dataclass
@@ -48,22 +65,8 @@ class ModelParams:
 
     def named_arrays(self, include_embedding: bool = False) -> list[tuple[str, np.ndarray]]:
         """Trainable tensors in their declared (checkpoint) order."""
-        named = [
-            ("fwd.W_in", self.fwd.W_in),
-            ("fwd.W_rec", self.fwd.W_rec),
-            ("fwd.b", self.fwd.b),
-            ("bwd.W_in", self.bwd.W_in),
-            ("bwd.W_rec", self.bwd.W_rec),
-            ("bwd.b", self.bwd.b),
-            ("emit.W_out", self.emit.W_out),
-            ("emit.b_out", self.emit.b_out),
-            ("crf.trans", self.crf.trans),
-            ("crf.start", self.crf.start),
-            ("crf.stop", self.crf.stop),
-        ]
-        if include_embedding:
-            named.append(("embedding.matrix", self.embedding.matrix))
-        return named
+        names = TENSOR_NAMES + ((EMBEDDING_TENSOR,) if include_embedding else ())
+        return [(name, reduce(getattr, name.split("."), self)) for name in names]
 
     def clone(self, copy_embedding: bool = False) -> "ModelParams":
         """Deep copy of the trainable tensors; the table is shared by default."""
@@ -89,11 +92,11 @@ class ModelParams:
 class BilstmCache:
     """Everything the manual backward pass needs from one forward pass."""
 
-    indices: np.ndarray  # (T,) embedding rows actually used
-    inputs: np.ndarray  # (T, D)
+    indices: np.ndarray  # (T, [B]) embedding rows; padding past each post's length
+    inputs: np.ndarray  # (T, [B,] D)
     fwd_cache: LstmCache
     bwd_cache: LstmCache
-    hidden: np.ndarray  # (T, 2H)
+    hidden: np.ndarray  # (T, [B,] 2H), zero on padding
 
 
 def _glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -124,17 +127,15 @@ def init_params(
     return ModelParams(fwd=fwd, bwd=bwd, emit=emit, crf=crf, embedding=table)
 
 
-def bilstm_emissions(post: EncodedPost, params: ModelParams) -> tuple[np.ndarray, BilstmCache]:
-    """Per-token label scores for the unpadded prefix of an encoded post."""
-    eff = post.effective_len
-    if eff < 1:
-        raise ValidationError("encoded post has no unpadded positions")
-    indices = post.indices[:eff]
+def _emissions(
+    indices: np.ndarray, params: ModelParams, lengths: np.ndarray | None = None
+) -> tuple[np.ndarray, BilstmCache]:
+    """Label scores of one post's (T,) rows or a sorted batch's (T, B) rows."""
     inputs = params.embedding.matrix[indices]
-    h_fwd, fwd_cache = lstm_forward(inputs, params.fwd)
-    h_bwd, bwd_cache = lstm_forward(inputs, params.bwd, reverse=True)
-    hidden = np.concatenate([h_fwd, h_bwd], axis=1)
-    emissions = hidden @ params.emit.W_out.T + params.emit.b_out
+    h_fwd, fwd_cache = lstm_forward(inputs, params.fwd, lengths=lengths)
+    h_bwd, bwd_cache = lstm_forward(inputs, params.bwd, reverse=True, lengths=lengths)
+    hidden = np.concatenate([h_fwd, h_bwd], axis=-1)
+    emissions = matmul_rows(hidden, params.emit.W_out.T) + params.emit.b_out
     cache = BilstmCache(
         indices=indices,
         inputs=inputs,
@@ -145,6 +146,14 @@ def bilstm_emissions(post: EncodedPost, params: ModelParams) -> tuple[np.ndarray
     return emissions, cache
 
 
+def bilstm_emissions(post: EncodedPost, params: ModelParams) -> tuple[np.ndarray, BilstmCache]:
+    """Per-token label scores for the unpadded prefix of an encoded post."""
+    eff = post.effective_len
+    if eff < 1:
+        raise ValidationError("encoded post has no unpadded positions")
+    return _emissions(post.indices[:eff], params)
+
+
 def backward(
     params: ModelParams,
     cache: BilstmCache,
@@ -153,16 +162,19 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Manual backprop through the projection and both LSTM directions.
 
-    Returns gradients keyed like :meth:`ModelParams.named_arrays` (CRF
-    entries excluded; those come straight from the CRF marginals).
+    ``d_emissions`` has the shape of the forward pass's emissions and must
+    be zero on padding.  Returns gradients keyed like
+    :meth:`ModelParams.named_arrays`, summed over a batch (CRF entries
+    excluded; those come straight from the CRF marginals).
     """
     H = params.hidden_size
-    d_W_out = d_emissions.T @ cache.hidden
-    d_b_out = d_emissions.sum(axis=0)
-    d_hidden = d_emissions @ params.emit.W_out
+    L = d_emissions.shape[-1]
+    d_W_out = d_emissions.reshape(-1, L).T @ cache.hidden.reshape(-1, 2 * H)
+    d_b_out = d_emissions.reshape(-1, L).sum(axis=0)
+    d_hidden = matmul_rows(d_emissions, params.emit.W_out)
 
-    d_in_fwd, g_fwd = lstm_backward(d_hidden[:, :H], params.fwd, cache.fwd_cache)
-    d_in_bwd, g_bwd = lstm_backward(d_hidden[:, H:], params.bwd, cache.bwd_cache)
+    d_in_fwd, g_fwd = lstm_backward(d_hidden[..., :H], params.fwd, cache.fwd_cache)
+    d_in_bwd, g_bwd = lstm_backward(d_hidden[..., H:], params.bwd, cache.bwd_cache)
 
     grads = {
         "fwd.W_in": g_fwd["W_in"],
@@ -177,20 +189,39 @@ def backward(
     if finetune_embeddings:
         d_matrix = np.zeros_like(params.embedding.matrix)
         np.add.at(d_matrix, cache.indices, d_in_fwd + d_in_bwd)
-        grads["embedding.matrix"] = d_matrix
+        grads[EMBEDDING_TENSOR] = d_matrix
     return grads
 
 
 def nll_and_gradients(
-    post: EncodedPost,
-    labels: list[int],
+    posts: Sequence[EncodedPost],
+    labels: Sequence[list[int]],
     params: ModelParams,
     finetune_embeddings: bool = False,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """CRF negative log-likelihood of one post and gradients for every
-    trainable tensor.  ``labels`` must cover exactly the unpadded prefix."""
-    emissions, cache = bilstm_emissions(post, params)
-    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(emissions, params.crf, labels)
+    """Summed CRF negative log-likelihood of a minibatch and the summed
+    gradients for every trainable tensor.
+
+    ``labels[k]`` must cover exactly the unpadded prefix of ``posts[k]``.
+    The batch runs as one time-major pass, its posts sorted longest first
+    (ties keep their given order).
+    """
+    if len(posts) != len(labels):
+        raise ValidationError(f"{len(labels)} label lists for {len(posts)} posts")
+    if not posts:
+        raise ValidationError("empty minibatch")
+    lens = [post.effective_len for post in posts]
+    order = sorted(range(len(posts)), key=lambda k: -lens[k])
+    lengths = np.array([lens[k] for k in order])
+    if lengths[-1] < 1:
+        raise ValidationError("encoded post has no unpadded positions")
+    indices = np.full((lengths[0], len(posts)), params.embedding.pad_index)
+    for b, k in enumerate(order):
+        indices[: lens[k], b] = posts[k].indices[: lens[k]]
+    emissions, cache = _emissions(indices, params, lengths)
+    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(
+        emissions, params.crf, [labels[k] for k in order], lengths
+    )
     grads = backward(params, cache, d_em, finetune_embeddings)
     grads["crf.trans"] = d_trans
     grads["crf.start"] = d_start

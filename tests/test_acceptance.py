@@ -123,11 +123,9 @@ def test_criterion_3_gradient_correctness():
             total += crf_nll(em, params.crf, labels)
         return total / len(batch)
 
-    analytic: dict = {}
-    for post, labels in batch:
-        _, grads = nll_and_gradients(post, labels, params)
-        for name, arr in grads.items():
-            analytic[name] = analytic.get(name, 0.0) + arr / len(batch)
+    posts, label_lists = zip(*batch)
+    _, grads = nll_and_gradients(posts, label_lists, params)
+    analytic = {name: arr / len(batch) for name, arr in grads.items()}
 
     numeric = finite_difference(batch_loss, dict(params.named_arrays()), h=1e-5)
     err = max_relative_error(analytic, numeric)

@@ -1,0 +1,131 @@
+"""A time-major, length-sorted minibatch against the same posts one at a
+time: the batched kernels and ``nll_and_gradients`` must return each post's
+own results and the sum of the single-post gradients, up to summation order.
+
+Padding slots are filled with random finite values, so any padded value
+leaking into a result would show.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import make_table
+from toxicspans.crf import CrfParams, crf_nll_grad
+from toxicspans.embeddings import encode_post
+from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
+from toxicspans.model import init_params, nll_and_gradients
+from toxicspans.tokenizer import tokenize
+
+RTOL = 1e-9
+ATOL = 1e-12
+DIM = 5
+H = 4
+# (batch size, post lengths): mixed lengths with T = 1 and ties, and equal lengths
+CASES = [
+    (1, [1]),
+    (1, [6]),
+    (2, [5, 1]),
+    (2, [4, 4]),
+    (16, [12, 9, 9, 8, 7, 7, 5, 4, 4, 3, 3, 2, 2, 1, 1, 1]),
+    (16, [7] * 16),
+]
+IDS = [f"B{B}-{'equal' if len(set(lens)) == 1 and B > 1 else 'mixed'}-T{lens[0]}" for B, lens in CASES]
+
+
+def assert_close(actual, desired):
+    np.testing.assert_allclose(actual, desired, rtol=RTOL, atol=ATOL)
+
+
+def padded_batch(posts, rng, width):
+    """Stack sorted per-post (T_b, width) arrays time-major, padding with noise."""
+    T = len(posts[0])
+    batch = rng.normal(size=(T, len(posts), width)) * 3.0
+    for b, post in enumerate(posts):
+        batch[: len(post), b] = post
+    return batch
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("B, lengths", CASES, ids=IDS)
+def test_lstm_batch_matches_single_posts(B, lengths, reverse):
+    rng = np.random.default_rng(B * 100 + lengths[0] + reverse)
+    params = LstmDirectionParams(
+        W_in=rng.uniform(-1.0, 1.0, size=(4 * H, DIM)),
+        W_rec=rng.uniform(-0.5, 0.5, size=(4 * H, H)),
+        b=rng.uniform(-0.4, 0.4, size=4 * H),
+    )
+    xs = [rng.normal(size=(n, DIM)) for n in lengths]
+    d_hs = [rng.normal(size=(n, H)) for n in lengths]
+
+    hidden, cache = lstm_forward(padded_batch(xs, rng, DIM), params, reverse, np.array(lengths))
+    d_inputs, grads = lstm_backward(padded_batch(d_hs, rng, H), params, cache)
+
+    total = {name: 0.0 for name in grads}
+    for b, (x, d_h) in enumerate(zip(xs, d_hs)):
+        n = len(x)
+        ref_hidden, ref_cache = lstm_forward(x, params, reverse)
+        ref_d_inputs, ref_grads = lstm_backward(d_h, params, ref_cache)
+        assert_close(hidden[:n, b], ref_hidden)
+        assert_close(d_inputs[:n, b], ref_d_inputs)
+        assert np.all(hidden[n:, b] == 0.0) and np.all(d_inputs[n:, b] == 0.0)
+        for name, arr in ref_grads.items():
+            total[name] = total[name] + arr
+    for name, arr in grads.items():
+        assert_close(arr, total[name])
+
+
+@pytest.mark.parametrize("B, lengths", CASES, ids=IDS)
+def test_crf_batch_matches_single_posts(B, lengths):
+    rng = np.random.default_rng(B * 100 + lengths[0])
+    L = 2
+    crf = CrfParams(
+        trans=rng.uniform(-2.0, 2.0, size=(L, L)),
+        start=rng.uniform(-2.0, 2.0, size=L),
+        stop=rng.uniform(-2.0, 2.0, size=L),
+    )
+    ems = [rng.uniform(-3.0, 3.0, size=(n, L)) for n in lengths]
+    labels = [[int(y) for y in rng.integers(L, size=n)] for n in lengths]
+
+    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(
+        padded_batch(ems, rng, L), crf, labels, np.array(lengths)
+    )
+
+    ref_nll, ref_trans, ref_start, ref_stop = 0.0, 0.0, 0.0, 0.0
+    for b, (em, labs) in enumerate(zip(ems, labels)):
+        one_nll, one_d_em, one_trans, one_start, one_stop = crf_nll_grad(em, crf, labs)
+        assert_close(d_em[: len(em), b], one_d_em)
+        assert np.all(d_em[len(em) :, b] == 0.0)
+        ref_nll += one_nll
+        ref_trans, ref_start, ref_stop = ref_trans + one_trans, ref_start + one_start, ref_stop + one_stop
+    assert_close(nll, ref_nll)
+    assert_close(d_trans, ref_trans)
+    assert_close(d_start, ref_start)
+    assert_close(d_stop, ref_stop)
+
+
+@pytest.mark.parametrize("finetune", [False, True])
+@pytest.mark.parametrize("B, lengths", CASES, ids=IDS)
+def test_nll_and_gradients_batch_matches_sum_of_single_posts(B, lengths, finetune):
+    rng = np.random.default_rng(B * 100 + lengths[0] + finetune)
+    table = make_table([f"w{i}" for i in range(10)], dim=DIM, seed=4)
+    params = init_params(table, hidden_size=H, rng=rng)
+    shuffled = [int(n) for n in rng.permutation(lengths)]  # the model sorts
+    texts = [" ".join(f"w{int(rng.integers(12))}" for _ in range(n)) for n in shuffled]
+    posts = [encode_post(tokenize(text), table, max_len=16) for text in texts]
+    labels = [[int(y) for y in rng.integers(2, size=n)] for n in shuffled]
+
+    nll, grads = nll_and_gradients(posts, labels, params, finetune)
+
+    ref_nll, ref = 0.0, {}
+    for post, labs in zip(posts, labels):
+        one_nll, one = nll_and_gradients([post], [labs], params, finetune)
+        ref_nll += one_nll
+        for name, arr in one.items():
+            ref[name] = ref.get(name, 0.0) + arr
+    assert sorted(grads) == sorted(ref)
+    assert ("embedding.matrix" in grads) == finetune
+    assert_close(nll, ref_nll)
+    for name, arr in grads.items():
+        assert_close(arr, ref[name])
+    if finetune:
+        assert np.all(grads["embedding.matrix"][table.pad_index] == 0.0)

@@ -71,6 +71,13 @@ class TestStats:
         assert main(["stats", "--data", str(bad)]) == 2
         assert "record 1" in capsys.readouterr().err
 
+    def test_text_cell_over_csv_field_limit_exits_2(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("spans,text\n[]," + "x" * 140_000 + "\n")
+        assert main(["stats", "--data", str(big)]) == 2
+        err = capsys.readouterr().err
+        assert "record 1" in err and "Traceback" not in err
+
 
 class TestTrain:
     def test_outputs_exist(self, workspace):
@@ -240,6 +247,27 @@ class TestPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert "checkpoint" in err and "Traceback" not in err
+
+    def test_checkpoint_with_unknown_train_config_key_exits_2(self, workspace, tmp_path, capsys):
+        raw = (workspace / "model.ckpt").read_bytes()
+        header_end = raw.index(b"\n", len(MAGIC))
+        header = json.loads(raw[len(MAGIC) : header_end])
+        header["train_config"]["bogus"] = 1
+        bad = MAGIC + json.dumps(header).encode() + raw[header_end:]
+        (tmp_path / "bad.ckpt").write_bytes(bad)
+        code = main(
+            [
+                "predict",
+                "--data", str(workspace / "dev.csv"),
+                "--embeddings", str(workspace / "vectors.txt"),
+                "--embedding-dim", str(DIM),
+                "--checkpoint", str(tmp_path / "bad.ckpt"),
+                "--out", str(tmp_path / "x.tsv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and "Traceback" not in err
 
     def test_gate_of_wrong_size_exits_2(self, workspace, tmp_path, capsys):
         gate_path = tmp_path / "small_gate.json"

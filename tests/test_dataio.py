@@ -130,6 +130,15 @@ class TestParseDataset:
         with pytest.raises(DataFormatError, match="header"):
             parse_dataset(io.BytesIO(b""))
 
+    def test_field_over_csv_limit_names_record(self):
+        import csv
+
+        limit = csv.field_size_limit()
+        rows = [("[]", "ok"), ("[]", "x" * (limit + 10))]
+        with pytest.raises(DataFormatError, match="record 2"):
+            parse_dataset(csv_bytes(rows))
+        assert csv.field_size_limit() == limit
+
     def test_unicode_indexes_count_characters_not_bytes(self):
         text = "héllo wörld"  # 11 characters, more bytes in utf-8
         posts = parse_dataset(csv_bytes([("[10]", text)]))

@@ -85,11 +85,9 @@ class TestBackward:
                 total += crf_nll(em, params.crf, labels)
             return total / len(batch)
 
-        analytic = {}
-        for post, labels in batch:
-            _, grads = nll_and_gradients(post, labels, params)
-            for name, arr in grads.items():
-                analytic[name] = analytic.get(name, 0.0) + arr / len(batch)
+        posts, label_lists = zip(*batch)
+        _, grads = nll_and_gradients(posts, label_lists, params)
+        analytic = {name: arr / len(batch) for name, arr in grads.items()}
 
         numeric = finite_difference(batch_loss, dict(params.named_arrays()), h=1e-5)
         assert max_relative_error(analytic, numeric) < 1e-4
@@ -98,7 +96,7 @@ class TestBackward:
         table = make_table(["a", "b", "c"])
         params = make_model(table)
         post = encoded(table, "a a b", max_len=8)
-        _, grads = nll_and_gradients(post, [1, 0, 1], params, finetune_embeddings=True)
+        _, grads = nll_and_gradients([post], [[1, 0, 1]], params, finetune_embeddings=True)
         d_matrix = grads["embedding.matrix"]
         assert np.any(d_matrix[table.vocab["a"]] != 0.0)
         assert np.all(d_matrix[table.vocab["c"]] == 0.0)
@@ -108,9 +106,9 @@ class TestBackward:
         table = make_table(["a", "b"])
         params = make_model(table)
         post = encoded(table, "a b a", max_len=10)
-        nll_before, _ = nll_and_gradients(post, [0, 1, 0], params)
+        nll_before, _ = nll_and_gradients([post], [[0, 1, 0]], params)
         params.embedding.matrix[table.pad_index] += 7.5
-        nll_after, _ = nll_and_gradients(post, [0, 1, 0], params)
+        nll_after, _ = nll_and_gradients([post], [[0, 1, 0]], params)
         assert nll_before == nll_after
 
 
@@ -209,6 +207,82 @@ class TestCheckpoint:
         save_checkpoint(path, params, TrainConfig(hidden_size=4), table)
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(DataFormatError, match="truncated"):
+            load_checkpoint(path, table)
+
+    def test_concurrent_writers_leave_one_writers_complete_bytes(self, tmp_path):
+        import sys
+        import threading
+
+        from toxicspans.checkpoint import atomic_write_bytes
+
+        path = tmp_path / "out.bin"
+        payloads = [bytes([65 + k]) * (1 << 19) for k in range(4)]  # more writers than cores
+        start = threading.Barrier(len(payloads))
+        errors = []
+
+        def writer(data):
+            start.wait()
+            try:
+                for _ in range(50):
+                    atomic_write_bytes(path, data)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(data,)) for data in payloads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert path.read_bytes() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_writer_renaming_after_another_keeps_its_own_bytes(self, tmp_path, monkeypatch):
+        import os
+
+        import toxicspans.checkpoint as ckpt
+
+        path = tmp_path / "out.bin"
+        real_replace = os.replace
+        paused = []
+
+        def replace_after_second_writer(src, dst):
+            if not paused:  # the first writer pauses before its rename...
+                paused.append(src)
+                ckpt.atomic_write_bytes(dst, b"second")  # ...while another writes and renames
+            real_replace(src, dst)
+
+        monkeypatch.setattr(ckpt.os, "replace", replace_after_second_writer)
+        ckpt.atomic_write_bytes(path, b"first")
+        assert path.read_bytes() == b"first"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_atomic_write_keeps_default_mode_and_cleans_up_on_failure(self, tmp_path):
+        from toxicspans.checkpoint import atomic_write_bytes
+
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"x")
+        atomic_write_bytes(tmp_path / "atomic", b"x")
+        assert (tmp_path / "atomic").stat().st_mode == plain.stat().st_mode
+        with pytest.raises(TypeError):
+            atomic_write_bytes(tmp_path / "bad", "not bytes")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic", "plain"]
+
+    def test_unknown_train_config_key_is_a_format_error(self, tmp_path):
+        from toxicspans.checkpoint import load_checkpoint, serialize_checkpoint
+        from toxicspans.training import TrainConfig
+
+        table = make_table(["a", "b"], dim=3)
+        raw = serialize_checkpoint(make_model(table, hidden=4), TrainConfig(hidden_size=4), table)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(raw.replace(b'"train_config":{', b'"train_config":{"bogus":1,', 1))
+        with pytest.raises(DataFormatError, match="bogus"):
             load_checkpoint(path, table)
 
     def test_non_checkpoint_file_rejected(self, tmp_path):
