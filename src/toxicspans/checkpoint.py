@@ -10,18 +10,16 @@ so identical runs produce identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .crf import CrfParams
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError, ValidationError
-from .lstm import LstmDirectionParams
-from .model import EMBEDDING_TENSOR, NUM_LABELS, TENSOR_NAMES, EmissionParams, ModelParams
+from .model import EMBEDDING_TENSOR, NUM_LABELS, ModelParams, params_from_arrays, tensor_shapes
 from .training import TrainConfig
 
 MAGIC = b"TOXICSPANS-CKPT-1\n"
@@ -95,7 +93,11 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path, table: EmbeddingTable
 ) -> tuple[ModelParams, TrainConfig]:
-    """Rebuild parameters against ``table``; rejects hash/dim mismatches."""
+    """Rebuild parameters against ``table``; rejects hash/dim mismatches.
+
+    A malformed header (dims, train_config, or a tensor list that disagrees
+    with :func:`model.tensor_shapes`) raises :class:`DataFormatError`.
+    """
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
@@ -112,15 +114,16 @@ def load_checkpoint(
     if missing:
         raise DataFormatError(f"{path}: checkpoint header lacks {missing}")
     dims = header["dims"]
-    if not isinstance(dims, dict) or any(key not in dims for key in _DIM_KEYS):
-        raise DataFormatError(f"{path}: checkpoint header dims must name {list(_DIM_KEYS)}")
-
-    train_config = header["train_config"]
-    if not isinstance(train_config, dict):
-        raise DataFormatError(f"{path}: checkpoint train_config is not a JSON object")
-    unknown = sorted(set(train_config) - {f.name for f in fields(TrainConfig)})
-    if unknown:
-        raise DataFormatError(f"{path}: checkpoint train_config has unknown keys {unknown}")
+    if not isinstance(dims, dict) or not all(
+        type(dims.get(key)) is int and dims[key] >= 1 for key in _DIM_KEYS
+    ):
+        raise DataFormatError(
+            f"{path}: checkpoint header dims must give {list(_DIM_KEYS)} as positive integers"
+        )
+    try:
+        cfg = TrainConfig.from_dict(header["train_config"])
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: checkpoint train_config: {exc}") from None
 
     if header["dtype"] != _DTYPE:
         raise DataFormatError(f"{path}: unsupported tensor dtype {header['dtype']!r}")
@@ -133,11 +136,19 @@ def load_checkpoint(
             "checkpoint vocabulary hash does not match the supplied embedding table"
         )
 
+    shapes = tensor_shapes(table.dim, dims["hidden_size"])
+    if cfg.finetune_embeddings:
+        shapes[EMBEDDING_TENSOR] = table.matrix.shape
+    expected = [[name, list(shape)] for name, shape in shapes.items()]
+    if header["tensors"] != expected:
+        raise DataFormatError(
+            f"{path}: checkpoint tensor list does not match its dims; expected {expected}"
+        )
+
     arrays: dict[str, np.ndarray] = {}
     offset = newline + 1
-    for name, shape in header["tensors"]:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, shape in shapes.items():
+        nbytes = math.prod(shape) * 8
         chunk = raw[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise DataFormatError(f"{path}: truncated tensor data for {name}")
@@ -146,29 +157,5 @@ def load_checkpoint(
     if offset != len(raw):
         raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    missing = [name for name in TENSOR_NAMES if name not in arrays]
-    if missing:
-        raise DataFormatError(f"{path}: checkpoint lacks tensors {missing}")
-
-    hidden = dims["hidden_size"]
-    if arrays["fwd.b"].shape != (4 * hidden,):
-        raise ValidationError(
-            f"checkpoint tensor shapes inconsistent with hidden size {hidden}"
-        )
-
-    embedding = table
-    if header.get("finetuned_embeddings"):
-        matrix = arrays.get(EMBEDDING_TENSOR)
-        if matrix is None:
-            raise DataFormatError(f"{path}: fine-tuned checkpoint lacks embedding matrix")
-        embedding = table.with_matrix(matrix)
-
-    params = ModelParams(
-        fwd=LstmDirectionParams(arrays["fwd.W_in"], arrays["fwd.W_rec"], arrays["fwd.b"]),
-        bwd=LstmDirectionParams(arrays["bwd.W_in"], arrays["bwd.W_rec"], arrays["bwd.b"]),
-        emit=EmissionParams(arrays["emit.W_out"], arrays["emit.b_out"]),
-        crf=CrfParams(arrays["crf.trans"], arrays["crf.start"], arrays["crf.stop"]),
-        embedding=embedding,
-    )
-    cfg = TrainConfig.from_dict(train_config)
-    return params, cfg
+    embedding = table.with_matrix(arrays[EMBEDDING_TENSOR]) if cfg.finetune_embeddings else table
+    return params_from_arrays(arrays, embedding), cfg

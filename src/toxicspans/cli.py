@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -34,6 +36,7 @@ from .dataio import (
 from .embeddings import encode_post, load_embeddings, mean_pooled
 from .errors import DataFormatError, ToxicSpansError, ValidationError
 from .gate import (
+    KIND_INTERNAL,
     GateModel,
     apply_gate,
     gate_score,
@@ -43,45 +46,33 @@ from .gate import (
     train_gate,
 )
 from .metric import evaluate
-from .model import predict
+from .model import predict_spans
 from .span_codec import BridgePolicy
 from .tokenizer import tokenize
 from .training import TrainConfig, build_examples, train
 
-DEFAULTS = {
-    "max_len": 128,
-    "hidden": 128,
-    "epochs": 30,
-    "batch": 16,
-    "lr": 1e-3,
-    "seed": 0,
-    "gate": "off",
-    "gate_threshold": 0.5,
-    "bridge_gap": 1,
-    "dev_fraction": 0.1,
-    "patience": 5,
-    "clip": 5.0,
-    "embedding_dim": 25,
-    "samples": 3,
-    "gate_epochs": 400,
+# CLI key -> TrainConfig field; the CLI's training defaults are the field defaults.
+TRAIN_FIELDS = {
+    "max_len": "max_len",
+    "hidden": "hidden_size",
+    "epochs": "epochs",
+    "batch": "batch_size",
+    "lr": "learning_rate",
+    "seed": "seed",
+    "dev_fraction": "dev_fraction",
+    "patience": "early_stop_patience",
+    "clip": "gradient_clip_norm",
 }
 
-_CONVERTERS = {
-    "max_len": int,
-    "hidden": int,
-    "epochs": int,
-    "batch": int,
-    "lr": float,
-    "seed": int,
-    "gate": str,
-    "gate_threshold": float,
-    "bridge_gap": int,
-    "dev_fraction": float,
-    "patience": int,
-    "clip": float,
-    "embedding_dim": int,
-    "samples": int,
-    "gate_epochs": int,
+# A config-file value is parsed with the type of its key's default.
+DEFAULTS = {
+    **{key: getattr(TrainConfig, field) for key, field in TRAIN_FIELDS.items()},
+    "gate": "off",
+    "gate_threshold": GateModel.threshold,
+    "bridge_gap": BridgePolicy.max_gap,
+    "embedding_dim": 25,
+    "samples": 3,
+    "gate_epochs": inspect.signature(train_gate).parameters["epochs"].default,
 }
 
 
@@ -93,14 +84,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def option(p: argparse.ArgumentParser, key: str, help: str | None = None) -> None:
+        """A ``--key`` flag typed like its default; an unset flag stays None."""
+        p.add_argument("--" + key.replace("_", "-"), type=type(DEFAULTS[key]), help=help)
+
     def add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--config", help="flat key=value config file")
         if "data" in names:
             p.add_argument("--data", required=True, help="dataset CSV")
         if "embeddings" in names:
             p.add_argument("--embeddings", required=True, help="word-vector text file")
-            p.add_argument("--embedding-dim", type=int, default=None,
-                           help="vector dimensionality (default 25)")
+            option(p, "embedding_dim",
+                   f"vector dimensionality (default {DEFAULTS['embedding_dim']})")
         if "lenient" in names:
             p.add_argument("--lenient", action="store_true",
                            help="drop out-of-range gold indexes with a warning")
@@ -108,42 +103,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="span-length histogram of a labeled dataset")
     add_common(p, "data", "lenient")
     p.add_argument("--out", help="also write the histogram as CSV")
-    p.add_argument("--max-len", type=int, default=None,
-                   help="report posts longer than this many tokens (default 128)")
+    option(p, "max_len",
+           f"report posts longer than this many tokens (default {DEFAULTS['max_len']})")
 
     p = sub.add_parser("train", help="train the tagger")
     add_common(p, "data", "embeddings", "lenient")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dev-fraction", type=float, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--clip", type=float, default=None)
-    p.add_argument("--bridge-gap", type=int, default=None)
+    for key in (*TRAIN_FIELDS, "bridge_gap"):
+        option(p, key)
     p.add_argument("--finetune-embeddings", action="store_true")
 
     p = sub.add_parser("gate-train", help="train the internal post-level gate")
     add_common(p, "data", "embeddings", "lenient")
     p.add_argument("--out", required=True, help="gate model output path (JSON)")
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--gate-threshold", type=float, default=None)
-    p.add_argument("--gate-epochs", type=int, default=None)
+    for key in ("max_len", "gate_threshold", "gate_epochs"):
+        option(p, key)
 
     p = sub.add_parser("predict", help="predict spans with a trained checkpoint")
     add_common(p, "data", "embeddings")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="prediction file output path")
-    p.add_argument("--max-len", type=int, default=None,
-                   help="override the checkpoint's max length")
-    p.add_argument("--gate", default=None,
-                   help="off, internal, or scores:<path>")
+    option(p, "max_len", "override the checkpoint's max length")
+    option(p, "gate", "off, internal, or scores:<path>")
     p.add_argument("--gate-model", help="gate JSON from gate-train (internal gate)")
-    p.add_argument("--gate-threshold", type=float, default=None)
-    p.add_argument("--bridge-gap", type=int, default=None)
+    option(p, "gate_threshold")
+    option(p, "bridge_gap")
 
     p = sub.add_parser("evaluate", help="score a prediction file against gold")
     add_common(p, "data", "lenient")
@@ -153,8 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="bucket prediction errors by category")
     add_common(p, "data", "lenient")
     p.add_argument("--pred", required=True, help="prediction file")
-    p.add_argument("--samples", type=int, default=None,
-                   help="sample posts shown per bucket")
+    option(p, "samples", "sample posts shown per bucket")
 
     return parser
 
@@ -169,23 +152,23 @@ def _read_config_file(path: str) -> dict:
             raise ValidationError(f"{path}:{line_no}: expected 'key = value'")
         key, _, raw = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONVERTERS:
+        if key not in DEFAULTS:
             raise ValidationError(f"{path}:{line_no}: unknown option {key!r}")
         try:
-            values[key] = _CONVERTERS[key](raw.strip())
+            values[key] = type(DEFAULTS[key])(raw.strip())
         except ValueError:
             raise ValidationError(f"{path}:{line_no}: bad value for {key!r}") from None
     return values
 
 
-def _resolve(args: argparse.Namespace, key: str):
-    """CLI flag beats config file beats built-in default."""
+def _resolve(args: argparse.Namespace, key: str, default=None):
+    """CLI flag beats config file beats ``default`` (None: the built-in one)."""
     cli_value = getattr(args, key, None)
     if cli_value is not None:
         return cli_value
     if key in getattr(args, "_config_values", {}):
         return args._config_values[key]
-    return DEFAULTS.get(key)
+    return DEFAULTS[key] if default is None else default
 
 
 def _require_file(path: str, role: str) -> Path:
@@ -269,15 +252,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     table = _load_table(args)
     posts = _load_posts(args, has_gold=True)
     cfg = TrainConfig(
-        epochs=_resolve(args, "epochs"),
-        batch_size=_resolve(args, "batch"),
-        seed=_resolve(args, "seed"),
-        learning_rate=_resolve(args, "lr"),
-        hidden_size=_resolve(args, "hidden"),
-        gradient_clip_norm=_resolve(args, "clip"),
-        early_stop_patience=_resolve(args, "patience"),
-        dev_fraction=_resolve(args, "dev_fraction"),
-        max_len=_resolve(args, "max_len"),
+        **{field: _resolve(args, key) for key, field in TRAIN_FIELDS.items()},
         finetune_embeddings=args.finetune_embeddings,
     )
     policy = BridgePolicy(bridge_gaps=True, max_gap=_resolve(args, "bridge_gap"))
@@ -348,17 +323,18 @@ def cmd_gate_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _setup_gate(args: argparse.Namespace, threshold: float) -> GateModel | None:
+def _setup_gate(args: argparse.Namespace) -> GateModel | None:
     mode = _resolve(args, "gate")
     if mode == "off":
         return None
+    threshold = _resolve(args, "gate_threshold")
     if mode == "internal":
         if not args.gate_model:
             raise ValidationError("--gate internal requires --gate-model <path>")
         model = load_gate(_require_file(args.gate_model, "gate model"))
         # an explicit threshold (flag or config file) overrides the stored one
         if args.gate_threshold is not None or "gate_threshold" in args._config_values:
-            model.threshold = threshold
+            model = replace(model, threshold=threshold)
         return model
     if mode.startswith("scores:"):
         return load_external_gate(
@@ -372,26 +348,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
     table = _load_table(args)
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     params, cfg = load_checkpoint(ckpt_path, table)
-    max_len = args.max_len if args.max_len is not None else (
-        args._config_values.get("max_len", cfg.max_len)
-    )
+    max_len = _resolve(args, "max_len", default=cfg.max_len)
     policy = BridgePolicy(bridge_gaps=True, max_gap=_resolve(args, "bridge_gap"))
-    threshold = _resolve(args, "gate_threshold")
-    gate = _setup_gate(args, threshold)
+    gate = _setup_gate(args)
     posts = _load_posts(args, has_gold=False)
 
     preds = []
     for post in posts:
-        spans = predict(params, post.text, max_len, policy)
+        toks = tokenize(post.text)
+        encoded = encode_post(toks, table, max_len)
+        spans = predict_spans(params, toks, encoded, policy)
         if gate is not None:
-            if gate.kind == "internal-logreg":
-                pooled = mean_pooled(
-                    encode_post(tokenize(post.text), table, max_len), table
-                )
-                score = gate_score(gate, post.id, pooled)
-            else:
-                score = gate_score(gate, post.id)
-            spans = apply_gate(spans, score, gate.threshold)
+            pooled = mean_pooled(encoded, table) if gate.kind == KIND_INTERNAL else None
+            spans = apply_gate(spans, gate_score(gate, post.id, pooled), gate.threshold)
         preds.append(PostPrediction(id=post.id, spans=spans))
 
     buffer = io.BytesIO()
@@ -408,8 +377,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _write_manifest(
         args.out,
         "predict",
-        {"max_len": max_len, "gate": _resolve(args, "gate"),
-         "gate_threshold": threshold, "bridge_gap": policy.max_gap},
+        {"max_len": max_len, "gate": gate_mode,
+         "gate_threshold": None if gate is None else gate.threshold,
+         "bridge_gap": policy.max_gap},
         inputs,
         [str(args.out)],
         started,

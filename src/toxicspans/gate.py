@@ -16,7 +16,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .dataio import CharSpanSet, text_reader, text_writer
+from .checkpoint import atomic_write_text
+from .dataio import CharSpanSet, text_reader
 from .embeddings import EmbeddingTable, EncodedPost, mean_pooled
 from .errors import DataFormatError, ValidationError
 
@@ -142,12 +143,6 @@ def read_score_file(source: IO) -> dict[int, float]:
     return scores
 
 
-def write_score_file(scores: dict[int, float], sink: IO) -> None:
-    with text_writer(sink) as out:
-        for post_id in sorted(scores):
-            out.write(f"{post_id}\t{scores[post_id]}\n")
-
-
 def save_gate(model: GateModel, path: str | Path) -> None:
     """Serialize an internal gate to JSON (external gates live in score files)."""
     if model.kind != KIND_INTERNAL:
@@ -157,18 +152,31 @@ def save_gate(model: GateModel, path: str | Path) -> None:
         "threshold": model.threshold,
         "weights": [float(w) for w in model.weights],
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    atomic_write_text(path, json.dumps(payload, sort_keys=True))
+
+
+def _number(value) -> float:
+    """A JSON number as a float; any other JSON value is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def load_gate(path: str | Path) -> GateModel:
+    """Read a gate written by :func:`save_gate`; any malformed file raises
+    :class:`DataFormatError`."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected a JSON object, got {payload!r}")
+        if not isinstance(payload["weights"], list):
+            raise TypeError(f"weights must be a list, got {payload['weights']!r}")
         return GateModel(
             kind=payload["kind"],
-            threshold=float(payload["threshold"]),
-            weights=np.asarray(payload["weights"], dtype=np.float64),
+            threshold=_number(payload["threshold"]),
+            weights=np.array([_number(w) for w in payload["weights"]], dtype=np.float64),
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"bad gate model file {path}: {exc}") from None
 
 

@@ -27,7 +27,7 @@ from .embeddings import EmbeddingTable, EncodedPost, encode_post
 from .errors import ValidationError
 from .lstm import LstmCache, LstmDirectionParams, lstm_backward, lstm_forward
 from .span_codec import BridgePolicy, labels_to_spans
-from .tokenizer import tokenize
+from .tokenizer import TokenSeq, tokenize
 
 NUM_LABELS = 2  # 0 = non-toxic, 1 = toxic
 # Trainable tensors in their declared (checkpoint) order, as attribute paths
@@ -73,19 +73,7 @@ class ModelParams:
         table = self.embedding
         if copy_embedding:
             table = table.with_matrix(table.matrix.copy())
-        return ModelParams(
-            fwd=LstmDirectionParams(
-                self.fwd.W_in.copy(), self.fwd.W_rec.copy(), self.fwd.b.copy()
-            ),
-            bwd=LstmDirectionParams(
-                self.bwd.W_in.copy(), self.bwd.W_rec.copy(), self.bwd.b.copy()
-            ),
-            emit=EmissionParams(self.emit.W_out.copy(), self.emit.b_out.copy()),
-            crf=CrfParams(
-                self.crf.trans.copy(), self.crf.start.copy(), self.crf.stop.copy()
-            ),
-            embedding=table,
-        )
+        return params_from_arrays({name: a.copy() for name, a in self.named_arrays()}, table)
 
 
 @dataclass
@@ -104,27 +92,40 @@ def _glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+def tensor_shapes(input_dim: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor of :data:`TENSOR_NAMES`, in that order."""
+    D, H, L = input_dim, hidden_size, NUM_LABELS
+    direction = [(4 * H, D), (4 * H, H), (4 * H,)]
+    return dict(zip(TENSOR_NAMES, direction + direction + [(L, 2 * H), (L,), (L, L), (L,), (L,)]))
+
+
+def params_from_arrays(arrays: dict[str, np.ndarray], table: EmbeddingTable) -> ModelParams:
+    """Assemble parameters from tensors keyed by :data:`TENSOR_NAMES`."""
+    return ModelParams(
+        fwd=LstmDirectionParams(arrays["fwd.W_in"], arrays["fwd.W_rec"], arrays["fwd.b"]),
+        bwd=LstmDirectionParams(arrays["bwd.W_in"], arrays["bwd.W_rec"], arrays["bwd.b"]),
+        emit=EmissionParams(arrays["emit.W_out"], arrays["emit.b_out"]),
+        crf=CrfParams(arrays["crf.trans"], arrays["crf.start"], arrays["crf.stop"]),
+        embedding=table,
+    )
+
+
 def init_params(
     table: EmbeddingTable, hidden_size: int, rng: np.random.Generator
 ) -> ModelParams:
     """Seeded initialization: Glorot-uniform matrices, zero biases, and a
-    +1 forget-gate bias.  Draw order is fixed for reproducibility."""
+    +1 forget-gate bias.  Matrices are drawn in :data:`TENSOR_NAMES` order
+    for reproducibility."""
     if hidden_size < 1:
         raise ValidationError(f"hidden_size must be >= 1, got {hidden_size}")
-    D, H, L = table.dim, hidden_size, NUM_LABELS
-
-    def direction() -> LstmDirectionParams:
-        W_in = _glorot(4 * H, D, rng)
-        W_rec = _glorot(4 * H, H, rng)
-        b = np.zeros(4 * H)
-        b[H : 2 * H] = 1.0
-        return LstmDirectionParams(W_in=W_in, W_rec=W_rec, b=b)
-
-    fwd = direction()
-    bwd = direction()
-    emit = EmissionParams(W_out=_glorot(L, 2 * H, rng), b_out=np.zeros(L))
-    crf = CrfParams(trans=_glorot(L, L, rng), start=np.zeros(L), stop=np.zeros(L))
-    return ModelParams(fwd=fwd, bwd=bwd, emit=emit, crf=crf, embedding=table)
+    H = hidden_size
+    arrays = {
+        name: _glorot(*shape, rng) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in tensor_shapes(table.dim, H).items()
+    }
+    arrays["fwd.b"][H : 2 * H] = 1.0
+    arrays["bwd.b"][H : 2 * H] = 1.0
+    return params_from_arrays(arrays, table)
 
 
 def _emissions(
@@ -229,10 +230,21 @@ def nll_and_gradients(
     return nll, grads
 
 
-def predict_labels(post: EncodedPost, params: ModelParams) -> list[int]:
-    """Viterbi labels for the unpadded prefix of an encoded post."""
+def predict_spans(
+    params: ModelParams, toks: TokenSeq, post: EncodedPost, policy: BridgePolicy
+) -> CharSpanSet:
+    """Decoded spans of a tokenized post from its encoding ``post``.
+
+    Tokens truncated beyond the encoding's ``max_len`` are predicted
+    non-toxic; a post with no tokens yields the empty span set.
+    """
+    eff = post.effective_len
+    if eff == 0:
+        return CharSpanSet()
     emissions, _ = bilstm_emissions(post, params)
-    return viterbi_decode(emissions, params.crf)
+    labels = viterbi_decode(emissions, params.crf)
+    labels = labels + [0] * (len(toks) - eff)
+    return labels_to_spans(toks, labels, policy)
 
 
 def predict(
@@ -247,19 +259,4 @@ def predict(
     yields the empty span set.
     """
     toks = tokenize(text)
-    if len(toks) == 0:
-        return CharSpanSet()
-    post = encode_post(toks, params.embedding, max_len)
-    labels = predict_labels(post, params)
-    labels = labels + [0] * (len(toks) - len(labels))
-    return labels_to_spans(toks, labels, policy)
-
-
-def deep_equal(a: ModelParams, b: ModelParams) -> bool:
-    """Exact (bitwise) equality of all trainable tensors."""
-    for (name_a, arr_a), (name_b, arr_b) in zip(a.named_arrays(), b.named_arrays()):
-        if name_a != name_b or arr_a.shape != arr_b.shape:
-            return False
-        if not np.array_equal(arr_a, arr_b):
-            return False
-    return True
+    return predict_spans(params, toks, encode_post(toks, params.embedding, max_len), policy)

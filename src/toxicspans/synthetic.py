@@ -16,7 +16,7 @@ from typing import IO
 
 import numpy as np
 
-from .dataio import CharSpanSet, LabeledPost, text_writer
+from .dataio import CharSpanSet, LabeledPost, format_span_literal, text_writer
 
 TOXIC_LEXICON = (
     "blorfing", "snarptic", "grumbling", "vexatious", "crudnick",
@@ -92,9 +92,7 @@ def write_corpus_csv(posts: list[LabeledPost], sink: IO) -> None:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["spans", "text"])
         for post in posts:
-            writer.writerow(
-                ["[" + ", ".join(str(i) for i in post.gold.indexes) + "]", post.text]
-            )
+            writer.writerow([format_span_literal(post.gold), post.text])
 
 
 def write_embedding_file(sink: IO, dim: int = 25, seed: int = 7) -> None:

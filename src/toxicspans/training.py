@@ -19,14 +19,8 @@ from .dataio import CharSpanSet, LabeledPost
 from .embeddings import EmbeddingTable, EncodedPost, encode_post
 from .errors import TrainingDivergedError, ValidationError
 from .metric import per_post_scores
-from .model import (
-    ModelParams,
-    bilstm_emissions,
-    init_params,
-    nll_and_gradients,
-)
-from .crf import viterbi_decode
-from .span_codec import BridgePolicy, labels_to_spans, spans_to_labels
+from .model import ModelParams, init_params, nll_and_gradients, predict_spans
+from .span_codec import BridgePolicy, spans_to_labels
 from .tokenizer import TokenSeq, tokenize
 
 
@@ -74,7 +68,23 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**data)
+        """Rebuild a config from :meth:`to_dict` output.  Each value must have
+        its field default's type (an int is also a float), and the result
+        must pass :meth:`validate`."""
+        if not isinstance(data, dict):
+            raise ValidationError(f"a training config must be a mapping, got {data!r}")
+        defaults = cls().to_dict()
+        unknown = sorted(set(data) - set(defaults))
+        if unknown:
+            raise ValidationError(f"unknown training config keys {unknown}")
+        for key, value in data.items():
+            kind = type(defaults[key])
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+                raise ValidationError(f"{key} must be of type {kind.__name__}, got {value!r}")
+        cfg = cls(**data)
+        cfg.validate()
+        return cfg
 
 
 @dataclass
@@ -180,19 +190,6 @@ def adam_step(
     return params, state
 
 
-def predict_example_spans(
-    ex: TrainExample, params: ModelParams, policy: BridgePolicy
-) -> CharSpanSet:
-    """Decoded spans for a prepared example (truncated tail is non-toxic)."""
-    eff = ex.encoded.effective_len
-    if eff == 0:
-        return CharSpanSet()
-    emissions, _ = bilstm_emissions(ex.encoded, params)
-    labels = viterbi_decode(emissions, params.crf)
-    labels = labels + [0] * (len(ex.tokens) - eff)
-    return labels_to_spans(ex.tokens, labels, policy)
-
-
 def dev_char_f1(
     examples: Sequence[TrainExample], params: ModelParams, policy: BridgePolicy
 ) -> float:
@@ -200,7 +197,7 @@ def dev_char_f1(
     if not examples:
         raise ValidationError("dev split is empty")
     scores = [
-        per_post_scores(predict_example_spans(ex, params, policy), ex.gold).f1
+        per_post_scores(predict_spans(params, ex.tokens, ex.encoded, policy), ex.gold).f1
         for ex in examples
     ]
     return float(np.mean(scores))

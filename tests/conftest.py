@@ -4,10 +4,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from toxicspans.embeddings import EmbeddingTable
+from toxicspans.model import ModelParams
+
+
+# Any JSON document, NaN and infinities included, for loader fuzz tests.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
 
 
 def make_table(words, dim=4, seed=0) -> EmbeddingTable:
@@ -22,6 +32,16 @@ def make_table(words, dim=4, seed=0) -> EmbeddingTable:
         unk_index=len(words),
         pad_index=len(words) + 1,
     )
+
+
+def deep_equal(a: ModelParams, b: ModelParams) -> bool:
+    """Exact (bitwise) equality of all trainable tensors."""
+    for (name_a, arr_a), (name_b, arr_b) in zip(a.named_arrays(), b.named_arrays()):
+        if name_a != name_b or arr_a.shape != arr_b.shape:
+            return False
+        if not np.array_equal(arr_a, arr_b):
+            return False
+    return True
 
 
 @pytest.fixture

@@ -35,6 +35,24 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def gate_07(workspace):
+    """An internal gate trained with a stored threshold of 0.7."""
+    path = workspace / "gate07.json"
+    code = main(
+        [
+            "gate-train",
+            "--data", str(workspace / "train.csv"),
+            "--embeddings", str(workspace / "vectors.txt"),
+            "--embedding-dim", str(DIM),
+            "--out", str(path),
+            "--gate-threshold", "0.7",
+        ]
+    )
+    assert code == 0
+    return path
+
+
 def run_predict(workspace, out_name, *extra):
     args = [
         "predict",
@@ -278,6 +296,57 @@ class TestPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert "weights" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {"kind": "internal-logreg", "threshold": None, "weights": [1]},
+            {"kind": "internal-logreg", "threshold": 0.5, "weights": {"a": 1}},
+        ],
+        ids=["not-an-object", "null-threshold", "weights-not-a-list"],
+    )
+    def test_malformed_gate_file_exits_2(self, workspace, tmp_path, capsys, payload):
+        gate_path = tmp_path / "gate.json"
+        gate_path.write_text(json.dumps(payload))
+        code = run_predict(workspace, "x.tsv", "--gate", "internal", "--gate-model", str(gate_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad gate model file" in err and "Traceback" not in err
+
+    def test_out_of_range_threshold_for_stored_gate_exits_2(self, workspace, gate_07, capsys):
+        code = run_predict(workspace, "x.tsv", "--gate", "internal",
+                           "--gate-model", str(gate_07), "--gate-threshold", "1.5")
+        assert code == 2
+        assert "threshold" in capsys.readouterr().err
+
+    def test_manifest_records_the_applied_gate_threshold(self, workspace, gate_07):
+        def recorded(out_name, *extra):
+            assert run_predict(workspace, out_name, *extra) == 0
+            manifest = json.loads((workspace / f"{out_name}.manifest.json").read_text())
+            return manifest["config"]["gate_threshold"]
+
+        internal = ("--gate", "internal", "--gate-model", str(gate_07))
+        assert recorded("stored.tsv", *internal) == 0.7
+        assert recorded("flagged.tsv", *internal, "--gate-threshold", "0.6") == 0.6
+        assert recorded("off.tsv") is None
+
+    def test_internal_gate_tokenizes_each_post_once(self, workspace, gate_07, monkeypatch):
+        import toxicspans.cli
+        import toxicspans.model
+        from toxicspans.tokenizer import tokenize
+
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        for module in (toxicspans.cli, toxicspans.model):
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+        code = run_predict(workspace, "once.tsv", "--gate", "internal", "--gate-model", str(gate_07))
+        assert code == 0
+        assert len(calls) == 40
 
     def test_bad_gate_mode_exits_2(self, workspace, capsys):
         assert run_predict(workspace, "x.tsv", "--gate", "sideways") == 2

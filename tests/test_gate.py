@@ -1,13 +1,14 @@
 import io
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_table
-from toxicspans.dataio import CharSpanSet
+from conftest import json_values, make_table
+from toxicspans.dataio import CharSpanSet, text_writer
 from toxicspans.embeddings import encode_post, mean_pooled
-from toxicspans.errors import DataFormatError, ValidationError
+from toxicspans.errors import DataFormatError, ToxicSpansError, ValidationError
 from toxicspans.gate import (
     GateModel,
     KIND_EXTERNAL,
@@ -20,9 +21,14 @@ from toxicspans.gate import (
     read_score_file,
     save_gate,
     train_gate,
-    write_score_file,
 )
 from toxicspans.tokenizer import tokenize
+
+
+def write_score_file(scores: dict[int, float], sink) -> None:
+    with text_writer(sink) as out:
+        for post_id in sorted(scores):
+            out.write(f"{post_id}\t{scores[post_id]}\n")
 
 
 def separable_data(table, n_per_class=12, max_len=8):
@@ -157,6 +163,21 @@ class TestGatePersistence:
         path.write_text("{not json")
         with pytest.raises(DataFormatError):
             load_gate(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        payload=json_values
+        | st.fixed_dictionaries(
+            {"kind": st.just(KIND_INTERNAL) | json_values, "threshold": json_values, "weights": json_values}
+        )
+    )
+    def test_arbitrary_json_raises_only_package_errors(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("fuzz") / "gate.json"
+        path.write_text(json.dumps(payload))
+        try:
+            load_gate(path)
+        except ToxicSpansError:
+            pass
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,22 +1,44 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_table
+from conftest import deep_equal, json_values, make_table
 from oracles import finite_difference, max_relative_error
 from toxicspans.crf import crf_nll
 from toxicspans.dataio import CharSpanSet
 from toxicspans.embeddings import encode_post
-from toxicspans.errors import DataFormatError, ValidationError
+from toxicspans.errors import DataFormatError, ToxicSpansError, ValidationError
 from toxicspans.model import (
     backward,
     bilstm_emissions,
-    deep_equal,
     init_params,
     nll_and_gradients,
     predict,
 )
 from toxicspans.span_codec import BridgePolicy
 from toxicspans.tokenizer import tokenize
+from toxicspans.training import TrainConfig
+
+
+def edit_header(raw: bytes, edit) -> bytes:
+    """Checkpoint bytes with ``edit`` applied to the parsed JSON header."""
+    from toxicspans.checkpoint import MAGIC
+
+    end = raw.index(b"\n", len(MAGIC))
+    header = json.loads(raw[len(MAGIC) : end])
+    edit(header)
+    return MAGIC + json.dumps(header).encode() + raw[end:]
+
+
+@pytest.fixture(scope="module")
+def ckpt_bytes():
+    """A table and the checkpoint bytes of a small model over it."""
+    from toxicspans.checkpoint import serialize_checkpoint
+
+    table = make_table(["a", "b"], dim=3)
+    return table, serialize_checkpoint(make_model(table, hidden=4), TrainConfig(hidden_size=4), table)
 
 
 def make_model(table, hidden=5, seed=0):
@@ -283,6 +305,65 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         path.write_bytes(raw.replace(b'"train_config":{', b'"train_config":{"bogus":1,', 1))
         with pytest.raises(DataFormatError, match="bogus"):
+            load_checkpoint(path, table)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda h: h["tensors"].__setitem__(0, ["fwd.W_in"]), "tensor list"),
+            (lambda h: h["tensors"].__setitem__(6, ["emit.W_out", [16, 2]]), "tensor list"),
+            (lambda h: h["train_config"].__setitem__("max_len", "128"), "max_len"),
+            (lambda h: h["train_config"].__setitem__("max_len", 0), "max_len"),
+        ],
+        ids=["malformed-tensor-entry", "shape-disagrees-with-dims", "config-type", "config-range"],
+    )
+    def test_malformed_header_is_a_format_error(self, tmp_path, edit, match):
+        from toxicspans.checkpoint import load_checkpoint, serialize_checkpoint
+
+        table = make_table(["a", "b"], dim=3)
+        raw = serialize_checkpoint(make_model(table, hidden=8), TrainConfig(hidden_size=8), table)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(edit_header(raw, edit))
+        with pytest.raises(DataFormatError, match=match):
+            load_checkpoint(path, table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        key=st.sampled_from(
+            ["dtype", "dims", "train_config", "vocab_hash", "tensors", "finetuned_embeddings"]
+            + [f"dims.{k}" for k in ("input_dim", "hidden_size", "max_len")]
+            + [f"train_config.{k}" for k in TrainConfig().to_dict()]
+            + [f"tensors.{k}" for k in range(11)]
+        ),
+        value=json_values,
+    )
+    def test_fuzzed_header_field_raises_only_package_errors(self, ckpt_bytes, tmp_path_factory, key, value):
+        from toxicspans.checkpoint import load_checkpoint
+
+        def edit(header):
+            *parents, last = key.split(".")
+            target = header
+            for name in parents:
+                target = target[name]
+            target[int(last) if isinstance(target, list) else last] = value
+
+        table, raw = ckpt_bytes
+        path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+        path.write_bytes(edit_header(raw, edit))
+        try:
+            load_checkpoint(path, table)
+        except ToxicSpansError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(header=json_values)
+    def test_arbitrary_json_header_raises_only_package_errors(self, ckpt_bytes, tmp_path_factory, header):
+        from toxicspans.checkpoint import MAGIC, load_checkpoint
+
+        table, raw = ckpt_bytes
+        path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+        path.write_bytes(MAGIC + json.dumps(header).encode() + raw[raw.index(b"\n", len(MAGIC)):])
+        with pytest.raises(ToxicSpansError):
             load_checkpoint(path, table)
 
     def test_non_checkpoint_file_rejected(self, tmp_path):

@@ -3,11 +3,11 @@ import io
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import deep_equal, make_table
 from toxicspans.dataio import CharSpanSet, LabeledPost
 from toxicspans.embeddings import load_embeddings
 from toxicspans.errors import TrainingDivergedError, ValidationError
-from toxicspans.model import deep_equal, predict
+from toxicspans.model import predict
 from toxicspans.span_codec import BridgePolicy
 from toxicspans.synthetic import generate_posts, write_embedding_file
 from toxicspans.training import (
