@@ -46,7 +46,7 @@ from .gate import (
     train_gate,
 )
 from .metric import evaluate
-from .model import predict_spans
+from .model import INFER_BATCH, predict_spans
 from .span_codec import BridgePolicy
 from .tokenizer import tokenize
 from .training import TrainConfig, build_examples, train
@@ -354,14 +354,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
     posts = _load_posts(args, has_gold=False)
 
     preds = []
-    for post in posts:
-        toks = tokenize(post.text)
-        encoded = encode_post(toks, table, max_len)
-        spans = predict_spans(params, toks, encoded, policy)
-        if gate is not None:
-            pooled = mean_pooled(encoded, table) if gate.kind == KIND_INTERNAL else None
-            spans = apply_gate(spans, gate_score(gate, post.id, pooled), gate.threshold)
-        preds.append(PostPrediction(id=post.id, spans=spans))
+    # input-order windows keep one window's encodings in memory at a time
+    for lo in range(0, len(posts), INFER_BATCH):
+        window = posts[lo : lo + INFER_BATCH]
+        toks = [tokenize(post.text) for post in window]
+        encoded = [encode_post(t, table, max_len) for t in toks]
+        tagged = predict_spans(params, toks, encoded, policy)
+        for post, enc, spans in zip(window, encoded, tagged):
+            if gate is not None:
+                pooled = mean_pooled(enc, table) if gate.kind == KIND_INTERNAL else None
+                spans = apply_gate(spans, gate_score(gate, post.id, pooled), gate.threshold)
+            preds.append(PostPrediction(id=post.id, spans=spans))
 
     buffer = io.BytesIO()
     write_predictions(preds, buffer)
@@ -369,7 +372,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     print(f"{len(preds)} predictions written to {args.out}")
     inputs = {"data": args.data, "embeddings": args.embeddings,
               "checkpoint": args.checkpoint}
-    if args.gate_model:
+    if gate is not None and gate.kind == KIND_INTERNAL:
         inputs["gate_model"] = args.gate_model
     gate_mode = _resolve(args, "gate")
     if gate_mode.startswith("scores:"):

@@ -193,22 +193,39 @@ def crf_nll_grad(
 def viterbi_decode(em: np.ndarray, crf: CrfParams) -> list[int]:
     """Maximum-score label sequence; ties break toward the lower label index.
 
-    np.argmax returns the first maximum, which is exactly the lower-index
-    tie-break.
+    Runs on Python floats: at L = 2 a numpy call per position costs far more
+    than its arithmetic.  Each candidate score is ``score[i] + trans[i][j]``
+    and a later label replaces the best only if strictly greater, which is
+    the lower-index tie-break; the additions are the ones, in the order, a
+    vectorized max-plus step would make.
     """
     _check_emissions(em, crf)
-    T, L = em.shape
-    score = crf.start + em[0]
-    backptr = np.empty((T, L), dtype=np.int64)
-    for t in range(1, T):
-        cand = score[:, None] + crf.trans  # (prev, next)
-        backptr[t] = np.argmax(cand, axis=0)
-        score = cand.max(axis=0) + em[t]
-    final = score + crf.stop
-    best = int(np.argmax(final))
+    rows = em.tolist()
+    trans = crf.trans.tolist()
+    L = len(trans)
+    score = [s + e for s, e in zip(crf.start.tolist(), rows[0])]
+    backptrs = []
+    for row in rows[1:]:
+        ptr = []
+        nxt = []
+        for j in range(L):
+            best_i, best = 0, score[0] + trans[0][j]
+            for i in range(1, L):
+                cand = score[i] + trans[i][j]
+                if cand > best:
+                    best_i, best = i, cand
+            ptr.append(best_i)
+            nxt.append(best + row[j])
+        backptrs.append(ptr)
+        score = nxt
+    final = [s + p for s, p in zip(score, crf.stop.tolist())]
+    best = 0
+    for j in range(1, L):
+        if final[j] > final[best]:
+            best = j
     path = [best]
-    for t in range(T - 1, 0, -1):
-        best = int(backptr[t, best])
+    for ptr in reversed(backptrs):
+        best = ptr[best]
         path.append(best)
     path.reverse()
     return path

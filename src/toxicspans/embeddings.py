@@ -9,6 +9,7 @@ downstream, so the zero vector is inert by construction.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 from dataclasses import dataclass, replace
 from typing import IO
@@ -114,10 +115,21 @@ def load_embeddings(source: IO, expected_dim: int) -> EmbeddingTable:
     )
 
 
+def check_max_len(max_len: int) -> None:
+    """Reject a ``max_len`` below 1 or above ``csv.field_size_limit()``.
+
+    A parsed post is one CSV field, so it has at most that many characters
+    and hence tokens; a larger ``max_len`` would truncate nothing and only
+    allocate its padding.
+    """
+    limit = csv.field_size_limit()
+    if not 1 <= max_len <= limit:
+        raise ValidationError(f"max_len must be in [1, {limit}], got {max_len}")
+
+
 def encode_post(toks: TokenSeq, table: EmbeddingTable, max_len: int) -> EncodedPost:
     """Map tokens to vocabulary rows, truncating/padding to ``max_len``."""
-    if max_len < 1:
-        raise ValidationError(f"max_len must be >= 1, got {max_len}")
+    check_max_len(max_len)
     indices = np.full(max_len, table.pad_index, dtype=np.int64)
     mask = np.zeros(max_len, dtype=np.int8)
     kept = min(len(toks), max_len)

@@ -121,7 +121,8 @@ def apply_gate(detected: CharSpanSet, score: float, threshold: float) -> CharSpa
 
 
 def read_score_file(source: IO) -> dict[int, float]:
-    """Parse ``<id>\\t<probability>`` lines into an id -> probability map."""
+    """Parse ``<id>\\t<probability>`` lines into an id -> probability map;
+    each id may appear once."""
     scores: dict[int, float] = {}
     with text_reader(source) as stream:
         lines = stream.readlines()
@@ -139,6 +140,8 @@ def read_score_file(source: IO) -> dict[int, float]:
             raise DataFormatError(f"line {line_no}: bad id or probability") from None
         if not 0.0 <= prob <= 1.0:
             raise DataFormatError(f"line {line_no}: probability {prob} outside [0, 1]")
+        if post_id in scores:
+            raise DataFormatError(f"line {line_no}: duplicate post id {post_id}")
         scores[post_id] = prob
     return scores
 

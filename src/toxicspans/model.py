@@ -1,15 +1,16 @@
 """The BiLSTM-CRF tagger: embedding lookup, both LSTM directions, a linear
 projection to per-label emission scores, and the CRF on top.
 
-Inference tags one post at a time over its unpadded prefix.  Training runs
-a whole minibatch as one pass in the time-major, length-sorted layout of
-:mod:`batching`: a (T, B) grid of embedding rows, T the batch's longest
-post, padding the PAD row (zeros), where each step's recurrence runs only
-the posts still active, so no padded slot is computed and no mask enters
-the arithmetic.  The backward pass is fully manual (projection, then both
-LSTM directions), returns gradients summed over the batch, and optionally
-accumulates embedding-row gradients when fine-tuning is enabled; padded
-slots add exact zeros.
+Training runs a whole minibatch, and inference a chunk of up to
+:data:`INFER_BATCH` posts, as one pass in the time-major, length-sorted
+layout of :mod:`batching`: a (T, B) grid of embedding rows, T the batch's
+longest post, padding the PAD row (zeros), where each step's recurrence
+runs only the posts still active, so no padded slot is computed and no mask
+enters the arithmetic.  Viterbi then decodes each post's own prefix.  The
+backward pass is fully manual (projection, then both LSTM directions),
+returns gradients summed over the batch, and optionally accumulates
+embedding-row gradients when fine-tuning is enabled; padded slots add exact
+zeros.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .span_codec import BridgePolicy, labels_to_spans
 from .tokenizer import TokenSeq, tokenize
 
 NUM_LABELS = 2  # 0 = non-toxic, 1 = toxic
+# Posts per inference pass: enough rows per step to spread numpy's per-call
+# cost, few enough that `cli predict` holds one small window at a time.
+INFER_BATCH = 16
 # Trainable tensors in their declared (checkpoint) order, as attribute paths
 # of ModelParams; a fine-tuned embedding matrix follows them.
 TENSOR_NAMES = (
@@ -155,6 +159,15 @@ def bilstm_emissions(post: EncodedPost, params: ModelParams) -> tuple[np.ndarray
     return _emissions(post.indices[:eff], params)
 
 
+def _index_grid(posts: Sequence[EncodedPost], lengths: Sequence[int], pad_index: int) -> np.ndarray:
+    """The (T, B) embedding rows of length-sorted posts, PAD past each
+    post's unpadded ``lengths[b]`` rows."""
+    indices = np.full((lengths[0], len(posts)), pad_index)
+    for b, (post, n) in enumerate(zip(posts, lengths)):
+        indices[:n, b] = post.indices[:n]
+    return indices
+
+
 def backward(
     params: ModelParams,
     cache: BilstmCache,
@@ -216,9 +229,7 @@ def nll_and_gradients(
     lengths = np.array([lens[k] for k in order])
     if lengths[-1] < 1:
         raise ValidationError("encoded post has no unpadded positions")
-    indices = np.full((lengths[0], len(posts)), params.embedding.pad_index)
-    for b, k in enumerate(order):
-        indices[: lens[k], b] = posts[k].indices[: lens[k]]
+    indices = _index_grid([posts[k] for k in order], lengths, params.embedding.pad_index)
     emissions, cache = _emissions(indices, params, lengths)
     nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(
         emissions, params.crf, [labels[k] for k in order], lengths
@@ -230,21 +241,43 @@ def nll_and_gradients(
     return nll, grads
 
 
-def predict_spans(
-    params: ModelParams, toks: TokenSeq, post: EncodedPost, policy: BridgePolicy
-) -> CharSpanSet:
-    """Decoded spans of a tokenized post from its encoding ``post``.
+def _decode_chunk(
+    params: ModelParams, chunk: Sequence[EncodedPost], lengths: list[int]
+) -> list[list[int]]:
+    """Viterbi labels of each post of a length-sorted chunk, from one
+    emission pass; a chunk of one post runs the single-post rank."""
+    if len(chunk) == 1:
+        emissions = [bilstm_emissions(chunk[0], params)[0]]
+    else:
+        grid = _index_grid(chunk, lengths, params.embedding.pad_index)
+        batch, _ = _emissions(grid, params, np.array(lengths))
+        emissions = [batch[:n, b] for b, n in enumerate(lengths)]
+    return [viterbi_decode(em, params.crf) for em in emissions]
 
-    Tokens truncated beyond the encoding's ``max_len`` are predicted
-    non-toxic; a post with no tokens yields the empty span set.
+
+def predict_spans(
+    params: ModelParams,
+    toks: Sequence[TokenSeq],
+    posts: Sequence[EncodedPost],
+    policy: BridgePolicy,
+) -> list[CharSpanSet]:
+    """Decoded spans of tokenized posts from their encodings ``posts``.
+
+    The posts run longest first (a stable sort) in passes of
+    :data:`INFER_BATCH`.  Tokens truncated beyond an encoding's ``max_len``
+    are predicted non-toxic; a post with no tokens yields the empty span set.
     """
-    eff = post.effective_len
-    if eff == 0:
-        return CharSpanSet()
-    emissions, _ = bilstm_emissions(post, params)
-    labels = viterbi_decode(emissions, params.crf)
-    labels = labels + [0] * (len(toks) - eff)
-    return labels_to_spans(toks, labels, policy)
+    if len(toks) != len(posts):
+        raise ValidationError(f"{len(toks)} token sequences for {len(posts)} encoded posts")
+    lens = [post.effective_len for post in posts]
+    order = sorted((k for k in range(len(posts)) if lens[k]), key=lambda k: -lens[k])
+    spans = [CharSpanSet() for _ in posts]
+    for lo in range(0, len(order), INFER_BATCH):
+        picked = order[lo : lo + INFER_BATCH]
+        paths = _decode_chunk(params, [posts[k] for k in picked], [lens[k] for k in picked])
+        for k, labels in zip(picked, paths):
+            spans[k] = labels_to_spans(toks[k], labels + [0] * (len(toks[k]) - lens[k]), policy)
+    return spans
 
 
 def predict(
@@ -259,4 +292,4 @@ def predict(
     yields the empty span set.
     """
     toks = tokenize(text)
-    return predict_spans(params, toks, encode_post(toks, params.embedding, max_len), policy)
+    return predict_spans(params, [toks], [encode_post(toks, params.embedding, max_len)], policy)[0]

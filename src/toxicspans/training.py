@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataio import CharSpanSet, LabeledPost
-from .embeddings import EmbeddingTable, EncodedPost, encode_post
+from .embeddings import EmbeddingTable, EncodedPost, check_max_len, encode_post
 from .errors import TrainingDivergedError, ValidationError
 from .metric import per_post_scores
 from .model import ModelParams, init_params, nll_and_gradients, predict_spans
@@ -60,8 +60,7 @@ class TrainConfig:
             raise ValidationError(
                 f"dev_fraction must be in (0, 1), got {self.dev_fraction}"
             )
-        if self.max_len < 1:
-            raise ValidationError(f"max_len must be >= 1, got {self.max_len}")
+        check_max_len(self.max_len)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -182,11 +181,26 @@ def adam_step(
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        # two scratch arrays instead of a temporary per operation; the
+        # operations and their order are those of lr * (m / c1) /
+        # (sqrt(v / c2) + eps) written out, so the result is bit for bit
+        # the same
+        step = np.empty_like(g)
+        denom = np.empty_like(g)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(g, 1.0 - state.beta1, out=step)
+        m += step
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        param -= state.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + state.epsilon)
+        np.multiply(g, 1.0 - state.beta2, out=step)
+        step *= g
+        v += step
+        np.divide(v, correct2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        np.divide(m, correct1, out=step)
+        step *= state.learning_rate
+        step /= denom
+        param -= step
     return params, state
 
 
@@ -196,10 +210,10 @@ def dev_char_f1(
     """Mean per-post character F1 of the current model on a split."""
     if not examples:
         raise ValidationError("dev split is empty")
-    scores = [
-        per_post_scores(predict_spans(params, ex.tokens, ex.encoded, policy), ex.gold).f1
-        for ex in examples
-    ]
+    spans = predict_spans(
+        params, [ex.tokens for ex in examples], [ex.encoded for ex in examples], policy
+    )
+    scores = [per_post_scores(pred, ex.gold).f1 for pred, ex in zip(spans, examples)]
     return float(np.mean(scores))
 
 

@@ -7,7 +7,9 @@ come from central finite differences.  Keep them slow and obvious.
 The loop-form kernels at the end are the step-by-step LSTM recurrence and
 CRF forward-backward that the library's fused kernels must reproduce: one
 matrix-vector product and one outer product per time step, one transition
-table per position.
+table per position.  The numpy Viterbi decoder and the Adam step written as
+one expression per moment are the references of the library's scalar
+decoder and in-place update, which must match them exactly.
 """
 
 from __future__ import annotations
@@ -193,3 +195,39 @@ def loop_crf_nll_grad(em, trans, start, stop, labels):
     d_stop[labels[-1]] -= 1.0
     nll = log_z - path_score(em, trans, start, stop, labels)
     return nll, d_em, d_trans, d_start, d_stop
+
+
+def numpy_viterbi_decode(em, trans, start, stop):
+    """Max-plus Viterbi with one numpy step per position; np.argmax returns
+    the first maximum, the lower-index tie-break."""
+    T, L = em.shape
+    score = start + em[0]
+    backptr = np.empty((T, L), dtype=np.int64)
+    for t in range(1, T):
+        cand = score[:, None] + trans  # (prev, next)
+        backptr[t] = np.argmax(cand, axis=0)
+        score = cand.max(axis=0) + em[t]
+    best = int(np.argmax(score + stop))
+    path = [best]
+    for t in range(T - 1, 0, -1):
+        best = int(backptr[t, best])
+        path.append(best)
+    path.reverse()
+    return path
+
+
+def expression_adam_step(params, grads, state):
+    """One Adam update with a fresh temporary for every operation."""
+    state.step += 1
+    t = state.step
+    correct1 = 1.0 - state.beta1**t
+    correct2 = 1.0 - state.beta2**t
+    for name, param in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        param -= state.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + state.epsilon)

@@ -1,6 +1,7 @@
 """A time-major, length-sorted minibatch against the same posts one at a
 time: the batched kernels and ``nll_and_gradients`` must return each post's
-own results and the sum of the single-post gradients, up to summation order.
+own results and the sum of the single-post gradients, up to summation order,
+and ``predict_spans`` over a list must give each post's single-post spans.
 
 Padding slots are filled with random finite values, so any padded value
 leaking into a result would show.
@@ -13,7 +14,9 @@ from conftest import make_table
 from toxicspans.crf import CrfParams, crf_nll_grad
 from toxicspans.embeddings import encode_post
 from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
-from toxicspans.model import init_params, nll_and_gradients
+import toxicspans.model
+from toxicspans.model import INFER_BATCH, bilstm_emissions, init_params, nll_and_gradients, predict, predict_spans
+from toxicspans.span_codec import BridgePolicy
 from toxicspans.tokenizer import tokenize
 
 RTOL = 1e-9
@@ -129,3 +132,39 @@ def test_nll_and_gradients_batch_matches_sum_of_single_posts(B, lengths, finetun
         assert_close(arr, ref[name])
     if finetune:
         assert np.all(grads["embedding.matrix"][table.pad_index] == 0.0)
+
+
+@pytest.mark.parametrize("hidden", [8, 32])
+def test_predict_spans_over_a_list_matches_single_posts(hidden, monkeypatch):
+    rng = np.random.default_rng(hidden)
+    table = make_table([f"w{i}" for i in range(10)], dim=DIM, seed=4)
+    params = init_params(table, hidden_size=hidden, rng=rng)
+    params.emit.W_out *= 8.0  # labels of both kinds, not all zero
+    params.crf.trans[:] = rng.uniform(-1.0, 1.0, size=(2, 2))
+    max_len, policy = 12, BridgePolicy(bridge_gaps=True, max_gap=1)
+    # 33 tagged posts (chunks of 16, 16 and 1) with ties, truncated posts
+    # past max_len 12, and four posts without tokens among them
+    lengths = [int(n) for n in rng.integers(1, 20, size=33)] + [0] * 4
+    texts = [" ".join(f"w{int(rng.integers(12))}" for _ in range(n)) for n in rng.permutation(lengths)]
+    assert len(texts) > 2 * INFER_BATCH and any(n > max_len for n in lengths)
+    toks = [tokenize(text) for text in texts]
+    posts = [encode_post(t, table, max_len) for t in toks]
+
+    seen = []
+    decode = toxicspans.model.viterbi_decode
+
+    def recording_decode(em, crf):
+        seen.append(em)
+        return decode(em, crf)
+
+    monkeypatch.setattr(toxicspans.model, "viterbi_decode", recording_decode)
+    spans = predict_spans(params, toks, posts, policy)
+    monkeypatch.undo()
+
+    expected = [predict(params, text, max_len, policy) for text in texts]
+    assert spans == expected
+    assert sum(map(bool, expected)) > len(texts) // 4
+    order = sorted((k for k, post in enumerate(posts) if post.effective_len), key=lambda k: -posts[k].effective_len)
+    assert len(seen) == len(order)
+    for k, em in zip(order, seen):
+        assert_close(em, bilstm_emissions(posts[k], params)[0])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -330,6 +331,45 @@ class TestPredict:
         assert recorded("stored.tsv", *internal) == 0.7
         assert recorded("flagged.tsv", *internal, "--gate-threshold", "0.6") == 0.6
         assert recorded("off.tsv") is None
+
+    def test_manifest_lists_only_the_gate_files_read(self, workspace, gate_07, tmp_path):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("".join(f"{post.id}\t0.5\n" for post in generate_posts(40, seed=12)))
+
+        def inputs(out_name, *extra):
+            assert run_predict(workspace, out_name, "--gate-model", str(gate_07), *extra) == 0
+            return json.loads((workspace / f"{out_name}.manifest.json").read_text())["inputs"]
+
+        assert set(inputs("listed_off.tsv")) == {"data", "embeddings", "checkpoint"}
+        assert set(inputs("listed_scores.tsv", "--gate", f"scores:{scores}")) == {
+            "data", "embeddings", "checkpoint", "gate_scores"}
+        internal = inputs("listed_internal.tsv", "--gate", "internal")
+        assert internal["gate_model"]["sha256"] == hashlib.sha256(gate_07.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("where", ["flag", "checkpoint"])
+    def test_max_len_beyond_csv_field_limit_exits_2(self, workspace, tmp_path, capsys, where):
+        ckpt, extra = workspace / "model.ckpt", ["--max-len", str(2**62)]
+        if where == "checkpoint":
+            raw = ckpt.read_bytes()
+            header_end = raw.index(b"\n", len(MAGIC))
+            header = json.loads(raw[len(MAGIC) : header_end])
+            header["train_config"]["max_len"] = 2**62
+            ckpt, extra = tmp_path / "huge.ckpt", []
+            ckpt.write_bytes(MAGIC + json.dumps(header).encode() + raw[header_end:])
+        code = main(
+            [
+                "predict",
+                "--data", str(workspace / "dev.csv"),
+                "--embeddings", str(workspace / "vectors.txt"),
+                "--embedding-dim", str(DIM),
+                "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "x.tsv"),
+                *extra,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "max_len" in err and "Traceback" not in err
 
     def test_internal_gate_tokenizes_each_post_once(self, workspace, gate_07, monkeypatch):
         import toxicspans.cli

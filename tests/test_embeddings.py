@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -105,6 +106,13 @@ class TestEncodePost:
         table = make_table(["w"])
         with pytest.raises(ValidationError):
             encode_post(tokenize("w"), table, max_len=0)
+
+    def test_max_len_beyond_csv_field_limit_rejected(self):
+        table = make_table(["w"])
+        limit = csv.field_size_limit()
+        assert encode_post(tokenize("w"), table, max_len=limit).effective_len == 1
+        with pytest.raises(ValidationError, match="max_len"):
+            encode_post(tokenize("w"), table, max_len=limit + 1)
 
     @given(st.integers(0, 40), st.integers(1, 30))
     def test_mask_sums_to_min_of_lengths(self, n_tokens, max_len):

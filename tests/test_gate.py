@@ -138,6 +138,10 @@ class TestScoreFiles:
         with pytest.raises(DataFormatError, match="line 1"):
             read_score_file(io.BytesIO(b"0\t1.5\n"))
 
+    def test_duplicate_id_rejected_with_line_number(self):
+        with pytest.raises(DataFormatError, match="line 3: duplicate post id 0"):
+            read_score_file(io.BytesIO(b"0\t0.5\n1\t0.2\n0\t0.9\n"))
+
     def test_load_external_gate(self, tmp_path):
         path = tmp_path / "scores.tsv"
         path.write_bytes(b"0\t0.9\n1\t0.1\n")

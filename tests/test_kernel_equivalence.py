@@ -1,5 +1,6 @@
 """The fused LSTM and CRF kernels against the loop-form references in
-``oracles``: same results up to floating-point summation order.
+``oracles``: same results up to floating-point summation order.  The scalar
+Viterbi decoder must return exactly the numpy reference's path.
 
 The tolerance was fixed before the fused kernels were written: float64
 arithmetic reordered over at most a few hundred terms.  The hot cases scale
@@ -10,8 +11,8 @@ saturate and the sigmoid's exp overflows.
 import numpy as np
 import pytest
 
-from oracles import loop_crf_nll_grad, loop_lstm_backward, loop_lstm_forward
-from toxicspans.crf import CrfParams, crf_nll_grad
+from oracles import loop_crf_nll_grad, loop_lstm_backward, loop_lstm_forward, numpy_viterbi_decode
+from toxicspans.crf import CrfParams, crf_nll_grad, viterbi_decode
 from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
 
 RTOL = 1e-9
@@ -79,3 +80,23 @@ def test_crf_nll_grad_matches_loop_reference(T, L, scale):
     want = loop_crf_nll_grad(em, crf.trans, crf.start, crf.stop, labels)
     for actual, desired in zip(got, want):
         assert_close(actual, desired)
+
+
+@pytest.mark.parametrize("zero_crf", [False, True], ids=["random-crf", "zero-crf"])
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("T", LENGTHS)
+def test_viterbi_matches_numpy_reference(T, L, scale, zero_crf):
+    rng = np.random.default_rng(100 * T + L + zero_crf)
+    crf = CrfParams(
+        trans=rng.uniform(-2.0, 2.0, size=(L, L)),
+        start=rng.uniform(-2.0, 2.0, size=L),
+        stop=rng.uniform(-2.0, 2.0, size=L),
+    )
+    if zero_crf:
+        crf = CrfParams(np.zeros((L, L)), np.zeros(L), np.zeros(L))
+    for _ in range(20):
+        em = rng.uniform(-2.0, 2.0, size=(T, L)) * scale
+        if zero_crf:
+            em = np.round(em / scale)  # integer scores: ties at most positions
+        assert viterbi_decode(em, crf) == numpy_viterbi_decode(em, crf.trans, crf.start, crf.stop)

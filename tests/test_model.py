@@ -314,8 +314,10 @@ class TestCheckpoint:
             (lambda h: h["tensors"].__setitem__(6, ["emit.W_out", [16, 2]]), "tensor list"),
             (lambda h: h["train_config"].__setitem__("max_len", "128"), "max_len"),
             (lambda h: h["train_config"].__setitem__("max_len", 0), "max_len"),
+            (lambda h: h["train_config"].__setitem__("max_len", 2**62), "max_len"),
         ],
-        ids=["malformed-tensor-entry", "shape-disagrees-with-dims", "config-type", "config-range"],
+        ids=["malformed-tensor-entry", "shape-disagrees-with-dims", "config-type", "config-range",
+             "config-max-len-too-large"],
     )
     def test_malformed_header_is_a_format_error(self, tmp_path, edit, match):
         from toxicspans.checkpoint import load_checkpoint, serialize_checkpoint

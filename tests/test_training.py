@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import deep_equal, make_table
+from oracles import expression_adam_step
 from toxicspans.dataio import CharSpanSet, LabeledPost
 from toxicspans.embeddings import load_embeddings
 from toxicspans.errors import TrainingDivergedError, ValidationError
@@ -45,6 +46,7 @@ class TestTrainConfig:
             {"dev_fraction": 0.0},
             {"dev_fraction": 1.0},
             {"max_len": 0},
+            {"max_len": 2**62},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -73,6 +75,22 @@ class TestAdam:
         # first bias-corrected step is lr * g / (|g| + eps) = lr * sign(g)
         expected = -0.01 * np.sign(g) * (np.abs(g) / (np.abs(g) + state.epsilon))
         np.testing.assert_allclose(params["w"], expected, atol=1e-12)
+
+    def test_matches_the_expression_form_exactly(self):
+        rng = np.random.default_rng(5)
+        shapes = {"W": (512, 128), "b": (512,), "trans": (2, 2)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        ref_params = {name: a.copy() for name, a in params.items()}
+        state = AdamState.for_arrays(params, learning_rate=3e-3)
+        ref_state = AdamState.for_arrays(ref_params, learning_rate=3e-3)
+        for _ in range(5):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            adam_step(params, {name: g.copy() for name, g in grads.items()}, state)
+            expression_adam_step(ref_params, grads, ref_state)
+            for name in shapes:
+                assert np.array_equal(params[name], ref_params[name])
+                assert np.array_equal(state.m[name], ref_state.m[name])
+                assert np.array_equal(state.v[name], ref_state.v[name])
 
     def test_clipping_scales_by_global_norm(self):
         grads = {"a": np.array([6.0, 8.0]), "b": np.array([0.0])}  # norm 10
