@@ -96,7 +96,8 @@ def load_checkpoint(
     """Rebuild parameters against ``table``; rejects hash/dim mismatches.
 
     A malformed header (dims, train_config, or a tensor list that disagrees
-    with :func:`model.tensor_shapes`) raises :class:`DataFormatError`.
+    with :func:`model.tensor_shapes`) or a tensor holding NaN or infinity
+    raises :class:`DataFormatError`.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
@@ -153,6 +154,8 @@ def load_checkpoint(
         if len(chunk) != nbytes:
             raise DataFormatError(f"{path}: truncated tensor data for {name}")
         arrays[name] = np.frombuffer(chunk, dtype=_DTYPE).reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise DataFormatError(f"{path}: tensor {name} holds NaN or infinite values")
         offset += nbytes
     if offset != len(raw):
         raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes")

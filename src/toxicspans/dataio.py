@@ -6,8 +6,19 @@ integer-list literal such as ``[7, 8, 9]`` naming the toxic character
 positions of the post.  Predictions are written one post per line as
 ``<id>\\t[<i1>, <i2>, ...]`` with ascending indexes.
 
-Character indexes always refer to positions in the decoded Unicode scalar
-sequence of the text, never to bytes.
+The span literal grammar, where ``ws`` is any run of Unicode whitespace
+(``str.isspace``) and ``digit`` any Unicode decimal digit (category Nd,
+e.g. ``٣`` as well as ``3``)::
+
+    literal := ws? "[" ws? ( int ( ws? "," ws? int )* ws? )? "]" ws?
+    int     := "-"? digit+    (at most sys.get_int_max_str_digits(), 4300 by default)
+
+No ``+`` sign, ``_`` separator, trailing comma, or space inside an integer.
+Order and repeats are free; the parsed set is sorted and deduplicated.
+
+Both files must be UTF-8 (an optional BOM is skipped).  Character indexes
+always refer to positions in the decoded Unicode scalar sequence of the
+text, never to bytes.
 """
 
 from __future__ import annotations
@@ -25,10 +36,11 @@ from .errors import DataFormatError
 
 logger = logging.getLogger(__name__)
 
-# Tiny dedicated grammar for the spans cell: `[` int (`,` int)* `]` with
-# optional whitespace.  Deliberately not a general literal evaluator.
-_SPAN_LITERAL_RE = re.compile(r"\A\s*\[\s*(?:-?\d+(?:\s*,\s*-?\d+)*\s*)?\]\s*\Z")
-_INT_RE = re.compile(r"-?\d+")
+# The only characters allowed between the brackets of a span literal.  The
+# structure inside is left to int(), which strips the same whitespace as
+# \s, reads the same digits as \d, and rejects "", "--1", "- 1" and "1 2";
+# this class keeps out the "+" and "_" that int() would also accept.
+_SPAN_BODY_RE = re.compile(r"[\d\s,-]*")
 
 
 @dataclass(frozen=True)
@@ -43,7 +55,7 @@ class CharSpanSet:
     indexes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        normalized = tuple(sorted({int(i) for i in self.indexes}))
+        normalized = tuple(sorted(set(map(int, self.indexes))))
         object.__setattr__(self, "indexes", normalized)
 
     def __len__(self) -> int:
@@ -90,29 +102,63 @@ class PostPrediction:
 
 
 def parse_span_literal(literal: str) -> CharSpanSet:
-    """Parse a bracketed integer-list literal like ``[7, 8, 9]``."""
-    if not _SPAN_LITERAL_RE.match(literal):
-        raise DataFormatError(f"malformed span literal: {literal!r}")
-    return CharSpanSet(tuple(int(tok) for tok in _INT_RE.findall(literal)))
+    """Parse a bracketed integer-list literal like ``[7, 8, 9]`` (grammar in
+    the module docstring)."""
+    body = literal.strip()
+    inner = body[1:-1]
+    if len(body) >= 2 and body[0] == "[" and body[-1] == "]" and _SPAN_BODY_RE.fullmatch(inner):
+        if not inner.strip():
+            return CharSpanSet()
+        try:
+            return CharSpanSet(map(int, inner.split(",")))
+        except ValueError:  # a malformed item, or an int over the digit limit
+            pass
+    raise DataFormatError(f"malformed span literal: {literal!r}")
 
 
 def format_span_literal(spans: CharSpanSet) -> str:
     """Render a span set as the bracketed ascending-list literal."""
-    return "[" + ", ".join(str(i) for i in spans.indexes) + "]"
+    return "[" + ", ".join(map(str, spans.indexes)) + "]"
 
 
 @contextmanager
 def text_reader(source: IO):
-    """Yield a text view of a possibly-binary stream without closing it."""
+    """Yield a text view of a possibly-binary stream without closing it.
+
+    Bytes that are not UTF-8 raise :class:`DataFormatError` naming the offset
+    of the first bad byte from where reading began (when the stream can seek
+    back to find it).
+    """
     if isinstance(source, io.TextIOBase):
         yield source
         return
+    start = source.tell() if source.seekable() else None
     # utf-8-sig tolerates an optional BOM and is a strict superset of utf-8
     wrapper = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     try:
         yield wrapper
+    except UnicodeDecodeError as exc:
+        offset = None if start is None else _first_bad_byte(source, start)
+        where = "" if offset is None else f" at byte {offset}"
+        raise DataFormatError(f"not valid UTF-8{where}: {exc.reason}") from None
     finally:
         wrapper.detach()
+
+
+def _first_bad_byte(source: IO, start: int) -> int | None:
+    """Offset from ``start`` of the first byte of ``source`` that is not UTF-8.
+
+    Decodes one line at a time: no UTF-8 sequence contains a newline byte.
+    """
+    source.seek(start)
+    offset = 0
+    for line in source:
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return offset + exc.start
+        offset += len(line)
+    return None
 
 
 @contextmanager
@@ -178,8 +224,8 @@ def _parse_dataset_stream(stream, has_gold: bool, lenient: bool) -> list[Labeled
                 gold = parse_span_literal(row[columns["spans"]])
             except DataFormatError as exc:
                 raise DataFormatError(f"record {record_no}: {exc}") from None
-            out_of_range = [i for i in gold if i < 0 or i >= len(text)]
-            if out_of_range:
+            if gold and (gold.indexes[0] < 0 or gold.indexes[-1] >= len(text)):
+                out_of_range = [i for i in gold if i < 0 or i >= len(text)]
                 if not lenient:
                     raise DataFormatError(
                         f"record {record_no}: gold index {out_of_range[0]} outside "

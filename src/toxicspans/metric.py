@@ -36,7 +36,7 @@ def per_post_scores(pred: CharSpanSet, gold: CharSpanSet) -> PostScore:
         return PostScore(precision=1.0, recall=1.0, f1=1.0)
     if not pred or not gold:
         return PostScore(precision=0.0, recall=0.0, f1=0.0)
-    overlap = len(pred & gold)
+    overlap = len(set(pred.indexes).intersection(gold.indexes))
     precision = overlap / len(pred)
     recall = overlap / len(gold)
     if precision + recall == 0.0:

@@ -9,8 +9,8 @@ whose gold spans include the separating spaces.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import pairwise
 
 from .dataio import CharSpanSet
 from .errors import ValidationError
@@ -34,16 +34,16 @@ class BridgePolicy:
 
 def spans_to_labels(toks: TokenSeq, gold: CharSpanSet) -> LabelSeq:
     """Label each token 1 iff its ``[start, end)`` range intersects ``gold``."""
-    for index in gold:
-        if index < 0 or index >= toks.source_len:
-            raise ValidationError(
-                f"gold index {index} outside [0, {toks.source_len})"
-            )
-    gold_set = set(gold.indexes)
-    return [
-        1 if any(c in gold_set for c in range(tok.start, tok.end)) else 0
-        for tok in toks
-    ]
+    indexes = gold.indexes
+    if indexes and (indexes[0] < 0 or indexes[-1] >= toks.source_len):
+        bad = indexes[0] if indexes[0] < 0 else indexes[bisect_left(indexes, toks.source_len)]
+        raise ValidationError(f"gold index {bad} outside [0, {toks.source_len})")
+    labels = []
+    for tok in toks:
+        # the first gold index at or after the token's start decides
+        pos = bisect_left(indexes, tok.start)
+        labels.append(1 if pos < len(indexes) and indexes[pos] < tok.end else 0)
+    return labels
 
 
 def labels_to_spans(
@@ -54,15 +54,17 @@ def labels_to_spans(
         raise ValidationError(
             f"label count {len(labels)} does not match token count {len(toks)}"
         )
-    chars: set[int] = set()
+    chars: list[int] = []
+    toxic_end = None  # end of the previous token while it is toxic
     for tok, label in zip(toks, labels):
-        if label:
-            chars.update(range(tok.start, tok.end))
-    if policy.bridge_gaps:
-        for (left, l_label), (right, r_label) in pairwise(zip(toks, labels)):
-            if l_label and r_label and right.start - left.end <= policy.max_gap:
-                chars.update(range(left.end, right.start))
-    return CharSpanSet(tuple(chars))
+        if not label:
+            toxic_end = None
+            continue
+        if policy.bridge_gaps and toxic_end is not None and tok.start - toxic_end <= policy.max_gap:
+            chars.extend(range(toxic_end, tok.start))
+        chars.extend(range(tok.start, tok.end))
+        toxic_end = tok.end
+    return CharSpanSet(chars)
 
 
 def round_trip_loss(

@@ -10,6 +10,7 @@ the best-dev parameters are returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -44,13 +45,15 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # false for NaN too
+            raise ValidationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.hidden_size < 1:
             raise ValidationError(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.gradient_clip_norm <= 0:
+        if not 0 < self.gradient_clip_norm < math.inf:
             raise ValidationError(
-                f"gradient_clip_norm must be > 0, got {self.gradient_clip_norm}"
+                f"gradient_clip_norm must be finite and > 0, got {self.gradient_clip_norm}"
             )
         if self.early_stop_patience < 1:
             raise ValidationError(

@@ -10,14 +10,22 @@ matrix-vector product and one outer product per time step, one transition
 table per position.  The numpy Viterbi decoder and the Adam step written as
 one expression per moment are the references of the library's scalar
 decoder and in-place update, which must match them exactly.
+
+The span-set functions at the very end are the regex span-literal parser and
+the per-index set loops that the library's builtin-pass parser, span set and
+span codec must reproduce, outputs and errors alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
+from itertools import pairwise
 
 import numpy as np
+
+from toxicspans.errors import DataFormatError, ValidationError
 
 
 def path_score(em, trans, start, stop, labels) -> float:
@@ -231,3 +239,42 @@ def expression_adam_step(params, grads, state):
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
         param -= state.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + state.epsilon)
+
+
+_SPAN_LITERAL_RE = re.compile(r"\A\s*\[\s*(?:-?\d+(?:\s*,\s*-?\d+)*\s*)?\]\s*\Z")
+_INT_RE = re.compile(r"-?\d+")
+
+
+def normalize_indexes(indexes) -> tuple[int, ...]:
+    """A span set's stored form: sorted, deduplicated ints."""
+    return tuple(sorted({int(i) for i in indexes}))
+
+
+def regex_parse_span_literal(literal: str) -> tuple[int, ...]:
+    """Validate the whole literal with one regex, then int() each match."""
+    if not _SPAN_LITERAL_RE.match(literal):
+        raise DataFormatError(f"malformed span literal: {literal!r}")
+    return normalize_indexes(int(tok) for tok in _INT_RE.findall(literal))
+
+
+def loop_spans_to_labels(toks, gold_indexes) -> list[int]:
+    """Any-overlap labels by scanning every character of every token."""
+    for index in gold_indexes:
+        if index < 0 or index >= toks.source_len:
+            raise ValidationError(f"gold index {index} outside [0, {toks.source_len})")
+    gold_set = set(gold_indexes)
+    return [1 if any(c in gold_set for c in range(tok.start, tok.end)) else 0 for tok in toks]
+
+
+def loop_labels_to_spans(toks, labels, policy) -> tuple[int, ...]:
+    """Union of toxic token ranges plus, when bridging, the bridged gaps of
+    adjacent toxic pairs, gathered in a set."""
+    chars: set[int] = set()
+    for tok, label in zip(toks, labels):
+        if label:
+            chars.update(range(tok.start, tok.end))
+    if policy.bridge_gaps:
+        for (left, l_label), (right, r_label) in pairwise(zip(toks, labels)):
+            if l_label and r_label and right.start - left.end <= policy.max_gap:
+                chars.update(range(left.end, right.start))
+    return normalize_indexes(chars)

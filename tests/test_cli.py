@@ -55,6 +55,8 @@ def gate_07(workspace):
 
 
 def run_predict(workspace, out_name, *extra):
+    """``cli predict`` on dev.csv; ``out_name`` is joined to the workspace,
+    so an absolute path writes elsewhere."""
     args = [
         "predict",
         "--data", str(workspace / "dev.csv"),
@@ -173,6 +175,39 @@ class TestTrain:
         assert code == 2
         assert "warp_speed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--lr", "--clip"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_or_clip_exits_2(self, workspace, tmp_path, capsys, flag, value):
+        code = main(
+            [
+                "train",
+                "--data", str(workspace / "train.csv"),
+                "--embeddings", str(workspace / "vectors.txt"),
+                "--embedding-dim", str(DIM),
+                "--out", str(tmp_path / "x.ckpt"),
+                flag, value,
+            ]
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_non_utf8_embeddings_exits_2(self, workspace, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"caf\xe9 " + b" ".join([b"0.5"] * DIM) + b"\n")
+        code = main(
+            [
+                "train",
+                "--data", str(workspace / "train.csv"),
+                "--embeddings", str(vectors),
+                "--embedding-dim", str(DIM),
+                "--out", str(tmp_path / "x.ckpt"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "UTF-8 at byte 3" in err and "Traceback" not in err
+
 
 class TestPredict:
     def test_prediction_file_format_and_manifest(self, workspace):
@@ -233,12 +268,13 @@ class TestPredict:
             ]
         )
         assert code == 0
+        assert run_predict(workspace, tmp_path / "ungated.tsv") == 0
         assert run_predict(
-            workspace, "gated2.tsv", "--gate", "internal", "--gate-model", str(gate_path)
+            workspace, tmp_path / "gated.tsv", "--gate", "internal", "--gate-model", str(gate_path)
         ) == 0
-        with open(workspace / "ungated.tsv", "rb") as f:
+        with open(tmp_path / "ungated.tsv", "rb") as f:
             ungated = read_predictions(f)
-        with open(workspace / "gated2.tsv", "rb") as f:
+        with open(tmp_path / "gated.tsv", "rb") as f:
             gated = read_predictions(f)
         assert all(g.spans.issubset(u.spans) for g, u in zip(gated, ungated))
 
@@ -434,6 +470,42 @@ class TestEvaluate:
         assert lines[0] == "id\tprecision\trecall\tf1"
         assert lines[-1].startswith("mean_f1\t")
         assert (tmp_path / "report.tsv.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "data, pred, where",
+        [
+            ('spans,text\n"[0]",caf'.encode() + b"\xe9\n", b"0\t[0]\n", "byte 20"),
+            (b'spans,text\n"[0]",cafe\n', b"0\t[0\xff]\n", "byte 4"),
+        ],
+        ids=["data", "pred"],
+    )
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, data, pred, where):
+        (tmp_path / "data.csv").write_bytes(data)
+        (tmp_path / "pred.tsv").write_bytes(pred)
+        code = main(
+            ["evaluate", "--data", str(tmp_path / "data.csv"), "--pred", str(tmp_path / "pred.tsv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"not valid UTF-8 at {where}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "data, pred, where",
+        [
+            ('spans,text\n"[' + "1" * 5000 + ']",hello\n', "0\t[0]\n", "record 1"),
+            ('spans,text\n"[0]",hello\n', "0\t[" + "1" * 5000 + "]\n", "line 1"),
+        ],
+        ids=["data", "pred"],
+    )
+    def test_integer_over_the_digit_limit_exits_2(self, tmp_path, capsys, data, pred, where):
+        (tmp_path / "data.csv").write_text(data)
+        (tmp_path / "pred.tsv").write_text(pred)
+        code = main(
+            ["evaluate", "--data", str(tmp_path / "data.csv"), "--pred", str(tmp_path / "pred.tsv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{where}: malformed span literal" in err and "Traceback" not in err
 
     def test_misaligned_prediction_file_exits_2(self, workspace, tmp_path, capsys):
         pred = tmp_path / "short.tsv"

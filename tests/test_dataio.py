@@ -1,9 +1,10 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import csv_bytes
+from oracles import normalize_indexes, regex_parse_span_literal
 from toxicspans.dataio import (
     CharSpanSet,
     DataFormatError,
@@ -19,6 +20,40 @@ KNUCKLEHEAD = "What a knucklehead. How can anyone not know this would be offensi
 HAOLE = (
     "I only use the word haole when stupidity and arrogance is involved and "
     "not all the time.  Excluding the POTUS of course."
+)
+
+# What the span-literal grammar reads, and near misses of it: ASCII and other
+# Unicode decimal digits, digits that are not decimal (² ½ Ⅳ), Unicode
+# whitespace and a zero-width space that is not, separators, signs, letters.
+LITERAL_ALPHABET = (
+    "0123456789٣۷߀０𝟙²½Ⅳ \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000\u200b[],-+_aé"
+)
+SPACES = st.text(" \t\n\x85\xa0\u3000", max_size=2)
+WELL_FORMED_LITERALS = st.builds(
+    lambda head, items, tail: head + "[" + ",".join(items) + "]" + tail,
+    SPACES,
+    st.lists(
+        st.builds(
+            lambda before, sign, digits, after: before + sign + digits + after,
+            SPACES,
+            st.sampled_from(["", "-"]),
+            st.text("0123456789٣۷߀０𝟙", min_size=1, max_size=4),
+            SPACES,
+        ),
+        max_size=6,
+    ),
+    SPACES,
+)
+NEAR_LITERALS = st.builds(
+    lambda head, parts, tail: head + "[" + "".join(parts) + "]" + tail,
+    st.sampled_from(["", " ", "\n", "x"]),
+    st.lists(
+        st.sampled_from(
+            ["1", "23", "٣", "-", ",", ", ", " ", "\u3000", "+", "_", "a", "²", "[", "]"]
+        ),
+        max_size=12,
+    ),
+    st.sampled_from(["", " ", "\u2028", "]"]),
 )
 
 
@@ -46,6 +81,10 @@ class TestCharSpanSet:
     @given(st.lists(st.integers(-50, 500)), st.integers(-60, 510))
     def test_membership_matches_set_membership(self, values, probe):
         assert (probe in CharSpanSet(tuple(values))) == (probe in set(values))
+
+    @given(st.lists(st.integers() | st.booleans()))
+    def test_normalization_matches_set_comprehension(self, values):
+        assert CharSpanSet(values).indexes == normalize_indexes(values)
 
 
 class TestParseDataset:
@@ -144,6 +183,21 @@ class TestParseDataset:
         posts = parse_dataset(csv_bytes([("[10]", text)]))
         assert posts[0].gold.indexes == (10,)
 
+    def test_non_utf8_bytes_name_the_byte_offset(self):
+        raw = 'spans,text\n"[0]",caf'.encode() + b"\xe9\n"
+        with pytest.raises(DataFormatError, match="UTF-8 at byte 20"):
+            parse_dataset(io.BytesIO(raw))
+        with pytest.raises(DataFormatError, match="UTF-8 at byte 23"):
+            parse_dataset(io.BytesIO(b"\xef\xbb\xbf" + raw))  # the BOM counts
+
+    def test_non_utf8_bytes_in_an_unseekable_stream(self):
+        class Pipe(io.BytesIO):
+            def seekable(self):
+                return False
+
+        with pytest.raises(DataFormatError, match="not valid UTF-8: invalid start byte"):
+            parse_dataset(Pipe(b"spans,text\n[],\xff\n"))
+
 
 class TestSpanLiteral:
     def test_whitespace_tolerated(self):
@@ -156,6 +210,34 @@ class TestSpanLiteral:
         s = CharSpanSet((66, 67, 68, 69, 70))
         assert format_span_literal(s) == "[66, 67, 68, 69, 70]"
         assert parse_span_literal(format_span_literal(s)) == s
+
+    def test_unicode_digits_and_whitespace(self):
+        assert parse_span_literal("\u3000[\u2003١٢,\n-3 ]\x85").indexes == (-3, 12)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["[+1]", "[1_0]", "[- 1]", "[--1]", "[1,]", "[,]", "[ , ]", "[²]", "[1\u200b]", "[", "]["],
+    )
+    def test_near_misses_rejected(self, bad):
+        with pytest.raises(DataFormatError, match="malformed span literal"):
+            parse_span_literal(bad)
+
+    def test_integer_over_the_digit_limit_is_a_format_error(self):
+        with pytest.raises(DataFormatError, match="malformed span literal"):
+            parse_span_literal("[" + "1" * 5000 + "]")
+
+    @settings(max_examples=400)
+    @given(st.text(LITERAL_ALPHABET, max_size=24) | WELL_FORMED_LITERALS | NEAR_LITERALS)
+    def test_matches_the_regex_parser(self, literal):
+        try:
+            expected = regex_parse_span_literal(literal)
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as raised:
+                parse_span_literal(literal)
+            assert str(raised.value) == str(exc)
+        else:
+            assert parse_span_literal(literal).indexes == expected
+
 
 
 class TestPredictions:
@@ -176,6 +258,15 @@ class TestPredictions:
                 [PostPrediction(1, CharSpanSet(())), PostPrediction(0, CharSpanSet(()))],
                 io.BytesIO(),
             )
+
+    def test_non_utf8_bytes_name_the_byte_offset(self):
+        with pytest.raises(DataFormatError, match="UTF-8 at byte 9: invalid continuation byte"):
+            read_predictions(io.BytesIO(b"0\t[1]\n1\t[\xe9]\n"))
+
+    def test_integer_over_the_digit_limit_names_the_line(self):
+        raw = ("0\t[]\n1\t[" + "7" * 4301 + "]\n").encode()
+        with pytest.raises(DataFormatError, match="line 2: malformed span literal"):
+            read_predictions(io.BytesIO(raw))
 
     def test_read_errors_name_line(self):
         with pytest.raises(DataFormatError, match="line 2"):

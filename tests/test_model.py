@@ -315,9 +315,13 @@ class TestCheckpoint:
             (lambda h: h["train_config"].__setitem__("max_len", "128"), "max_len"),
             (lambda h: h["train_config"].__setitem__("max_len", 0), "max_len"),
             (lambda h: h["train_config"].__setitem__("max_len", 2**62), "max_len"),
+            (lambda h: h["train_config"].__setitem__("gradient_clip_norm", float("nan")),
+             "gradient_clip_norm"),
+            (lambda h: h["train_config"].__setitem__("learning_rate", float("inf")),
+             "learning_rate"),
         ],
         ids=["malformed-tensor-entry", "shape-disagrees-with-dims", "config-type", "config-range",
-             "config-max-len-too-large"],
+             "config-max-len-too-large", "config-clip-nan", "config-lr-inf"],
     )
     def test_malformed_header_is_a_format_error(self, tmp_path, edit, match):
         from toxicspans.checkpoint import load_checkpoint, serialize_checkpoint
@@ -327,6 +331,25 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         path.write_bytes(edit_header(raw, edit))
         with pytest.raises(DataFormatError, match=match):
+            load_checkpoint(path, table)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("fwd.W_in", np.nan), ("crf.trans", np.inf), ("crf.stop", -np.inf),
+         ("embedding.matrix", np.nan)],
+    )
+    def test_non_finite_tensor_is_a_format_error(self, tmp_path, name, value):
+        from toxicspans.checkpoint import load_checkpoint, save_checkpoint
+
+        table = make_table(["a", "b"], dim=3)
+        params = make_model(table, hidden=4)
+        finetuned = name == "embedding.matrix"
+        if finetuned:
+            params.embedding = table.with_matrix(table.matrix.copy())
+        dict(params.named_arrays(include_embedding=finetuned))[name].flat[1] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, TrainConfig(hidden_size=4, finetune_embeddings=finetuned), table)
+        with pytest.raises(DataFormatError, match=f"tensor {name} holds NaN or infinite"):
             load_checkpoint(path, table)
 
     @settings(max_examples=150, deadline=None)

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import loop_labels_to_spans, loop_spans_to_labels
 from toxicspans.dataio import CharSpanSet
 from toxicspans.errors import ValidationError
 from toxicspans.span_codec import (
@@ -9,7 +12,7 @@ from toxicspans.span_codec import (
     round_trip_loss,
     spans_to_labels,
 )
-from toxicspans.tokenizer import tokenize
+from toxicspans.tokenizer import Token, TokenSeq, tokenize
 
 HAOLE = (
     "I only use the word haole when stupidity and arrogance is involved and "
@@ -18,17 +21,19 @@ HAOLE = (
 HAOLE_GOLD = CharSpanSet(tuple(range(31, 40)) + tuple(range(45, 54)))
 
 
-def brute_force_labels(toks, gold):
-    """Independent any-overlap check: per-character membership scan."""
-    gold_set = set(gold.indexes)
-    out = []
-    for tok in toks:
-        hit = 0
-        for c in range(tok.start, tok.end):
-            if c in gold_set:
-                hit = 1
-        out.append(hit)
-    return out
+@st.composite
+def spaced_tokens(draw):
+    """Ordered, non-overlapping tokens of 1-5 characters with gaps of 0-3."""
+    toks = []
+    pos = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 12))):
+        end = pos + draw(st.integers(1, 5))
+        toks.append(Token(surface="x" * (end - pos), lower="x" * (end - pos), start=pos, end=end))
+        pos = end + draw(st.integers(0, 3))
+    return TokenSeq(tuple(toks), source_len=pos)
+
+
+token_seqs = spaced_tokens() | st.text(alphabet="ab c.!'\n", max_size=40).map(tokenize)
 
 
 class TestSpansToLabels:
@@ -45,7 +50,7 @@ class TestSpansToLabels:
     def test_single_character_overlap_marks_whole_token(self):
         toks = tokenize("one knucklehead two")
         gold = CharSpanSet((6,))  # one char inside "knucklehead"
-        assert spans_to_labels(toks, gold) == brute_force_labels(toks, gold)
+        assert spans_to_labels(toks, gold) == loop_spans_to_labels(toks, gold.indexes)
         assert spans_to_labels(toks, gold) == [0, 1, 0]
 
     def test_out_of_range_gold_rejected(self):
@@ -64,7 +69,7 @@ class TestSpansToLabels:
         gold = CharSpanSet(
             tuple(data.draw(st.sets(st.integers(0, toks.source_len - 1), max_size=15)))
         )
-        assert spans_to_labels(toks, gold) == brute_force_labels(toks, gold)
+        assert spans_to_labels(toks, gold) == loop_spans_to_labels(toks, gold.indexes)
 
     @given(st.data())
     def test_monotone_in_gold(self, data):
@@ -77,6 +82,19 @@ class TestSpansToLabels:
         small = spans_to_labels(toks, CharSpanSet(tuple(base)))
         large = spans_to_labels(toks, CharSpanSet(tuple(base | extra)))
         assert all(b <= a for b, a in zip(small, large))
+
+    @given(token_seqs, st.data())
+    def test_matches_the_loop_oracle(self, toks, data):
+        in_range = (0, max(toks.source_len - 1, 0))
+        lo, hi = data.draw(st.sampled_from([in_range, (-2, toks.source_len + 1)]))
+        gold = CharSpanSet(data.draw(st.lists(st.integers(lo, hi), max_size=20)))
+        try:
+            expected = loop_spans_to_labels(toks, gold.indexes)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                spans_to_labels(toks, gold)
+        else:
+            assert spans_to_labels(toks, gold) == expected
 
 
 class TestLabelsToSpans:
@@ -152,6 +170,17 @@ class TestLabelsToSpans:
         for tok in toks:
             token_chars |= set(range(tok.start, tok.end))
         assert set(decoded.indexes) <= token_chars
+
+    @given(token_seqs, st.data())
+    def test_matches_the_loop_oracle(self, toks, data):
+        labels = data.draw(
+            st.lists(st.sampled_from([0, 1, 2]), min_size=len(toks), max_size=len(toks))
+        )
+        policy = BridgePolicy(
+            bridge_gaps=data.draw(st.booleans()), max_gap=data.draw(st.integers(0, 4))
+        )
+        decoded = labels_to_spans(toks, labels, policy)
+        assert decoded.indexes == loop_labels_to_spans(toks, labels, policy)
 
 
 class TestRoundTripLoss:

@@ -47,6 +47,10 @@ class TestTrainConfig:
             {"dev_fraction": 1.0},
             {"max_len": 0},
             {"max_len": 2**62},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"gradient_clip_norm": float("nan")},
+            {"gradient_clip_norm": float("inf")},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
