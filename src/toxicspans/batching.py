@@ -7,9 +7,9 @@ first ``counts[s]`` rows.  A recurrence therefore touches only
 ``a[s, :counts[s]]`` at step ``s``: no padded position is computed and no
 mask enters the arithmetic.  Slots past a post's length are padding.
 
-A single post keeps its plain ``(T, ...)`` shape and is indexed by the step
-alone, so one loop body, written with the per-step indexes of
-:func:`step_index`, serves both ranks.
+This is the kernels' only layout: one post runs as a batch of one.  When
+every post runs every step, as one post always does, the per-step indexes
+are plain integers and whole rows, numpy's fastest.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ def check_lengths(lengths, T: int, B: int) -> np.ndarray:
     return lengths
 
 
-def step_index(lengths: np.ndarray | None, T: int) -> tuple[list, list, list]:
-    """Per step ``s``: the row selector ``rows[s]`` (``...`` for a single
-    post, else the slice of the posts longer than ``s``), the index
-    ``now[s]`` of those rows at step ``s`` of a time-major array, and the
-    index ``prev[s]`` of the same posts at step ``s - 1``.  A single post
-    gets plain integer indexes, numpy's fastest."""
-    if lengths is None:
-        return [Ellipsis] * T, list(range(T)), list(range(-1, T - 1))
+def step_index(lengths: np.ndarray, T: int) -> tuple[list, list, list]:
+    """Per step ``s``: the row selector ``rows[s]`` of the posts longer than
+    ``s``, the index ``now[s]`` of those rows at step ``s`` of a time-major
+    array, and the index ``prev[s]`` of the same posts at step ``s - 1``."""
+    if lengths[-1] == T:
+        return [slice(None)] * T, list(range(T)), list(range(-1, T - 1))
     counts = np.count_nonzero(lengths[None, :] > np.arange(T)[:, None], axis=1)
     rows = [slice(0, int(n)) for n in counts]
     now = [(s, r) for s, r in enumerate(rows)]
@@ -51,13 +49,13 @@ def valid_mask(lengths: np.ndarray, T: int) -> np.ndarray:
     return np.arange(T)[:, None] < lengths[None, :]
 
 
-def reverse_prefixes(a: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
+def reverse_prefixes(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Each post's own prefix in reverse time order; padding stays put.
 
     The map is its own inverse, so it also turns a reversed pass back into
     original order.
     """
-    if lengths is None:
+    if lengths[-1] == a.shape[0]:
         return a[::-1]
     t = np.arange(a.shape[0])[:, None]
     src = np.where(t < lengths, lengths - 1 - t, t)

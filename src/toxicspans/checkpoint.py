@@ -42,6 +42,8 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     never see a partial file and concurrent writers never share a temp
     file: the last rename wins with one writer's complete bytes."""
     path = Path(path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"cannot write {path}: no directory {path.parent}")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:

@@ -30,6 +30,7 @@ from .checkpoint import (
 from .dataio import (
     parse_dataset,
     read_predictions,
+    text_reader,
     write_predictions,
     PostPrediction,
 )
@@ -144,7 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    with open(path, "rb") as handle, text_reader(handle) as stream:
+        lines = stream.read().splitlines()
+    for line_no, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

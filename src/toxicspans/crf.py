@@ -10,11 +10,11 @@ The forward-backward marginals double as the analytic gradient of the
 negative log-likelihood: d NLL / d em[t][l] = marginal[t][l] - 1{gold_t = l},
 and likewise expected-minus-observed for transitions, start, and stop.
 
-Forward-backward always runs on the time-major, length-sorted batch layout
-of :mod:`batching`: (T, B, L) emissions, whose alpha and beta recursions
-touch only each step's active posts.  A single (T, L) post runs as a batch
-of one; :func:`crf_nll_grad` also takes a whole training batch.  Viterbi
-decoding is per post.
+Forward-backward runs on the time-major, length-sorted batch layout of
+:mod:`batching`: (T, B, L) emissions, whose alpha and beta recursions touch
+only each step's active posts.  :func:`crf_nll_grad` takes such a batch;
+the single-post (T, L) helpers below run their post as a batch of one.
+Viterbi decoding is per post.
 """
 
 from __future__ import annotations
@@ -147,29 +147,23 @@ def crf_marginals(em: np.ndarray, crf: CrfParams) -> tuple[np.ndarray, np.ndarra
 
 
 def crf_nll_grad(
-    em: np.ndarray, crf: CrfParams, labels, lengths: np.ndarray | None = None
+    em: np.ndarray, crf: CrfParams, labels, lengths: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """NLL and its gradients wrt emissions, trans, start, and stop.
 
-    Takes one post, (T, L) emissions and its labels, or a sorted batch:
-    (T, B, L) emissions (any finite values as padding), one label list per
-    post and the post lengths.  A batch returns the summed NLL, per-post
-    emission gradients (zero on padding) and the summed trans, start and
-    stop gradients.  Each gradient is the marginal expectation minus the
-    gold indicator.
+    Takes a sorted batch: (T, B, L) emissions (any finite values as
+    padding), one label list per post and the post lengths.  Returns the
+    summed NLL, per-post emission gradients (zero on padding) and the
+    summed trans, start and stop gradients.  Each gradient is the marginal
+    expectation minus the gold indicator.
     """
-    single = lengths is None
-    if single:
-        _check_emissions(em, crf)
-        em, labels, lengths = em[:, None, :], [labels], np.array([em.shape[0]])
-    elif em.ndim != 3 or em.shape[2] != crf.num_labels:
+    if em.ndim != 3 or em.shape[2] != crf.num_labels:
         raise ValidationError(
-            f"batch emissions must be T x B x {crf.num_labels}, got shape {em.shape}"
+            f"emissions must be T x B x {crf.num_labels}, got shape {em.shape}"
         )
-    else:
-        lengths = check_lengths(lengths, em.shape[0], em.shape[1])
-        if len(labels) != len(lengths):
-            raise ValidationError(f"{len(labels)} label lists for {len(lengths)} posts")
+    lengths = check_lengths(lengths, em.shape[0], em.shape[1])
+    if len(labels) != len(lengths):
+        raise ValidationError(f"{len(labels)} label lists for {len(lengths)} posts")
     T, B, L = em.shape
     valid = valid_mask(lengths, T)
     y = np.zeros((T, B), dtype=np.int64)
@@ -187,7 +181,7 @@ def crf_nll_grad(
     d_start = d_em[0].sum(axis=0)
     d_stop = d_em[lengths - 1, np.arange(B)].sum(axis=0)
     nll = float(fb.log_z.sum()) - _gold_score(em, crf, y, lengths)
-    return nll, (d_em[:, 0] if single else d_em), d_trans, d_start, d_stop
+    return nll, d_em, d_trans, d_start, d_stop
 
 
 def viterbi_decode(em: np.ndarray, crf: CrfParams) -> list[int]:

@@ -113,7 +113,9 @@ def parse_span_literal(literal: str) -> CharSpanSet:
             return CharSpanSet(map(int, inner.split(",")))
         except ValueError:  # a malformed item, or an int over the digit limit
             pass
-    raise DataFormatError(f"malformed span literal: {literal!r}")
+    # a long literal is quoted by its head, so the error stays one short line
+    shown = repr(literal) if len(literal) <= 60 else f"{literal[:40]!r}... ({len(literal)} characters)"
+    raise DataFormatError(f"malformed span literal: {shown}")
 
 
 def format_span_literal(spans: CharSpanSet) -> str:

@@ -174,11 +174,10 @@ def load_gate(path: str | Path) -> GateModel:
             raise TypeError(f"expected a JSON object, got {payload!r}")
         if not isinstance(payload["weights"], list):
             raise TypeError(f"weights must be a list, got {payload['weights']!r}")
-        return GateModel(
-            kind=payload["kind"],
-            threshold=_number(payload["threshold"]),
-            weights=np.array([_number(w) for w in payload["weights"]], dtype=np.float64),
-        )
+        weights = np.array([_number(w) for w in payload["weights"]], dtype=np.float64)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite (json reads NaN and Infinity)")
+        return GateModel(kind=payload["kind"], threshold=_number(payload["threshold"]), weights=weights)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"bad gate model file {path}: {exc}") from None
 

@@ -8,11 +8,11 @@ candidate, output.  The recurrence starts from zero hidden and cell state:
     c_t = f * c_{t-1} + i * g
     h_t = o * tanh(c_t)
 
-Both kernels take one post as a (T, D) array or a minibatch in the
-time-major, length-sorted layout of :mod:`batching`: a (T, B, D) array plus
-the B post lengths, longest first.  Step ``s`` runs only the posts longer
-than ``s`` (the first rows of the step), and a reversed pass reads each
-post's own prefix back to front, so padding is never computed.
+Both kernels take a minibatch in the time-major, length-sorted layout of
+:mod:`batching`: a (T, B, D) array plus the B post lengths, longest first;
+one post is a batch of one.  Step ``s`` runs only the posts longer than
+``s`` (the first rows of the step), and a reversed pass reads each post's
+own prefix back to front, so padding is never computed.
 
 Only ``W_rec h_{t-1}`` depends on the previous step, so the input
 projection of all steps is one (T*B, D) x (D, 4H) product taken before the
@@ -61,19 +61,13 @@ class LstmDirectionParams:
 class LstmCache:
     """Forward-pass intermediates, all in processing order."""
 
-    inputs: np.ndarray  # (T, [B,] D)
-    gates: np.ndarray  # (T, [B,] 4H) activated i, f, g, o
-    cell: np.ndarray  # (T, [B,] H)
+    inputs: np.ndarray  # (T, B, D)
+    gates: np.ndarray  # (T, B, 4H) activated i, f, g, o
+    cell: np.ndarray  # (T, B, H)
     tanh_cell: np.ndarray
     hidden: np.ndarray
     reverse: bool
-    lengths: np.ndarray | None = None  # (B,) for a batch, None for one post
-
-
-def _gate_blocks(H: int, batched: bool) -> list:
-    """Index of the i, f, g, o column blocks of one step's gate rows."""
-    blocks = [slice(k * H, (k + 1) * H) for k in range(4)]
-    return [(slice(None), b) for b in blocks] if batched else blocks
+    lengths: np.ndarray  # (B,)
 
 
 def _sigmoid_inplace(x: np.ndarray) -> None:
@@ -88,31 +82,28 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
 def lstm_forward(
     inputs: np.ndarray,
     params: LstmDirectionParams,
+    lengths: np.ndarray,
     reverse: bool = False,
-    lengths: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LstmCache]:
-    """Run the recurrence over a (T, D) post or a sorted (T, B, D) batch.
+    """Run the recurrence over a sorted (T, B, D) batch of posts with the
+    given ``lengths``.
 
-    ``lengths`` is required for, and only for, a batch.  Returns the hidden
-    states in original order (zero on padding) plus the cache needed by
-    :func:`lstm_backward`.  Raises :class:`NonFiniteError` if any hidden
-    state diverges, which only happens when parameters or inputs are already
-    non-finite (the activations themselves are bounded).
+    Returns the hidden states in original order (zero on padding) plus the
+    cache needed by :func:`lstm_backward`.  Raises :class:`NonFiniteError`
+    if any hidden state diverges, which only happens when parameters or
+    inputs are already non-finite (the activations themselves are bounded).
     """
-    if inputs.ndim not in (2, 3) or inputs.shape[0] < 1:
-        raise ValidationError(f"inputs must be T x D or T x B x D with T >= 1, got {inputs.shape}")
-    if (inputs.ndim == 3) != (lengths is not None):
-        raise ValidationError("lengths must be given for a T x B x D batch and only for one")
+    if inputs.ndim != 3 or inputs.shape[0] < 1:
+        raise ValidationError(f"inputs must be T x B x D with T >= 1, got {inputs.shape}")
     if inputs.shape[-1] != params.input_size:
         raise ValidationError(
             f"input width {inputs.shape[-1]} != parameter input size {params.input_size}"
         )
-    T = inputs.shape[0]
+    T, B = inputs.shape[:2]
     H = params.hidden_size
-    if lengths is not None:
-        lengths = check_lengths(lengths, T, inputs.shape[1])
+    lengths = check_lengths(lengths, T, B)
     _, now, prev = step_index(lengths, T)
-    i_, f_, g_, o_ = _gate_blocks(H, lengths is not None)
+    i_, f_, g_, o_ = ((slice(None), slice(k * H, (k + 1) * H)) for k in range(4))
     xs = reverse_prefixes(inputs, lengths) if reverse else inputs
 
     gates = matmul_rows(xs, params.W_in.T)  # pre-activations until a row is activated
@@ -121,9 +112,9 @@ def lstm_forward(
     cell = np.zeros(state)
     tanh_cell = np.zeros(state)
     hidden = np.zeros(state)
-    # A batch's per-step product runs faster against a contiguous copy; a
-    # single post keeps the transposed view its outputs are pinned to.
-    W_rec_T = params.W_rec.T if lengths is None else np.ascontiguousarray(params.W_rec.T)
+    # Several rows per step multiply faster against a contiguous copy; for
+    # a batch of one the copy costs more than it saves.
+    W_rec_T = params.W_rec.T if B == 1 else np.ascontiguousarray(params.W_rec.T)
     with np.errstate(over="ignore"):
         for s in range(T):
             r, q = now[s], prev[s]
@@ -198,8 +189,7 @@ def lstm_backward(
     dc_dh = tc * tc
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
-    if cache.lengths is not None:
-        dZ[~valid_mask(cache.lengths, T)] = 0.0  # padding adds nothing below
+    dZ[~valid_mask(cache.lengths, T)] = 0.0  # padding adds nothing below
 
     dZ_flat = dZ.reshape(cache.gates.shape)
     dh = d_h_seq[now[T - 1]]

@@ -2,15 +2,15 @@
 projection to per-label emission scores, and the CRF on top.
 
 Training runs a whole minibatch, and inference a chunk of up to
-:data:`INFER_BATCH` posts, as one pass in the time-major, length-sorted
-layout of :mod:`batching`: a (T, B) grid of embedding rows, T the batch's
-longest post, padding the PAD row (zeros), where each step's recurrence
-runs only the posts still active, so no padded slot is computed and no mask
-enters the arithmetic.  Viterbi then decodes each post's own prefix.  The
-backward pass is fully manual (projection, then both LSTM directions),
-returns gradients summed over the batch, and optionally accumulates
-embedding-row gradients when fine-tuning is enabled; padded slots add exact
-zeros.
+:data:`INFER_BATCH` posts (one post is a chunk of one), as one pass in the
+time-major, length-sorted layout of :mod:`batching`: a (T, B) grid of
+embedding rows, T the batch's longest post, padding the PAD row (zeros),
+where each step's recurrence runs only the posts still active, so no padded
+slot is computed and no mask enters the arithmetic.  Viterbi then decodes
+each post's own prefix.  The backward pass is fully manual (projection,
+then both LSTM directions), returns gradients summed over the batch, and
+optionally accumulates embedding-row gradients when fine-tuning is enabled;
+padded slots add exact zeros.
 """
 
 from __future__ import annotations
@@ -84,11 +84,11 @@ class ModelParams:
 class BilstmCache:
     """Everything the manual backward pass needs from one forward pass."""
 
-    indices: np.ndarray  # (T, [B]) embedding rows; padding past each post's length
-    inputs: np.ndarray  # (T, [B,] D)
+    indices: np.ndarray  # (T, B) embedding rows; padding past each post's length
+    inputs: np.ndarray  # (T, B, D)
     fwd_cache: LstmCache
     bwd_cache: LstmCache
-    hidden: np.ndarray  # (T, [B,] 2H), zero on padding
+    hidden: np.ndarray  # (T, B, 2H), zero on padding
 
 
 def _glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -133,12 +133,12 @@ def init_params(
 
 
 def _emissions(
-    indices: np.ndarray, params: ModelParams, lengths: np.ndarray | None = None
+    indices: np.ndarray, params: ModelParams, lengths: np.ndarray
 ) -> tuple[np.ndarray, BilstmCache]:
-    """Label scores of one post's (T,) rows or a sorted batch's (T, B) rows."""
+    """(T, B, L) label scores of a sorted batch's (T, B) embedding rows."""
     inputs = params.embedding.matrix[indices]
-    h_fwd, fwd_cache = lstm_forward(inputs, params.fwd, lengths=lengths)
-    h_bwd, bwd_cache = lstm_forward(inputs, params.bwd, reverse=True, lengths=lengths)
+    h_fwd, fwd_cache = lstm_forward(inputs, params.fwd, lengths)
+    h_bwd, bwd_cache = lstm_forward(inputs, params.bwd, lengths, reverse=True)
     hidden = np.concatenate([h_fwd, h_bwd], axis=-1)
     emissions = matmul_rows(hidden, params.emit.W_out.T) + params.emit.b_out
     cache = BilstmCache(
@@ -149,14 +149,6 @@ def _emissions(
         hidden=hidden,
     )
     return emissions, cache
-
-
-def bilstm_emissions(post: EncodedPost, params: ModelParams) -> tuple[np.ndarray, BilstmCache]:
-    """Per-token label scores for the unpadded prefix of an encoded post."""
-    eff = post.effective_len
-    if eff < 1:
-        raise ValidationError("encoded post has no unpadded positions")
-    return _emissions(post.indices[:eff], params)
 
 
 def _index_grid(posts: Sequence[EncodedPost], lengths: Sequence[int], pad_index: int) -> np.ndarray:
@@ -245,14 +237,10 @@ def _decode_chunk(
     params: ModelParams, chunk: Sequence[EncodedPost], lengths: list[int]
 ) -> list[list[int]]:
     """Viterbi labels of each post of a length-sorted chunk, from one
-    emission pass; a chunk of one post runs the single-post rank."""
-    if len(chunk) == 1:
-        emissions = [bilstm_emissions(chunk[0], params)[0]]
-    else:
-        grid = _index_grid(chunk, lengths, params.embedding.pad_index)
-        batch, _ = _emissions(grid, params, np.array(lengths))
-        emissions = [batch[:n, b] for b, n in enumerate(lengths)]
-    return [viterbi_decode(em, params.crf) for em in emissions]
+    emission pass."""
+    grid = _index_grid(chunk, lengths, params.embedding.pad_index)
+    emissions, _ = _emissions(grid, params, np.array(lengths))
+    return [viterbi_decode(emissions[:n, b], params.crf) for b, n in enumerate(lengths)]
 
 
 def predict_spans(

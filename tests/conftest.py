@@ -34,6 +34,13 @@ def make_table(words, dim=4, seed=0) -> EmbeddingTable:
     )
 
 
+def batch_of_one(post):
+    """One post's (T, ...) array as a length-sorted batch of one: a (T, 1, ...)
+    view, so in-place edits of the post show through, and its lengths [T]."""
+    post = np.asarray(post)
+    return post[:, None], np.array([len(post)])
+
+
 def deep_equal(a: ModelParams, b: ModelParams) -> bool:
     """Exact (bitwise) equality of all trainable tensors."""
     for (name_a, arr_a), (name_b, arr_b) in zip(a.named_arrays(), b.named_arrays()):

@@ -22,7 +22,7 @@ from oracles import (
     max_relative_error,
     path_score,
 )
-from conftest import make_table
+from conftest import batch_of_one, make_table
 from toxicspans.cli import main
 from toxicspans.crf import (
     CrfParams,
@@ -35,7 +35,7 @@ from toxicspans.dataio import CharSpanSet, read_predictions
 from toxicspans.embeddings import encode_post
 from toxicspans.gate import apply_gate
 from toxicspans.metric import per_post_scores
-from toxicspans.model import bilstm_emissions, init_params, nll_and_gradients
+from toxicspans.model import _emissions, init_params, nll_and_gradients
 from toxicspans.synthetic import generate_posts, write_corpus_csv, write_embedding_file
 from toxicspans.tokenizer import tokenize
 
@@ -119,8 +119,9 @@ def test_criterion_3_gradient_correctness():
     def batch_loss():
         total = 0.0
         for post, labels in batch:
-            em, _ = bilstm_emissions(post, params)
-            total += crf_nll(em, params.crf, labels)
+            indices, lengths = batch_of_one(post.indices[: post.effective_len])
+            em, _ = _emissions(indices, params, lengths)
+            total += crf_nll(em[:, 0], params.crf, labels)
         return total / len(batch)
 
     posts, label_lists = zip(*batch)

@@ -1,7 +1,8 @@
 """A time-major, length-sorted minibatch against the same posts one at a
-time: the batched kernels and ``nll_and_gradients`` must return each post's
-own results and the sum of the single-post gradients, up to summation order,
-and ``predict_spans`` over a list must give each post's single-post spans.
+time, each a batch of one: the batched kernels and ``nll_and_gradients``
+must return each post's own results and the sum of the single-post
+gradients, up to summation order, and ``predict_spans`` over a list must
+give each post's single-post spans.
 
 Padding slots are filled with random finite values, so any padded value
 leaking into a result would show.
@@ -10,12 +11,12 @@ leaking into a result would show.
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import batch_of_one, make_table
 from toxicspans.crf import CrfParams, crf_nll_grad
 from toxicspans.embeddings import encode_post
 from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
 import toxicspans.model
-from toxicspans.model import INFER_BATCH, bilstm_emissions, init_params, nll_and_gradients, predict, predict_spans
+from toxicspans.model import INFER_BATCH, _emissions, init_params, nll_and_gradients, predict, predict_spans
 from toxicspans.span_codec import BridgePolicy
 from toxicspans.tokenizer import tokenize
 
@@ -60,16 +61,17 @@ def test_lstm_batch_matches_single_posts(B, lengths, reverse):
     xs = [rng.normal(size=(n, DIM)) for n in lengths]
     d_hs = [rng.normal(size=(n, H)) for n in lengths]
 
-    hidden, cache = lstm_forward(padded_batch(xs, rng, DIM), params, reverse, np.array(lengths))
+    hidden, cache = lstm_forward(padded_batch(xs, rng, DIM), params, np.array(lengths), reverse)
     d_inputs, grads = lstm_backward(padded_batch(d_hs, rng, H), params, cache)
 
     total = {name: 0.0 for name in grads}
     for b, (x, d_h) in enumerate(zip(xs, d_hs)):
         n = len(x)
-        ref_hidden, ref_cache = lstm_forward(x, params, reverse)
-        ref_d_inputs, ref_grads = lstm_backward(d_h, params, ref_cache)
-        assert_close(hidden[:n, b], ref_hidden)
-        assert_close(d_inputs[:n, b], ref_d_inputs)
+        one_x, one_lengths = batch_of_one(x)
+        ref_hidden, ref_cache = lstm_forward(one_x, params, one_lengths, reverse)
+        ref_d_inputs, ref_grads = lstm_backward(batch_of_one(d_h)[0], params, ref_cache)
+        assert_close(hidden[:n, b], ref_hidden[:, 0])
+        assert_close(d_inputs[:n, b], ref_d_inputs[:, 0])
         assert np.all(hidden[n:, b] == 0.0) and np.all(d_inputs[n:, b] == 0.0)
         for name, arr in ref_grads.items():
             total[name] = total[name] + arr
@@ -95,8 +97,9 @@ def test_crf_batch_matches_single_posts(B, lengths):
 
     ref_nll, ref_trans, ref_start, ref_stop = 0.0, 0.0, 0.0, 0.0
     for b, (em, labs) in enumerate(zip(ems, labels)):
-        one_nll, one_d_em, one_trans, one_start, one_stop = crf_nll_grad(em, crf, labs)
-        assert_close(d_em[: len(em), b], one_d_em)
+        one_em, one_lengths = batch_of_one(em)
+        one_nll, one_d_em, one_trans, one_start, one_stop = crf_nll_grad(one_em, crf, [labs], one_lengths)
+        assert_close(d_em[: len(em), b], one_d_em[:, 0])
         assert np.all(d_em[len(em) :, b] == 0.0)
         ref_nll += one_nll
         ref_trans, ref_start, ref_stop = ref_trans + one_trans, ref_start + one_start, ref_stop + one_stop
@@ -167,4 +170,5 @@ def test_predict_spans_over_a_list_matches_single_posts(hidden, monkeypatch):
     order = sorted((k for k, post in enumerate(posts) if post.effective_len), key=lambda k: -posts[k].effective_len)
     assert len(seen) == len(order)
     for k, em in zip(order, seen):
-        assert_close(em, bilstm_emissions(posts[k], params)[0])
+        indices, lengths = batch_of_one(posts[k].indices[: posts[k].effective_len])
+        assert_close(em, _emissions(indices, params, lengths)[0][:, 0])

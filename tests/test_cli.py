@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import json_values
 from toxicspans.checkpoint import MAGIC
-from toxicspans.cli import main
+from toxicspans.cli import DEFAULTS, main
 from toxicspans.dataio import read_predictions
 from toxicspans.synthetic import generate_posts, write_corpus_csv, write_embedding_file
 
@@ -208,6 +212,24 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "UTF-8 at byte 3" in err and "Traceback" not in err
 
+    def test_non_utf8_config_file_exits_2(self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"epochs = 2\xff\n")
+        code = main(
+            [
+                "train",
+                "--config", str(config),
+                "--data", str(workspace / "train.csv"),
+                "--embeddings", str(workspace / "vectors.txt"),
+                "--embedding-dim", str(DIM),
+                "--out", str(tmp_path / "x.ckpt"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "UTF-8 at byte 10" in err and "Traceback" not in err
+        assert not (tmp_path / "x.ckpt").exists()
+
 
 class TestPredict:
     def test_prediction_file_format_and_manifest(self, workspace):
@@ -350,6 +372,22 @@ class TestPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad gate model file" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_gate_weights_exit_2(self, workspace, tmp_path, capsys, bad):
+        gate_path = tmp_path / "gate.json"
+        weights = ", ".join(["0.1"] * DIM + [bad])
+        gate_path.write_text(f'{{"kind": "internal-logreg", "threshold": 0.5, "weights": [{weights}]}}')
+        code = run_predict(workspace, "x.tsv", "--gate", "internal", "--gate-model", str(gate_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "weights must be finite" in err and "Traceback" not in err
+
+    def test_missing_output_directory_names_the_target(self, workspace, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.tsv"
+        assert run_predict(workspace, str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err and "Traceback" not in err
 
     def test_out_of_range_threshold_for_stored_gate_exits_2(self, workspace, gate_07, capsys):
         code = run_predict(workspace, "x.tsv", "--gate", "internal",
@@ -506,6 +544,7 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{where}: malformed span literal" in err and "Traceback" not in err
+        assert max(map(len, err.splitlines())) < 200  # the 5002-character literal is cut
 
     def test_misaligned_prediction_file_exits_2(self, workspace, tmp_path, capsys):
         pred = tmp_path / "short.tsv"
@@ -539,6 +578,63 @@ class TestAnalyze:
         pred = tmp_path / "mini.tsv"
         pred.write_text("4\t[]\n")
         assert main(["analyze", "--data", str(data), "--pred", str(pred)]) == 2
+
+
+def predict_quietly(workspace, *extra) -> tuple[int, str]:
+    """``cli predict`` on a two-post file; the exit code and stderr."""
+    data = workspace / "two_posts.csv"
+    data.write_text('spans,text\n"[]",the cat sat\n"[0, 1]",you loser\n')
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([
+            "predict",
+            "--data", str(data),
+            "--embeddings", str(workspace / "vectors.txt"),
+            "--embedding-dim", str(DIM),
+            "--checkpoint", str(workspace / "model.ckpt"),
+            "--out", str(workspace / "fuzz.tsv"),
+            *extra,
+        ])
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code: int, err: str) -> None:
+    """A run that fails exits 1 or 2 with an ``error:`` message, never a traceback."""
+    assert "Traceback" not in err
+    if code:
+        assert code in (1, 2) and err.startswith("error: ")
+
+
+CONFIG_LINES = st.builds(
+    lambda key, sep, value: f"{key}{sep}{value}",
+    st.sampled_from(sorted(DEFAULTS)) | st.text(max_size=6),
+    st.sampled_from([" = ", "=", " "]),
+    st.text(max_size=8) | st.integers().map(str) | st.floats().map(str),
+)
+GATE_PAYLOADS = st.fixed_dictionaries({
+    "kind": st.sampled_from(["internal-logreg", "external-scores"]) | st.text(max_size=4),
+    "threshold": st.floats() | json_values,
+    "weights": st.lists(st.floats(), min_size=DIM + 1, max_size=DIM + 1) | json_values,
+})
+
+
+class TestFuzz:
+    """Arbitrary bytes in a CLI input file end in an exit code, not a crash.
+    Well-formed files can exit 0; anything else must exit 1 or 2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=48) | st.lists(CONFIG_LINES, max_size=4).map(lambda ls: "\n".join(ls).encode()))
+    def test_config_file(self, workspace, raw):
+        config = workspace / "fuzz.conf"
+        config.write_bytes(raw)
+        assert_clean_exit(*predict_quietly(workspace, "--config", str(config)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=48) | (json_values | GATE_PAYLOADS).map(lambda v: json.dumps(v).encode()))
+    def test_gate_json(self, workspace, raw):
+        gate = workspace / "fuzz_gate.json"
+        gate.write_bytes(raw)
+        assert_clean_exit(*predict_quietly(workspace, "--gate", "internal", "--gate-model", str(gate)))
 
 
 class TestUsage:

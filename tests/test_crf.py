@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import batch_of_one
 from oracles import (
     brute_best_path,
     brute_log_partition,
@@ -154,20 +155,22 @@ class TestNllGradient:
         rng = np.random.default_rng(8)
         em, crf = random_instance(rng, T=5)
         labels = [1, 0, 0, 1, 1]
-        _, d_em, _, _, _ = crf_nll_grad(em, crf, labels)
+        x, lengths = batch_of_one(em)
+        _, d_em, _, _, _ = crf_nll_grad(x, crf, [labels], lengths)
         marg, _ = crf_marginals(em, crf)
         indicator = np.zeros_like(em)
         indicator[np.arange(5), labels] = 1.0
-        np.testing.assert_allclose(d_em, marg - indicator, atol=1e-12)
+        np.testing.assert_allclose(d_em[:, 0], marg - indicator, atol=1e-12)
 
     def test_all_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         em, crf = random_instance(rng, T=6)
         labels = [0, 1, 1, 0, 1, 0]
-        nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(em, crf, labels)
+        x, lengths = batch_of_one(em)
+        nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(x, crf, [labels], lengths)
         arrays = {"em": em, "trans": crf.trans, "start": crf.start, "stop": crf.stop}
         numeric = finite_difference(lambda: crf_nll(em, crf, labels), arrays, h=1e-5)
-        np.testing.assert_allclose(d_em, numeric["em"], atol=1e-7)
+        np.testing.assert_allclose(d_em[:, 0], numeric["em"], atol=1e-7)
         np.testing.assert_allclose(d_trans, numeric["trans"], atol=1e-7)
         np.testing.assert_allclose(d_start, numeric["start"], atol=1e-7)
         np.testing.assert_allclose(d_stop, numeric["stop"], atol=1e-7)

@@ -11,6 +11,7 @@ saturate and the sigmoid's exp overflows.
 import numpy as np
 import pytest
 
+from conftest import batch_of_one
 from oracles import loop_crf_nll_grad, loop_lstm_backward, loop_lstm_forward, numpy_viterbi_decode
 from toxicspans.crf import CrfParams, crf_nll_grad, viterbi_decode
 from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
@@ -44,14 +45,15 @@ def lstm_case(T, H, scale, seed):
 @pytest.mark.parametrize("T", LENGTHS)
 def test_lstm_matches_loop_reference(T, H, reverse, scale):
     params, inputs, d_hidden = lstm_case(T, H, scale, seed=1000 * T + 10 * H + reverse)
-    hidden, cache = lstm_forward(inputs, params, reverse=reverse)
+    x, lengths = batch_of_one(inputs)
+    hidden, cache = lstm_forward(x, params, lengths, reverse=reverse)
     ref_hidden, ref_cache = loop_lstm_forward(inputs, params, reverse=reverse)
-    assert_close(hidden, ref_hidden)
-    assert_close(cache.cell, ref_cache["c"])
+    assert_close(hidden[:, 0], ref_hidden)
+    assert_close(cache.cell[:, 0], ref_cache["c"])
 
-    d_inputs, grads = lstm_backward(d_hidden, params, cache)
+    d_inputs, grads = lstm_backward(batch_of_one(d_hidden)[0], params, cache)
     ref_d_inputs, ref_grads = loop_lstm_backward(d_hidden, params, ref_cache)
-    assert_close(d_inputs, ref_d_inputs)
+    assert_close(d_inputs[:, 0], ref_d_inputs)
     for name in ("W_in", "W_rec", "b"):
         assert_close(grads[name], ref_grads[name])
 
@@ -60,7 +62,8 @@ def test_hot_inputs_saturate_gates_and_overflow_exp():
     params, inputs, _ = lstm_case(130, 33, 50.0, seed=0)
     pre = inputs @ params.W_in.T + params.b
     assert pre.min() < -np.log(np.finfo(np.float64).max)
-    _, cache = lstm_forward(inputs, params)
+    x, lengths = batch_of_one(inputs)
+    _, cache = lstm_forward(x, params, lengths)
     assert np.any(cache.gates == 0.0) and np.any(cache.gates == 1.0)
 
 
@@ -76,7 +79,9 @@ def test_crf_nll_grad_matches_loop_reference(T, L, scale):
         stop=rng.uniform(-2.0, 2.0, size=L),
     )
     labels = [int(y) for y in rng.integers(L, size=T)]
-    got = crf_nll_grad(em, crf, labels)
+    x, lengths = batch_of_one(em)
+    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(x, crf, [labels], lengths)
+    got = (nll, d_em[:, 0], d_trans, d_start, d_stop)
     want = loop_crf_nll_grad(em, crf.trans, crf.start, crf.stop, labels)
     for actual, desired in zip(got, want):
         assert_close(actual, desired)

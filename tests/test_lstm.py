@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import batch_of_one
 from oracles import finite_difference, max_relative_error
 from toxicspans.errors import NonFiniteError, ValidationError
 from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
@@ -19,45 +20,52 @@ class TestForward:
         params = LstmDirectionParams(
             W_in=np.zeros((8, 3)), W_rec=np.zeros((8, 2)), b=np.zeros(8)
         )
-        hiddens, _ = lstm_forward(np.ones((1, 3)), params)
-        np.testing.assert_array_equal(hiddens, np.zeros((1, 2)))
+        x, lengths = batch_of_one(np.ones((1, 3)))
+        hiddens, _ = lstm_forward(x, params, lengths)
+        np.testing.assert_array_equal(hiddens[:, 0], np.zeros((1, 2)))
 
     def test_reversed_on_palindromic_input_mirrors_forward(self):
         rng = np.random.default_rng(0)
         params = random_params(rng, hidden=4, dim=3)
         half = rng.normal(size=(3, 3))
         inputs = np.vstack([half, half[::-1]])  # palindromic sequence
-        fwd, _ = lstm_forward(inputs, params)
-        rev, _ = lstm_forward(inputs, params, reverse=True)
-        np.testing.assert_allclose(rev, fwd[::-1], atol=1e-12)
+        x, lengths = batch_of_one(inputs)
+        fwd, _ = lstm_forward(x, params, lengths)
+        rev, _ = lstm_forward(x, params, lengths, reverse=True)
+        np.testing.assert_allclose(rev[:, 0], fwd[::-1, 0], atol=1e-12)
 
     def test_reversed_reports_original_order(self):
         rng = np.random.default_rng(1)
         params = random_params(rng, hidden=3, dim=2)
         inputs = rng.normal(size=(5, 2))
-        rev, cache = lstm_forward(inputs, params, reverse=True)
+        x, lengths = batch_of_one(inputs)
+        rev, cache = lstm_forward(x, params, lengths, reverse=True)
         # position 0 of the output is the LAST step of the reversed recurrence
         np.testing.assert_allclose(rev[0], cache.hidden[-1], atol=1e-15)
 
     def test_shape_validation(self):
         rng = np.random.default_rng(2)
         params = random_params(rng, hidden=3, dim=4)
-        with pytest.raises(ValidationError):
-            lstm_forward(np.zeros((0, 4)), params)
-        with pytest.raises(ValidationError):
-            lstm_forward(np.zeros((2, 5)), params)
+        for inputs in (np.zeros((0, 4)), np.zeros((2, 5))):
+            x, lengths = batch_of_one(inputs)
+            with pytest.raises(ValidationError):
+                lstm_forward(x, params, lengths)
+        with pytest.raises(ValidationError):  # a post must be a batch of one
+            lstm_forward(np.zeros((2, 4)), params, [2])
 
     def test_non_finite_input_raises(self):
         rng = np.random.default_rng(3)
         params = random_params(rng, hidden=3, dim=2)
         bad = np.array([[1.0, np.nan], [0.0, 0.0]])
+        x, lengths = batch_of_one(bad)
         with pytest.raises(NonFiniteError):
-            lstm_forward(bad, params)
+            lstm_forward(x, params, lengths)
 
     def test_hidden_states_are_bounded(self):
         rng = np.random.default_rng(4)
         params = random_params(rng, hidden=5, dim=3, scale=10.0)
-        hiddens, _ = lstm_forward(rng.normal(size=(20, 3)) * 50.0, params)
+        x, lengths = batch_of_one(rng.normal(size=(20, 3)) * 50.0)
+        hiddens, _ = lstm_forward(x, params, lengths)
         assert np.all(np.abs(hiddens) < 1.0 + 1e-12)
 
 
@@ -68,27 +76,28 @@ class TestBackward:
         params = random_params(rng, hidden=4, dim=3)
         inputs = rng.normal(size=(6, 3))
         weights = rng.normal(size=(6, 4))  # random projection to a scalar loss
+        x, lengths = batch_of_one(inputs)  # a view: perturbing inputs shows in x
 
         def loss():
-            h, _ = lstm_forward(inputs, params, reverse=reverse)
-            return float(np.sum(h * weights))
+            h, _ = lstm_forward(x, params, lengths, reverse=reverse)
+            return float(np.sum(h[:, 0] * weights))
 
-        _, cache = lstm_forward(inputs, params, reverse=reverse)
-        d_inputs, grads = lstm_backward(weights, params, cache)
+        _, cache = lstm_forward(x, params, lengths, reverse=reverse)
+        d_inputs, grads = lstm_backward(batch_of_one(weights)[0], params, cache)
 
         arrays = {"W_in": params.W_in, "W_rec": params.W_rec, "b": params.b}
         numeric = finite_difference(loss, arrays, h=1e-5)
         assert max_relative_error(grads, numeric) < 1e-4
 
         numeric_inputs = finite_difference(loss, {"inputs": inputs}, h=1e-5)
-        assert max_relative_error({"inputs": d_inputs}, numeric_inputs) < 1e-4
+        assert max_relative_error({"inputs": d_inputs[:, 0]}, numeric_inputs) < 1e-4
 
     def test_zero_upstream_gradient_gives_zero_param_gradients(self):
         rng = np.random.default_rng(6)
         params = random_params(rng, hidden=3, dim=2)
-        inputs = rng.normal(size=(4, 2))
-        _, cache = lstm_forward(inputs, params)
-        d_inputs, grads = lstm_backward(np.zeros((4, 3)), params, cache)
+        x, lengths = batch_of_one(rng.normal(size=(4, 2)))
+        _, cache = lstm_forward(x, params, lengths)
+        d_inputs, grads = lstm_backward(batch_of_one(np.zeros((4, 3)))[0], params, cache)
         assert np.all(d_inputs == 0.0)
         for arr in grads.values():
             assert np.all(arr == 0.0)
@@ -96,6 +105,7 @@ class TestBackward:
     def test_upstream_shape_validated(self):
         rng = np.random.default_rng(7)
         params = random_params(rng, hidden=3, dim=2)
-        _, cache = lstm_forward(rng.normal(size=(4, 2)), params)
+        x, lengths = batch_of_one(rng.normal(size=(4, 2)))
+        _, cache = lstm_forward(x, params, lengths)
         with pytest.raises(ValidationError):
-            lstm_backward(np.zeros((3, 3)), params, cache)
+            lstm_backward(batch_of_one(np.zeros((3, 3)))[0], params, cache)

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import deep_equal, json_values, make_table
+from conftest import batch_of_one, deep_equal, json_values, make_table
 from oracles import finite_difference, max_relative_error
 from toxicspans.crf import crf_nll
 from toxicspans.dataio import CharSpanSet
 from toxicspans.embeddings import encode_post
 from toxicspans.errors import DataFormatError, ToxicSpansError, ValidationError
 from toxicspans.model import (
+    _emissions,
     backward,
-    bilstm_emissions,
     init_params,
     nll_and_gradients,
     predict,
@@ -54,31 +54,35 @@ class TestEmissions:
         table = make_table(["a", "b", "c"])
         params = make_model(table)
         post = encoded(table, "a b c a b c a")
-        emissions, _ = bilstm_emissions(post, params)
-        assert emissions.shape == (7, 2)
+        indices, lengths = batch_of_one(post.indices[: post.effective_len])
+        emissions, _ = _emissions(indices, params, lengths)
+        assert emissions[:, 0].shape == (7, 2)
 
     def test_zero_projection_yields_bias_everywhere(self):
         table = make_table(["a", "b"])
         params = make_model(table)
         params.emit.W_out[:] = 0.0
         params.emit.b_out[:] = [0.25, -1.5]
-        emissions, _ = bilstm_emissions(post := encoded(table, "a b a"), params)
+        post = encoded(table, "a b a")
+        indices, lengths = batch_of_one(post.indices[: post.effective_len])
+        emissions, _ = _emissions(indices, params, lengths)
         assert post.effective_len == 3
-        np.testing.assert_allclose(emissions, np.tile([0.25, -1.5], (3, 1)))
+        np.testing.assert_allclose(emissions[:, 0], np.tile([0.25, -1.5], (3, 1)))
 
     def test_empty_post_rejected(self):
         table = make_table(["a"])
         params = make_model(table)
         with pytest.raises(ValidationError):
-            bilstm_emissions(encoded(table, ""), params)
+            nll_and_gradients([encoded(table, "")], [[]], params)
 
     def test_pad_rows_never_enter_the_computation(self):
         table = make_table(["a", "b"])
         params = make_model(table)
         post = encoded(table, "a b", max_len=12)
-        before, _ = bilstm_emissions(post, params)
+        indices, lengths = batch_of_one(post.indices[: post.effective_len])
+        before, _ = _emissions(indices, params, lengths)
         params.embedding.matrix[table.pad_index] += 123.0
-        after, _ = bilstm_emissions(post, params)
+        after, _ = _emissions(indices, params, lengths)
         np.testing.assert_array_equal(before, after)
 
 
@@ -86,7 +90,9 @@ class TestBackward:
     def test_zero_upstream_gradient_gives_zero_gradients(self):
         table = make_table(["a", "b"])
         params = make_model(table)
-        emissions, cache = bilstm_emissions(encoded(table, "a b a b"), params)
+        post = encoded(table, "a b a b")
+        indices, lengths = batch_of_one(post.indices[: post.effective_len])
+        emissions, cache = _emissions(indices, params, lengths)
         grads = backward(params, cache, np.zeros_like(emissions), finetune_embeddings=True)
         for arr in grads.values():
             assert np.all(arr == 0.0)
@@ -103,8 +109,9 @@ class TestBackward:
         def batch_loss():
             total = 0.0
             for post, labels in batch:
-                em, _ = bilstm_emissions(post, params)
-                total += crf_nll(em, params.crf, labels)
+                indices, lengths = batch_of_one(post.indices[: post.effective_len])
+                em, _ = _emissions(indices, params, lengths)
+                total += crf_nll(em[:, 0], params.crf, labels)
             return total / len(batch)
 
         posts, label_lists = zip(*batch)
@@ -295,6 +302,14 @@ class TestCheckpoint:
         with pytest.raises(TypeError):
             atomic_write_bytes(tmp_path / "bad", "not bytes")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic", "plain"]
+
+    def test_atomic_write_into_a_missing_directory_names_the_target(self, tmp_path):
+        from toxicspans.checkpoint import atomic_write_bytes
+
+        target = tmp_path / "missing" / "x.tsv"
+        with pytest.raises(FileNotFoundError) as raised:
+            atomic_write_bytes(target, b"x")
+        assert str(target) in str(raised.value) and ".tmp" not in str(raised.value)
 
     def test_unknown_train_config_key_is_a_format_error(self, tmp_path):
         from toxicspans.checkpoint import load_checkpoint, serialize_checkpoint
