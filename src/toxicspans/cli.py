@@ -19,6 +19,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import categorize_errors, span_word_histogram
 from .checkpoint import (
@@ -449,15 +451,28 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        args._config_values = _read_config_file(args.config) if args.config else {}
-        return _COMMANDS[args.command](args)
-    except (DataFormatError, ValidationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ToxicSpansError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    error = None
+    # numpy logs each floating-point error here as one "Warning: overflow
+    # encountered in exp" line, so a diverging run prints one summary line
+    # instead of a RuntimeWarning and a source echo per code line.
+    log = io.StringIO()
+    with np.errstate(divide="log", over="log", invalid="log", call=log):
+        try:
+            args._config_values = _read_config_file(args.config) if args.config else {}
+            code = _COMMANDS[args.command](args)
+        except (DataFormatError, ValidationError, FileNotFoundError) as exc:
+            code, error = 2, exc
+        except (ToxicSpansError, OSError) as exc:
+            code, error = 1, exc
+    if floating := log.getvalue().splitlines():
+        first = floating[0].removeprefix("Warning: ")
+        print(
+            f"warning: {len(floating)} numpy floating-point warnings, the first: {first}",
+            file=sys.stderr,
+        )
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def entry_point() -> None:

@@ -264,6 +264,7 @@ def write_predictions(preds: Iterable[PostPrediction], sink: IO) -> None:
 def read_predictions(source: IO) -> list[PostPrediction]:
     """Parse a prediction file written by :func:`write_predictions`."""
     preds: list[PostPrediction] = []
+    first_line: dict[int, int] = {}
     with text_reader(source) as stream:
         lines = list(stream)
     for line_no, line in enumerate(lines, start=1):
@@ -277,6 +278,11 @@ def read_predictions(source: IO) -> list[PostPrediction]:
             post_id = int(parts[0])
         except ValueError:
             raise DataFormatError(f"line {line_no}: bad id {parts[0]!r}") from None
+        if post_id in first_line:
+            raise DataFormatError(
+                f"line {line_no}: duplicate id {post_id} (first on line {first_line[post_id]})"
+            )
+        first_line[post_id] = line_no
         try:
             spans = parse_span_literal(parts[1])
         except DataFormatError as exc:

@@ -10,18 +10,30 @@ The rule set is a documented approximation of tweet-style word splitting:
   inside the token (``isn't``, ``anti-immigration``);
 * every non-whitespace character belongs to exactly one token.
 
+One pass of ``\\w(?:\\S*\\w)?|([^\\w\\s])\\1*`` with ``finditer`` applies these
+rules. The first alternative is a chunk's core: from a word character to the
+last word character of its whitespace-delimited chunk, so internal
+punctuation stays inside. The second is one run of a repeated edge
+character, a non-word, non-space character before the first or after the
+last word character of a chunk. This rests on Python's ``re`` classes
+agreeing with the string predicates on every code point: ``\\w`` matches
+exactly the characters with ``ch.isalnum() or ch == "_"`` and ``\\s`` exactly
+those with ``ch.isspace()`` (the tests check all of them).
+
 Offsets are half-open ``[start, end)`` character positions into the original
 text; lowercasing never moves them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+_TOKEN = re.compile(r"\w(?:\S*\w)?|([^\w\s])\1*")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One token: verbatim surface, lowercased form, and its char range."""
 
     surface: str
@@ -47,50 +59,11 @@ class TokenSeq:
         return self.tokens[index]
 
 
-def _wordish(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-def _token(text: str, start: int, end: int) -> Token:
-    surface = text[start:end]
-    return Token(surface=surface, lower=surface.lower(), start=start, end=end)
-
-
-def _split_chunk(text: str, start: int, end: int, out: list[Token]) -> None:
-    # Leading punctuation, one token per run of identical characters.
-    i = start
-    while i < end and not _wordish(text[i]):
-        j = i + 1
-        while j < end and text[j] == text[i]:
-            j += 1
-        out.append(_token(text, i, j))
-        i = j
-    # Trailing punctuation region; the core in between stays one token.
-    k = end
-    while k > i and not _wordish(text[k - 1]):
-        k -= 1
-    if i < k:
-        out.append(_token(text, i, k))
-    while k < end:
-        j = k + 1
-        while j < end and text[j] == text[k]:
-            j += 1
-        out.append(_token(text, k, j))
-        k = j
-
-
 def tokenize(text: str) -> TokenSeq:
     """Segment ``text`` into offset-faithful tokens (empty text allowed)."""
-    tokens: list[Token] = []
-    n = len(text)
-    i = 0
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        _split_chunk(text, i, j, tokens)
-        i = j
-    return TokenSeq(tokens=tuple(tokens), source_len=n)
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        surface = match[0]
+        start, end = match.span()
+        tokens.append(Token(surface, surface.lower(), start, end))
+    return TokenSeq(tokens=tuple(tokens), source_len=len(text))

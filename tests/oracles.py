@@ -14,6 +14,9 @@ decoder and in-place update, which must match them exactly.
 The span-set functions at the very end are the regex span-literal parser and
 the per-index set loops that the library's builtin-pass parser, span set and
 span codec must reproduce, outputs and errors alike.
+
+``scan_tokenize`` is the character-by-character scanner whose tokens the
+library's one-pattern tokenizer must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from itertools import pairwise
 import numpy as np
 
 from toxicspans.errors import DataFormatError, ValidationError
+from toxicspans.tokenizer import Token, TokenSeq
 
 
 def path_score(em, trans, start, stop, labels) -> float:
@@ -278,3 +282,53 @@ def loop_labels_to_spans(toks, labels, policy) -> tuple[int, ...]:
             if l_label and r_label and right.start - left.end <= policy.max_gap:
                 chars.update(range(left.end, right.start))
     return normalize_indexes(chars)
+
+
+def _wordish(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+def _token(text: str, start: int, end: int) -> Token:
+    surface = text[start:end]
+    return Token(surface=surface, lower=surface.lower(), start=start, end=end)
+
+
+def _split_chunk(text: str, start: int, end: int, out: list[Token]) -> None:
+    # Leading punctuation, one token per run of identical characters.
+    i = start
+    while i < end and not _wordish(text[i]):
+        j = i + 1
+        while j < end and text[j] == text[i]:
+            j += 1
+        out.append(_token(text, i, j))
+        i = j
+    # Trailing punctuation region; the core in between stays one token.
+    k = end
+    while k > i and not _wordish(text[k - 1]):
+        k -= 1
+    if i < k:
+        out.append(_token(text, i, k))
+    while k < end:
+        j = k + 1
+        while j < end and text[j] == text[k]:
+            j += 1
+        out.append(_token(text, k, j))
+        k = j
+
+
+def scan_tokenize(text: str) -> TokenSeq:
+    """Segment ``text`` by scanning it one character at a time: whitespace
+    chunks, then leading and trailing punctuation runs around each core."""
+    tokens: list[Token] = []
+    n = len(text)
+    i = 0
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        _split_chunk(text, i, j, tokens)
+        i = j
+    return TokenSeq(tokens=tuple(tokens), source_len=n)

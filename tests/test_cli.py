@@ -2,11 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import json_values
+import toxicspans
 from toxicspans.checkpoint import MAGIC
 from toxicspans.cli import DEFAULTS, main
 from toxicspans.dataio import read_predictions
@@ -211,6 +216,32 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert "UTF-8 at byte 3" in err and "Traceback" not in err
+
+    def test_diverging_run_prints_one_warning_line(self, workspace, tmp_path):
+        # a separate interpreter, so stderr is exactly what a user would see
+        with open(tmp_path / "train60.csv", "wb") as f:
+            write_corpus_csv(generate_posts(60, seed=11), f)
+        src = str(Path(toxicspans.__file__).parents[1])
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "toxicspans.cli", "train",
+                "--data", str(tmp_path / "train60.csv"),
+                "--embeddings", str(workspace / "vectors.txt"),
+                "--embedding-dim", str(DIM),
+                "--hidden", "8", "--lr", "1e300",
+                "--out", str(tmp_path / "x.ckpt"),
+            ],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": ""},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 1
+        lines = run.stderr.splitlines()
+        assert lines[-1] == "error: LSTM hidden state is non-finite; inputs or parameters diverged"
+        assert len(lines) == 2 and lines[0].startswith("warning: ")
+        assert "numpy floating-point warnings, the first: overflow encountered in" in lines[0]
+        assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr
 
     def test_non_utf8_config_file_exits_2(self, workspace, tmp_path, capsys):
         config = tmp_path / "run.conf"
@@ -553,6 +584,17 @@ class TestEvaluate:
             ["evaluate", "--data", str(workspace / "dev.csv"), "--pred", str(pred)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "analyze"])
+    def test_duplicate_prediction_id_exits_2(self, tmp_path, capsys, command):
+        # id 3 twice and id 4 missing used to surface as an id mismatch
+        data = tmp_path / "five.csv"
+        data.write_text("spans,text\n" + '"[]",hello there\n' * 5)
+        pred = tmp_path / "dup.tsv"
+        pred.write_text("0\t[]\n1\t[]\n2\t[]\n3\t[]\n3\t[0]\n")
+        assert main([command, "--data", str(data), "--pred", str(pred)]) == 2
+        err = capsys.readouterr().err
+        assert "line 5: duplicate id 3 (first on line 4)" in err and "Traceback" not in err
 
 
 class TestAnalyze:

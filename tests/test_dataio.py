@@ -268,6 +268,10 @@ class TestPredictions:
         with pytest.raises(DataFormatError, match="line 2: malformed span literal"):
             read_predictions(io.BytesIO(raw))
 
+    def test_duplicate_id_names_both_lines(self):
+        with pytest.raises(DataFormatError, match=r"line 3: duplicate id 0 \(first on line 1\)"):
+            read_predictions(io.BytesIO(b"0\t[]\n1\t[]\n0\t[2]\n"))
+
     def test_read_errors_name_line(self):
         with pytest.raises(DataFormatError, match="line 2"):
             read_predictions(io.BytesIO(b"0\t[]\nnot a line\n"))

@@ -1,5 +1,9 @@
+import re
+import sys
+
 from hypothesis import given, strategies as st
 
+from oracles import scan_tokenize
 from toxicspans.tokenizer import Token, tokenize
 
 KNUCKLEHEAD = "What a knucklehead. How can anyone not know this would be offensive??"
@@ -91,3 +95,34 @@ class TestInvariants:
             covered |= span
         expected = {i for i, ch in enumerate(text) if not ch.isspace()}
         assert covered == expected
+
+
+# Edge cases of the character classes: runs of punctuation, the underscore,
+# combining marks, non-ASCII digits and numerics, a letter whose lowercase is
+# longer, Unicode whitespace and the zero-width space, which is not space.
+PIECES = [
+    *"!?.,-'\"", "!!", "??", "...", "--", "''", "_", "__",
+    "\u0301", "\u0300", "\u0663", "\u00b2", "\u00bd", "\u0130",
+    " ", "\xa0", "\u2028", "\u3000", "\x1c", "\u200b",
+    "a", "b", "Z", "7", "isn't",
+]
+
+
+class TestScannerOracle:
+    @given(st.text(max_size=120))
+    def test_matches_the_scanner_on_any_text(self, text):
+        assert tokenize(text) == scan_tokenize(text)
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+    def test_matches_the_scanner_on_edge_characters(self, text):
+        assert tokenize(text) == scan_tokenize(text)
+
+    def test_token_is_a_plain_tuple(self):
+        assert tokenize("Hi!")[0] == ("Hi", "hi", 0, 2)
+
+    def test_re_classes_match_the_string_predicates_on_every_code_point(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        word = {m.start() for m in re.finditer(r"\w", every)}
+        space = {m.start() for m in re.finditer(r"\s", every)}
+        assert word ^ {i for i, ch in enumerate(every) if ch.isalnum() or ch == "_"} == set()
+        assert space ^ {i for i, ch in enumerate(every) if ch.isspace()} == set()
