@@ -11,6 +11,16 @@ each post's own prefix.  The backward pass is fully manual (projection,
 then both LSTM directions), returns gradients summed over the batch, and
 optionally accumulates embedding-row gradients when fine-tuning is enabled;
 padded slots add exact zeros.
+
+Both LSTM directions live in one stacked :class:`lstm.LstmParams` block
+(K = 2: forward, then backward) and run in lockstep, one
+:func:`lstm.lstm_forward` and one :func:`lstm.lstm_backward` call per pass,
+over the interleaved (T, B, K, ·) layout described in :mod:`lstm`.  The
+forward call's (T, B, 2H) output is already the concatenation of the two
+directions' hidden states that the projection reads.  ``params.fwd`` and
+``params.bwd`` are views into the block, so the per-direction tensor names,
+in-place optimizer updates and the checkpoint layout are those of two
+separate directions.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from .crf import CrfParams, crf_nll_grad, viterbi_decode
 from .dataio import CharSpanSet
 from .embeddings import EmbeddingTable, EncodedPost, encode_post
 from .errors import ValidationError
-from .lstm import LstmCache, LstmDirectionParams, lstm_backward, lstm_forward
+from .lstm import LstmCache, LstmDirectionParams, LstmParams, lstm_backward, lstm_forward
 from .span_codec import BridgePolicy, labels_to_spans
 from .tokenizer import TokenSeq, tokenize
 
@@ -43,6 +53,8 @@ TENSOR_NAMES = (
     "crf.trans", "crf.start", "crf.stop",
 )
 EMBEDDING_TENSOR = "embedding.matrix"
+# Whether each stacked LSTM direction reads the posts back to front.
+DIRECTIONS = (("fwd", False), ("bwd", True))
 
 
 @dataclass
@@ -57,15 +69,22 @@ class EmissionParams:
 class ModelParams:
     """All tagger parameters plus a reference to the embedding table."""
 
-    fwd: LstmDirectionParams
-    bwd: LstmDirectionParams
+    lstm: LstmParams  # the directions of DIRECTIONS, stacked in that order
     emit: EmissionParams
     crf: CrfParams
     embedding: EmbeddingTable
 
     @property
+    def fwd(self) -> LstmDirectionParams:
+        return self.lstm.direction(0)
+
+    @property
+    def bwd(self) -> LstmDirectionParams:
+        return self.lstm.direction(1)
+
+    @property
     def hidden_size(self) -> int:
-        return self.fwd.hidden_size
+        return self.lstm.hidden_size
 
     def named_arrays(self, include_embedding: bool = False) -> list[tuple[str, np.ndarray]]:
         """Trainable tensors in their declared (checkpoint) order."""
@@ -85,9 +104,7 @@ class BilstmCache:
     """Everything the manual backward pass needs from one forward pass."""
 
     indices: np.ndarray  # (T, B) embedding rows; padding past each post's length
-    inputs: np.ndarray  # (T, B, D)
-    fwd_cache: LstmCache
-    bwd_cache: LstmCache
+    lstm_cache: LstmCache
     hidden: np.ndarray  # (T, B, 2H), zero on padding
 
 
@@ -104,10 +121,14 @@ def tensor_shapes(input_dim: int, hidden_size: int) -> dict[str, tuple[int, ...]
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray], table: EmbeddingTable) -> ModelParams:
-    """Assemble parameters from tensors keyed by :data:`TENSOR_NAMES`."""
+    """Assemble parameters from tensors keyed by :data:`TENSOR_NAMES`; the
+    LSTM directions are copied into one stacked block."""
+    lstm = LstmParams.stack([
+        LstmDirectionParams(*(arrays[f"{prefix}.{name}"] for name in ("W_in", "W_rec", "b")))
+        for prefix, _ in DIRECTIONS
+    ])
     return ModelParams(
-        fwd=LstmDirectionParams(arrays["fwd.W_in"], arrays["fwd.W_rec"], arrays["fwd.b"]),
-        bwd=LstmDirectionParams(arrays["bwd.W_in"], arrays["bwd.W_rec"], arrays["bwd.b"]),
+        lstm=lstm,
         emit=EmissionParams(arrays["emit.W_out"], arrays["emit.b_out"]),
         crf=CrfParams(arrays["crf.trans"], arrays["crf.start"], arrays["crf.stop"]),
         embedding=table,
@@ -137,18 +158,9 @@ def _emissions(
 ) -> tuple[np.ndarray, BilstmCache]:
     """(T, B, L) label scores of a sorted batch's (T, B) embedding rows."""
     inputs = params.embedding.matrix[indices]
-    h_fwd, fwd_cache = lstm_forward(inputs, params.fwd, lengths)
-    h_bwd, bwd_cache = lstm_forward(inputs, params.bwd, lengths, reverse=True)
-    hidden = np.concatenate([h_fwd, h_bwd], axis=-1)
+    hidden, lstm_cache = lstm_forward(inputs, params.lstm, lengths, [rev for _, rev in DIRECTIONS])
     emissions = matmul_rows(hidden, params.emit.W_out.T) + params.emit.b_out
-    cache = BilstmCache(
-        indices=indices,
-        inputs=inputs,
-        fwd_cache=fwd_cache,
-        bwd_cache=bwd_cache,
-        hidden=hidden,
-    )
-    return emissions, cache
+    return emissions, BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden)
 
 
 def _index_grid(posts: Sequence[EncodedPost], lengths: Sequence[int], pad_index: int) -> np.ndarray:
@@ -179,22 +191,18 @@ def backward(
     d_b_out = d_emissions.reshape(-1, L).sum(axis=0)
     d_hidden = matmul_rows(d_emissions, params.emit.W_out)
 
-    d_in_fwd, g_fwd = lstm_backward(d_hidden[..., :H], params.fwd, cache.fwd_cache)
-    d_in_bwd, g_bwd = lstm_backward(d_hidden[..., H:], params.bwd, cache.bwd_cache)
+    d_inputs, lstm_grads = lstm_backward(d_hidden, params.lstm, cache.lstm_cache)
 
     grads = {
-        "fwd.W_in": g_fwd["W_in"],
-        "fwd.W_rec": g_fwd["W_rec"],
-        "fwd.b": g_fwd["b"],
-        "bwd.W_in": g_bwd["W_in"],
-        "bwd.W_rec": g_bwd["W_rec"],
-        "bwd.b": g_bwd["b"],
-        "emit.W_out": d_W_out,
-        "emit.b_out": d_b_out,
+        f"{prefix}.{name}": arr
+        for (prefix, _), direction in zip(DIRECTIONS, lstm_grads)
+        for name, arr in direction.items()
     }
+    grads["emit.W_out"] = d_W_out
+    grads["emit.b_out"] = d_b_out
     if finetune_embeddings:
         d_matrix = np.zeros_like(params.embedding.matrix)
-        np.add.at(d_matrix, cache.indices, d_in_fwd + d_in_bwd)
+        np.add.at(d_matrix, cache.indices, d_inputs)
         grads[EMBEDDING_TENSOR] = d_matrix
     return grads
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import CharSpanSet, LabeledPost
 from .embeddings import EmbeddingTable, EncodedPost, check_max_len, encode_post
-from .errors import TrainingDivergedError, ValidationError
+from .errors import NonFiniteError, TrainingDivergedError, ValidationError
 from .metric import per_post_scores
 from .model import ModelParams, init_params, nll_and_gradients, predict_spans
 from .span_codec import BridgePolicy, spans_to_labels
@@ -154,13 +154,14 @@ def build_examples(
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their global norm is <= max_norm.
 
-    Returns the pre-clip global norm.
+    Returns the pre-clip global norm; a non-finite norm leaves the
+    gradients as they are.
     """
     total = 0.0
     for arr in grads.values():
         total += float(np.sum(arr * arr))
     norm = float(np.sqrt(total))
-    if max_norm > 0 and norm > max_norm:
+    if max_norm > 0 and max_norm < norm < math.inf:
         scale = max_norm / norm
         for arr in grads.values():
             arr *= scale
@@ -171,11 +172,9 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
-    clip_norm: float | None = None,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One in-place Adam update (optionally global-norm clipping first)."""
-    if clip_norm is not None:
-        clip_gradients(grads, clip_norm)
+    """One in-place Adam update; clip the gradients first with
+    :func:`clip_gradients`."""
     state.step += 1
     t = state.step
     correct1 = 1.0 - state.beta1**t
@@ -232,6 +231,10 @@ def train(
     Zero-token examples are excluded from gradient batches (the CRF needs at
     least one position) but still count in the dev F1, where the model
     predicts the empty span set for them.
+
+    Raises :class:`TrainingDivergedError`, naming the epoch and the batch,
+    when a batch's loss, its LSTM states or its pre-clip gradient norm is
+    non-finite; the parameters are not updated from that batch.
     """
     cfg.validate()
     if not examples:
@@ -270,20 +273,25 @@ def train(
         for lo in range(0, len(shuffled), cfg.batch_size):
             picked = sorted(trainable[k] for k in shuffled[lo : lo + cfg.batch_size])
             batch = [examples[i] for i in picked]
-            batch_nll, grads = nll_and_gradients(
-                [ex.encoded for ex in batch],
-                [ex.labels[: ex.encoded.effective_len] for ex in batch],
-                params,
-                cfg.finetune_embeddings,
-            )
-            if not np.isfinite(batch_nll):
-                raise TrainingDivergedError(
-                    f"non-finite loss in epoch {epoch} (batch starting at {lo})"
+            where = f"in epoch {epoch} (batch starting at {lo})"
+            try:
+                batch_nll, grads = nll_and_gradients(
+                    [ex.encoded for ex in batch],
+                    [ex.labels[: ex.encoded.effective_len] for ex in batch],
+                    params,
+                    cfg.finetune_embeddings,
                 )
+            except NonFiniteError as exc:
+                raise TrainingDivergedError(f"{exc} {where}") from None
+            if not np.isfinite(batch_nll):
+                raise TrainingDivergedError(f"non-finite loss {where}")
             scale = 1.0 / len(batch)
             for arr in grads.values():
                 arr *= scale
-            adam_step(param_arrays, grads, state, clip_norm=cfg.gradient_clip_norm)
+            # checked before the update, so the parameters stay finite
+            if not math.isfinite(clip_gradients(grads, cfg.gradient_clip_norm)):
+                raise TrainingDivergedError(f"non-finite gradient norm {where}")
+            adam_step(param_arrays, grads, state)
             nll_total += batch_nll
 
         stats = EpochStats(

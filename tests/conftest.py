@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from toxicspans.embeddings import EmbeddingTable
+from toxicspans.lstm import LstmDirectionParams, LstmParams
 from toxicspans.model import ModelParams
 
 
@@ -39,6 +40,12 @@ def batch_of_one(post):
     view, so in-place edits of the post show through, and its lengths [T]."""
     post = np.asarray(post)
     return post[:, None], np.array([len(post)])
+
+
+def one_direction(params: LstmDirectionParams) -> LstmParams:
+    """One LSTM direction as a stack of K = 1 for the lockstep kernels: views,
+    so in-place edits of the direction's arrays show through."""
+    return LstmParams(params.W_in[None], params.W_rec[None], params.b[None])
 
 
 def deep_equal(a: ModelParams, b: ModelParams) -> bool:

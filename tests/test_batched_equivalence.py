@@ -11,7 +11,7 @@ leaking into a result would show.
 import numpy as np
 import pytest
 
-from conftest import batch_of_one, make_table
+from conftest import batch_of_one, make_table, one_direction
 from toxicspans.crf import CrfParams, crf_nll_grad
 from toxicspans.embeddings import encode_post
 from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
@@ -61,15 +61,15 @@ def test_lstm_batch_matches_single_posts(B, lengths, reverse):
     xs = [rng.normal(size=(n, DIM)) for n in lengths]
     d_hs = [rng.normal(size=(n, H)) for n in lengths]
 
-    hidden, cache = lstm_forward(padded_batch(xs, rng, DIM), params, np.array(lengths), reverse)
-    d_inputs, grads = lstm_backward(padded_batch(d_hs, rng, H), params, cache)
+    hidden, cache = lstm_forward(padded_batch(xs, rng, DIM), one_direction(params), np.array(lengths), [reverse])
+    d_inputs, [grads] = lstm_backward(padded_batch(d_hs, rng, H), one_direction(params), cache)
 
     total = {name: 0.0 for name in grads}
     for b, (x, d_h) in enumerate(zip(xs, d_hs)):
         n = len(x)
         one_x, one_lengths = batch_of_one(x)
-        ref_hidden, ref_cache = lstm_forward(one_x, params, one_lengths, reverse)
-        ref_d_inputs, ref_grads = lstm_backward(batch_of_one(d_h)[0], params, ref_cache)
+        ref_hidden, ref_cache = lstm_forward(one_x, one_direction(params), one_lengths, [reverse])
+        ref_d_inputs, [ref_grads] = lstm_backward(batch_of_one(d_h)[0], one_direction(params), ref_cache)
         assert_close(hidden[:n, b], ref_hidden[:, 0])
         assert_close(d_inputs[:n, b], ref_d_inputs[:, 0])
         assert np.all(hidden[n:, b] == 0.0) and np.all(d_inputs[n:, b] == 0.0)

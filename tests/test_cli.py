@@ -238,7 +238,7 @@ class TestTrain:
         )
         assert run.returncode == 1
         lines = run.stderr.splitlines()
-        assert lines[-1] == "error: LSTM hidden state is non-finite; inputs or parameters diverged"
+        assert lines[-1] == "error: non-finite gradient norm in epoch 1 (batch starting at 16)"
         assert len(lines) == 2 and lines[0].startswith("warning: ")
         assert "numpy floating-point warnings, the first: overflow encountered in" in lines[0]
         assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr
@@ -659,6 +659,25 @@ GATE_PAYLOADS = st.fixed_dictionaries({
     "weights": st.lists(st.floats(), min_size=DIM + 1, max_size=DIM + 1) | json_values,
 })
 
+EMBEDDING_LINES = st.builds(
+    lambda word, values: " ".join([word, *values]),
+    st.text(max_size=6),
+    st.lists(st.floats().map(str) | st.text(max_size=4), max_size=DIM + 2),
+)
+
+
+def mutated(edit: str, at: int, chunk: bytes, raw: bytes) -> bytes:
+    """``raw`` truncated, with one byte flipped, or with ``chunk`` inserted
+    or its length of bytes deleted, at offset ``at`` (wrapped to the size)."""
+    at %= len(raw)
+    if edit == "truncate":
+        return raw[:at]
+    if edit == "flip":
+        return raw[:at] + bytes([raw[at] ^ chunk[0]]) + raw[at + 1 :]
+    if edit == "insert":
+        return raw[:at] + chunk + raw[at:]
+    return raw[:at] + raw[at + len(chunk) :]
+
 
 class TestFuzz:
     """Arbitrary bytes in a CLI input file end in an exit code, not a crash.
@@ -677,6 +696,45 @@ class TestFuzz:
         gate = workspace / "fuzz_gate.json"
         gate.write_bytes(raw)
         assert_clean_exit(*predict_quietly(workspace, "--gate", "internal", "--gate-model", str(gate)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.binary(max_size=64)
+        | st.tuples(
+            st.sampled_from(["truncate", "flip", "insert", "delete"]),
+            st.integers(min_value=0, max_value=2**20),
+            st.binary(min_size=1, max_size=8),
+        )
+    )
+    def test_checkpoint(self, workspace, fuzz):
+        if isinstance(fuzz, bytes):
+            raw = fuzz
+        else:
+            edit, at, chunk = fuzz
+            raw = mutated(edit, at, chunk, (workspace / "model.ckpt").read_bytes())
+        ckpt = workspace / "fuzz.ckpt"
+        ckpt.write_bytes(raw)
+        assert_clean_exit(*predict_quietly(workspace, "--checkpoint", str(ckpt)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.binary(max_size=64)
+        | st.lists(EMBEDDING_LINES, max_size=4).map(lambda ls: "\n".join(ls).encode())
+        | st.tuples(
+            st.sampled_from(["truncate", "flip", "insert", "delete"]),
+            st.integers(min_value=0, max_value=2**20),
+            st.binary(min_size=1, max_size=8),
+        )
+    )
+    def test_embeddings(self, workspace, fuzz):
+        if isinstance(fuzz, bytes):
+            raw = fuzz
+        else:
+            edit, at, chunk = fuzz
+            raw = mutated(edit, at, chunk, (workspace / "vectors.txt").read_bytes())
+        vectors = workspace / "fuzz_vectors.txt"
+        vectors.write_bytes(raw)
+        assert_clean_exit(*predict_quietly(workspace, "--embeddings", str(vectors)))
 
 
 class TestUsage:

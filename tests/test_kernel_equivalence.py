@@ -11,7 +11,7 @@ saturate and the sigmoid's exp overflows.
 import numpy as np
 import pytest
 
-from conftest import batch_of_one
+from conftest import batch_of_one, one_direction
 from oracles import loop_crf_nll_grad, loop_lstm_backward, loop_lstm_forward, numpy_viterbi_decode
 from toxicspans.crf import CrfParams, crf_nll_grad, viterbi_decode
 from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
@@ -46,12 +46,12 @@ def lstm_case(T, H, scale, seed):
 def test_lstm_matches_loop_reference(T, H, reverse, scale):
     params, inputs, d_hidden = lstm_case(T, H, scale, seed=1000 * T + 10 * H + reverse)
     x, lengths = batch_of_one(inputs)
-    hidden, cache = lstm_forward(x, params, lengths, reverse=reverse)
+    hidden, cache = lstm_forward(x, one_direction(params), lengths, [reverse])
     ref_hidden, ref_cache = loop_lstm_forward(inputs, params, reverse=reverse)
     assert_close(hidden[:, 0], ref_hidden)
-    assert_close(cache.cell[:, 0], ref_cache["c"])
+    assert_close(cache.cell[:, 0, 0], ref_cache["c"])
 
-    d_inputs, grads = lstm_backward(batch_of_one(d_hidden)[0], params, cache)
+    d_inputs, [grads] = lstm_backward(batch_of_one(d_hidden)[0], one_direction(params), cache)
     ref_d_inputs, ref_grads = loop_lstm_backward(d_hidden, params, ref_cache)
     assert_close(d_inputs[:, 0], ref_d_inputs)
     for name in ("W_in", "W_rec", "b"):
@@ -63,7 +63,7 @@ def test_hot_inputs_saturate_gates_and_overflow_exp():
     pre = inputs @ params.W_in.T + params.b
     assert pre.min() < -np.log(np.finfo(np.float64).max)
     x, lengths = batch_of_one(inputs)
-    _, cache = lstm_forward(x, params, lengths)
+    _, cache = lstm_forward(x, one_direction(params), lengths, [False])
     assert np.any(cache.gates == 0.0) and np.any(cache.gates == 1.0)
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import batch_of_one
+from conftest import batch_of_one, one_direction
 from oracles import finite_difference, max_relative_error
 from toxicspans.errors import NonFiniteError, ValidationError
-from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
+from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_backward, lstm_forward
 
 
 def random_params(rng, hidden, dim, scale=0.4):
@@ -21,7 +21,7 @@ class TestForward:
             W_in=np.zeros((8, 3)), W_rec=np.zeros((8, 2)), b=np.zeros(8)
         )
         x, lengths = batch_of_one(np.ones((1, 3)))
-        hiddens, _ = lstm_forward(x, params, lengths)
+        hiddens, _ = lstm_forward(x, one_direction(params), lengths, [False])
         np.testing.assert_array_equal(hiddens[:, 0], np.zeros((1, 2)))
 
     def test_reversed_on_palindromic_input_mirrors_forward(self):
@@ -30,8 +30,8 @@ class TestForward:
         half = rng.normal(size=(3, 3))
         inputs = np.vstack([half, half[::-1]])  # palindromic sequence
         x, lengths = batch_of_one(inputs)
-        fwd, _ = lstm_forward(x, params, lengths)
-        rev, _ = lstm_forward(x, params, lengths, reverse=True)
+        fwd, _ = lstm_forward(x, one_direction(params), lengths, [False])
+        rev, _ = lstm_forward(x, one_direction(params), lengths, [True])
         np.testing.assert_allclose(rev[:, 0], fwd[::-1, 0], atol=1e-12)
 
     def test_reversed_reports_original_order(self):
@@ -39,9 +39,9 @@ class TestForward:
         params = random_params(rng, hidden=3, dim=2)
         inputs = rng.normal(size=(5, 2))
         x, lengths = batch_of_one(inputs)
-        rev, cache = lstm_forward(x, params, lengths, reverse=True)
+        rev, cache = lstm_forward(x, one_direction(params), lengths, [True])
         # position 0 of the output is the LAST step of the reversed recurrence
-        np.testing.assert_allclose(rev[0], cache.hidden[-1], atol=1e-15)
+        np.testing.assert_allclose(rev[0], cache.hidden[-1, :, 0], atol=1e-15)
 
     def test_shape_validation(self):
         rng = np.random.default_rng(2)
@@ -49,9 +49,9 @@ class TestForward:
         for inputs in (np.zeros((0, 4)), np.zeros((2, 5))):
             x, lengths = batch_of_one(inputs)
             with pytest.raises(ValidationError):
-                lstm_forward(x, params, lengths)
+                lstm_forward(x, one_direction(params), lengths, [False])
         with pytest.raises(ValidationError):  # a post must be a batch of one
-            lstm_forward(np.zeros((2, 4)), params, [2])
+            lstm_forward(np.zeros((2, 4)), one_direction(params), [2], [False])
 
     def test_non_finite_input_raises(self):
         rng = np.random.default_rng(3)
@@ -59,13 +59,13 @@ class TestForward:
         bad = np.array([[1.0, np.nan], [0.0, 0.0]])
         x, lengths = batch_of_one(bad)
         with pytest.raises(NonFiniteError):
-            lstm_forward(x, params, lengths)
+            lstm_forward(x, one_direction(params), lengths, [False])
 
     def test_hidden_states_are_bounded(self):
         rng = np.random.default_rng(4)
         params = random_params(rng, hidden=5, dim=3, scale=10.0)
         x, lengths = batch_of_one(rng.normal(size=(20, 3)) * 50.0)
-        hiddens, _ = lstm_forward(x, params, lengths)
+        hiddens, _ = lstm_forward(x, one_direction(params), lengths, [False])
         assert np.all(np.abs(hiddens) < 1.0 + 1e-12)
 
 
@@ -79,11 +79,11 @@ class TestBackward:
         x, lengths = batch_of_one(inputs)  # a view: perturbing inputs shows in x
 
         def loss():
-            h, _ = lstm_forward(x, params, lengths, reverse=reverse)
+            h, _ = lstm_forward(x, one_direction(params), lengths, [reverse])
             return float(np.sum(h[:, 0] * weights))
 
-        _, cache = lstm_forward(x, params, lengths, reverse=reverse)
-        d_inputs, grads = lstm_backward(batch_of_one(weights)[0], params, cache)
+        _, cache = lstm_forward(x, one_direction(params), lengths, [reverse])
+        d_inputs, [grads] = lstm_backward(batch_of_one(weights)[0], one_direction(params), cache)
 
         arrays = {"W_in": params.W_in, "W_rec": params.W_rec, "b": params.b}
         numeric = finite_difference(loss, arrays, h=1e-5)
@@ -96,8 +96,8 @@ class TestBackward:
         rng = np.random.default_rng(6)
         params = random_params(rng, hidden=3, dim=2)
         x, lengths = batch_of_one(rng.normal(size=(4, 2)))
-        _, cache = lstm_forward(x, params, lengths)
-        d_inputs, grads = lstm_backward(batch_of_one(np.zeros((4, 3)))[0], params, cache)
+        _, cache = lstm_forward(x, one_direction(params), lengths, [False])
+        d_inputs, [grads] = lstm_backward(batch_of_one(np.zeros((4, 3)))[0], one_direction(params), cache)
         assert np.all(d_inputs == 0.0)
         for arr in grads.values():
             assert np.all(arr == 0.0)
@@ -106,6 +106,45 @@ class TestBackward:
         rng = np.random.default_rng(7)
         params = random_params(rng, hidden=3, dim=2)
         x, lengths = batch_of_one(rng.normal(size=(4, 2)))
-        _, cache = lstm_forward(x, params, lengths)
+        _, cache = lstm_forward(x, one_direction(params), lengths, [False])
         with pytest.raises(ValidationError):
-            lstm_backward(batch_of_one(np.zeros((3, 3)))[0], params, cache)
+            lstm_backward(batch_of_one(np.zeros((3, 3)))[0], one_direction(params), cache)
+
+
+class TestLockstep:
+    """K directions in one call give each direction's single-direction
+    results exactly: lockstep changes the loop, not the arithmetic."""
+
+    @pytest.mark.parametrize("reverse", [(False, True), (True, False), (True, True)])
+    @pytest.mark.parametrize("H", [1, 4, 33])
+    @pytest.mark.parametrize("lengths", [[7], [6, 3, 1], [9, 9, 8, 8, 7, 6, 6, 5, 4, 4, 3, 3, 2, 2, 1, 1]])
+    def test_two_directions_match_two_single_runs(self, lengths, H, reverse):
+        B, T, D = len(lengths), lengths[0], 3
+        rng = np.random.default_rng(100 * B + H)
+        directions = [random_params(rng, hidden=H, dim=D, scale=0.6) for _ in reverse]
+        x = rng.normal(size=(T, B, D))
+        d_hidden = rng.normal(size=(T, B, 2 * H))
+
+        hidden, cache = lstm_forward(x, LstmParams.stack(directions), lengths, reverse)
+        d_x, grads = lstm_backward(d_hidden, LstmParams.stack(directions), cache)
+
+        assert hidden.shape == (T, B, 2 * H) and len(grads) == 2
+        d_x_sum = 0.0
+        for k, (params, rev) in enumerate(zip(directions, reverse)):
+            cols = slice(k * H, (k + 1) * H)
+            one_hidden, one_cache = lstm_forward(x, one_direction(params), lengths, [rev])
+            one_d_x, [one_grads] = lstm_backward(
+                np.ascontiguousarray(d_hidden[..., cols]), one_direction(params), one_cache
+            )
+            np.testing.assert_array_equal(hidden[..., cols], one_hidden)
+            for name in ("W_in", "W_rec", "b"):
+                np.testing.assert_array_equal(grads[k][name], one_grads[name])
+            d_x_sum = d_x_sum + one_d_x
+        np.testing.assert_array_equal(d_x, d_x_sum)
+
+    def test_direction_count_must_match_the_stack(self):
+        rng = np.random.default_rng(8)
+        params = LstmParams.stack([random_params(rng, hidden=2, dim=3) for _ in range(2)])
+        x, lengths = batch_of_one(np.zeros((4, 3)))
+        with pytest.raises(ValidationError):
+            lstm_forward(x, params, lengths, [False])

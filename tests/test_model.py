@@ -177,6 +177,35 @@ class TestPredict:
         assert spans.indexes == (0, 1, 2)  # first two tokens plus the bridge
 
 
+class TestStackedDirections:
+    def test_direction_views_write_through_to_the_stack(self):
+        params = make_model(make_table(["a", "b"], dim=3), hidden=4, seed=2)
+        params.fwd.W_rec[1, 2] = 7.5
+        params.bwd.b[:] += 1.0
+        assert params.lstm.W_rec[0, 1, 2] == 7.5
+        np.testing.assert_array_equal(params.lstm.b[1], params.bwd.b)
+        named = dict(params.named_arrays())
+        named["bwd.W_in"][0, 0] = -3.0  # as the in-place optimizer update does
+        assert params.lstm.W_in[1, 0, 0] == -3.0
+
+    def test_clone_and_checkpoint_round_trip_rebuild_an_equal_stack(self, tmp_path):
+        from toxicspans.checkpoint import load_checkpoint, save_checkpoint
+
+        table = make_table(["a", "b", "c"], dim=4)
+        params = make_model(table, hidden=3, seed=4)
+        params.bwd.W_rec[:] = np.arange(36.0).reshape(12, 3)
+        copy = params.clone()
+        save_checkpoint(tmp_path / "m.ckpt", params, TrainConfig(hidden_size=3), table)
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt", table)
+        for other in (copy, loaded):
+            assert deep_equal(params, other)
+            for name in ("W_in", "W_rec", "b"):
+                np.testing.assert_array_equal(getattr(other.lstm, name), getattr(params.lstm, name))
+            assert not np.shares_memory(other.lstm.W_rec, params.lstm.W_rec)
+        copy.fwd.W_in[0, 0] += 1.0
+        assert not deep_equal(params, copy)
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self, tmp_path):
         from toxicspans.checkpoint import load_checkpoint, save_checkpoint

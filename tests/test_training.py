@@ -7,7 +7,7 @@ from conftest import deep_equal, make_table
 from oracles import expression_adam_step
 from toxicspans.dataio import CharSpanSet, LabeledPost
 from toxicspans.embeddings import load_embeddings
-from toxicspans.errors import TrainingDivergedError, ValidationError
+from toxicspans.errors import NonFiniteError, TrainingDivergedError, ValidationError
 from toxicspans.model import predict
 from toxicspans.span_codec import BridgePolicy
 from toxicspans.synthetic import generate_posts, write_embedding_file
@@ -177,6 +177,49 @@ class TestTrain:
         monkeypatch.setattr(training_mod, "nll_and_gradients", poisoned)
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train(examples, TrainConfig(epochs=1, hidden_size=4, max_len=32), table)
+
+    def test_huge_learning_rate_raises_a_typed_divergence_error(self):
+        table, posts = synthetic_setup(n_posts=60, seed=11)
+        examples = build_examples(posts, table, max_len=32)
+        cfg = TrainConfig(epochs=2, hidden_size=8, learning_rate=1e300, max_len=32)
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingDivergedError, match=r"in epoch 1 \(batch starting at \d+\)"
+        ):
+            train(examples, cfg, table)
+
+    def test_non_finite_lstm_state_becomes_a_divergence_error(self, monkeypatch):
+        import toxicspans.training as training_mod
+
+        table, posts = synthetic_setup(n_posts=10)
+        examples = build_examples(posts, table, max_len=32)
+
+        def diverged(*args):
+            raise NonFiniteError("LSTM hidden state is non-finite")
+
+        monkeypatch.setattr(training_mod, "nll_and_gradients", diverged)
+        with pytest.raises(
+            TrainingDivergedError, match=r"^LSTM hidden state is non-finite in epoch 1 \(batch starting at 0\)$"
+        ):
+            train(examples, TrainConfig(epochs=1, hidden_size=4, max_len=32), table)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gradient_norm_aborts_before_the_update(self, monkeypatch, bad):
+        import toxicspans.training as training_mod
+
+        table, posts = synthetic_setup(n_posts=10)
+        examples = build_examples(posts, table, max_len=32)
+        updated = []
+
+        def poisoned(post, labels, params, finetune=False):
+            grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+            grads["crf.trans"][0, 0] = bad
+            return 1.0, grads
+
+        monkeypatch.setattr(training_mod, "nll_and_gradients", poisoned)
+        monkeypatch.setattr(training_mod, "adam_step", lambda *args, **kwargs: updated.append(1))
+        with pytest.raises(TrainingDivergedError, match=r"gradient norm in epoch 1 \(batch starting at 0\)"):
+            train(examples, TrainConfig(epochs=1, hidden_size=4, max_len=32), table)
+        assert not updated
 
     def test_early_stopping_returns_best_dev_params(self):
         table, posts = synthetic_setup(n_posts=60, seed=21)
