@@ -16,7 +16,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -266,7 +266,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     def report(stats):
         print(
             f"epoch {stats.epoch:3d}  train_nll {stats.train_nll:10.6f}  "
-            f"dev_f1 {stats.dev_f1:.4f}",
+            f"dev_f1 {stats.dev_f1:.4f}  grad_norm mean {stats.grad_norm_mean:.4g} "
+            f"max {stats.grad_norm_max:.4g}  clipped {stats.clipped_steps}/{stats.steps}",
             file=sys.stderr,
         )
 
@@ -276,12 +277,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     atomic_write_text(
         history_path,
         json.dumps(
-            {
-                "epochs": [
-                    {"epoch": h.epoch, "train_nll": h.train_nll, "dev_f1": h.dev_f1}
-                    for h in history
-                ]
-            },
+            {"epochs": [asdict(h) for h in history]},
             indent=2,
             sort_keys=True,
         ),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batching import check_lengths, step_index, valid_mask
+from .batching import check_lengths, step_counts, valid_mask
 from .errors import ValidationError
 
 
@@ -89,7 +89,7 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, lengths: np.ndarray) -> _F
     -inf, so padding adds exp(-inf) = 0 to the marginals and transitions.
     """
     T, B, _ = em.shape
-    rows, _, _ = step_index(lengths, T)
+    rows = [slice(0, n) for n in step_counts(lengths)]  # each step's running posts
     last, cols = lengths - 1, np.arange(B)
     alphas = np.full_like(em, -np.inf)
     alphas[0] = crf.start + em[0]

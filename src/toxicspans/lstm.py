@@ -11,15 +11,21 @@ cell state:
 
 Both kernels take a minibatch in the time-major, length-sorted layout of
 :mod:`batching`: a (T, B, D) array plus the B post lengths, longest first;
-one post is a batch of one.  Step ``s`` runs only the posts longer than
-``s`` (the first rows of the step), and a reversed direction reads each
-post's own prefix back to front, so padding is never computed.
+one post is a batch of one.  Inside, every array holds only the N =
+sum(lengths) real slots, packed time-major (:class:`batching.PackedSteps`):
+step ``s`` is one contiguous block of the ``counts[s]`` posts longer than
+``s``, and the same posts' previous step is the first ``counts[s]`` rows of
+the block before it.  A reversed direction packs each post's own prefix
+back to front.  Inputs are gathered into this layout on the way in and the
+outputs scattered back to (T, B, ·) on the way out, so padding is never
+computed, stored or multiplied.  When every post runs every step, as one
+post always does, packing is a reshape.
 
 :class:`LstmParams` stacks the weights of K directions on a leading axis
 (the BiLSTM has K = 2: forward, then backward), and every direction runs
 in the same time loop.  Step ``s`` of every direction touches the same
-rows, so the state arrays interleave the directions as (T, B, K, ·): the
-active rows of a step are one contiguous (rows, K, ·) block, and the
+rows, so the packed arrays interleave the directions as (N, K, ·): the
+rows of a step are one contiguous (rows, K, ·) block, and the
 activations, the cell update and the backward pass's scaling are each one
 numpy call for all directions.  The recurrent product is one stacked
 (K, rows, H) x (K, H, 4H) product.  Each direction does the same
@@ -27,19 +33,27 @@ arithmetic in the same order as it would alone, so results do not depend
 on K.
 
 Only ``W_rec h_{t-1}`` depends on the previous step, so each direction's
-input projection of all steps is one (T*B, D) x (D, 4H) product taken
+input projection of all steps is one (N, D) x (D, 4H) product taken
 before the recurrence, and each step adds its recurrent product to its
 rows of the ``gates`` array and activates them in place.  The backward
-pass mirrors this: the loop carries only the hidden and cell gradients and
-writes each step's pre-activation gradient into a buffer dZ that is zero
-on padding; each direction's parameter and input gradients are then
-products over all T*B rows: dZ^T X, dZ^T H_prev, sum(dZ) and dZ W_in.
+pass mirrors this: the local derivatives of all N rows are taken at once,
+the loop carries only the hidden and cell gradients and scales each
+step's rows of dZ, the pre-activation gradient, in place; each
+direction's parameter gradients are then products over the N rows: dZ^T
+X, dZ^T H_prev (H_prev gathered from the previous step's rows), and
+sum(dZ).  The input gradient dZ W_in is formed only when the caller asks
+for it, which the model does only when fine-tuning embeddings.  Padding
+adds nothing to any of these sums, so they equal the padded layout's
+whenever BLAS sums the rows in one block (T * B up to 384 with OpenBLAS
+0.3.31 on an AVX-512 Xeon); beyond that the block boundaries move and the
+last bits may differ.
 
-:class:`LstmCache` holds, in processing order, each direction's inputs
-(D), and the activated ``gates`` (4H, blocks in gate order) and the
-``cell``, ``tanh_cell`` and ``hidden`` states (H) of all directions as
-(T, B, K, ·), zero on padding.  A reversed direction consumes the inputs
-back-to-front but reports hidden states in original order.  All
+:class:`LstmCache` holds the packed rows in processing order: each
+direction's inputs (D), and the activated ``gates`` (4H, blocks in gate
+order) and the ``cell``, ``tanh_cell`` and ``hidden`` states (H) of all
+directions as (N, K, ·), plus the :class:`batching.PackedSteps` and each
+direction's slots in the (T, B) grid.  A reversed direction consumes the
+inputs back-to-front but reports hidden states in original order.  All
 arithmetic is float64.
 """
 
@@ -51,7 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batching import check_lengths, matmul_rows, reverse_prefixes, step_index, valid_mask
+from .batching import PackedSteps, check_lengths
 from .errors import NonFiniteError, ValidationError
 
 
@@ -96,15 +110,15 @@ class LstmParams:
 
 @dataclass
 class LstmCache:
-    """Forward-pass intermediates, all in processing order."""
+    """Forward-pass intermediates over the packed rows, in processing order."""
 
-    inputs: list[np.ndarray]  # K arrays (T, B, D)
-    gates: np.ndarray  # (T, B, K, 4H) activated i, f, g, o
-    cell: np.ndarray  # (T, B, K, H)
+    inputs: list[np.ndarray]  # K arrays (N, D)
+    gates: np.ndarray  # (N, K, 4H) activated i, f, g, o
+    cell: np.ndarray  # (N, K, H)
     tanh_cell: np.ndarray
     hidden: np.ndarray
-    reverse: tuple[bool, ...]  # (K,)
-    lengths: np.ndarray  # (B,)
+    steps: PackedSteps
+    slots: list  # K packed-row slots (PackedSteps.slots) in the (T * B) grid
 
 
 def _sigmoid_inplace(x: np.ndarray) -> None:
@@ -114,17 +128,6 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
     np.exp(x, out=x)
     x += 1.0
     np.reciprocal(x, out=x)
-
-
-def _flip(a: np.ndarray, lengths: np.ndarray, reverse: tuple[bool, ...]) -> np.ndarray:
-    """A (T, B, K, ·) array with each reversed direction's posts in reverse
-    time order (:func:`batching.reverse_prefixes`; its own inverse)."""
-    if not any(reverse):
-        return a
-    out = np.empty_like(a)
-    for k, rev in enumerate(reverse):
-        out[:, :, k] = reverse_prefixes(a[:, :, k], lengths) if rev else a[:, :, k]
-    return out
 
 
 def lstm_forward(
@@ -154,78 +157,89 @@ def lstm_forward(
     if len(reverse) != K:
         raise ValidationError(f"{len(reverse)} directions to run for {K} stacked directions")
     T, B, D = inputs.shape
-    lengths = check_lengths(lengths, T, B)
-    rows, now, prev = step_index(lengths, T)
+    steps = PackedSteps(check_lengths(lengths, T, B))
+    N, heads = steps.N, steps.heads
     i_, f_, g_, o_ = ((Ellipsis, slice(k * H, (k + 1) * H)) for k in range(4))
-    xs = [reverse_prefixes(inputs, lengths) if rev else inputs for rev in reverse]
+    slots = [steps.slots(rev) for rev in reverse]
+    xs = [inputs.reshape(T * B, D)[sl] for sl in slots]
 
-    gates = np.empty((T, B, K, 4 * H))  # pre-activations until a row is activated
+    gates = np.empty((N, K, 4 * H))  # pre-activations until a row is activated
     for k, x in enumerate(xs):
-        np.matmul(x.reshape(-1, D), params.W_in[k].T, out=gates.reshape(-1, K, 4 * H)[:, k])
+        np.matmul(x, params.W_in[k].T, out=gates[:, k])
     gates += params.b
-    cell = np.zeros(gates.shape[:-1] + (H,))
-    tanh_cell = np.zeros_like(cell)
-    hidden = np.zeros_like(cell)
+    cell = np.empty((N, K, H))
+    tanh_cell = np.empty_like(cell)
+    hidden = np.empty_like(cell)
     # Several rows per step multiply faster against a contiguous copy; for
     # a batch of one the copy costs more than it saves.
     W_rec_T = params.W_rec.transpose(0, 2, 1)
     if B > 1:
         W_rec_T = np.ascontiguousarray(W_rec_T)
     product = np.empty((B, K, 4 * H))  # each step's recurrent product
+    zs, cells, tanhs, hs = map(steps.by_step, (gates, cell, tanh_cell, hidden))
     with np.errstate(over="ignore"):
-        for s in range(T):
-            r, q = now[s], prev[s]
-            z = gates[r]
+        for s, (r, q) in enumerate(zip(steps.rows, steps.prev_rows)):
+            z = zs[r]
             if s:
-                step = product[rows[s]]
-                np.matmul(hidden[q].transpose(1, 0, 2), W_rec_T, out=step.transpose(1, 0, 2))
+                step = product[heads[s]]
+                np.matmul(hs[q].transpose(1, 0, 2), W_rec_T, out=step.transpose(1, 0, 2))
                 z += step
             g = np.tanh(z[g_])
             _sigmoid_inplace(z)
             z[g_] = g
-            c = cell[r]
+            c = cells[r]
             np.multiply(z[i_], g, out=c)
             if s:
-                c += z[f_] * cell[q]
-            tc = tanh_cell[r]
+                c += z[f_] * cells[q]
+            tc = tanhs[r]
             np.tanh(c, out=tc)
-            np.multiply(z[o_], tc, out=hidden[r])
+            np.multiply(z[o_], tc, out=hs[r])
 
     # every finite state lies in [-1, 1], so the sum is finite exactly when
     # every state is
     if not math.isfinite(hidden.sum()):
         raise NonFiniteError("LSTM hidden state is non-finite; inputs or parameters diverged")
 
-    out = _flip(hidden, lengths, reverse).reshape(T, B, K * H)
+    out = steps.grid(K * H)
+    for k, sl in enumerate(slots):
+        out[sl, k * H : (k + 1) * H] = hidden[:, k]
     cache = LstmCache(
         inputs=xs,
         gates=gates,
         cell=cell,
         tanh_cell=tanh_cell,
         hidden=hidden,
-        reverse=reverse,
-        lengths=lengths,
+        steps=steps,
+        slots=slots,
     )
-    return out, cache
+    return out.reshape(T, B, K * H), cache
 
 
 def lstm_backward(
-    d_hidden: np.ndarray, params: LstmParams, cache: LstmCache
-) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
+    d_hidden: np.ndarray, params: LstmParams, cache: LstmCache, input_grad: bool = True
+) -> tuple[np.ndarray | None, list[dict[str, np.ndarray]]]:
     """Backpropagate upstream hidden-state gradients through the recurrence.
 
     ``d_hidden`` has the (T, B, K*H) shape of the forward pass's output, in
     original order; its padded rows are ignored.  Returns the input
     gradients in original order (zero on padding), summed over the
-    directions, and one dict of parameter gradients per direction keyed
-    ``W_in`` / ``W_rec`` / ``b``, each summed over the batch.
+    directions, or None unless ``input_grad``; and one dict of parameter
+    gradients per direction keyed ``W_in`` / ``W_rec`` / ``b``, each summed
+    over the batch.
     """
-    T, B, K, H = shape = cache.hidden.shape
+    steps = cache.steps
+    T, B, N, heads = steps.T, steps.B, steps.N, steps.heads
+    K, H = cache.hidden.shape[1:]
     if d_hidden.shape != (T, B, K * H):
         raise ValidationError(f"upstream gradient shape {d_hidden.shape} != {(T, B, K * H)}")
-    lengths = cache.lengths
-    rows, now, _ = step_index(lengths, T)
-    d_h_seq = _flip(d_hidden.reshape(shape), lengths, cache.reverse)
+    d_h_seq = np.empty((N, K, H))
+    d_grid = d_hidden.reshape(T * B, K, H)
+    for k, sl in enumerate(cache.slots):
+        d_h_seq[:, k] = d_grid[sl, k]
+    prev = steps.prev()
+    # rows from step 1 on: the previous step's states of the same posts
+    c_prev = cache.cell[prev]
+    h_prev = cache.hidden[prev]
 
     # Local derivatives of every step, taken over whole arrays and written
     # into dZ, which the loop then scales in place (no separate arrays to
@@ -233,15 +247,15 @@ def lstm_backward(
     # for the o block dh times it.
     i, f, g, o = (cache.gates[..., k * H : (k + 1) * H] for k in range(4))
     tc = cache.tanh_cell
-    dZ = np.empty(shape[:-1] + (4, H))
+    dZ = np.empty((N, K, 4, H))
     di, df, dg, do = (dZ[..., k, :] for k in range(4))
     np.subtract(1.0, i, out=di)
     di *= i
     di *= g
-    df[0] = 0.0  # c_{-1} = 0
-    np.subtract(1.0, f[1:], out=df[1:])
-    df[1:] *= f[1:]
-    df[1:] *= cache.cell[:-1]
+    df[:B] = 0.0  # c_{-1} = 0
+    np.subtract(1.0, f[B:], out=df[B:])
+    df[B:] *= f[B:]
+    df[B:] *= c_prev
     np.multiply(g, g, out=dg)
     np.subtract(1.0, dg, out=dg)
     dg *= i
@@ -251,45 +265,49 @@ def lstm_backward(
     dc_dh = tc * tc
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
-    dZ[~valid_mask(lengths, T)] = 0.0  # padding adds nothing below
 
-    dZ_flat = dZ.reshape(cache.gates.shape)
+    dZ_flat = dZ.reshape(N, K, 4 * H)
     product = np.empty((B, K, H))  # each step's recurrent product
-    dh = d_h_seq[now[T - 1]]
-    dc = dh * dc_dh[now[T - 1]]
+    rows = steps.rows
+    dZs, dZ_flats, d_hs, dc_dhs, fs = map(steps.by_step, (dZ, dZ_flat, d_h_seq, dc_dh, f))
+    dh = d_hs[rows[-1]]
+    dc = dh * dc_dhs[rows[-1]]
     for s in range(T - 1, -1, -1):
-        r = now[s]
-        dz = dZ[r]
+        r = rows[s]
+        dz = dZs[r]
         dz[..., :3, :] *= dc[..., None, :]
         dz[..., 3, :] *= dh
         if s:
-            # the posts active at s are the first rows of those active at s - 1
-            q = now[s - 1]
-            head = rows[s]
-            dh = d_h_seq[q].copy()
+            # the posts running at s are the first rows of those at s - 1
+            q = rows[s - 1]
+            head = heads[s]
+            dh = d_hs[q].copy()
             step = product[head]
-            np.matmul(dZ_flat[r].transpose(1, 0, 2), params.W_rec, out=step.transpose(1, 0, 2))
+            np.matmul(dZ_flats[r].transpose(1, 0, 2), params.W_rec, out=step.transpose(1, 0, 2))
             dh[head] += step
-            dc_prev = dh * dc_dh[q]
-            dc_prev[head] += dc * f[r]
+            dc_prev = dh * dc_dhs[q]
+            dc_prev[head] += dc * fs[r]
             dc = dc_prev
 
-    D = params.input_size
-    d_x = None
     grads = []
     for k, x in enumerate(cache.inputs):
-        dZ_rows = dZ_flat[:, :, k].reshape(-1, 4 * H)
-        h_prev = cache.hidden[:-1, :, k].reshape(-1, H)  # h_{-1} = 0 adds nothing
+        dZ_rows = dZ_flat[:, k]
+        h_prev_k = h_prev[:, k]  # h_{-1} = 0 adds nothing
         if H == 1:
             # a BLAS vector, whose stride would change the summation order
-            h_prev = h_prev.copy()
+            h_prev_k = h_prev_k.copy()
         grads.append({
-            "W_in": dZ_rows.T @ x.reshape(-1, D),
-            "W_rec": dZ_flat[1:, :, k].reshape(-1, 4 * H).T @ h_prev,
+            "W_in": dZ_rows.T @ x,
+            "W_rec": dZ_rows[B:].T @ h_prev_k,
             "b": dZ_rows.sum(axis=0),
         })
-        d_x_k = matmul_rows(dZ_flat[:, :, k], params.W_in[k])
-        if cache.reverse[k]:
-            d_x_k = reverse_prefixes(d_x_k, lengths)
-        d_x = d_x_k if d_x is None else d_x + d_x_k
-    return np.ascontiguousarray(d_x), grads
+    if not input_grad:
+        return None, grads
+    d_x = steps.grid(params.input_size)
+    for k, sl in enumerate(cache.slots):
+        d_x_k = dZ_flat[:, k] @ params.W_in[k]
+        if k:
+            d_x[sl] += d_x_k
+        else:
+            d_x[sl] = d_x_k
+    return d_x.reshape(T, B, -1), grads

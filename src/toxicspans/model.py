@@ -8,14 +8,16 @@ embedding rows, T the batch's longest post, padding the PAD row (zeros),
 where each step's recurrence runs only the posts still active, so no padded
 slot is computed and no mask enters the arithmetic.  Viterbi then decodes
 each post's own prefix.  The backward pass is fully manual (projection,
-then both LSTM directions), returns gradients summed over the batch, and
-optionally accumulates embedding-row gradients when fine-tuning is enabled;
-padded slots add exact zeros.
+then both LSTM directions) and returns gradients summed over the batch.
+Only when fine-tuning is enabled does it ask the LSTM for the input
+gradient and accumulate embedding-row gradients from it; padded slots add
+exact zeros.
 
 Both LSTM directions live in one stacked :class:`lstm.LstmParams` block
 (K = 2: forward, then backward) and run in lockstep, one
 :func:`lstm.lstm_forward` and one :func:`lstm.lstm_backward` call per pass,
-over the interleaved (T, B, K, ·) layout described in :mod:`lstm`.  The
+over the packed, interleaved (N, K, ·) layout described in :mod:`lstm`,
+which the kernels keep inside: they take and return (T, B, ·) arrays.  The
 forward call's (T, B, 2H) output is already the concatenation of the two
 directions' hidden states that the projection reads.  ``params.fwd`` and
 ``params.bwd`` are views into the block, so the per-direction tensor names,
@@ -191,7 +193,9 @@ def backward(
     d_b_out = d_emissions.reshape(-1, L).sum(axis=0)
     d_hidden = matmul_rows(d_emissions, params.emit.W_out)
 
-    d_inputs, lstm_grads = lstm_backward(d_hidden, params.lstm, cache.lstm_cache)
+    d_inputs, lstm_grads = lstm_backward(
+        d_hidden, params.lstm, cache.lstm_cache, input_grad=finetune_embeddings
+    )
 
     grads = {
         f"{prefix}.{name}": arr

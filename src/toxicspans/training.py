@@ -102,9 +102,18 @@ class TrainExample:
 
 @dataclass
 class EpochStats:
+    """One epoch's loss, dev F1 and gradient telemetry.  ``grad_norm_mean``
+    and ``grad_norm_max`` are over the steps' pre-clip global norms, and a
+    step is clipped when its norm exceeds the clip norm."""
+
     epoch: int
     train_nll: float
     dev_f1: float
+    grad_norm_mean: float
+    grad_norm_max: float
+    steps: int
+    clipped_steps: int
+    tokens: int  # unpadded positions of the posts trained on
 
 
 @dataclass
@@ -270,6 +279,8 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         shuffled = rng.permutation(len(trainable))
         nll_total = 0.0
+        norms = []
+        tokens = 0
         for lo in range(0, len(shuffled), cfg.batch_size):
             picked = sorted(trainable[k] for k in shuffled[lo : lo + cfg.batch_size])
             batch = [examples[i] for i in picked]
@@ -289,15 +300,23 @@ def train(
             for arr in grads.values():
                 arr *= scale
             # checked before the update, so the parameters stay finite
-            if not math.isfinite(clip_gradients(grads, cfg.gradient_clip_norm)):
+            norm = clip_gradients(grads, cfg.gradient_clip_norm)
+            if not math.isfinite(norm):
                 raise TrainingDivergedError(f"non-finite gradient norm {where}")
             adam_step(param_arrays, grads, state)
             nll_total += batch_nll
+            norms.append(norm)
+            tokens += sum(ex.encoded.effective_len for ex in batch)
 
         stats = EpochStats(
             epoch=epoch,
             train_nll=nll_total / len(trainable),
             dev_f1=dev_char_f1(dev, params, policy),
+            grad_norm_mean=math.fsum(norms) / len(norms),
+            grad_norm_max=max(norms),
+            steps=len(norms),
+            clipped_steps=sum(norm > cfg.gradient_clip_norm for norm in norms),
+            tokens=tokens,
         )
         history.append(stats)
         if progress is not None:

@@ -24,7 +24,10 @@ RTOL = 1e-9
 ATOL = 1e-12
 DIM = 5
 H = 4
-# (batch size, post lengths): mixed lengths with T = 1 and ties, and equal lengths
+# (batch size, post lengths): mixed lengths with T = 1 and ties, and equal
+# lengths; the last two have T * B over 256, where BLAS splits the sums of
+# the weight-gradient products into blocks at other places than for the
+# posts one at a time
 CASES = [
     (1, [1]),
     (1, [6]),
@@ -32,6 +35,8 @@ CASES = [
     (2, [4, 4]),
     (16, [12, 9, 9, 8, 7, 7, 5, 4, 4, 3, 3, 2, 2, 1, 1, 1]),
     (16, [7] * 16),
+    (40, sorted((1 + (k * 37) % 60 for k in range(40)), reverse=True)),
+    (20, [15] * 20),
 ]
 IDS = [f"B{B}-{'equal' if len(set(lens)) == 1 and B > 1 else 'mixed'}-T{lens[0]}" for B, lens in CASES]
 
@@ -117,7 +122,7 @@ def test_nll_and_gradients_batch_matches_sum_of_single_posts(B, lengths, finetun
     params = init_params(table, hidden_size=H, rng=rng)
     shuffled = [int(n) for n in rng.permutation(lengths)]  # the model sorts
     texts = [" ".join(f"w{int(rng.integers(12))}" for _ in range(n)) for n in shuffled]
-    posts = [encode_post(tokenize(text), table, max_len=16) for text in texts]
+    posts = [encode_post(tokenize(text), table, max_len=64) for text in texts]
     labels = [[int(y) for y in rng.integers(2, size=n)] for n in shuffled]
 
     nll, grads = nll_and_gradients(posts, labels, params, finetune)

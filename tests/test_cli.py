@@ -147,6 +147,31 @@ class TestTrain:
             tmp_path / "b.ckpt.history.json"
         ).read_bytes()
 
+    def test_history_records_gradient_telemetry(self, workspace, tmp_path, capsys):
+        args = [
+            "train",
+            "--data", str(workspace / "train.csv"),
+            "--embeddings", str(workspace / "vectors.txt"),
+            "--embedding-dim", str(DIM),
+            "--hidden", "8", "--epochs", "3", "--batch", "8", "--clip", "2.0",
+            "--seed", "6", "--max-len", "32",
+        ]
+        assert main(args + ["--out", str(tmp_path / "a.ckpt")]) == 0
+        err = capsys.readouterr().err
+        assert main(args + ["--out", str(tmp_path / "b.ckpt")]) == 0
+        history_a = (tmp_path / "a.ckpt.history.json").read_bytes()
+        assert history_a == (tmp_path / "b.ckpt.history.json").read_bytes()
+        epochs = json.loads(history_a)["epochs"]
+        epoch_lines = [line for line in err.splitlines() if line.startswith("epoch")]
+        assert len(epoch_lines) == len(epochs) == 3
+        for h, line in zip(epochs, epoch_lines):
+            assert set(h) == {"epoch", "train_nll", "dev_f1", "grad_norm_mean", "grad_norm_max",
+                              "steps", "clipped_steps", "tokens"}
+            assert 0 <= h["clipped_steps"] <= h["steps"] == 14  # 108 training posts, 8 a batch
+            assert 0 < h["grad_norm_mean"] <= h["grad_norm_max"]
+            assert h["tokens"] == epochs[0]["tokens"] > 0
+            assert line.endswith(f"clipped {h['clipped_steps']}/{h['steps']}")
+
     def test_config_file_defaults_and_cli_precedence(self, workspace, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("epochs = 2\nhidden = 8\nseed = 5\nmax-len = 32\nbatch = 8\n")
@@ -665,6 +690,39 @@ EMBEDDING_LINES = st.builds(
     st.lists(st.floats().map(str) | st.text(max_size=4), max_size=DIM + 2),
 )
 
+SPAN_LITERALS = (
+    st.lists(st.integers(-2, 40), max_size=4).map(str)
+    | st.text(alphabet="[]0123456789, -+_", max_size=10)
+)
+POST_IDS = st.integers(-1, 3).map(str) | st.text(max_size=3)
+DATA_ROWS = st.builds(lambda spans, text: f'"{spans}",{text}', SPAN_LITERALS, st.text(max_size=12))
+PREDICTION_LINES = st.builds(lambda post_id, spans: f"{post_id}\t{spans}", POST_IDS, SPAN_LITERALS)
+SCORE_LINES = st.builds(
+    lambda post_id, score: f"{post_id}\t{score}", POST_IDS, st.floats().map(str) | st.text(max_size=4)
+)
+# A valid two-post dataset and a prediction file for it.
+TWO_POSTS = b'spans,text\n"[]",the cat sat\n"[0, 1]",you loser\n'
+TWO_PREDICTIONS = b"0\t[]\n1\t[0, 1]\n"
+
+
+def scored_quietly(workspace, command, data: bytes, pred: bytes) -> tuple[int, str]:
+    """``cli evaluate`` or ``cli analyze`` on the given file bytes; the exit
+    code and stderr."""
+    (workspace / "fuzz_data.csv").write_bytes(data)
+    (workspace / "fuzz_pred.tsv").write_bytes(pred)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--data", str(workspace / "fuzz_data.csv"),
+                     "--pred", str(workspace / "fuzz_pred.tsv")])
+    return code, err.getvalue()
+
+
+EDITS = st.tuples(
+    st.sampled_from(["truncate", "flip", "insert", "delete"]),
+    st.integers(min_value=0, max_value=2**20),
+    st.binary(min_size=1, max_size=8),
+)
+
 
 def mutated(edit: str, at: int, chunk: bytes, raw: bytes) -> bytes:
     """``raw`` truncated, with one byte flipped, or with ``chunk`` inserted
@@ -700,11 +758,7 @@ class TestFuzz:
     @settings(max_examples=60, deadline=None)
     @given(
         st.binary(max_size=64)
-        | st.tuples(
-            st.sampled_from(["truncate", "flip", "insert", "delete"]),
-            st.integers(min_value=0, max_value=2**20),
-            st.binary(min_size=1, max_size=8),
-        )
+        | EDITS
     )
     def test_checkpoint(self, workspace, fuzz):
         if isinstance(fuzz, bytes):
@@ -720,11 +774,7 @@ class TestFuzz:
     @given(
         st.binary(max_size=64)
         | st.lists(EMBEDDING_LINES, max_size=4).map(lambda ls: "\n".join(ls).encode())
-        | st.tuples(
-            st.sampled_from(["truncate", "flip", "insert", "delete"]),
-            st.integers(min_value=0, max_value=2**20),
-            st.binary(min_size=1, max_size=8),
-        )
+        | EDITS
     )
     def test_embeddings(self, workspace, fuzz):
         if isinstance(fuzz, bytes):
@@ -735,6 +785,29 @@ class TestFuzz:
         vectors = workspace / "fuzz_vectors.txt"
         vectors.write_bytes(raw)
         assert_clean_exit(*predict_quietly(workspace, "--embeddings", str(vectors)))
+
+    @pytest.mark.parametrize("command", ["evaluate", "analyze"])
+    @settings(max_examples=60, deadline=None)
+    @given(fuzz=st.binary(max_size=64)
+           | st.lists(DATA_ROWS, max_size=3).map(lambda rows: "\n".join(["spans,text", *rows]).encode())
+           | EDITS.map(lambda edit: mutated(*edit, TWO_POSTS)))
+    def test_data_csv(self, workspace, command, fuzz):
+        assert_clean_exit(*scored_quietly(workspace, command, fuzz, TWO_PREDICTIONS))
+
+    @pytest.mark.parametrize("command", ["evaluate", "analyze"])
+    @settings(max_examples=60, deadline=None)
+    @given(fuzz=st.binary(max_size=64)
+           | st.lists(PREDICTION_LINES, max_size=3).map(lambda ls: "\n".join(ls).encode())
+           | EDITS.map(lambda edit: mutated(*edit, TWO_PREDICTIONS)))
+    def test_prediction_file(self, workspace, command, fuzz):
+        assert_clean_exit(*scored_quietly(workspace, command, TWO_POSTS, fuzz))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=64) | st.lists(SCORE_LINES, max_size=3).map(lambda ls: "\n".join(ls).encode()))
+    def test_score_file(self, workspace, raw):
+        scores = workspace / "fuzz_scores.tsv"
+        scores.write_bytes(raw)
+        assert_clean_exit(*predict_quietly(workspace, "--gate", f"scores:{scores}"))
 
 
 class TestUsage:

@@ -41,7 +41,7 @@ class TestForward:
         x, lengths = batch_of_one(inputs)
         rev, cache = lstm_forward(x, one_direction(params), lengths, [True])
         # position 0 of the output is the LAST step of the reversed recurrence
-        np.testing.assert_allclose(rev[0], cache.hidden[-1, :, 0], atol=1e-15)
+        np.testing.assert_allclose(rev[0], cache.hidden[-1:, 0], atol=1e-15)
 
     def test_shape_validation(self):
         rng = np.random.default_rng(2)

@@ -121,6 +121,45 @@ class TestBackward:
         numeric = finite_difference(batch_loss, dict(params.named_arrays()), h=1e-5)
         assert max_relative_error(analytic, numeric) < 1e-4
 
+    @staticmethod
+    def mixed_batch(table, rng, lengths=(7, 2, 5, 5, 1, 6)):
+        """Posts of mixed lengths over ``table``'s words, with labels."""
+        texts = [" ".join(f"w{int(rng.integers(8))}" for _ in range(n)) for n in lengths]
+        return [encoded(table, text) for text in texts], [[int(rng.integers(2)) for _ in range(n)] for n in lengths]
+
+    def test_finetuned_embedding_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        table = make_table([f"w{i}" for i in range(6)], dim=3, seed=5)
+        params = make_model(table, hidden=3, seed=6)
+        params.embedding = table.with_matrix(table.matrix.copy())
+        posts, labels = self.mixed_batch(table, rng)
+
+        def batch_loss():
+            total = 0.0
+            for post, labs in zip(posts, labels):
+                indices, lengths = batch_of_one(post.indices[: post.effective_len])
+                em, _ = _emissions(indices, params, lengths)
+                total += crf_nll(em[:, 0], params.crf, labs)
+            return total
+
+        _, grads = nll_and_gradients(posts, labels, params, finetune_embeddings=True)
+        name = "embedding.matrix"
+        numeric = finite_difference(batch_loss, {name: params.embedding.matrix}, h=1e-5)
+        assert np.any(grads[name] != 0.0)
+        assert max_relative_error({name: grads[name]}, numeric) < 1e-4
+
+    def test_finetuning_leaves_the_other_gradients_bit_identical(self):
+        rng = np.random.default_rng(7)
+        table = make_table([f"w{i}" for i in range(6)], dim=4, seed=5)
+        params = make_model(table, hidden=5, seed=8)
+        posts, labels = self.mixed_batch(table, rng)
+        nll, plain = nll_and_gradients(posts, labels, params, finetune_embeddings=False)
+        tuned_nll, tuned = nll_and_gradients(posts, labels, params, finetune_embeddings=True)
+        assert nll == tuned_nll
+        assert set(tuned) == set(plain) | {"embedding.matrix"}
+        for name, arr in plain.items():
+            assert np.array_equal(arr, tuned[name]), name
+
     def test_embedding_gradients_only_touch_used_rows(self):
         table = make_table(["a", "b", "c"])
         params = make_model(table)

@@ -243,6 +243,61 @@ class TestTrain:
         assert dev_char_f1(dev, params, BridgePolicy()) == pytest.approx(best, abs=1e-12)
 
 
+class TestEpochTelemetry:
+    """Each epoch records its steps' pre-clip gradient norms, as returned by
+    ``clip_gradients``, and the tokens it trained on."""
+
+    def run_spied(self, monkeypatch, clip):
+        import toxicspans.training as training_mod
+
+        table, posts = synthetic_setup(n_posts=40)
+        examples = build_examples(posts, table, max_len=32)
+        cfg = TrainConfig(epochs=3, batch_size=8, seed=4, hidden_size=6, max_len=32,
+                          gradient_clip_norm=clip, early_stop_patience=3)
+        steps = []  # (pre-clip norm, tokens) per step, in order
+        nll_and_gradients = training_mod.nll_and_gradients
+
+        def spy_nll(posts, labels, params, finetune=False):
+            steps.append([sum(post.effective_len for post in posts)])
+            return nll_and_gradients(posts, labels, params, finetune)
+
+        def spy_clip(grads, max_norm):
+            norm = clip_gradients(grads, max_norm)
+            steps[-1].insert(0, norm)
+            return norm
+
+        monkeypatch.setattr(training_mod, "nll_and_gradients", spy_nll)
+        monkeypatch.setattr(training_mod, "clip_gradients", spy_clip)
+        _, history = train(examples, cfg, table)
+        return history, steps
+
+    @pytest.mark.parametrize("clip", [1.0, 5.0, 1e6])
+    def test_norms_are_the_clip_functions_return_values(self, monkeypatch, clip):
+        history, steps = self.run_spied(monkeypatch, clip)
+        assert len(steps) % len(history) == 0
+        per_epoch = len(steps) // len(history)
+        for h, k in zip(history, range(0, len(steps), per_epoch)):
+            norms = [norm for norm, _ in steps[k : k + per_epoch]]
+            assert h.steps == per_epoch
+            assert h.grad_norm_max == max(norms)
+            assert h.grad_norm_mean == pytest.approx(sum(norms) / len(norms), rel=1e-12)
+            assert h.clipped_steps == sum(norm > clip for norm in norms)
+            assert 0 <= h.clipped_steps <= h.steps
+            assert h.tokens == sum(tokens for _, tokens in steps[k : k + per_epoch])
+        # the small clip norm clips every step and the huge one none
+        clipped = sum(h.clipped_steps for h in history)
+        if clip == 1.0:
+            assert clipped == len(steps)
+        if clip == 1e6:
+            assert clipped == 0
+
+    def test_same_seed_gives_the_same_telemetry(self):
+        table, posts = synthetic_setup(n_posts=30)
+        examples = build_examples(posts, table, max_len=32)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=9, hidden_size=6, max_len=32)
+        assert train(examples, cfg, table)[1] == train(examples, cfg, table)[1]
+
+
 class TestEndToEndWordMemorization:
     def test_trained_model_fires_on_the_toxic_word(self):
         # Micro-corpus where one word is always toxic; the trained model must
