@@ -19,6 +19,7 @@ grid itself and packing is a reshape.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 from operator import add
 
@@ -91,6 +92,13 @@ class PackedSteps:
             return slice(0, self.N - self.B)
         return np.arange(self.B, self.N) - np.repeat(self.counts[:-1], self.counts[1:])
 
+    @cached_property
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """For every packed row, in order, its step ``s`` and its post."""
+        steps = np.repeat(np.arange(self.T), self.counts)
+        posts = np.arange(self.N) - np.repeat(self.offsets[:-1], self.counts)
+        return steps, posts
+
     def slots(self, reverse: bool) -> slice | np.ndarray:
         """For every packed row, in order, its slot ``t * B + b`` in the
         (T * B, ...) flattening of a (T, B, ...) array; index that with it
@@ -99,7 +107,7 @@ class PackedSteps:
             return slice(None)
         if self.B == 1:
             return slice(None, None, -1)
-        t, b = np.nonzero(valid_mask(self.lengths, self.T))
+        t, b = self.coords
         if reverse:
             t = self.lengths[b] - 1 - t
         return t * self.B + b
@@ -108,11 +116,6 @@ class PackedSteps:
         """A new (T * B, width) array to scatter packed rows into, at their
         :meth:`slots`; zero on padding."""
         return (np.empty if self.full else np.zeros)((self.T * self.B, width))
-
-
-def valid_mask(lengths: np.ndarray, T: int) -> np.ndarray:
-    """(T, B) booleans: True where step ``t`` lies inside post ``b``."""
-    return np.arange(T)[:, None] < lengths[None, :]
 
 
 def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -324,7 +324,7 @@ def cmd_gate_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _setup_gate(args: argparse.Namespace) -> GateModel | None:
+def _setup_gate(args: argparse.Namespace, table) -> GateModel | None:
     mode = _resolve(args, "gate")
     if mode == "off":
         return None
@@ -333,6 +333,11 @@ def _setup_gate(args: argparse.Namespace) -> GateModel | None:
         if not args.gate_model:
             raise ValidationError("--gate internal requires --gate-model <path>")
         model = load_gate(_require_file(args.gate_model, "gate model"))
+        if model.vocab_hash not in (None, vocab_hash := table.fingerprint()):
+            raise ValidationError(
+                f"gate model {args.gate_model} was trained on another embedding table: vocab_hash "
+                f"{model.vocab_hash} != {vocab_hash} of {args.embeddings} (dim {table.dim})"
+            )
         # an explicit threshold (flag or config file) overrides the stored one
         if args.gate_threshold is not None or "gate_threshold" in args._config_values:
             model = replace(model, threshold=threshold)
@@ -351,7 +356,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     params, cfg = load_checkpoint(ckpt_path, table)
     max_len = _resolve(args, "max_len", default=cfg.max_len)
     policy = BridgePolicy(bridge_gaps=True, max_gap=_resolve(args, "bridge_gap"))
-    gate = _setup_gate(args)
+    gate = _setup_gate(args, table)
     posts = _load_posts(args, has_gold=False)
 
     preds = []
@@ -371,6 +376,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     write_predictions(preds, buffer)
     atomic_write_bytes(args.out, buffer.getvalue())
     print(f"{len(preds)} predictions written to {args.out}")
+    if gate is not None and gate.kind == KIND_INTERNAL and gate.vocab_hash is None:
+        print(f"warning: gate model {args.gate_model} records no embedding table, "
+              f"so it was not checked against {args.embeddings}", file=sys.stderr)
     inputs = {"data": args.data, "embeddings": args.embeddings,
               "checkpoint": args.checkpoint}
     if gate is not None and gate.kind == KIND_INTERNAL:
@@ -458,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
             code = _COMMANDS[args.command](args)
         except (DataFormatError, ValidationError, FileNotFoundError) as exc:
             code, error = 2, exc
-        except (ToxicSpansError, OSError) as exc:
+        except (ToxicSpansError, OSError, MemoryError) as exc:
             code, error = 1, exc
     if floating := log.getvalue().splitlines():
         first = floating[0].removeprefix("Warning: ")

@@ -1,4 +1,4 @@
-"""Linear-chain CRF: log-partition, gold path score, marginals, Viterbi.
+"""Linear-chain CRF: negative log-likelihood, its gradients, and Viterbi.
 
 A label sequence ``y`` over emissions ``em`` (T x L) scores
 
@@ -10,20 +10,23 @@ The forward-backward marginals double as the analytic gradient of the
 negative log-likelihood: d NLL / d em[t][l] = marginal[t][l] - 1{gold_t = l},
 and likewise expected-minus-observed for transitions, start, and stop.
 
-Forward-backward runs on the time-major, length-sorted batch layout of
-:mod:`batching`: (T, B, L) emissions, whose alpha and beta recursions touch
-only each step's active posts.  :func:`crf_nll_grad` takes such a batch;
-the single-post (T, L) helpers below run their post as a batch of one.
+:func:`crf_nll_grad` takes a (T, B, L) batch in the layout of
+:mod:`batching` and runs on its N packed rows, as the LSTM does.  Beta is
+the alpha recursion run over each post's reversed prefix with ``trans.T``,
+so both run as K = 2 stacked recursions in one loop.  Marginals, pair terms
+and the gold score run on the rows in forward (t, b) order, so every sum
+adds the terms a padded (T, B) pass adds, in its order, and keeps its bits.
 Viterbi decoding is per post.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .batching import check_lengths, step_counts, valid_mask
+from .batching import PackedSteps, check_lengths
 from .errors import ValidationError
 
 
@@ -49,105 +52,57 @@ def _check_emissions(em: np.ndarray, crf: CrfParams) -> None:
         )
 
 
-def _label_array(labels, length: int, num_labels: int) -> np.ndarray:
-    if len(labels) != length:
-        raise ValidationError(f"label count {len(labels)} != sequence length {length}")
-    y = np.asarray(labels, dtype=np.int64)
-    bad = (y < 0) | (y >= num_labels)
-    if bad.any():
-        raise ValidationError(f"label {y[bad][0]} outside [0, {num_labels})")
-    return y
+def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps, fwd, rev):
+    """The one forward-backward pass every CRF quantity is read from, over
+    a sorted (T, B, L) batch's packed rows and its forward and reversed
+    :meth:`batching.PackedSteps.slots`.
 
-
-def _gold_score(em: np.ndarray, crf: CrfParams, y: np.ndarray, lengths: np.ndarray) -> float:
-    """Summed path score of the (T, B) label grid ``y`` of a sorted batch."""
-    valid = valid_mask(lengths, len(y))
-    return float(
-        crf.start[y[0]].sum()
-        + np.take_along_axis(em, y[:, :, None], axis=2)[valid].sum()
-        + crf.trans[y[:-1], y[1:]][valid[1:]].sum()
-        + crf.stop[y[lengths - 1, np.arange(len(lengths))]].sum()
-    )
-
-
-@dataclass
-class _ForwardBackward:
-    """Forward-backward quantities of a sorted (T, B, L) batch."""
-
-    alphas: np.ndarray  # (T, B, L) log-scores of all prefixes ending in each label
-    betas: np.ndarray  # (T, B, L) log-scores of all suffixes after each label
-    log_z: np.ndarray  # (B,)
-    marginals: np.ndarray  # (T, B, L), zero on padding
-    expected: np.ndarray  # (L, L) expected transition counts, summed over the batch
-
-
-def _forward_backward(em: np.ndarray, crf: CrfParams, lengths: np.ndarray) -> _ForwardBackward:
-    """The one forward-backward pass every CRF quantity is read from.
-
-    ``em`` is a sorted batch with finite padding.  The recursions touch only
-    the rows of each step's active posts; every padded alpha and beta stays
-    -inf, so padding adds exp(-inf) = 0 to the marginals and transitions.
+    Returns, in forward (t, b) row order, the emissions and the marginals;
+    each row's ``mirror``, the row of its slot in the reversed layout (an
+    involution, so ``mirror[:B]`` are the posts' last rows); the B
+    log-partitions; and the expected transition counts of the batch.
     """
-    T, B, _ = em.shape
-    rows = [slice(0, n) for n in step_counts(lengths)]  # each step's running posts
-    last, cols = lengths - 1, np.arange(B)
-    alphas = np.full_like(em, -np.inf)
-    alphas[0] = crf.start + em[0]
-    for t in range(1, T):
-        r = rows[t]
-        alphas[t, r] = np.logaddexp.reduce(alphas[t - 1, r, :, None] + crf.trans, axis=1)
-        alphas[t, r] += em[t, r]
-    betas = np.full_like(em, -np.inf)
-    betas[last, cols] = crf.stop
-    for t in range(T - 2, -1, -1):
-        r = rows[t + 1]
-        betas[t, r] = np.logaddexp.reduce(
-            crf.trans + (em[t + 1, r] + betas[t + 1, r])[:, None, :], axis=2
-        )
-    log_z = np.logaddexp.reduce(alphas[last, cols] + crf.stop, axis=1)
-    marginals = np.exp(alphas + betas - log_z[:, None])
-    # log-probability of label pair (i, j) at positions (t, t + 1), all t at once
-    pair = alphas[:-1, :, :, None] + crf.trans + (em[1:] + betas[1:])[:, :, None, :]
-    pair -= log_z[:, None, None]
-    expected = np.exp(pair).sum(axis=(0, 1))
-    return _ForwardBackward(alphas, betas, log_z, marginals, expected)
+    T, B, L = em.shape
+    N, rows, prev_rows, heads = steps.N, steps.rows, steps.prev_rows, steps.heads
+    grid = em.reshape(T * B, L)
+    ems = np.empty((N, 2, L))
+    ems[:, 0] = grid[fwd]
+    ems[:, 1] = grid[rev]
+    trans = np.stack([crf.trans, crf.trans.T])
+    # scores[:, 0] are the alphas and scores[:, 1] em + beta; reduced is
+    # each step's reduction before its emissions are added, so
+    # reduced[:, 1] are the betas
+    reduced, scores = np.empty((N, 2, L)), np.empty((N, 2, L))
+    reduceds, scoress, emss = map(steps.by_step, (reduced, scores, ems))
+    reduceds[rows[0]] = (crf.start, crf.stop)
+    np.add(reduceds[rows[0]], emss[rows[0]], out=scoress[rows[0]])
+    pairs = np.empty((B, 2, L, L))
+    for s in range(1, T):
+        r, step = rows[s], pairs[heads[s]]
+        np.add(scoress[prev_rows[s]][..., None], trans, out=step)
+        np.logaddexp.reduce(step, axis=2, out=reduceds[r])
+        np.add(reduceds[r], emss[r], out=scoress[r])
 
-
-def _single(em: np.ndarray, crf: CrfParams) -> _ForwardBackward:
-    """Forward-backward of one (T, L) post, as a batch of one."""
-    _check_emissions(em, crf)
-    return _forward_backward(em[:, None, :], crf, np.array([em.shape[0]]))
-
-
-def crf_log_partition(em: np.ndarray, crf: CrfParams) -> float:
-    """log sum over all label sequences of exp(path score)."""
-    return float(_single(em, crf).log_z[0])
-
-
-def crf_gold_score(em: np.ndarray, crf: CrfParams, labels: list[int]) -> float:
-    """Path score of one label sequence."""
-    _check_emissions(em, crf)
-    y = _label_array(labels, em.shape[0], crf.num_labels)
-    return _gold_score(em[:, None, :], crf, y[:, None], np.array([len(y)]))
-
-
-def crf_nll(em: np.ndarray, crf: CrfParams, labels: list[int]) -> float:
-    """Negative log-likelihood of the gold sequence: logZ - gold score >= 0."""
-    return crf_log_partition(em, crf) - crf_gold_score(em, crf, labels)
-
-
-def crf_marginals(em: np.ndarray, crf: CrfParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position label marginals and expected transition counts.
-
-    Marginals sum to 1 at every position; the L x L expected transition
-    counts sum to T - 1.
-    """
-    fb = _single(em, crf)
-    return fb.marginals[:, 0], fb.expected
+    mirror = np.empty(T * B, dtype=np.intp)
+    mirror[rev] = np.arange(N)
+    mirror = mirror[fwd]
+    alphas = scores[:, 0]
+    log_z = np.logaddexp.reduce(alphas[mirror[:B]] + crf.stop, axis=1)
+    log_z_rows = log_z[steps.coords[1], None]
+    marginals = alphas + reduced[mirror, 1]
+    marginals -= log_z_rows
+    np.exp(marginals, out=marginals)
+    # log-probability of label pair (i, j) at each row from step 1 on and
+    # its previous row
+    pair = alphas[steps.prev(), :, None] + crf.trans
+    pair += scores[mirror[B:], 1, None, :]
+    pair -= log_z_rows[B:, :, None]
+    expected = np.exp(pair, out=pair).sum(axis=0)
+    return ems[:, 0], marginals, mirror, log_z, expected
 
 
 def crf_nll_grad(
-    em: np.ndarray, crf: CrfParams, labels, lengths: np.ndarray
+    em: np.ndarray, crf: CrfParams, labels, lengths: np.ndarray, *, packed=None
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """NLL and its gradients wrt emissions, trans, start, and stop.
 
@@ -155,33 +110,48 @@ def crf_nll_grad(
     padding), one label list per post and the post lengths.  Returns the
     summed NLL, per-post emission gradients (zero on padding) and the
     summed trans, start and stop gradients.  Each gradient is the marginal
-    expectation minus the gold indicator.
+    expectation minus the gold indicator.  A caller that has built the
+    batch's layout passes it as ``packed``: the
+    :class:`batching.PackedSteps` and the forward and reversed slots.
     """
     if em.ndim != 3 or em.shape[2] != crf.num_labels:
         raise ValidationError(
             f"emissions must be T x B x {crf.num_labels}, got shape {em.shape}"
         )
-    lengths = check_lengths(lengths, em.shape[0], em.shape[1])
-    if len(labels) != len(lengths):
-        raise ValidationError(f"{len(labels)} label lists for {len(lengths)} posts")
     T, B, L = em.shape
-    valid = valid_mask(lengths, T)
-    y = np.zeros((T, B), dtype=np.int64)
-    for b, (labs, n) in enumerate(zip(labels, lengths)):
-        y[:n, b] = _label_array(labs, int(n), L)
+    if packed is None:
+        steps = PackedSteps(check_lengths(lengths, T, B))
+        packed = steps, steps.slots(False), steps.slots(True)
+    steps = packed[0]
+    if len(labels) != B:
+        raise ValidationError(f"{len(labels)} label lists for {B} posts")
+    for labs, n in zip(labels, steps.lengths.tolist()):
+        if len(labs) != n:
+            raise ValidationError(f"label count {len(labs)} != sequence length {n}")
+    y = np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=steps.N)
+    bad = (y < 0) | (y >= L)
+    if bad.any():
+        raise ValidationError(f"label {y[bad][0]} outside [0, {L})")
+    t, b = steps.coords
+    y = y[(np.cumsum(steps.lengths) - steps.lengths)[b] + t]  # post by post to row order
 
-    fb = _forward_backward(em, crf, lengths)
-    t_idx, b_idx = np.nonzero(valid)
-    d_em = fb.marginals
-    d_em[t_idx, b_idx, y[t_idx, b_idx]] -= 1.0
-    # gold transitions: pairs (t, t + 1) inside a post
-    pairs = (y[:-1] * L + y[1:])[valid[1:]]
-    d_trans = fb.expected - np.bincount(pairs, minlength=L * L).reshape(L, L)
+    em_rows, d_em, mirror, log_z, expected = _forward_backward(em, crf, *packed)
+    at_gold, y_prev, last = (np.arange(steps.N), y), y[steps.prev()], mirror[:B]
+    gold = float(
+        crf.start[y[:B]].sum()
+        + em_rows[at_gold].sum()
+        + crf.trans[y_prev, y[B:]].sum()
+        + crf.stop[y[last]].sum()
+    )
+    d_em[at_gold] -= 1.0
+    # gold transitions: each row from step 1 on and its previous row
+    d_trans = expected - np.bincount(y_prev * L + y[B:], minlength=L * L).reshape(L, L)
     # start and stop gradients are the first and last emission gradient rows
-    d_start = d_em[0].sum(axis=0)
-    d_stop = d_em[lengths - 1, np.arange(B)].sum(axis=0)
-    nll = float(fb.log_z.sum()) - _gold_score(em, crf, y, lengths)
-    return nll, d_em, d_trans, d_start, d_stop
+    d_start = d_em[:B].sum(axis=0)
+    d_stop = d_em[last].sum(axis=0)
+    d_grid = steps.grid(L)
+    d_grid[packed[1]] = d_em
+    return float(log_z.sum()) - gold, d_grid.reshape(T, B, L), d_trans, d_start, d_stop
 
 
 def viterbi_decode(em: np.ndarray, crf: CrfParams) -> list[int]:

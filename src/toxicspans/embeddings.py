@@ -1,10 +1,11 @@
-"""Pretrained word-vector loading and fixed-length post encoding.
+"""Pretrained word-vector loading and ragged post encoding.
 
 The vector file is the standard plain-text format: one word per line, the
 word and its components separated by single spaces.  Two reserved rows are
 appended after the vocabulary: UNK (the componentwise mean of all loaded
-vectors) and PAD (all zeros).  PAD positions are masked out everywhere
-downstream, so the zero vector is inert by construction.
+vectors) and PAD (all zeros).  A post encodes as the rows of its first
+``max_len`` tokens; PAD only fills the model's grid past each post's length,
+where nothing reads it, so the zero vector is inert by construction.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ class EmbeddingTable:
     unk_index: int
     pad_index: int
 
-    def row_index(self, word: str) -> int:
-        return self.vocab.get(word, self.unk_index)
-
     def fingerprint(self) -> str:
         """Digest of the dimensionality and the vocabulary in row order."""
         h = hashlib.sha256()
@@ -56,19 +54,24 @@ class EmbeddingTable:
 
 @dataclass
 class EncodedPost:
-    """A post as a fixed-length vector of embedding row indexes.
+    """A post as the embedding rows of its first ``min(true_len, max_len)``
+    tokens; ``true_len`` is the token count before truncation."""
 
-    ``true_len`` records the token count before truncation/padding, so
-    ``mask`` sums to ``min(true_len, max_len)``.
-    """
-
-    indices: np.ndarray  # (max_len,) int64, pad_index wherever mask == 0
-    mask: np.ndarray  # (max_len,) int8
+    indices: np.ndarray  # (effective_len,) int64
     true_len: int
+    max_len: int
 
     @property
     def effective_len(self) -> int:
-        return int(self.mask.sum())
+        return len(self.indices)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Read-only (max_len,) int8: 1 on the kept rows, 0 on padding."""
+        mask = np.zeros(self.max_len, dtype=np.int8)
+        mask[: len(self.indices)] = 1
+        mask.flags.writeable = False
+        return mask
 
 
 def load_embeddings(source: IO, expected_dim: int) -> EmbeddingTable:
@@ -128,20 +131,16 @@ def check_max_len(max_len: int) -> None:
 
 
 def encode_post(toks: TokenSeq, table: EmbeddingTable, max_len: int) -> EncodedPost:
-    """Map tokens to vocabulary rows, truncating/padding to ``max_len``."""
+    """Map the first ``max_len`` tokens to vocabulary rows (UNK if absent)."""
     check_max_len(max_len)
-    indices = np.full(max_len, table.pad_index, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=np.int8)
-    kept = min(len(toks), max_len)
-    for i in range(kept):
-        indices[i] = table.row_index(toks[i].lower)
-        mask[i] = 1
-    return EncodedPost(indices=indices, mask=mask, true_len=len(toks))
+    kept = toks[:max_len]
+    get, unk = table.vocab.get, table.unk_index
+    indices = np.fromiter((get(tok.lower, unk) for tok in kept), dtype=np.int64, count=len(kept))
+    return EncodedPost(indices=indices, true_len=len(toks), max_len=max_len)
 
 
 def mean_pooled(post: EncodedPost, table: EmbeddingTable) -> np.ndarray:
-    """Mean of the unpadded embedding rows (zero vector for empty posts)."""
-    eff = post.effective_len
-    if eff == 0:
+    """Mean of the post's embedding rows (zero vector for empty posts)."""
+    if not post.effective_len:
         return np.zeros(table.dim)
-    return table.matrix[post.indices[:eff]].mean(axis=0)
+    return table.matrix[post.indices].mean(axis=0)

@@ -31,6 +31,7 @@ class GateModel:
     threshold: float = 0.5
     weights: np.ndarray | None = None  # (dim + 1,), last entry is the bias
     scores: dict[int, float] | None = None
+    vocab_hash: str | None = None  # an internal gate's table.fingerprint(); None in old files
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
@@ -90,7 +91,8 @@ def train_gate(
         raise ValidationError("gate training data contains a single class only")
     features = np.stack([mean_pooled(post, table) for post, _ in data])
     weights, _ = _fit_logreg(features, targets, epochs)
-    return GateModel(kind=KIND_INTERNAL, threshold=threshold, weights=weights)
+    return GateModel(kind=KIND_INTERNAL, threshold=threshold, weights=weights,
+                     vocab_hash=table.fingerprint())
 
 
 def gate_score(
@@ -154,6 +156,7 @@ def save_gate(model: GateModel, path: str | Path) -> None:
         "kind": model.kind,
         "threshold": model.threshold,
         "weights": [float(w) for w in model.weights],
+        "vocab_hash": model.vocab_hash,
     }
     atomic_write_text(path, json.dumps(payload, sort_keys=True))
 
@@ -177,7 +180,11 @@ def load_gate(path: str | Path) -> GateModel:
         weights = np.array([_number(w) for w in payload["weights"]], dtype=np.float64)
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite (json reads NaN and Infinity)")
-        return GateModel(kind=payload["kind"], threshold=_number(payload["threshold"]), weights=weights)
+        vocab_hash = payload.get("vocab_hash")
+        if not isinstance(vocab_hash, (str, type(None))):
+            raise TypeError(f"vocab_hash must be a string, got {vocab_hash!r}")
+        return GateModel(kind=payload["kind"], threshold=_number(payload["threshold"]), weights=weights,
+                         vocab_hash=vocab_hash)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"bad gate model file {path}: {exc}") from None
 

@@ -90,11 +90,6 @@ class LstmParams:
     W_rec: np.ndarray  # (K, 4H, H)
     b: np.ndarray  # (K, 4H)
 
-    @classmethod
-    def stack(cls, directions: Sequence[LstmDirectionParams]) -> "LstmParams":
-        """A new block holding copies of the given directions' weights."""
-        return cls(*(np.stack([getattr(d, name) for d in directions]) for name in ("W_in", "W_rec", "b")))
-
     def direction(self, k: int) -> LstmDirectionParams:
         """Direction ``k``'s weights as views into the block."""
         return LstmDirectionParams(self.W_in[k], self.W_rec[k], self.b[k])

@@ -4,29 +4,27 @@ projection to per-label emission scores, and the CRF on top.
 Training runs a whole minibatch, and inference a chunk of up to
 :data:`INFER_BATCH` posts (one post is a chunk of one), as one pass in the
 time-major, length-sorted layout of :mod:`batching`: a (T, B) grid of
-embedding rows, T the batch's longest post, padding the PAD row (zeros),
-where each step's recurrence runs only the posts still active, so no padded
-slot is computed and no mask enters the arithmetic.  Viterbi then decodes
-each post's own prefix.  The backward pass is fully manual (projection,
-then both LSTM directions) and returns gradients summed over the batch.
-Only when fine-tuning is enabled does it ask the LSTM for the input
-gradient and accumulate embedding-row gradients from it; padded slots add
-exact zeros.
+embedding rows, T the batch's longest post, PAD past each post's length.
+The LSTM packs the grid's N real slots once per pass, and the CRF runs on
+the same packed layout, so no padded slot is computed.  Viterbi then
+decodes each post's own prefix.  The backward pass is fully manual
+(projection, then both LSTM directions) and returns gradients summed over
+the batch; only when fine-tuning does it ask the LSTM for the input
+gradient and accumulate embedding-row gradients from it.
 
 Both LSTM directions live in one stacked :class:`lstm.LstmParams` block
 (K = 2: forward, then backward) and run in lockstep, one
-:func:`lstm.lstm_forward` and one :func:`lstm.lstm_backward` call per pass,
-over the packed, interleaved (N, K, ·) layout described in :mod:`lstm`,
-which the kernels keep inside: they take and return (T, B, ·) arrays.  The
-forward call's (T, B, 2H) output is already the concatenation of the two
-directions' hidden states that the projection reads.  ``params.fwd`` and
-``params.bwd`` are views into the block, so the per-direction tensor names,
-in-place optimizer updates and the checkpoint layout are those of two
-separate directions.
+:func:`lstm.lstm_forward` and one :func:`lstm.lstm_backward` call per pass;
+the forward call's (T, B, 2H) output is the concatenation of the two
+directions' hidden states that the projection reads.  Every tensor is a
+view into one parameter vector, and ``params.fwd`` and ``params.bwd`` are
+views into the stacked block, so the per-direction tensor names and the
+checkpoint layout are those of two separate directions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -57,6 +55,12 @@ TENSOR_NAMES = (
 EMBEDDING_TENSOR = "embedding.matrix"
 # Whether each stacked LSTM direction reads the posts back to front.
 DIRECTIONS = (("fwd", False), ("bwd", True))
+# The tensors in their order in ModelParams.vector: each stacked LSTM block
+# (both W_in, both W_rec, both b) is contiguous; emission and CRF follow.
+VECTOR_NAMES = (
+    *(f"{prefix}.{name}" for name in ("W_in", "W_rec", "b") for prefix, _ in DIRECTIONS),
+    *TENSOR_NAMES[3 * len(DIRECTIONS) :],
+)
 
 
 @dataclass
@@ -69,12 +73,14 @@ class EmissionParams:
 
 @dataclass
 class ModelParams:
-    """All tagger parameters plus a reference to the embedding table."""
+    """All tagger parameters plus a reference to the embedding table; the
+    tensors are views into ``vector``, laid out as :data:`VECTOR_NAMES`."""
 
     lstm: LstmParams  # the directions of DIRECTIONS, stacked in that order
     emit: EmissionParams
     crf: CrfParams
     embedding: EmbeddingTable
+    vector: np.ndarray
 
     @property
     def fwd(self) -> LstmDirectionParams:
@@ -98,7 +104,7 @@ class ModelParams:
         table = self.embedding
         if copy_embedding:
             table = table.with_matrix(table.matrix.copy())
-        return params_from_arrays({name: a.copy() for name, a in self.named_arrays()}, table)
+        return params_from_arrays(dict(self.named_arrays()), table)
 
 
 @dataclass
@@ -123,17 +129,17 @@ def tensor_shapes(input_dim: int, hidden_size: int) -> dict[str, tuple[int, ...]
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray], table: EmbeddingTable) -> ModelParams:
-    """Assemble parameters from tensors keyed by :data:`TENSOR_NAMES`; the
-    LSTM directions are copied into one stacked block."""
-    lstm = LstmParams.stack([
-        LstmDirectionParams(*(arrays[f"{prefix}.{name}"] for name in ("W_in", "W_rec", "b")))
-        for prefix, _ in DIRECTIONS
-    ])
+    """Assemble parameters from tensors keyed by :data:`TENSOR_NAMES`,
+    copied into one new parameter vector that they are views into."""
+    vector = np.concatenate([np.ravel(arrays[name]) for name in VECTOR_NAMES], dtype=np.float64)
+    K = len(DIRECTIONS)
+    # the stacked LSTM blocks, each starting at its first direction's tensor
+    blocks = [(K, *arrays[f"fwd.{name}"].shape) for name in ("W_in", "W_rec", "b")]
+    blocks += [arrays[name].shape for name in VECTOR_NAMES[3 * K :]]
+    ends = np.cumsum([math.prod(shape) for shape in blocks])
+    views = [a.reshape(shape) for a, shape in zip(np.split(vector, ends[:-1]), blocks)]
     return ModelParams(
-        lstm=lstm,
-        emit=EmissionParams(arrays["emit.W_out"], arrays["emit.b_out"]),
-        crf=CrfParams(arrays["crf.trans"], arrays["crf.start"], arrays["crf.stop"]),
-        embedding=table,
+        LstmParams(*views[:3]), EmissionParams(*views[3:5]), CrfParams(*views[5:]), table, vector
     )
 
 
@@ -165,12 +171,12 @@ def _emissions(
     return emissions, BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden)
 
 
-def _index_grid(posts: Sequence[EncodedPost], lengths: Sequence[int], pad_index: int) -> np.ndarray:
+def _index_grid(posts: Sequence[EncodedPost], pad_index: int) -> np.ndarray:
     """The (T, B) embedding rows of length-sorted posts, PAD past each
-    post's unpadded ``lengths[b]`` rows."""
-    indices = np.full((lengths[0], len(posts)), pad_index)
-    for b, (post, n) in enumerate(zip(posts, lengths)):
-        indices[:n, b] = post.indices[:n]
+    post's own rows."""
+    indices = np.full((posts[0].effective_len, len(posts)), pad_index)
+    for b, post in enumerate(posts):
+        indices[: post.effective_len, b] = post.indices
     return indices
 
 
@@ -233,26 +239,18 @@ def nll_and_gradients(
     lengths = np.array([lens[k] for k in order])
     if lengths[-1] < 1:
         raise ValidationError("encoded post has no unpadded positions")
-    indices = _index_grid([posts[k] for k in order], lengths, params.embedding.pad_index)
+    indices = _index_grid([posts[k] for k in order], params.embedding.pad_index)
     emissions, cache = _emissions(indices, params, lengths)
+    lstm_cache = cache.lstm_cache
     nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(
-        emissions, params.crf, [labels[k] for k in order], lengths
+        emissions, params.crf, [labels[k] for k in order], lengths,
+        packed=(lstm_cache.steps, *lstm_cache.slots),
     )
     grads = backward(params, cache, d_em, finetune_embeddings)
     grads["crf.trans"] = d_trans
     grads["crf.start"] = d_start
     grads["crf.stop"] = d_stop
     return nll, grads
-
-
-def _decode_chunk(
-    params: ModelParams, chunk: Sequence[EncodedPost], lengths: list[int]
-) -> list[list[int]]:
-    """Viterbi labels of each post of a length-sorted chunk, from one
-    emission pass."""
-    grid = _index_grid(chunk, lengths, params.embedding.pad_index)
-    emissions, _ = _emissions(grid, params, np.array(lengths))
-    return [viterbi_decode(emissions[:n, b], params.crf) for b, n in enumerate(lengths)]
 
 
 def predict_spans(
@@ -264,7 +262,8 @@ def predict_spans(
     """Decoded spans of tokenized posts from their encodings ``posts``.
 
     The posts run longest first (a stable sort) in passes of
-    :data:`INFER_BATCH`.  Tokens truncated beyond an encoding's ``max_len``
+    :data:`INFER_BATCH`, each one emission pass and a Viterbi decode per
+    post.  Tokens truncated beyond an encoding's ``max_len``
     are predicted non-toxic; a post with no tokens yields the empty span set.
     """
     if len(toks) != len(posts):
@@ -274,8 +273,10 @@ def predict_spans(
     spans = [CharSpanSet() for _ in posts]
     for lo in range(0, len(order), INFER_BATCH):
         picked = order[lo : lo + INFER_BATCH]
-        paths = _decode_chunk(params, [posts[k] for k in picked], [lens[k] for k in picked])
-        for k, labels in zip(picked, paths):
+        grid = _index_grid([posts[k] for k in picked], params.embedding.pad_index)
+        emissions, _ = _emissions(grid, params, np.array([lens[k] for k in picked]))
+        for b, k in enumerate(picked):
+            labels = viterbi_decode(emissions[: lens[k], b], params.crf)
             spans[k] = labels_to_spans(toks[k], labels + [0] * (len(toks[k]) - lens[k]), policy)
     return spans
 

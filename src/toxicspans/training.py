@@ -5,7 +5,8 @@ loss is the batch-mean CRF negative log-likelihood, and each batch runs as
 one length-sorted pass (ties in ascending example order) whose gradient
 reductions have a fixed order, so runs with the same seed are bit-for-bit
 reproducible.  Early stopping watches the dev-split character-level F1 and
-the best-dev parameters are returned.
+the best-dev parameters are returned.  A step copies its gradients into one
+vector laid out like the parameters, scales and clips it, and Adam takes it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .dataio import CharSpanSet, LabeledPost
 from .embeddings import EmbeddingTable, EncodedPost, check_max_len, encode_post
 from .errors import NonFiniteError, TrainingDivergedError, ValidationError
 from .metric import per_post_scores
-from .model import ModelParams, init_params, nll_and_gradients, predict_spans
+from .model import EMBEDDING_TENSOR, VECTOR_NAMES, ModelParams, init_params
+from .model import nll_and_gradients, predict_spans
 from .span_codec import BridgePolicy, spans_to_labels
 from .tokenizer import TokenSeq, tokenize
 
@@ -268,8 +270,14 @@ def train(
     if not trainable:
         raise ValidationError("no training example has at least one token")
 
-    param_arrays = dict(params.named_arrays(include_embedding=cfg.finetune_embeddings))
+    # Adam's arrays: the parameter vector, and the embedding matrix if tuned
+    param_arrays = {"vector": params.vector}
+    if cfg.finetune_embeddings:
+        param_arrays[EMBEDDING_TENSOR] = params.embedding.matrix
     state = AdamState.for_arrays(param_arrays, cfg.learning_rate)
+    gradient = params.clone()
+    grad_views = dict(gradient.named_arrays())
+    adam_grads = {"vector": gradient.vector}
 
     history: list[EpochStats] = []
     best_f1 = -np.inf
@@ -297,13 +305,20 @@ def train(
             if not np.isfinite(batch_nll):
                 raise TrainingDivergedError(f"non-finite loss {where}")
             scale = 1.0 / len(batch)
-            for arr in grads.values():
-                arr *= scale
-            # checked before the update, so the parameters stay finite
-            norm = clip_gradients(grads, cfg.gradient_clip_norm)
+            np.concatenate([grads[name].ravel() for name in VECTOR_NAMES], out=gradient.vector)
+            gradient.vector *= scale
+            if cfg.finetune_embeddings:
+                adam_grads[EMBEDDING_TENSOR] = grads[EMBEDDING_TENSOR]
+                adam_grads[EMBEDDING_TENSOR] *= scale
+            # checked before the update, so the parameters stay finite; the
+            # views go in the order of grads, which orders the norm's sum
+            norm = clip_gradients(
+                {name: grad_views.get(name, arr) for name, arr in grads.items()},
+                cfg.gradient_clip_norm,
+            )
             if not math.isfinite(norm):
                 raise TrainingDivergedError(f"non-finite gradient norm {where}")
-            adam_step(param_arrays, grads, state)
+            adam_step(param_arrays, adam_grads, state)
             nll_total += batch_nll
             norms.append(norm)
             tokens += sum(ex.encoded.effective_len for ex in batch)

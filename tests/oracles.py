@@ -9,7 +9,13 @@ CRF forward-backward that the library's fused kernels must reproduce: one
 matrix-vector product and one outer product per time step, one transition
 table per position.  The numpy Viterbi decoder and the Adam step written as
 one expression per moment are the references of the library's scalar
-decoder and in-place update, which must match them exactly.
+decoder and in-place update, which must match them exactly.  The padded
+CRF kernel and the training loop over the tensors are the references of
+the packed CRF kernel and of training on one parameter vector, which must
+return their bits.  The single-post CRF quantities (log-partition, gold
+score, NLL, marginals) run one post as a batch of one through the
+library's kernels, for the tests that check them against the brute-force
+oracles.
 
 The span-set functions at the very end are the regex span-literal parser and
 the per-index set loops that the library's builtin-pass parser, span set and
@@ -24,10 +30,14 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from itertools import pairwise
 
 import numpy as np
 
+from toxicspans.batching import PackedSteps, check_lengths, step_counts
+from toxicspans.crf import CrfParams, _check_emissions, crf_nll_grad
+from toxicspans.crf import _forward_backward as _packed_forward_backward
 from toxicspans.errors import DataFormatError, ValidationError
 from toxicspans.tokenizer import Token, TokenSeq
 
@@ -209,6 +219,159 @@ def loop_crf_nll_grad(em, trans, start, stop, labels):
     return nll, d_em, d_trans, d_start, d_stop
 
 
+# The padded CRF: forward-backward over the whole (T, B) grid, padding
+# carried as -inf alphas and betas.  Kept as it was before the CRF moved to
+# packed rows; the packed kernel must return exactly its bits.
+
+
+def valid_mask(lengths: np.ndarray, T: int) -> np.ndarray:
+    """(T, B) booleans: True where step ``t`` lies inside post ``b``."""
+    return np.arange(T)[:, None] < lengths[None, :]
+
+
+def _label_array(labels, length: int, num_labels: int) -> np.ndarray:
+    if len(labels) != length:
+        raise ValidationError(f"label count {len(labels)} != sequence length {length}")
+    y = np.asarray(labels, dtype=np.int64)
+    bad = (y < 0) | (y >= num_labels)
+    if bad.any():
+        raise ValidationError(f"label {y[bad][0]} outside [0, {num_labels})")
+    return y
+
+
+def _gold_score(em: np.ndarray, crf: CrfParams, y: np.ndarray, lengths: np.ndarray) -> float:
+    """Summed path score of the (T, B) label grid ``y`` of a sorted batch."""
+    valid = valid_mask(lengths, len(y))
+    return float(
+        crf.start[y[0]].sum()
+        + np.take_along_axis(em, y[:, :, None], axis=2)[valid].sum()
+        + crf.trans[y[:-1], y[1:]][valid[1:]].sum()
+        + crf.stop[y[lengths - 1, np.arange(len(lengths))]].sum()
+    )
+
+
+@dataclass
+class _ForwardBackward:
+    """Forward-backward quantities of a sorted (T, B, L) batch."""
+
+    alphas: np.ndarray  # (T, B, L) log-scores of all prefixes ending in each label
+    betas: np.ndarray  # (T, B, L) log-scores of all suffixes after each label
+    log_z: np.ndarray  # (B,)
+    marginals: np.ndarray  # (T, B, L), zero on padding
+    expected: np.ndarray  # (L, L) expected transition counts, summed over the batch
+
+
+def _forward_backward(em: np.ndarray, crf: CrfParams, lengths: np.ndarray) -> _ForwardBackward:
+    """The one forward-backward pass every CRF quantity is read from.
+
+    ``em`` is a sorted batch with finite padding.  The recursions touch only
+    the rows of each step's active posts; every padded alpha and beta stays
+    -inf, so padding adds exp(-inf) = 0 to the marginals and transitions.
+    """
+    T, B, _ = em.shape
+    rows = [slice(0, n) for n in step_counts(lengths)]  # each step's running posts
+    last, cols = lengths - 1, np.arange(B)
+    alphas = np.full_like(em, -np.inf)
+    alphas[0] = crf.start + em[0]
+    for t in range(1, T):
+        r = rows[t]
+        alphas[t, r] = np.logaddexp.reduce(alphas[t - 1, r, :, None] + crf.trans, axis=1)
+        alphas[t, r] += em[t, r]
+    betas = np.full_like(em, -np.inf)
+    betas[last, cols] = crf.stop
+    for t in range(T - 2, -1, -1):
+        r = rows[t + 1]
+        betas[t, r] = np.logaddexp.reduce(
+            crf.trans + (em[t + 1, r] + betas[t + 1, r])[:, None, :], axis=2
+        )
+    log_z = np.logaddexp.reduce(alphas[last, cols] + crf.stop, axis=1)
+    marginals = np.exp(alphas + betas - log_z[:, None])
+    # log-probability of label pair (i, j) at positions (t, t + 1), all t at once
+    pair = alphas[:-1, :, :, None] + crf.trans + (em[1:] + betas[1:])[:, :, None, :]
+    pair -= log_z[:, None, None]
+    expected = np.exp(pair).sum(axis=(0, 1))
+    return _ForwardBackward(alphas, betas, log_z, marginals, expected)
+
+
+def padded_crf_nll_grad(
+    em: np.ndarray, crf: CrfParams, labels, lengths: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """NLL and its gradients wrt emissions, trans, start, and stop.
+
+    Takes a sorted batch: (T, B, L) emissions (any finite values as
+    padding), one label list per post and the post lengths.  Returns the
+    summed NLL, per-post emission gradients (zero on padding) and the
+    summed trans, start and stop gradients.  Each gradient is the marginal
+    expectation minus the gold indicator.
+    """
+    if em.ndim != 3 or em.shape[2] != crf.num_labels:
+        raise ValidationError(
+            f"emissions must be T x B x {crf.num_labels}, got shape {em.shape}"
+        )
+    lengths = check_lengths(lengths, em.shape[0], em.shape[1])
+    if len(labels) != len(lengths):
+        raise ValidationError(f"{len(labels)} label lists for {len(lengths)} posts")
+    T, B, L = em.shape
+    valid = valid_mask(lengths, T)
+    y = np.zeros((T, B), dtype=np.int64)
+    for b, (labs, n) in enumerate(zip(labels, lengths)):
+        y[:n, b] = _label_array(labs, int(n), L)
+
+    fb = _forward_backward(em, crf, lengths)
+    t_idx, b_idx = np.nonzero(valid)
+    d_em = fb.marginals
+    d_em[t_idx, b_idx, y[t_idx, b_idx]] -= 1.0
+    # gold transitions: pairs (t, t + 1) inside a post
+    pairs = (y[:-1] * L + y[1:])[valid[1:]]
+    d_trans = fb.expected - np.bincount(pairs, minlength=L * L).reshape(L, L)
+    # start and stop gradients are the first and last emission gradient rows
+    d_start = d_em[0].sum(axis=0)
+    d_stop = d_em[lengths - 1, np.arange(B)].sum(axis=0)
+    nll = float(fb.log_z.sum()) - _gold_score(em, crf, y, lengths)
+    return nll, d_em, d_trans, d_start, d_stop
+
+
+# The single-post CRF quantities, each a batch of one through the
+# library's packed kernels.
+
+
+def _single(em, crf):
+    """Forward-backward of one (T, L) post, as a batch of one: its marginals,
+    log-partition and expected transition counts."""
+    _check_emissions(em, crf)
+    steps = PackedSteps(np.array([em.shape[0]]))
+    _, marginals, _, log_z, expected = _packed_forward_backward(
+        em[:, None, :], crf, steps, steps.slots(False), steps.slots(True)
+    )
+    return marginals, float(log_z[0]), expected
+
+
+def crf_log_partition(em, crf) -> float:
+    """log sum over all label sequences of exp(path score)."""
+    return _single(em, crf)[1]
+
+
+def crf_nll(em, crf, labels) -> float:
+    """Negative log-likelihood of the gold sequence: logZ - gold score >= 0."""
+    _check_emissions(em, crf)
+    return crf_nll_grad(em[:, None, :], crf, [labels], np.array([em.shape[0]]))[0]
+
+
+def crf_gold_score(em, crf, labels) -> float:
+    """Path score of one label sequence: logZ - NLL."""
+    return crf_log_partition(em, crf) - crf_nll(em, crf, labels)
+
+
+def crf_marginals(em, crf):
+    """Per-position label marginals and expected transition counts.
+
+    Marginals sum to 1 at every position; the L x L expected transition
+    counts sum to T - 1.
+    """
+    marginals, _, expected = _single(em, crf)
+    return marginals, expected
+
+
 def numpy_viterbi_decode(em, trans, start, stop):
     """Max-plus Viterbi with one numpy step per position; np.argmax returns
     the first maximum, the lower-index tie-break."""
@@ -243,6 +406,66 @@ def expression_adam_step(params, grads, state):
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
         param -= state.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + state.epsilon)
+
+
+def reference_train(examples, cfg, table, policy):
+    """``training.train`` as a loop over the tensors: each step scales every
+    gradient tensor on its own, clips them with ``clip_gradients`` and
+    updates every parameter tensor with :func:`expression_adam_step`.  The
+    seeded draws, batches, early stopping and history are ``train``'s."""
+    from toxicspans.model import init_params, nll_and_gradients
+    from toxicspans.training import AdamState, EpochStats, clip_gradients, dev_char_f1
+
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(table, cfg.hidden_size, rng)
+    if cfg.finetune_embeddings:
+        params.embedding = table.with_matrix(table.matrix.copy())
+    n = len(examples)
+    order = rng.permutation(n)
+    dev_count = min(max(1, int(round(n * cfg.dev_fraction))), n - 1)
+    dev = [examples[i] for i in sorted(int(i) for i in order[:dev_count])]
+    train_idx = sorted(int(i) for i in order[dev_count:])
+    trainable = [i for i in train_idx if examples[i].encoded.effective_len > 0]
+    param_arrays = dict(params.named_arrays(include_embedding=cfg.finetune_embeddings))
+    state = AdamState.for_arrays(param_arrays, cfg.learning_rate)
+    history, best_f1, waited = [], -np.inf, 0
+    best = params.clone(copy_embedding=cfg.finetune_embeddings)
+    for epoch in range(1, cfg.epochs + 1):
+        shuffled = rng.permutation(len(trainable))
+        nll_total, norms, tokens = 0.0, [], 0
+        for lo in range(0, len(shuffled), cfg.batch_size):
+            batch = [examples[i] for i in sorted(trainable[k] for k in shuffled[lo : lo + cfg.batch_size])]
+            batch_nll, grads = nll_and_gradients(
+                [ex.encoded for ex in batch],
+                [ex.labels[: ex.encoded.effective_len] for ex in batch],
+                params,
+                cfg.finetune_embeddings,
+            )
+            for arr in grads.values():
+                arr *= 1.0 / len(batch)
+            norms.append(clip_gradients(grads, cfg.gradient_clip_norm))
+            expression_adam_step(param_arrays, grads, state)
+            nll_total += batch_nll
+            tokens += sum(ex.encoded.effective_len for ex in batch)
+        stats = EpochStats(
+            epoch=epoch,
+            train_nll=nll_total / len(trainable),
+            dev_f1=dev_char_f1(dev, params, policy),
+            grad_norm_mean=math.fsum(norms) / len(norms),
+            grad_norm_max=max(norms),
+            steps=len(norms),
+            clipped_steps=sum(norm > cfg.gradient_clip_norm for norm in norms),
+            tokens=tokens,
+        )
+        history.append(stats)
+        if stats.dev_f1 > best_f1:
+            best_f1, waited = stats.dev_f1, 0
+            best = params.clone(copy_embedding=cfg.finetune_embeddings)
+        else:
+            waited += 1
+            if waited >= cfg.early_stop_patience:
+                break
+    return best, history
 
 
 _SPAN_LITERAL_RE = re.compile(r"\A\s*\[\s*(?:-?\d+(?:\s*,\s*-?\d+)*\s*)?\]\s*\Z")

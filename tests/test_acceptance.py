@@ -18,19 +18,16 @@ from oracles import (
     brute_best_path,
     brute_log_partition,
     brute_marginals,
+    crf_log_partition,
+    crf_marginals,
+    crf_nll,
     finite_difference,
     max_relative_error,
     path_score,
 )
 from conftest import batch_of_one, make_table
 from toxicspans.cli import main
-from toxicspans.crf import (
-    CrfParams,
-    crf_log_partition,
-    crf_marginals,
-    crf_nll,
-    viterbi_decode,
-)
+from toxicspans.crf import CrfParams, viterbi_decode
 from toxicspans.dataio import CharSpanSet, read_predictions
 from toxicspans.embeddings import encode_post
 from toxicspans.gate import apply_gate

@@ -15,6 +15,7 @@ import toxicspans
 from toxicspans.checkpoint import MAGIC
 from toxicspans.cli import DEFAULTS, main
 from toxicspans.dataio import read_predictions
+from toxicspans.embeddings import load_embeddings
 from toxicspans.synthetic import generate_posts, write_corpus_csv, write_embedding_file
 
 DIM = 16
@@ -268,6 +269,24 @@ class TestTrain:
         assert "numpy floating-point warnings, the first: overflow encountered in" in lines[0]
         assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr
 
+    def test_out_of_memory_is_one_error_line(self, workspace, tmp_path, capsys):
+        # 4e15 x 16 float64 weights exceed the address space, so the first
+        # allocation fails before any memory is touched
+        code = main(
+            [
+                "train",
+                "--data", str(workspace / "train.csv"),
+                "--embeddings", str(workspace / "vectors.txt"),
+                "--embedding-dim", str(DIM),
+                "--hidden", "1000000000000000",
+                "--out", str(tmp_path / "x.ckpt"),
+            ]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate")
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_non_utf8_config_file_exits_2(self, workspace, tmp_path, capsys):
         config = tmp_path / "run.conf"
         config.write_bytes(b"epochs = 2\xff\n")
@@ -401,6 +420,38 @@ class TestPredict:
         assert code == 2
         err = capsys.readouterr().err
         assert "bogus" in err and "Traceback" not in err
+
+    def test_gate_from_another_table_exits_2(self, workspace, tmp_path, capsys):
+        # the same words plus one: the same dimension, another vocabulary
+        other = tmp_path / "other_vectors.txt"
+        other.write_bytes((workspace / "vectors.txt").read_bytes() + b"zzextra" + b" 0.5" * DIM + b"\n")
+        gate_path = tmp_path / "other_gate.json"
+        assert main(["gate-train", "--data", str(workspace / "train.csv"), "--embeddings", str(other),
+                     "--embedding-dim", str(DIM), "--out", str(gate_path)]) == 0
+        capsys.readouterr()
+        code = run_predict(workspace, "x.tsv", "--gate", "internal", "--gate-model", str(gate_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        hashes = []
+        for path in (other, workspace / "vectors.txt"):
+            with open(path, "rb") as f:
+                hashes.append(load_embeddings(f, expected_dim=DIM).fingerprint())
+        assert hashes[0] != hashes[1]
+        assert err.startswith("error: ") and all(h in err for h in hashes)
+        assert json.loads(gate_path.read_text())["vocab_hash"] == hashes[0]
+
+    def test_gate_without_table_keys_warns_once_and_predicts(self, workspace, gate_07, tmp_path, capsys):
+        payload = json.loads(gate_07.read_text())
+        assert payload.pop("vocab_hash")
+        legacy = tmp_path / "legacy_gate.json"
+        legacy.write_text(json.dumps(payload))
+        internal = ("--gate", "internal", "--gate-model")
+        assert run_predict(workspace, tmp_path / "recorded.tsv", *internal, str(gate_07)) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert run_predict(workspace, tmp_path / "legacy.tsv", *internal, str(legacy)) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "legacy_gate.json" in warnings[0]
+        assert (tmp_path / "legacy.tsv").read_bytes() == (tmp_path / "recorded.tsv").read_bytes()
 
     def test_gate_of_wrong_size_exits_2(self, workspace, tmp_path, capsys):
         gate_path = tmp_path / "small_gate.json"
@@ -682,6 +733,8 @@ GATE_PAYLOADS = st.fixed_dictionaries({
     "kind": st.sampled_from(["internal-logreg", "external-scores"]) | st.text(max_size=4),
     "threshold": st.floats() | json_values,
     "weights": st.lists(st.floats(), min_size=DIM + 1, max_size=DIM + 1) | json_values,
+}, optional={
+    "vocab_hash": st.text(alphabet="0123456789abcdef", max_size=64) | json_values,
 })
 
 EMBEDDING_LINES = st.builds(

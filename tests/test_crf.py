@@ -8,15 +8,15 @@ from oracles import (
     brute_best_path,
     brute_log_partition,
     brute_marginals,
+    crf_gold_score,
+    crf_log_partition,
+    crf_marginals,
+    crf_nll,
     finite_difference,
     path_score,
 )
 from toxicspans.crf import (
     CrfParams,
-    crf_gold_score,
-    crf_log_partition,
-    crf_marginals,
-    crf_nll,
     crf_nll_grad,
     viterbi_decode,
 )

@@ -77,9 +77,9 @@ class TestEncodePost:
         table = make_table(["the", "cat", "sat", "on", "mat"])
         toks = tokenize("the cat sat on mat")
         post = encode_post(toks, table, max_len=128)
-        assert post.indices.shape == (128,)
-        assert list(post.indices[:5]) == [0, 1, 2, 3, 4]
-        assert np.all(post.indices[5:] == table.pad_index)
+        assert post.indices.shape == (5,)
+        assert list(post.indices) == [0, 1, 2, 3, 4]
+        assert post.mask.shape == (128,) and not post.mask[5:].any()
         assert post.mask.sum() == 5
         assert post.true_len == 5
 
@@ -120,7 +120,7 @@ class TestEncodePost:
         toks = tokenize(" ".join(["w"] * n_tokens))
         post = encode_post(toks, table, max_len=max_len)
         assert post.mask.sum() == min(n_tokens, max_len)
-        assert np.all(post.indices[post.mask == 0] == table.pad_index)
+        assert np.all(post.mask[: len(post.indices)] == 1) and not post.mask.flags.writeable
 
     def test_deterministic(self):
         table = make_table(["a", "b"])

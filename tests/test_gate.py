@@ -162,6 +162,22 @@ class TestGatePersistence:
         assert loaded.threshold == 0.4
         np.testing.assert_array_equal(loaded.weights, model.weights)
 
+    def test_trained_gate_round_trips_its_table(self, tmp_path):
+        table = make_table(["bad", "nice"], dim=4, seed=3)
+        model = train_gate(separable_data(table), table)
+        assert model.vocab_hash == table.fingerprint()
+        path = tmp_path / "gate.json"
+        save_gate(model, path)
+        loaded = load_gate(path)
+        assert loaded.vocab_hash == table.fingerprint()
+        np.testing.assert_array_equal(loaded.weights, model.weights)
+
+    def test_numeric_vocab_hash_rejected(self, tmp_path):
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps({"kind": KIND_INTERNAL, "threshold": 0.5, "weights": [0.0] * 5, "vocab_hash": 7}))
+        with pytest.raises(DataFormatError, match="bad gate model file"):
+            load_gate(path)
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "gate.json"
         path.write_text("{not json")
@@ -172,7 +188,8 @@ class TestGatePersistence:
     @given(
         payload=json_values
         | st.fixed_dictionaries(
-            {"kind": st.just(KIND_INTERNAL) | json_values, "threshold": json_values, "weights": json_values}
+            {"kind": st.just(KIND_INTERNAL) | json_values, "threshold": json_values, "weights": json_values},
+            optional={"vocab_hash": st.text() | json_values},
         )
     )
     def test_arbitrary_json_raises_only_package_errors(self, tmp_path_factory, payload):

@@ -3,7 +3,9 @@
 Viterbi decoder must return exactly the numpy reference's path.
 
 The tolerance was fixed before the fused kernels were written: float64
-arithmetic reordered over at most a few hundred terms.  The hot cases scale
+arithmetic reordered over at most a few hundred terms.  The packed CRF
+kernel must also return exactly the bits of the padded (T, B) kernel it
+replaced, kept in ``oracles``, on every batch of up to 384 slots.  The hot cases scale
 the inputs by 50 (and the emissions by 50 for the CRF), so LSTM gates
 saturate and the sigmoid's exp overflows.
 """
@@ -12,7 +14,13 @@ import numpy as np
 import pytest
 
 from conftest import batch_of_one, one_direction
-from oracles import loop_crf_nll_grad, loop_lstm_backward, loop_lstm_forward, numpy_viterbi_decode
+from oracles import (
+    loop_crf_nll_grad,
+    loop_lstm_backward,
+    loop_lstm_forward,
+    numpy_viterbi_decode,
+    padded_crf_nll_grad,
+)
 from toxicspans.crf import CrfParams, crf_nll_grad, viterbi_decode
 from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
 
@@ -105,3 +113,34 @@ def test_viterbi_matches_numpy_reference(T, L, scale, zero_crf):
         if zero_crf:
             em = np.round(em / scale)  # integer scores: ties at most positions
         assert viterbi_decode(em, crf) == numpy_viterbi_decode(em, crf.trans, crf.start, crf.stop)
+
+
+def sorted_batch_lengths(rng, B, T):
+    """B lengths in [1, T], longest first and the first equal to T; ties and
+    T = 1 posts are likely."""
+    lengths = np.sort(rng.integers(1, T + 1, size=B))[::-1]
+    lengths[0] = T
+    return lengths
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize(
+    "B, T", [(1, 1), (1, 7), (3, 1), (2, 5), (4, 4), (16, 12), (16, 24), (24, 16), (32, 12), (48, 8)]
+)
+def test_crf_nll_grad_is_bitwise_the_padded_kernel(B, T, L, scale):
+    assert T * B <= 384
+    rng = np.random.default_rng(10_000 * B + 100 * T + 10 * L + int(scale))
+    crf = CrfParams(
+        trans=rng.uniform(-2.0, 2.0, size=(L, L)),
+        start=rng.uniform(-2.0, 2.0, size=L),
+        stop=rng.uniform(-2.0, 2.0, size=L),
+    )
+    for trial in range(5):
+        lengths = sorted_batch_lengths(rng, B, T) if trial else np.full(B, T)
+        em = rng.uniform(-3.0, 3.0, size=(T, B, L)) * scale  # finite noise as padding
+        labels = [[int(y) for y in rng.integers(L, size=n)] for n in lengths]
+        got = crf_nll_grad(em, crf, labels, lengths)
+        want = padded_crf_nll_grad(em, crf, labels, lengths)
+        for actual, desired in zip(got, want):
+            assert np.array_equal(actual, desired)

@@ -15,6 +15,11 @@ def random_params(rng, hidden, dim, scale=0.4):
     )
 
 
+def stacked(directions):
+    """A new block holding copies of the given directions' weights."""
+    return LstmParams(*(np.stack([getattr(d, name) for d in directions]) for name in ("W_in", "W_rec", "b")))
+
+
 class TestForward:
     def test_zero_params_single_step_gives_zeros(self):
         params = LstmDirectionParams(
@@ -125,8 +130,8 @@ class TestLockstep:
         x = rng.normal(size=(T, B, D))
         d_hidden = rng.normal(size=(T, B, 2 * H))
 
-        hidden, cache = lstm_forward(x, LstmParams.stack(directions), lengths, reverse)
-        d_x, grads = lstm_backward(d_hidden, LstmParams.stack(directions), cache)
+        hidden, cache = lstm_forward(x, stacked(directions), lengths, reverse)
+        d_x, grads = lstm_backward(d_hidden, stacked(directions), cache)
 
         assert hidden.shape == (T, B, 2 * H) and len(grads) == 2
         d_x_sum = 0.0
@@ -144,7 +149,7 @@ class TestLockstep:
 
     def test_direction_count_must_match_the_stack(self):
         rng = np.random.default_rng(8)
-        params = LstmParams.stack([random_params(rng, hidden=2, dim=3) for _ in range(2)])
+        params = stacked([random_params(rng, hidden=2, dim=3) for _ in range(2)])
         x, lengths = batch_of_one(np.zeros((4, 3)))
         with pytest.raises(ValidationError):
             lstm_forward(x, params, lengths, [False])

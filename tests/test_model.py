@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import batch_of_one, deep_equal, json_values, make_table
-from oracles import finite_difference, max_relative_error
-from toxicspans.crf import crf_nll
+from oracles import crf_nll, finite_difference, max_relative_error
 from toxicspans.dataio import CharSpanSet
 from toxicspans.embeddings import encode_post
 from toxicspans.errors import DataFormatError, ToxicSpansError, ValidationError

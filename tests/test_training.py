@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import deep_equal, make_table
-from oracles import expression_adam_step
+from oracles import expression_adam_step, reference_train
 from toxicspans.dataio import CharSpanSet, LabeledPost
 from toxicspans.embeddings import load_embeddings
 from toxicspans.errors import NonFiniteError, TrainingDivergedError, ValidationError
@@ -241,6 +241,27 @@ class TestTrain:
         dev = [examples[int(i)] for i in sorted(order[:dev_count])]
         best = max(h.dev_f1 for h in history)
         assert dev_char_f1(dev, params, BridgePolicy()) == pytest.approx(best, abs=1e-12)
+
+
+class TestParameterVector:
+    """``train`` updates one parameter vector; it must give the bits of the
+    loop over the tensors."""
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_train_is_bitwise_the_per_tensor_loop(self, finetune):
+        table, posts = synthetic_setup(n_posts=40)
+        examples = build_examples(posts, table, max_len=32)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=4, hidden_size=3, max_len=32,
+                          gradient_clip_norm=5.0, early_stop_patience=2,
+                          finetune_embeddings=finetune)
+        params, history = train(examples, cfg, table)
+        ref_params, ref_history = reference_train(examples, cfg, table, BridgePolicy())
+        assert history == ref_history
+        assert deep_equal(params, ref_params)
+        assert np.array_equal(params.embedding.matrix, ref_params.embedding.matrix)
+        assert (params.embedding.matrix is table.matrix) != finetune
+        # clipping fired on some steps and not on others
+        assert 0 < sum(h.clipped_steps for h in history) < sum(h.steps for h in history)
 
 
 class TestEpochTelemetry:
