@@ -7,7 +7,12 @@ time-major, length-sorted layout of :mod:`batching`: a (T, B) grid of
 embedding rows, T the batch's longest post, PAD past each post's length.
 The LSTM packs the grid's N real slots once per pass, and the CRF runs on
 the same packed layout, so no padded slot is computed.  Viterbi then
-decodes each post's own prefix.  The backward pass is fully manual
+decodes each post's own prefix.  A pass over one post (``predict`` of a
+post on its own, a training batch of one) runs the LSTM's one-post time
+loop and any larger pass its packed loop; both give the same bits.  At
+B = 1 a step is about 13 numpy calls, and numpy's per-call cost has no
+batch axis to spread over, so the one-post loop trims the work around
+those calls (see :mod:`lstm`).  The backward pass is fully manual
 (projection, then both LSTM directions) and returns gradients summed over
 the batch; only when fine-tuning does it ask the LSTM for the input
 gradient and accumulate embedding-row gradients from it.

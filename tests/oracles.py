@@ -15,7 +15,9 @@ the packed CRF kernel and of training on one parameter vector, which must
 return their bits.  The single-post CRF quantities (log-partition, gold
 score, NLL, marginals) run one post as a batch of one through the
 library's kernels, for the tests that check them against the brute-force
-oracles.
+oracles.  ``reference_lstm_forward`` is the lockstep LSTM forward pass that
+ran every batch, one post included, through the packed loop; the library's
+one-post loop must return its bits.
 
 The span-set functions at the very end are the regex span-literal parser and
 the per-index set loops that the library's builtin-pass parser, span set and
@@ -32,13 +34,15 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import pairwise
+from typing import Sequence
 
 import numpy as np
 
 from toxicspans.batching import PackedSteps, check_lengths, step_counts
 from toxicspans.crf import CrfParams, _check_emissions, crf_nll_grad
 from toxicspans.crf import _forward_backward as _packed_forward_backward
-from toxicspans.errors import DataFormatError, ValidationError
+from toxicspans.errors import DataFormatError, NonFiniteError, ValidationError
+from toxicspans.lstm import LstmCache, LstmParams
 from toxicspans.tokenizer import Token, TokenSeq
 
 
@@ -181,6 +185,100 @@ def loop_lstm_backward(d_hidden, params, cache):
         dc_next = dc * f
     d_inputs = d_x[::-1].copy() if cache["reverse"] else d_x
     return d_inputs, {"W_in": d_W_in, "W_rec": d_W_rec, "b": d_b}
+
+
+def _reference_sigmoid_inplace(x: np.ndarray) -> None:
+    """In-place logistic sigmoid; exp overflow saturates to 0 (caller
+    ignores the overflow warning)."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
+
+
+def reference_lstm_forward(
+    inputs: np.ndarray,
+    params: LstmParams,
+    lengths: np.ndarray,
+    reverse: Sequence[bool],
+) -> tuple[np.ndarray, LstmCache]:
+    """Run the K directions of ``params`` over a sorted (T, B, D) batch of
+    posts with the given ``lengths``; direction ``k`` reads each post back
+    to front if ``reverse[k]``.
+
+    Returns the (T, B, K*H) hidden states in original order (zero on
+    padding), direction k in columns k*H to (k+1)*H, plus the cache needed
+    by :func:`lstm_backward`.  Raises :class:`NonFiniteError` if any hidden
+    state diverges, which only happens when parameters or inputs are
+    already non-finite (the activations themselves are bounded).
+    """
+    if inputs.ndim != 3 or inputs.shape[0] < 1:
+        raise ValidationError(f"inputs must be T x B x D with T >= 1, got {inputs.shape}")
+    if inputs.shape[-1] != params.input_size:
+        raise ValidationError(
+            f"input width {inputs.shape[-1]} != parameter input size {params.input_size}"
+        )
+    reverse = tuple(bool(rev) for rev in reverse)
+    K, H = params.W_in.shape[0], params.hidden_size
+    if len(reverse) != K:
+        raise ValidationError(f"{len(reverse)} directions to run for {K} stacked directions")
+    T, B, D = inputs.shape
+    steps = PackedSteps(check_lengths(lengths, T, B))
+    N, heads = steps.N, steps.heads
+    i_, f_, g_, o_ = ((Ellipsis, slice(k * H, (k + 1) * H)) for k in range(4))
+    slots = [steps.slots(rev) for rev in reverse]
+    xs = [inputs.reshape(T * B, D)[sl] for sl in slots]
+
+    gates = np.empty((N, K, 4 * H))  # pre-activations until a row is activated
+    for k, x in enumerate(xs):
+        np.matmul(x, params.W_in[k].T, out=gates[:, k])
+    gates += params.b
+    cell = np.empty((N, K, H))
+    tanh_cell = np.empty_like(cell)
+    hidden = np.empty_like(cell)
+    # Several rows per step multiply faster against a contiguous copy; for
+    # a batch of one the copy costs more than it saves.
+    W_rec_T = params.W_rec.transpose(0, 2, 1)
+    if B > 1:
+        W_rec_T = np.ascontiguousarray(W_rec_T)
+    product = np.empty((B, K, 4 * H))  # each step's recurrent product
+    zs, cells, tanhs, hs = map(steps.by_step, (gates, cell, tanh_cell, hidden))
+    with np.errstate(over="ignore"):
+        for s, (r, q) in enumerate(zip(steps.rows, steps.prev_rows)):
+            z = zs[r]
+            if s:
+                step = product[heads[s]]
+                np.matmul(hs[q].transpose(1, 0, 2), W_rec_T, out=step.transpose(1, 0, 2))
+                z += step
+            g = np.tanh(z[g_])
+            _reference_sigmoid_inplace(z)
+            z[g_] = g
+            c = cells[r]
+            np.multiply(z[i_], g, out=c)
+            if s:
+                c += z[f_] * cells[q]
+            tc = tanhs[r]
+            np.tanh(c, out=tc)
+            np.multiply(z[o_], tc, out=hs[r])
+
+    # every finite state lies in [-1, 1], so the sum is finite exactly when
+    # every state is
+    if not math.isfinite(hidden.sum()):
+        raise NonFiniteError("LSTM hidden state is non-finite; inputs or parameters diverged")
+
+    out = steps.grid(K * H)
+    for k, sl in enumerate(slots):
+        out[sl, k * H : (k + 1) * H] = hidden[:, k]
+    cache = LstmCache(
+        inputs=xs,
+        gates=gates,
+        cell=cell,
+        tanh_cell=tanh_cell,
+        hidden=hidden,
+        steps=steps,
+        slots=slots,
+    )
+    return out.reshape(T, B, K * H), cache
 
 
 def _logsumexp(a, axis):

@@ -5,7 +5,10 @@ Viterbi decoder must return exactly the numpy reference's path.
 The tolerance was fixed before the fused kernels were written: float64
 arithmetic reordered over at most a few hundred terms.  The packed CRF
 kernel must also return exactly the bits of the padded (T, B) kernel it
-replaced, kept in ``oracles``, on every batch of up to 384 slots.  The hot cases scale
+replaced, kept in ``oracles``, on every batch of up to 384 slots.  The
+LSTM's one-post loop must return exactly the bits of the forward pass that
+ran one post through the packed loop before it, also kept there, and its
+cache must give the backward pass the same gradients.  The hot cases scale
 the inputs by 50 (and the emissions by 50 for the CRF), so LSTM gates
 saturate and the sigmoid's exp overflows.
 """
@@ -20,9 +23,10 @@ from oracles import (
     loop_lstm_forward,
     numpy_viterbi_decode,
     padded_crf_nll_grad,
+    reference_lstm_forward,
 )
 from toxicspans.crf import CrfParams, crf_nll_grad, viterbi_decode
-from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
+from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_backward, lstm_forward
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -73,6 +77,35 @@ def test_hot_inputs_saturate_gates_and_overflow_exp():
     x, lengths = batch_of_one(inputs)
     _, cache = lstm_forward(x, one_direction(params), lengths, [False])
     assert np.any(cache.gates == 0.0) and np.any(cache.gates == 1.0)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("reverse", [(False,), (True,), (False, True)])
+@pytest.mark.parametrize("H", [1, 3, 32, 128])
+@pytest.mark.parametrize("T", [1, 2, 7, 130])
+def test_one_post_lstm_is_bitwise_the_packed_loop(T, H, reverse, scale):
+    K = len(reverse)
+    rng = np.random.default_rng(1000 * T + 10 * H + sum(reverse) + K)
+    params = LstmParams(
+        W_in=rng.uniform(-4.0, 4.0, size=(K, 4 * H, DIM)),
+        W_rec=rng.uniform(-0.4, 0.4, size=(K, 4 * H, H)),
+        b=rng.uniform(-0.4, 0.4, size=(K, 4 * H)),
+    )
+    x, lengths = batch_of_one(rng.normal(size=(T, DIM)) * scale)
+    d_hidden = rng.normal(size=(T, 1, K * H))
+    hidden, cache = lstm_forward(x, params, lengths, reverse)
+    ref_hidden, ref_cache = reference_lstm_forward(x, params, lengths, reverse)
+    assert np.array_equal(hidden, ref_hidden)
+    for name in ("gates", "cell", "tanh_cell", "hidden"):
+        assert np.array_equal(getattr(cache, name), getattr(ref_cache, name))
+    for input_grad in (False, True):
+        d_x, grads = lstm_backward(d_hidden, params, cache, input_grad)
+        ref_d_x, ref_grads = lstm_backward(d_hidden, params, ref_cache, input_grad)
+        assert (d_x is None) == (not input_grad)
+        assert d_x is None or np.array_equal(d_x, ref_d_x)
+        for k in range(K):
+            for name in ("W_in", "W_rec", "b"):
+                assert np.array_equal(grads[k][name], ref_grads[k][name])
 
 
 @pytest.mark.parametrize("scale", SCALES)

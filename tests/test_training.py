@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import deep_equal, make_table
-from oracles import expression_adam_step, reference_train
+from oracles import expression_adam_step, reference_lstm_forward, reference_train
+import toxicspans.model
 from toxicspans.dataio import CharSpanSet, LabeledPost
 from toxicspans.embeddings import load_embeddings
 from toxicspans.errors import NonFiniteError, TrainingDivergedError, ValidationError
@@ -262,6 +263,22 @@ class TestParameterVector:
         assert (params.embedding.matrix is table.matrix) != finetune
         # clipping fired on some steps and not on others
         assert 0 < sum(h.clipped_steps for h in history) < sum(h.steps for h in history)
+
+    @pytest.mark.parametrize("finetune", [False, True])
+    def test_one_post_batches_train_bitwise_as_the_packed_loop(self, finetune, monkeypatch):
+        """Batches of one run the LSTM's one-post loop, whose cache the
+        backward pass reads; training must give the packed loop's bits."""
+        table, posts = synthetic_setup(n_posts=40)
+        examples = build_examples(posts, table, max_len=32)
+        cfg = TrainConfig(epochs=2, batch_size=1, seed=4, hidden_size=3, max_len=32,
+                          early_stop_patience=2, finetune_embeddings=finetune)
+        params, history = train(examples, cfg, table)
+        monkeypatch.setattr(toxicspans.model, "lstm_forward", reference_lstm_forward)
+        ref_params, ref_history = train(examples, cfg, table)
+        assert history == ref_history
+        assert deep_equal(params, ref_params)
+        assert np.array_equal(params.embedding.matrix, ref_params.embedding.matrix)
+        assert (params.embedding.matrix is table.matrix) != finetune
 
 
 class TestEpochTelemetry:
