@@ -65,6 +65,7 @@ TRAIN_FIELDS = {
     "dev_fraction": "dev_fraction",
     "patience": "early_stop_patience",
     "clip": "gradient_clip_norm",
+    "bridge_gap": "bridge_gap",
 }
 
 # A config-file value is parsed with the type of its key's default.
@@ -72,7 +73,6 @@ DEFAULTS = {
     **{key: getattr(TrainConfig, field) for key, field in TRAIN_FIELDS.items()},
     "gate": "off",
     "gate_threshold": GateModel.threshold,
-    "bridge_gap": BridgePolicy.max_gap,
     "embedding_dim": 25,
     "samples": 3,
     "gate_epochs": inspect.signature(train_gate).parameters["epochs"].default,
@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the tagger")
     add_common(p, "data", "embeddings", "lenient")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    for key in (*TRAIN_FIELDS, "bridge_gap"):
+    for key in TRAIN_FIELDS:
         option(p, key)
     p.add_argument("--finetune-embeddings", action="store_true")
 
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     option(p, "gate", "off, internal, or scores:<path>")
     p.add_argument("--gate-model", help="gate JSON from gate-train (internal gate)")
     option(p, "gate_threshold")
-    option(p, "bridge_gap")
+    option(p, "bridge_gap", "override the checkpoint's bridge gap")
 
     p = sub.add_parser("evaluate", help="score a prediction file against gold")
     add_common(p, "data", "lenient")
@@ -260,7 +260,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         **{field: _resolve(args, key) for key, field in TRAIN_FIELDS.items()},
         finetune_embeddings=args.finetune_embeddings,
     )
-    policy = BridgePolicy(bridge_gaps=True, max_gap=_resolve(args, "bridge_gap"))
     examples = build_examples(posts, table, cfg.max_len)
 
     def report(stats):
@@ -271,7 +270,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    params, history = train(examples, cfg, table, policy=policy, progress=report)
+    params, history = train(examples, cfg, table, progress=report)
     save_checkpoint(args.out, params, cfg, table)
     history_path = str(args.out) + ".history.json"
     atomic_write_text(
@@ -287,7 +286,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_manifest(
         args.out,
         "train",
-        {**cfg.to_dict(), "bridge_gap": policy.max_gap},
+        {**cfg.to_dict(), "lenient": args.lenient},
         {"data": args.data, "embeddings": args.embeddings},
         [str(args.out), history_path],
         started,
@@ -316,7 +315,7 @@ def cmd_gate_train(args: argparse.Namespace) -> int:
         args.out,
         "gate-train",
         {"max_len": max_len, "gate_threshold": model.threshold,
-         "gate_epochs": _resolve(args, "gate_epochs")},
+         "gate_epochs": _resolve(args, "gate_epochs"), "lenient": args.lenient},
         {"data": args.data, "embeddings": args.embeddings},
         [str(args.out)],
         started,
@@ -355,7 +354,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     params, cfg = load_checkpoint(ckpt_path, table)
     max_len = _resolve(args, "max_len", default=cfg.max_len)
-    policy = BridgePolicy(bridge_gaps=True, max_gap=_resolve(args, "bridge_gap"))
+    # a flag or config value beats the gap the checkpoint was chosen with
+    bridge_gap = _resolve(args, "bridge_gap", default=cfg.bridge_gap)
+    policy = BridgePolicy(bridge_gaps=True, max_gap=bridge_gap)
     gate = _setup_gate(args, table)
     posts = _load_posts(args, has_gold=False)
 
@@ -415,8 +416,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.out:
         atomic_write_text(args.out, text)
         print(f"mean_f1\t{report.mean_f1:.4f}")
-        _write_manifest(args.out, "evaluate", {}, {"data": args.data, "pred": args.pred},
-                        [args.out], started)
+        _write_manifest(args.out, "evaluate", {"lenient": args.lenient},
+                        {"data": args.data, "pred": args.pred}, [args.out], started)
     else:
         sys.stdout.write(text)
     return 0

@@ -16,6 +16,15 @@ e.g. ``٣`` as well as ``3``)::
 No ``+`` sign, ``_`` separator, trailing comma, or space inside an integer.
 Order and repeats are free; the parsed set is sorted and deduplicated.
 
+A literal is first offered to the json module's scanner, which reads the
+common case (ASCII digits, ``[ \t\r\n]`` whitespace, no leading zeros) in C.
+Its result is taken only when it consumes the whole stripped literal and
+gives a list of plain ints.  Every such JSON array is also a literal of the
+grammar above, with the same values; anything else (Unicode digits or
+whitespace, leading zeros, floats, ``true``, nested lists, ints over the
+digit limit, malformed input) is read by the grammar path alone, so the
+result and any error message are the same either way.
+
 Both files must be UTF-8 (an optional BOM is skipped).  Character indexes
 always refer to positions in the decoded Unicode scalar sequence of the
 text, never to bytes.
@@ -25,14 +34,16 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import logging
+import operator
 import re
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .errors import DataFormatError
+from .errors import DataFormatError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +52,11 @@ logger = logging.getLogger(__name__)
 # \s, reads the same digits as \d, and rejects "", "--1", "- 1" and "1 2";
 # this class keeps out the "+" and "_" that int() would also accept.
 _SPAN_BODY_RE = re.compile(r"[\d\s,-]*")
+
+# The json scanner: scan(string, start) -> (value, end).  It raises
+# StopIteration or a ValueError (JSONDecodeError, or the int digit limit) on
+# input it cannot read, and RecursionError on deeply nested brackets.
+_json_scan = json.JSONDecoder().scan_once
 
 
 @dataclass(frozen=True)
@@ -55,8 +71,22 @@ class CharSpanSet:
     indexes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        normalized = tuple(sorted(set(map(int, self.indexes))))
+        # operator.index takes ints, bools and numpy integers as plain ints
+        # and refuses floats and strings, which int() would truncate or parse
+        try:
+            normalized = tuple(sorted(set(map(operator.index, self.indexes))))
+        except TypeError as exc:
+            raise ValidationError(f"span indexes must be integers: {exc}") from None
         object.__setattr__(self, "indexes", normalized)
+
+    @classmethod
+    def _of_sorted(cls, indexes: Iterable[int]) -> "CharSpanSet":
+        """A set of plain ints that ``indexes`` already gives sorted and
+        unique, built without the normalisation of ``__post_init__``: for the
+        package's own producers, which make them so."""
+        spans = object.__new__(cls)
+        object.__setattr__(spans, "indexes", tuple(indexes))
+        return spans
 
     def __len__(self) -> int:
         return len(self.indexes)
@@ -72,13 +102,13 @@ class CharSpanSet:
         return pos < len(self.indexes) and self.indexes[pos] == index
 
     def __and__(self, other: "CharSpanSet") -> "CharSpanSet":
-        return CharSpanSet(set(self.indexes) & set(other.indexes))
+        return CharSpanSet._of_sorted(sorted(set(self.indexes).intersection(other.indexes)))
 
     def __or__(self, other: "CharSpanSet") -> "CharSpanSet":
-        return CharSpanSet(set(self.indexes) | set(other.indexes))
+        return CharSpanSet._of_sorted(sorted(set(self.indexes).union(other.indexes)))
 
     def __sub__(self, other: "CharSpanSet") -> "CharSpanSet":
-        return CharSpanSet(set(self.indexes) - set(other.indexes))
+        return CharSpanSet._of_sorted(sorted(set(self.indexes).difference(other.indexes)))
 
     def issubset(self, other: "CharSpanSet") -> bool:
         return set(self.indexes) <= set(other.indexes)
@@ -105,12 +135,20 @@ def parse_span_literal(literal: str) -> CharSpanSet:
     """Parse a bracketed integer-list literal like ``[7, 8, 9]`` (grammar in
     the module docstring)."""
     body = literal.strip()
+    try:
+        values, end = _json_scan(body, 0)
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    else:
+        # the type test keeps out bools, floats, strings and nested values
+        if end == len(body) and type(values) is list and set(map(type, values)) <= {int}:
+            return CharSpanSet._of_sorted(sorted(set(values)))
     inner = body[1:-1]
     if len(body) >= 2 and body[0] == "[" and body[-1] == "]" and _SPAN_BODY_RE.fullmatch(inner):
         if not inner.strip():
             return CharSpanSet()
         try:
-            return CharSpanSet(map(int, inner.split(",")))
+            return CharSpanSet._of_sorted(sorted(set(map(int, inner.split(",")))))
         except ValueError:  # a malformed item, or an int over the digit limit
             pass
     # a long literal is quoted by its head, so the error stays one short line

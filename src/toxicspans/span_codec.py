@@ -54,7 +54,7 @@ def labels_to_spans(
         raise ValidationError(
             f"label count {len(labels)} does not match token count {len(toks)}"
         )
-    chars: list[int] = []
+    chars: list[int] = []  # ascending, as the tokens' ranges ascend
     toxic_end = None  # end of the previous token while it is toxic
     for tok, label in zip(toks, labels):
         if not label:
@@ -64,7 +64,7 @@ def labels_to_spans(
             chars.extend(range(toxic_end, tok.start))
         chars.extend(range(tok.start, tok.end))
         toxic_end = tok.end
-    return CharSpanSet(chars)
+    return CharSpanSet._of_sorted(chars)
 
 
 def round_trip_loss(

@@ -41,6 +41,9 @@ class TrainConfig:
     dev_fraction: float = 0.1
     max_len: int = 128
     finetune_embeddings: bool = False
+    # the decode policy's max_gap that dev F1 chose the checkpoint with;
+    # predict decodes with it unless told otherwise
+    bridge_gap: int = BridgePolicy.max_gap
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -66,6 +69,8 @@ class TrainConfig:
                 f"dev_fraction must be in (0, 1), got {self.dev_fraction}"
             )
         check_max_len(self.max_len)
+        if self.bridge_gap < 0:
+            raise ValidationError(f"bridge_gap must be >= 0, got {self.bridge_gap}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -234,10 +239,13 @@ def train(
     examples: Sequence[TrainExample],
     cfg: TrainConfig,
     table: EmbeddingTable,
-    policy: BridgePolicy = BridgePolicy(),
+    policy: BridgePolicy | None = None,
     progress: Callable[[EpochStats], None] | None = None,
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Train a fresh tagger, returning the best-dev parameters and history.
+
+    Dev F1 decodes with ``policy``, by default bridging gaps of up to
+    ``cfg.bridge_gap`` characters.
 
     Zero-token examples are excluded from gradient batches (the CRF needs at
     least one position) but still count in the dev F1, where the model
@@ -250,6 +258,8 @@ def train(
     cfg.validate()
     if not examples:
         raise ValidationError("training data is empty")
+    if policy is None:
+        policy = BridgePolicy(bridge_gaps=True, max_gap=cfg.bridge_gap)
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(table, cfg.hidden_size, rng)

@@ -19,9 +19,10 @@ oracles.  ``reference_lstm_forward`` is the lockstep LSTM forward pass that
 ran every batch, one post included, through the packed loop; the library's
 one-post loop must return its bits.
 
-The span-set functions at the very end are the regex span-literal parser and
-the per-index set loops that the library's builtin-pass parser, span set and
-span codec must reproduce, outputs and errors alike.
+The span-set functions at the very end are the regex span-literal parser,
+the grammar-only parser that read every literal before the json scanner's
+fast path, and the per-index set loops that the library's parser, span set
+and span codec must reproduce, outputs and errors alike.
 
 ``scan_tokenize`` is the character-by-character scanner whose tokens the
 library's one-pattern tokenizer must reproduce exactly.
@@ -41,6 +42,7 @@ import numpy as np
 from toxicspans.batching import PackedSteps, check_lengths, step_counts
 from toxicspans.crf import CrfParams, _check_emissions, crf_nll_grad
 from toxicspans.crf import _forward_backward as _packed_forward_backward
+from toxicspans.dataio import CharSpanSet
 from toxicspans.errors import DataFormatError, NonFiniteError, ValidationError
 from toxicspans.lstm import LstmCache, LstmParams
 from toxicspans.tokenizer import Token, TokenSeq
@@ -580,6 +582,27 @@ def regex_parse_span_literal(literal: str) -> tuple[int, ...]:
     if not _SPAN_LITERAL_RE.match(literal):
         raise DataFormatError(f"malformed span literal: {literal!r}")
     return normalize_indexes(int(tok) for tok in _INT_RE.findall(literal))
+
+
+# the characters allowed between the brackets, as in the library's parser
+_SPAN_BODY_RE = re.compile(r"[\d\s,-]*")
+
+
+def grammar_parse_span_literal(literal: str) -> CharSpanSet:
+    """Parse a bracketed integer-list literal like ``[7, 8, 9]`` (grammar in
+    the ``toxicspans.dataio`` docstring) by that grammar alone."""
+    body = literal.strip()
+    inner = body[1:-1]
+    if len(body) >= 2 and body[0] == "[" and body[-1] == "]" and _SPAN_BODY_RE.fullmatch(inner):
+        if not inner.strip():
+            return CharSpanSet()
+        try:
+            return CharSpanSet(map(int, inner.split(",")))
+        except ValueError:  # a malformed item, or an int over the digit limit
+            pass
+    # a long literal is quoted by its head, so the error stays one short line
+    shown = repr(literal) if len(literal) <= 60 else f"{literal[:40]!r}... ({len(literal)} characters)"
+    raise DataFormatError(f"malformed span literal: {shown}")
 
 
 def loop_spans_to_labels(toks, gold_indexes) -> list[int]:

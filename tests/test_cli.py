@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import json_values
+from conftest import csv_bytes, json_values
+from oracles import grammar_parse_span_literal
 import toxicspans
+import toxicspans.dataio
 from toxicspans.checkpoint import MAGIC
 from toxicspans.cli import DEFAULTS, main
 from toxicspans.dataio import read_predictions
@@ -62,6 +65,25 @@ def gate_07(workspace):
     )
     assert code == 0
     return path
+
+
+def train_tiny(workspace, out, *extra):
+    """A one-epoch H=4 ``cli train`` on train.csv, written to ``out``."""
+    return main(
+        [
+            "train",
+            "--data", str(workspace / "train.csv"),
+            "--embeddings", str(workspace / "vectors.txt"),
+            "--embedding-dim", str(DIM),
+            "--out", str(out),
+            "--hidden", "4", "--epochs", "1", "--max-len", "32",
+            *extra,
+        ]
+    )
+
+
+def manifest_config(out) -> dict:
+    return json.loads(Path(f"{out}.manifest.json").read_text())["config"]
 
 
 def run_predict(workspace, out_name, *extra):
@@ -313,6 +335,38 @@ class TestPredict:
             preds = read_predictions(f)
         assert [p.id for p in preds] == list(range(40))
         assert (workspace / "plain.tsv.manifest.json").exists()
+
+    def test_checkpoint_decode_policy_is_the_default(self, workspace, tmp_path):
+        ckpt = tmp_path / "gap3.ckpt"
+        assert train_tiny(workspace, ckpt, "--bridge-gap", "3") == 0
+        raw = ckpt.read_bytes()
+        header = json.loads(raw[len(MAGIC) : raw.index(b"\n", len(MAGIC))])
+        assert header["train_config"]["bridge_gap"] == 3
+        config = tmp_path / "gap.conf"
+        config.write_text("bridge_gap = 2\n")
+
+        def decoded(out_name, *extra):
+            out = tmp_path / out_name
+            assert run_predict(workspace, out, "--checkpoint", str(ckpt), *extra) == 0
+            return manifest_config(out)["bridge_gap"], out.read_bytes()
+
+        recorded, recorded_bytes = decoded("recorded.tsv")
+        assert recorded == 3
+        assert decoded("explicit.tsv", "--bridge-gap", "3") == (3, recorded_bytes)
+        assert decoded("flag.tsv", "--bridge-gap", "0")[0] == 0
+        assert decoded("config.tsv", "--config", str(config))[0] == 2
+        assert decoded("both.tsv", "--config", str(config), "--bridge-gap", "1")[0] == 1
+
+    def test_checkpoint_without_bridge_gap_decodes_with_the_default(self, workspace, tmp_path):
+        raw = (workspace / "model.ckpt").read_bytes()
+        header_end = raw.index(b"\n", len(MAGIC))
+        header = json.loads(raw[len(MAGIC) : header_end])
+        del header["train_config"]["bridge_gap"]
+        older = tmp_path / "older.ckpt"
+        older.write_bytes(MAGIC + json.dumps(header).encode() + raw[header_end:])
+        out = tmp_path / "older.tsv"
+        assert run_predict(workspace, out, "--checkpoint", str(older)) == 0
+        assert manifest_config(out)["bridge_gap"] == DEFAULTS["bridge_gap"] == 1
 
     def test_checkpoint_vocab_mismatch_exits_2(self, workspace, tmp_path, capsys):
         other = tmp_path / "othervecs.txt"
@@ -671,6 +725,76 @@ class TestEvaluate:
         assert main([command, "--data", str(data), "--pred", str(pred)]) == 2
         err = capsys.readouterr().err
         assert "line 5: duplicate id 3 (first on line 4)" in err and "Traceback" not in err
+
+
+class TestManifests:
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_commands_reading_gold_record_lenient(self, workspace, tmp_path, lenient):
+        flag = ["--lenient"] if lenient else []
+        data = ["--data", str(workspace / "train.csv")]
+        vectors = ["--embeddings", str(workspace / "vectors.txt"), "--embedding-dim", str(DIM)]
+        pred = tmp_path / "gold.tsv"
+        pred.write_text("".join(
+            f"{post.id}\t{list(post.gold.indexes)}\n" for post in generate_posts(120, seed=11)
+        ))
+        outs = {"train": tmp_path / "m.ckpt", "gate-train": tmp_path / "g.json",
+                "evaluate": tmp_path / "report.tsv"}
+        assert train_tiny(workspace, outs["train"], *flag) == 0
+        assert main(["gate-train", *data, *vectors, "--out", str(outs["gate-train"]), *flag]) == 0
+        assert main(["evaluate", *data, "--pred", str(pred), "--out", str(outs["evaluate"]),
+                     *flag]) == 0
+        for out in outs.values():
+            assert manifest_config(out)["lenient"] is lenient
+
+
+@pytest.fixture(scope="module")
+def long_posts(tmp_path_factory):
+    """A dataset of 20 posts of about 650 characters, each ten generated
+    posts joined, and a prediction file for it.  Gold and predicted literals
+    hold about 130 indexes each, in forms that both parse paths read:
+    ascending and unsorted JSON arrays with repeats, which the json scanner
+    reads, and leading zeros or Arabic-Indic digits and ideographic spaces,
+    which only the grammar does.  A prediction is exact, empty, or drops a
+    fifth of the gold and adds stray indexes, -1 among them."""
+    root = tmp_path_factory.mktemp("long")
+    short = generate_posts(200, seed=21)
+    rng = np.random.default_rng(4)
+    arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+    forms = [
+        lambda values: "[" + ", ".join(map(str, values)) + "]",
+        lambda values: "[" + ",".join(map(str, values[::-1] + values[:5])) + "]",
+        lambda values: "[ " + ", ".join(f"0{v}" if v >= 0 else str(v) for v in values) + " ]",
+        lambda values: "\u3000[" + ",\u3000".join(str(v).translate(arabic) for v in values) + "]",
+    ]
+    rows, lines = [], []
+    for k in range(20):
+        text, gold = "", []
+        for post in short[10 * k : 10 * k + 10]:
+            offset = len(text) + 1 if text else 0
+            text = f"{text} {post.text}" if text else post.text
+            gold += [i + offset for i in post.gold]
+        stray = rng.integers(-1, len(text), size=20).tolist()
+        pred = [gold, [], sorted(set(gold[len(gold) // 5 :]) | set(stray))][min(k % 5, 2)]
+        rows.append((forms[k % 4](gold), text))
+        lines.append(f"{k}\t{forms[(k + 1) % 4](pred)}\n")
+    (root / "long.csv").write_bytes(csv_bytes(rows).getvalue())
+    (root / "long.tsv").write_text("".join(lines), encoding="utf-8")
+    return root
+
+
+class TestLongPosts:
+    @pytest.mark.parametrize("command", ["evaluate", "analyze"])
+    def test_output_matches_the_grammar_parser(self, long_posts, monkeypatch, capsys, command):
+        args = [command, "--data", str(long_posts / "long.csv"),
+                "--pred", str(long_posts / "long.tsv")]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        monkeypatch.setattr(toxicspans.dataio, "parse_span_literal", grammar_parse_span_literal)
+        assert main(args) == 0
+        assert capsys.readouterr().out == printed
+        if command == "evaluate":
+            lines = printed.splitlines()
+            assert len(lines) == 22 and lines[-1] != "mean_f1\t0.0000"
 
 
 class TestAnalyze:

@@ -1,10 +1,12 @@
 import io
+from itertools import pairwise
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import csv_bytes
-from oracles import normalize_indexes, regex_parse_span_literal
+from oracles import grammar_parse_span_literal, normalize_indexes, regex_parse_span_literal
 from toxicspans.dataio import (
     CharSpanSet,
     DataFormatError,
@@ -15,6 +17,9 @@ from toxicspans.dataio import (
     read_predictions,
     write_predictions,
 )
+from toxicspans.errors import ValidationError
+from toxicspans.span_codec import BridgePolicy, labels_to_spans
+from toxicspans.tokenizer import tokenize
 
 KNUCKLEHEAD = "What a knucklehead. How can anyone not know this would be offensive??"
 HAOLE = (
@@ -56,6 +61,67 @@ NEAR_LITERALS = st.builds(
     st.sampled_from(["", " ", "\u2028", "]"]),
 )
 
+# Literals on both sides of the json scanner's fast path.  JSON arrays of
+# ints, which the scanner reads; and their near misses: other Unicode digits,
+# every Unicode whitespace character and leading zeros, which only the
+# grammar reads, JSON values that are no span literal, trailing commas and
+# text.  Items come unsorted, and some repeat.
+WHITESPACE = "".join(chr(c) for c in range(0x3001) if chr(c).isspace()) + "\u200b"
+JSON_ONLY = ["1.0", "1e3", "-0.0", "true", "false", "null", "NaN", "Infinity", "-Infinity",
+             '"1"', "[1]", "[[1]]", "[]", "{}", '{"1": 1}']
+ASCII_INTS = st.integers(-(10**6), 10**6).map(str)
+JSON_SPACES = st.text(" \t\r\n", max_size=2)
+SPACE_KINDS = st.text(WHITESPACE, max_size=2)
+
+
+def array_literals(spaces, items, commas=st.just(""), ends=None):
+    """``[item, ...]`` with ``spaces`` around the brackets and items, the
+    first few items repeated at the end, and one of ``commas`` before "]"."""
+    padded = st.builds("{}{}{}".format, spaces, items, spaces)
+    return st.builds(
+        lambda head, items, repeat, comma, tail: (
+            head + "[" + ",".join(items + items[:repeat]) + comma + "]" + tail
+        ),
+        spaces if ends is None else ends,
+        st.lists(padded, max_size=8),
+        st.integers(0, 3),
+        commas,
+        spaces if ends is None else ends,
+    )
+
+
+JSON_ARRAYS = array_literals(JSON_SPACES, ASCII_INTS)
+JSON_VALUE_ARRAYS = array_literals(JSON_SPACES, ASCII_INTS | st.sampled_from(JSON_ONLY))
+NEAR_ARRAYS = array_literals(
+    JSON_SPACES | SPACE_KINDS,
+    ASCII_INTS
+    | st.text("0123456789٣۷߀０𝟙", min_size=1, max_size=3)
+    | st.sampled_from(["0", "-0", "00", "-00", "007", "-", *JSON_ONLY]),
+    st.sampled_from(["", ",", " ,", "\n"]),
+    SPACE_KINDS | st.sampled_from(["x", "]", ",", "[1]", "0", "{"]),
+)
+
+
+def assert_parses_like_the_grammar(literal: str) -> None:
+    """The parser gives the grammar-only parser's set, or its error message."""
+    try:
+        expected = grammar_parse_span_literal(literal)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as raised:
+            parse_span_literal(literal)
+        assert str(raised.value) == str(exc)
+    else:
+        parsed = parse_span_literal(literal)
+        assert parsed == expected
+        assert_normalized(parsed)
+
+
+def assert_normalized(spans: CharSpanSet) -> None:
+    """Sorted, unique, plain ints: the stored form of every span set."""
+    assert type(spans.indexes) is tuple
+    assert all(type(i) is int for i in spans.indexes)
+    assert all(a < b for a, b in pairwise(spans.indexes))
+
 
 class TestCharSpanSet:
     def test_sorted_and_deduplicated(self):
@@ -85,6 +151,39 @@ class TestCharSpanSet:
     @given(st.lists(st.integers() | st.booleans()))
     def test_normalization_matches_set_comprehension(self, values):
         assert CharSpanSet(values).indexes == normalize_indexes(values)
+
+    @pytest.mark.parametrize("bad", [7.9, 7.0, "7", b"7", None, (7,)])
+    def test_non_integer_index_rejected(self, bad):
+        with pytest.raises(ValidationError, match="span indexes must be integers"):
+            CharSpanSet((1, bad))
+
+    def test_numpy_integers_and_bools_become_plain_ints(self):
+        spans = CharSpanSet((np.int64(5), np.uint8(2), True, np.int32(5)))
+        assert spans.indexes == (1, 2, 5)
+        assert_normalized(spans)
+
+    @given(
+        st.lists(st.integers(-20, 60) | st.booleans()),
+        st.lists(st.integers(-20, 60) | st.booleans()),
+    )
+    def test_operators_return_normalized_sets(self, left, right):
+        a, b = CharSpanSet(left), CharSpanSet(right)
+        for result, expected in (
+            (a & b, set(a) & set(b)), (a | b, set(a) | set(b)), (a - b, set(a) - set(b))
+        ):
+            assert_normalized(result)
+            assert result == CharSpanSet(tuple(expected))
+
+    @given(
+        st.text("ab !?\n", max_size=30),
+        st.data(),
+        st.booleans(),
+        st.integers(0, 3),
+    )
+    def test_decoded_spans_are_normalized(self, text, data, bridge, max_gap):
+        toks = tokenize(text)
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=len(toks), max_size=len(toks)))
+        assert_normalized(labels_to_spans(toks, labels, BridgePolicy(bridge, max_gap)))
 
 
 class TestParseDataset:
@@ -238,6 +337,33 @@ class TestSpanLiteral:
         else:
             assert parse_span_literal(literal).indexes == expected
 
+    @settings(max_examples=600)
+    @given(
+        JSON_ARRAYS | JSON_VALUE_ARRAYS | NEAR_ARRAYS | st.text(LITERAL_ALPHABET, max_size=24)
+        | NEAR_LITERALS
+    )
+    def test_matches_the_grammar_parser(self, literal):
+        assert_parses_like_the_grammar(literal)
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "[" + "7" * 4301 + "]",
+            "[1, -" + "9" * 4400 + ", 2]",
+            "[" + "7" * 4300 + "]",
+            "[" * 5000 + "]" * 5000,
+            "[" * 5000,
+            "[1, 2] [3]",
+            "[١, 01, -0, 1]",
+            *(f"[1, {value}]" for value in JSON_ONLY),
+            *JSON_ONLY,
+        ],
+        ids=["over-digit-limit", "negative-over-limit", "at-digit-limit", "deep-nesting",
+             "open-brackets", "two-arrays", "grammar-only-forms",
+             *(f"item-{value}" for value in JSON_ONLY), *(f"whole-{value}" for value in JSON_ONLY)],
+    )
+    def test_pinned_literals_match_the_grammar_parser(self, literal):
+        assert_parses_like_the_grammar(literal)
 
 
 class TestPredictions:

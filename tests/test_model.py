@@ -258,6 +258,18 @@ class TestCheckpoint:
         assert deep_equal(params, loaded)
         assert loaded_cfg == cfg
 
+    def test_bridge_gap_round_trips_and_defaults_when_absent(self, tmp_path):
+        from toxicspans.checkpoint import load_checkpoint, serialize_checkpoint
+
+        table = make_table(["a", "b"], dim=3)
+        raw = serialize_checkpoint(make_model(table, hidden=4), TrainConfig(hidden_size=4, bridge_gap=3),
+                                   table)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(raw)
+        assert load_checkpoint(path, table)[1].bridge_gap == 3
+        path.write_bytes(edit_header(raw, lambda h: h["train_config"].pop("bridge_gap")))
+        assert load_checkpoint(path, table)[1].bridge_gap == TrainConfig().bridge_gap == 1
+
     def test_serialization_is_byte_deterministic(self):
         from toxicspans.checkpoint import serialize_checkpoint
         from toxicspans.training import TrainConfig
@@ -401,9 +413,12 @@ class TestCheckpoint:
              "gradient_clip_norm"),
             (lambda h: h["train_config"].__setitem__("learning_rate", float("inf")),
              "learning_rate"),
+            (lambda h: h["train_config"].__setitem__("bridge_gap", -1), "bridge_gap"),
+            (lambda h: h["train_config"].__setitem__("bridge_gap", 1.0), "bridge_gap"),
         ],
         ids=["malformed-tensor-entry", "shape-disagrees-with-dims", "config-type", "config-range",
-             "config-max-len-too-large", "config-clip-nan", "config-lr-inf"],
+             "config-max-len-too-large", "config-clip-nan", "config-lr-inf", "config-bridge-gap-range",
+             "config-bridge-gap-type"],
     )
     def test_malformed_header_is_a_format_error(self, tmp_path, edit, match):
         from toxicspans.checkpoint import load_checkpoint, serialize_checkpoint

@@ -6,6 +6,7 @@ import pytest
 from conftest import deep_equal, make_table
 from oracles import expression_adam_step, reference_lstm_forward, reference_train
 import toxicspans.model
+import toxicspans.training
 from toxicspans.dataio import CharSpanSet, LabeledPost
 from toxicspans.embeddings import load_embeddings
 from toxicspans.errors import NonFiniteError, TrainingDivergedError, ValidationError
@@ -52,6 +53,7 @@ class TestTrainConfig:
             {"learning_rate": float("inf")},
             {"gradient_clip_norm": float("nan")},
             {"gradient_clip_norm": float("inf")},
+            {"bridge_gap": -1},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -123,6 +125,21 @@ class TestTrain:
         params_b, history_b = train(examples, cfg, table)
         assert history_a == history_b
         assert deep_equal(params_a, params_b)
+
+    def test_dev_f1_decodes_with_the_configured_bridge_gap(self, monkeypatch):
+        table, posts = synthetic_setup(n_posts=20)
+        examples = build_examples(posts, table, max_len=32)
+        seen = []
+
+        def spy(dev, params, policy):
+            seen.append(policy)
+            return dev_char_f1(dev, params, policy)
+
+        monkeypatch.setattr(toxicspans.training, "dev_char_f1", spy)
+        cfg = TrainConfig(epochs=1, hidden_size=4, max_len=32, bridge_gap=3)
+        train(examples, cfg, table)
+        train(examples, cfg, table, policy=BridgePolicy(bridge_gaps=False))
+        assert seen == [BridgePolicy(bridge_gaps=True, max_gap=3), BridgePolicy(bridge_gaps=False)]
 
     def test_different_seed_changes_the_run(self):
         table, posts = synthetic_setup(n_posts=30)
