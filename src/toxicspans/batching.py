@@ -1,20 +1,24 @@
-"""The time-major, length-sorted minibatch layout shared by the kernels.
+"""The packed layout every layer of the tagger reads and writes.
 
-A batch of B posts is a ``(T, B, ...)`` array: axis 0 is the time step,
-axis 1 the post.  Posts are sorted by length, longest first, so
-``T == lengths[0]`` and the posts still running at step ``s`` are always the
-first ``counts[s]`` rows.  A recurrence therefore touches only
-``a[s, :counts[s]]`` at step ``s``: no padded position is computed and no
-mask enters the arithmetic.  Slots past a post's length are padding.
+A batch of B posts is sorted by length, longest first, and held as its
+N = sum(lengths) real slots, packed time-major in forward order: packed
+row ``offsets[s] + b`` is post ``b`` at step ``s``, so rows
+``offsets[s]:offsets[s + 1]`` hold step ``s`` of the ``counts[s]`` posts
+longer than ``s``, which are the first ``counts[s]`` posts of the batch,
+and the same posts' previous step is the first ``counts[s]`` rows of the
+block before it.  A recurrence therefore touches one contiguous block per
+step: no padded slot exists, so none is computed and no mask enters the
+arithmetic.  This is the layout of PyTorch's ``PackedSequence``.
 
-This is the kernels' only layout at their boundaries: one post runs as a
-batch of one.  Inside, the LSTM keeps its state *packed*
-(:class:`PackedSteps`): only the N = sum(lengths) real slots, time-major,
-so step ``s`` is one contiguous block of ``counts[s]`` rows and the same
-posts' previous step is the first ``counts[s]`` rows of the block before
-it.  This is the layout of PyTorch's ``PackedSequence``.  When every post
-runs every step, as one post always does, the packed rows are the (T, B)
-grid itself and packing is a reshape.
+A reversed pass reads each post's own prefix back to front: its step ``s``
+of post ``b`` is time ``lengths[b] - 1 - s``.  Its packed rows are the
+forward rows permuted by :attr:`PackedSteps.mirror`, an involution, so the
+same index takes forward rows to reversed ones and back.  Values given
+post by post (post 0's rows, then post 1's, ...) enter the layout through
+:meth:`PackedSteps.pack` and leave it through :meth:`PackedSteps.unpack`.
+When every post runs every step, as one post always does, the packed rows
+are the (T, B) steps themselves and a step is a plain index into their
+(T, B) view.
 """
 
 from __future__ import annotations
@@ -28,41 +32,27 @@ import numpy as np
 from .errors import ValidationError
 
 
-def check_lengths(lengths, T: int, B: int) -> np.ndarray:
-    """Validate the lengths of a sorted batch of B posts, T steps long."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (B,) or B < 1:
-        raise ValidationError(f"need one length per post for {B} posts, got shape {lengths.shape}")
-    if lengths[-1] < 1 or lengths[0] != T or np.any(lengths[1:] > lengths[:-1]):
-        raise ValidationError(
-            f"lengths must be >= 1, sorted longest first and start at T={T}, got {lengths.tolist()}"
-        )
-    return lengths
-
-
-def step_counts(lengths: np.ndarray) -> list[int]:
-    """``counts[s]``: the posts longer than ``s``, which are the first
-    ``counts[s]`` posts of the sorted batch."""
-    T, B = int(lengths[0]), len(lengths)
-    if lengths[-1] == T:
-        return [B] * T
-    return np.count_nonzero(lengths[None, :] > np.arange(T)[:, None], axis=1).tolist()
-
-
 class PackedSteps:
-    """The N real slots of a sorted batch, packed time-major.
+    """The N real slots of a batch of posts with the given ``lengths``,
+    packed time-major (see the module docstring).
 
-    Packed row ``offsets[s] + j`` is post ``j`` at its step ``s``: rows
-    ``offsets[s]:offsets[s + 1]`` hold step ``s`` of its ``counts[s]``
-    posts.  A reversed pass packs each post's own prefix back to front: its
-    step ``s`` reads time ``lengths[j] - 1 - s``.
+    Raises :class:`ValidationError` unless there is at least one length,
+    every length is at least 1 and they are sorted longest first.
     """
 
-    def __init__(self, lengths: np.ndarray):
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1 or not len(lengths):
+            raise ValidationError(f"need one length per post for at least one post, got shape {lengths.shape}")
+        if lengths[-1] < 1 or np.any(lengths[1:] > lengths[:-1]):
+            raise ValidationError(f"lengths must be >= 1 and sorted longest first, got {lengths.tolist()}")
         self.lengths = lengths
         self.T, self.B = T, B = int(lengths[0]), len(lengths)
-        self.counts = counts = step_counts(lengths)
-        self.full = counts[-1] == B  # every post runs every step
+        self.full = lengths[-1] == T  # every post runs every step
+        # counts[s]: the posts longer than s, the first counts[s] of the batch
+        self.counts = counts = [B] * T if self.full else (
+            np.count_nonzero(lengths[None, :] > np.arange(T)[:, None], axis=1).tolist()
+        )
         # Per step s: the index of its rows and (from step 1 on) of the rows
         # of step s - 1 of the posts running at step s, in an array seen
         # through by_step, and the selector of those first counts[s] posts
@@ -99,26 +89,25 @@ class PackedSteps:
         posts = np.arange(self.N) - np.repeat(self.offsets[:-1], self.counts)
         return steps, posts
 
-    def slots(self, reverse: bool) -> slice | np.ndarray:
-        """For every packed row, in order, its slot ``t * B + b`` in the
-        (T * B, ...) flattening of a (T, B, ...) array; index that with it
-        to pack the array, assign through it to unpack."""
-        if self.full and not reverse:
-            return slice(None)
+    @cached_property
+    def mirror(self) -> slice | np.ndarray:
+        """For every packed row, in order, the row of the same post at the
+        mirrored time, ``lengths[b] - 1 - s``.  Index forward rows with it
+        to get a reversed pass's rows, and those to get forward rows back.
+        One post's mirror is a reversed view."""
         if self.B == 1:
             return slice(None, None, -1)
         t, b = self.coords
-        if reverse:
-            t = self.lengths[b] - 1 - t
-        return t * self.B + b
+        return np.asarray(self.offsets)[self.lengths[b] - 1 - t] + b
 
-    def grid(self, width: int) -> np.ndarray:
-        """A new (T * B, width) array to scatter packed rows into, at their
-        :meth:`slots`; zero on padding."""
-        return (np.empty if self.full else np.zeros)((self.T * self.B, width))
+    def pack(self, values: np.ndarray) -> np.ndarray:
+        """Values given post by post, post 0's rows then post 1's and so
+        on, as packed rows; one post's values are already packed."""
+        if self.B == 1:
+            return values
+        t, b = self.coords
+        return values[(np.cumsum(self.lengths) - self.lengths)[b] + t]
 
-
-def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over the last axis of a time-major array as one 2-D
-    product of all its rows; numpy's stacked product is slower."""
-    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + (b.shape[-1],))
+    def unpack(self, rows: np.ndarray) -> np.ndarray:
+        """Packed rows back post by post: :meth:`pack` undone."""
+        return rows if self.B == 1 else rows[np.argsort(self.coords[1], kind="stable")]

@@ -1,9 +1,10 @@
 """Command-line entry point: stats, train, gate-train, predict, evaluate,
 analyze.
 
-Option resolution is CLI flag > config file > built-in default; every
-command that writes an output also writes a ``<output>.manifest.json``
-recording the resolved configuration, input digests, and wall-clock time.
+Option resolution is CLI flag > config file > built-in default, and every
+command checks its options before it reads any input file.  Every command
+that writes an output also writes a ``<output>.manifest.json`` recording
+the resolved configuration, input digests, and wall-clock time.
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
 
@@ -36,12 +37,13 @@ from .dataio import (
     write_predictions,
     PostPrediction,
 )
-from .embeddings import encode_post, load_embeddings, mean_pooled
+from .embeddings import check_max_len, encode_post, load_embeddings, mean_pooled
 from .errors import DataFormatError, ToxicSpansError, ValidationError
 from .gate import (
     KIND_INTERNAL,
     GateModel,
     apply_gate,
+    check_gate_options,
     gate_score,
     load_external_gate,
     load_gate,
@@ -232,13 +234,14 @@ def _load_posts(args: argparse.Namespace, has_gold: bool):
 
 def cmd_stats(args: argparse.Namespace) -> int:
     started = time.time()
+    max_len = _resolve(args, "max_len")
+    check_max_len(max_len)
     posts = _load_posts(args, has_gold=True)
     hist = span_word_histogram(posts)
     print(f"{'words':>6}  {'posts':>7}  {'percent':>8}")
     for words, count in hist.counts.items():
         print(f"{words:>6}  {count:>7}  {hist.percentages[words]:>7.2f}%")
     print(f"total posts: {len(posts)}")
-    max_len = _resolve(args, "max_len")
     over = sum(1 for post in posts if len(tokenize(post.text)) > max_len)
     print(f"posts longer than {max_len} tokens: {over}")
     if args.out:
@@ -254,12 +257,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.time()
-    table = _load_table(args)
-    posts = _load_posts(args, has_gold=True)
     cfg = TrainConfig(
         **{field: _resolve(args, key) for key, field in TRAIN_FIELDS.items()},
         finetune_embeddings=args.finetune_embeddings,
     )
+    cfg.validate()
+    table = _load_table(args)
+    posts = _load_posts(args, has_gold=True)
     examples = build_examples(posts, table, cfg.max_len)
 
     def report(stats):
@@ -296,26 +300,23 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_gate_train(args: argparse.Namespace) -> int:
     started = time.time()
+    max_len, epochs, threshold = (_resolve(args, key) for key in ("max_len", "gate_epochs", "gate_threshold"))
+    check_max_len(max_len)
+    check_gate_options(epochs, threshold)
     table = _load_table(args)
     posts = _load_posts(args, has_gold=True)
-    max_len = _resolve(args, "max_len")
     data = [
         (encode_post(tokenize(post.text), table, max_len), bool(post.gold))
         for post in posts
     ]
-    model = train_gate(
-        data,
-        table,
-        epochs=_resolve(args, "gate_epochs"),
-        threshold=_resolve(args, "gate_threshold"),
-    )
+    model = train_gate(data, table, epochs=epochs, threshold=threshold)
     save_gate(model, args.out)
     print(f"gate model written to {args.out}")
     _write_manifest(
         args.out,
         "gate-train",
         {"max_len": max_len, "gate_threshold": model.threshold,
-         "gate_epochs": _resolve(args, "gate_epochs"), "lenient": args.lenient},
+         "gate_epochs": epochs, "lenient": args.lenient},
         {"data": args.data, "embeddings": args.embeddings},
         [str(args.out)],
         started,
@@ -354,6 +355,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     params, cfg = load_checkpoint(ckpt_path, table)
     max_len = _resolve(args, "max_len", default=cfg.max_len)
+    check_max_len(max_len)
     # a flag or config value beats the gap the checkpoint was chosen with
     bridge_gap = _resolve(args, "bridge_gap", default=cfg.bridge_gap)
     policy = BridgePolicy(bridge_gaps=True, max_gap=bridge_gap)
@@ -424,13 +426,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    n_samples = _resolve(args, "samples")
+    if n_samples < 0:
+        raise ValidationError(f"samples must be >= 0, got {n_samples}")
     golds = _load_posts(args, has_gold=True)
     with open(_require_file(args.pred, "prediction"), "rb") as handle:
         preds = read_predictions(handle)
     if len(preds) != len(golds) or any(p.id != g.id for p, g in zip(preds, golds)):
         raise ValidationError("prediction file does not align with the dataset")
     buckets = categorize_errors(preds, golds)
-    n_samples = _resolve(args, "samples")
     by_id = {post.id: post for post in golds}
     total = sum(len(b.post_ids) for b in buckets)
     for bucket in buckets:

@@ -10,13 +10,15 @@ The forward-backward marginals double as the analytic gradient of the
 negative log-likelihood: d NLL / d em[t][l] = marginal[t][l] - 1{gold_t = l},
 and likewise expected-minus-observed for transitions, start, and stop.
 
-:func:`crf_nll_grad` takes a (T, B, L) batch in the layout of
-:mod:`batching` and runs on its N packed rows, as the LSTM does.  Beta is
-the alpha recursion run over each post's reversed prefix with ``trans.T``,
-so both run as K = 2 stacked recursions in one loop.  Marginals, pair terms
-and the gold score run on the rows in forward (t, b) order, so every sum
-adds the terms a padded (T, B) pass adds, in its order, and keeps its bits.
-Viterbi decoding is per post.
+:func:`crf_nll_grad` takes the (N, L) emissions of a batch in the packed
+layout of :mod:`batching`, as the LSTM returns its states, and returns
+their gradients in the same rows.  Beta is the alpha recursion run over
+each post's reversed prefix with ``trans.T``, so both run as K = 2 stacked
+recursions in one loop; the reversed rows are the forward rows through
+:attr:`batching.PackedSteps.mirror`.  Marginals, pair terms and the gold
+score run on the rows in forward (t, b) order, so every sum adds the terms
+of a padded (T, B) pass in its order, and keeps its bits.  Viterbi
+decoding is per post, on that post's rows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .batching import PackedSteps, check_lengths
+from .batching import PackedSteps
 from .errors import ValidationError
 
 
@@ -52,22 +54,21 @@ def _check_emissions(em: np.ndarray, crf: CrfParams) -> None:
         )
 
 
-def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps, fwd, rev):
+def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps):
     """The one forward-backward pass every CRF quantity is read from, over
-    a sorted (T, B, L) batch's packed rows and its forward and reversed
-    :meth:`batching.PackedSteps.slots`.
+    the packed (N, L) emissions of the batch ``steps``.
 
-    Returns, in forward (t, b) row order, the emissions and the marginals;
-    each row's ``mirror``, the row of its slot in the reversed layout (an
-    involution, so ``mirror[:B]`` are the posts' last rows); the B
-    log-partitions; and the expected transition counts of the batch.
+    Returns, in forward (t, b) row order, the marginals; the
+    :attr:`batching.PackedSteps.mirror` of every row as an index array
+    (``mirror[:B]`` are the posts' last rows); the B log-partitions; and
+    the expected transition counts of the batch.
     """
-    T, B, L = em.shape
+    B, L = steps.B, crf.num_labels
     N, rows, prev_rows, heads = steps.N, steps.rows, steps.prev_rows, steps.heads
-    grid = em.reshape(T * B, L)
+    mirror = np.arange(N)[steps.mirror]
     ems = np.empty((N, 2, L))
-    ems[:, 0] = grid[fwd]
-    ems[:, 1] = grid[rev]
+    ems[:, 0] = em
+    ems[:, 1] = em[mirror]
     trans = np.stack([crf.trans, crf.trans.T])
     # scores[:, 0] are the alphas and scores[:, 1] em + beta; reduced is
     # each step's reduction before its emissions are added, so
@@ -77,15 +78,12 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps, fwd, r
     reduceds[rows[0]] = (crf.start, crf.stop)
     np.add(reduceds[rows[0]], emss[rows[0]], out=scoress[rows[0]])
     pairs = np.empty((B, 2, L, L))
-    for s in range(1, T):
+    for s in range(1, steps.T):
         r, step = rows[s], pairs[heads[s]]
         np.add(scoress[prev_rows[s]][..., None], trans, out=step)
         np.logaddexp.reduce(step, axis=2, out=reduceds[r])
         np.add(reduceds[r], emss[r], out=scoress[r])
 
-    mirror = np.empty(T * B, dtype=np.intp)
-    mirror[rev] = np.arange(N)
-    mirror = mirror[fwd]
     alphas = scores[:, 0]
     log_z = np.logaddexp.reduce(alphas[mirror[:B]] + crf.stop, axis=1)
     log_z_rows = log_z[steps.coords[1], None]
@@ -98,31 +96,24 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps, fwd, r
     pair += scores[mirror[B:], 1, None, :]
     pair -= log_z_rows[B:, :, None]
     expected = np.exp(pair, out=pair).sum(axis=0)
-    return ems[:, 0], marginals, mirror, log_z, expected
+    return marginals, mirror, log_z, expected
 
 
 def crf_nll_grad(
-    em: np.ndarray, crf: CrfParams, labels, lengths: np.ndarray, *, packed=None
+    em: np.ndarray, crf: CrfParams, labels, steps: PackedSteps
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """NLL and its gradients wrt emissions, trans, start, and stop.
 
-    Takes a sorted batch: (T, B, L) emissions (any finite values as
-    padding), one label list per post and the post lengths.  Returns the
-    summed NLL, per-post emission gradients (zero on padding) and the
-    summed trans, start and stop gradients.  Each gradient is the marginal
-    expectation minus the gold indicator.  A caller that has built the
-    batch's layout passes it as ``packed``: the
-    :class:`batching.PackedSteps` and the forward and reversed slots.
+    Takes the (N, L) packed emissions of the batch ``steps`` and one label
+    list per post, in the batch's order.  Returns the summed NLL, the
+    packed emission gradients and the summed trans, start and stop
+    gradients.  Each gradient is the marginal expectation minus the gold
+    indicator.
     """
-    if em.ndim != 3 or em.shape[2] != crf.num_labels:
-        raise ValidationError(
-            f"emissions must be T x B x {crf.num_labels}, got shape {em.shape}"
-        )
-    T, B, L = em.shape
-    if packed is None:
-        steps = PackedSteps(check_lengths(lengths, T, B))
-        packed = steps, steps.slots(False), steps.slots(True)
-    steps = packed[0]
+    L = crf.num_labels
+    if em.shape != (steps.N, L):
+        raise ValidationError(f"emissions must be the {steps.N} packed rows x {L} labels, got shape {em.shape}")
+    B = steps.B
     if len(labels) != B:
         raise ValidationError(f"{len(labels)} label lists for {B} posts")
     for labs, n in zip(labels, steps.lengths.tolist()):
@@ -132,14 +123,13 @@ def crf_nll_grad(
     bad = (y < 0) | (y >= L)
     if bad.any():
         raise ValidationError(f"label {y[bad][0]} outside [0, {L})")
-    t, b = steps.coords
-    y = y[(np.cumsum(steps.lengths) - steps.lengths)[b] + t]  # post by post to row order
+    y = steps.pack(y)
 
-    em_rows, d_em, mirror, log_z, expected = _forward_backward(em, crf, *packed)
+    d_em, mirror, log_z, expected = _forward_backward(em, crf, steps)
     at_gold, y_prev, last = (np.arange(steps.N), y), y[steps.prev()], mirror[:B]
     gold = float(
         crf.start[y[:B]].sum()
-        + em_rows[at_gold].sum()
+        + em[at_gold].sum()
         + crf.trans[y_prev, y[B:]].sum()
         + crf.stop[y[last]].sum()
     )
@@ -149,9 +139,7 @@ def crf_nll_grad(
     # start and stop gradients are the first and last emission gradient rows
     d_start = d_em[:B].sum(axis=0)
     d_stop = d_em[last].sum(axis=0)
-    d_grid = steps.grid(L)
-    d_grid[packed[1]] = d_em
-    return float(log_z.sum()) - gold, d_grid.reshape(T, B, L), d_trans, d_start, d_stop
+    return float(log_z.sum()) - gold, d_em, d_trans, d_start, d_stop
 
 
 def viterbi_decode(em: np.ndarray, crf: CrfParams) -> list[int]:

@@ -4,8 +4,10 @@ The vector file is the standard plain-text format: one word per line, the
 word and its components separated by single spaces.  Two reserved rows are
 appended after the vocabulary: UNK (the componentwise mean of all loaded
 vectors) and PAD (all zeros).  A post encodes as the rows of its first
-``max_len`` tokens; PAD only fills the model's grid past each post's length,
-where nothing reads it, so the zero vector is inert by construction.
+``max_len`` tokens and the model gathers only those rows, so the PAD row
+is never read; it stays because a fine-tuned checkpoint stores the whole
+matrix.  ``EncodedPost.mask`` is read by no layer of the tagger; it stays
+because the benchmark's tracer (``perfbench/tracer.py``) reads it.
 """
 
 from __future__ import annotations

@@ -34,10 +34,17 @@ class GateModel:
     vocab_hash: str | None = None  # an internal gate's table.fingerprint(); None in old files
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValidationError(f"threshold must be in [0, 1], got {self.threshold}")
+        check_gate_options(threshold=self.threshold)
         if self.kind not in (KIND_INTERNAL, KIND_EXTERNAL):
             raise ValidationError(f"unknown gate kind {self.kind!r}")
+
+
+def check_gate_options(epochs: int = 1, threshold: float = 0.5) -> None:
+    """Reject fewer than one training epoch, or a threshold outside [0, 1]."""
+    if epochs < 1:
+        raise ValidationError(f"gate epochs must be >= 1, got {epochs}")
+    if not 0.0 <= threshold <= 1.0:  # false for NaN too
+        raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
 
 
 def _sigmoid(x):
@@ -84,6 +91,7 @@ def train_gate(
     threshold: float = 0.5,
 ) -> GateModel:
     """Fit the internal logistic gate on mean-pooled embedding features."""
+    check_gate_options(epochs, threshold)
     if not data:
         raise ValidationError("gate training data is empty")
     targets = np.array([1.0 if is_toxic else 0.0 for _, is_toxic in data])

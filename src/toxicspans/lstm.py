@@ -9,17 +9,12 @@ cell state:
     c_t = f * c_{t-1} + i * g
     h_t = o * tanh(c_t)
 
-Both kernels take a minibatch in the time-major, length-sorted layout of
-:mod:`batching`: a (T, B, D) array plus the B post lengths, longest first;
-one post is a batch of one.  Inside, every array holds only the N =
-sum(lengths) real slots, packed time-major (:class:`batching.PackedSteps`):
-step ``s`` is one contiguous block of the ``counts[s]`` posts longer than
-``s``, and the same posts' previous step is the first ``counts[s]`` rows of
-the block before it.  A reversed direction packs each post's own prefix
-back to front.  Inputs are gathered into this layout on the way in and the
-outputs scattered back to (T, B, ·) on the way out, so padding is never
-computed, stored or multiplied.  When every post runs every step, as one
-post always does, packing is a reshape.
+Both kernels take and return the packed rows of :mod:`batching`: the N =
+sum(lengths) real slots of length-sorted posts, time-major in forward
+order, described by one :class:`batching.PackedSteps`.  Step ``s`` is one
+contiguous block of rows, so padding is never computed, stored or
+multiplied.  A reversed direction reads its inputs and writes its outputs
+through the involution :attr:`batching.PackedSteps.mirror`.
 
 :class:`LstmParams` stacks the weights of K directions on a leading axis
 (the BiLSTM has K = 2: forward, then backward), and every direction runs
@@ -42,11 +37,7 @@ step's rows of dZ, the pre-activation gradient, in place; each
 direction's parameter gradients are then products over the N rows: dZ^T
 X, dZ^T H_prev (H_prev gathered from the previous step's rows), and
 sum(dZ).  The input gradient dZ W_in is formed only when the caller asks
-for it, which the model does only when fine-tuning embeddings.  Padding
-adds nothing to any of these sums, so they equal the padded layout's
-whenever BLAS sums the rows in one block (T * B up to 384 with OpenBLAS
-0.3.31 on an AVX-512 Xeon); beyond that the block boundaries move and the
-last bits may differ.
+for it, which the model does only when fine-tuning embeddings.
 
 Two time loops run that recurrence with the same numpy calls in the same
 order, so they give the same bits.  A batch of several posts runs the
@@ -61,21 +52,23 @@ instead, which cuts a step by about 15% at H = 32.
 :class:`LstmCache` holds the packed rows in processing order: each
 direction's inputs (D), and the activated ``gates`` (4H, blocks in gate
 order) and the ``cell``, ``tanh_cell`` and ``hidden`` states (H) of all
-directions as (N, K, ·), plus the :class:`batching.PackedSteps` and each
-direction's slots in the (T, B) grid.  A reversed direction consumes the
-inputs back-to-front but reports hidden states in original order.  All
-arithmetic is float64.
+directions as (N, K, ·), plus the :class:`batching.PackedSteps` and which
+directions run reversed.  A reversed direction consumes its post back to
+front but reports hidden states in forward order.  All arithmetic is
+float64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import iadd
 from typing import Sequence
 
 import numpy as np
 
-from .batching import PackedSteps, check_lengths
+from .batching import PackedSteps
 from .errors import NonFiniteError, ValidationError
 
 
@@ -123,7 +116,7 @@ class LstmCache:
     tanh_cell: np.ndarray
     hidden: np.ndarray
     steps: PackedSteps
-    slots: list  # K packed-row slots (PackedSteps.slots) in the (T * B) grid
+    reverse: tuple[bool, ...]  # per direction: whether it reads posts back to front
 
 
 def _sigmoid_inplace(x: np.ndarray) -> None:
@@ -138,34 +131,29 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
 def lstm_forward(
     inputs: np.ndarray,
     params: LstmParams,
-    lengths: np.ndarray,
+    steps: PackedSteps,
     reverse: Sequence[bool],
 ) -> tuple[np.ndarray, LstmCache]:
-    """Run the K directions of ``params`` over a sorted (T, B, D) batch of
-    posts with the given ``lengths``; direction ``k`` reads each post back
-    to front if ``reverse[k]``.
+    """Run the K directions of ``params`` over the (N, D) packed input rows
+    of the batch ``steps``; direction ``k`` reads each post back to front
+    if ``reverse[k]``.
 
-    Returns the (T, B, K*H) hidden states in original order (zero on
-    padding), direction k in columns k*H to (k+1)*H, plus the cache needed
-    by :func:`lstm_backward`.  Raises :class:`NonFiniteError` if any hidden
+    Returns the (N, K*H) packed hidden states in forward order, direction k
+    in columns k*H to (k+1)*H, plus the cache needed by
+    :func:`lstm_backward`.  Raises :class:`NonFiniteError` if any hidden
     state diverges, which only happens when parameters or inputs are
     already non-finite (the activations themselves are bounded).
     """
-    if inputs.ndim != 3 or inputs.shape[0] < 1:
-        raise ValidationError(f"inputs must be T x B x D with T >= 1, got {inputs.shape}")
-    if inputs.shape[-1] != params.input_size:
+    if inputs.shape != (steps.N, params.input_size):
         raise ValidationError(
-            f"input width {inputs.shape[-1]} != parameter input size {params.input_size}"
+            f"inputs must be the batch's {steps.N} packed rows of width {params.input_size}, got {inputs.shape}"
         )
     reverse = tuple(bool(rev) for rev in reverse)
     K, H = params.W_in.shape[0], params.hidden_size
     if len(reverse) != K:
         raise ValidationError(f"{len(reverse)} directions to run for {K} stacked directions")
-    T, B, D = inputs.shape
-    steps = PackedSteps(check_lengths(lengths, T, B))
     N = steps.N
-    slots = [steps.slots(rev) for rev in reverse]
-    xs = [inputs.reshape(T * B, D)[sl] for sl in slots]
+    xs = [inputs[steps.mirror] if rev else inputs for rev in reverse]
 
     gates = np.empty((N, K, 4 * H))  # pre-activations until a row is activated
     for k, x in enumerate(xs):
@@ -175,7 +163,7 @@ def lstm_forward(
     tanh_cell = np.empty_like(cell)
     hidden = np.empty_like(cell)
     with np.errstate(over="ignore"):
-        if B == 1:
+        if steps.B == 1:
             _one_post_steps(params.W_rec, gates, cell, tanh_cell, hidden)
         else:
             _packed_steps(params.W_rec, steps, gates, cell, tanh_cell, hidden)
@@ -185,9 +173,9 @@ def lstm_forward(
     if not math.isfinite(hidden.sum()):
         raise NonFiniteError("LSTM hidden state is non-finite; inputs or parameters diverged")
 
-    out = steps.grid(K * H)
-    for k, sl in enumerate(slots):
-        out[sl, k * H : (k + 1) * H] = hidden[:, k]
+    out = np.empty((N, K * H))
+    for k, rev in enumerate(reverse):
+        out[:, k * H : (k + 1) * H] = hidden[steps.mirror, k] if rev else hidden[:, k]
     cache = LstmCache(
         inputs=xs,
         gates=gates,
@@ -195,9 +183,9 @@ def lstm_forward(
         tanh_cell=tanh_cell,
         hidden=hidden,
         steps=steps,
-        slots=slots,
+        reverse=reverse,
     )
-    return out.reshape(T, B, K * H), cache
+    return out, cache
 
 
 def _packed_steps(
@@ -274,22 +262,21 @@ def lstm_backward(
 ) -> tuple[np.ndarray | None, list[dict[str, np.ndarray]]]:
     """Backpropagate upstream hidden-state gradients through the recurrence.
 
-    ``d_hidden`` has the (T, B, K*H) shape of the forward pass's output, in
-    original order; its padded rows are ignored.  Returns the input
-    gradients in original order (zero on padding), summed over the
-    directions, or None unless ``input_grad``; and one dict of parameter
-    gradients per direction keyed ``W_in`` / ``W_rec`` / ``b``, each summed
-    over the batch.
+    ``d_hidden`` has the (N, K*H) shape of the forward pass's output, in
+    forward order.  Returns the (N, D) input gradients in forward order,
+    summed over the directions, or None unless ``input_grad``; and one dict
+    of parameter gradients per direction keyed ``W_in`` / ``W_rec`` / ``b``,
+    each summed over the batch.
     """
     steps = cache.steps
     T, B, N, heads = steps.T, steps.B, steps.N, steps.heads
     K, H = cache.hidden.shape[1:]
-    if d_hidden.shape != (T, B, K * H):
-        raise ValidationError(f"upstream gradient shape {d_hidden.shape} != {(T, B, K * H)}")
+    if d_hidden.shape != (N, K * H):
+        raise ValidationError(f"upstream gradient shape {d_hidden.shape} != {(N, K * H)}")
     d_h_seq = np.empty((N, K, H))
-    d_grid = d_hidden.reshape(T * B, K, H)
-    for k, sl in enumerate(cache.slots):
-        d_h_seq[:, k] = d_grid[sl, k]
+    d_rows = d_hidden.reshape(N, K, H)
+    for k, rev in enumerate(cache.reverse):
+        d_h_seq[:, k] = d_rows[steps.mirror, k] if rev else d_rows[:, k]
     prev = steps.prev()
     # rows from step 1 on: the previous step's states of the same posts
     c_prev = cache.cell[prev]
@@ -357,11 +344,6 @@ def lstm_backward(
         })
     if not input_grad:
         return None, grads
-    d_x = steps.grid(params.input_size)
-    for k, sl in enumerate(cache.slots):
-        d_x_k = dZ_flat[:, k] @ params.W_in[k]
-        if k:
-            d_x[sl] += d_x_k
-        else:
-            d_x[sl] = d_x_k
-    return d_x.reshape(T, B, -1), grads
+    d_xs = [dZ_flat[:, k] @ params.W_in[k] for k in range(K)]
+    d_xs = [d_x[steps.mirror] if rev else d_x for d_x, rev in zip(d_xs, cache.reverse)]
+    return reduce(iadd, d_xs), grads  # summed into the first direction's array

@@ -3,24 +3,25 @@ projection to per-label emission scores, and the CRF on top.
 
 Training runs a whole minibatch, and inference a chunk of up to
 :data:`INFER_BATCH` posts (one post is a chunk of one), as one pass in the
-time-major, length-sorted layout of :mod:`batching`: a (T, B) grid of
-embedding rows, T the batch's longest post, PAD past each post's length.
-The LSTM packs the grid's N real slots once per pass, and the CRF runs on
-the same packed layout, so no padded slot is computed.  Viterbi then
-decodes each post's own prefix.  A pass over one post (``predict`` of a
-post on its own, a training batch of one) runs the LSTM's one-post time
-loop and any larger pass its packed loop; both give the same bits.  At
-B = 1 a step is about 13 numpy calls, and numpy's per-call cost has no
-batch axis to spread over, so the one-post loop trims the work around
-those calls (see :mod:`lstm`).  The backward pass is fully manual
-(projection, then both LSTM directions) and returns gradients summed over
-the batch; only when fine-tuning does it ask the LSTM for the input
-gradient and accumulate embedding-row gradients from it.
+packed layout of :mod:`batching`, from the embedding lookup to Viterbi:
+only the N real token slots of the length-sorted posts, time-major.  The
+embedding rows are gathered straight from the posts' indices, the LSTM
+and the projection return (N, ·) rows, the CRF returns its gradients in
+those rows, and Viterbi decodes each post from its rows, put back post by
+post (``PackedSteps.unpack``); no padded slot is built.  A pass over one post (``predict`` of a post on its
+own, a training batch of one) runs the LSTM's one-post time loop and any
+larger pass its packed loop; both give the same bits.  At B = 1 a step is
+about 13 numpy calls, and numpy's per-call cost has no batch axis to
+spread over, so the one-post loop trims the work around those calls (see
+:mod:`lstm`).  The backward pass is fully manual (projection, then both
+LSTM directions) and returns gradients summed over the batch; only when
+fine-tuning does it ask the LSTM for the input gradient and accumulate
+embedding-row gradients from it.
 
 Both LSTM directions live in one stacked :class:`lstm.LstmParams` block
 (K = 2: forward, then backward) and run in lockstep, one
 :func:`lstm.lstm_forward` and one :func:`lstm.lstm_backward` call per pass;
-the forward call's (T, B, 2H) output is the concatenation of the two
+the forward call's (N, 2H) output is the concatenation of the two
 directions' hidden states that the projection reads.  Every tensor is a
 view into one parameter vector, and ``params.fwd`` and ``params.bwd`` are
 views into the stacked block, so the per-direction tensor names and the
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batching import matmul_rows
+from .batching import PackedSteps
 from .crf import CrfParams, crf_nll_grad, viterbi_decode
 from .dataio import CharSpanSet
 from .embeddings import EmbeddingTable, EncodedPost, encode_post
@@ -116,9 +117,9 @@ class ModelParams:
 class BilstmCache:
     """Everything the manual backward pass needs from one forward pass."""
 
-    indices: np.ndarray  # (T, B) embedding rows; padding past each post's length
+    indices: np.ndarray  # (N,) packed embedding rows
     lstm_cache: LstmCache
-    hidden: np.ndarray  # (T, B, 2H), zero on padding
+    hidden: np.ndarray  # (N, 2H) packed hidden states
 
 
 def _glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -166,23 +167,16 @@ def init_params(
     return params_from_arrays(arrays, table)
 
 
-def _emissions(
-    indices: np.ndarray, params: ModelParams, lengths: np.ndarray
-) -> tuple[np.ndarray, BilstmCache]:
-    """(T, B, L) label scores of a sorted batch's (T, B) embedding rows."""
-    inputs = params.embedding.matrix[indices]
-    hidden, lstm_cache = lstm_forward(inputs, params.lstm, lengths, [rev for _, rev in DIRECTIONS])
-    emissions = matmul_rows(hidden, params.emit.W_out.T) + params.emit.b_out
+def _emissions(posts: Sequence[EncodedPost], params: ModelParams) -> tuple[np.ndarray, BilstmCache]:
+    """(N, L) packed label scores of length-sorted posts, and the cache of
+    the pass, whose ``lstm_cache.steps`` is the batch's layout."""
+    steps = PackedSteps([post.effective_len for post in posts])
+    indices = steps.pack(np.concatenate([post.indices for post in posts]))
+    hidden, lstm_cache = lstm_forward(
+        params.embedding.matrix[indices], params.lstm, steps, [rev for _, rev in DIRECTIONS]
+    )
+    emissions = hidden @ params.emit.W_out.T + params.emit.b_out
     return emissions, BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden)
-
-
-def _index_grid(posts: Sequence[EncodedPost], pad_index: int) -> np.ndarray:
-    """The (T, B) embedding rows of length-sorted posts, PAD past each
-    post's own rows."""
-    indices = np.full((posts[0].effective_len, len(posts)), pad_index)
-    for b, post in enumerate(posts):
-        indices[: post.effective_len, b] = post.indices
-    return indices
 
 
 def backward(
@@ -193,16 +187,14 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Manual backprop through the projection and both LSTM directions.
 
-    ``d_emissions`` has the shape of the forward pass's emissions and must
-    be zero on padding.  Returns gradients keyed like
+    ``d_emissions`` has the (N, L) shape of the forward pass's emissions.
+    Returns gradients keyed like
     :meth:`ModelParams.named_arrays`, summed over a batch (CRF entries
     excluded; those come straight from the CRF marginals).
     """
-    H = params.hidden_size
-    L = d_emissions.shape[-1]
-    d_W_out = d_emissions.reshape(-1, L).T @ cache.hidden.reshape(-1, 2 * H)
-    d_b_out = d_emissions.reshape(-1, L).sum(axis=0)
-    d_hidden = matmul_rows(d_emissions, params.emit.W_out)
+    d_W_out = d_emissions.T @ cache.hidden
+    d_b_out = d_emissions.sum(axis=0)
+    d_hidden = d_emissions @ params.emit.W_out
 
     d_inputs, lstm_grads = lstm_backward(
         d_hidden, params.lstm, cache.lstm_cache, input_grad=finetune_embeddings
@@ -231,25 +223,18 @@ def nll_and_gradients(
     """Summed CRF negative log-likelihood of a minibatch and the summed
     gradients for every trainable tensor.
 
-    ``labels[k]`` must cover exactly the unpadded prefix of ``posts[k]``.
-    The batch runs as one time-major pass, its posts sorted longest first
-    (ties keep their given order).
+    ``labels[k]`` must cover exactly the encoded tokens of ``posts[k]``.
+    The batch runs as one packed pass, its posts sorted longest first (ties
+    keep their given order).
     """
     if len(posts) != len(labels):
         raise ValidationError(f"{len(labels)} label lists for {len(posts)} posts")
     if not posts:
         raise ValidationError("empty minibatch")
-    lens = [post.effective_len for post in posts]
-    order = sorted(range(len(posts)), key=lambda k: -lens[k])
-    lengths = np.array([lens[k] for k in order])
-    if lengths[-1] < 1:
-        raise ValidationError("encoded post has no unpadded positions")
-    indices = _index_grid([posts[k] for k in order], params.embedding.pad_index)
-    emissions, cache = _emissions(indices, params, lengths)
-    lstm_cache = cache.lstm_cache
+    order = sorted(range(len(posts)), key=lambda k: -posts[k].effective_len)
+    emissions, cache = _emissions([posts[k] for k in order], params)
     nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(
-        emissions, params.crf, [labels[k] for k in order], lengths,
-        packed=(lstm_cache.steps, *lstm_cache.slots),
+        emissions, params.crf, [labels[k] for k in order], cache.lstm_cache.steps
     )
     grads = backward(params, cache, d_em, finetune_embeddings)
     grads["crf.trans"] = d_trans
@@ -278,10 +263,11 @@ def predict_spans(
     spans = [CharSpanSet() for _ in posts]
     for lo in range(0, len(order), INFER_BATCH):
         picked = order[lo : lo + INFER_BATCH]
-        grid = _index_grid([posts[k] for k in picked], params.embedding.pad_index)
-        emissions, _ = _emissions(grid, params, np.array([lens[k] for k in picked]))
-        for b, k in enumerate(picked):
-            labels = viterbi_decode(emissions[: lens[k], b], params.crf)
+        emissions, cache = _emissions([posts[k] for k in picked], params)
+        by_post, start = cache.lstm_cache.steps.unpack(emissions), 0
+        for k in picked:
+            labels = viterbi_decode(by_post[start : start + lens[k]], params.crf)
+            start += lens[k]
             spans[k] = labels_to_spans(toks[k], labels + [0] * (len(toks[k]) - lens[k]), policy)
     return spans
 

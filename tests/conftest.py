@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from toxicspans.batching import PackedSteps
 from toxicspans.embeddings import EmbeddingTable
 from toxicspans.lstm import LstmDirectionParams, LstmParams
 from toxicspans.model import ModelParams
@@ -35,11 +36,20 @@ def make_table(words, dim=4, seed=0) -> EmbeddingTable:
     )
 
 
-def batch_of_one(post):
-    """One post's (T, ...) array as a length-sorted batch of one: a (T, 1, ...)
-    view, so in-place edits of the post show through, and its lengths [T]."""
-    post = np.asarray(post)
-    return post[:, None], np.array([len(post)])
+def pack_posts(posts):
+    """Length-sorted per-post (T_b, ...) arrays as the packed rows of one
+    batch, plus its :class:`PackedSteps`.  One post's rows are its array
+    itself, so in-place edits of the post show through."""
+    steps = PackedSteps([len(post) for post in posts])
+    rows = np.asarray(posts[0]) if len(posts) == 1 else steps.pack(np.concatenate(posts))
+    return rows, steps
+
+
+def split_posts(rows, steps):
+    """Packed rows back as the batch's per-post (T_b, ...) arrays: post b of
+    length n is rows ``offsets[:n] + b``."""
+    offsets = np.asarray(steps.offsets)
+    return [rows[offsets[:n] + b] for b, n in enumerate(steps.lengths)]
 
 
 def one_direction(params: LstmDirectionParams) -> LstmParams:

@@ -16,8 +16,11 @@ return their bits.  The single-post CRF quantities (log-partition, gold
 score, NLL, marginals) run one post as a batch of one through the
 library's kernels, for the tests that check them against the brute-force
 oracles.  ``reference_lstm_forward`` is the lockstep LSTM forward pass that
-ran every batch, one post included, through the packed loop; the library's
-one-post loop must return its bits.
+ran every batch, one post included, through the packed loop, and took and
+returned the padded (T, B, ·) grid; the library's kernels, which take and
+return packed rows, must return its bits on every real slot.  The padded
+grid lives only here: :func:`padded` and :func:`packed` move rows between
+it and the library's packed layout.
 
 The span-set functions at the very end are the regex span-literal parser,
 the grammar-only parser that read every literal before the json scanner's
@@ -39,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from toxicspans.batching import PackedSteps, check_lengths, step_counts
+from toxicspans.batching import PackedSteps
 from toxicspans.crf import CrfParams, _check_emissions, crf_nll_grad
 from toxicspans.crf import _forward_backward as _packed_forward_backward
 from toxicspans.dataio import CharSpanSet
@@ -189,6 +192,48 @@ def loop_lstm_backward(d_hidden, params, cache):
     return d_inputs, {"W_in": d_W_in, "W_rec": d_W_rec, "b": d_b}
 
 
+def _slots(steps: PackedSteps, reverse: bool) -> slice | np.ndarray:
+    """For every packed row of the batch (of its reversed pass if
+    ``reverse``), in order, its slot ``t * B + b`` in the (T * B, ...)
+    flattening of a padded (T, B, ...) grid; index the grid with it to pack
+    it, assign through it to unpack."""
+    if steps.full and not reverse:
+        return slice(None)
+    if steps.B == 1:
+        return slice(None, None, -1)
+    t, b = steps.coords
+    if reverse:
+        t = steps.lengths[b] - 1 - t
+    return t * steps.B + b
+
+
+def _grid(steps: PackedSteps, width: int) -> np.ndarray:
+    """A new (T * B, width) array to scatter packed rows into, at their
+    :func:`_slots`; zero on padding."""
+    return (np.empty if steps.full else np.zeros)((steps.T * steps.B, width))
+
+
+def padded(rows: np.ndarray, steps: PackedSteps, fill: np.ndarray | None = None) -> np.ndarray:
+    """Packed (N, width) rows as a padded (T, B, width) grid: zero past each
+    post's length, or the values of ``fill`` there if given."""
+    width = rows.shape[1]
+    grid = _grid(steps, width) if fill is None else fill.reshape(-1, width).copy()
+    grid[_slots(steps, False)] = rows
+    return grid.reshape(steps.T, steps.B, width)
+
+
+def packed(grid: np.ndarray, steps: PackedSteps) -> np.ndarray:
+    """The real slots of a padded (T, B, width) grid as packed rows."""
+    return grid.reshape(steps.T * steps.B, -1)[_slots(steps, False)]
+
+
+def _check_grid_lengths(lengths, T: int, B: int) -> PackedSteps:
+    steps = PackedSteps(lengths)
+    if (steps.T, steps.B) != (T, B):
+        raise ValidationError(f"lengths {steps.lengths.tolist()} do not fit a {T} x {B} grid")
+    return steps
+
+
 def _reference_sigmoid_inplace(x: np.ndarray) -> None:
     """In-place logistic sigmoid; exp overflow saturates to 0 (caller
     ignores the overflow warning)."""
@@ -225,10 +270,10 @@ def reference_lstm_forward(
     if len(reverse) != K:
         raise ValidationError(f"{len(reverse)} directions to run for {K} stacked directions")
     T, B, D = inputs.shape
-    steps = PackedSteps(check_lengths(lengths, T, B))
+    steps = _check_grid_lengths(lengths, T, B)
     N, heads = steps.N, steps.heads
     i_, f_, g_, o_ = ((Ellipsis, slice(k * H, (k + 1) * H)) for k in range(4))
-    slots = [steps.slots(rev) for rev in reverse]
+    slots = [_slots(steps, rev) for rev in reverse]
     xs = [inputs.reshape(T * B, D)[sl] for sl in slots]
 
     gates = np.empty((N, K, 4 * H))  # pre-activations until a row is activated
@@ -268,7 +313,7 @@ def reference_lstm_forward(
     if not math.isfinite(hidden.sum()):
         raise NonFiniteError("LSTM hidden state is non-finite; inputs or parameters diverged")
 
-    out = steps.grid(K * H)
+    out = _grid(steps, K * H)
     for k, sl in enumerate(slots):
         out[sl, k * H : (k + 1) * H] = hidden[:, k]
     cache = LstmCache(
@@ -278,9 +323,18 @@ def reference_lstm_forward(
         tanh_cell=tanh_cell,
         hidden=hidden,
         steps=steps,
-        slots=slots,
+        reverse=reverse,
     )
     return out.reshape(T, B, K * H), cache
+
+
+def packed_reference_lstm_forward(
+    inputs: np.ndarray, params: LstmParams, steps: PackedSteps, reverse: Sequence[bool]
+) -> tuple[np.ndarray, LstmCache]:
+    """:func:`reference_lstm_forward` with ``lstm_forward``'s packed
+    signature: the rows go through the padded grid and back."""
+    hidden, cache = reference_lstm_forward(padded(inputs, steps), params, steps.lengths, reverse)
+    return packed(hidden, steps), cache
 
 
 def _logsumexp(a, axis):
@@ -369,7 +423,7 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, lengths: np.ndarray) -> _F
     -inf, so padding adds exp(-inf) = 0 to the marginals and transitions.
     """
     T, B, _ = em.shape
-    rows = [slice(0, n) for n in step_counts(lengths)]  # each step's running posts
+    rows = [slice(0, n) for n in PackedSteps(lengths).counts]  # each step's running posts
     last, cols = lengths - 1, np.arange(B)
     alphas = np.full_like(em, -np.inf)
     alphas[0] = crf.start + em[0]
@@ -408,7 +462,7 @@ def padded_crf_nll_grad(
         raise ValidationError(
             f"emissions must be T x B x {crf.num_labels}, got shape {em.shape}"
         )
-    lengths = check_lengths(lengths, em.shape[0], em.shape[1])
+    lengths = _check_grid_lengths(lengths, em.shape[0], em.shape[1]).lengths
     if len(labels) != len(lengths):
         raise ValidationError(f"{len(labels)} label lists for {len(lengths)} posts")
     T, B, L = em.shape
@@ -439,10 +493,7 @@ def _single(em, crf):
     """Forward-backward of one (T, L) post, as a batch of one: its marginals,
     log-partition and expected transition counts."""
     _check_emissions(em, crf)
-    steps = PackedSteps(np.array([em.shape[0]]))
-    _, marginals, _, log_z, expected = _packed_forward_backward(
-        em[:, None, :], crf, steps, steps.slots(False), steps.slots(True)
-    )
+    marginals, _, log_z, expected = _packed_forward_backward(em, crf, PackedSteps([len(em)]))
     return marginals, float(log_z[0]), expected
 
 
@@ -454,7 +505,7 @@ def crf_log_partition(em, crf) -> float:
 def crf_nll(em, crf, labels) -> float:
     """Negative log-likelihood of the gold sequence: logZ - gold score >= 0."""
     _check_emissions(em, crf)
-    return crf_nll_grad(em[:, None, :], crf, [labels], np.array([em.shape[0]]))[0]
+    return crf_nll_grad(em, crf, [labels], PackedSteps([len(em)]))[0]
 
 
 def crf_gold_score(em, crf, labels) -> float:

@@ -25,7 +25,7 @@ from oracles import (
     max_relative_error,
     path_score,
 )
-from conftest import batch_of_one, make_table
+from conftest import make_table
 from toxicspans.cli import main
 from toxicspans.crf import CrfParams, viterbi_decode
 from toxicspans.dataio import CharSpanSet, read_predictions
@@ -116,9 +116,8 @@ def test_criterion_3_gradient_correctness():
     def batch_loss():
         total = 0.0
         for post, labels in batch:
-            indices, lengths = batch_of_one(post.indices[: post.effective_len])
-            em, _ = _emissions(indices, params, lengths)
-            total += crf_nll(em[:, 0], params.crf, labels)
+            em, _ = _emissions([post], params)
+            total += crf_nll(em, params.crf, labels)
         return total / len(batch)
 
     posts, label_lists = zip(*batch)

@@ -1,20 +1,22 @@
-"""A time-major, length-sorted minibatch against the same posts one at a
+"""A packed, length-sorted minibatch against the same posts one at a
 time, each a batch of one: the batched kernels and ``nll_and_gradients``
 must return each post's own results and the sum of the single-post
 gradients, up to summation order, and ``predict_spans`` over a list must
 give each post's single-post spans.
 
-Padding slots are filled with random finite values, so any padded value
-leaking into a result would show.
+On the same cases the packed LSTM and CRF kernels must return exactly the
+bits of the padded (T, B) references kept in ``oracles``, on every real
+slot; the references' padding is filled with random finite values.
 """
 
 import numpy as np
 import pytest
 
-from conftest import batch_of_one, make_table, one_direction
+from conftest import make_table, one_direction, pack_posts, split_posts
+from oracles import packed, padded, padded_crf_nll_grad, reference_lstm_forward
 from toxicspans.crf import CrfParams, crf_nll_grad
 from toxicspans.embeddings import encode_post
-from toxicspans.lstm import LstmDirectionParams, lstm_backward, lstm_forward
+from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_backward, lstm_forward
 import toxicspans.model
 from toxicspans.model import INFER_BATCH, _emissions, init_params, nll_and_gradients, predict, predict_spans
 from toxicspans.span_codec import BridgePolicy
@@ -25,9 +27,9 @@ ATOL = 1e-12
 DIM = 5
 H = 4
 # (batch size, post lengths): mixed lengths with T = 1 and ties, and equal
-# lengths; the last two have T * B over 256, where BLAS splits the sums of
-# the weight-gradient products into blocks at other places than for the
-# posts one at a time
+# lengths; the last two have T * B over 256, and the B = 40 case over 384,
+# where BLAS splits the sums of the weight-gradient products into blocks at
+# other places than for the posts one at a time
 CASES = [
     (1, [1]),
     (1, [6]),
@@ -45,13 +47,9 @@ def assert_close(actual, desired):
     np.testing.assert_allclose(actual, desired, rtol=RTOL, atol=ATOL)
 
 
-def padded_batch(posts, rng, width):
-    """Stack sorted per-post (T_b, width) arrays time-major, padding with noise."""
-    T = len(posts[0])
-    batch = rng.normal(size=(T, len(posts), width)) * 3.0
-    for b, post in enumerate(posts):
-        batch[: len(post), b] = post
-    return batch
+def noise(rng, steps, width):
+    """Random finite values for a padded (T, B, width) grid."""
+    return rng.normal(size=(steps.T, steps.B, width)) * 3.0
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -66,18 +64,18 @@ def test_lstm_batch_matches_single_posts(B, lengths, reverse):
     xs = [rng.normal(size=(n, DIM)) for n in lengths]
     d_hs = [rng.normal(size=(n, H)) for n in lengths]
 
-    hidden, cache = lstm_forward(padded_batch(xs, rng, DIM), one_direction(params), np.array(lengths), [reverse])
-    d_inputs, [grads] = lstm_backward(padded_batch(d_hs, rng, H), one_direction(params), cache)
+    x, steps = pack_posts(xs)
+    hidden, cache = lstm_forward(x, one_direction(params), steps, [reverse])
+    d_inputs, [grads] = lstm_backward(pack_posts(d_hs)[0], one_direction(params), cache)
 
     total = {name: 0.0 for name in grads}
-    for b, (x, d_h) in enumerate(zip(xs, d_hs)):
-        n = len(x)
-        one_x, one_lengths = batch_of_one(x)
-        ref_hidden, ref_cache = lstm_forward(one_x, one_direction(params), one_lengths, [reverse])
-        ref_d_inputs, [ref_grads] = lstm_backward(batch_of_one(d_h)[0], one_direction(params), ref_cache)
-        assert_close(hidden[:n, b], ref_hidden[:, 0])
-        assert_close(d_inputs[:n, b], ref_d_inputs[:, 0])
-        assert np.all(hidden[n:, b] == 0.0) and np.all(d_inputs[n:, b] == 0.0)
+    posts = zip(xs, d_hs, split_posts(hidden, steps), split_posts(d_inputs, steps))
+    for x, d_h, post_hidden, post_d_inputs in posts:
+        one_x, one_steps = pack_posts([x])
+        ref_hidden, ref_cache = lstm_forward(one_x, one_direction(params), one_steps, [reverse])
+        ref_d_inputs, [ref_grads] = lstm_backward(d_h, one_direction(params), ref_cache)
+        assert_close(post_hidden, ref_hidden)
+        assert_close(post_d_inputs, ref_d_inputs)
         for name, arr in ref_grads.items():
             total[name] = total[name] + arr
     for name, arr in grads.items():
@@ -96,16 +94,15 @@ def test_crf_batch_matches_single_posts(B, lengths):
     ems = [rng.uniform(-3.0, 3.0, size=(n, L)) for n in lengths]
     labels = [[int(y) for y in rng.integers(L, size=n)] for n in lengths]
 
-    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(
-        padded_batch(ems, rng, L), crf, labels, np.array(lengths)
-    )
+    em, steps = pack_posts(ems)
+    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(em, crf, labels, steps)
 
     ref_nll, ref_trans, ref_start, ref_stop = 0.0, 0.0, 0.0, 0.0
-    for b, (em, labs) in enumerate(zip(ems, labels)):
-        one_em, one_lengths = batch_of_one(em)
-        one_nll, one_d_em, one_trans, one_start, one_stop = crf_nll_grad(one_em, crf, [labs], one_lengths)
-        assert_close(d_em[: len(em), b], one_d_em[:, 0])
-        assert np.all(d_em[len(em) :, b] == 0.0)
+    for one_em, labs, post_d_em in zip(ems, labels, split_posts(d_em, steps)):
+        one_nll, one_d_em, one_trans, one_start, one_stop = crf_nll_grad(
+            one_em, crf, [labs], pack_posts([one_em])[1]
+        )
+        assert_close(post_d_em, one_d_em)
         ref_nll += one_nll
         ref_trans, ref_start, ref_stop = ref_trans + one_trans, ref_start + one_start, ref_stop + one_stop
     assert_close(nll, ref_nll)
@@ -175,5 +172,52 @@ def test_predict_spans_over_a_list_matches_single_posts(hidden, monkeypatch):
     order = sorted((k for k, post in enumerate(posts) if post.effective_len), key=lambda k: -posts[k].effective_len)
     assert len(seen) == len(order)
     for k, em in zip(order, seen):
-        indices, lengths = batch_of_one(posts[k].indices[: posts[k].effective_len])
-        assert_close(em, _emissions(indices, params, lengths)[0][:, 0])
+        assert_close(em, _emissions([posts[k]], params)[0])
+
+
+@pytest.mark.parametrize("B, lengths", CASES, ids=IDS)
+def test_lstm_is_bitwise_the_padded_reference(B, lengths):
+    """Both directions in lockstep, on packed rows, against the padded
+    reference forward pass; the backward pass must give the same bits from
+    either cache."""
+    rng = np.random.default_rng(B * 100 + lengths[0] + 7)
+    params = LstmParams(
+        W_in=rng.uniform(-1.0, 1.0, size=(2, 4 * H, DIM)),
+        W_rec=rng.uniform(-0.5, 0.5, size=(2, 4 * H, H)),
+        b=rng.uniform(-0.4, 0.4, size=(2, 4 * H)),
+    )
+    x, steps = pack_posts([rng.normal(size=(n, DIM)) for n in lengths])
+    d_hidden = rng.normal(size=(steps.N, 2 * H))
+    reverse = (False, True)
+
+    hidden, cache = lstm_forward(x, params, steps, reverse)
+    ref_hidden, ref_cache = reference_lstm_forward(padded(x, steps, noise(rng, steps, DIM)), params, lengths, reverse)
+    assert np.array_equal(hidden, packed(ref_hidden, steps))
+    for name in ("gates", "cell", "tanh_cell", "hidden"):
+        assert np.array_equal(getattr(cache, name), getattr(ref_cache, name))
+    d_x, grads = lstm_backward(d_hidden, params, cache)
+    ref_d_x, ref_grads = lstm_backward(d_hidden, params, ref_cache)
+    assert np.array_equal(d_x, ref_d_x)
+    for k in range(2):
+        for name in ("W_in", "W_rec", "b"):
+            assert np.array_equal(grads[k][name], ref_grads[k][name])
+
+
+@pytest.mark.parametrize("B, lengths", CASES, ids=IDS)
+def test_crf_is_bitwise_the_padded_reference(B, lengths):
+    rng = np.random.default_rng(B * 100 + lengths[0] + 11)
+    L = 2
+    crf = CrfParams(
+        trans=rng.uniform(-2.0, 2.0, size=(L, L)),
+        start=rng.uniform(-2.0, 2.0, size=L),
+        stop=rng.uniform(-2.0, 2.0, size=L),
+    )
+    em, steps = pack_posts([rng.uniform(-3.0, 3.0, size=(n, L)) for n in lengths])
+    labels = [[int(y) for y in rng.integers(L, size=n)] for n in lengths]
+
+    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(em, crf, labels, steps)
+    ref_nll, ref_d_em, *ref_rest = padded_crf_nll_grad(padded(em, steps, noise(rng, steps, L)), crf, labels, lengths)
+    assert nll == ref_nll
+    assert np.array_equal(d_em, packed(ref_d_em, steps))
+    for actual, desired in zip((d_trans, d_start, d_stop), ref_rest):
+        assert np.array_equal(actual, desired)

@@ -56,9 +56,10 @@ def test_tracer_counts_match_independent_counts(tracer_module):
 
     tracer = tracer_module.Tracer()
     tracer.install()
-    # Each counted kernel's T, recorded from its lengths or its result,
-    # through a spy that calls the traced function; the spies are removed
-    # before the tracer restores the originals.
+    # Each counted kernel's packed rows, N = sum(lengths), recorded from its
+    # layout, its labels or its result, through a spy that calls the traced
+    # function; the spies are removed before the tracer restores the
+    # originals.
     steps = {"lstm": 0, "crf": 0}
 
     def spy(module, name, count):
@@ -73,8 +74,8 @@ def test_tracer_counts_match_independent_counts(tracer_module):
         return module, name, traced
 
     spies = [
-        spy(toxicspans.model, "lstm_forward", ("lstm", lambda args, _: int(args[2][0]))),
-        spy(toxicspans.model, "crf_nll_grad", ("crf", lambda args, _: max(map(len, args[2])))),
+        spy(toxicspans.model, "lstm_forward", ("lstm", lambda args, _: args[2].N)),
+        spy(toxicspans.model, "crf_nll_grad", ("crf", lambda args, _: sum(map(len, args[2])))),
         spy(toxicspans.model, "viterbi_decode", ("crf", lambda _, path: len(path))),
     ]
     try:

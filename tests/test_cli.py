@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import csv_bytes, json_values
 from oracles import grammar_parse_span_literal
 import toxicspans
+import toxicspans.cli
 import toxicspans.dataio
 from toxicspans.checkpoint import MAGIC
 from toxicspans.cli import DEFAULTS, main
@@ -820,6 +821,52 @@ class TestAnalyze:
         pred = tmp_path / "mini.tsv"
         pred.write_text("4\t[]\n")
         assert main(["analyze", "--data", str(data), "--pred", str(pred)]) == 2
+
+
+class TestOptionsCheckedFirst:
+    """A bad option exits 2 with one error line before any input file is
+    read, and writes nothing; ``predict`` reads its checkpoint first, since
+    the checkpoint holds its defaults, but never the data."""
+
+    @pytest.mark.parametrize(
+        "command, extra, match",
+        [
+            ("train", ["--lr", "nan"], "learning_rate"),
+            ("train", ["--bridge-gap", "-1"], "bridge_gap"),
+            ("gate-train", ["--gate-epochs", "-3"], "gate epochs"),
+            ("gate-train", ["--gate-epochs", "0"], "gate epochs"),
+            ("gate-train", ["--gate-threshold", "1.5"], "threshold"),
+            ("gate-train", ["--max-len", "0"], "max_len"),
+            ("stats", ["--max-len", "-1"], "max_len"),
+            ("analyze", ["--samples", "-1"], "samples"),
+            ("predict", ["--max-len", "0"], "max_len"),
+        ],
+        ids=["train-lr-nan", "train-bridge-gap", "gate-epochs-negative", "gate-epochs-zero",
+             "gate-threshold", "gate-max-len", "stats-max-len", "analyze-samples", "predict-max-len"],
+    )
+    def test_bad_option_exits_2_before_reading_data(
+        self, workspace, tmp_path, capsys, monkeypatch, command, extra, match
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an input file was read before the options were checked")
+
+        monkeypatch.setattr(toxicspans.cli, "parse_dataset", unreachable)
+        if command != "predict":  # predict reads its checkpoint, and so the table, for its defaults
+            monkeypatch.setattr(toxicspans.cli, "load_embeddings", unreachable)
+        args = [command, "--data", str(workspace / "train.csv")]
+        if command in ("train", "gate-train"):
+            args += ["--embeddings", str(workspace / "vectors.txt"), "--embedding-dim", str(DIM),
+                     "--out", str(tmp_path / "out")]
+        if command == "analyze":
+            args += ["--pred", str(workspace / "missing.tsv")]
+        if command == "predict":
+            args += ["--embeddings", str(workspace / "vectors.txt"), "--embedding-dim", str(DIM),
+                     "--checkpoint", str(workspace / "model.ckpt"), "--out", str(tmp_path / "out")]
+        code = main(args + extra)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and match in err[0]
+        assert list(tmp_path.iterdir()) == []
 
 
 def predict_quietly(workspace, *extra) -> tuple[int, str]:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import batch_of_one
+from conftest import pack_posts
 from oracles import (
     brute_best_path,
     brute_log_partition,
@@ -155,26 +155,39 @@ class TestNllGradient:
         rng = np.random.default_rng(8)
         em, crf = random_instance(rng, T=5)
         labels = [1, 0, 0, 1, 1]
-        x, lengths = batch_of_one(em)
-        _, d_em, _, _, _ = crf_nll_grad(x, crf, [labels], lengths)
+        x, steps = pack_posts([em])
+        _, d_em, _, _, _ = crf_nll_grad(x, crf, [labels], steps)
         marg, _ = crf_marginals(em, crf)
         indicator = np.zeros_like(em)
         indicator[np.arange(5), labels] = 1.0
-        np.testing.assert_allclose(d_em[:, 0], marg - indicator, atol=1e-12)
+        np.testing.assert_allclose(d_em, marg - indicator, atol=1e-12)
 
     def test_all_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         em, crf = random_instance(rng, T=6)
         labels = [0, 1, 1, 0, 1, 0]
-        x, lengths = batch_of_one(em)
-        nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(x, crf, [labels], lengths)
+        x, steps = pack_posts([em])
+        nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(x, crf, [labels], steps)
         arrays = {"em": em, "trans": crf.trans, "start": crf.start, "stop": crf.stop}
         numeric = finite_difference(lambda: crf_nll(em, crf, labels), arrays, h=1e-5)
-        np.testing.assert_allclose(d_em[:, 0], numeric["em"], atol=1e-7)
+        np.testing.assert_allclose(d_em, numeric["em"], atol=1e-7)
         np.testing.assert_allclose(d_trans, numeric["trans"], atol=1e-7)
         np.testing.assert_allclose(d_start, numeric["start"], atol=1e-7)
         np.testing.assert_allclose(d_stop, numeric["stop"], atol=1e-7)
         assert nll == pytest.approx(crf_nll(em, crf, labels), abs=1e-12)
+
+
+    def test_bad_batches_rejected(self):
+        rng = np.random.default_rng(12)
+        em, steps = pack_posts([rng.normal(size=(3, 2)), rng.normal(size=(2, 2))])
+        crf = zero_crf()
+        labels = [[0, 1, 0], [1, 1]]
+        for bad_em in (em[:4], em[:, :1], em[:, None]):
+            with pytest.raises(ValidationError):  # not the batch's 5 rows of 2 labels
+                crf_nll_grad(bad_em, crf, labels, steps)
+        for bad_labels in ([[0, 1, 0]], [[0, 1], [1, 1]], [[0, 1, 0], [1, 2]], [[0, 1, 0], [-1, 0]]):
+            with pytest.raises(ValidationError):
+                crf_nll_grad(em, crf, bad_labels, steps)
 
 
 class TestViterbi:

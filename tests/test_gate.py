@@ -63,6 +63,12 @@ class TestTrainGate:
         with pytest.raises(ValidationError, match="empty"):
             train_gate([], table)
 
+    @pytest.mark.parametrize("epochs, threshold", [(0, 0.5), (-3, 0.5), (10, 1.5), (10, float("nan"))])
+    def test_bad_epochs_or_threshold_rejected(self, epochs, threshold):
+        table = make_table(["bad", "nice"], dim=4, seed=3)
+        with pytest.raises(ValidationError, match="epochs" if epochs < 1 else "threshold"):
+            train_gate(separable_data(table), table, epochs=epochs, threshold=threshold)
+
     def test_loss_is_monotone_non_increasing(self):
         rng = np.random.default_rng(0)
         features = rng.normal(size=(40, 6)) * 3.0

@@ -5,7 +5,7 @@ Viterbi decoder must return exactly the numpy reference's path.
 The tolerance was fixed before the fused kernels were written: float64
 arithmetic reordered over at most a few hundred terms.  The packed CRF
 kernel must also return exactly the bits of the padded (T, B) kernel it
-replaced, kept in ``oracles``, on every batch of up to 384 slots.  The
+replaced, kept in ``oracles``, on every real slot.  The
 LSTM's one-post loop must return exactly the bits of the forward pass that
 ran one post through the packed loop before it, also kept there, and its
 cache must give the backward pass the same gradients.  The hot cases scale
@@ -16,15 +16,17 @@ saturate and the sigmoid's exp overflows.
 import numpy as np
 import pytest
 
-from conftest import batch_of_one, one_direction
+from conftest import one_direction, pack_posts
 from oracles import (
     loop_crf_nll_grad,
     loop_lstm_backward,
     loop_lstm_forward,
     numpy_viterbi_decode,
+    packed,
     padded_crf_nll_grad,
     reference_lstm_forward,
 )
+from toxicspans.batching import PackedSteps
 from toxicspans.crf import CrfParams, crf_nll_grad, viterbi_decode
 from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_backward, lstm_forward
 
@@ -57,15 +59,15 @@ def lstm_case(T, H, scale, seed):
 @pytest.mark.parametrize("T", LENGTHS)
 def test_lstm_matches_loop_reference(T, H, reverse, scale):
     params, inputs, d_hidden = lstm_case(T, H, scale, seed=1000 * T + 10 * H + reverse)
-    x, lengths = batch_of_one(inputs)
-    hidden, cache = lstm_forward(x, one_direction(params), lengths, [reverse])
+    x, steps = pack_posts([inputs])
+    hidden, cache = lstm_forward(x, one_direction(params), steps, [reverse])
     ref_hidden, ref_cache = loop_lstm_forward(inputs, params, reverse=reverse)
-    assert_close(hidden[:, 0], ref_hidden)
+    assert_close(hidden, ref_hidden)
     assert_close(cache.cell[:, 0], ref_cache["c"])  # a post's packed rows are its steps
 
-    d_inputs, [grads] = lstm_backward(batch_of_one(d_hidden)[0], one_direction(params), cache)
+    d_inputs, [grads] = lstm_backward(d_hidden, one_direction(params), cache)
     ref_d_inputs, ref_grads = loop_lstm_backward(d_hidden, params, ref_cache)
-    assert_close(d_inputs[:, 0], ref_d_inputs)
+    assert_close(d_inputs, ref_d_inputs)
     for name in ("W_in", "W_rec", "b"):
         assert_close(grads[name], ref_grads[name])
 
@@ -74,8 +76,8 @@ def test_hot_inputs_saturate_gates_and_overflow_exp():
     params, inputs, _ = lstm_case(130, 33, 50.0, seed=0)
     pre = inputs @ params.W_in.T + params.b
     assert pre.min() < -np.log(np.finfo(np.float64).max)
-    x, lengths = batch_of_one(inputs)
-    _, cache = lstm_forward(x, one_direction(params), lengths, [False])
+    x, steps = pack_posts([inputs])
+    _, cache = lstm_forward(x, one_direction(params), steps, [False])
     assert np.any(cache.gates == 0.0) and np.any(cache.gates == 1.0)
 
 
@@ -91,11 +93,11 @@ def test_one_post_lstm_is_bitwise_the_packed_loop(T, H, reverse, scale):
         W_rec=rng.uniform(-0.4, 0.4, size=(K, 4 * H, H)),
         b=rng.uniform(-0.4, 0.4, size=(K, 4 * H)),
     )
-    x, lengths = batch_of_one(rng.normal(size=(T, DIM)) * scale)
-    d_hidden = rng.normal(size=(T, 1, K * H))
-    hidden, cache = lstm_forward(x, params, lengths, reverse)
-    ref_hidden, ref_cache = reference_lstm_forward(x, params, lengths, reverse)
-    assert np.array_equal(hidden, ref_hidden)
+    x, steps = pack_posts([rng.normal(size=(T, DIM)) * scale])
+    d_hidden = rng.normal(size=(T, K * H))
+    hidden, cache = lstm_forward(x, params, steps, reverse)
+    ref_hidden, ref_cache = reference_lstm_forward(x[:, None], params, [T], reverse)
+    assert np.array_equal(hidden, ref_hidden[:, 0])
     for name in ("gates", "cell", "tanh_cell", "hidden"):
         assert np.array_equal(getattr(cache, name), getattr(ref_cache, name))
     for input_grad in (False, True):
@@ -120,9 +122,8 @@ def test_crf_nll_grad_matches_loop_reference(T, L, scale):
         stop=rng.uniform(-2.0, 2.0, size=L),
     )
     labels = [int(y) for y in rng.integers(L, size=T)]
-    x, lengths = batch_of_one(em)
-    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(x, crf, [labels], lengths)
-    got = (nll, d_em[:, 0], d_trans, d_start, d_stop)
+    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(em, crf, [labels], pack_posts([em])[1])
+    got = (nll, d_em, d_trans, d_start, d_stop)
     want = loop_crf_nll_grad(em, crf.trans, crf.start, crf.stop, labels)
     for actual, desired in zip(got, want):
         assert_close(actual, desired)
@@ -173,7 +174,10 @@ def test_crf_nll_grad_is_bitwise_the_padded_kernel(B, T, L, scale):
         lengths = sorted_batch_lengths(rng, B, T) if trial else np.full(B, T)
         em = rng.uniform(-3.0, 3.0, size=(T, B, L)) * scale  # finite noise as padding
         labels = [[int(y) for y in rng.integers(L, size=n)] for n in lengths]
-        got = crf_nll_grad(em, crf, labels, lengths)
-        want = padded_crf_nll_grad(em, crf, labels, lengths)
-        for actual, desired in zip(got, want):
+        steps = PackedSteps(lengths)
+        nll, d_em, *rest = crf_nll_grad(packed(em, steps), crf, labels, steps)
+        want_nll, want_d_em, *want_rest = padded_crf_nll_grad(em, crf, labels, lengths)
+        assert nll == want_nll
+        assert np.array_equal(d_em, packed(want_d_em, steps))
+        for actual, desired in zip(rest, want_rest):
             assert np.array_equal(actual, desired)

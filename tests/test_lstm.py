@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import batch_of_one, one_direction
+from conftest import one_direction, pack_posts
 from oracles import finite_difference, max_relative_error
+from toxicspans.batching import PackedSteps
 from toxicspans.errors import NonFiniteError, ValidationError
 from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_backward, lstm_forward
 
@@ -25,52 +26,53 @@ class TestForward:
         params = LstmDirectionParams(
             W_in=np.zeros((8, 3)), W_rec=np.zeros((8, 2)), b=np.zeros(8)
         )
-        x, lengths = batch_of_one(np.ones((1, 3)))
-        hiddens, _ = lstm_forward(x, one_direction(params), lengths, [False])
-        np.testing.assert_array_equal(hiddens[:, 0], np.zeros((1, 2)))
+        x, steps = pack_posts([np.ones((1, 3))])
+        hiddens, _ = lstm_forward(x, one_direction(params), steps, [False])
+        np.testing.assert_array_equal(hiddens, np.zeros((1, 2)))
 
     def test_reversed_on_palindromic_input_mirrors_forward(self):
         rng = np.random.default_rng(0)
         params = random_params(rng, hidden=4, dim=3)
         half = rng.normal(size=(3, 3))
         inputs = np.vstack([half, half[::-1]])  # palindromic sequence
-        x, lengths = batch_of_one(inputs)
-        fwd, _ = lstm_forward(x, one_direction(params), lengths, [False])
-        rev, _ = lstm_forward(x, one_direction(params), lengths, [True])
-        np.testing.assert_allclose(rev[:, 0], fwd[::-1, 0], atol=1e-12)
+        x, steps = pack_posts([inputs])
+        fwd, _ = lstm_forward(x, one_direction(params), steps, [False])
+        rev, _ = lstm_forward(x, one_direction(params), steps, [True])
+        np.testing.assert_allclose(rev, fwd[::-1], atol=1e-12)
 
     def test_reversed_reports_original_order(self):
         rng = np.random.default_rng(1)
         params = random_params(rng, hidden=3, dim=2)
         inputs = rng.normal(size=(5, 2))
-        x, lengths = batch_of_one(inputs)
-        rev, cache = lstm_forward(x, one_direction(params), lengths, [True])
+        x, steps = pack_posts([inputs])
+        rev, cache = lstm_forward(x, one_direction(params), steps, [True])
         # position 0 of the output is the LAST step of the reversed recurrence
-        np.testing.assert_allclose(rev[0], cache.hidden[-1:, 0], atol=1e-15)
+        np.testing.assert_allclose(rev[0], cache.hidden[-1, 0], atol=1e-15)
 
     def test_shape_validation(self):
         rng = np.random.default_rng(2)
         params = random_params(rng, hidden=3, dim=4)
-        for inputs in (np.zeros((0, 4)), np.zeros((2, 5))):
-            x, lengths = batch_of_one(inputs)
+        steps = PackedSteps([2, 1])
+        for inputs in (np.zeros((3, 5)), np.zeros((2, 4)), np.zeros((4, 4)), np.zeros((3, 1, 4))):
+            with pytest.raises(ValidationError):  # the width, or not the batch's 3 rows
+                lstm_forward(inputs, one_direction(params), steps, [False])
+        for lengths in ([0], [], [1, 2]):  # no empty, missing or unsorted posts
             with pytest.raises(ValidationError):
-                lstm_forward(x, one_direction(params), lengths, [False])
-        with pytest.raises(ValidationError):  # a post must be a batch of one
-            lstm_forward(np.zeros((2, 4)), one_direction(params), [2], [False])
+                lstm_forward(np.zeros((1, 4)), one_direction(params), PackedSteps(lengths), [False])
 
     def test_non_finite_input_raises(self):
         rng = np.random.default_rng(3)
         params = random_params(rng, hidden=3, dim=2)
         bad = np.array([[1.0, np.nan], [0.0, 0.0]])
-        x, lengths = batch_of_one(bad)
+        x, steps = pack_posts([bad])
         with pytest.raises(NonFiniteError):
-            lstm_forward(x, one_direction(params), lengths, [False])
+            lstm_forward(x, one_direction(params), steps, [False])
 
     def test_hidden_states_are_bounded(self):
         rng = np.random.default_rng(4)
         params = random_params(rng, hidden=5, dim=3, scale=10.0)
-        x, lengths = batch_of_one(rng.normal(size=(20, 3)) * 50.0)
-        hiddens, _ = lstm_forward(x, one_direction(params), lengths, [False])
+        x, steps = pack_posts([rng.normal(size=(20, 3)) * 50.0])
+        hiddens, _ = lstm_forward(x, one_direction(params), steps, [False])
         assert np.all(np.abs(hiddens) < 1.0 + 1e-12)
 
 
@@ -81,28 +83,28 @@ class TestBackward:
         params = random_params(rng, hidden=4, dim=3)
         inputs = rng.normal(size=(6, 3))
         weights = rng.normal(size=(6, 4))  # random projection to a scalar loss
-        x, lengths = batch_of_one(inputs)  # a view: perturbing inputs shows in x
+        x, steps = pack_posts([inputs])  # the array itself: perturbing inputs shows in x
 
         def loss():
-            h, _ = lstm_forward(x, one_direction(params), lengths, [reverse])
-            return float(np.sum(h[:, 0] * weights))
+            h, _ = lstm_forward(x, one_direction(params), steps, [reverse])
+            return float(np.sum(h * weights))
 
-        _, cache = lstm_forward(x, one_direction(params), lengths, [reverse])
-        d_inputs, [grads] = lstm_backward(batch_of_one(weights)[0], one_direction(params), cache)
+        _, cache = lstm_forward(x, one_direction(params), steps, [reverse])
+        d_inputs, [grads] = lstm_backward(weights, one_direction(params), cache)
 
         arrays = {"W_in": params.W_in, "W_rec": params.W_rec, "b": params.b}
         numeric = finite_difference(loss, arrays, h=1e-5)
         assert max_relative_error(grads, numeric) < 1e-4
 
         numeric_inputs = finite_difference(loss, {"inputs": inputs}, h=1e-5)
-        assert max_relative_error({"inputs": d_inputs[:, 0]}, numeric_inputs) < 1e-4
+        assert max_relative_error({"inputs": d_inputs}, numeric_inputs) < 1e-4
 
     def test_zero_upstream_gradient_gives_zero_param_gradients(self):
         rng = np.random.default_rng(6)
         params = random_params(rng, hidden=3, dim=2)
-        x, lengths = batch_of_one(rng.normal(size=(4, 2)))
-        _, cache = lstm_forward(x, one_direction(params), lengths, [False])
-        d_inputs, [grads] = lstm_backward(batch_of_one(np.zeros((4, 3)))[0], one_direction(params), cache)
+        x, steps = pack_posts([rng.normal(size=(4, 2))])
+        _, cache = lstm_forward(x, one_direction(params), steps, [False])
+        d_inputs, [grads] = lstm_backward(np.zeros((4, 3)), one_direction(params), cache)
         assert np.all(d_inputs == 0.0)
         for arr in grads.values():
             assert np.all(arr == 0.0)
@@ -110,10 +112,11 @@ class TestBackward:
     def test_upstream_shape_validated(self):
         rng = np.random.default_rng(7)
         params = random_params(rng, hidden=3, dim=2)
-        x, lengths = batch_of_one(rng.normal(size=(4, 2)))
-        _, cache = lstm_forward(x, one_direction(params), lengths, [False])
-        with pytest.raises(ValidationError):
-            lstm_backward(batch_of_one(np.zeros((3, 3)))[0], one_direction(params), cache)
+        x, steps = pack_posts([rng.normal(size=(4, 2))])
+        _, cache = lstm_forward(x, one_direction(params), steps, [False])
+        for d_hidden in (np.zeros((3, 3)), np.zeros((4, 1, 3)), np.zeros((4, 6))):
+            with pytest.raises(ValidationError):
+                lstm_backward(d_hidden, one_direction(params), cache)
 
 
 class TestLockstep:
@@ -127,29 +130,30 @@ class TestLockstep:
         B, T, D = len(lengths), lengths[0], 3
         rng = np.random.default_rng(100 * B + H)
         directions = [random_params(rng, hidden=H, dim=D, scale=0.6) for _ in reverse]
-        x = rng.normal(size=(T, B, D))
-        d_hidden = rng.normal(size=(T, B, 2 * H))
+        steps = PackedSteps(lengths)
+        x = rng.normal(size=(steps.N, D))
+        d_hidden = rng.normal(size=(steps.N, 2 * H))
 
-        hidden, cache = lstm_forward(x, stacked(directions), lengths, reverse)
+        hidden, cache = lstm_forward(x, stacked(directions), steps, reverse)
         d_x, grads = lstm_backward(d_hidden, stacked(directions), cache)
 
-        assert hidden.shape == (T, B, 2 * H) and len(grads) == 2
-        d_x_sum = 0.0
+        assert hidden.shape == (steps.N, 2 * H) and len(grads) == 2
+        d_x_sum = None
         for k, (params, rev) in enumerate(zip(directions, reverse)):
             cols = slice(k * H, (k + 1) * H)
-            one_hidden, one_cache = lstm_forward(x, one_direction(params), lengths, [rev])
+            one_hidden, one_cache = lstm_forward(x, one_direction(params), steps, [rev])
             one_d_x, [one_grads] = lstm_backward(
                 np.ascontiguousarray(d_hidden[..., cols]), one_direction(params), one_cache
             )
             np.testing.assert_array_equal(hidden[..., cols], one_hidden)
             for name in ("W_in", "W_rec", "b"):
                 np.testing.assert_array_equal(grads[k][name], one_grads[name])
-            d_x_sum = d_x_sum + one_d_x
+            d_x_sum = one_d_x if d_x_sum is None else d_x_sum + one_d_x
         np.testing.assert_array_equal(d_x, d_x_sum)
 
     def test_direction_count_must_match_the_stack(self):
         rng = np.random.default_rng(8)
         params = stacked([random_params(rng, hidden=2, dim=3) for _ in range(2)])
-        x, lengths = batch_of_one(np.zeros((4, 3)))
+        x, steps = pack_posts([np.zeros((4, 3))])
         with pytest.raises(ValidationError):
-            lstm_forward(x, params, lengths, [False])
+            lstm_forward(x, params, steps, [False])

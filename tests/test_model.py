@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import batch_of_one, deep_equal, json_values, make_table
+from conftest import deep_equal, json_values, make_table
 from oracles import crf_nll, finite_difference, max_relative_error
 from toxicspans.dataio import CharSpanSet
 from toxicspans.embeddings import encode_post
@@ -53,9 +53,8 @@ class TestEmissions:
         table = make_table(["a", "b", "c"])
         params = make_model(table)
         post = encoded(table, "a b c a b c a")
-        indices, lengths = batch_of_one(post.indices[: post.effective_len])
-        emissions, _ = _emissions(indices, params, lengths)
-        assert emissions[:, 0].shape == (7, 2)
+        emissions, _ = _emissions([post], params)
+        assert emissions.shape == (7, 2)
 
     def test_zero_projection_yields_bias_everywhere(self):
         table = make_table(["a", "b"])
@@ -63,10 +62,9 @@ class TestEmissions:
         params.emit.W_out[:] = 0.0
         params.emit.b_out[:] = [0.25, -1.5]
         post = encoded(table, "a b a")
-        indices, lengths = batch_of_one(post.indices[: post.effective_len])
-        emissions, _ = _emissions(indices, params, lengths)
+        emissions, _ = _emissions([post], params)
         assert post.effective_len == 3
-        np.testing.assert_allclose(emissions[:, 0], np.tile([0.25, -1.5], (3, 1)))
+        np.testing.assert_allclose(emissions, np.tile([0.25, -1.5], (3, 1)))
 
     def test_empty_post_rejected(self):
         table = make_table(["a"])
@@ -77,11 +75,10 @@ class TestEmissions:
     def test_pad_rows_never_enter_the_computation(self):
         table = make_table(["a", "b"])
         params = make_model(table)
-        post = encoded(table, "a b", max_len=12)
-        indices, lengths = batch_of_one(post.indices[: post.effective_len])
-        before, _ = _emissions(indices, params, lengths)
+        posts = [encoded(table, "a b a", max_len=12), encoded(table, "b", max_len=12)]
+        before, _ = _emissions(posts, params)
         params.embedding.matrix[table.pad_index] += 123.0
-        after, _ = _emissions(indices, params, lengths)
+        after, _ = _emissions(posts, params)
         np.testing.assert_array_equal(before, after)
 
 
@@ -90,8 +87,7 @@ class TestBackward:
         table = make_table(["a", "b"])
         params = make_model(table)
         post = encoded(table, "a b a b")
-        indices, lengths = batch_of_one(post.indices[: post.effective_len])
-        emissions, cache = _emissions(indices, params, lengths)
+        emissions, cache = _emissions([post], params)
         grads = backward(params, cache, np.zeros_like(emissions), finetune_embeddings=True)
         for arr in grads.values():
             assert np.all(arr == 0.0)
@@ -108,9 +104,8 @@ class TestBackward:
         def batch_loss():
             total = 0.0
             for post, labels in batch:
-                indices, lengths = batch_of_one(post.indices[: post.effective_len])
-                em, _ = _emissions(indices, params, lengths)
-                total += crf_nll(em[:, 0], params.crf, labels)
+                em, _ = _emissions([post], params)
+                total += crf_nll(em, params.crf, labels)
             return total / len(batch)
 
         posts, label_lists = zip(*batch)
@@ -136,9 +131,8 @@ class TestBackward:
         def batch_loss():
             total = 0.0
             for post, labs in zip(posts, labels):
-                indices, lengths = batch_of_one(post.indices[: post.effective_len])
-                em, _ = _emissions(indices, params, lengths)
-                total += crf_nll(em[:, 0], params.crf, labs)
+                em, _ = _emissions([post], params)
+                total += crf_nll(em, params.crf, labs)
             return total
 
         _, grads = nll_and_gradients(posts, labels, params, finetune_embeddings=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import deep_equal, make_table
-from oracles import expression_adam_step, reference_lstm_forward, reference_train
+from oracles import expression_adam_step, packed_reference_lstm_forward, reference_train
 import toxicspans.model
 import toxicspans.training
 from toxicspans.dataio import CharSpanSet, LabeledPost
@@ -290,7 +290,7 @@ class TestParameterVector:
         cfg = TrainConfig(epochs=2, batch_size=1, seed=4, hidden_size=3, max_len=32,
                           early_stop_patience=2, finetune_embeddings=finetune)
         params, history = train(examples, cfg, table)
-        monkeypatch.setattr(toxicspans.model, "lstm_forward", reference_lstm_forward)
+        monkeypatch.setattr(toxicspans.model, "lstm_forward", packed_reference_lstm_forward)
         ref_params, ref_history = train(examples, cfg, table)
         assert history == ref_history
         assert deep_equal(params, ref_params)
