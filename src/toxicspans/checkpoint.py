@@ -1,10 +1,11 @@
 """Self-describing model checkpoint: a JSON header naming every tensor in
 declared order, followed by their raw little-endian float64 bytes.
 
-The header records the dimensions, the training configuration, and a digest
-of the embedding vocabulary; loading rejects any dimension or vocabulary
-mismatch.  Writes are atomic (temp file + rename) and byte-deterministic,
-so identical runs produce identical files.
+The body is ``ModelParams.vector``, then the embedding matrix if it was
+fine-tuned.  The header records the dimensions, the training configuration,
+and a digest of the embedding vocabulary; loading rejects any dimension or
+vocabulary mismatch.  Writes are atomic (temp file + rename) and
+byte-deterministic, so identical runs produce identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError, ValidationError
-from .model import EMBEDDING_TENSOR, NUM_LABELS, ModelParams, params_from_arrays, tensor_shapes
+from .model import EMBEDDING_TENSOR, NUM_LABELS, TENSOR_NAMES, ModelParams, params_from_vector, tensor_shapes
 from .training import TrainConfig
 
 MAGIC = b"TOXICSPANS-CKPT-1\n"
@@ -81,7 +82,7 @@ def serialize_checkpoint(
     blob += MAGIC
     blob += json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob += b"\n"
-    for _, arr in named:
+    for arr in params.flat_arrays(include_embedding).values():
         blob += np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
     return bytes(blob)
 
@@ -97,9 +98,10 @@ def load_checkpoint(
 ) -> tuple[ModelParams, TrainConfig]:
     """Rebuild parameters against ``table``; rejects hash/dim mismatches.
 
-    A malformed header (dims, train_config, or a tensor list that disagrees
-    with :func:`model.tensor_shapes`) or a tensor holding NaN or infinity
-    raises :class:`DataFormatError`.
+    A malformed header (dims, train_config, a dimension or fine-tuning flag
+    that disagrees with train_config, or a tensor list that disagrees with
+    :func:`model.tensor_shapes`) or a tensor holding NaN or infinity raises
+    :class:`DataFormatError`.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
@@ -127,6 +129,16 @@ def load_checkpoint(
         cfg = TrainConfig.from_dict(header["train_config"])
     except ValidationError as exc:
         raise DataFormatError(f"{path}: checkpoint train_config: {exc}") from None
+    # the header states these twice; a file whose copies disagree was edited
+    for name, found, source, want in (
+        ("dims.hidden_size", dims["hidden_size"], "train_config.hidden_size", cfg.hidden_size),
+        ("dims.max_len", dims.get("max_len"), "train_config.max_len", cfg.max_len),
+        ("dims.num_labels", dims.get("num_labels"), "the tagger's label count", NUM_LABELS),
+        ("finetuned_embeddings", header.get("finetuned_embeddings"), "train_config.finetune_embeddings",
+         cfg.finetune_embeddings),
+    ):
+        if type(found) is not type(want) or found != want:
+            raise DataFormatError(f"{path}: checkpoint {name} is {found!r}, but {source} is {want!r}")
 
     if header["dtype"] != _DTYPE:
         raise DataFormatError(f"{path}: unsupported tensor dtype {header['dtype']!r}")
@@ -139,7 +151,7 @@ def load_checkpoint(
             "checkpoint vocabulary hash does not match the supplied embedding table"
         )
 
-    shapes = tensor_shapes(table.dim, dims["hidden_size"])
+    shapes = tensor_shapes(table.dim, cfg.hidden_size)
     if cfg.finetune_embeddings:
         shapes[EMBEDDING_TENSOR] = table.matrix.shape
     expected = [[name, list(shape)] for name, shape in shapes.items()]
@@ -148,19 +160,20 @@ def load_checkpoint(
             f"{path}: checkpoint tensor list does not match its dims; expected {expected}"
         )
 
-    arrays: dict[str, np.ndarray] = {}
-    offset = newline + 1
-    for name, shape in shapes.items():
-        nbytes = math.prod(shape) * 8
-        chunk = raw[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise DataFormatError(f"{path}: truncated tensor data for {name}")
-        arrays[name] = np.frombuffer(chunk, dtype=_DTYPE).reshape(shape).copy()
-        if not np.isfinite(arrays[name]).all():
-            raise DataFormatError(f"{path}: tensor {name} holds NaN or infinite values")
-        offset += nbytes
-    if offset != len(raw):
-        raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes")
-
-    embedding = table.with_matrix(arrays[EMBEDDING_TENSOR]) if cfg.finetune_embeddings else table
-    return params_from_arrays(arrays, embedding), cfg
+    # the tensor that holds each body element e is the first whose end > e
+    names = list(shapes)
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    stored = len(raw) - newline - 1
+    if stored < 8 * ends[-1]:
+        name = names[np.searchsorted(ends, stored // 8, "right")]
+        raise DataFormatError(f"{path}: truncated tensor data for {name}")
+    if stored > 8 * ends[-1]:
+        raise DataFormatError(f"{path}: {stored - 8 * ends[-1]} trailing bytes")
+    body = np.frombuffer(raw, dtype=_DTYPE, offset=newline + 1).copy()
+    finite = np.isfinite(body)
+    if not finite.all():
+        name = names[np.searchsorted(ends, finite.argmin(), "right")]
+        raise DataFormatError(f"{path}: tensor {name} holds NaN or infinite values")
+    vector, matrix = np.split(body, [ends[len(TENSOR_NAMES) - 1]])
+    embedding = table.with_matrix(matrix.reshape(table.matrix.shape)) if cfg.finetune_embeddings else table
+    return params_from_vector(vector, cfg.hidden_size, embedding), cfg

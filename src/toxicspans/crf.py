@@ -12,7 +12,8 @@ and likewise expected-minus-observed for transitions, start, and stop.
 
 :func:`crf_nll_grad` takes the (N, L) emissions of a batch in the packed
 layout of :mod:`batching`, as the LSTM returns its states, and returns
-their gradients in the same rows.  Beta is the alpha recursion run over
+their gradients in the same rows; it writes the transition, start and stop
+gradients into the caller's buffer.  Beta is the alpha recursion run over
 each post's reversed prefix with ``trans.T``, so both run as K = 2 stacked
 recursions in one loop; the reversed rows are the forward rows through
 :attr:`batching.PackedSteps.mirror`.  Marginals, pair terms and the gold
@@ -100,15 +101,15 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps):
 
 
 def crf_nll_grad(
-    em: np.ndarray, crf: CrfParams, labels, steps: PackedSteps
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    em: np.ndarray, crf: CrfParams, labels, steps: PackedSteps, grads: CrfParams
+) -> tuple[float, np.ndarray]:
     """NLL and its gradients wrt emissions, trans, start, and stop.
 
     Takes the (N, L) packed emissions of the batch ``steps`` and one label
-    list per post, in the batch's order.  Returns the summed NLL, the
-    packed emission gradients and the summed trans, start and stop
-    gradients.  Each gradient is the marginal expectation minus the gold
-    indicator.
+    list per post, in the batch's order.  Returns the summed NLL and the
+    packed emission gradients, and writes the summed trans, start and stop
+    gradients into ``grads``.  Each gradient is the marginal expectation
+    minus the gold indicator.
     """
     L = crf.num_labels
     if em.shape != (steps.N, L):
@@ -135,11 +136,11 @@ def crf_nll_grad(
     )
     d_em[at_gold] -= 1.0
     # gold transitions: each row from step 1 on and its previous row
-    d_trans = expected - np.bincount(y_prev * L + y[B:], minlength=L * L).reshape(L, L)
+    np.subtract(expected, np.bincount(y_prev * L + y[B:], minlength=L * L).reshape(L, L), out=grads.trans)
     # start and stop gradients are the first and last emission gradient rows
-    d_start = d_em[:B].sum(axis=0)
-    d_stop = d_em[last].sum(axis=0)
-    return float(log_z.sum()) - gold, d_em, d_trans, d_start, d_stop
+    d_em[:B].sum(axis=0, out=grads.start)
+    d_em[last].sum(axis=0, out=grads.stop)
+    return float(log_z.sum()) - gold, d_em
 
 
 def viterbi_decode(em: np.ndarray, crf: CrfParams) -> list[int]:

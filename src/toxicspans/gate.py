@@ -188,6 +188,8 @@ def load_gate(path: str | Path) -> GateModel:
         weights = np.array([_number(w) for w in payload["weights"]], dtype=np.float64)
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite (json reads NaN and Infinity)")
+        if payload["kind"] != KIND_INTERNAL:
+            raise ValueError(f"kind must be {KIND_INTERNAL!r}, got {payload['kind']!r}")
         vocab_hash = payload.get("vocab_hash")
         if not isinstance(vocab_hash, (str, type(None))):
             raise TypeError(f"vocab_hash must be a string, got {vocab_hash!r}")

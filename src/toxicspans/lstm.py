@@ -34,9 +34,9 @@ rows of the ``gates`` array and activates them in place.  The backward
 pass mirrors this: the local derivatives of all N rows are taken at once,
 the loop carries only the hidden and cell gradients and scales each
 step's rows of dZ, the pre-activation gradient, in place; each
-direction's parameter gradients are then products over the N rows: dZ^T
-X, dZ^T H_prev (H_prev gathered from the previous step's rows), and
-sum(dZ).  The input gradient dZ W_in is formed only when the caller asks
+direction's parameter gradients are then products over the N rows, written
+straight into the caller's gradient block: dZ^T X, dZ^T H_prev (H_prev
+gathered from the previous step's rows), and sum(dZ).  The input gradient dZ W_in is formed only when the caller asks
 for it, which the model does only when fine-tuning embeddings.
 
 Two time loops run that recurrence with the same numpy calls in the same
@@ -258,15 +258,15 @@ def _one_post_steps(
 
 
 def lstm_backward(
-    d_hidden: np.ndarray, params: LstmParams, cache: LstmCache, input_grad: bool = True
-) -> tuple[np.ndarray | None, list[dict[str, np.ndarray]]]:
+    d_hidden: np.ndarray, params: LstmParams, cache: LstmCache, grads: LstmParams, input_grad: bool = True
+) -> np.ndarray | None:
     """Backpropagate upstream hidden-state gradients through the recurrence.
 
     ``d_hidden`` has the (N, K*H) shape of the forward pass's output, in
-    forward order.  Returns the (N, D) input gradients in forward order,
-    summed over the directions, or None unless ``input_grad``; and one dict
-    of parameter gradients per direction keyed ``W_in`` / ``W_rec`` / ``b``,
-    each summed over the batch.
+    forward order.  Writes the parameter gradients, summed over the batch,
+    into ``grads`` (shaped like ``params``; views are fine).  Returns the
+    (N, D) input gradients in forward order, summed over the directions,
+    or None unless ``input_grad``.
     """
     steps = cache.steps
     T, B, N, heads = steps.T, steps.B, steps.N, steps.heads
@@ -330,20 +330,17 @@ def lstm_backward(
             dc_prev[head] += dc * fs[r]
             dc = dc_prev
 
-    grads = []
     for k, x in enumerate(cache.inputs):
         dZ_rows = dZ_flat[:, k]
         h_prev_k = h_prev[:, k]  # h_{-1} = 0 adds nothing
         if H == 1:
             # a BLAS vector, whose stride would change the summation order
             h_prev_k = h_prev_k.copy()
-        grads.append({
-            "W_in": dZ_rows.T @ x,
-            "W_rec": dZ_rows[B:].T @ h_prev_k,
-            "b": dZ_rows.sum(axis=0),
-        })
+        np.matmul(dZ_rows.T, x, out=grads.W_in[k])
+        np.matmul(dZ_rows[B:].T, h_prev_k, out=grads.W_rec[k])
+        dZ_rows.sum(axis=0, out=grads.b[k])
     if not input_grad:
-        return None, grads
+        return None
     d_xs = [dZ_flat[:, k] @ params.W_in[k] for k in range(K)]
     d_xs = [d_x[steps.mirror] if rev else d_x for d_x, rev in zip(d_xs, cache.reverse)]
-    return reduce(iadd, d_xs), grads  # summed into the first direction's array
+    return reduce(iadd, d_xs)  # summed into the first direction's array

@@ -14,7 +14,7 @@ larger pass its packed loop; both give the same bits.  At B = 1 a step is
 about 13 numpy calls, and numpy's per-call cost has no batch axis to
 spread over, so the one-post loop trims the work around those calls (see
 :mod:`lstm`).  The backward pass is fully manual (projection, then both
-LSTM directions) and returns gradients summed over the batch; only when
+LSTM directions) and writes gradients summed over the batch; only when
 fine-tuning does it ask the LSTM for the input gradient and accumulate
 embedding-row gradients from it.
 
@@ -23,9 +23,9 @@ Both LSTM directions live in one stacked :class:`lstm.LstmParams` block
 :func:`lstm.lstm_forward` and one :func:`lstm.lstm_backward` call per pass;
 the forward call's (N, 2H) output is the concatenation of the two
 directions' hidden states that the projection reads.  Every tensor is a
-view into one parameter vector, and ``params.fwd`` and ``params.bwd`` are
-views into the stacked block, so the per-direction tensor names and the
-checkpoint layout are those of two separate directions.
+view into one parameter vector, in :data:`TENSOR_NAMES` (checkpoint)
+order (:func:`params_from_vector`), and a batch's gradients are written
+into a buffer laid out the same way.
 """
 
 from __future__ import annotations
@@ -59,14 +59,8 @@ TENSOR_NAMES = (
     "crf.trans", "crf.start", "crf.stop",
 )
 EMBEDDING_TENSOR = "embedding.matrix"
-# Whether each stacked LSTM direction reads the posts back to front.
-DIRECTIONS = (("fwd", False), ("bwd", True))
-# The tensors in their order in ModelParams.vector: each stacked LSTM block
-# (both W_in, both W_rec, both b) is contiguous; emission and CRF follow.
-VECTOR_NAMES = (
-    *(f"{prefix}.{name}" for name in ("W_in", "W_rec", "b") for prefix, _ in DIRECTIONS),
-    *TENSOR_NAMES[3 * len(DIRECTIONS) :],
-)
+# Whether each stacked LSTM direction (fwd, bwd) reads the posts back to front.
+REVERSE = (False, True)
 
 
 @dataclass
@@ -80,9 +74,10 @@ class EmissionParams:
 @dataclass
 class ModelParams:
     """All tagger parameters plus a reference to the embedding table; the
-    tensors are views into ``vector``, laid out as :data:`VECTOR_NAMES`."""
+    tensors are views into ``vector``, laid out in :data:`TENSOR_NAMES`
+    order (see :func:`params_from_vector`)."""
 
-    lstm: LstmParams  # the directions of DIRECTIONS, stacked in that order
+    lstm: LstmParams  # fwd, then bwd
     emit: EmissionParams
     crf: CrfParams
     embedding: EmbeddingTable
@@ -105,12 +100,20 @@ class ModelParams:
         names = TENSOR_NAMES + ((EMBEDDING_TENSOR,) if include_embedding else ())
         return [(name, reduce(getattr, name.split("."), self)) for name in names]
 
+    def flat_arrays(self, include_embedding: bool = False) -> dict[str, np.ndarray]:
+        """The arrays every trainable tensor lives in: ``vector``, then the
+        embedding matrix if it is trained."""
+        arrays = {"vector": self.vector}
+        if include_embedding:
+            arrays[EMBEDDING_TENSOR] = self.embedding.matrix
+        return arrays
+
     def clone(self, copy_embedding: bool = False) -> "ModelParams":
         """Deep copy of the trainable tensors; the table is shared by default."""
         table = self.embedding
         if copy_embedding:
             table = table.with_matrix(table.matrix.copy())
-        return params_from_arrays(dict(self.named_arrays()), table)
+        return params_from_vector(self.vector.copy(), self.hidden_size, table)
 
 
 @dataclass
@@ -134,19 +137,19 @@ def tensor_shapes(input_dim: int, hidden_size: int) -> dict[str, tuple[int, ...]
     return dict(zip(TENSOR_NAMES, direction + direction + [(L, 2 * H), (L,), (L, L), (L,), (L,)]))
 
 
-def params_from_arrays(arrays: dict[str, np.ndarray], table: EmbeddingTable) -> ModelParams:
-    """Assemble parameters from tensors keyed by :data:`TENSOR_NAMES`,
-    copied into one new parameter vector that they are views into."""
-    vector = np.concatenate([np.ravel(arrays[name]) for name in VECTOR_NAMES], dtype=np.float64)
-    K = len(DIRECTIONS)
-    # the stacked LSTM blocks, each starting at its first direction's tensor
-    blocks = [(K, *arrays[f"fwd.{name}"].shape) for name in ("W_in", "W_rec", "b")]
-    blocks += [arrays[name].shape for name in VECTOR_NAMES[3 * K :]]
-    ends = np.cumsum([math.prod(shape) for shape in blocks])
-    views = [a.reshape(shape) for a, shape in zip(np.split(vector, ends[:-1]), blocks)]
-    return ModelParams(
-        LstmParams(*views[:3]), EmissionParams(*views[3:5]), CrfParams(*views[5:]), table, vector
-    )
+def params_from_vector(vector: np.ndarray, hidden_size: int, table: EmbeddingTable) -> ModelParams:
+    """Parameters whose tensors are views into ``vector``, which holds them
+    in :data:`TENSOR_NAMES` order: each direction's W_in, W_rec and b, then
+    the emission and CRF tensors.  A stacked LSTM tensor takes the same
+    columns of each direction's row of ``vector[:K*S].reshape(K, S)``."""
+    shapes = list(tensor_shapes(table.dim, hidden_size).values())
+    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    starts = [0, *ends[:-1]]
+    K, S = len(REVERSE), ends[2]
+    blocks = vector[: K * S].reshape(K, S)
+    views = [blocks[:, lo:hi].reshape(K, *shape) for lo, hi, shape in zip(starts, ends, shapes[:3])]
+    views += [vector[lo:hi].reshape(shape) for lo, hi, shape in list(zip(starts, ends, shapes))[3 * K :]]
+    return ModelParams(LstmParams(*views[:3]), EmissionParams(*views[3:5]), CrfParams(*views[5:]), table, vector)
 
 
 def init_params(
@@ -158,13 +161,13 @@ def init_params(
     if hidden_size < 1:
         raise ValidationError(f"hidden_size must be >= 1, got {hidden_size}")
     H = hidden_size
-    arrays = {
-        name: _glorot(*shape, rng) if len(shape) == 2 else np.zeros(shape)
-        for name, shape in tensor_shapes(table.dim, H).items()
-    }
-    arrays["fwd.b"][H : 2 * H] = 1.0
-    arrays["bwd.b"][H : 2 * H] = 1.0
-    return params_from_arrays(arrays, table)
+    arrays = [
+        _glorot(*shape, rng) if len(shape) == 2 else np.zeros(shape)
+        for shape in tensor_shapes(table.dim, H).values()
+    ]
+    params = params_from_vector(np.concatenate([a.ravel() for a in arrays]), H, table)
+    params.lstm.b[:, H : 2 * H] = 1.0
+    return params
 
 
 def _emissions(posts: Sequence[EncodedPost], params: ModelParams) -> tuple[np.ndarray, BilstmCache]:
@@ -172,9 +175,7 @@ def _emissions(posts: Sequence[EncodedPost], params: ModelParams) -> tuple[np.nd
     the pass, whose ``lstm_cache.steps`` is the batch's layout."""
     steps = PackedSteps([post.effective_len for post in posts])
     indices = steps.pack(np.concatenate([post.indices for post in posts]))
-    hidden, lstm_cache = lstm_forward(
-        params.embedding.matrix[indices], params.lstm, steps, [rev for _, rev in DIRECTIONS]
-    )
+    hidden, lstm_cache = lstm_forward(params.embedding.matrix[indices], params.lstm, steps, REVERSE)
     emissions = hidden @ params.emit.W_out.T + params.emit.b_out
     return emissions, BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden)
 
@@ -183,35 +184,23 @@ def backward(
     params: ModelParams,
     cache: BilstmCache,
     d_emissions: np.ndarray,
+    grads: ModelParams,
     finetune_embeddings: bool = False,
-) -> dict[str, np.ndarray]:
+) -> None:
     """Manual backprop through the projection and both LSTM directions.
 
     ``d_emissions`` has the (N, L) shape of the forward pass's emissions.
-    Returns gradients keyed like
-    :meth:`ModelParams.named_arrays`, summed over a batch (CRF entries
-    excluded; those come straight from the CRF marginals).
+    Writes the emission and LSTM gradients, summed over a batch, into
+    ``grads``, laid out like ``params`` (the CRF writes its own).  When
+    fine-tuning, adds the embedding rows' gradients into
+    ``grads.embedding.matrix``.
     """
-    d_W_out = d_emissions.T @ cache.hidden
-    d_b_out = d_emissions.sum(axis=0)
+    np.matmul(d_emissions.T, cache.hidden, out=grads.emit.W_out)
+    d_emissions.sum(axis=0, out=grads.emit.b_out)
     d_hidden = d_emissions @ params.emit.W_out
-
-    d_inputs, lstm_grads = lstm_backward(
-        d_hidden, params.lstm, cache.lstm_cache, input_grad=finetune_embeddings
-    )
-
-    grads = {
-        f"{prefix}.{name}": arr
-        for (prefix, _), direction in zip(DIRECTIONS, lstm_grads)
-        for name, arr in direction.items()
-    }
-    grads["emit.W_out"] = d_W_out
-    grads["emit.b_out"] = d_b_out
+    d_inputs = lstm_backward(d_hidden, params.lstm, cache.lstm_cache, grads.lstm, finetune_embeddings)
     if finetune_embeddings:
-        d_matrix = np.zeros_like(params.embedding.matrix)
-        np.add.at(d_matrix, cache.indices, d_inputs)
-        grads[EMBEDDING_TENSOR] = d_matrix
-    return grads
+        np.add.at(grads.embedding.matrix, cache.indices, d_inputs)
 
 
 def nll_and_gradients(
@@ -219,9 +208,12 @@ def nll_and_gradients(
     labels: Sequence[list[int]],
     params: ModelParams,
     finetune_embeddings: bool = False,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, ModelParams]:
     """Summed CRF negative log-likelihood of a minibatch and the summed
-    gradients for every trainable tensor.
+    gradients of every trainable tensor, in a new vector laid out like
+    ``params.vector``.  When fine-tuning, the embedding gradient is the
+    returned ``embedding.matrix``; otherwise the returned ``embedding`` is
+    ``params.embedding``, and no gradient.
 
     ``labels[k]`` must cover exactly the encoded tokens of ``posts[k]``.
     The batch runs as one packed pass, its posts sorted longest first (ties
@@ -233,13 +225,14 @@ def nll_and_gradients(
         raise ValidationError("empty minibatch")
     order = sorted(range(len(posts)), key=lambda k: -posts[k].effective_len)
     emissions, cache = _emissions([posts[k] for k in order], params)
-    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(
-        emissions, params.crf, [labels[k] for k in order], cache.lstm_cache.steps
+    table = params.embedding
+    if finetune_embeddings:
+        table = table.with_matrix(np.zeros_like(table.matrix))
+    grads = params_from_vector(np.empty_like(params.vector), params.hidden_size, table)
+    nll, d_em = crf_nll_grad(
+        emissions, params.crf, [labels[k] for k in order], cache.lstm_cache.steps, grads.crf
     )
-    grads = backward(params, cache, d_em, finetune_embeddings)
-    grads["crf.trans"] = d_trans
-    grads["crf.start"] = d_start
-    grads["crf.stop"] = d_stop
+    backward(params, cache, d_em, grads, finetune_embeddings)
     return nll, grads
 
 

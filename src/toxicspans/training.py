@@ -5,8 +5,9 @@ loss is the batch-mean CRF negative log-likelihood, and each batch runs as
 one length-sorted pass (ties in ascending example order) whose gradient
 reductions have a fixed order, so runs with the same seed are bit-for-bit
 reproducible.  Early stopping watches the dev-split character-level F1 and
-the best-dev parameters are returned.  A step copies its gradients into one
-vector laid out like the parameters, scales and clips it, and Adam takes it.
+the best-dev parameters are returned.  A step's gradients arrive in one
+vector laid out like the parameter vector; the step scales and clips them
+there, and Adam updates the parameter vector from it in one pass.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .dataio import CharSpanSet, LabeledPost
 from .embeddings import EmbeddingTable, EncodedPost, check_max_len, encode_post
 from .errors import NonFiniteError, TrainingDivergedError, ValidationError
 from .metric import per_post_scores
-from .model import EMBEDDING_TENSOR, VECTOR_NAMES, ModelParams, init_params
+from .model import ModelParams, init_params
 from .model import nll_and_gradients, predict_spans
 from .span_codec import BridgePolicy, spans_to_labels
 from .tokenizer import TokenSeq, tokenize
@@ -127,7 +128,7 @@ class EpochStats:
 class AdamState:
     """Bias-corrected first/second moment accumulators, one per tensor."""
 
-    learning_rate: float = 1e-3
+    learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -281,13 +282,8 @@ def train(
         raise ValidationError("no training example has at least one token")
 
     # Adam's arrays: the parameter vector, and the embedding matrix if tuned
-    param_arrays = {"vector": params.vector}
-    if cfg.finetune_embeddings:
-        param_arrays[EMBEDDING_TENSOR] = params.embedding.matrix
+    param_arrays = params.flat_arrays(cfg.finetune_embeddings)
     state = AdamState.for_arrays(param_arrays, cfg.learning_rate)
-    gradient = params.clone()
-    grad_views = dict(gradient.named_arrays())
-    adam_grads = {"vector": gradient.vector}
 
     history: list[EpochStats] = []
     best_f1 = -np.inf
@@ -314,21 +310,17 @@ def train(
                 raise TrainingDivergedError(f"{exc} {where}") from None
             if not np.isfinite(batch_nll):
                 raise TrainingDivergedError(f"non-finite loss {where}")
-            scale = 1.0 / len(batch)
-            np.concatenate([grads[name].ravel() for name in VECTOR_NAMES], out=gradient.vector)
-            gradient.vector *= scale
-            if cfg.finetune_embeddings:
-                adam_grads[EMBEDDING_TENSOR] = grads[EMBEDDING_TENSOR]
-                adam_grads[EMBEDDING_TENSOR] *= scale
+            grad_arrays = grads.flat_arrays(cfg.finetune_embeddings)
+            for arr in grad_arrays.values():
+                arr *= 1.0 / len(batch)
             # checked before the update, so the parameters stay finite; the
-            # views go in the order of grads, which orders the norm's sum
+            # norm sums the tensors in checkpoint order
             norm = clip_gradients(
-                {name: grad_views.get(name, arr) for name, arr in grads.items()},
-                cfg.gradient_clip_norm,
+                dict(grads.named_arrays(cfg.finetune_embeddings)), cfg.gradient_clip_norm
             )
             if not math.isfinite(norm):
                 raise TrainingDivergedError(f"non-finite gradient norm {where}")
-            adam_step(param_arrays, adam_grads, state)
+            adam_step(param_arrays, grad_arrays, state)
             nll_total += batch_nll
             norms.append(norm)
             tokens += sum(ex.encoded.effective_len for ex in batch)

@@ -15,10 +15,14 @@ the packed CRF kernel and of training on one parameter vector, which must
 return their bits.  The single-post CRF quantities (log-partition, gold
 score, NLL, marginals) run one post as a batch of one through the
 library's kernels, for the tests that check them against the brute-force
-oracles.  ``reference_lstm_forward`` is the lockstep LSTM forward pass that
-ran every batch, one post included, through the packed loop, and took and
-returned the padded (T, B, ·) grid; the library's kernels, which take and
-return packed rows, must return its bits on every real slot.  The padded
+oracles.  :func:`crf_grads` and :func:`lstm_grads` call the library's
+backward kernels, which write their parameter gradients into a buffer the
+caller passes, with a fresh NaN-filled buffer (so an entry left unwritten
+shows), and return those gradients.  ``reference_lstm_forward`` is the
+lockstep LSTM forward pass that ran every batch, one post included,
+through the packed loop, and took and returned the padded (T, B, ·) grid;
+the library's kernels, which take and return packed rows, must return its
+bits on every real slot.  The padded
 grid lives only here: :func:`padded` and :func:`packed` move rows between
 it and the library's packed layout.
 
@@ -47,7 +51,7 @@ from toxicspans.crf import CrfParams, _check_emissions, crf_nll_grad
 from toxicspans.crf import _forward_backward as _packed_forward_backward
 from toxicspans.dataio import CharSpanSet
 from toxicspans.errors import DataFormatError, NonFiniteError, ValidationError
-from toxicspans.lstm import LstmCache, LstmParams
+from toxicspans.lstm import LstmCache, LstmParams, lstm_backward
 from toxicspans.tokenizer import Token, TokenSeq
 
 
@@ -505,7 +509,28 @@ def crf_log_partition(em, crf) -> float:
 def crf_nll(em, crf, labels) -> float:
     """Negative log-likelihood of the gold sequence: logZ - gold score >= 0."""
     _check_emissions(em, crf)
-    return crf_nll_grad(em, crf, [labels], PackedSteps([len(em)]))[0]
+    return crf_grads(em, crf, [labels], PackedSteps([len(em)]))[0]
+
+
+def _nan_like(*arrays):
+    return [np.full_like(a, np.nan) for a in arrays]
+
+
+def crf_grads(em, crf, labels, steps):
+    """``crf_nll_grad``'s NLL and packed emission gradients, then the trans,
+    start and stop gradients it wrote."""
+    grads = CrfParams(*_nan_like(crf.trans, crf.start, crf.stop))
+    nll, d_em = crf_nll_grad(em, crf, labels, steps, grads)
+    return nll, d_em, grads.trans, grads.start, grads.stop
+
+
+def lstm_grads(d_hidden, params, cache, input_grad=True):
+    """``lstm_backward``'s input gradients, then one dict of the parameter
+    gradients it wrote per direction, keyed ``W_in`` / ``W_rec`` / ``b``."""
+    grads = LstmParams(*_nan_like(params.W_in, params.W_rec, params.b))
+    d_inputs = lstm_backward(d_hidden, params, cache, grads, input_grad)
+    names = ("W_in", "W_rec", "b")
+    return d_inputs, [{name: getattr(grads, name)[k] for name in names} for k in range(len(grads.b))]
 
 
 def crf_gold_score(em, crf, labels) -> float:
@@ -592,6 +617,7 @@ def reference_train(examples, cfg, table, policy):
                 params,
                 cfg.finetune_embeddings,
             )
+            grads = dict(grads.named_arrays(include_embedding=cfg.finetune_embeddings))
             for arr in grads.values():
                 arr *= 1.0 / len(batch)
             norms.append(clip_gradients(grads, cfg.gradient_clip_norm))

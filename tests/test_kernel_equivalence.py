@@ -18,17 +18,19 @@ import pytest
 
 from conftest import one_direction, pack_posts
 from oracles import (
+    crf_grads,
     loop_crf_nll_grad,
     loop_lstm_backward,
     loop_lstm_forward,
+    lstm_grads,
     numpy_viterbi_decode,
     packed,
     padded_crf_nll_grad,
     reference_lstm_forward,
 )
 from toxicspans.batching import PackedSteps
-from toxicspans.crf import CrfParams, crf_nll_grad, viterbi_decode
-from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_backward, lstm_forward
+from toxicspans.crf import CrfParams, viterbi_decode
+from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_forward
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -65,7 +67,7 @@ def test_lstm_matches_loop_reference(T, H, reverse, scale):
     assert_close(hidden, ref_hidden)
     assert_close(cache.cell[:, 0], ref_cache["c"])  # a post's packed rows are its steps
 
-    d_inputs, [grads] = lstm_backward(d_hidden, one_direction(params), cache)
+    d_inputs, [grads] = lstm_grads(d_hidden, one_direction(params), cache)
     ref_d_inputs, ref_grads = loop_lstm_backward(d_hidden, params, ref_cache)
     assert_close(d_inputs, ref_d_inputs)
     for name in ("W_in", "W_rec", "b"):
@@ -101,8 +103,8 @@ def test_one_post_lstm_is_bitwise_the_packed_loop(T, H, reverse, scale):
     for name in ("gates", "cell", "tanh_cell", "hidden"):
         assert np.array_equal(getattr(cache, name), getattr(ref_cache, name))
     for input_grad in (False, True):
-        d_x, grads = lstm_backward(d_hidden, params, cache, input_grad)
-        ref_d_x, ref_grads = lstm_backward(d_hidden, params, ref_cache, input_grad)
+        d_x, grads = lstm_grads(d_hidden, params, cache, input_grad)
+        ref_d_x, ref_grads = lstm_grads(d_hidden, params, ref_cache, input_grad)
         assert (d_x is None) == (not input_grad)
         assert d_x is None or np.array_equal(d_x, ref_d_x)
         for k in range(K):
@@ -122,7 +124,7 @@ def test_crf_nll_grad_matches_loop_reference(T, L, scale):
         stop=rng.uniform(-2.0, 2.0, size=L),
     )
     labels = [int(y) for y in rng.integers(L, size=T)]
-    nll, d_em, d_trans, d_start, d_stop = crf_nll_grad(em, crf, [labels], pack_posts([em])[1])
+    nll, d_em, d_trans, d_start, d_stop = crf_grads(em, crf, [labels], pack_posts([em])[1])
     got = (nll, d_em, d_trans, d_start, d_stop)
     want = loop_crf_nll_grad(em, crf.trans, crf.start, crf.stop, labels)
     for actual, desired in zip(got, want):
@@ -175,7 +177,7 @@ def test_crf_nll_grad_is_bitwise_the_padded_kernel(B, T, L, scale):
         em = rng.uniform(-3.0, 3.0, size=(T, B, L)) * scale  # finite noise as padding
         labels = [[int(y) for y in rng.integers(L, size=n)] for n in lengths]
         steps = PackedSteps(lengths)
-        nll, d_em, *rest = crf_nll_grad(packed(em, steps), crf, labels, steps)
+        nll, d_em, *rest = crf_grads(packed(em, steps), crf, labels, steps)
         want_nll, want_d_em, *want_rest = padded_crf_nll_grad(em, crf, labels, lengths)
         assert nll == want_nll
         assert np.array_equal(d_em, packed(want_d_em, steps))

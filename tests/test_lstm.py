@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import one_direction, pack_posts
-from oracles import finite_difference, max_relative_error
+from oracles import finite_difference, lstm_grads, max_relative_error
 from toxicspans.batching import PackedSteps
 from toxicspans.errors import NonFiniteError, ValidationError
-from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_backward, lstm_forward
+from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_forward
 
 
 def random_params(rng, hidden, dim, scale=0.4):
@@ -90,7 +90,7 @@ class TestBackward:
             return float(np.sum(h * weights))
 
         _, cache = lstm_forward(x, one_direction(params), steps, [reverse])
-        d_inputs, [grads] = lstm_backward(weights, one_direction(params), cache)
+        d_inputs, [grads] = lstm_grads(weights, one_direction(params), cache)
 
         arrays = {"W_in": params.W_in, "W_rec": params.W_rec, "b": params.b}
         numeric = finite_difference(loss, arrays, h=1e-5)
@@ -104,7 +104,7 @@ class TestBackward:
         params = random_params(rng, hidden=3, dim=2)
         x, steps = pack_posts([rng.normal(size=(4, 2))])
         _, cache = lstm_forward(x, one_direction(params), steps, [False])
-        d_inputs, [grads] = lstm_backward(np.zeros((4, 3)), one_direction(params), cache)
+        d_inputs, [grads] = lstm_grads(np.zeros((4, 3)), one_direction(params), cache)
         assert np.all(d_inputs == 0.0)
         for arr in grads.values():
             assert np.all(arr == 0.0)
@@ -116,7 +116,7 @@ class TestBackward:
         _, cache = lstm_forward(x, one_direction(params), steps, [False])
         for d_hidden in (np.zeros((3, 3)), np.zeros((4, 1, 3)), np.zeros((4, 6))):
             with pytest.raises(ValidationError):
-                lstm_backward(d_hidden, one_direction(params), cache)
+                lstm_grads(d_hidden, one_direction(params), cache)
 
 
 class TestLockstep:
@@ -135,14 +135,14 @@ class TestLockstep:
         d_hidden = rng.normal(size=(steps.N, 2 * H))
 
         hidden, cache = lstm_forward(x, stacked(directions), steps, reverse)
-        d_x, grads = lstm_backward(d_hidden, stacked(directions), cache)
+        d_x, grads = lstm_grads(d_hidden, stacked(directions), cache)
 
         assert hidden.shape == (steps.N, 2 * H) and len(grads) == 2
         d_x_sum = None
         for k, (params, rev) in enumerate(zip(directions, reverse)):
             cols = slice(k * H, (k + 1) * H)
             one_hidden, one_cache = lstm_forward(x, one_direction(params), steps, [rev])
-            one_d_x, [one_grads] = lstm_backward(
+            one_d_x, [one_grads] = lstm_grads(
                 np.ascontiguousarray(d_hidden[..., cols]), one_direction(params), one_cache
             )
             np.testing.assert_array_equal(hidden[..., cols], one_hidden)

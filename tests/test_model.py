@@ -12,6 +12,7 @@ from toxicspans.errors import DataFormatError, ToxicSpansError, ValidationError
 from toxicspans.model import (
     _emissions,
     backward,
+    TENSOR_NAMES,
     init_params,
     nll_and_gradients,
     predict,
@@ -88,9 +89,12 @@ class TestBackward:
         params = make_model(table)
         post = encoded(table, "a b a b")
         emissions, cache = _emissions([post], params)
-        grads = backward(params, cache, np.zeros_like(emissions), finetune_embeddings=True)
-        for arr in grads.values():
-            assert np.all(arr == 0.0)
+        grads = params.clone(copy_embedding=True)
+        grads.vector[:] = np.nan  # backward writes all but the CRF's tensors
+        grads.embedding.matrix[:] = 0.0  # and adds into the embedding gradient
+        backward(params, cache, np.zeros_like(emissions), grads, finetune_embeddings=True)
+        for name, arr in grads.named_arrays(include_embedding=True):
+            assert name.startswith("crf.") or np.all(arr == 0.0), name
 
     def test_full_stack_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -110,7 +114,7 @@ class TestBackward:
 
         posts, label_lists = zip(*batch)
         _, grads = nll_and_gradients(posts, label_lists, params)
-        analytic = {name: arr / len(batch) for name, arr in grads.items()}
+        analytic = {name: arr / len(batch) for name, arr in grads.named_arrays()}
 
         numeric = finite_difference(batch_loss, dict(params.named_arrays()), h=1e-5)
         assert max_relative_error(analytic, numeric) < 1e-4
@@ -138,8 +142,8 @@ class TestBackward:
         _, grads = nll_and_gradients(posts, labels, params, finetune_embeddings=True)
         name = "embedding.matrix"
         numeric = finite_difference(batch_loss, {name: params.embedding.matrix}, h=1e-5)
-        assert np.any(grads[name] != 0.0)
-        assert max_relative_error({name: grads[name]}, numeric) < 1e-4
+        assert np.any(grads.embedding.matrix != 0.0)
+        assert max_relative_error({name: grads.embedding.matrix}, numeric) < 1e-4
 
     def test_finetuning_leaves_the_other_gradients_bit_identical(self):
         rng = np.random.default_rng(7)
@@ -149,16 +153,15 @@ class TestBackward:
         nll, plain = nll_and_gradients(posts, labels, params, finetune_embeddings=False)
         tuned_nll, tuned = nll_and_gradients(posts, labels, params, finetune_embeddings=True)
         assert nll == tuned_nll
-        assert set(tuned) == set(plain) | {"embedding.matrix"}
-        for name, arr in plain.items():
-            assert np.array_equal(arr, tuned[name]), name
+        assert np.array_equal(plain.vector, tuned.vector)
+        assert plain.embedding is params.embedding and tuned.embedding is not params.embedding
 
     def test_embedding_gradients_only_touch_used_rows(self):
         table = make_table(["a", "b", "c"])
         params = make_model(table)
         post = encoded(table, "a a b", max_len=8)
         _, grads = nll_and_gradients([post], [[1, 0, 1]], params, finetune_embeddings=True)
-        d_matrix = grads["embedding.matrix"]
+        d_matrix = grads.embedding.matrix
         assert np.any(d_matrix[table.vocab["a"]] != 0.0)
         assert np.all(d_matrix[table.vocab["c"]] == 0.0)
         assert np.all(d_matrix[table.pad_index] == 0.0)
@@ -210,6 +213,33 @@ class TestPredict:
 
 
 class TestStackedDirections:
+    @pytest.mark.parametrize("source", ["init", "clone", "gradients", "checkpoint"])
+    def test_every_view_writes_through_to_the_vector_in_tensor_order(self, tmp_path, source):
+        from toxicspans.checkpoint import load_checkpoint, save_checkpoint
+
+        table = make_table(["a", "b"], dim=3)
+        params = make_model(table, hidden=4, seed=2)
+        if source == "clone":
+            params = params.clone()
+        elif source == "gradients":
+            params = nll_and_gradients([encoded(table, "a b a")], [[0, 1, 0]], params)[1]
+        elif source == "checkpoint":
+            save_checkpoint(tmp_path / "m.ckpt", params, TrainConfig(hidden_size=4), table)
+            params = load_checkpoint(tmp_path / "m.ckpt", table)[0]
+        named = params.named_arrays()
+        assert [name for name, _ in named] == list(TENSOR_NAMES)
+        for k, (_, arr) in enumerate(named):
+            assert np.shares_memory(arr, params.vector)
+            arr[...] = k
+        blocks = (params.lstm.W_in, params.lstm.W_rec, params.lstm.b)
+        for block in blocks:
+            assert np.shares_memory(block, params.vector)
+            block += 0.5  # both directions' tensors
+        sizes = [arr.size for _, arr in named]
+        marks = np.arange(len(named)) + np.where(np.arange(len(named)) < 3 * len(blocks[0]), 0.5, 0.0)
+        assert sum(sizes) == params.vector.size
+        np.testing.assert_array_equal(params.vector, np.repeat(marks, sizes))
+
     def test_direction_views_write_through_to_the_stack(self):
         params = make_model(make_table(["a", "b"], dim=3), hidden=4, seed=2)
         params.fwd.W_rec[1, 2] = 7.5
@@ -234,6 +264,7 @@ class TestStackedDirections:
             for name in ("W_in", "W_rec", "b"):
                 np.testing.assert_array_equal(getattr(other.lstm, name), getattr(params.lstm, name))
             assert not np.shares_memory(other.lstm.W_rec, params.lstm.W_rec)
+            assert np.shares_memory(other.lstm.W_rec, other.vector)
         copy.fwd.W_in[0, 0] += 1.0
         assert not deep_equal(params, copy)
 
@@ -251,6 +282,53 @@ class TestCheckpoint:
         loaded, loaded_cfg = load_checkpoint(path, table)
         assert deep_equal(params, loaded)
         assert loaded_cfg == cfg
+
+    @pytest.mark.parametrize(
+        "finetuned, digest",
+        [(False, "0c83b818ec7057c501ac2c88acdc07e869d902d4b6ed88e7d75dbb3072850804"),
+         (True, "748e86988dffb34006c57e820e4df5e45853788100ab6fd82779f79d8599c144")],
+        ids=["plain", "finetuned"],
+    )
+    def test_seeded_model_bytes_are_pinned_and_the_body_is_the_vector(self, finetuned, digest):
+        """The digests involve no BLAS arithmetic, so hold on every platform."""
+        import hashlib
+
+        from toxicspans.checkpoint import MAGIC, serialize_checkpoint
+
+        table = make_table(["a", "b"], dim=3)
+        params = init_params(table, 4, np.random.default_rng(0))
+        raw = serialize_checkpoint(params, TrainConfig(hidden_size=4, finetune_embeddings=finetuned), table)
+        assert hashlib.sha256(raw).hexdigest() == digest
+        body = raw[raw.index(b"\n", len(MAGIC)) + 1 :]
+        assert body == params.vector.tobytes() + (table.matrix.tobytes() if finetuned else b"")
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("train_config.hidden_size", 99, "dims.hidden_size is 4, but train_config.hidden_size is 99"),
+            ("dims.hidden_size", 5, "dims.hidden_size is 5, but train_config.hidden_size is 4"),
+            ("dims.max_len", 64, "dims.max_len is 64, but train_config.max_len is 128"),
+            ("dims.max_len", 128.0, r"dims.max_len is 128\.0, but train_config.max_len is 128"),
+            ("dims.num_labels", 3, "dims.num_labels is 3, but the tagger's label count is 2"),
+            ("finetuned_embeddings", True,
+             "finetuned_embeddings is True, but train_config.finetune_embeddings is False"),
+        ],
+        ids=["config-hidden-size", "dims-hidden-size", "dims-max-len", "dims-max-len-type", "dims-num-labels",
+             "finetuned-embeddings"],
+    )
+    def test_header_copies_that_disagree_are_a_format_error(self, tmp_path, key, value, match):
+        from toxicspans.checkpoint import load_checkpoint, serialize_checkpoint
+
+        def edit(header):
+            section, name = key.split(".") if "." in key else (None, key)
+            (header[section] if section else header)[name] = value
+
+        table = make_table(["a", "b"], dim=3)
+        raw = serialize_checkpoint(make_model(table, hidden=4), TrainConfig(hidden_size=4), table)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(edit_header(raw, edit))
+        with pytest.raises(DataFormatError, match=match):
+            load_checkpoint(path, table)
 
     def test_bridge_gap_round_trips_and_defaults_when_absent(self, tmp_path):
         from toxicspans.checkpoint import load_checkpoint, serialize_checkpoint
@@ -425,11 +503,14 @@ class TestCheckpoint:
             load_checkpoint(path, table)
 
     @pytest.mark.parametrize(
-        "name, value",
-        [("fwd.W_in", np.nan), ("crf.trans", np.inf), ("crf.stop", -np.inf),
-         ("embedding.matrix", np.nan)],
+        "name, value, at",
+        [("fwd.W_in", np.nan, 1), ("crf.trans", np.inf, 1), ("crf.stop", -np.inf, 1),
+         ("embedding.matrix", np.nan, 1), ("bwd.W_in", np.nan, 0), ("crf.trans", -np.inf, 0),
+         ("embedding.matrix", np.inf, 0)],
+        ids=["fwd.W_in-nan", "crf.trans-inf", "crf.stop--inf", "embedding.matrix-nan",
+             "bwd.W_in-nan-first", "crf.trans--inf-first", "embedding.matrix-inf-first"],
     )
-    def test_non_finite_tensor_is_a_format_error(self, tmp_path, name, value):
+    def test_non_finite_tensor_is_a_format_error(self, tmp_path, name, value, at):
         from toxicspans.checkpoint import load_checkpoint, save_checkpoint
 
         table = make_table(["a", "b"], dim=3)
@@ -437,10 +518,37 @@ class TestCheckpoint:
         finetuned = name == "embedding.matrix"
         if finetuned:
             params.embedding = table.with_matrix(table.matrix.copy())
-        dict(params.named_arrays(include_embedding=finetuned))[name].flat[1] = value
+        dict(params.named_arrays(include_embedding=finetuned))[name].flat[at] = value
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, TrainConfig(hidden_size=4, finetune_embeddings=finetuned), table)
         with pytest.raises(DataFormatError, match=f"tensor {name} holds NaN or infinite"):
+            load_checkpoint(path, table)
+
+    @pytest.mark.parametrize(
+        "finetuned, cut, match",
+        [(False, lambda ends: 0, "truncated tensor data for fwd.W_in"),
+         (False, lambda ends: 8 * ends["fwd.W_in"] - 3, "truncated tensor data for fwd.W_in"),
+         (False, lambda ends: 8 * ends["emit.b_out"], "truncated tensor data for crf.trans"),
+         (False, lambda ends: 8 * ends["crf.stop"] - 8, "truncated tensor data for crf.stop"),
+         (True, lambda ends: 8 * ends["crf.stop"] + 1, "truncated tensor data for embedding.matrix"),
+         (False, lambda ends: 8 * ends["crf.stop"] + 5, "5 trailing bytes"),
+         (True, lambda ends: 8 * ends["embedding.matrix"] + 16, "16 trailing bytes")],
+        ids=["empty", "mid-element", "at-a-tensor-end", "last-element", "finetuned-matrix", "trailing",
+             "finetuned-trailing"],
+    )
+    def test_body_of_the_wrong_length_names_the_tensor(self, tmp_path, finetuned, cut, match):
+        from toxicspans.checkpoint import MAGIC, load_checkpoint, serialize_checkpoint
+
+        table = make_table(["a", "b"], dim=3)
+        params = make_model(table, hidden=4)
+        raw = serialize_checkpoint(params, TrainConfig(hidden_size=4, finetune_embeddings=finetuned), table)
+        start = raw.index(b"\n", len(MAGIC)) + 1
+        named = params.named_arrays(include_embedding=finetuned)
+        ends = dict(zip([name for name, _ in named], np.cumsum([arr.size for _, arr in named]).tolist()))
+        n = cut(ends)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(raw[: start + n] + bytes(max(0, start + n - len(raw))))
+        with pytest.raises(DataFormatError, match=match):
             load_checkpoint(path, table)
 
     @settings(max_examples=150, deadline=None)

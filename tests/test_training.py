@@ -188,9 +188,9 @@ class TestTrain:
         examples = build_examples(posts, table, max_len=32)
 
         def poisoned(post, labels, params, finetune=False):
-            return float("nan"), {
-                name: np.zeros_like(arr) for name, arr in params.named_arrays()
-            }
+            grads = params.clone()
+            grads.vector[:] = 0.0
+            return float("nan"), grads
 
         monkeypatch.setattr(training_mod, "nll_and_gradients", poisoned)
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
@@ -229,8 +229,9 @@ class TestTrain:
         updated = []
 
         def poisoned(post, labels, params, finetune=False):
-            grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
-            grads["crf.trans"][0, 0] = bad
+            grads = params.clone()
+            grads.vector[:] = 0.0
+            grads.crf.trans[0, 0] = bad
             return 1.0, grads
 
         monkeypatch.setattr(training_mod, "nll_and_gradients", poisoned)
