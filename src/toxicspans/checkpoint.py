@@ -63,7 +63,20 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def serialize_checkpoint(
     params: ModelParams, cfg: TrainConfig, table: EmbeddingTable
 ) -> bytes:
+    """The checkpoint's bytes.  The header states the hidden size and
+    whether the embeddings were tuned twice, from ``params`` and from
+    ``cfg``; a :class:`ValidationError` naming both refuses a pair that
+    disagrees, which :func:`load_checkpoint` would reject."""
     include_embedding = cfg.finetune_embeddings
+    for name, found, want in (
+        ("hidden size", params.hidden_size, cfg.hidden_size),
+        # a tuned model trains a private copy of the table's matrix
+        ("finetuned embeddings", params.embedding.matrix is not table.matrix, include_embedding),
+    ):
+        if found != want:
+            raise ValidationError(
+                f"cannot save a checkpoint: the parameters' {name} is {found}, but the config's is {want}"
+            )
     named = params.named_arrays(include_embedding=include_embedding)
     header = {
         "dtype": _DTYPE,

@@ -14,7 +14,9 @@ sum(lengths) real slots of length-sorted posts, time-major in forward
 order, described by one :class:`batching.PackedSteps`.  Step ``s`` is one
 contiguous block of rows, so padding is never computed, stored or
 multiplied.  A reversed direction reads its inputs and writes its outputs
-through the involution :attr:`batching.PackedSteps.mirror`.
+through the involution :attr:`batching.PackedSteps.mirror`; as an
+involution it also gathers when it scatters, so ``a[mirror] = b`` mirrors
+``b`` into ``a`` with no temporary.
 
 :class:`LstmParams` stacks the weights of K directions on a leading axis
 (the BiLSTM has K = 2: forward, then backward), and every direction runs
@@ -36,8 +38,9 @@ the loop carries only the hidden and cell gradients and scales each
 step's rows of dZ, the pre-activation gradient, in place; each
 direction's parameter gradients are then products over the N rows, written
 straight into the caller's gradient block: dZ^T X, dZ^T H_prev (H_prev
-gathered from the previous step's rows), and sum(dZ).  The input gradient dZ W_in is formed only when the caller asks
-for it, which the model does only when fine-tuning embeddings.
+gathered from the previous step's rows), and sum(dZ).  The input gradient
+dZ W_in is formed only when the caller asks for it, which the model does
+only when fine-tuning embeddings.
 
 Two time loops run that recurrence with the same numpy calls in the same
 order, so they give the same bits.  A batch of several posts runs the
@@ -56,6 +59,14 @@ directions as (N, K, ·), plus the :class:`batching.PackedSteps` and which
 directions run reversed.  A reversed direction consumes its post back to
 front but reports hidden states in forward order.  All arithmetic is
 float64.
+
+Every array of more than one step lives in an :class:`arena.Arena`, the
+caller's or a new one per call.  Named roles hold the mirrored inputs,
+the cache, the (N, K*H) output and the input gradient; scratch slots hold
+the packed loop's contiguous copy of W_rec and per-step product, and the
+backward pass's dZ, dc/dh, upstream gradients in processing order and
+gathered c_{t-1} and h_{t-1} rows.  What a call returns from an
+arena is valid until the next call that uses it.
 """
 
 from __future__ import annotations
@@ -68,6 +79,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .arena import Arena
 from .batching import PackedSteps
 from .errors import NonFiniteError, ValidationError
 
@@ -133,6 +145,7 @@ def lstm_forward(
     params: LstmParams,
     steps: PackedSteps,
     reverse: Sequence[bool],
+    arena: Arena | None = None,
 ) -> tuple[np.ndarray, LstmCache]:
     """Run the K directions of ``params`` over the (N, D) packed input rows
     of the batch ``steps``; direction ``k`` reads each post back to front
@@ -140,7 +153,8 @@ def lstm_forward(
 
     Returns the (N, K*H) packed hidden states in forward order, direction k
     in columns k*H to (k+1)*H, plus the cache needed by
-    :func:`lstm_backward`.  Raises :class:`NonFiniteError` if any hidden
+    :func:`lstm_backward`.  Both live in ``arena`` (a new one by default)
+    until its next use.  Raises :class:`NonFiniteError` if any hidden
     state diverges, which only happens when parameters or inputs are
     already non-finite (the activations themselves are bounded).
     """
@@ -153,29 +167,33 @@ def lstm_forward(
     if len(reverse) != K:
         raise ValidationError(f"{len(reverse)} directions to run for {K} stacked directions")
     N = steps.N
-    xs = [inputs[steps.mirror] if rev else inputs for rev in reverse]
+    arena = Arena() if arena is None else arena
+    if steps.B == 1:
+        mirrored = inputs[steps.mirror]  # a reversed view
+    elif any(reverse):
+        mirrored = arena.take("lstm.mirrored", inputs.shape)
+        mirrored[steps.mirror] = inputs
+    xs = [mirrored if rev else inputs for rev in reverse]
 
-    gates = np.empty((N, K, 4 * H))  # pre-activations until a row is activated
+    gates = arena.take("lstm.gates", (N, K, 4 * H))  # pre-activations until a row is activated
     for k, x in enumerate(xs):
         np.matmul(x, params.W_in[k].T, out=gates[:, k])
     gates += params.b
-    cell = np.empty((N, K, H))
-    tanh_cell = np.empty_like(cell)
-    hidden = np.empty_like(cell)
+    cell, tanh_cell, hidden = (arena.take(role, (N, K, H)) for role in ("lstm.cell", "lstm.tanh_cell", "lstm.hidden"))
     with np.errstate(over="ignore"):
         if steps.B == 1:
             _one_post_steps(params.W_rec, gates, cell, tanh_cell, hidden)
         else:
-            _packed_steps(params.W_rec, steps, gates, cell, tanh_cell, hidden)
+            _packed_steps(params.W_rec, steps, gates, cell, tanh_cell, hidden, arena)
 
     # every finite state lies in [-1, 1], so the sum is finite exactly when
     # every state is
     if not math.isfinite(hidden.sum()):
         raise NonFiniteError("LSTM hidden state is non-finite; inputs or parameters diverged")
 
-    out = np.empty((N, K * H))
+    out = arena.take("lstm.out", (N, K * H))
     for k, rev in enumerate(reverse):
-        out[:, k * H : (k + 1) * H] = hidden[steps.mirror, k] if rev else hidden[:, k]
+        out[steps.mirror if rev else slice(None), k * H : (k + 1) * H] = hidden[:, k]
     cache = LstmCache(
         inputs=xs,
         gates=gates,
@@ -195,15 +213,23 @@ def _packed_steps(
     cell: np.ndarray,
     tanh_cell: np.ndarray,
     hidden: np.ndarray,
+    arena: Arena,
 ) -> None:
     """The recurrence over the packed rows of a batch of several posts:
     activates ``gates`` in place and fills the states."""
     B, heads = steps.B, steps.heads
     K, H = cell.shape[1:]
     i_, f_, g_, o_ = ((Ellipsis, slice(k * H, (k + 1) * H)) for k in range(4))
-    # several rows per step multiply faster against a contiguous copy
-    W_rec_T = np.ascontiguousarray(W_rec.transpose(0, 2, 1))
-    product = np.empty((B, K, 4 * H))  # each step's recurrent product
+    # Several rows per step multiply faster against a contiguous copy.
+    # Weights laid out as one already are used as they are: a caller that
+    # keeps the weights fixed over several passes can share one copy in
+    # scratch slot 0, which this loop takes only for its own copy.
+    W_rec_T = W_rec.transpose(0, 2, 1)
+    if not W_rec_T.flags.c_contiguous:
+        copy = arena.scratch(0, W_rec_T.shape)
+        np.copyto(copy, W_rec_T)
+        W_rec_T = copy
+    product = arena.scratch(1, (B, K, 4 * H))  # each step's recurrent product
     zs, cells, tanhs, hs = map(steps.by_step, (gates, cell, tanh_cell, hidden))
     for s, (r, q) in enumerate(zip(steps.rows, steps.prev_rows)):
         z = zs[r]
@@ -258,7 +284,8 @@ def _one_post_steps(
 
 
 def lstm_backward(
-    d_hidden: np.ndarray, params: LstmParams, cache: LstmCache, grads: LstmParams, input_grad: bool = True
+    d_hidden: np.ndarray, params: LstmParams, cache: LstmCache, grads: LstmParams, input_grad: bool = True,
+    arena: Arena | None = None,
 ) -> np.ndarray | None:
     """Backpropagate upstream hidden-state gradients through the recurrence.
 
@@ -266,21 +293,31 @@ def lstm_backward(
     forward order.  Writes the parameter gradients, summed over the batch,
     into ``grads`` (shaped like ``params``; views are fine).  Returns the
     (N, D) input gradients in forward order, summed over the directions,
-    or None unless ``input_grad``.
+    or None unless ``input_grad``.  The input gradients live in ``arena``
+    (a new one by default) and the intermediates in its scratch slots, so
+    ``cache`` and ``d_hidden`` must not lie in those; the forward pass's
+    arena holds them in named roles.
     """
     steps = cache.steps
     T, B, N, heads = steps.T, steps.B, steps.N, steps.heads
     K, H = cache.hidden.shape[1:]
     if d_hidden.shape != (N, K * H):
         raise ValidationError(f"upstream gradient shape {d_hidden.shape} != {(N, K * H)}")
-    d_h_seq = np.empty((N, K, H))
+    arena = Arena() if arena is None else arena
+    # slot 0, the largest, shares its buffer with the other large scratch
+    # arrays: the forward loop's weight copy and the optimizer's
+    dZ = arena.scratch(0, (N, K, 4, H))
+    d_h_seq = arena.scratch(1, (N, K, H))
     d_rows = d_hidden.reshape(N, K, H)
     for k, rev in enumerate(cache.reverse):
-        d_h_seq[:, k] = d_rows[steps.mirror, k] if rev else d_rows[:, k]
+        d_h_seq[steps.mirror if rev else slice(None), k] = d_rows[:, k]
+    # rows from step 1 on: the previous step's states of the same posts;
+    # c_prev is read once, before dc_dh takes its slot
     prev = steps.prev()
-    # rows from step 1 on: the previous step's states of the same posts
-    c_prev = cache.cell[prev]
-    h_prev = cache.hidden[prev]
+    c_prev, h_prev = (
+        state[prev] if steps.full else np.take(state, prev, axis=0, out=arena.scratch(slot, (N - B, K, H)), mode="clip")
+        for state, slot in ((cache.cell, 2), (cache.hidden, 3))
+    )
 
     # Local derivatives of every step, taken over whole arrays and written
     # into dZ, which the loop then scales in place (no separate arrays to
@@ -288,7 +325,6 @@ def lstm_backward(
     # for the o block dh times it.
     i, f, g, o = (cache.gates[..., k * H : (k + 1) * H] for k in range(4))
     tc = cache.tanh_cell
-    dZ = np.empty((N, K, 4, H))
     di, df, dg, do = (dZ[..., k, :] for k in range(4))
     np.subtract(1.0, i, out=di)
     di *= i
@@ -303,12 +339,12 @@ def lstm_backward(
     np.subtract(1.0, o, out=do)
     do *= o
     do *= tc
-    dc_dh = tc * tc
+    dc_dh = np.multiply(tc, tc, out=arena.scratch(2, (N, K, H)))
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= o
 
     dZ_flat = dZ.reshape(N, K, 4 * H)
-    product = np.empty((B, K, H))  # each step's recurrent product
+    product = arena.scratch(4, (B, K, H))  # each step's recurrent product
     rows = steps.rows
     dZs, dZ_flats, d_hs, dc_dhs, fs = map(steps.by_step, (dZ, dZ_flat, d_h_seq, dc_dh, f))
     dh = d_hs[rows[-1]]
@@ -341,6 +377,14 @@ def lstm_backward(
         dZ_rows.sum(axis=0, out=grads.b[k])
     if not input_grad:
         return None
-    d_xs = [dZ_flat[:, k] @ params.W_in[k] for k in range(K)]
-    d_xs = [d_x[steps.mirror] if rev else d_x for d_x, rev in zip(d_xs, cache.reverse)]
-    return reduce(iadd, d_xs)  # summed into the first direction's array
+    d_xs = []
+    for k, rev in enumerate(cache.reverse):
+        # the first is returned, with the others summed into it
+        shape = (N, params.input_size)
+        d_x = arena.take("lstm.d_inputs", shape) if k == 0 else arena.scratch(4 + k, shape)
+        if rev:
+            d_x[steps.mirror] = np.matmul(dZ_flat[:, k], params.W_in[k], out=arena.scratch(4, shape))
+        else:
+            np.matmul(dZ_flat[:, k], params.W_in[k], out=d_x)
+        d_xs.append(d_x)
+    return reduce(iadd, d_xs)

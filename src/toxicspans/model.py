@@ -8,9 +8,10 @@ only the N real token slots of the length-sorted posts, time-major.  The
 embedding rows are gathered straight from the posts' indices, the LSTM
 and the projection return (N, ·) rows, the CRF returns its gradients in
 those rows, and Viterbi decodes each post from its rows, put back post by
-post (``PackedSteps.unpack``); no padded slot is built.  A pass over one post (``predict`` of a post on its
-own, a training batch of one) runs the LSTM's one-post time loop and any
-larger pass its packed loop; both give the same bits.  At B = 1 a step is
+post (``PackedSteps.unpack``); no padded slot is built.  A pass over one
+post (``predict`` of a post on its own, a training batch of one) runs the
+LSTM's one-post time loop and any larger pass its packed loop; both give
+the same bits.  At B = 1 a step is
 about 13 numpy calls, and numpy's per-call cost has no batch axis to
 spread over, so the one-post loop trims the work around those calls (see
 :mod:`lstm`).  The backward pass is fully manual (projection, then both
@@ -26,6 +27,13 @@ directions' hidden states that the projection reads.  Every tensor is a
 view into one parameter vector, in :data:`TENSOR_NAMES` (checkpoint)
 order (:func:`params_from_vector`), and a batch's gradients are written
 into a buffer laid out the same way.
+
+A pass keeps its arrays in an :class:`arena.Arena`, the caller's or a new
+one: the gathered embedding rows, the gradient vector and, when
+fine-tuning, the embedding gradient, next to the LSTM's (see
+:mod:`lstm`).  ``predict_spans`` runs all of its passes in one arena.
+What a call returns from an arena is valid until the next call that uses
+it.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .arena import Arena
 from .batching import PackedSteps
 from .crf import CrfParams, crf_nll_grad, viterbi_decode
 from .dataio import CharSpanSet
@@ -123,6 +132,7 @@ class BilstmCache:
     indices: np.ndarray  # (N,) packed embedding rows
     lstm_cache: LstmCache
     hidden: np.ndarray  # (N, 2H) packed hidden states
+    arena: Arena  # holds the pass's arrays, and will hold the backward pass's
 
 
 def _glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,14 +180,22 @@ def init_params(
     return params
 
 
-def _emissions(posts: Sequence[EncodedPost], params: ModelParams) -> tuple[np.ndarray, BilstmCache]:
+def _emissions(
+    posts: Sequence[EncodedPost], params: ModelParams, arena: Arena | None = None, lstm: LstmParams | None = None
+) -> tuple[np.ndarray, BilstmCache]:
     """(N, L) packed label scores of length-sorted posts, and the cache of
-    the pass, whose ``lstm_cache.steps`` is the batch's layout."""
+    the pass, whose ``lstm_cache.steps`` is the batch's layout, which
+    lives in ``arena`` (a new one by default).  ``lstm`` stands in for
+    ``params.lstm`` if given."""
+    arena = Arena() if arena is None else arena
     steps = PackedSteps([post.effective_len for post in posts])
     indices = steps.pack(np.concatenate([post.indices for post in posts]))
-    hidden, lstm_cache = lstm_forward(params.embedding.matrix[indices], params.lstm, steps, REVERSE)
-    emissions = hidden @ params.emit.W_out.T + params.emit.b_out
-    return emissions, BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden)
+    matrix = params.embedding.matrix
+    # encode_post's indices are rows of the table, so clipping moves none
+    inputs = np.take(matrix, indices, axis=0, out=arena.take("inputs", (steps.N, matrix.shape[1])), mode="clip")
+    hidden, lstm_cache = lstm_forward(inputs, params.lstm if lstm is None else lstm, steps, REVERSE, arena)
+    emissions = hidden @ params.emit.W_out.T + params.emit.b_out  # (N, L): too small to fault
+    return emissions, BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden, arena=arena)
 
 
 def backward(
@@ -193,12 +211,15 @@ def backward(
     Writes the emission and LSTM gradients, summed over a batch, into
     ``grads``, laid out like ``params`` (the CRF writes its own).  When
     fine-tuning, adds the embedding rows' gradients into
-    ``grads.embedding.matrix``.
+    ``grads.embedding.matrix``.  Its intermediates live in the forward
+    pass's arena.
     """
+    arena = cache.arena
     np.matmul(d_emissions.T, cache.hidden, out=grads.emit.W_out)
     d_emissions.sum(axis=0, out=grads.emit.b_out)
-    d_hidden = d_emissions @ params.emit.W_out
-    d_inputs = lstm_backward(d_hidden, params.lstm, cache.lstm_cache, grads.lstm, finetune_embeddings)
+    # W_out's gradient was the hidden states' last reader: d_hidden takes their array
+    d_hidden = np.matmul(d_emissions, params.emit.W_out, out=cache.hidden)
+    d_inputs = lstm_backward(d_hidden, params.lstm, cache.lstm_cache, grads.lstm, finetune_embeddings, arena)
     if finetune_embeddings:
         np.add.at(grads.embedding.matrix, cache.indices, d_inputs)
 
@@ -208,12 +229,16 @@ def nll_and_gradients(
     labels: Sequence[list[int]],
     params: ModelParams,
     finetune_embeddings: bool = False,
+    arena: Arena | None = None,
 ) -> tuple[float, ModelParams]:
     """Summed CRF negative log-likelihood of a minibatch and the summed
-    gradients of every trainable tensor, in a new vector laid out like
+    gradients of every trainable tensor, in a vector laid out like
     ``params.vector``.  When fine-tuning, the embedding gradient is the
     returned ``embedding.matrix``; otherwise the returned ``embedding`` is
     ``params.embedding``, and no gradient.
+
+    The gradients, and every array of the pass, live in ``arena`` (a new
+    one by default): they stay valid until the next call that uses it.
 
     ``labels[k]`` must cover exactly the encoded tokens of ``posts[k]``.
     The batch runs as one packed pass, its posts sorted longest first (ties
@@ -223,12 +248,15 @@ def nll_and_gradients(
         raise ValidationError(f"{len(labels)} label lists for {len(posts)} posts")
     if not posts:
         raise ValidationError("empty minibatch")
+    arena = Arena() if arena is None else arena
     order = sorted(range(len(posts)), key=lambda k: -posts[k].effective_len)
-    emissions, cache = _emissions([posts[k] for k in order], params)
+    emissions, cache = _emissions([posts[k] for k in order], params, arena)
     table = params.embedding
     if finetune_embeddings:
-        table = table.with_matrix(np.zeros_like(table.matrix))
-    grads = params_from_vector(np.empty_like(params.vector), params.hidden_size, table)
+        matrix = arena.take("embedding_grad", table.matrix.shape)
+        matrix.fill(0.0)
+        table = table.with_matrix(matrix)
+    grads = params_from_vector(arena.take("gradients", params.vector.shape), params.hidden_size, table)
     nll, d_em = crf_nll_grad(
         emissions, params.crf, [labels[k] for k in order], cache.lstm_cache.steps, grads.crf
     )
@@ -241,22 +269,37 @@ def predict_spans(
     toks: Sequence[TokenSeq],
     posts: Sequence[EncodedPost],
     policy: BridgePolicy,
+    arena: Arena | None = None,
 ) -> list[CharSpanSet]:
     """Decoded spans of tokenized posts from their encodings ``posts``.
 
     The posts run longest first (a stable sort) in passes of
     :data:`INFER_BATCH`, each one emission pass and a Viterbi decode per
-    post.  Tokens truncated beyond an encoding's ``max_len``
-    are predicted non-toxic; a post with no tokens yields the empty span set.
+    post.  The passes share ``arena`` (a new one by default), and the
+    passes of several posts share one contiguous copy of the recurrent
+    weights in its scratch, which the LSTM's packed loop would otherwise
+    make per pass.  Tokens truncated beyond an encoding's
+    ``max_len`` are predicted non-toxic; a post with no tokens yields the
+    empty span set.
     """
     if len(toks) != len(posts):
         raise ValidationError(f"{len(toks)} token sequences for {len(posts)} encoded posts")
     lens = [post.effective_len for post in posts]
     order = sorted((k for k in range(len(posts)) if lens[k]), key=lambda k: -lens[k])
     spans = [CharSpanSet() for _ in posts]
+    arena = Arena() if arena is None else arena
+    if len(order) > 1:
+        # W_rec as the transpose of a contiguous copy, which the LSTM's
+        # packed loop then uses as it is; the one-post loop keeps the
+        # original, because a copy changes its product's bits
+        W_rec_T = params.lstm.W_rec.transpose(0, 2, 1)
+        copy = arena.scratch(0, W_rec_T.shape)
+        np.copyto(copy, W_rec_T)
+        packed = LstmParams(params.lstm.W_in, copy.transpose(0, 2, 1), params.lstm.b)
     for lo in range(0, len(order), INFER_BATCH):
         picked = order[lo : lo + INFER_BATCH]
-        emissions, cache = _emissions([posts[k] for k in picked], params)
+        lstm = packed if len(picked) > 1 else params.lstm
+        emissions, cache = _emissions([posts[k] for k in picked], params, arena, lstm)
         by_post, start = cache.lstm_cache.steps.unpack(emissions), 0
         for k in picked:
             labels = viterbi_decode(by_post[start : start + lens[k]], params.crf)

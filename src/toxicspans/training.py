@@ -8,6 +8,12 @@ reproducible.  Early stopping watches the dev-split character-level F1 and
 the best-dev parameters are returned.  A step's gradients arrive in one
 vector laid out like the parameter vector; the step scales and clips them
 there, and Adam updates the parameter vector from it in one pass.
+
+``train`` owns one :class:`arena.Arena` for the whole run: every step's
+forward cache, backward intermediates and gradients, the clip's squares,
+Adam's scratch and the dev passes' arrays are views of its buffers, so no
+step allocates and frees them again (see :mod:`arena`).  For the same
+reason each new best-dev state is copied into one kept copy.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .arena import Arena
 from .dataio import CharSpanSet, LabeledPost
 from .embeddings import EmbeddingTable, EncodedPost, check_max_len, encode_post
 from .errors import NonFiniteError, TrainingDivergedError, ValidationError
@@ -26,6 +33,10 @@ from .model import ModelParams, init_params
 from .model import nll_and_gradients, predict_spans
 from .span_codec import BridgePolicy, spans_to_labels
 from .tokenizer import TokenSeq, tokenize
+
+# Elements per chunk of an Adam update: its two scratch chunks (256 KB)
+# stay in cache while the parameters, gradients and moments stream through.
+ADAM_CHUNK = 1 << 14
 
 
 @dataclass
@@ -126,7 +137,8 @@ class EpochStats:
 
 @dataclass
 class AdamState:
-    """Bias-corrected first/second moment accumulators, one per tensor."""
+    """Bias-corrected first/second moment accumulators, one per flat array
+    that :meth:`ModelParams.flat_arrays` names."""
 
     learning_rate: float
     beta1: float = 0.9
@@ -168,15 +180,17 @@ def build_examples(
     return examples
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float, arena: Arena | None = None) -> float:
     """Scale all gradients in place so their global norm is <= max_norm.
 
     Returns the pre-clip global norm; a non-finite norm leaves the
-    gradients as they are.
+    gradients as they are.  The squares are summed from a scratch array in
+    ``arena`` (a new one by default).
     """
+    arena = Arena() if arena is None else arena
     total = 0.0
     for arr in grads.values():
-        total += float(np.sum(arr * arr))
+        total += float(np.sum(np.multiply(arr, arr, out=arena.scratch(0, arr.shape))))
     norm = float(np.sqrt(total))
     if max_norm > 0 and max_norm < norm < math.inf:
         scale = max_norm / norm
@@ -189,48 +203,55 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
+    arena: Arena | None = None,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One in-place Adam update; clip the gradients first with
-    :func:`clip_gradients`."""
+    :func:`clip_gradients`.  Its two scratch arrays live in ``arena`` (a
+    new one by default).  It runs over chunks of about
+    :data:`ADAM_CHUNK` elements, so the scratch stays in cache; the
+    arithmetic is element-wise, so the chunks give the bits of one pass."""
+    arena = Arena() if arena is None else arena
     state.step += 1
     t = state.step
     correct1 = 1.0 - state.beta1**t
     correct2 = 1.0 - state.beta2**t
     for name, param in params.items():
         g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        # two scratch arrays instead of a temporary per operation; the
-        # operations and their order are those of lr * (m / c1) /
-        # (sqrt(v / c2) + eps) written out, so the result is bit for bit
-        # the same
-        step = np.empty_like(g)
-        denom = np.empty_like(g)
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=step)
-        m += step
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=step)
-        step *= g
-        v += step
-        np.divide(v, correct2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.epsilon
-        np.divide(m, correct1, out=step)
-        step *= state.learning_rate
-        step /= denom
-        param -= step
+        rows = max(1, ADAM_CHUNK // max(1, g[:1].size))  # whole leading rows per chunk
+        scratch = [arena.scratch(slot, g[:rows].shape) for slot in (0, 1)]
+        for lo in range(0, len(g), rows):
+            p, g_, m, v = (a[lo : lo + rows] for a in (param, g, state.m[name], state.v[name]))
+            step, denom = (a[: len(g_)] for a in scratch)
+            # two scratch arrays instead of a temporary per operation; the
+            # operations and their order are those of lr * (m / c1) /
+            # (sqrt(v / c2) + eps) written out, so the result is bit for
+            # bit the same
+            m *= state.beta1
+            np.multiply(g_, 1.0 - state.beta1, out=step)
+            m += step
+            v *= state.beta2
+            np.multiply(g_, 1.0 - state.beta2, out=step)
+            step *= g_
+            v += step
+            np.divide(v, correct2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += state.epsilon
+            np.divide(m, correct1, out=step)
+            step *= state.learning_rate
+            step /= denom
+            p -= step
     return params, state
 
 
 def dev_char_f1(
-    examples: Sequence[TrainExample], params: ModelParams, policy: BridgePolicy
+    examples: Sequence[TrainExample], params: ModelParams, policy: BridgePolicy, arena: Arena | None = None
 ) -> float:
-    """Mean per-post character F1 of the current model on a split."""
+    """Mean per-post character F1 of the current model on a split; the
+    passes run in ``arena`` (a new one by default)."""
     if not examples:
         raise ValidationError("dev split is empty")
     spans = predict_spans(
-        params, [ex.tokens for ex in examples], [ex.encoded for ex in examples], policy
+        params, [ex.tokens for ex in examples], [ex.encoded for ex in examples], policy, arena
     )
     scores = [per_post_scores(pred, ex.gold).f1 for pred, ex in zip(spans, examples)]
     return float(np.mean(scores))
@@ -284,6 +305,8 @@ def train(
     # Adam's arrays: the parameter vector, and the embedding matrix if tuned
     param_arrays = params.flat_arrays(cfg.finetune_embeddings)
     state = AdamState.for_arrays(param_arrays, cfg.learning_rate)
+    # every step's large arrays, from the forward pass to Adam's scratch
+    arena = Arena()
 
     history: list[EpochStats] = []
     best_f1 = -np.inf
@@ -305,6 +328,7 @@ def train(
                     [ex.labels[: ex.encoded.effective_len] for ex in batch],
                     params,
                     cfg.finetune_embeddings,
+                    arena,
                 )
             except NonFiniteError as exc:
                 raise TrainingDivergedError(f"{exc} {where}") from None
@@ -316,11 +340,11 @@ def train(
             # checked before the update, so the parameters stay finite; the
             # norm sums the tensors in checkpoint order
             norm = clip_gradients(
-                dict(grads.named_arrays(cfg.finetune_embeddings)), cfg.gradient_clip_norm
+                dict(grads.named_arrays(cfg.finetune_embeddings)), cfg.gradient_clip_norm, arena
             )
             if not math.isfinite(norm):
                 raise TrainingDivergedError(f"non-finite gradient norm {where}")
-            adam_step(param_arrays, grad_arrays, state)
+            adam_step(param_arrays, grad_arrays, state, arena)
             nll_total += batch_nll
             norms.append(norm)
             tokens += sum(ex.encoded.effective_len for ex in batch)
@@ -328,7 +352,7 @@ def train(
         stats = EpochStats(
             epoch=epoch,
             train_nll=nll_total / len(trainable),
-            dev_f1=dev_char_f1(dev, params, policy),
+            dev_f1=dev_char_f1(dev, params, policy, arena),
             grad_norm_mean=math.fsum(norms) / len(norms),
             grad_norm_max=max(norms),
             steps=len(norms),
@@ -341,7 +365,8 @@ def train(
 
         if stats.dev_f1 > best_f1:
             best_f1 = stats.dev_f1
-            best_params = params.clone(copy_embedding=cfg.finetune_embeddings)
+            for best, now in zip(best_params.flat_arrays(cfg.finetune_embeddings).values(), param_arrays.values()):
+                np.copyto(best, now)
             epochs_without_improvement = 0
         else:
             epochs_without_improvement += 1

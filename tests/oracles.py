@@ -333,10 +333,11 @@ def reference_lstm_forward(
 
 
 def packed_reference_lstm_forward(
-    inputs: np.ndarray, params: LstmParams, steps: PackedSteps, reverse: Sequence[bool]
+    inputs: np.ndarray, params: LstmParams, steps: PackedSteps, reverse: Sequence[bool], arena=None
 ) -> tuple[np.ndarray, LstmCache]:
     """:func:`reference_lstm_forward` with ``lstm_forward``'s packed
-    signature: the rows go through the padded grid and back."""
+    signature: the rows go through the padded grid and back.  It allocates
+    its own arrays and ignores ``arena``."""
     hidden, cache = reference_lstm_forward(padded(inputs, steps), params, steps.lengths, reverse)
     return packed(hidden, steps), cache
 

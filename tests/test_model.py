@@ -297,6 +297,8 @@ class TestCheckpoint:
 
         table = make_table(["a", "b"], dim=3)
         params = init_params(table, 4, np.random.default_rng(0))
+        if finetuned:  # a tuned model holds a private copy of the matrix
+            params.embedding = table.with_matrix(table.matrix.copy())
         raw = serialize_checkpoint(params, TrainConfig(hidden_size=4, finetune_embeddings=finetuned), table)
         assert hashlib.sha256(raw).hexdigest() == digest
         body = raw[raw.index(b"\n", len(MAGIC)) + 1 :]
@@ -541,6 +543,8 @@ class TestCheckpoint:
 
         table = make_table(["a", "b"], dim=3)
         params = make_model(table, hidden=4)
+        if finetuned:
+            params.embedding = table.with_matrix(table.matrix.copy())
         raw = serialize_checkpoint(params, TrainConfig(hidden_size=4, finetune_embeddings=finetuned), table)
         start = raw.index(b"\n", len(MAGIC)) + 1
         named = params.named_arrays(include_embedding=finetuned)
@@ -589,6 +593,27 @@ class TestCheckpoint:
         path.write_bytes(MAGIC + json.dumps(header).encode() + raw[raw.index(b"\n", len(MAGIC)):])
         with pytest.raises(ToxicSpansError):
             load_checkpoint(path, table)
+
+    @pytest.mark.parametrize("case", ["hidden-size", "tuned-as-frozen", "frozen-as-tuned"])
+    def test_writer_refuses_parameters_its_config_contradicts(self, tmp_path, case):
+        """The header states these facts twice; a file whose copies
+        disagree would load only as an error, so none is written."""
+        from toxicspans.checkpoint import save_checkpoint
+
+        table = make_table(["a", "b"], dim=3)
+        params = init_params(table, 4, np.random.default_rng(0))
+        cfg = TrainConfig(hidden_size=4)
+        if case == "hidden-size":
+            cfg, match = TrainConfig(), "hidden size is 4, but the config's is 128"
+        elif case == "tuned-as-frozen":
+            params.embedding = table.with_matrix(table.matrix.copy())
+            match = "finetuned embeddings is True, but the config's is False"
+        else:
+            cfg, match = TrainConfig(hidden_size=4, finetune_embeddings=True), "finetuned embeddings is False"
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValidationError, match=match):
+            save_checkpoint(path, params, cfg, table)
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_checkpoint_file_rejected(self, tmp_path):
         from toxicspans.checkpoint import load_checkpoint

@@ -131,9 +131,9 @@ class TestTrain:
         examples = build_examples(posts, table, max_len=32)
         seen = []
 
-        def spy(dev, params, policy):
+        def spy(dev, params, policy, arena=None):
             seen.append(policy)
-            return dev_char_f1(dev, params, policy)
+            return dev_char_f1(dev, params, policy, arena)
 
         monkeypatch.setattr(toxicspans.training, "dev_char_f1", spy)
         cfg = TrainConfig(epochs=1, hidden_size=4, max_len=32, bridge_gap=3)
@@ -187,7 +187,7 @@ class TestTrain:
         table, posts = synthetic_setup(n_posts=10)
         examples = build_examples(posts, table, max_len=32)
 
-        def poisoned(post, labels, params, finetune=False):
+        def poisoned(post, labels, params, finetune=False, arena=None):
             grads = params.clone()
             grads.vector[:] = 0.0
             return float("nan"), grads
@@ -228,7 +228,7 @@ class TestTrain:
         examples = build_examples(posts, table, max_len=32)
         updated = []
 
-        def poisoned(post, labels, params, finetune=False):
+        def poisoned(post, labels, params, finetune=False, arena=None):
             grads = params.clone()
             grads.vector[:] = 0.0
             grads.crf.trans[0, 0] = bad
@@ -313,12 +313,12 @@ class TestEpochTelemetry:
         steps = []  # (pre-clip norm, tokens) per step, in order
         nll_and_gradients = training_mod.nll_and_gradients
 
-        def spy_nll(posts, labels, params, finetune=False):
+        def spy_nll(posts, labels, params, finetune=False, arena=None):
             steps.append([sum(post.effective_len for post in posts)])
-            return nll_and_gradients(posts, labels, params, finetune)
+            return nll_and_gradients(posts, labels, params, finetune, arena)
 
-        def spy_clip(grads, max_norm):
-            norm = clip_gradients(grads, max_norm)
+        def spy_clip(grads, max_norm, arena=None):
+            norm = clip_gradients(grads, max_norm, arena)
             steps[-1].insert(0, norm)
             return norm
 
