@@ -3,15 +3,15 @@ declared order, followed by their raw little-endian float64 bytes.
 
 The body is ``ModelParams.vector``, then the embedding matrix if it was
 fine-tuned.  The header records the dimensions, the training configuration,
-and a digest of the embedding vocabulary; loading rejects any dimension or
-vocabulary mismatch.  Writes are atomic (temp file + rename) and
-byte-deterministic, so identical runs produce identical files.
+a digest of the embedding vocabulary, and the tensor list of
+:func:`model.tensor_layout`; loading rejects any dimension or vocabulary
+mismatch.  Writes are atomic (temp file + rename) and byte-deterministic,
+so identical runs produce identical files.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from pathlib import Path
@@ -20,7 +20,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError, ValidationError
-from .model import EMBEDDING_TENSOR, NUM_LABELS, TENSOR_NAMES, ModelParams, params_from_vector, tensor_shapes
+from .model import NUM_LABELS, TENSOR_NAMES, Layout, ModelParams, params_from_vector, tensor_layout
 from .training import TrainConfig
 
 MAGIC = b"TOXICSPANS-CKPT-1\n"
@@ -60,36 +60,46 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _body_layout(table: EmbeddingTable, cfg: TrainConfig) -> tuple[Layout, list[list]]:
+    """The body's layout for a model of ``cfg`` on ``table``, and the
+    header's ``tensors`` list of its names and shapes."""
+    layout = tensor_layout(table, cfg.hidden_size, cfg.finetune_embeddings)
+    return layout, [[name, list(shape)] for name, (shape, _) in layout.items()]
+
+
 def serialize_checkpoint(
     params: ModelParams, cfg: TrainConfig, table: EmbeddingTable
 ) -> bytes:
-    """The checkpoint's bytes.  The header states the hidden size and
-    whether the embeddings were tuned twice, from ``params`` and from
-    ``cfg``; a :class:`ValidationError` naming both refuses a pair that
-    disagrees, which :func:`load_checkpoint` would reject."""
+    """The checkpoint's bytes: a header from ``table`` and ``cfg``, and a
+    body from ``params``.  A :class:`ValidationError` naming both values
+    refuses parameters whose embedding dimension or vocabulary differs
+    from ``table``'s, or hidden size or tuning from ``cfg``'s, which
+    :func:`load_checkpoint` would reject."""
     include_embedding = cfg.finetune_embeddings
-    for name, found, want in (
-        ("hidden size", params.hidden_size, cfg.hidden_size),
+    vocab_hash = table.fingerprint()
+    for name, found, source, want in (
+        ("embedding dimension", params.embedding.dim, "table", table.dim),
+        ("vocabulary hash", params.embedding.fingerprint(), "table", vocab_hash),
+        ("hidden size", params.hidden_size, "config", cfg.hidden_size),
         # a tuned model trains a private copy of the table's matrix
-        ("finetuned embeddings", params.embedding.matrix is not table.matrix, include_embedding),
+        ("finetuned embeddings", params.embedding.matrix is not table.matrix, "config", include_embedding),
     ):
         if found != want:
             raise ValidationError(
-                f"cannot save a checkpoint: the parameters' {name} is {found}, but the config's is {want}"
+                f"cannot save a checkpoint: the parameters' {name} is {found}, but the {source}'s is {want}"
             )
-    named = params.named_arrays(include_embedding=include_embedding)
     header = {
         "dtype": _DTYPE,
         "dims": {
             "input_dim": table.dim,
-            "hidden_size": params.hidden_size,
+            "hidden_size": cfg.hidden_size,
             "num_labels": NUM_LABELS,
             "max_len": cfg.max_len,
         },
         "train_config": cfg.to_dict(),
-        "vocab_hash": table.fingerprint(),
+        "vocab_hash": vocab_hash,
         "finetuned_embeddings": include_embedding,
-        "tensors": [[name, list(arr.shape)] for name, arr in named],
+        "tensors": _body_layout(table, cfg)[1],
     }
     blob = bytearray()
     blob += MAGIC
@@ -113,7 +123,7 @@ def load_checkpoint(
 
     A malformed header (dims, train_config, a dimension or fine-tuning flag
     that disagrees with train_config, or a tensor list that disagrees with
-    :func:`model.tensor_shapes`) or a tensor holding NaN or infinity raises
+    :func:`model.tensor_layout`) or a tensor holding NaN or infinity raises
     :class:`DataFormatError`.
     """
     raw = Path(path).read_bytes()
@@ -164,18 +174,14 @@ def load_checkpoint(
             "checkpoint vocabulary hash does not match the supplied embedding table"
         )
 
-    shapes = tensor_shapes(table.dim, cfg.hidden_size)
-    if cfg.finetune_embeddings:
-        shapes[EMBEDDING_TENSOR] = table.matrix.shape
-    expected = [[name, list(shape)] for name, shape in shapes.items()]
+    layout, expected = _body_layout(table, cfg)
     if header["tensors"] != expected:
         raise DataFormatError(
             f"{path}: checkpoint tensor list does not match its dims; expected {expected}"
         )
 
     # the tensor that holds each body element e is the first whose end > e
-    names = list(shapes)
-    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    names, ends = list(layout), [at.stop for _, at in layout.values()]
     stored = len(raw) - newline - 1
     if stored < 8 * ends[-1]:
         name = names[np.searchsorted(ends, stored // 8, "right")]

@@ -20,14 +20,15 @@ involution it also gathers when it scatters, so ``a[mirror] = b`` mirrors
 
 :class:`LstmParams` stacks the weights of K directions on a leading axis
 (the BiLSTM has K = 2: forward, then backward), and every direction runs
-in the same time loop.  Step ``s`` of every direction touches the same
-rows, so the packed arrays interleave the directions as (N, K, ·): the
-rows of a step are one contiguous (rows, K, ·) block, and the
-activations, the cell update and the backward pass's scaling are each one
-numpy call for all directions.  The recurrent product is one stacked
-(K, rows, H) x (K, H, 4H) product.  Each direction does the same
-arithmetic in the same order as it would alone, so results do not depend
-on K.
+in the same time loop.  A direction has no type of its own: its weights
+are row ``k`` of each stacked tensor, and one direction alone is a stack
+of K = 1.  Step ``s`` of every direction touches the same rows, so the
+packed arrays interleave the directions as (N, K, ·): the rows of a step
+are one contiguous (rows, K, ·) block, and the activations, the cell
+update and the backward pass's scaling are each one numpy call for all
+directions.  The recurrent product is one stacked (K, rows, H) x
+(K, H, 4H) product.  Each direction does the same arithmetic in the same
+order as it would alone, so results do not depend on K.
 
 Only ``W_rec h_{t-1}`` depends on the previous step, so each direction's
 input projection of all steps is one (N, D) x (D, 4H) product taken
@@ -85,29 +86,12 @@ from .errors import NonFiniteError, ValidationError
 
 
 @dataclass
-class LstmDirectionParams:
-    """Weights of one LSTM direction; rows stack the four gates."""
-
-    W_in: np.ndarray  # (4H, D)
-    W_rec: np.ndarray  # (4H, H)
-    b: np.ndarray  # (4H,)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.b.shape[0] // 4
-
-
-@dataclass
 class LstmParams:
     """Weights of K directions stacked on a leading axis."""
 
     W_in: np.ndarray  # (K, 4H, D)
     W_rec: np.ndarray  # (K, 4H, H)
     b: np.ndarray  # (K, 4H)
-
-    def direction(self, k: int) -> LstmDirectionParams:
-        """Direction ``k``'s weights as views into the block."""
-        return LstmDirectionParams(self.W_in[k], self.W_rec[k], self.b[k])
 
     @property
     def hidden_size(self) -> int:

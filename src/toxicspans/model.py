@@ -24,9 +24,9 @@ Both LSTM directions live in one stacked :class:`lstm.LstmParams` block
 :func:`lstm.lstm_forward` and one :func:`lstm.lstm_backward` call per pass;
 the forward call's (N, 2H) output is the concatenation of the two
 directions' hidden states that the projection reads.  Every tensor is a
-view into one parameter vector, in :data:`TENSOR_NAMES` (checkpoint)
-order (:func:`params_from_vector`), and a batch's gradients are written
-into a buffer laid out the same way.
+view into one parameter vector, and a batch's gradients are written into
+a buffer laid out the same way: :func:`tensor_layout`, each tensor's
+name, shape and slice, read by the views, the clip and the checkpoint.
 
 A pass keeps its arrays in an :class:`arena.Arena`, the caller's or a new
 one: the gathered embedding rows, the gradient vector and, when
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +50,7 @@ from .crf import CrfParams, crf_nll_grad, viterbi_decode
 from .dataio import CharSpanSet
 from .embeddings import EmbeddingTable, EncodedPost, encode_post
 from .errors import ValidationError
-from .lstm import LstmCache, LstmDirectionParams, LstmParams, lstm_backward, lstm_forward
+from .lstm import LstmCache, LstmParams, lstm_backward, lstm_forward
 from .span_codec import BridgePolicy, labels_to_spans
 from .tokenizer import TokenSeq, tokenize
 
@@ -59,8 +58,8 @@ NUM_LABELS = 2  # 0 = non-toxic, 1 = toxic
 # Posts per inference pass: enough rows per step to spread numpy's per-call
 # cost, few enough that `cli predict` holds one small window at a time.
 INFER_BATCH = 16
-# Trainable tensors in their declared (checkpoint) order, as attribute paths
-# of ModelParams; a fine-tuned embedding matrix follows them.
+# Trainable tensors in their declared (checkpoint) order, by the names the
+# checkpoint header gives them; a fine-tuned embedding matrix follows them.
 TENSOR_NAMES = (
     "fwd.W_in", "fwd.W_rec", "fwd.b",
     "bwd.W_in", "bwd.W_rec", "bwd.b",
@@ -70,6 +69,8 @@ TENSOR_NAMES = (
 EMBEDDING_TENSOR = "embedding.matrix"
 # Whether each stacked LSTM direction (fwd, bwd) reads the posts back to front.
 REVERSE = (False, True)
+# Each tensor's shape and slice of the checkpoint body, by name (tensor_layout)
+Layout = dict[str, tuple[tuple[int, ...], slice]]
 
 
 @dataclass
@@ -93,21 +94,8 @@ class ModelParams:
     vector: np.ndarray
 
     @property
-    def fwd(self) -> LstmDirectionParams:
-        return self.lstm.direction(0)
-
-    @property
-    def bwd(self) -> LstmDirectionParams:
-        return self.lstm.direction(1)
-
-    @property
     def hidden_size(self) -> int:
         return self.lstm.hidden_size
-
-    def named_arrays(self, include_embedding: bool = False) -> list[tuple[str, np.ndarray]]:
-        """Trainable tensors in their declared (checkpoint) order."""
-        names = TENSOR_NAMES + ((EMBEDDING_TENSOR,) if include_embedding else ())
-        return [(name, reduce(getattr, name.split("."), self)) for name in names]
 
     def flat_arrays(self, include_embedding: bool = False) -> dict[str, np.ndarray]:
         """The arrays every trainable tensor lives in: ``vector``, then the
@@ -147,18 +135,29 @@ def tensor_shapes(input_dim: int, hidden_size: int) -> dict[str, tuple[int, ...]
     return dict(zip(TENSOR_NAMES, direction + direction + [(L, 2 * H), (L,), (L, L), (L,), (L,)]))
 
 
+def tensor_layout(table: EmbeddingTable, hidden_size: int, finetune_embeddings: bool = False) -> Layout:
+    """Shape and slice of every tensor of the checkpoint body, in order: the
+    parameter vector's, then the embedding matrix if it is fine-tuned."""
+    shapes = tensor_shapes(table.dim, hidden_size)
+    if finetune_embeddings:
+        shapes[EMBEDDING_TENSOR] = table.matrix.shape
+    layout, stop = {}, 0
+    for name, shape in shapes.items():
+        start, stop = stop, stop + math.prod(shape)
+        layout[name] = shape, slice(start, stop)
+    return layout
+
+
 def params_from_vector(vector: np.ndarray, hidden_size: int, table: EmbeddingTable) -> ModelParams:
-    """Parameters whose tensors are views into ``vector``, which holds them
-    in :data:`TENSOR_NAMES` order: each direction's W_in, W_rec and b, then
+    """Parameters whose tensors are views into ``vector``, laid out as
+    :func:`tensor_layout` says: each direction's W_in, W_rec and b, then
     the emission and CRF tensors.  A stacked LSTM tensor takes the same
     columns of each direction's row of ``vector[:K*S].reshape(K, S)``."""
-    shapes = list(tensor_shapes(table.dim, hidden_size).values())
-    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
-    starts = [0, *ends[:-1]]
-    K, S = len(REVERSE), ends[2]
+    layout = list(tensor_layout(table, hidden_size).values())
+    K, S = len(REVERSE), layout[2][1].stop
     blocks = vector[: K * S].reshape(K, S)
-    views = [blocks[:, lo:hi].reshape(K, *shape) for lo, hi, shape in zip(starts, ends, shapes[:3])]
-    views += [vector[lo:hi].reshape(shape) for lo, hi, shape in list(zip(starts, ends, shapes))[3 * K :]]
+    views = [blocks[:, at].reshape(K, *shape) for shape, at in layout[:3]]
+    views += [vector[at].reshape(shape) for shape, at in layout[3 * K :]]
     return ModelParams(LstmParams(*views[:3]), EmissionParams(*views[3:5]), CrfParams(*views[5:]), table, vector)
 
 

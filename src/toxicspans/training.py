@@ -29,7 +29,7 @@ from .dataio import CharSpanSet, LabeledPost
 from .embeddings import EmbeddingTable, EncodedPost, check_max_len, encode_post
 from .errors import NonFiniteError, TrainingDivergedError, ValidationError
 from .metric import per_post_scores
-from .model import ModelParams, init_params
+from .model import ModelParams, init_params, tensor_layout
 from .model import nll_and_gradients, predict_spans
 from .span_codec import BridgePolicy, spans_to_labels
 from .tokenizer import TokenSeq, tokenize
@@ -180,21 +180,33 @@ def build_examples(
     return examples
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float, arena: Arena | None = None) -> float:
-    """Scale all gradients in place so their global norm is <= max_norm.
+def clip_gradients(
+    grads: ModelParams, max_norm: float, finetune_embeddings: bool = False, arena: Arena | None = None
+) -> float:
+    """Scale the gradients in ``grads`` in place so their global norm is
+    <= max_norm: the vector's, and the embedding matrix's if it is tuned.
 
     Returns the pre-clip global norm; a non-finite norm leaves the
-    gradients as they are.  The squares are summed from a scratch array in
-    ``arena`` (a new one by default).
+    gradients as they are.  The arrays are squared into one scratch array
+    in ``arena`` (a new one by default), laid out as
+    :func:`model.tensor_layout` says, and each tensor's squares are summed
+    on their own, in order: a pairwise sum over a tensor's slice has the
+    bits of one over that tensor alone.
     """
     arena = Arena() if arena is None else arena
+    arrays = grads.flat_arrays(finetune_embeddings)
+    layout = [at for _, at in tensor_layout(grads.embedding, grads.hidden_size, finetune_embeddings).values()]
+    squares = arena.scratch(0, (layout[-1].stop,))
+    # out= refuses arrays that the layout does not cover end to end
+    np.concatenate([arr.reshape(-1) for arr in arrays.values()], out=squares)
+    np.multiply(squares, squares, out=squares)
     total = 0.0
-    for arr in grads.values():
-        total += float(np.sum(np.multiply(arr, arr, out=arena.scratch(0, arr.shape))))
+    for at in layout:
+        total += float(np.sum(squares[at]))
     norm = float(np.sqrt(total))
     if max_norm > 0 and max_norm < norm < math.inf:
         scale = max_norm / norm
-        for arr in grads.values():
+        for arr in arrays.values():
             arr *= scale
     return norm
 
@@ -338,10 +350,8 @@ def train(
             for arr in grad_arrays.values():
                 arr *= 1.0 / len(batch)
             # checked before the update, so the parameters stay finite; the
-            # norm sums the tensors in checkpoint order
-            norm = clip_gradients(
-                dict(grads.named_arrays(cfg.finetune_embeddings)), cfg.gradient_clip_norm, arena
-            )
+            # norm sums each tensor's squares on its own, in checkpoint order
+            norm = clip_gradients(grads, cfg.gradient_clip_norm, cfg.finetune_embeddings, arena)
             if not math.isfinite(norm):
                 raise TrainingDivergedError(f"non-finite gradient norm {where}")
             adam_step(param_arrays, grad_arrays, state, arena)

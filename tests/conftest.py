@@ -10,8 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from toxicspans.batching import PackedSteps
 from toxicspans.embeddings import EmbeddingTable
-from toxicspans.lstm import LstmDirectionParams, LstmParams
-from toxicspans.model import ModelParams
+from toxicspans.model import EMBEDDING_TENSOR, REVERSE, TENSOR_NAMES, ModelParams
 
 
 # Any JSON document, NaN and infinities included, for loader fuzz tests.
@@ -52,15 +51,22 @@ def split_posts(rows, steps):
     return [rows[offsets[:n] + b] for b, n in enumerate(steps.lengths)]
 
 
-def one_direction(params: LstmDirectionParams) -> LstmParams:
-    """One LSTM direction as a stack of K = 1 for the lockstep kernels: views,
-    so in-place edits of the direction's arrays show through."""
-    return LstmParams(params.W_in[None], params.W_rec[None], params.b[None])
+def named_tensors(params: ModelParams, include_embedding: bool = False) -> dict[str, np.ndarray]:
+    """Every trainable tensor of ``params`` by name, in declared
+    (checkpoint) order, from the model's own views: direction k of each
+    stacked LSTM tensor, the emission and CRF tensors, then the embedding
+    matrix if asked.  In-place edits show through both ways."""
+    lstm = [getattr(params.lstm, field)[k] for k in range(len(REVERSE)) for field in ("W_in", "W_rec", "b")]
+    arrays = lstm + [params.emit.W_out, params.emit.b_out, params.crf.trans, params.crf.start, params.crf.stop]
+    tensors = dict(zip(TENSOR_NAMES, arrays, strict=True))
+    if include_embedding:
+        tensors[EMBEDDING_TENSOR] = params.embedding.matrix
+    return tensors
 
 
 def deep_equal(a: ModelParams, b: ModelParams) -> bool:
     """Exact (bitwise) equality of all trainable tensors."""
-    for (name_a, arr_a), (name_b, arr_b) in zip(a.named_arrays(), b.named_arrays()):
+    for (name_a, arr_a), (name_b, arr_b) in zip(named_tensors(a).items(), named_tensors(b).items()):
         if name_a != name_b or arr_a.shape != arr_b.shape:
             return False
         if not np.array_equal(arr_a, arr_b):

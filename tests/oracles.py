@@ -138,16 +138,18 @@ def _sigmoid(x):
 
 
 def loop_lstm_forward(inputs, params, reverse=False):
-    """Step-by-step LSTM recurrence: (T, H) hidden states in original order
-    plus a cache dict in processing order for :func:`loop_lstm_backward`."""
+    """Step-by-step LSTM recurrence of the one direction of a K = 1
+    ``LstmParams``: (T, H) hidden states in original order plus a cache
+    dict in processing order for :func:`loop_lstm_backward`."""
     T = inputs.shape[0]
     H = params.hidden_size
+    W_in, W_rec, b = params.W_in[0], params.W_rec[0], params.b[0]
     xs = inputs[::-1] if reverse else inputs
     cache = {name: np.empty((T, H)) for name in ("i", "f", "g", "o", "c", "tc", "h")}
     h = np.zeros(H)
     c = np.zeros(H)
     for s in range(T):
-        z = params.W_in @ xs[s] + params.W_rec @ h + params.b
+        z = W_in @ xs[s] + W_rec @ h + b
         i = _sigmoid(z[:H])
         f = _sigmoid(z[H : 2 * H])
         g = np.tanh(z[2 * H : 3 * H])
@@ -164,12 +166,14 @@ def loop_lstm_forward(inputs, params, reverse=False):
 
 
 def loop_lstm_backward(d_hidden, params, cache):
-    """Backpropagation through time, one outer product per step and tensor."""
+    """Backpropagation through time, one outer product per step and tensor;
+    the gradients are those of the direction, (4H, ·) each."""
     T, H = cache["h"].shape
+    W_in, W_rec = params.W_in[0], params.W_rec[0]
     d_h_seq = d_hidden[::-1] if cache["reverse"] else d_hidden
-    d_W_in = np.zeros_like(params.W_in)
-    d_W_rec = np.zeros_like(params.W_rec)
-    d_b = np.zeros_like(params.b)
+    d_W_in = np.zeros_like(W_in)
+    d_W_rec = np.zeros_like(W_rec)
+    d_b = np.zeros_like(params.b[0])
     d_x = np.empty_like(cache["inputs"])
     dh_next = np.zeros(H)
     dc_next = np.zeros(H)
@@ -189,8 +193,8 @@ def loop_lstm_backward(d_hidden, params, cache):
         d_W_in += np.outer(dz, cache["inputs"][s])
         d_W_rec += np.outer(dz, h_prev)
         d_b += dz
-        d_x[s] = params.W_in.T @ dz
-        dh_next = params.W_rec.T @ dz
+        d_x[s] = W_in.T @ dz
+        dh_next = W_rec.T @ dz
         dc_next = dc * f
     d_inputs = d_x[::-1].copy() if cache["reverse"] else d_x
     return d_inputs, {"W_in": d_W_in, "W_rec": d_W_rec, "b": d_b}
@@ -585,13 +589,29 @@ def expression_adam_step(params, grads, state):
         param -= state.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + state.epsilon)
 
 
+def per_tensor_clip(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """The global-norm clip as a loop over the tensors: each tensor's squares
+    summed on its own, in the dict's order, then every tensor scaled; a
+    non-finite norm leaves them as they are.  Returns the pre-clip norm."""
+    total = 0.0
+    for arr in grads.values():
+        total += float(np.sum(arr * arr))
+    norm = float(np.sqrt(total))
+    if max_norm < norm < math.inf:
+        for arr in grads.values():
+            arr *= max_norm / norm
+    return norm
+
+
 def reference_train(examples, cfg, table, policy):
     """``training.train`` as a loop over the tensors: each step scales every
-    gradient tensor on its own, clips them with ``clip_gradients`` and
-    updates every parameter tensor with :func:`expression_adam_step`.  The
-    seeded draws, batches, early stopping and history are ``train``'s."""
+    gradient tensor on its own, clips them with :func:`per_tensor_clip` in
+    ``TENSOR_NAMES`` order, then the embedding matrix, and updates every
+    parameter tensor with :func:`expression_adam_step`.  The seeded draws,
+    batches, early stopping and history are ``train``'s."""
+    from conftest import named_tensors
     from toxicspans.model import init_params, nll_and_gradients
-    from toxicspans.training import AdamState, EpochStats, clip_gradients, dev_char_f1
+    from toxicspans.training import AdamState, EpochStats, dev_char_f1
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(table, cfg.hidden_size, rng)
@@ -603,7 +623,7 @@ def reference_train(examples, cfg, table, policy):
     dev = [examples[i] for i in sorted(int(i) for i in order[:dev_count])]
     train_idx = sorted(int(i) for i in order[dev_count:])
     trainable = [i for i in train_idx if examples[i].encoded.effective_len > 0]
-    param_arrays = dict(params.named_arrays(include_embedding=cfg.finetune_embeddings))
+    param_arrays = named_tensors(params, cfg.finetune_embeddings)
     state = AdamState.for_arrays(param_arrays, cfg.learning_rate)
     history, best_f1, waited = [], -np.inf, 0
     best = params.clone(copy_embedding=cfg.finetune_embeddings)
@@ -618,10 +638,10 @@ def reference_train(examples, cfg, table, policy):
                 params,
                 cfg.finetune_embeddings,
             )
-            grads = dict(grads.named_arrays(include_embedding=cfg.finetune_embeddings))
+            grads = named_tensors(grads, cfg.finetune_embeddings)
             for arr in grads.values():
                 arr *= 1.0 / len(batch)
-            norms.append(clip_gradients(grads, cfg.gradient_clip_norm))
+            norms.append(per_tensor_clip(grads, cfg.gradient_clip_norm))
             expression_adam_step(param_arrays, grads, state)
             nll_total += batch_nll
             tokens += sum(ex.encoded.effective_len for ex in batch)

@@ -25,7 +25,7 @@ from oracles import (
     max_relative_error,
     path_score,
 )
-from conftest import make_table
+from conftest import make_table, named_tensors
 from toxicspans.cli import main
 from toxicspans.crf import CrfParams, viterbi_decode
 from toxicspans.dataio import CharSpanSet, read_predictions
@@ -122,11 +122,11 @@ def test_criterion_3_gradient_correctness():
 
     posts, label_lists = zip(*batch)
     _, grads = nll_and_gradients(posts, label_lists, params)
-    analytic = {name: arr / len(batch) for name, arr in grads.named_arrays()}
+    analytic = {name: arr / len(batch) for name, arr in named_tensors(grads).items()}
 
-    numeric = finite_difference(batch_loss, dict(params.named_arrays()), h=1e-5)
+    numeric = finite_difference(batch_loss, named_tensors(params), h=1e-5)
     err = max_relative_error(analytic, numeric)
-    n_params = sum(arr.size for _, arr in params.named_arrays())
+    n_params = sum(arr.size for arr in named_tensors(params).values())
 
     elapsed = time.perf_counter() - started
     ok = err < 1e-4 and elapsed < 30.0

@@ -12,11 +12,11 @@ slot; the references' padding is filled with random finite values.
 import numpy as np
 import pytest
 
-from conftest import make_table, one_direction, pack_posts, split_posts
+from conftest import make_table, named_tensors, pack_posts, split_posts
 from oracles import crf_grads, lstm_grads, packed, padded, padded_crf_nll_grad, reference_lstm_forward
 from toxicspans.crf import CrfParams
 from toxicspans.embeddings import encode_post
-from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_forward
+from toxicspans.lstm import LstmParams, lstm_forward
 import toxicspans.model
 from toxicspans.model import INFER_BATCH, _emissions, init_params, nll_and_gradients, predict, predict_spans
 from toxicspans.span_codec import BridgePolicy
@@ -56,24 +56,24 @@ def noise(rng, steps, width):
 @pytest.mark.parametrize("B, lengths", CASES, ids=IDS)
 def test_lstm_batch_matches_single_posts(B, lengths, reverse):
     rng = np.random.default_rng(B * 100 + lengths[0] + reverse)
-    params = LstmDirectionParams(
-        W_in=rng.uniform(-1.0, 1.0, size=(4 * H, DIM)),
-        W_rec=rng.uniform(-0.5, 0.5, size=(4 * H, H)),
-        b=rng.uniform(-0.4, 0.4, size=4 * H),
+    params = LstmParams(
+        W_in=rng.uniform(-1.0, 1.0, size=(1, 4 * H, DIM)),
+        W_rec=rng.uniform(-0.5, 0.5, size=(1, 4 * H, H)),
+        b=rng.uniform(-0.4, 0.4, size=(1, 4 * H)),
     )
     xs = [rng.normal(size=(n, DIM)) for n in lengths]
     d_hs = [rng.normal(size=(n, H)) for n in lengths]
 
     x, steps = pack_posts(xs)
-    hidden, cache = lstm_forward(x, one_direction(params), steps, [reverse])
-    d_inputs, [grads] = lstm_grads(pack_posts(d_hs)[0], one_direction(params), cache)
+    hidden, cache = lstm_forward(x, params, steps, [reverse])
+    d_inputs, [grads] = lstm_grads(pack_posts(d_hs)[0], params, cache)
 
     total = {name: 0.0 for name in grads}
     posts = zip(xs, d_hs, split_posts(hidden, steps), split_posts(d_inputs, steps))
     for x, d_h, post_hidden, post_d_inputs in posts:
         one_x, one_steps = pack_posts([x])
-        ref_hidden, ref_cache = lstm_forward(one_x, one_direction(params), one_steps, [reverse])
-        ref_d_inputs, [ref_grads] = lstm_grads(d_h, one_direction(params), ref_cache)
+        ref_hidden, ref_cache = lstm_forward(one_x, params, one_steps, [reverse])
+        ref_d_inputs, [ref_grads] = lstm_grads(d_h, params, ref_cache)
         assert_close(post_hidden, ref_hidden)
         assert_close(post_d_inputs, ref_d_inputs)
         for name, arr in ref_grads.items():
@@ -124,13 +124,13 @@ def test_nll_and_gradients_batch_matches_sum_of_single_posts(B, lengths, finetun
 
     nll, buffer = nll_and_gradients(posts, labels, params, finetune)
     assert (buffer.embedding is params.embedding) != finetune  # only a tuned matrix gets a gradient
-    grads = dict(buffer.named_arrays(include_embedding=finetune))
+    grads = named_tensors(buffer, finetune)
 
     ref_nll, ref = 0.0, {}
     for post, labs in zip(posts, labels):
         one_nll, one = nll_and_gradients([post], [labs], params, finetune)
         ref_nll += one_nll
-        for name, arr in one.named_arrays(include_embedding=finetune):
+        for name, arr in named_tensors(one, finetune).items():
             ref[name] = ref.get(name, 0.0) + arr
     assert sorted(grads) == sorted(ref)
     assert_close(nll, ref_nll)

@@ -16,7 +16,7 @@ saturate and the sigmoid's exp overflows.
 import numpy as np
 import pytest
 
-from conftest import one_direction, pack_posts
+from conftest import pack_posts
 from oracles import (
     crf_grads,
     loop_crf_nll_grad,
@@ -30,7 +30,7 @@ from oracles import (
 )
 from toxicspans.batching import PackedSteps
 from toxicspans.crf import CrfParams, viterbi_decode
-from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_forward
+from toxicspans.lstm import LstmParams, lstm_forward
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -45,10 +45,10 @@ def assert_close(actual, desired):
 
 def lstm_case(T, H, scale, seed):
     rng = np.random.default_rng(seed)
-    params = LstmDirectionParams(
-        W_in=rng.uniform(-4.0, 4.0, size=(4 * H, DIM)),
-        W_rec=rng.uniform(-0.4, 0.4, size=(4 * H, H)),
-        b=rng.uniform(-0.4, 0.4, size=4 * H),
+    params = LstmParams(
+        W_in=rng.uniform(-4.0, 4.0, size=(1, 4 * H, DIM)),
+        W_rec=rng.uniform(-0.4, 0.4, size=(1, 4 * H, H)),
+        b=rng.uniform(-0.4, 0.4, size=(1, 4 * H)),
     )
     inputs = rng.normal(size=(T, DIM)) * scale
     d_hidden = rng.normal(size=(T, H))
@@ -62,12 +62,12 @@ def lstm_case(T, H, scale, seed):
 def test_lstm_matches_loop_reference(T, H, reverse, scale):
     params, inputs, d_hidden = lstm_case(T, H, scale, seed=1000 * T + 10 * H + reverse)
     x, steps = pack_posts([inputs])
-    hidden, cache = lstm_forward(x, one_direction(params), steps, [reverse])
+    hidden, cache = lstm_forward(x, params, steps, [reverse])
     ref_hidden, ref_cache = loop_lstm_forward(inputs, params, reverse=reverse)
     assert_close(hidden, ref_hidden)
     assert_close(cache.cell[:, 0], ref_cache["c"])  # a post's packed rows are its steps
 
-    d_inputs, [grads] = lstm_grads(d_hidden, one_direction(params), cache)
+    d_inputs, [grads] = lstm_grads(d_hidden, params, cache)
     ref_d_inputs, ref_grads = loop_lstm_backward(d_hidden, params, ref_cache)
     assert_close(d_inputs, ref_d_inputs)
     for name in ("W_in", "W_rec", "b"):
@@ -76,10 +76,10 @@ def test_lstm_matches_loop_reference(T, H, reverse, scale):
 
 def test_hot_inputs_saturate_gates_and_overflow_exp():
     params, inputs, _ = lstm_case(130, 33, 50.0, seed=0)
-    pre = inputs @ params.W_in.T + params.b
+    pre = inputs @ params.W_in[0].T + params.b[0]
     assert pre.min() < -np.log(np.finfo(np.float64).max)
     x, steps = pack_posts([inputs])
-    _, cache = lstm_forward(x, one_direction(params), steps, [False])
+    _, cache = lstm_forward(x, params, steps, [False])
     assert np.any(cache.gates == 0.0) and np.any(cache.gates == 1.0)
 
 

@@ -1,33 +1,34 @@
 import numpy as np
 import pytest
 
-from conftest import one_direction, pack_posts
+from conftest import pack_posts
 from oracles import finite_difference, lstm_grads, max_relative_error
 from toxicspans.batching import PackedSteps
 from toxicspans.errors import NonFiniteError, ValidationError
-from toxicspans.lstm import LstmDirectionParams, LstmParams, lstm_forward
+from toxicspans.lstm import LstmParams, lstm_forward
 
 
 def random_params(rng, hidden, dim, scale=0.4):
-    return LstmDirectionParams(
-        W_in=rng.uniform(-scale, scale, size=(4 * hidden, dim)),
-        W_rec=rng.uniform(-scale, scale, size=(4 * hidden, hidden)),
-        b=rng.uniform(-scale, scale, size=4 * hidden),
+    """One direction's random weights, as a stack of K = 1."""
+    return LstmParams(
+        W_in=rng.uniform(-scale, scale, size=(1, 4 * hidden, dim)),
+        W_rec=rng.uniform(-scale, scale, size=(1, 4 * hidden, hidden)),
+        b=rng.uniform(-scale, scale, size=(1, 4 * hidden)),
     )
 
 
 def stacked(directions):
-    """A new block holding copies of the given directions' weights."""
-    return LstmParams(*(np.stack([getattr(d, name) for d in directions]) for name in ("W_in", "W_rec", "b")))
+    """A new block holding copies of the given K = 1 stacks' weights."""
+    return LstmParams(*(np.concatenate([getattr(d, name) for d in directions]) for name in ("W_in", "W_rec", "b")))
 
 
 class TestForward:
     def test_zero_params_single_step_gives_zeros(self):
-        params = LstmDirectionParams(
-            W_in=np.zeros((8, 3)), W_rec=np.zeros((8, 2)), b=np.zeros(8)
+        params = LstmParams(
+            W_in=np.zeros((1, 8, 3)), W_rec=np.zeros((1, 8, 2)), b=np.zeros((1, 8))
         )
         x, steps = pack_posts([np.ones((1, 3))])
-        hiddens, _ = lstm_forward(x, one_direction(params), steps, [False])
+        hiddens, _ = lstm_forward(x, params, steps, [False])
         np.testing.assert_array_equal(hiddens, np.zeros((1, 2)))
 
     def test_reversed_on_palindromic_input_mirrors_forward(self):
@@ -36,8 +37,8 @@ class TestForward:
         half = rng.normal(size=(3, 3))
         inputs = np.vstack([half, half[::-1]])  # palindromic sequence
         x, steps = pack_posts([inputs])
-        fwd, _ = lstm_forward(x, one_direction(params), steps, [False])
-        rev, _ = lstm_forward(x, one_direction(params), steps, [True])
+        fwd, _ = lstm_forward(x, params, steps, [False])
+        rev, _ = lstm_forward(x, params, steps, [True])
         np.testing.assert_allclose(rev, fwd[::-1], atol=1e-12)
 
     def test_reversed_reports_original_order(self):
@@ -45,7 +46,7 @@ class TestForward:
         params = random_params(rng, hidden=3, dim=2)
         inputs = rng.normal(size=(5, 2))
         x, steps = pack_posts([inputs])
-        rev, cache = lstm_forward(x, one_direction(params), steps, [True])
+        rev, cache = lstm_forward(x, params, steps, [True])
         # position 0 of the output is the LAST step of the reversed recurrence
         np.testing.assert_allclose(rev[0], cache.hidden[-1, 0], atol=1e-15)
 
@@ -55,10 +56,10 @@ class TestForward:
         steps = PackedSteps([2, 1])
         for inputs in (np.zeros((3, 5)), np.zeros((2, 4)), np.zeros((4, 4)), np.zeros((3, 1, 4))):
             with pytest.raises(ValidationError):  # the width, or not the batch's 3 rows
-                lstm_forward(inputs, one_direction(params), steps, [False])
+                lstm_forward(inputs, params, steps, [False])
         for lengths in ([0], [], [1, 2]):  # no empty, missing or unsorted posts
             with pytest.raises(ValidationError):
-                lstm_forward(np.zeros((1, 4)), one_direction(params), PackedSteps(lengths), [False])
+                lstm_forward(np.zeros((1, 4)), params, PackedSteps(lengths), [False])
 
     def test_non_finite_input_raises(self):
         rng = np.random.default_rng(3)
@@ -66,13 +67,13 @@ class TestForward:
         bad = np.array([[1.0, np.nan], [0.0, 0.0]])
         x, steps = pack_posts([bad])
         with pytest.raises(NonFiniteError):
-            lstm_forward(x, one_direction(params), steps, [False])
+            lstm_forward(x, params, steps, [False])
 
     def test_hidden_states_are_bounded(self):
         rng = np.random.default_rng(4)
         params = random_params(rng, hidden=5, dim=3, scale=10.0)
         x, steps = pack_posts([rng.normal(size=(20, 3)) * 50.0])
-        hiddens, _ = lstm_forward(x, one_direction(params), steps, [False])
+        hiddens, _ = lstm_forward(x, params, steps, [False])
         assert np.all(np.abs(hiddens) < 1.0 + 1e-12)
 
 
@@ -86,13 +87,13 @@ class TestBackward:
         x, steps = pack_posts([inputs])  # the array itself: perturbing inputs shows in x
 
         def loss():
-            h, _ = lstm_forward(x, one_direction(params), steps, [reverse])
+            h, _ = lstm_forward(x, params, steps, [reverse])
             return float(np.sum(h * weights))
 
-        _, cache = lstm_forward(x, one_direction(params), steps, [reverse])
-        d_inputs, [grads] = lstm_grads(weights, one_direction(params), cache)
+        _, cache = lstm_forward(x, params, steps, [reverse])
+        d_inputs, [grads] = lstm_grads(weights, params, cache)
 
-        arrays = {"W_in": params.W_in, "W_rec": params.W_rec, "b": params.b}
+        arrays = {"W_in": params.W_in[0], "W_rec": params.W_rec[0], "b": params.b[0]}
         numeric = finite_difference(loss, arrays, h=1e-5)
         assert max_relative_error(grads, numeric) < 1e-4
 
@@ -103,8 +104,8 @@ class TestBackward:
         rng = np.random.default_rng(6)
         params = random_params(rng, hidden=3, dim=2)
         x, steps = pack_posts([rng.normal(size=(4, 2))])
-        _, cache = lstm_forward(x, one_direction(params), steps, [False])
-        d_inputs, [grads] = lstm_grads(np.zeros((4, 3)), one_direction(params), cache)
+        _, cache = lstm_forward(x, params, steps, [False])
+        d_inputs, [grads] = lstm_grads(np.zeros((4, 3)), params, cache)
         assert np.all(d_inputs == 0.0)
         for arr in grads.values():
             assert np.all(arr == 0.0)
@@ -113,10 +114,10 @@ class TestBackward:
         rng = np.random.default_rng(7)
         params = random_params(rng, hidden=3, dim=2)
         x, steps = pack_posts([rng.normal(size=(4, 2))])
-        _, cache = lstm_forward(x, one_direction(params), steps, [False])
+        _, cache = lstm_forward(x, params, steps, [False])
         for d_hidden in (np.zeros((3, 3)), np.zeros((4, 1, 3)), np.zeros((4, 6))):
             with pytest.raises(ValidationError):
-                lstm_grads(d_hidden, one_direction(params), cache)
+                lstm_grads(d_hidden, params, cache)
 
 
 class TestLockstep:
@@ -141,9 +142,9 @@ class TestLockstep:
         d_x_sum = None
         for k, (params, rev) in enumerate(zip(directions, reverse)):
             cols = slice(k * H, (k + 1) * H)
-            one_hidden, one_cache = lstm_forward(x, one_direction(params), steps, [rev])
+            one_hidden, one_cache = lstm_forward(x, params, steps, [rev])
             one_d_x, [one_grads] = lstm_grads(
-                np.ascontiguousarray(d_hidden[..., cols]), one_direction(params), one_cache
+                np.ascontiguousarray(d_hidden[..., cols]), params, one_cache
             )
             np.testing.assert_array_equal(hidden[..., cols], one_hidden)
             for name in ("W_in", "W_rec", "b"):

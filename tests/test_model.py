@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import deep_equal, json_values, make_table
+from conftest import deep_equal, json_values, make_table, named_tensors
 from oracles import crf_nll, finite_difference, max_relative_error
 from toxicspans.dataio import CharSpanSet
 from toxicspans.embeddings import encode_post
@@ -93,7 +93,7 @@ class TestBackward:
         grads.vector[:] = np.nan  # backward writes all but the CRF's tensors
         grads.embedding.matrix[:] = 0.0  # and adds into the embedding gradient
         backward(params, cache, np.zeros_like(emissions), grads, finetune_embeddings=True)
-        for name, arr in grads.named_arrays(include_embedding=True):
+        for name, arr in named_tensors(grads, include_embedding=True).items():
             assert name.startswith("crf.") or np.all(arr == 0.0), name
 
     def test_full_stack_gradients_match_finite_differences(self):
@@ -114,9 +114,9 @@ class TestBackward:
 
         posts, label_lists = zip(*batch)
         _, grads = nll_and_gradients(posts, label_lists, params)
-        analytic = {name: arr / len(batch) for name, arr in grads.named_arrays()}
+        analytic = {name: arr / len(batch) for name, arr in named_tensors(grads).items()}
 
-        numeric = finite_difference(batch_loss, dict(params.named_arrays()), h=1e-5)
+        numeric = finite_difference(batch_loss, named_tensors(params), h=1e-5)
         assert max_relative_error(analytic, numeric) < 1e-4
 
     @staticmethod
@@ -226,7 +226,7 @@ class TestStackedDirections:
         elif source == "checkpoint":
             save_checkpoint(tmp_path / "m.ckpt", params, TrainConfig(hidden_size=4), table)
             params = load_checkpoint(tmp_path / "m.ckpt", table)[0]
-        named = params.named_arrays()
+        named = list(named_tensors(params).items())
         assert [name for name, _ in named] == list(TENSOR_NAMES)
         for k, (_, arr) in enumerate(named):
             assert np.shares_memory(arr, params.vector)
@@ -242,11 +242,11 @@ class TestStackedDirections:
 
     def test_direction_views_write_through_to_the_stack(self):
         params = make_model(make_table(["a", "b"], dim=3), hidden=4, seed=2)
-        params.fwd.W_rec[1, 2] = 7.5
-        params.bwd.b[:] += 1.0
+        named = named_tensors(params)
+        named["fwd.W_rec"][1, 2] = 7.5
+        named["bwd.b"][:] += 1.0
         assert params.lstm.W_rec[0, 1, 2] == 7.5
-        np.testing.assert_array_equal(params.lstm.b[1], params.bwd.b)
-        named = dict(params.named_arrays())
+        np.testing.assert_array_equal(params.lstm.b[1], named["bwd.b"])
         named["bwd.W_in"][0, 0] = -3.0  # as the in-place optimizer update does
         assert params.lstm.W_in[1, 0, 0] == -3.0
 
@@ -255,7 +255,7 @@ class TestStackedDirections:
 
         table = make_table(["a", "b", "c"], dim=4)
         params = make_model(table, hidden=3, seed=4)
-        params.bwd.W_rec[:] = np.arange(36.0).reshape(12, 3)
+        named_tensors(params)["bwd.W_rec"][:] = np.arange(36.0).reshape(12, 3)
         copy = params.clone()
         save_checkpoint(tmp_path / "m.ckpt", params, TrainConfig(hidden_size=3), table)
         loaded, _ = load_checkpoint(tmp_path / "m.ckpt", table)
@@ -265,7 +265,7 @@ class TestStackedDirections:
                 np.testing.assert_array_equal(getattr(other.lstm, name), getattr(params.lstm, name))
             assert not np.shares_memory(other.lstm.W_rec, params.lstm.W_rec)
             assert np.shares_memory(other.lstm.W_rec, other.vector)
-        copy.fwd.W_in[0, 0] += 1.0
+        named_tensors(copy)["fwd.W_in"][0, 0] += 1.0
         assert not deep_equal(params, copy)
 
 
@@ -520,7 +520,7 @@ class TestCheckpoint:
         finetuned = name == "embedding.matrix"
         if finetuned:
             params.embedding = table.with_matrix(table.matrix.copy())
-        dict(params.named_arrays(include_embedding=finetuned))[name].flat[at] = value
+        named_tensors(params, finetuned)[name].flat[at] = value
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, TrainConfig(hidden_size=4, finetune_embeddings=finetuned), table)
         with pytest.raises(DataFormatError, match=f"tensor {name} holds NaN or infinite"):
@@ -547,7 +547,7 @@ class TestCheckpoint:
             params.embedding = table.with_matrix(table.matrix.copy())
         raw = serialize_checkpoint(params, TrainConfig(hidden_size=4, finetune_embeddings=finetuned), table)
         start = raw.index(b"\n", len(MAGIC)) + 1
-        named = params.named_arrays(include_embedding=finetuned)
+        named = list(named_tensors(params, finetuned).items())
         ends = dict(zip([name for name, _ in named], np.cumsum([arr.size for _, arr in named]).tolist()))
         n = cut(ends)
         path = tmp_path / "model.ckpt"
@@ -613,6 +613,29 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValidationError, match=match):
             save_checkpoint(path, params, cfg, table)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tuned", [False, True], ids=["frozen", "tuned"])
+    @pytest.mark.parametrize("other", ["dimension", "vocabulary"])
+    def test_writer_refuses_a_table_its_parameters_were_not_built_on(self, tmp_path, tuned, other):
+        """The header's tensor list comes from the table and the body from
+        the parameters; a file whose two disagree would load only as an
+        error, so none is written."""
+        from toxicspans.checkpoint import save_checkpoint
+
+        table = make_table(["a", "b"], dim=3)
+        if other == "dimension":
+            built_on = make_table(["a", "b"], dim=5)
+            match = "embedding dimension is 5, but the table's is 3"
+        else:
+            built_on = make_table(["a", "b", "c"], dim=3)
+            match = f"vocabulary hash is {built_on.fingerprint()}, but the table's is {table.fingerprint()}"
+        params = init_params(built_on, 4, np.random.default_rng(0))
+        if tuned:
+            params.embedding = built_on.with_matrix(built_on.matrix.copy())
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValidationError, match=match):
+            save_checkpoint(path, params, TrainConfig(hidden_size=4, finetune_embeddings=tuned), table)
         assert list(tmp_path.iterdir()) == []
 
     def test_non_checkpoint_file_rejected(self, tmp_path):

@@ -1,16 +1,17 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
-from conftest import deep_equal, make_table
-from oracles import expression_adam_step, packed_reference_lstm_forward, reference_train
+from conftest import deep_equal, make_table, named_tensors
+from oracles import expression_adam_step, packed_reference_lstm_forward, per_tensor_clip, reference_train
 import toxicspans.model
 import toxicspans.training
 from toxicspans.dataio import CharSpanSet, LabeledPost
 from toxicspans.embeddings import load_embeddings
 from toxicspans.errors import NonFiniteError, TrainingDivergedError, ValidationError
-from toxicspans.model import predict
+from toxicspans.model import init_params, predict
 from toxicspans.span_codec import BridgePolicy
 from toxicspans.synthetic import generate_posts, write_embedding_file
 from toxicspans.training import (
@@ -99,16 +100,58 @@ class TestAdam:
                 assert np.array_equal(state.m[name], ref_state.m[name])
                 assert np.array_equal(state.v[name], ref_state.v[name])
 
+    @staticmethod
+    def gradients(*values):
+        """Gradients of a small model, all zero but the vector's first few."""
+        grads = init_params(make_table(["a"], dim=2), 1, np.random.default_rng(0))
+        grads.vector[:] = 0.0
+        grads.vector[: len(values)] = values
+        return grads
+
     def test_clipping_scales_by_global_norm(self):
-        grads = {"a": np.array([6.0, 8.0]), "b": np.array([0.0])}  # norm 10
+        grads = self.gradients(6.0, 8.0)  # norm 10
         norm = clip_gradients(grads, max_norm=1.0)
         assert norm == pytest.approx(10.0)
-        np.testing.assert_allclose(grads["a"], [0.6, 0.8])
+        np.testing.assert_allclose(grads.vector[:2], [0.6, 0.8])
 
     def test_no_clipping_below_threshold(self):
-        grads = {"a": np.array([0.3, 0.4])}
+        grads = self.gradients(0.3, 0.4)
         clip_gradients(grads, max_norm=1.0)
-        np.testing.assert_allclose(grads["a"], [0.3, 0.4])
+        np.testing.assert_allclose(grads.vector[:2], [0.3, 0.4])
+
+    @pytest.mark.parametrize("case", ["fires", "below", "nan", "inf"])
+    @pytest.mark.parametrize("finetune", [False, True], ids=["frozen", "tuned"])
+    @pytest.mark.parametrize("D, H", [(3, 1), (7, 3), (25, 8), (60, 32), (16, 128)])
+    def test_clip_is_bitwise_the_per_tensor_reference(self, D, H, finetune, case):
+        """The clip squares whole arrays and sums each tensor's slice; its
+        norm and every scaled element are those of summing each tensor on
+        its own, in checkpoint order, then the matrix.  A non-finite norm
+        leaves the gradients as they are."""
+        rng = np.random.default_rng(1000 * D + 10 * H + finetune)
+        table = make_table([f"w{i}" for i in range(11)], dim=D, seed=D)
+        for _ in range(5):
+            grads = init_params(table, H, rng)
+            grads.vector[:] = rng.normal(size=grads.vector.size) * rng.uniform(0.01, 10.0)
+            if finetune:
+                grads.embedding = table.with_matrix(rng.normal(size=table.matrix.shape))
+            arrays = grads.flat_arrays(finetune)
+            rough = math.sqrt(sum(float(np.sum(a * a)) for a in arrays.values()))
+            max_norm = {"fires": 0.5 * rough, "below": 2.0 * rough}.get(case, 1.0)
+            if case in ("nan", "inf"):
+                last = list(arrays.values())[-1]
+                last.flat[rng.integers(last.size)] = np.nan if case == "nan" else np.inf
+            before = grads.clone(copy_embedding=finetune)
+            ref = grads.clone(copy_embedding=finetune)
+            ref_norm = per_tensor_clip(named_tensors(ref, finetune), max_norm)
+            norm = clip_gradients(grads, max_norm, finetune)
+            assert norm == ref_norm or math.isnan(norm) and math.isnan(ref_norm)
+            assert {"fires": max_norm < norm < math.inf, "below": norm <= max_norm,
+                    "nan": math.isnan(norm), "inf": norm == math.inf}[case]
+            for got, want, unclipped in zip(arrays.values(), ref.flat_arrays(finetune).values(),
+                                            before.flat_arrays(finetune).values()):
+                assert np.array_equal(got, want, equal_nan=True)
+                if case != "fires":
+                    assert np.array_equal(got, unclipped, equal_nan=True)
 
 
 class TestTrain:
@@ -317,8 +360,8 @@ class TestEpochTelemetry:
             steps.append([sum(post.effective_len for post in posts)])
             return nll_and_gradients(posts, labels, params, finetune, arena)
 
-        def spy_clip(grads, max_norm, arena=None):
-            norm = clip_gradients(grads, max_norm, arena)
+        def spy_clip(grads, max_norm, finetune=False, arena=None):
+            norm = clip_gradients(grads, max_norm, finetune, arena)
             steps[-1].insert(0, norm)
             return norm
 
