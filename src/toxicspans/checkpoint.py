@@ -1,9 +1,9 @@
 """Self-describing model checkpoint: a JSON header naming every tensor in
 declared order, followed by their raw little-endian float64 bytes.
 
-The body is ``ModelParams.vector``, then the embedding matrix if it was
-fine-tuned.  The header records the dimensions, the training configuration,
-a digest of the embedding vocabulary, and the tensor list of
+The body is ``ModelParams.vector``: the tensors, then the embedding matrix
+if it was fine-tuned.  The header records the dimensions, the training
+configuration, a digest of the embedding vocabulary, and the tensor list of
 :func:`model.tensor_layout`; loading rejects any dimension or vocabulary
 mismatch.  Writes are atomic (temp file + rename) and byte-deterministic,
 so identical runs produce identical files.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError, ValidationError
-from .model import NUM_LABELS, TENSOR_NAMES, Layout, ModelParams, params_from_vector, tensor_layout
+from .model import NUM_LABELS, Layout, ModelParams, params_from_vector, tensor_layout
 from .training import TrainConfig
 
 MAGIC = b"TOXICSPANS-CKPT-1\n"
@@ -74,20 +74,26 @@ def serialize_checkpoint(
     body from ``params``.  A :class:`ValidationError` naming both values
     refuses parameters whose embedding dimension or vocabulary differs
     from ``table``'s, or hidden size or tuning from ``cfg``'s, which
-    :func:`load_checkpoint` would reject."""
-    include_embedding = cfg.finetune_embeddings
+    :func:`load_checkpoint` would reject, and a :class:`ValidationError`
+    refuses an embedding matrix that the body would not hold: one that is
+    neither ``table.matrix`` nor the tail of ``params.vector``."""
+    tuned = cfg.finetune_embeddings
+    layout, tensors = _body_layout(table, cfg)
     vocab_hash = table.fingerprint()
     for name, found, source, want in (
         ("embedding dimension", params.embedding.dim, "table", table.dim),
         ("vocabulary hash", params.embedding.fingerprint(), "table", vocab_hash),
         ("hidden size", params.hidden_size, "config", cfg.hidden_size),
         # a tuned model trains a private copy of the table's matrix
-        ("finetuned embeddings", params.embedding.matrix is not table.matrix, "config", include_embedding),
+        ("finetuned embeddings", params.embedding.matrix is not table.matrix, "config", tuned),
+        ("parameter count", params.vector.size, "config", list(layout.values())[-1][1].stop),
     ):
         if found != want:
             raise ValidationError(
                 f"cannot save a checkpoint: the parameters' {name} is {found}, but the {source}'s is {want}"
             )
+    if tuned and not np.shares_memory(params.embedding.matrix, params.vector):
+        raise ValidationError("cannot save a checkpoint: the parameters' embedding matrix is not their vector's tail")
     header = {
         "dtype": _DTYPE,
         "dims": {
@@ -98,15 +104,14 @@ def serialize_checkpoint(
         },
         "train_config": cfg.to_dict(),
         "vocab_hash": vocab_hash,
-        "finetuned_embeddings": include_embedding,
-        "tensors": _body_layout(table, cfg)[1],
+        "finetuned_embeddings": tuned,
+        "tensors": tensors,
     }
     blob = bytearray()
     blob += MAGIC
     blob += json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob += b"\n"
-    for arr in params.flat_arrays(include_embedding).values():
-        blob += np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
+    blob += np.ascontiguousarray(params.vector, dtype=_DTYPE).tobytes()
     return bytes(blob)
 
 
@@ -193,6 +198,4 @@ def load_checkpoint(
     if not finite.all():
         name = names[np.searchsorted(ends, finite.argmin(), "right")]
         raise DataFormatError(f"{path}: tensor {name} holds NaN or infinite values")
-    vector, matrix = np.split(body, [ends[len(TENSOR_NAMES) - 1]])
-    embedding = table.with_matrix(matrix.reshape(table.matrix.shape)) if cfg.finetune_embeddings else table
-    return params_from_vector(vector, cfg.hidden_size, embedding), cfg
+    return params_from_vector(body, cfg.hidden_size, table), cfg

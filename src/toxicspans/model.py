@@ -15,9 +15,9 @@ the same bits.  At B = 1 a step is
 about 13 numpy calls, and numpy's per-call cost has no batch axis to
 spread over, so the one-post loop trims the work around those calls (see
 :mod:`lstm`).  The backward pass is fully manual (projection, then both
-LSTM directions) and writes gradients summed over the batch; only when
-fine-tuning does it ask the LSTM for the input gradient and accumulate
-embedding-row gradients from it.
+LSTM directions) and writes gradients summed over the batch; only for a
+fine-tuned model does it ask the LSTM for the input gradient and
+accumulate embedding-row gradients from it.
 
 Both LSTM directions live in one stacked :class:`lstm.LstmParams` block
 (K = 2: forward, then backward) and run in lockstep, one
@@ -27,17 +27,20 @@ directions' hidden states that the projection reads.  Every tensor is a
 view into one parameter vector, and a batch's gradients are written into
 a buffer laid out the same way: :func:`tensor_layout`, each tensor's
 name, shape and slice, read by the views, the clip and the checkpoint.
+A fine-tuned embedding matrix is the vector's tail, so a fine-tuned
+model is one whose vector is that much longer (``ModelParams.finetuned``),
+and its matrix's gradient is the gradient vector's tail.
 
 A pass keeps its arrays in an :class:`arena.Arena`, the caller's or a new
-one: the gathered embedding rows, the gradient vector and, when
-fine-tuning, the embedding gradient, next to the LSTM's (see
-:mod:`lstm`).  ``predict_spans`` runs all of its passes in one arena.
-What a call returns from an arena is valid until the next call that uses
-it.
+one: the gathered embedding rows and the gradient vector, next to the
+LSTM's (see :mod:`lstm`).  ``predict_spans`` runs all of its passes in
+one arena.  What a call returns from an arena is valid until the next
+call that uses it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -59,7 +62,8 @@ NUM_LABELS = 2  # 0 = non-toxic, 1 = toxic
 # cost, few enough that `cli predict` holds one small window at a time.
 INFER_BATCH = 16
 # Trainable tensors in their declared (checkpoint) order, by the names the
-# checkpoint header gives them; a fine-tuned embedding matrix follows them.
+# checkpoint header gives them; a fine-tuned embedding matrix follows them
+# in the parameter vector.
 TENSOR_NAMES = (
     "fwd.W_in", "fwd.W_rec", "fwd.b",
     "bwd.W_in", "bwd.W_rec", "bwd.b",
@@ -85,7 +89,8 @@ class EmissionParams:
 class ModelParams:
     """All tagger parameters plus a reference to the embedding table; the
     tensors are views into ``vector``, laid out in :data:`TENSOR_NAMES`
-    order (see :func:`params_from_vector`)."""
+    order, and so is a fine-tuned table's matrix, after them (see
+    :func:`params_from_vector`)."""
 
     lstm: LstmParams  # fwd, then bwd
     emit: EmissionParams
@@ -97,20 +102,16 @@ class ModelParams:
     def hidden_size(self) -> int:
         return self.lstm.hidden_size
 
-    def flat_arrays(self, include_embedding: bool = False) -> dict[str, np.ndarray]:
-        """The arrays every trainable tensor lives in: ``vector``, then the
-        embedding matrix if it is trained."""
-        arrays = {"vector": self.vector}
-        if include_embedding:
-            arrays[EMBEDDING_TENSOR] = self.embedding.matrix
-        return arrays
+    @property
+    def finetuned(self) -> bool:
+        """Whether the embedding matrix is trained: ``vector`` then holds it
+        after the tensors of :data:`TENSOR_NAMES`."""
+        return self.vector.size > _tensor_count(self.embedding.dim, self.hidden_size)
 
-    def clone(self, copy_embedding: bool = False) -> "ModelParams":
-        """Deep copy of the trainable tensors; the table is shared by default."""
-        table = self.embedding
-        if copy_embedding:
-            table = table.with_matrix(table.matrix.copy())
-        return params_from_vector(self.vector.copy(), self.hidden_size, table)
+    def clone(self) -> "ModelParams":
+        """Deep copy of the trainable tensors, a fine-tuned matrix included;
+        a frozen model's table is shared."""
+        return params_from_vector(self.vector.copy(), self.hidden_size, self.embedding)
 
 
 @dataclass
@@ -148,11 +149,31 @@ def tensor_layout(table: EmbeddingTable, hidden_size: int, finetune_embeddings: 
     return layout
 
 
+@functools.cache  # read every training step, through ModelParams.finetuned
+def _tensor_count(input_dim: int, hidden_size: int) -> int:
+    """Elements of the tensors of :data:`TENSOR_NAMES`: a frozen model's
+    vector length."""
+    return sum(math.prod(shape) for shape in tensor_shapes(input_dim, hidden_size).values())
+
+
 def params_from_vector(vector: np.ndarray, hidden_size: int, table: EmbeddingTable) -> ModelParams:
     """Parameters whose tensors are views into ``vector``, laid out as
     :func:`tensor_layout` says: each direction's W_in, W_rec and b, then
     the emission and CRF tensors.  A stacked LSTM tensor takes the same
-    columns of each direction's row of ``vector[:K*S].reshape(K, S)``."""
+    columns of each direction's row of ``vector[:K*S].reshape(K, S)``.
+
+    A vector that also holds a matrix of ``table``'s shape after them is
+    a fine-tuned model's: its table is ``table`` with that tail as the
+    matrix.  A vector of any other length raises :class:`ValidationError`."""
+    frozen = _tensor_count(table.dim, hidden_size)
+    tuned = frozen + table.matrix.size
+    if vector.size not in (frozen, tuned):
+        raise ValidationError(
+            f"a parameter vector of {vector.size} elements: a model of hidden size {hidden_size} on this "
+            f"table has {frozen}, or {tuned} with its embedding matrix fine-tuned"
+        )
+    if vector.size == tuned:
+        table = table.with_matrix(vector[frozen:].reshape(table.matrix.shape))
     layout = list(tensor_layout(table, hidden_size).values())
     K, S = len(REVERSE), layout[2][1].stop
     blocks = vector[: K * S].reshape(K, S)
@@ -162,11 +183,12 @@ def params_from_vector(vector: np.ndarray, hidden_size: int, table: EmbeddingTab
 
 
 def init_params(
-    table: EmbeddingTable, hidden_size: int, rng: np.random.Generator
+    table: EmbeddingTable, hidden_size: int, rng: np.random.Generator, finetune_embeddings: bool = False
 ) -> ModelParams:
     """Seeded initialization: Glorot-uniform matrices, zero biases, and a
     +1 forget-gate bias.  Matrices are drawn in :data:`TENSOR_NAMES` order
-    for reproducibility."""
+    for reproducibility.  A fine-tuned model's vector ends with a copy of
+    the table's matrix, so training never changes the shared table."""
     if hidden_size < 1:
         raise ValidationError(f"hidden_size must be >= 1, got {hidden_size}")
     H = hidden_size
@@ -174,6 +196,8 @@ def init_params(
         _glorot(*shape, rng) if len(shape) == 2 else np.zeros(shape)
         for shape in tensor_shapes(table.dim, H).values()
     ]
+    if finetune_embeddings:
+        arrays.append(table.matrix)
     params = params_from_vector(np.concatenate([a.ravel() for a in arrays]), H, table)
     params.lstm.b[:, H : 2 * H] = 1.0
     return params
@@ -197,29 +221,24 @@ def _emissions(
     return emissions, BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden, arena=arena)
 
 
-def backward(
-    params: ModelParams,
-    cache: BilstmCache,
-    d_emissions: np.ndarray,
-    grads: ModelParams,
-    finetune_embeddings: bool = False,
-) -> None:
+def backward(params: ModelParams, cache: BilstmCache, d_emissions: np.ndarray, grads: ModelParams) -> None:
     """Manual backprop through the projection and both LSTM directions.
 
     ``d_emissions`` has the (N, L) shape of the forward pass's emissions.
     Writes the emission and LSTM gradients, summed over a batch, into
     ``grads``, laid out like ``params`` (the CRF writes its own).  When
-    fine-tuning, adds the embedding rows' gradients into
+    ``params`` is fine-tuned, adds the embedding rows' gradients into
     ``grads.embedding.matrix``.  Its intermediates live in the forward
     pass's arena.
     """
+    finetuned = params.finetuned
     arena = cache.arena
     np.matmul(d_emissions.T, cache.hidden, out=grads.emit.W_out)
     d_emissions.sum(axis=0, out=grads.emit.b_out)
     # W_out's gradient was the hidden states' last reader: d_hidden takes their array
     d_hidden = np.matmul(d_emissions, params.emit.W_out, out=cache.hidden)
-    d_inputs = lstm_backward(d_hidden, params.lstm, cache.lstm_cache, grads.lstm, finetune_embeddings, arena)
-    if finetune_embeddings:
+    d_inputs = lstm_backward(d_hidden, params.lstm, cache.lstm_cache, grads.lstm, finetuned, arena)
+    if finetuned:
         np.add.at(grads.embedding.matrix, cache.indices, d_inputs)
 
 
@@ -227,14 +246,13 @@ def nll_and_gradients(
     posts: Sequence[EncodedPost],
     labels: Sequence[list[int]],
     params: ModelParams,
-    finetune_embeddings: bool = False,
     arena: Arena | None = None,
 ) -> tuple[float, ModelParams]:
     """Summed CRF negative log-likelihood of a minibatch and the summed
     gradients of every trainable tensor, in a vector laid out like
-    ``params.vector``.  When fine-tuning, the embedding gradient is the
-    returned ``embedding.matrix``; otherwise the returned ``embedding`` is
-    ``params.embedding``, and no gradient.
+    ``params.vector``.  For a fine-tuned model the embedding gradient is
+    the returned ``embedding.matrix``, the vector's tail; otherwise the
+    returned ``embedding`` is ``params.embedding``, and no gradient.
 
     The gradients, and every array of the pass, live in ``arena`` (a new
     one by default): they stay valid until the next call that uses it.
@@ -250,16 +268,13 @@ def nll_and_gradients(
     arena = Arena() if arena is None else arena
     order = sorted(range(len(posts)), key=lambda k: -posts[k].effective_len)
     emissions, cache = _emissions([posts[k] for k in order], params, arena)
-    table = params.embedding
-    if finetune_embeddings:
-        matrix = arena.take("embedding_grad", table.matrix.shape)
-        matrix.fill(0.0)
-        table = table.with_matrix(matrix)
-    grads = params_from_vector(arena.take("gradients", params.vector.shape), params.hidden_size, table)
+    grads = params_from_vector(arena.take("gradients", params.vector.shape), params.hidden_size, params.embedding)
+    if grads.finetuned:  # the only gradient that backward adds into
+        grads.embedding.matrix.fill(0.0)
     nll, d_em = crf_nll_grad(
         emissions, params.crf, [labels[k] for k in order], cache.lstm_cache.steps, grads.crf
     )
-    backward(params, cache, d_em, grads, finetune_embeddings)
+    backward(params, cache, d_em, grads)
     return nll, grads
 
 

@@ -6,8 +6,9 @@ one length-sorted pass (ties in ascending example order) whose gradient
 reductions have a fixed order, so runs with the same seed are bit-for-bit
 reproducible.  Early stopping watches the dev-split character-level F1 and
 the best-dev parameters are returned.  A step's gradients arrive in one
-vector laid out like the parameter vector; the step scales and clips them
-there, and Adam updates the parameter vector from it in one pass.
+vector laid out like the parameter vector, a fine-tuned embedding matrix
+included; the step scales and clips them there, and Adam updates the
+parameter vector from it in one pass.
 
 ``train`` owns one :class:`arena.Arena` for the whole run: every step's
 forward cache, backward intermediates and gradients, the clip's squares,
@@ -19,7 +20,7 @@ reason each new best-dev state is copied into one kept copy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -137,26 +138,16 @@ class EpochStats:
 
 @dataclass
 class AdamState:
-    """Bias-corrected first/second moment accumulators, one per flat array
-    that :meth:`ModelParams.flat_arrays` names."""
+    """Adam's first and second moments, ``m`` and ``v``, each laid out like
+    the parameter vector (``ModelParams.vector``), and its settings."""
 
     learning_rate: float
+    m: np.ndarray
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def for_arrays(
-        cls, arrays: dict[str, np.ndarray], learning_rate: float
-    ) -> "AdamState":
-        return cls(
-            learning_rate=learning_rate,
-            m={name: np.zeros_like(a) for name, a in arrays.items()},
-            v={name: np.zeros_like(a) for name, a in arrays.items()},
-        )
 
 
 def build_examples(
@@ -180,79 +171,62 @@ def build_examples(
     return examples
 
 
-def clip_gradients(
-    grads: ModelParams, max_norm: float, finetune_embeddings: bool = False, arena: Arena | None = None
-) -> float:
-    """Scale the gradients in ``grads`` in place so their global norm is
-    <= max_norm: the vector's, and the embedding matrix's if it is tuned.
+def clip_gradients(grads: ModelParams, max_norm: float, arena: Arena | None = None) -> float:
+    """Scale ``grads.vector`` in place so its global norm is <= max_norm.
 
     Returns the pre-clip global norm; a non-finite norm leaves the
-    gradients as they are.  The arrays are squared into one scratch array
-    in ``arena`` (a new one by default), laid out as
-    :func:`model.tensor_layout` says, and each tensor's squares are summed
-    on their own, in order: a pairwise sum over a tensor's slice has the
-    bits of one over that tensor alone.
+    gradients as they are.  The vector is squared into one scratch array
+    in ``arena`` (a new one by default), and each tensor's squares are
+    summed on their own, in the order of :func:`model.tensor_layout`: a
+    pairwise sum over a tensor's slice has the bits of one over that
+    tensor alone.
     """
     arena = Arena() if arena is None else arena
-    arrays = grads.flat_arrays(finetune_embeddings)
-    layout = [at for _, at in tensor_layout(grads.embedding, grads.hidden_size, finetune_embeddings).values()]
-    squares = arena.scratch(0, (layout[-1].stop,))
-    # out= refuses arrays that the layout does not cover end to end
-    np.concatenate([arr.reshape(-1) for arr in arrays.values()], out=squares)
-    np.multiply(squares, squares, out=squares)
+    squares = arena.scratch(0, grads.vector.shape)
+    np.multiply(grads.vector, grads.vector, out=squares)
     total = 0.0
-    for at in layout:
+    for _, at in tensor_layout(grads.embedding, grads.hidden_size, grads.finetuned).values():
         total += float(np.sum(squares[at]))
     norm = float(np.sqrt(total))
     if max_norm > 0 and max_norm < norm < math.inf:
-        scale = max_norm / norm
-        for arr in arrays.values():
-            arr *= scale
+        grads.vector *= max_norm / norm
     return norm
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    arena: Arena | None = None,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One in-place Adam update; clip the gradients first with
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, arena: Arena | None = None) -> None:
+    """One in-place Adam update of the parameter vector ``params`` from the
+    gradient vector ``grads``; clip the gradients first with
     :func:`clip_gradients`.  Its two scratch arrays live in ``arena`` (a
-    new one by default).  It runs over chunks of about
-    :data:`ADAM_CHUNK` elements, so the scratch stays in cache; the
-    arithmetic is element-wise, so the chunks give the bits of one pass."""
+    new one by default).  It runs over chunks of :data:`ADAM_CHUNK`
+    elements, so the scratch stays in cache; the arithmetic is
+    element-wise, so the chunks give the bits of one pass."""
     arena = Arena() if arena is None else arena
     state.step += 1
     t = state.step
     correct1 = 1.0 - state.beta1**t
     correct2 = 1.0 - state.beta2**t
-    for name, param in params.items():
-        g = grads[name]
-        rows = max(1, ADAM_CHUNK // max(1, g[:1].size))  # whole leading rows per chunk
-        scratch = [arena.scratch(slot, g[:rows].shape) for slot in (0, 1)]
-        for lo in range(0, len(g), rows):
-            p, g_, m, v = (a[lo : lo + rows] for a in (param, g, state.m[name], state.v[name]))
-            step, denom = (a[: len(g_)] for a in scratch)
-            # two scratch arrays instead of a temporary per operation; the
-            # operations and their order are those of lr * (m / c1) /
-            # (sqrt(v / c2) + eps) written out, so the result is bit for
-            # bit the same
-            m *= state.beta1
-            np.multiply(g_, 1.0 - state.beta1, out=step)
-            m += step
-            v *= state.beta2
-            np.multiply(g_, 1.0 - state.beta2, out=step)
-            step *= g_
-            v += step
-            np.divide(v, correct2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += state.epsilon
-            np.divide(m, correct1, out=step)
-            step *= state.learning_rate
-            step /= denom
-            p -= step
-    return params, state
+    scratch = [arena.scratch(slot, grads[:ADAM_CHUNK].shape) for slot in (0, 1)]
+    for lo in range(0, len(grads), ADAM_CHUNK):
+        p, g, m, v = (a[lo : lo + ADAM_CHUNK] for a in (params, grads, state.m, state.v))
+        step, denom = (a[: len(g)] for a in scratch)
+        # two scratch arrays instead of a temporary per operation; the
+        # operations and their order are those of lr * (m / c1) /
+        # (sqrt(v / c2) + eps) written out, so the result is bit for
+        # bit the same
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=step)
+        m += step
+        v *= state.beta2
+        np.multiply(g, 1.0 - state.beta2, out=step)
+        step *= g
+        v += step
+        np.divide(v, correct2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        np.divide(m, correct1, out=step)
+        step *= state.learning_rate
+        step /= denom
+        p -= step
 
 
 def dev_char_f1(
@@ -296,10 +270,7 @@ def train(
         policy = BridgePolicy(bridge_gaps=True, max_gap=cfg.bridge_gap)
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(table, cfg.hidden_size, rng)
-    if cfg.finetune_embeddings:
-        # Train on a private copy so the shared table is never mutated.
-        params.embedding = table.with_matrix(table.matrix.copy())
+    params = init_params(table, cfg.hidden_size, rng, cfg.finetune_embeddings)
 
     n = len(examples)
     order = rng.permutation(n)
@@ -314,15 +285,13 @@ def train(
     if not trainable:
         raise ValidationError("no training example has at least one token")
 
-    # Adam's arrays: the parameter vector, and the embedding matrix if tuned
-    param_arrays = params.flat_arrays(cfg.finetune_embeddings)
-    state = AdamState.for_arrays(param_arrays, cfg.learning_rate)
+    state = AdamState(cfg.learning_rate, np.zeros_like(params.vector), np.zeros_like(params.vector))
     # every step's large arrays, from the forward pass to Adam's scratch
     arena = Arena()
 
     history: list[EpochStats] = []
     best_f1 = -np.inf
-    best_params = params.clone(copy_embedding=cfg.finetune_embeddings)
+    best_params = params.clone()
     epochs_without_improvement = 0
 
     for epoch in range(1, cfg.epochs + 1):
@@ -339,22 +308,19 @@ def train(
                     [ex.encoded for ex in batch],
                     [ex.labels[: ex.encoded.effective_len] for ex in batch],
                     params,
-                    cfg.finetune_embeddings,
                     arena,
                 )
             except NonFiniteError as exc:
                 raise TrainingDivergedError(f"{exc} {where}") from None
             if not np.isfinite(batch_nll):
                 raise TrainingDivergedError(f"non-finite loss {where}")
-            grad_arrays = grads.flat_arrays(cfg.finetune_embeddings)
-            for arr in grad_arrays.values():
-                arr *= 1.0 / len(batch)
+            grads.vector *= 1.0 / len(batch)
             # checked before the update, so the parameters stay finite; the
             # norm sums each tensor's squares on its own, in checkpoint order
-            norm = clip_gradients(grads, cfg.gradient_clip_norm, cfg.finetune_embeddings, arena)
+            norm = clip_gradients(grads, cfg.gradient_clip_norm, arena)
             if not math.isfinite(norm):
                 raise TrainingDivergedError(f"non-finite gradient norm {where}")
-            adam_step(param_arrays, grad_arrays, state, arena)
+            adam_step(params.vector, grads.vector, state, arena)
             nll_total += batch_nll
             norms.append(norm)
             tokens += sum(ex.encoded.effective_len for ex in batch)
@@ -375,8 +341,7 @@ def train(
 
         if stats.dev_f1 > best_f1:
             best_f1 = stats.dev_f1
-            for best, now in zip(best_params.flat_arrays(cfg.finetune_embeddings).values(), param_arrays.values()):
-                np.copyto(best, now)
+            np.copyto(best_params.vector, params.vector)
             epochs_without_improvement = 0
         else:
             epochs_without_improvement += 1

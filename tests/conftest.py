@@ -51,15 +51,15 @@ def split_posts(rows, steps):
     return [rows[offsets[:n] + b] for b, n in enumerate(steps.lengths)]
 
 
-def named_tensors(params: ModelParams, include_embedding: bool = False) -> dict[str, np.ndarray]:
+def named_tensors(params: ModelParams) -> dict[str, np.ndarray]:
     """Every trainable tensor of ``params`` by name, in declared
     (checkpoint) order, from the model's own views: direction k of each
     stacked LSTM tensor, the emission and CRF tensors, then the embedding
-    matrix if asked.  In-place edits show through both ways."""
+    matrix if it is fine-tuned.  In-place edits show through both ways."""
     lstm = [getattr(params.lstm, field)[k] for k in range(len(REVERSE)) for field in ("W_in", "W_rec", "b")]
     arrays = lstm + [params.emit.W_out, params.emit.b_out, params.crf.trans, params.crf.start, params.crf.stop]
     tensors = dict(zip(TENSOR_NAMES, arrays, strict=True))
-    if include_embedding:
+    if params.finetuned:
         tensors[EMBEDDING_TENSOR] = params.embedding.matrix
     return tensors
 

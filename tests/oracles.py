@@ -42,6 +42,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import pairwise
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -572,8 +573,20 @@ def numpy_viterbi_decode(em, trans, start, stop):
     return path
 
 
+def per_tensor_adam_state(params, learning_rate):
+    """A fresh :class:`training.AdamState`'s settings, with a zero moment
+    pair per array of ``params``, for :func:`expression_adam_step`."""
+    from toxicspans.training import AdamState
+
+    state = SimpleNamespace(**vars(AdamState(learning_rate, np.zeros(0), np.zeros(0))))
+    state.m = {name: np.zeros_like(a) for name, a in params.items()}
+    state.v = {name: np.zeros_like(a) for name, a in params.items()}
+    return state
+
+
 def expression_adam_step(params, grads, state):
-    """One Adam update with a fresh temporary for every operation."""
+    """One Adam update with a fresh temporary for every operation, of each
+    array of ``params`` on its own (state from :func:`per_tensor_adam_state`)."""
     state.step += 1
     t = state.step
     correct1 = 1.0 - state.beta1**t
@@ -611,22 +624,20 @@ def reference_train(examples, cfg, table, policy):
     batches, early stopping and history are ``train``'s."""
     from conftest import named_tensors
     from toxicspans.model import init_params, nll_and_gradients
-    from toxicspans.training import AdamState, EpochStats, dev_char_f1
+    from toxicspans.training import EpochStats, dev_char_f1
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(table, cfg.hidden_size, rng)
-    if cfg.finetune_embeddings:
-        params.embedding = table.with_matrix(table.matrix.copy())
+    params = init_params(table, cfg.hidden_size, rng, cfg.finetune_embeddings)
     n = len(examples)
     order = rng.permutation(n)
     dev_count = min(max(1, int(round(n * cfg.dev_fraction))), n - 1)
     dev = [examples[i] for i in sorted(int(i) for i in order[:dev_count])]
     train_idx = sorted(int(i) for i in order[dev_count:])
     trainable = [i for i in train_idx if examples[i].encoded.effective_len > 0]
-    param_arrays = named_tensors(params, cfg.finetune_embeddings)
-    state = AdamState.for_arrays(param_arrays, cfg.learning_rate)
+    param_arrays = named_tensors(params)
+    state = per_tensor_adam_state(param_arrays, cfg.learning_rate)
     history, best_f1, waited = [], -np.inf, 0
-    best = params.clone(copy_embedding=cfg.finetune_embeddings)
+    best = params.clone()
     for epoch in range(1, cfg.epochs + 1):
         shuffled = rng.permutation(len(trainable))
         nll_total, norms, tokens = 0.0, [], 0
@@ -636,9 +647,8 @@ def reference_train(examples, cfg, table, policy):
                 [ex.encoded for ex in batch],
                 [ex.labels[: ex.encoded.effective_len] for ex in batch],
                 params,
-                cfg.finetune_embeddings,
             )
-            grads = named_tensors(grads, cfg.finetune_embeddings)
+            grads = named_tensors(grads)
             for arr in grads.values():
                 arr *= 1.0 / len(batch)
             norms.append(per_tensor_clip(grads, cfg.gradient_clip_norm))
@@ -658,7 +668,7 @@ def reference_train(examples, cfg, table, policy):
         history.append(stats)
         if stats.dev_f1 > best_f1:
             best_f1, waited = stats.dev_f1, 0
-            best = params.clone(copy_embedding=cfg.finetune_embeddings)
+            best = params.clone()
         else:
             waited += 1
             if waited >= cfg.early_stop_patience:

@@ -116,21 +116,21 @@ def test_crf_batch_matches_single_posts(B, lengths):
 def test_nll_and_gradients_batch_matches_sum_of_single_posts(B, lengths, finetune):
     rng = np.random.default_rng(B * 100 + lengths[0] + finetune)
     table = make_table([f"w{i}" for i in range(10)], dim=DIM, seed=4)
-    params = init_params(table, hidden_size=H, rng=rng)
+    params = init_params(table, hidden_size=H, rng=rng, finetune_embeddings=finetune)
     shuffled = [int(n) for n in rng.permutation(lengths)]  # the model sorts
     texts = [" ".join(f"w{int(rng.integers(12))}" for _ in range(n)) for n in shuffled]
     posts = [encode_post(tokenize(text), table, max_len=64) for text in texts]
     labels = [[int(y) for y in rng.integers(2, size=n)] for n in shuffled]
 
-    nll, buffer = nll_and_gradients(posts, labels, params, finetune)
+    nll, buffer = nll_and_gradients(posts, labels, params)
     assert (buffer.embedding is params.embedding) != finetune  # only a tuned matrix gets a gradient
-    grads = named_tensors(buffer, finetune)
+    grads = named_tensors(buffer)
 
     ref_nll, ref = 0.0, {}
     for post, labs in zip(posts, labels):
-        one_nll, one = nll_and_gradients([post], [labs], params, finetune)
+        one_nll, one = nll_and_gradients([post], [labs], params)
         ref_nll += one_nll
-        for name, arr in named_tensors(one, finetune).items():
+        for name, arr in named_tensors(one).items():
             ref[name] = ref.get(name, 0.0) + arr
     assert sorted(grads) == sorted(ref)
     assert_close(nll, ref_nll)

@@ -15,6 +15,7 @@ from toxicspans.model import (
     TENSOR_NAMES,
     init_params,
     nll_and_gradients,
+    params_from_vector,
     predict,
 )
 from toxicspans.span_codec import BridgePolicy
@@ -41,8 +42,8 @@ def ckpt_bytes():
     return table, serialize_checkpoint(make_model(table, hidden=4), TrainConfig(hidden_size=4), table)
 
 
-def make_model(table, hidden=5, seed=0):
-    return init_params(table, hidden_size=hidden, rng=np.random.default_rng(seed))
+def make_model(table, hidden=5, seed=0, finetune=False):
+    return init_params(table, hidden_size=hidden, rng=np.random.default_rng(seed), finetune_embeddings=finetune)
 
 
 def encoded(table, text, max_len=16):
@@ -86,14 +87,14 @@ class TestEmissions:
 class TestBackward:
     def test_zero_upstream_gradient_gives_zero_gradients(self):
         table = make_table(["a", "b"])
-        params = make_model(table)
+        params = make_model(table, finetune=True)
         post = encoded(table, "a b a b")
         emissions, cache = _emissions([post], params)
-        grads = params.clone(copy_embedding=True)
+        grads = params.clone()
         grads.vector[:] = np.nan  # backward writes all but the CRF's tensors
         grads.embedding.matrix[:] = 0.0  # and adds into the embedding gradient
-        backward(params, cache, np.zeros_like(emissions), grads, finetune_embeddings=True)
-        for name, arr in named_tensors(grads, include_embedding=True).items():
+        backward(params, cache, np.zeros_like(emissions), grads)
+        for name, arr in named_tensors(grads).items():
             assert name.startswith("crf.") or np.all(arr == 0.0), name
 
     def test_full_stack_gradients_match_finite_differences(self):
@@ -125,11 +126,10 @@ class TestBackward:
         texts = [" ".join(f"w{int(rng.integers(8))}" for _ in range(n)) for n in lengths]
         return [encoded(table, text) for text in texts], [[int(rng.integers(2)) for _ in range(n)] for n in lengths]
 
-    def test_finetuned_embedding_gradient_matches_finite_differences(self):
+    def test_finetuned_matrix_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         table = make_table([f"w{i}" for i in range(6)], dim=3, seed=5)
-        params = make_model(table, hidden=3, seed=6)
-        params.embedding = table.with_matrix(table.matrix.copy())
+        params = make_model(table, hidden=3, seed=6, finetune=True)
         posts, labels = self.mixed_batch(table, rng)
 
         def batch_loss():
@@ -139,7 +139,7 @@ class TestBackward:
                 total += crf_nll(em, params.crf, labs)
             return total
 
-        _, grads = nll_and_gradients(posts, labels, params, finetune_embeddings=True)
+        _, grads = nll_and_gradients(posts, labels, params)
         name = "embedding.matrix"
         numeric = finite_difference(batch_loss, {name: params.embedding.matrix}, h=1e-5)
         assert np.any(grads.embedding.matrix != 0.0)
@@ -149,18 +149,19 @@ class TestBackward:
         rng = np.random.default_rng(7)
         table = make_table([f"w{i}" for i in range(6)], dim=4, seed=5)
         params = make_model(table, hidden=5, seed=8)
+        tuned_params = make_model(table, hidden=5, seed=8, finetune=True)
         posts, labels = self.mixed_batch(table, rng)
-        nll, plain = nll_and_gradients(posts, labels, params, finetune_embeddings=False)
-        tuned_nll, tuned = nll_and_gradients(posts, labels, params, finetune_embeddings=True)
+        nll, plain = nll_and_gradients(posts, labels, params)
+        tuned_nll, tuned = nll_and_gradients(posts, labels, tuned_params)
         assert nll == tuned_nll
-        assert np.array_equal(plain.vector, tuned.vector)
-        assert plain.embedding is params.embedding and tuned.embedding is not params.embedding
+        assert np.array_equal(plain.vector, tuned.vector[: plain.vector.size])
+        assert plain.embedding is params.embedding and tuned.embedding is not tuned_params.embedding
 
-    def test_embedding_gradients_only_touch_used_rows(self):
+    def test_matrix_gradients_only_touch_used_rows(self):
         table = make_table(["a", "b", "c"])
-        params = make_model(table)
+        params = make_model(table, finetune=True)
         post = encoded(table, "a a b", max_len=8)
-        _, grads = nll_and_gradients([post], [[1, 0, 1]], params, finetune_embeddings=True)
+        _, grads = nll_and_gradients([post], [[1, 0, 1]], params)
         d_matrix = grads.embedding.matrix
         assert np.any(d_matrix[table.vocab["a"]] != 0.0)
         assert np.all(d_matrix[table.vocab["c"]] == 0.0)
@@ -269,6 +270,37 @@ class TestStackedDirections:
         assert not deep_equal(params, copy)
 
 
+class TestFinetunedVector:
+    """A fine-tuned model's embedding matrix is the tail of its parameter
+    vector, and the vector's length says whether the model is fine-tuned."""
+
+    def test_the_tuned_matrix_is_a_copy_of_the_tables_at_the_vectors_tail(self, tmp_path):
+        from toxicspans.checkpoint import load_checkpoint, save_checkpoint
+
+        table = make_table(["a", "b", "c"], dim=4)
+        frozen, tuned = make_model(table, hidden=3), make_model(table, hidden=3, finetune=True)
+        assert not frozen.finetuned and frozen.embedding is table
+        assert tuned.finetuned and tuned.vector.size == frozen.vector.size + table.matrix.size
+        assert np.array_equal(tuned.vector[: frozen.vector.size], frozen.vector)
+        assert np.array_equal(tuned.embedding.matrix, table.matrix)
+        assert not np.shares_memory(tuned.embedding.matrix, table.matrix)
+        save_checkpoint(tmp_path / "m.ckpt", tuned, TrainConfig(hidden_size=3, finetune_embeddings=True), table)
+        for other in (tuned, tuned.clone(), load_checkpoint(tmp_path / "m.ckpt", table)[0]):
+            assert other.finetuned and other.embedding.vocab is table.vocab
+            other.vector[-1] = 9.0  # the matrix's last element, through the vector
+            assert other.embedding.matrix[-1, -1] == 9.0
+        assert tuned.clone().embedding.matrix is not tuned.embedding.matrix
+
+    @pytest.mark.parametrize("length", ["short-of-frozen", "past-frozen", "past-tuned"])
+    def test_a_vector_of_any_other_length_is_refused(self, length):
+        table = make_table(["a", "b"], dim=3)
+        frozen = make_model(table, hidden=4).vector.size
+        tuned = frozen + table.matrix.size
+        n = {"short-of-frozen": frozen - 1, "past-frozen": frozen + 1, "past-tuned": tuned + 1}[length]
+        with pytest.raises(ValidationError, match=f"vector of {n} elements: .* has {frozen}, or {tuned} with"):
+            params_from_vector(np.zeros(n), 4, table)
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self, tmp_path):
         from toxicspans.checkpoint import load_checkpoint, save_checkpoint
@@ -296,13 +328,13 @@ class TestCheckpoint:
         from toxicspans.checkpoint import MAGIC, serialize_checkpoint
 
         table = make_table(["a", "b"], dim=3)
-        params = init_params(table, 4, np.random.default_rng(0))
-        if finetuned:  # a tuned model holds a private copy of the matrix
-            params.embedding = table.with_matrix(table.matrix.copy())
+        # a tuned model's vector ends with a private copy of the matrix
+        params = init_params(table, 4, np.random.default_rng(0), finetune_embeddings=finetuned)
         raw = serialize_checkpoint(params, TrainConfig(hidden_size=4, finetune_embeddings=finetuned), table)
         assert hashlib.sha256(raw).hexdigest() == digest
         body = raw[raw.index(b"\n", len(MAGIC)) + 1 :]
-        assert body == params.vector.tobytes() + (table.matrix.tobytes() if finetuned else b"")
+        tensors = init_params(table, 4, np.random.default_rng(0)).vector
+        assert body == params.vector.tobytes() == tensors.tobytes() + (table.matrix.tobytes() if finetuned else b"")
 
     @pytest.mark.parametrize(
         "key, value, match",
@@ -516,11 +548,9 @@ class TestCheckpoint:
         from toxicspans.checkpoint import load_checkpoint, save_checkpoint
 
         table = make_table(["a", "b"], dim=3)
-        params = make_model(table, hidden=4)
         finetuned = name == "embedding.matrix"
-        if finetuned:
-            params.embedding = table.with_matrix(table.matrix.copy())
-        named_tensors(params, finetuned)[name].flat[at] = value
+        params = make_model(table, hidden=4, finetune=finetuned)
+        named_tensors(params)[name].flat[at] = value
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, TrainConfig(hidden_size=4, finetune_embeddings=finetuned), table)
         with pytest.raises(DataFormatError, match=f"tensor {name} holds NaN or infinite"):
@@ -542,12 +572,10 @@ class TestCheckpoint:
         from toxicspans.checkpoint import MAGIC, load_checkpoint, serialize_checkpoint
 
         table = make_table(["a", "b"], dim=3)
-        params = make_model(table, hidden=4)
-        if finetuned:
-            params.embedding = table.with_matrix(table.matrix.copy())
+        params = make_model(table, hidden=4, finetune=finetuned)
         raw = serialize_checkpoint(params, TrainConfig(hidden_size=4, finetune_embeddings=finetuned), table)
         start = raw.index(b"\n", len(MAGIC)) + 1
-        named = list(named_tensors(params, finetuned).items())
+        named = list(named_tensors(params).items())
         ends = dict(zip([name for name, _ in named], np.cumsum([arr.size for _, arr in named]).tolist()))
         n = cut(ends)
         path = tmp_path / "model.ckpt"
@@ -594,22 +622,35 @@ class TestCheckpoint:
         with pytest.raises(ToxicSpansError):
             load_checkpoint(path, table)
 
-    @pytest.mark.parametrize("case", ["hidden-size", "tuned-as-frozen", "frozen-as-tuned"])
+    @pytest.mark.parametrize("case", ["hidden-size", "tuned-as-frozen", "frozen-as-tuned", "truly-tuned-as-frozen",
+                                      "stray-copy-as-tuned", "tuned-with-a-stray-copy"])
     def test_writer_refuses_parameters_its_config_contradicts(self, tmp_path, case):
         """The header states these facts twice; a file whose copies
-        disagree would load only as an error, so none is written."""
+        disagree would load only as an error, so none is written.  Nor is
+        one whose body would not hold the matrix the parameters use."""
         from toxicspans.checkpoint import save_checkpoint
 
         table = make_table(["a", "b"], dim=3)
-        params = init_params(table, 4, np.random.default_rng(0))
+        tuned = case in ("truly-tuned-as-frozen", "tuned-with-a-stray-copy")
+        params = init_params(table, 4, np.random.default_rng(0), finetune_embeddings=tuned)
+        frozen_count = init_params(table, 4, np.random.default_rng(0)).vector.size
         cfg = TrainConfig(hidden_size=4)
+        tuned_cfg = TrainConfig(hidden_size=4, finetune_embeddings=True)
         if case == "hidden-size":
             cfg, match = TrainConfig(), "hidden size is 4, but the config's is 128"
-        elif case == "tuned-as-frozen":
+        elif case == "tuned-as-frozen":  # a stray copy beside a frozen model's vector
             params.embedding = table.with_matrix(table.matrix.copy())
             match = "finetuned embeddings is True, but the config's is False"
+        elif case == "truly-tuned-as-frozen":
+            match = "finetuned embeddings is True, but the config's is False"
+        elif case == "stray-copy-as-tuned":
+            params.embedding = table.with_matrix(table.matrix.copy())
+            cfg, match = tuned_cfg, f"parameter count is {frozen_count}, but the config's is {frozen_count + 12}"
+        elif case == "tuned-with-a-stray-copy":
+            params.embedding = table.with_matrix(params.embedding.matrix.copy())
+            cfg, match = tuned_cfg, "embedding matrix is not their vector's tail"
         else:
-            cfg, match = TrainConfig(hidden_size=4, finetune_embeddings=True), "finetuned embeddings is False"
+            cfg, match = tuned_cfg, "finetuned embeddings is False"
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValidationError, match=match):
             save_checkpoint(path, params, cfg, table)
@@ -630,9 +671,7 @@ class TestCheckpoint:
         else:
             built_on = make_table(["a", "b", "c"], dim=3)
             match = f"vocabulary hash is {built_on.fingerprint()}, but the table's is {table.fingerprint()}"
-        params = init_params(built_on, 4, np.random.default_rng(0))
-        if tuned:
-            params.embedding = built_on.with_matrix(built_on.matrix.copy())
+        params = init_params(built_on, 4, np.random.default_rng(0), finetune_embeddings=tuned)
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValidationError, match=match):
             save_checkpoint(path, params, TrainConfig(hidden_size=4, finetune_embeddings=tuned), table)

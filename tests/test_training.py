@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import deep_equal, make_table, named_tensors
-from oracles import expression_adam_step, packed_reference_lstm_forward, per_tensor_clip, reference_train
+from oracles import (
+    expression_adam_step,
+    packed_reference_lstm_forward,
+    per_tensor_adam_state,
+    per_tensor_clip,
+    reference_train,
+)
 import toxicspans.model
 import toxicspans.training
 from toxicspans.dataio import CharSpanSet, LabeledPost
@@ -70,16 +76,16 @@ class TestAdam:
     def test_zero_gradient_from_fresh_state_leaves_params_unchanged(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
         grads = {"w": np.zeros(3)}
-        state = AdamState.for_arrays(params, learning_rate=0.1)
-        adam_step(params, grads, state)
+        state = AdamState(0.1, np.zeros(3), np.zeros(3))
+        adam_step(params["w"], grads["w"], state)
         np.testing.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
         assert state.step == 1
 
     def test_first_step_magnitude_approximates_lr_times_sign(self):
         params = {"w": np.zeros(4)}
         g = np.array([0.5, -3.0, 1e-3, 0.0])
-        state = AdamState.for_arrays(params, learning_rate=0.01)
-        adam_step(params, {"w": g.copy()}, state)
+        state = AdamState(0.01, np.zeros(4), np.zeros(4))
+        adam_step(params["w"], g.copy(), state)
         # first bias-corrected step is lr * g / (|g| + eps) = lr * sign(g)
         expected = -0.01 * np.sign(g) * (np.abs(g) / (np.abs(g) + state.epsilon))
         np.testing.assert_allclose(params["w"], expected, atol=1e-12)
@@ -87,18 +93,26 @@ class TestAdam:
     def test_matches_the_expression_form_exactly(self):
         rng = np.random.default_rng(5)
         shapes = {"W": (512, 128), "b": (512,), "trans": (2, 2)}
-        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+
+        def named(vector):
+            """Views of ``vector``'s consecutive slices, one per shape."""
+            parts = np.split(vector, ends[:-1])
+            return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+
+        vector = rng.normal(size=ends[-1])
+        params = named(vector)
         ref_params = {name: a.copy() for name, a in params.items()}
-        state = AdamState.for_arrays(params, learning_rate=3e-3)
-        ref_state = AdamState.for_arrays(ref_params, learning_rate=3e-3)
+        state = AdamState(3e-3, np.zeros_like(vector), np.zeros_like(vector))
+        ref_state = per_tensor_adam_state(ref_params, learning_rate=3e-3)
         for _ in range(5):
-            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-            adam_step(params, {name: g.copy() for name, g in grads.items()}, state)
+            grads = named(rng.normal(size=vector.size))
+            adam_step(vector, np.concatenate([g.ravel() for g in grads.values()]), state)
             expression_adam_step(ref_params, grads, ref_state)
             for name in shapes:
                 assert np.array_equal(params[name], ref_params[name])
-                assert np.array_equal(state.m[name], ref_state.m[name])
-                assert np.array_equal(state.v[name], ref_state.v[name])
+                assert np.array_equal(named(state.m)[name], ref_state.m[name])
+                assert np.array_equal(named(state.v)[name], ref_state.v[name])
 
     @staticmethod
     def gradients(*values):
@@ -130,25 +144,24 @@ class TestAdam:
         rng = np.random.default_rng(1000 * D + 10 * H + finetune)
         table = make_table([f"w{i}" for i in range(11)], dim=D, seed=D)
         for _ in range(5):
-            grads = init_params(table, H, rng)
+            grads = init_params(table, H, rng, finetune_embeddings=finetune)
             grads.vector[:] = rng.normal(size=grads.vector.size) * rng.uniform(0.01, 10.0)
             if finetune:
-                grads.embedding = table.with_matrix(rng.normal(size=table.matrix.shape))
-            arrays = grads.flat_arrays(finetune)
+                grads.embedding.matrix[:] = rng.normal(size=table.matrix.shape)
+            arrays = named_tensors(grads)
             rough = math.sqrt(sum(float(np.sum(a * a)) for a in arrays.values()))
             max_norm = {"fires": 0.5 * rough, "below": 2.0 * rough}.get(case, 1.0)
             if case in ("nan", "inf"):
-                last = list(arrays.values())[-1]
-                last.flat[rng.integers(last.size)] = np.nan if case == "nan" else np.inf
-            before = grads.clone(copy_embedding=finetune)
-            ref = grads.clone(copy_embedding=finetune)
-            ref_norm = per_tensor_clip(named_tensors(ref, finetune), max_norm)
-            norm = clip_gradients(grads, max_norm, finetune)
+                grads.vector[rng.integers(grads.vector.size)] = np.nan if case == "nan" else np.inf
+            before = grads.clone()
+            ref = grads.clone()
+            ref_norm = per_tensor_clip(named_tensors(ref), max_norm)
+            norm = clip_gradients(grads, max_norm)
             assert norm == ref_norm or math.isnan(norm) and math.isnan(ref_norm)
             assert {"fires": max_norm < norm < math.inf, "below": norm <= max_norm,
                     "nan": math.isnan(norm), "inf": norm == math.inf}[case]
-            for got, want, unclipped in zip(arrays.values(), ref.flat_arrays(finetune).values(),
-                                            before.flat_arrays(finetune).values()):
+            for got, want, unclipped in zip(arrays.values(), named_tensors(ref).values(),
+                                            named_tensors(before).values()):
                 assert np.array_equal(got, want, equal_nan=True)
                 if case != "fires":
                     assert np.array_equal(got, unclipped, equal_nan=True)
@@ -356,12 +369,12 @@ class TestEpochTelemetry:
         steps = []  # (pre-clip norm, tokens) per step, in order
         nll_and_gradients = training_mod.nll_and_gradients
 
-        def spy_nll(posts, labels, params, finetune=False, arena=None):
+        def spy_nll(posts, labels, params, arena=None):
             steps.append([sum(post.effective_len for post in posts)])
-            return nll_and_gradients(posts, labels, params, finetune, arena)
+            return nll_and_gradients(posts, labels, params, arena)
 
-        def spy_clip(grads, max_norm, finetune=False, arena=None):
-            norm = clip_gradients(grads, max_norm, finetune, arena)
+        def spy_clip(grads, max_norm, arena=None):
+            norm = clip_gradients(grads, max_norm, arena)
             steps[-1].insert(0, norm)
             return norm
 
