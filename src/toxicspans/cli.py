@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import categorize_errors, span_word_histogram
+from .arena import Arena
 from .checkpoint import (
     atomic_write_bytes,
     atomic_write_text,
@@ -363,12 +364,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     posts = _load_posts(args, has_gold=False)
 
     preds = []
-    # input-order windows keep one window's encodings in memory at a time
+    # input-order windows keep one window's encodings in memory at a time,
+    # and all share one arena, so its buffers are made once
+    arena = Arena()
     for lo in range(0, len(posts), INFER_BATCH):
         window = posts[lo : lo + INFER_BATCH]
         toks = [tokenize(post.text) for post in window]
         encoded = [encode_post(t, table, max_len) for t in toks]
-        tagged = predict_spans(params, toks, encoded, policy)
+        tagged = predict_spans(params, toks, encoded, policy, arena)
         for post, enc, spans in zip(window, encoded, tagged):
             if gate is not None:
                 pooled = mean_pooled(enc, table) if gate.kind == KIND_INTERNAL else None

@@ -43,15 +43,27 @@ gathered from the previous step's rows), and sum(dZ).  The input gradient
 dZ W_in is formed only when the caller asks for it, which the model does
 only when fine-tuning embeddings.
 
-Two time loops run that recurrence with the same numpy calls in the same
-order, so they give the same bits.  A batch of several posts runs the
-packed loop.  One post (B = 1, which is how inference tags a post on its
-own) runs a loop of its own over its (T, K, ·) rows.  At B = 1 a step is
-about 13 numpy calls on K * 4H elements, and numpy's per-call cost has no
-batch axis to spread over, so the packed loop's indexing, temporaries and
-keyword arguments are a large share of each step.  The one-post loop
-builds each gate block's view once and writes into scratch arrays
-instead, which cuts a step by about 15% at H = 32.
+Two time loops run that recurrence with the same elementwise and BLAS
+operations on the same values, so they give the same bits.  A batch of
+several posts runs the packed loop.  One post (B = 1, which is how
+inference tags a post on its own) runs a loop of its own over its
+(T, K, ·) rows.  At B = 1 a step is about a dozen numpy calls on K * 4H
+elements, numpy's per-call cost has no batch axis to spread over, and a
+call on a strided (K, H) gate view costs about twice one on a contiguous
+block (tanh or multiply at K = 2, H = 32: 0.76–0.89 against 0.40–0.42 µs,
+one thread of a 2-vCPU x86-64 virtual machine).  So the one-post loop
+works gate-major.  It copies the post's pre-activations once into a
+(T, 4, K, H) scratch array, where each step's i, f, g and o are
+contiguous (K, H) blocks, and applies the sigmoid to a step's whole
+contiguous row.  tanh(g_t) goes into row t of a (T + 1, 2, K, H) scratch
+array whose row t holds c_{t-1} next to it, so one multiply by the
+adjacent i and f blocks gives both terms of c_t, which goes into row
+t + 1.  The only strided operand left is the recurrent product, which a
+step's add reads through a (4, K, H) transposed view (0.95–1.08 against
+0.38–0.43 µs for a contiguous one).  After the loop three whole-array
+copies rebuild the activated (T, K, 4H) ``gates`` cache that
+:func:`lstm_backward` reads (the sigmoid rows, then the tanh(g) block)
+and the ``cell`` states: 1–4% of the loop's time at T = 40 to 128.
 
 :class:`LstmCache` holds the packed rows in processing order: each
 direction's inputs (D), and the activated ``gates`` (4H, blocks in gate
@@ -64,10 +76,12 @@ float64.
 Every array of more than one step lives in an :class:`arena.Arena`, the
 caller's or a new one per call.  Named roles hold the mirrored inputs,
 the cache, the (N, K*H) output and the input gradient; scratch slots hold
-the packed loop's contiguous copy of W_rec and per-step product, and the
-backward pass's dZ, dc/dh, upstream gradients in processing order and
-gathered c_{t-1} and h_{t-1} rows.  What a call returns from an
-arena is valid until the next call that uses it.
+the packed loop's contiguous copy of W_rec and per-step product, the
+one-post loop's gate-major rows and tanh(g) and c_{t-1} rows (slots 1
+and 2: slot 0 may hold a caller's weight copy, see :func:`_packed_steps`),
+and the backward pass's dZ, dc/dh, upstream gradients in processing order
+and gathered c_{t-1} and h_{t-1} rows.  What a call returns from an arena
+is valid until the next call that uses it.
 """
 
 from __future__ import annotations
@@ -166,7 +180,7 @@ def lstm_forward(
     cell, tanh_cell, hidden = (arena.take(role, (N, K, H)) for role in ("lstm.cell", "lstm.tanh_cell", "lstm.hidden"))
     with np.errstate(over="ignore"):
         if steps.B == 1:
-            _one_post_steps(params.W_rec, gates, cell, tanh_cell, hidden)
+            _one_post_steps(params.W_rec, gates, cell, tanh_cell, hidden, arena)
         else:
             _packed_steps(params.W_rec, steps, gates, cell, tanh_cell, hidden, arena)
 
@@ -234,37 +248,51 @@ def _packed_steps(
 
 
 def _one_post_steps(
-    W_rec: np.ndarray, gates: np.ndarray, cell: np.ndarray, tanh_cell: np.ndarray, hidden: np.ndarray
+    W_rec: np.ndarray, gates: np.ndarray, cell: np.ndarray, tanh_cell: np.ndarray, hidden: np.ndarray,
+    arena: Arena,
 ) -> None:
     """The recurrence of one post over its (T, K, ·) rows, one per step:
-    :func:`_packed_steps`'s numpy calls in its order, so the same bits, with
-    less overhead around them (see the module docstring)."""
-    K, H = cell.shape[1:]
+    :func:`_packed_steps`'s arithmetic on the same values, so the same
+    bits, on gate-major copies of the rows (see the module docstring)."""
+    T, K, H = cell.shape
     # For one row a contiguous copy costs more than it saves, and BLAS
     # would sum its product in another order.
     W_rec_T = W_rec.transpose(0, 2, 1)
-    i_, f_, g_, o_ = (gates[..., k * H : (k + 1) * H] for k in range(4))
+    # Gate-major rows: step t's i, f, g and o are contiguous (K, H) blocks.
+    # Slot 0 may hold a caller's weight copy (see _packed_steps).
+    by_gate = arena.scratch(1, (T, 4, K, H))
+    by_gate_rows = by_gate.transpose(0, 2, 1, 3)
+    gates_rows = gates.reshape(T, K, 4, H)
+    np.copyto(by_gate_rows, gates_rows)
+    # Row t holds tanh(g_t), then c_{t-1}, so one multiply by step t's i
+    # and f blocks gives both terms of c_t, which goes into row t + 1.
+    g_c = arena.scratch(2, (T + 1, 2, K, H))
     product = np.empty((K, 1, 4 * H))  # each step's recurrent product
-    rec = product[:, 0]
-    tanh_g = np.empty((K, H))
-    f_c = np.empty((K, H))  # f * c_{t-1}
-    h_prev = c_prev = None
-    for z, zi, zf, zg, zo, c, tc, h, h_row in zip(
-        gates, i_, f_, g_, o_, cell, tanh_cell, hidden, hidden[:, :, None]
+    rec = product.reshape(K, 4, H).transpose(1, 0, 2)  # gate-major view
+    terms = np.empty((2, K, H))  # i * g, f * c_{t-1}
+    ig, fc = terms
+    h_prev = None
+    for z, z_if, zg, zo, g_c_t, tg, c, tc, h, h_row in zip(
+        by_gate, by_gate[:, :2], by_gate[:, 2], by_gate[:, 3], g_c, g_c[:, 0], g_c[1:, 1], tanh_cell, hidden,
+        hidden[:, :, None],
     ):
         if h_prev is not None:
             np.matmul(h_prev, W_rec_T, product)
             np.add(z, rec, z)
-        np.tanh(zg, tanh_g)
+        np.tanh(zg, tg)
         _sigmoid_inplace(z)
-        zg[...] = tanh_g
-        np.multiply(zi, tanh_g, c)
-        if c_prev is not None:
-            np.multiply(zf, c_prev, f_c)
-            np.add(c, f_c, c)
+        if h_prev is None:  # c_{-1} = 0
+            np.multiply(z_if[0], tg, c)
+        else:
+            np.multiply(z_if, g_c_t, terms)
+            np.add(ig, fc, c)
         np.tanh(c, tc)
         np.multiply(zo, tc, h)
-        h_prev, c_prev = h_row, c
+        h_prev = h_row
+    # the cache in gate order (sigmoid rows, then the tanh block) and the cells
+    np.copyto(gates_rows, by_gate_rows)
+    gates_rows[:, :, 2] = g_c[:T, 0]
+    np.copyto(cell, g_c[1:, 1])
 
 
 def lstm_backward(

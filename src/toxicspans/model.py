@@ -11,10 +11,10 @@ those rows, and Viterbi decodes each post from its rows, put back post by
 post (``PackedSteps.unpack``); no padded slot is built.  A pass over one
 post (``predict`` of a post on its own, a training batch of one) runs the
 LSTM's one-post time loop and any larger pass its packed loop; both give
-the same bits.  At B = 1 a step is
-about 13 numpy calls, and numpy's per-call cost has no batch axis to
-spread over, so the one-post loop trims the work around those calls (see
-:mod:`lstm`).  The backward pass is fully manual (projection, then both
+the same bits.  At B = 1 a step is about a dozen numpy calls, and numpy's
+per-call cost has no batch axis to spread over, so the one-post loop lays
+the gates out gate-major, where all but one of a step's elementwise calls
+read contiguous blocks (see :mod:`lstm`).  The backward pass is fully manual (projection, then both
 LSTM directions) and writes gradients summed over the batch; only for a
 fine-tuned model does it ask the LSTM for the input gradient and
 accumulate embedding-row gradients from it.
@@ -34,8 +34,10 @@ and its matrix's gradient is the gradient vector's tail.
 A pass keeps its arrays in an :class:`arena.Arena`, the caller's or a new
 one: the gathered embedding rows and the gradient vector, next to the
 LSTM's (see :mod:`lstm`).  ``predict_spans`` runs all of its passes in
-one arena.  What a call returns from an arena is valid until the next
-call that uses it.
+one arena, and keeps its copy of the recurrent weights in scratch slot 0
+across them: the one scratch array held across a call, which the LSTM
+leaves alone (:mod:`arena`).  What a call returns from an arena is valid
+until the next call that uses it.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from toxicspans.checkpoint import MAGIC
 from toxicspans.cli import DEFAULTS, main
 from toxicspans.dataio import read_predictions
 from toxicspans.embeddings import load_embeddings
+from toxicspans.model import INFER_BATCH
 from toxicspans.synthetic import generate_posts, write_corpus_csv, write_embedding_file
 
 DIM = 16
@@ -623,6 +625,21 @@ class TestPredict:
         code = run_predict(workspace, "once.tsv", "--gate", "internal", "--gate-model", str(gate_07))
         assert code == 0
         assert len(calls) == 40
+
+    def test_windows_share_one_arena(self, workspace, monkeypatch):
+        """Every window of posts is tagged in the same arena, so its
+        buffers are made once per command, not once per window."""
+        arenas = []
+        predict_spans = toxicspans.cli.predict_spans
+
+        def spy(params, toks, posts, policy, arena=None):
+            arenas.append(arena)
+            return predict_spans(params, toks, posts, policy, arena)
+
+        monkeypatch.setattr(toxicspans.cli, "predict_spans", spy)
+        assert run_predict(workspace, "shared.tsv") == 0
+        assert len(arenas) == math.ceil(40 / INFER_BATCH) > 1
+        assert arenas[0] is not None and all(arena is arenas[0] for arena in arenas)
 
     def test_bad_gate_mode_exits_2(self, workspace, capsys):
         assert run_predict(workspace, "x.tsv", "--gate", "sideways") == 2
