@@ -23,12 +23,9 @@ role (:meth:`Arena.take`) holds what one call hands to another, such as a
 forward cache or a batch's gradients.  A numbered scratch slot
 (:meth:`Arena.scratch`) holds one call's scratch; every call's slot ``i``
 is one buffer, so the forward loop's weight copy, the backward pass's dZ
-and the optimizer's scratch take the memory of the largest of them.  A
-caller holds no scratch array across a call that takes scratch from the
-same arena, with one exception: ``model.predict_spans`` keeps a copy of
-the recurrent weights in slot 0 across its passes.  The LSTM's forward
-loops leave it alone: the packed loop takes slot 0 only to copy weights
-not laid out as that copy, and the one-post loop never takes it.
+and the optimizer's scratch take the memory of the largest of them.  Like
+a cuDNN workspace, scratch lives for one call: no caller holds a scratch
+array across a call that takes scratch from the same arena.
 """
 
 from __future__ import annotations
@@ -61,6 +58,5 @@ class Arena:
     def scratch(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
         """:meth:`take` of scratch slot ``slot``, which every call shares:
         a call drops its scratch arrays when it returns, and holds none
-        across a call that takes scratch from the same arena (one exception
-        is in the module docstring)."""
+        across a call that takes scratch from the same arena."""
         return self.take(f"scratch {slot}", shape)

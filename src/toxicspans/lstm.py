@@ -76,12 +76,12 @@ float64.
 Every array of more than one step lives in an :class:`arena.Arena`, the
 caller's or a new one per call.  Named roles hold the mirrored inputs,
 the cache, the (N, K*H) output and the input gradient; scratch slots hold
-the packed loop's contiguous copy of W_rec and per-step product, the
-one-post loop's gate-major rows and tanh(g) and c_{t-1} rows (slots 1
-and 2: slot 0 may hold a caller's weight copy, see :func:`_packed_steps`),
-and the backward pass's dZ, dc/dh, upstream gradients in processing order
-and gathered c_{t-1} and h_{t-1} rows.  What a call returns from an arena
-is valid until the next call that uses it.
+what one loop or pass uses and drops before it returns: the packed loop's
+contiguous copy of W_rec and per-step product, the one-post loop's
+gate-major rows and tanh(g) and c_{t-1} rows, and the backward pass's dZ,
+dc/dh, upstream gradients in processing order and gathered c_{t-1} and
+h_{t-1} rows.  What a call returns from an arena is valid until the next
+call that uses it.
 """
 
 from __future__ import annotations
@@ -218,15 +218,10 @@ def _packed_steps(
     B, heads = steps.B, steps.heads
     K, H = cell.shape[1:]
     i_, f_, g_, o_ = ((Ellipsis, slice(k * H, (k + 1) * H)) for k in range(4))
-    # Several rows per step multiply faster against a contiguous copy.
-    # Weights laid out as one already are used as they are: a caller that
-    # keeps the weights fixed over several passes can share one copy in
-    # scratch slot 0, which this loop takes only for its own copy.
-    W_rec_T = W_rec.transpose(0, 2, 1)
-    if not W_rec_T.flags.c_contiguous:
-        copy = arena.scratch(0, W_rec_T.shape)
-        np.copyto(copy, W_rec_T)
-        W_rec_T = copy
+    # Several rows per step multiply faster against a contiguous copy,
+    # which this loop makes in its own scratch on every call.
+    W_rec_T = arena.scratch(0, (K, H, 4 * H))
+    np.copyto(W_rec_T, W_rec.transpose(0, 2, 1))
     product = arena.scratch(1, (B, K, 4 * H))  # each step's recurrent product
     zs, cells, tanhs, hs = map(steps.by_step, (gates, cell, tanh_cell, hidden))
     for s, (r, q) in enumerate(zip(steps.rows, steps.prev_rows)):
@@ -258,8 +253,8 @@ def _one_post_steps(
     # For one row a contiguous copy costs more than it saves, and BLAS
     # would sum its product in another order.
     W_rec_T = W_rec.transpose(0, 2, 1)
-    # Gate-major rows: step t's i, f, g and o are contiguous (K, H) blocks.
-    # Slot 0 may hold a caller's weight copy (see _packed_steps).
+    # Gate-major rows, in this loop's own scratch: step t's i, f, g and o
+    # are contiguous (K, H) blocks.
     by_gate = arena.scratch(1, (T, 4, K, H))
     by_gate_rows = by_gate.transpose(0, 2, 1, 3)
     gates_rows = gates.reshape(T, K, 4, H)

@@ -34,10 +34,8 @@ and its matrix's gradient is the gradient vector's tail.
 A pass keeps its arrays in an :class:`arena.Arena`, the caller's or a new
 one: the gathered embedding rows and the gradient vector, next to the
 LSTM's (see :mod:`lstm`).  ``predict_spans`` runs all of its passes in
-one arena, and keeps its copy of the recurrent weights in scratch slot 0
-across them: the one scratch array held across a call, which the LSTM
-leaves alone (:mod:`arena`).  What a call returns from an arena is valid
-until the next call that uses it.
+one arena.  What a call returns from an arena is valid until the next
+call that uses it.
 """
 
 from __future__ import annotations
@@ -206,19 +204,18 @@ def init_params(
 
 
 def _emissions(
-    posts: Sequence[EncodedPost], params: ModelParams, arena: Arena | None = None, lstm: LstmParams | None = None
+    posts: Sequence[EncodedPost], params: ModelParams, arena: Arena | None = None
 ) -> tuple[np.ndarray, BilstmCache]:
     """(N, L) packed label scores of length-sorted posts, and the cache of
     the pass, whose ``lstm_cache.steps`` is the batch's layout, which
-    lives in ``arena`` (a new one by default).  ``lstm`` stands in for
-    ``params.lstm`` if given."""
+    lives in ``arena`` (a new one by default)."""
     arena = Arena() if arena is None else arena
     steps = PackedSteps([post.effective_len for post in posts])
     indices = steps.pack(np.concatenate([post.indices for post in posts]))
     matrix = params.embedding.matrix
     # encode_post's indices are rows of the table, so clipping moves none
     inputs = np.take(matrix, indices, axis=0, out=arena.take("inputs", (steps.N, matrix.shape[1])), mode="clip")
-    hidden, lstm_cache = lstm_forward(inputs, params.lstm if lstm is None else lstm, steps, REVERSE, arena)
+    hidden, lstm_cache = lstm_forward(inputs, params.lstm, steps, REVERSE, arena)
     emissions = hidden @ params.emit.W_out.T + params.emit.b_out  # (N, L): too small to fault
     return emissions, BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden, arena=arena)
 
@@ -291,12 +288,9 @@ def predict_spans(
 
     The posts run longest first (a stable sort) in passes of
     :data:`INFER_BATCH`, each one emission pass and a Viterbi decode per
-    post.  The passes share ``arena`` (a new one by default), and the
-    passes of several posts share one contiguous copy of the recurrent
-    weights in its scratch, which the LSTM's packed loop would otherwise
-    make per pass.  Tokens truncated beyond an encoding's
-    ``max_len`` are predicted non-toxic; a post with no tokens yields the
-    empty span set.
+    post.  The passes share ``arena`` (a new one by default).  Tokens
+    truncated beyond an encoding's ``max_len`` are predicted non-toxic; a
+    post with no tokens yields the empty span set.
     """
     if len(toks) != len(posts):
         raise ValidationError(f"{len(toks)} token sequences for {len(posts)} encoded posts")
@@ -304,18 +298,9 @@ def predict_spans(
     order = sorted((k for k in range(len(posts)) if lens[k]), key=lambda k: -lens[k])
     spans = [CharSpanSet() for _ in posts]
     arena = Arena() if arena is None else arena
-    if len(order) > 1:
-        # W_rec as the transpose of a contiguous copy, which the LSTM's
-        # packed loop then uses as it is; the one-post loop keeps the
-        # original, because a copy changes its product's bits
-        W_rec_T = params.lstm.W_rec.transpose(0, 2, 1)
-        copy = arena.scratch(0, W_rec_T.shape)
-        np.copyto(copy, W_rec_T)
-        packed = LstmParams(params.lstm.W_in, copy.transpose(0, 2, 1), params.lstm.b)
     for lo in range(0, len(order), INFER_BATCH):
         picked = order[lo : lo + INFER_BATCH]
-        lstm = packed if len(picked) > 1 else params.lstm
-        emissions, cache = _emissions([posts[k] for k in picked], params, arena, lstm)
+        emissions, cache = _emissions([posts[k] for k in picked], params, arena)
         by_post, start = cache.lstm_cache.steps.unpack(emissions), 0
         for k in picked:
             labels = viterbi_decode(by_post[start : start + lens[k]], params.crf)

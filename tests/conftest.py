@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import toxicspans.cli
+import toxicspans.lstm
+import toxicspans.model
+import toxicspans.training
+from toxicspans.arena import Arena
 from toxicspans.batching import PackedSteps
 from toxicspans.embeddings import EmbeddingTable
 from toxicspans.model import EMBEDDING_TENSOR, REVERSE, TENSOR_NAMES, ModelParams
@@ -19,6 +24,26 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=10,
 )
+
+
+class PoisonedArena(Arena):
+    """An arena whose every :meth:`take` (and so every ``scratch``) fills
+    the role's whole buffer with NaN before it returns the view.  A kernel
+    that reads an array before writing it, or a caller that holds a view
+    while its slot is taken again, then reads NaN: it raises
+    ``NonFiniteError`` or moves bits, where the real arena might hand it
+    stale values that happen to be right."""
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        array = super().take(role, shape)
+        self._buffers[role].fill(np.nan)
+        return array
+
+
+def poison_arenas(monkeypatch) -> None:
+    """Make every module that builds an arena build a :class:`PoisonedArena`."""
+    for module in (toxicspans.model, toxicspans.lstm, toxicspans.training, toxicspans.cli):
+        monkeypatch.setattr(module, "Arena", PoisonedArena)
 
 
 def make_table(words, dim=4, seed=0) -> EmbeddingTable:

@@ -3,9 +3,11 @@
 Trains a tagger on seeded synthetic posts (by default 1000 posts, 2 epochs,
 batch 16, H = 128, the synthetic 25-dimensional vectors) and prints one JSON
 line: ``ru_minflt`` and user and system CPU seconds of this process around
-the call, its wall seconds, and the sha256 of the checkpoint it would save.
-BLAS is pinned to one thread before numpy loads.  Run it from the
-repository root:
+the call, its wall seconds, the sha256 of the checkpoint it would save, and
+the sha256 of the prediction file of the trained model on 49 held-out
+posts, tagged by ``predict_spans`` in three packed passes and then a lone
+post's pass.  BLAS is pinned to one thread before numpy loads.  Run it from
+the repository root:
 
     PYTHONPATH=src python tests/fault_probe.py [--hidden 128] [--posts 1000]
 
@@ -30,7 +32,10 @@ import resource
 import time
 
 from toxicspans.checkpoint import serialize_checkpoint
+from toxicspans.dataio import PostPrediction, write_predictions
 from toxicspans.embeddings import load_embeddings
+from toxicspans.model import INFER_BATCH, predict_spans
+from toxicspans.span_codec import BridgePolicy
 from toxicspans.synthetic import generate_posts, write_embedding_file
 from toxicspans.training import TrainConfig, build_examples, train
 
@@ -57,6 +62,13 @@ def main() -> None:
     before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     params, _ = train(examples, cfg, table)
     wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
+
+    held_out = build_examples(generate_posts(4 * INFER_BATCH, seed=args.seed + 1), table, max_len=128)
+    held_out = [ex for ex in held_out if ex.encoded.effective_len][: 3 * INFER_BATCH + 1]
+    policy = BridgePolicy(bridge_gaps=True, max_gap=cfg.bridge_gap)
+    spans = predict_spans(params, [ex.tokens for ex in held_out], [ex.encoded for ex in held_out], policy)
+    predictions = io.BytesIO()
+    write_predictions([PostPrediction(ex.post_id, s) for ex, s in zip(held_out, spans)], predictions)
     print(json.dumps({
         "hidden": args.hidden,
         "posts": args.posts,
@@ -65,6 +77,7 @@ def main() -> None:
         "sys_s": round(after.ru_stime - before.ru_stime, 3),
         "wall_s": round(wall, 3),
         "checkpoint_sha256": hashlib.sha256(serialize_checkpoint(params, cfg, table)).hexdigest(),
+        "predictions_sha256": hashlib.sha256(predictions.getvalue()).hexdigest(),
     }))
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import PoisonedArena, poison_arenas
 import toxicspans.model
 from toxicspans.arena import Arena
 from toxicspans.embeddings import encode_post, load_embeddings
@@ -14,7 +15,7 @@ from toxicspans.model import INFER_BATCH, _emissions, init_params, nll_and_gradi
 from toxicspans.span_codec import BridgePolicy
 from toxicspans.synthetic import generate_posts, write_embedding_file
 from toxicspans.tokenizer import tokenize
-from toxicspans.training import AdamState, adam_step, build_examples, clip_gradients
+from toxicspans.training import AdamState, TrainConfig, adam_step, build_examples, clip_gradients, train
 
 
 def synthetic_examples(n_posts, dim=16, seed=5):
@@ -44,6 +45,63 @@ class TestArena:
         assert arena.scratch(0, (2, 2)).ctypes.data == a.ctypes.data
         assert arena.scratch(1, (3,)).ctypes.data == b.ctypes.data
         assert not np.shares_memory(arena.take("named", (4,)), a)
+
+
+class TestPoisonedArena:
+    """The scratch rule as a check: under :class:`PoisonedArena`, which
+    fills a buffer with NaN whenever it hands out a view of it, training
+    and tagging give the real arena's bits."""
+
+    def test_a_view_held_across_a_retake_of_its_slot_reads_nan(self):
+        arena = PoisonedArena()
+        held, other = arena.scratch(0, (2, 3)), arena.scratch(1, (3,))
+        assert np.isnan(held).all()
+        held.fill(1.0)
+        other.fill(2.0)
+        arena.scratch(0, (4,))  # a smaller view still poisons the whole buffer
+        assert np.isnan(held).all()
+        assert np.all(other == 2.0)
+
+    @pytest.mark.parametrize(
+        "finetune, batch_size", [(False, 8), (True, 8), (False, 1)], ids=["frozen", "finetuned", "batch1"]
+    )
+    def test_train_gives_the_real_arenas_bits(self, finetune, batch_size, monkeypatch):
+        table, examples = synthetic_examples(132)
+        cfg = TrainConfig(epochs=2, batch_size=batch_size, seed=4, learning_rate=3e-3, hidden_size=8,
+                          early_stop_patience=2, dev_fraction=0.25, finetune_embeddings=finetune)
+        params, history = train(examples, cfg, table)
+        poison_arenas(monkeypatch)
+        poisoned_params, poisoned_history = train(examples, cfg, table)
+        assert np.array_equal(poisoned_params.vector, params.vector)
+        assert poisoned_history == history
+
+    def test_predict_spans_gives_the_real_arenas_bits(self, monkeypatch):
+        """Two packed passes, then a lone post's pass."""
+        table, _ = synthetic_examples(1)
+        params = init_params(table, 8, np.random.default_rng(3))
+        params.emit.W_out *= 8.0
+        toks = [tokenize(post.text) for post in generate_posts(2 * INFER_BATCH + 1, seed=9)]
+        posts = [encode_post(t, table, 32) for t in toks]
+        assert all(post.effective_len for post in posts)
+        decode = toxicspans.model.viterbi_decode
+
+        def tag():
+            seen = []
+
+            def recording_decode(em, crf):
+                seen.append(em.copy())
+                return decode(em, crf)
+
+            monkeypatch.setattr(toxicspans.model, "viterbi_decode", recording_decode)
+            return predict_spans(params, toks, posts, BridgePolicy()), seen
+
+        spans, emissions = tag()
+        assert any(spans)
+        poison_arenas(monkeypatch)
+        poisoned_spans, poisoned_emissions = tag()
+        assert poisoned_spans == spans
+        assert len(emissions) == len(posts)
+        assert all(np.array_equal(got, want) for got, want in zip(poisoned_emissions, emissions))
 
 
 def batch_of(examples, count, longest):
@@ -90,8 +148,8 @@ class TestStaleRows:
 
 
 def test_predict_spans_passes_give_the_bits_of_fresh_passes(monkeypatch):
-    """The passes share one arena and one contiguous copy of W_rec; each
-    must give the emissions of a pass of its own, bit for bit."""
+    """The passes share one arena; each must give the emissions of a pass
+    of its own, bit for bit."""
     table, _ = synthetic_examples(1)
     rng = np.random.default_rng(3)
     params = init_params(table, 8, rng)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import csv_bytes, json_values
+from conftest import csv_bytes, json_values, poison_arenas
 from oracles import grammar_parse_span_literal
 import toxicspans
 import toxicspans.cli
@@ -640,6 +640,27 @@ class TestPredict:
         assert run_predict(workspace, "shared.tsv") == 0
         assert len(arenas) == math.ceil(40 / INFER_BATCH) > 1
         assert arenas[0] is not None and all(arena is arenas[0] for arena in arenas)
+
+    def test_poisoned_arena_gives_the_same_predictions(self, workspace, tmp_path, monkeypatch):
+        """33 posts, in windows of 16, 16 and 1, get the real arena's
+        prediction bytes under an arena that poisons every buffer it hands
+        out (see conftest.PoisonedArena)."""
+        data = tmp_path / "posts.csv"
+        with open(data, "wb") as f:
+            write_corpus_csv(generate_posts(2 * INFER_BATCH + 1, seed=13), f)
+
+        def predict_to(name):
+            args = ["predict", "--data", str(data), "--checkpoint", str(workspace / "model.ckpt"),
+                    "--embeddings", str(workspace / "vectors.txt"), "--embedding-dim", str(DIM),
+                    "--out", str(tmp_path / name)]
+            assert main(args) == 0
+            return (tmp_path / name).read_bytes()
+
+        real = predict_to("real.tsv")
+        preds = read_predictions(io.BytesIO(real))
+        assert len(preds) == 2 * INFER_BATCH + 1 and any(pred.spans for pred in preds)
+        poison_arenas(monkeypatch)
+        assert predict_to("poisoned.tsv") == real
 
     def test_bad_gate_mode_exits_2(self, workspace, capsys):
         assert run_predict(workspace, "x.tsv", "--gate", "sideways") == 2
