@@ -325,10 +325,12 @@ def cmd_gate_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _setup_gate(args: argparse.Namespace, table) -> GateModel | None:
+def _setup_gate(args: argparse.Namespace, table) -> tuple[GateModel | None, dict[str, str]]:
+    """The gate that ``--gate`` names, and the manifest ``inputs`` entry of
+    the file it was read from (none when the gate is off)."""
     mode = _resolve(args, "gate")
     if mode == "off":
-        return None
+        return None, {}
     threshold = _resolve(args, "gate_threshold")
     if mode == "internal":
         if not args.gate_model:
@@ -342,11 +344,10 @@ def _setup_gate(args: argparse.Namespace, table) -> GateModel | None:
         # an explicit threshold (flag or config file) overrides the stored one
         if args.gate_threshold is not None or "gate_threshold" in args._config_values:
             model = replace(model, threshold=threshold)
-        return model
+        return model, {"gate_model": args.gate_model}
     if mode.startswith("scores:"):
-        return load_external_gate(
-            _require_file(mode.split(":", 1)[1], "gate score"), threshold
-        )
+        path = mode.split(":", 1)[1]
+        return load_external_gate(_require_file(path, "gate score"), threshold), {"gate_scores": path}
     raise ValidationError(f"--gate must be off, internal, or scores:<path>, got {mode!r}")
 
 
@@ -360,7 +361,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # a flag or config value beats the gap the checkpoint was chosen with
     bridge_gap = _resolve(args, "bridge_gap", default=cfg.bridge_gap)
     policy = BridgePolicy(bridge_gaps=True, max_gap=bridge_gap)
-    gate = _setup_gate(args, table)
+    gate, gate_input = _setup_gate(args, table)
     posts = _load_posts(args, has_gold=False)
 
     preds = []
@@ -369,9 +370,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     arena = Arena()
     for lo in range(0, len(posts), INFER_BATCH):
         window = posts[lo : lo + INFER_BATCH]
-        toks = [tokenize(post.text) for post in window]
-        encoded = [encode_post(t, table, max_len) for t in toks]
-        tagged = predict_spans(params, toks, encoded, policy, arena)
+        encoded = [encode_post(tokenize(post.text), table, max_len) for post in window]
+        tagged = predict_spans(params, encoded, policy, arena)
         for post, enc, spans in zip(window, encoded, tagged):
             if gate is not None:
                 pooled = mean_pooled(enc, table) if gate.kind == KIND_INTERNAL else None
@@ -386,16 +386,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
         print(f"warning: gate model {args.gate_model} records no embedding table, "
               f"so it was not checked against {args.embeddings}", file=sys.stderr)
     inputs = {"data": args.data, "embeddings": args.embeddings,
-              "checkpoint": args.checkpoint}
-    if gate is not None and gate.kind == KIND_INTERNAL:
-        inputs["gate_model"] = args.gate_model
-    gate_mode = _resolve(args, "gate")
-    if gate_mode.startswith("scores:"):
-        inputs["gate_scores"] = gate_mode.split(":", 1)[1]
+              "checkpoint": args.checkpoint, **gate_input}
     _write_manifest(
         args.out,
         "predict",
-        {"max_len": max_len, "gate": gate_mode,
+        {"max_len": max_len, "gate": _resolve(args, "gate"),
          "gate_threshold": None if gate is None else gate.threshold,
          "bridge_gap": policy.max_gap},
         inputs,

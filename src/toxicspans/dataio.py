@@ -104,9 +104,6 @@ class CharSpanSet:
     def __and__(self, other: "CharSpanSet") -> "CharSpanSet":
         return CharSpanSet._of_sorted(sorted(set(self.indexes).intersection(other.indexes)))
 
-    def __or__(self, other: "CharSpanSet") -> "CharSpanSet":
-        return CharSpanSet._of_sorted(sorted(set(self.indexes).union(other.indexes)))
-
     def __sub__(self, other: "CharSpanSet") -> "CharSpanSet":
         return CharSpanSet._of_sorted(sorted(set(self.indexes).difference(other.indexes)))
 

@@ -6,8 +6,10 @@ appended after the vocabulary: UNK (the componentwise mean of all loaded
 vectors) and PAD (all zeros).  A post encodes as the rows of its first
 ``max_len`` tokens and the model gathers only those rows, so the PAD row
 is never read; it stays because a fine-tuned checkpoint stores the whole
-matrix.  ``EncodedPost.mask`` is read by no layer of the tagger; it stays
-because the benchmark's tracer (``perfbench/tracer.py``) reads it.
+matrix.  An :class:`EncodedPost`, a post's tokens and their rows, is the
+one record of a post that tagging and the gate read.  Its ``mask`` is
+read by no layer of the tagger; it stays because the benchmark's tracer
+(``perfbench/tracer.py``) reads it.
 """
 
 from __future__ import annotations
@@ -56,12 +58,17 @@ class EmbeddingTable:
 
 @dataclass
 class EncodedPost:
-    """A post as the embedding rows of its first ``min(true_len, max_len)``
-    tokens; ``true_len`` is the token count before truncation."""
+    """A tokenized post, ``tokens``, and the embedding rows of its first
+    ``min(true_len, max_len)`` tokens; the tagger labels those rows and
+    decodes the labels over ``tokens``."""
 
     indices: np.ndarray  # (effective_len,) int64
-    true_len: int
+    tokens: TokenSeq
     max_len: int
+
+    @property
+    def true_len(self) -> int:  # the token count before truncation
+        return len(self.tokens)
 
     @property
     def effective_len(self) -> int:
@@ -138,7 +145,7 @@ def encode_post(toks: TokenSeq, table: EmbeddingTable, max_len: int) -> EncodedP
     kept = toks[:max_len]
     get, unk = table.vocab.get, table.unk_index
     indices = np.fromiter((get(tok.lower, unk) for tok in kept), dtype=np.int64, count=len(kept))
-    return EncodedPost(indices=indices, true_len=len(toks), max_len=max_len)
+    return EncodedPost(indices=indices, tokens=toks, max_len=max_len)
 
 
 def mean_pooled(post: EncodedPost, table: EmbeddingTable) -> np.ndarray:

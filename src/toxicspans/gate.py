@@ -52,10 +52,9 @@ def _sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _fit_logreg(
-    features: np.ndarray, targets: np.ndarray, epochs: int
-) -> tuple[np.ndarray, list[float]]:
-    """Full-batch gradient descent on the mean logistic loss.
+def _fit_logreg(features: np.ndarray, targets: np.ndarray, epochs: int) -> np.ndarray:
+    """Weights (bias last) after ``epochs`` steps of full-batch gradient
+    descent on the mean logistic loss.
 
     The step size comes from a Lipschitz bound on the loss curvature
     (max squared row norm / 4), which guarantees the loss never increases.
@@ -65,23 +64,10 @@ def _fit_logreg(
     weights = np.zeros(design.shape[1])
     lipschitz = float(np.max(np.sum(design * design, axis=1))) / 4.0
     step = 1.0 / max(lipschitz, 1e-12)
-    losses = []
     for _ in range(epochs):
-        logits = design @ weights
-        probs = _sigmoid(logits)
-        # log(1 + exp(-|z|)) form keeps the loss finite for saturated logits
-        losses.append(
-            float(
-                np.mean(
-                    np.log1p(np.exp(-np.abs(logits)))
-                    + np.maximum(logits, 0.0)
-                    - targets * logits
-                )
-            )
-        )
-        grad = design.T @ (probs - targets) / n
+        grad = design.T @ (_sigmoid(design @ weights) - targets) / n
         weights = weights - step * grad
-    return weights, losses
+    return weights
 
 
 def train_gate(
@@ -98,7 +84,7 @@ def train_gate(
     if targets.min() == targets.max():
         raise ValidationError("gate training data contains a single class only")
     features = np.stack([mean_pooled(post, table) for post, _ in data])
-    weights, _ = _fit_logreg(features, targets, epochs)
+    weights = _fit_logreg(features, targets, epochs)
     return GateModel(kind=KIND_INTERNAL, threshold=threshold, weights=weights,
                      vocab_hash=table.fingerprint())
 

@@ -11,13 +11,10 @@ those rows, and Viterbi decodes each post from its rows, put back post by
 post (``PackedSteps.unpack``); no padded slot is built.  A pass over one
 post (``predict`` of a post on its own, a training batch of one) runs the
 LSTM's one-post time loop and any larger pass its packed loop; both give
-the same bits.  At B = 1 a step is about a dozen numpy calls, and numpy's
-per-call cost has no batch axis to spread over, so the one-post loop lays
-the gates out gate-major, where all but one of a step's elementwise calls
-read contiguous blocks (see :mod:`lstm`).  The backward pass is fully manual (projection, then both
-LSTM directions) and writes gradients summed over the batch; only for a
-fine-tuned model does it ask the LSTM for the input gradient and
-accumulate embedding-row gradients from it.
+the same bits (see :mod:`lstm`).  The backward pass is fully manual
+(projection, then both LSTM directions) and writes gradients summed over
+the batch; only for a fine-tuned model does it ask the LSTM for the input
+gradient and accumulate embedding-row gradients from it.
 
 Both LSTM directions live in one stacked :class:`lstm.LstmParams` block
 (K = 2: forward, then backward) and run in lockstep, one
@@ -55,7 +52,7 @@ from .embeddings import EmbeddingTable, EncodedPost, encode_post
 from .errors import ValidationError
 from .lstm import LstmCache, LstmParams, lstm_backward, lstm_forward
 from .span_codec import BridgePolicy, labels_to_spans
-from .tokenizer import TokenSeq, tokenize
+from .tokenizer import tokenize
 
 NUM_LABELS = 2  # 0 = non-toxic, 1 = toxic
 # Posts per inference pass: enough rows per step to spread numpy's per-call
@@ -278,13 +275,10 @@ def nll_and_gradients(
 
 
 def predict_spans(
-    params: ModelParams,
-    toks: Sequence[TokenSeq],
-    posts: Sequence[EncodedPost],
-    policy: BridgePolicy,
-    arena: Arena | None = None,
+    params: ModelParams, posts: Sequence[EncodedPost], policy: BridgePolicy, arena: Arena | None = None
 ) -> list[CharSpanSet]:
-    """Decoded spans of tokenized posts from their encodings ``posts``.
+    """Decoded spans of encoded posts: each post's labels, decoded over the
+    tokens it was encoded from.
 
     The posts run longest first (a stable sort) in passes of
     :data:`INFER_BATCH`, each one emission pass and a Viterbi decode per
@@ -292,8 +286,6 @@ def predict_spans(
     truncated beyond an encoding's ``max_len`` are predicted non-toxic; a
     post with no tokens yields the empty span set.
     """
-    if len(toks) != len(posts):
-        raise ValidationError(f"{len(toks)} token sequences for {len(posts)} encoded posts")
     lens = [post.effective_len for post in posts]
     order = sorted((k for k in range(len(posts)) if lens[k]), key=lambda k: -lens[k])
     spans = [CharSpanSet() for _ in posts]
@@ -305,7 +297,7 @@ def predict_spans(
         for k in picked:
             labels = viterbi_decode(by_post[start : start + lens[k]], params.crf)
             start += lens[k]
-            spans[k] = labels_to_spans(toks[k], labels + [0] * (len(toks[k]) - lens[k]), policy)
+            spans[k] = labels_to_spans(posts[k].tokens, labels + [0] * (posts[k].true_len - lens[k]), policy)
     return spans
 
 
@@ -320,5 +312,4 @@ def predict(
     Tokens truncated beyond ``max_len`` are predicted non-toxic; empty text
     yields the empty span set.
     """
-    toks = tokenize(text)
-    return predict_spans(params, [toks], [encode_post(toks, params.embedding, max_len)], policy)[0]
+    return predict_spans(params, [encode_post(tokenize(text), params.embedding, max_len)], policy)[0]

@@ -33,7 +33,7 @@ from .metric import per_post_scores
 from .model import ModelParams, init_params, tensor_layout
 from .model import nll_and_gradients, predict_spans
 from .span_codec import BridgePolicy, spans_to_labels
-from .tokenizer import TokenSeq, tokenize
+from .tokenizer import tokenize
 
 # Elements per chunk of an Adam update: its two scratch chunks (256 KB)
 # stay in cache while the parameters, gradients and moments stream through.
@@ -111,12 +111,12 @@ class TrainConfig:
 
 @dataclass
 class TrainExample:
-    """One post prepared for training: tokens, encoding, labels, gold spans."""
+    """One post prepared for training: its encoding (which holds its
+    tokens), the gold labels of its encoded tokens, and its gold spans."""
 
     post_id: int
     encoded: EncodedPost
-    labels: list[int]
-    tokens: TokenSeq
+    labels: list[int]  # (encoded.effective_len,)
     gold: CharSpanSet
 
 
@@ -153,21 +153,15 @@ class AdamState:
 def build_examples(
     posts: Sequence[LabeledPost], table: EmbeddingTable, max_len: int
 ) -> list[TrainExample]:
-    """Tokenize, encode, and label every post for training/evaluation."""
+    """Tokenize, encode, and label every post for training/evaluation.
+
+    Gold spans are checked against the whole post; only the labels of the
+    encoded tokens are kept, so a post cut at ``max_len`` loses the rest."""
     examples = []
     for post in posts:
-        toks = tokenize(post.text)
-        encoded = encode_post(toks, table, max_len)
-        labels = spans_to_labels(toks, post.gold)
-        examples.append(
-            TrainExample(
-                post_id=post.id,
-                encoded=encoded,
-                labels=labels,
-                tokens=toks,
-                gold=post.gold,
-            )
-        )
+        encoded = encode_post(tokenize(post.text), table, max_len)
+        labels = spans_to_labels(encoded.tokens, post.gold)[: encoded.effective_len]
+        examples.append(TrainExample(post_id=post.id, encoded=encoded, labels=labels, gold=post.gold))
     return examples
 
 
@@ -236,9 +230,7 @@ def dev_char_f1(
     passes run in ``arena`` (a new one by default)."""
     if not examples:
         raise ValidationError("dev split is empty")
-    spans = predict_spans(
-        params, [ex.tokens for ex in examples], [ex.encoded for ex in examples], policy, arena
-    )
+    spans = predict_spans(params, [ex.encoded for ex in examples], policy, arena)
     scores = [per_post_scores(pred, ex.gold).f1 for pred, ex in zip(spans, examples)]
     return float(np.mean(scores))
 
@@ -305,10 +297,7 @@ def train(
             where = f"in epoch {epoch} (batch starting at {lo})"
             try:
                 batch_nll, grads = nll_and_gradients(
-                    [ex.encoded for ex in batch],
-                    [ex.labels[: ex.encoded.effective_len] for ex in batch],
-                    params,
-                    arena,
+                    [ex.encoded for ex in batch], [ex.labels for ex in batch], params, arena
                 )
             except NonFiniteError as exc:
                 raise TrainingDivergedError(f"{exc} {where}") from None

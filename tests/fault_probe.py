@@ -9,7 +9,7 @@ posts, tagged by ``predict_spans`` in three packed passes and then a lone
 post's pass.  BLAS is pinned to one thread before numpy loads.  Run it from
 the repository root:
 
-    PYTHONPATH=src python tests/fault_probe.py [--hidden 128] [--posts 1000]
+    PYTHONPATH=src python tests/fault_probe.py [--hidden 128] [--posts 1000] [--max-len 128]
 
 A training step that allocates and frees megabytes each step shows here as
 tens of thousands of faults: glibc returns the freed top of the heap to the
@@ -48,25 +48,26 @@ def main() -> None:
     parser.add_argument("--batch", type=int, default=16)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--finetune", action="store_true")
+    parser.add_argument("--max-len", type=int, default=128, help="tokens encoded per post")
     args = parser.parse_args()
 
     sink = io.BytesIO()
     write_embedding_file(sink, dim=25, seed=7)
     sink.seek(0)
     table = load_embeddings(sink, 25)
-    examples = build_examples(generate_posts(args.posts, seed=args.seed), table, max_len=128)
+    examples = build_examples(generate_posts(args.posts, seed=args.seed), table, args.max_len)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed, learning_rate=3e-3,
                       hidden_size=args.hidden, early_stop_patience=args.epochs,
-                      finetune_embeddings=args.finetune)
+                      max_len=args.max_len, finetune_embeddings=args.finetune)
 
     before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     params, _ = train(examples, cfg, table)
     wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
 
-    held_out = build_examples(generate_posts(4 * INFER_BATCH, seed=args.seed + 1), table, max_len=128)
+    held_out = build_examples(generate_posts(4 * INFER_BATCH, seed=args.seed + 1), table, args.max_len)
     held_out = [ex for ex in held_out if ex.encoded.effective_len][: 3 * INFER_BATCH + 1]
     policy = BridgePolicy(bridge_gaps=True, max_gap=cfg.bridge_gap)
-    spans = predict_spans(params, [ex.tokens for ex in held_out], [ex.encoded for ex in held_out], policy)
+    spans = predict_spans(params, [ex.encoded for ex in held_out], policy)
     predictions = io.BytesIO()
     write_predictions([PostPrediction(ex.post_id, s) for ex, s in zip(held_out, spans)], predictions)
     print(json.dumps({

@@ -93,7 +93,7 @@ class TestPoisonedArena:
                 return decode(em, crf)
 
             monkeypatch.setattr(toxicspans.model, "viterbi_decode", recording_decode)
-            return predict_spans(params, toks, posts, BridgePolicy()), seen
+            return predict_spans(params, posts, BridgePolicy()), seen
 
         spans, emissions = tag()
         assert any(spans)
@@ -165,7 +165,7 @@ def test_predict_spans_passes_give_the_bits_of_fresh_passes(monkeypatch):
         return decode(em, crf)
 
     monkeypatch.setattr(toxicspans.model, "viterbi_decode", recording_decode)
-    predict_spans(params, toks, posts, BridgePolicy())
+    predict_spans(params, posts, BridgePolicy())
     monkeypatch.undo()
 
     order = sorted(range(len(posts)), key=lambda k: -posts[k].effective_len)

@@ -164,7 +164,7 @@ def test_predict_spans_over_a_list_matches_single_posts(hidden, monkeypatch):
         return decode(em, crf)
 
     monkeypatch.setattr(toxicspans.model, "viterbi_decode", recording_decode)
-    spans = predict_spans(params, toks, posts, policy)
+    spans = predict_spans(params, posts, policy)
     monkeypatch.undo()
 
     expected = [predict(params, text, max_len, policy) for text in texts]

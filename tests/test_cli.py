@@ -632,9 +632,9 @@ class TestPredict:
         arenas = []
         predict_spans = toxicspans.cli.predict_spans
 
-        def spy(params, toks, posts, policy, arena=None):
+        def spy(params, posts, policy, arena=None):
             arenas.append(arena)
-            return predict_spans(params, toks, posts, policy, arena)
+            return predict_spans(params, posts, policy, arena)
 
         monkeypatch.setattr(toxicspans.cli, "predict_spans", spy)
         assert run_predict(workspace, "shared.tsv") == 0

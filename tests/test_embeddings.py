@@ -98,7 +98,8 @@ class TestEncodePost:
         table = make_table(["w"])
         toks = tokenize(" ".join(["w"] * 200))
         post = encode_post(toks, table, max_len=128)
-        assert post.true_len == 200
+        assert post.tokens is toks
+        assert post.true_len == len(post.tokens) == 200
         assert post.mask.sum() == 128
         assert post.effective_len == 128
 

@@ -73,7 +73,12 @@ class TestTrainGate:
         rng = np.random.default_rng(0)
         features = rng.normal(size=(40, 6)) * 3.0
         targets = (rng.random(40) < 0.5).astype(float)
-        _, losses = _fit_logreg(features, targets, epochs=200)
+        design = np.hstack([features, np.ones((len(features), 1))])
+        losses = []
+        for k in range(1, 201):
+            logits = design @ _fit_logreg(features, targets, epochs=k)
+            # the log(1 + exp(-|z|)) form keeps the loss finite for saturated logits
+            losses.append(np.mean(np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0) - targets * logits))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 

@@ -18,8 +18,9 @@ from toxicspans.dataio import CharSpanSet, LabeledPost
 from toxicspans.embeddings import load_embeddings
 from toxicspans.errors import NonFiniteError, TrainingDivergedError, ValidationError
 from toxicspans.model import init_params, predict
-from toxicspans.span_codec import BridgePolicy
+from toxicspans.span_codec import BridgePolicy, spans_to_labels
 from toxicspans.synthetic import generate_posts, write_embedding_file
+from toxicspans.tokenizer import tokenize
 from toxicspans.training import (
     AdamState,
     TrainConfig,
@@ -165,6 +166,18 @@ class TestAdam:
                 assert np.array_equal(got, want, equal_nan=True)
                 if case != "fires":
                     assert np.array_equal(got, unclipped, equal_nan=True)
+
+
+class TestBuildExamples:
+    def test_truncated_post_keeps_the_labels_of_its_encoded_tokens(self):
+        table = make_table(["bad", "w"])
+        text = "w w bad w w bad w"
+        gold = CharSpanSet(tuple(range(4, 7)) + tuple(range(12, 15)))
+        [example] = build_examples([LabeledPost(id=3, text=text, gold=gold)], table, max_len=4)
+        full = spans_to_labels(tokenize(text), gold)
+        assert full == [0, 0, 1, 0, 0, 1, 0]
+        assert example.encoded.effective_len == 4 and example.encoded.true_len == 7
+        assert example.labels == full[:4]
 
 
 class TestTrain:
