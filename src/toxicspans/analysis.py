@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dataio import LabeledPost, PostPrediction
-from .errors import ValidationError
+from .metric import check_aligned
 from .span_codec import spans_to_labels
 from .tokenizer import tokenize
 
@@ -63,14 +63,9 @@ def categorize_errors(
     partial-span: overlapping proper subset of gold;
     wrong-offsets: everything else (shifted or partly spurious spans).
     """
-    if len(preds) != len(golds):
-        raise ValidationError(f"prediction count {len(preds)} != gold count {len(golds)}")
+    check_aligned(preds, golds)
     buckets = {category: [] for category in CATEGORIES}
     for pred, gold_post in zip(preds, golds):
-        if pred.id != gold_post.id:
-            raise ValidationError(
-                f"id mismatch: prediction {pred.id} vs gold {gold_post.id}"
-            )
         predicted = pred.spans
         gold = gold_post.gold
         if predicted == gold:

@@ -325,16 +325,23 @@ def cmd_gate_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _setup_gate(args: argparse.Namespace, table) -> tuple[GateModel | None, dict[str, str]]:
+def _check_gate_args(args: argparse.Namespace) -> None:
+    """Reject a bad ``--gate`` mode or threshold, or ``--gate internal`` without a model."""
+    mode = _resolve(args, "gate")
+    if mode not in ("off", "internal") and not mode.startswith("scores:"):
+        raise ValidationError(f"--gate must be off, internal, or scores:<path>, got {mode!r}")
+    if mode == "internal" and not args.gate_model:
+        raise ValidationError("--gate internal requires --gate-model <path>")
+    check_gate_options(threshold=_resolve(args, "gate_threshold"))
+
+
+def _load_gate(args: argparse.Namespace, table) -> tuple[GateModel | None, dict[str, str]]:
     """The gate that ``--gate`` names, and the manifest ``inputs`` entry of
     the file it was read from (none when the gate is off)."""
     mode = _resolve(args, "gate")
     if mode == "off":
         return None, {}
-    threshold = _resolve(args, "gate_threshold")
     if mode == "internal":
-        if not args.gate_model:
-            raise ValidationError("--gate internal requires --gate-model <path>")
         model = load_gate(_require_file(args.gate_model, "gate model"))
         if model.vocab_hash not in (None, vocab_hash := table.fingerprint()):
             raise ValidationError(
@@ -342,26 +349,28 @@ def _setup_gate(args: argparse.Namespace, table) -> tuple[GateModel | None, dict
                 f"{model.vocab_hash} != {vocab_hash} of {args.embeddings} (dim {table.dim})"
             )
         # an explicit threshold (flag or config file) overrides the stored one
-        if args.gate_threshold is not None or "gate_threshold" in args._config_values:
-            model = replace(model, threshold=threshold)
-        return model, {"gate_model": args.gate_model}
-    if mode.startswith("scores:"):
-        path = mode.split(":", 1)[1]
-        return load_external_gate(_require_file(path, "gate score"), threshold), {"gate_scores": path}
-    raise ValidationError(f"--gate must be off, internal, or scores:<path>, got {mode!r}")
+        threshold = _resolve(args, "gate_threshold", default=model.threshold)
+        return replace(model, threshold=threshold), {"gate_model": args.gate_model}
+    path = mode.removeprefix("scores:")
+    gate = load_external_gate(_require_file(path, "gate score"), _resolve(args, "gate_threshold"))
+    return gate, {"gate_scores": path}
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     started = time.time()
+    # flag and config values before any file; a value the checkpoint
+    # supplies passed TrainConfig.validate when the checkpoint was loaded
+    check_max_len(_resolve(args, "max_len"))
+    BridgePolicy(max_gap=_resolve(args, "bridge_gap"))
+    _check_gate_args(args)
     table = _load_table(args)
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     params, cfg = load_checkpoint(ckpt_path, table)
     max_len = _resolve(args, "max_len", default=cfg.max_len)
-    check_max_len(max_len)
     # a flag or config value beats the gap the checkpoint was chosen with
     bridge_gap = _resolve(args, "bridge_gap", default=cfg.bridge_gap)
     policy = BridgePolicy(bridge_gaps=True, max_gap=bridge_gap)
-    gate, gate_input = _setup_gate(args, table)
+    gate, gate_input = _load_gate(args, table)
     posts = _load_posts(args, has_gold=False)
 
     preds = []
@@ -430,8 +439,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     golds = _load_posts(args, has_gold=True)
     with open(_require_file(args.pred, "prediction"), "rb") as handle:
         preds = read_predictions(handle)
-    if len(preds) != len(golds) or any(p.id != g.id for p, g in zip(preds, golds)):
-        raise ValidationError("prediction file does not align with the dataset")
     buckets = categorize_errors(preds, golds)
     by_id = {post.id: post for post in golds}
     total = sum(len(b.post_ids) for b in buckets)

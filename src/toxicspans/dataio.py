@@ -6,6 +6,11 @@ integer-list literal such as ``[7, 8, 9]`` naming the toxic character
 positions of the post.  Predictions are written one post per line as
 ``<id>\\t[<i1>, <i2>, ...]`` with ascending indexes.
 
+Prediction files and the gate's score files are framed alike: lines of
+exactly two tab-separated fields ``<id>\\t<value>``, the integer id appearing
+once.  Blank lines are skipped, CRLF endings allowed, and a framing or value
+error names its line.
+
 The span literal grammar, where ``ws`` is any run of Unicode whitespace
 (``str.isspace``) and ``digit`` any Unicode decimal digit (category Nd,
 e.g. ``٣`` as well as ``3``)::
@@ -25,7 +30,7 @@ whitespace, leading zeros, floats, ``true``, nested lists, ints over the
 digit limit, malformed input) is read by the grammar path alone, so the
 result and any error message are the same either way.
 
-Both files must be UTF-8 (an optional BOM is skipped).  Character indexes
+Every file must be UTF-8 (an optional BOM is skipped).  Character indexes
 always refer to positions in the decoded Unicode scalar sequence of the
 text, never to bytes.
 """
@@ -38,10 +43,9 @@ import json
 import logging
 import operator
 import re
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import DataFormatError, ValidationError
 
@@ -63,9 +67,7 @@ _json_scan = json.JSONDecoder().scan_once
 class CharSpanSet:
     """A set of character indexes, stored sorted and deduplicated.
 
-    An empty set is legal and means "non-toxic post".  Membership is a
-    binary search of the sorted tuple: a frozenset kept beside it would
-    cost several times the tuple's memory for every span set held.
+    An empty set is legal and means "non-toxic post".
     """
 
     indexes: tuple[int, ...] = ()
@@ -96,10 +98,6 @@ class CharSpanSet:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indexes)
-
-    def __contains__(self, index: int) -> bool:
-        pos = bisect_left(self.indexes, index)
-        return pos < len(self.indexes) and self.indexes[pos] == index
 
     def __and__(self, other: "CharSpanSet") -> "CharSpanSet":
         return CharSpanSet._of_sorted(sorted(set(self.indexes).intersection(other.indexes)))
@@ -296,9 +294,10 @@ def write_predictions(preds: Iterable[PostPrediction], sink: IO) -> None:
             out.write(f"{pred.id}\t{format_span_literal(pred.spans)}\n")
 
 
-def read_predictions(source: IO) -> list[PostPrediction]:
-    """Parse a prediction file written by :func:`write_predictions`."""
-    preds: list[PostPrediction] = []
+def read_id_values(source: IO, parse_value: Callable[[str], object]) -> list[tuple[int, object]]:
+    """The ``(id, value)`` pairs of an ``<id>\\t<value>`` file in file order;
+    ``parse_value`` raises :class:`DataFormatError` on a bad value field."""
+    pairs = []
     first_line: dict[int, int] = {}
     with text_reader(source) as stream:
         lines = list(stream)
@@ -306,21 +305,23 @@ def read_predictions(source: IO) -> list[PostPrediction]:
         line = line.rstrip("\r\n")
         if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataFormatError(f"line {line_no}: expected '<id>\\t<spans>'")
         try:
-            post_id = int(parts[0])
-        except ValueError:
-            raise DataFormatError(f"line {line_no}: bad id {parts[0]!r}") from None
-        if post_id in first_line:
-            raise DataFormatError(
-                f"line {line_no}: duplicate id {post_id} (first on line {first_line[post_id]})"
-            )
-        first_line[post_id] = line_no
-        try:
-            spans = parse_span_literal(parts[1])
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataFormatError("expected '<id>\\t<value>'")
+            try:
+                post_id = int(parts[0])
+            except ValueError:
+                raise DataFormatError(f"bad id {parts[0]!r}") from None
+            if post_id in first_line:
+                raise DataFormatError(f"duplicate id {post_id} (first on line {first_line[post_id]})")
+            first_line[post_id] = line_no
+            pairs.append((post_id, parse_value(parts[1])))
         except DataFormatError as exc:
             raise DataFormatError(f"line {line_no}: {exc}") from None
-        preds.append(PostPrediction(id=post_id, spans=spans))
-    return preds
+    return pairs
+
+
+def read_predictions(source: IO) -> list[PostPrediction]:
+    """Parse a prediction file written by :func:`write_predictions`."""
+    return [PostPrediction(*pair) for pair in read_id_values(source, parse_span_literal)]

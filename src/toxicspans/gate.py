@@ -17,7 +17,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .checkpoint import atomic_write_text
-from .dataio import CharSpanSet, text_reader
+from .dataio import CharSpanSet, read_id_values
 from .embeddings import EmbeddingTable, EncodedPost, mean_pooled
 from .errors import DataFormatError, ValidationError
 
@@ -116,30 +116,19 @@ def apply_gate(detected: CharSpanSet, score: float, threshold: float) -> CharSpa
     return detected
 
 
+def _probability(field: str) -> float:
+    try:
+        prob = float(field)
+    except ValueError:
+        raise DataFormatError(f"bad probability {field!r}") from None
+    if not 0.0 <= prob <= 1.0:  # false for NaN too
+        raise DataFormatError(f"probability {prob} outside [0, 1]")
+    return prob
+
+
 def read_score_file(source: IO) -> dict[int, float]:
-    """Parse ``<id>\\t<probability>`` lines into an id -> probability map;
-    each id may appear once."""
-    scores: dict[int, float] = {}
-    with text_reader(source) as stream:
-        lines = stream.readlines()
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataFormatError(f"line {line_no}: expected '<id>\\t<probability>'")
-        try:
-            post_id = int(parts[0])
-            prob = float(parts[1])
-        except ValueError:
-            raise DataFormatError(f"line {line_no}: bad id or probability") from None
-        if not 0.0 <= prob <= 1.0:
-            raise DataFormatError(f"line {line_no}: probability {prob} outside [0, 1]")
-        if post_id in scores:
-            raise DataFormatError(f"line {line_no}: duplicate post id {post_id}")
-        scores[post_id] = prob
-    return scores
+    """Parse ``<id>\\t<probability>`` lines into an id -> probability map."""
+    return dict(read_id_values(source, _probability))
 
 
 def save_gate(model: GateModel, path: str | Path) -> None:

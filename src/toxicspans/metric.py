@@ -46,20 +46,22 @@ def per_post_scores(pred: CharSpanSet, gold: CharSpanSet) -> PostScore:
     return PostScore(precision=precision, recall=recall, f1=f1)
 
 
+def check_aligned(preds: Sequence[PostPrediction], golds: Sequence[LabeledPost]) -> None:
+    """Reject predictions whose count, or id at any position, differs from the gold posts'."""
+    if len(preds) != len(golds):
+        raise ValidationError(f"prediction count {len(preds)} != gold count {len(golds)}")
+    for pred, gold in zip(preds, golds):
+        if pred.id != gold.id:
+            raise ValidationError(f"id mismatch: prediction {pred.id} vs gold {gold.id}")
+
+
 def evaluate(
     preds: Sequence[PostPrediction], golds: Sequence[LabeledPost]
 ) -> EvalReport:
     """Score a full prediction list against aligned gold posts."""
-    if len(preds) != len(golds):
-        raise ValidationError(
-            f"prediction count {len(preds)} != gold count {len(golds)}"
-        )
+    check_aligned(preds, golds)
     if not preds:
         raise ValidationError("nothing to evaluate: empty prediction list")
-    per_post = []
-    for pred, gold in zip(preds, golds):
-        if pred.id != gold.id:
-            raise ValidationError(f"id mismatch: prediction {pred.id} vs gold {gold.id}")
-        per_post.append(per_post_scores(pred.spans, gold.gold))
+    per_post = [per_post_scores(pred.spans, gold.gold) for pred, gold in zip(preds, golds)]
     mean_f1 = sum(s.f1 for s in per_post) / len(per_post)
     return EvalReport(per_post=per_post, mean_f1=mean_f1)

@@ -568,6 +568,11 @@ class TestPredict:
         internal = ("--gate", "internal", "--gate-model", str(gate_07))
         assert recorded("stored.tsv", *internal) == 0.7
         assert recorded("flagged.tsv", *internal, "--gate-threshold", "0.6") == 0.6
+        config = workspace / "threshold.cfg"
+        config.write_text("gate_threshold = 0.65\n")
+        assert recorded("configured.tsv", *internal, "--config", str(config)) == 0.65
+        assert recorded("flag_beats_config.tsv", *internal, "--config", str(config),
+                        "--gate-threshold", "0.6") == 0.6
         assert recorded("off.tsv") is None
 
     def test_manifest_lists_only_the_gate_files_read(self, workspace, gate_07, tmp_path):
@@ -863,8 +868,8 @@ class TestAnalyze:
 
 class TestOptionsCheckedFirst:
     """A bad option exits 2 with one error line before any input file is
-    read, and writes nothing; ``predict`` reads its checkpoint first, since
-    the checkpoint holds its defaults, but never the data."""
+    read, and writes nothing; ``predict`` checks a flagged value before it
+    reads the checkpoint that holds its defaults."""
 
     @pytest.mark.parametrize(
         "command, extra, match",
@@ -878,9 +883,16 @@ class TestOptionsCheckedFirst:
             ("stats", ["--max-len", "-1"], "max_len"),
             ("analyze", ["--samples", "-1"], "samples"),
             ("predict", ["--max-len", "0"], "max_len"),
+            ("predict", ["--bridge-gap", "-1"], "max_gap"),
+            ("predict", ["--gate", "off", "--gate-threshold", "1.5"], "threshold"),
+            ("predict", ["--gate-threshold", "1.5", "--embeddings", "missing-vectors.txt"], "threshold"),
+            ("predict", ["--gate", "always"], "--gate must be"),
+            ("predict", ["--gate", "internal"], "requires --gate-model"),
         ],
         ids=["train-lr-nan", "train-bridge-gap", "gate-epochs-negative", "gate-epochs-zero",
-             "gate-threshold", "gate-max-len", "stats-max-len", "analyze-samples", "predict-max-len"],
+             "gate-threshold", "gate-max-len", "stats-max-len", "analyze-samples", "predict-max-len",
+             "predict-bridge-gap", "predict-gate-threshold", "predict-threshold-no-embeddings",
+             "predict-gate-mode", "predict-gate-model"],
     )
     def test_bad_option_exits_2_before_reading_data(
         self, workspace, tmp_path, capsys, monkeypatch, command, extra, match
@@ -889,8 +901,7 @@ class TestOptionsCheckedFirst:
             raise AssertionError("an input file was read before the options were checked")
 
         monkeypatch.setattr(toxicspans.cli, "parse_dataset", unreachable)
-        if command != "predict":  # predict reads its checkpoint, and so the table, for its defaults
-            monkeypatch.setattr(toxicspans.cli, "load_embeddings", unreachable)
+        monkeypatch.setattr(toxicspans.cli, "load_embeddings", unreachable)
         args = [command, "--data", str(workspace / "train.csv")]
         if command in ("train", "gate-train"):
             args += ["--embeddings", str(workspace / "vectors.txt"), "--embedding-dim", str(DIM),

@@ -18,6 +18,7 @@ from toxicspans.dataio import (
     write_predictions,
 )
 from toxicspans.errors import ValidationError
+from toxicspans.gate import read_score_file
 from toxicspans.span_codec import BridgePolicy, labels_to_spans
 from toxicspans.tokenizer import tokenize
 
@@ -415,3 +416,37 @@ class TestPredictions:
         sink = io.BytesIO()
         write_predictions(preds, sink)
         assert read_predictions(io.BytesIO(sink.getvalue())) == preds
+
+
+# Each <id>\t<value> reader with a valid value field; both fields are three
+# bytes long, so a byte offset is the same in either reader's file.
+ID_VALUE_READERS = {"predictions": (read_predictions, b"[1]"), "scores": (read_score_file, b"0.5")}
+
+
+@pytest.mark.parametrize("reader", ID_VALUE_READERS)
+class TestIdValueFraming:
+    """Prediction files and score files share one line reader, so the same
+    fault gives the same message from both."""
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"0\t{v}\nbroken\n", "line 2: expected '<id>\\t<value>'"),
+            (b"0\t{v}\n1\t{v}\t{v}\n", "line 2: expected '<id>\\t<value>'"),
+            (b"0\t{v}\nzero\t{v}\n", "line 2: bad id 'zero'"),
+            (b"0\t{v}\n1\t{v}\n0\t{v}\n", "line 3: duplicate id 0 (first on line 1)"),
+            (b"0\t{v}\n\xe9\t{v}\n", "not valid UTF-8 at byte 6: invalid continuation byte"),
+        ],
+        ids=["no-tab", "three-fields", "bad-id", "repeated-id", "not-utf8"],
+    )
+    def test_same_fault_same_message(self, reader, raw, message):
+        read, value = ID_VALUE_READERS[reader]
+        with pytest.raises(DataFormatError) as exc:
+            read(io.BytesIO(raw.replace(b"{v}", value)))
+        assert str(exc.value) == message
+
+    def test_blank_and_crlf_lines_skipped(self, reader):
+        read, value = ID_VALUE_READERS[reader]
+        plain = read(io.BytesIO(b"0\t%s\n2\t%s\n" % (value, value)))
+        assert len(plain) == 2
+        assert read(io.BytesIO(b"\r\n0\t%s\r\n\n\n2\t%s\r\n\r\n" % (value, value))) == plain

@@ -150,7 +150,7 @@ class TestScoreFiles:
             read_score_file(io.BytesIO(b"0\t1.5\n"))
 
     def test_duplicate_id_rejected_with_line_number(self):
-        with pytest.raises(DataFormatError, match="line 3: duplicate post id 0"):
+        with pytest.raises(DataFormatError, match=r"line 3: duplicate id 0 \(first on line 1\)"):
             read_score_file(io.BytesIO(b"0\t0.5\n1\t0.2\n0\t0.9\n"))
 
     def test_load_external_gate(self, tmp_path):
