@@ -5,19 +5,18 @@ The body is ``ModelParams.vector``: the tensors, then the embedding matrix
 if it was fine-tuned.  The header records the dimensions, the training
 configuration, a digest of the embedding vocabulary, and the tensor list of
 :func:`model.tensor_layout`; loading rejects any dimension or vocabulary
-mismatch.  Writes are atomic (temp file + rename) and byte-deterministic,
-so identical runs produce identical files.
+mismatch.  Writes are byte-deterministic, so identical runs produce
+identical files, and atomic (:func:`dataio.atomic_write_bytes`).
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from .dataio import atomic_write_bytes
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError, ValidationError
 from .model import NUM_LABELS, Layout, ModelParams, params_from_vector, tensor_layout
@@ -27,37 +26,6 @@ MAGIC = b"TOXICSPANS-CKPT-1\n"
 _DTYPE = "<f8"
 _HEADER_KEYS = ("dtype", "dims", "train_config", "vocab_hash", "tensors")
 _DIM_KEYS = ("input_dim", "hidden_size")
-
-
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-_FILE_MODE = 0o666 & ~_umask()  # what a plain open() would create
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a uniquely named sibling temp file and rename, so readers
-    never see a partial file and concurrent writers never share a temp
-    file: the last rename wins with one writer's complete bytes."""
-    path = Path(path)
-    if not path.parent.is_dir():
-        raise FileNotFoundError(f"cannot write {path}: no directory {path.parent}")
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.chmod(tmp, _FILE_MODE)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _body_layout(table: EmbeddingTable, cfg: TrainConfig) -> tuple[Layout, list[list]]:

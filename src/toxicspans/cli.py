@@ -24,35 +24,28 @@ import numpy as np
 
 from . import __version__
 from .analysis import categorize_errors, span_word_histogram
-from .arena import Arena
-from .checkpoint import (
+from .checkpoint import load_checkpoint, save_checkpoint
+from .dataio import (
     atomic_write_bytes,
     atomic_write_text,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .dataio import (
     parse_dataset,
     read_predictions,
     text_reader,
     write_predictions,
     PostPrediction,
 )
-from .embeddings import check_max_len, encode_post, load_embeddings, mean_pooled
+from .embeddings import check_max_len, encode_post, load_embeddings
 from .errors import DataFormatError, ToxicSpansError, ValidationError
 from .gate import (
-    KIND_INTERNAL,
     GateModel,
-    apply_gate,
     check_gate_options,
-    gate_score,
     load_external_gate,
     load_gate,
     save_gate,
     train_gate,
 )
 from .metric import evaluate
-from .model import INFER_BATCH, predict_spans
+from .model import tag_posts
 from .span_codec import BridgePolicy
 from .tokenizer import tokenize
 from .training import TrainConfig, build_examples, train
@@ -348,6 +341,9 @@ def _load_gate(args: argparse.Namespace, table) -> tuple[GateModel | None, dict[
                 f"gate model {args.gate_model} was trained on another embedding table: vocab_hash "
                 f"{model.vocab_hash} != {vocab_hash} of {args.embeddings} (dim {table.dim})"
             )
+        if model.vocab_hash is None:
+            print(f"warning: gate model {args.gate_model} records no embedding table, "
+                  f"so it was not checked against {args.embeddings}", file=sys.stderr)
         # an explicit threshold (flag or config file) overrides the stored one
         threshold = _resolve(args, "gate_threshold", default=model.threshold)
         return replace(model, threshold=threshold), {"gate_model": args.gate_model}
@@ -372,28 +368,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     policy = BridgePolicy(bridge_gaps=True, max_gap=bridge_gap)
     gate, gate_input = _load_gate(args, table)
     posts = _load_posts(args, has_gold=False)
-
-    preds = []
-    # input-order windows keep one window's encodings in memory at a time,
-    # and all share one arena, so its buffers are made once
-    arena = Arena()
-    for lo in range(0, len(posts), INFER_BATCH):
-        window = posts[lo : lo + INFER_BATCH]
-        encoded = [encode_post(tokenize(post.text), table, max_len) for post in window]
-        tagged = predict_spans(params, encoded, policy, arena)
-        for post, enc, spans in zip(window, encoded, tagged):
-            if gate is not None:
-                pooled = mean_pooled(enc, table) if gate.kind == KIND_INTERNAL else None
-                spans = apply_gate(spans, gate_score(gate, post.id, pooled), gate.threshold)
-            preds.append(PostPrediction(id=post.id, spans=spans))
-
+    spans = tag_posts(params, table, posts, max_len, policy, gate)
+    preds = [PostPrediction(id=post.id, spans=found) for post, found in zip(posts, spans)]
     buffer = io.BytesIO()
     write_predictions(preds, buffer)
     atomic_write_bytes(args.out, buffer.getvalue())
     print(f"{len(preds)} predictions written to {args.out}")
-    if gate is not None and gate.kind == KIND_INTERNAL and gate.vocab_hash is None:
-        print(f"warning: gate model {args.gate_model} records no embedding table, "
-              f"so it was not checked against {args.embeddings}", file=sys.stderr)
     inputs = {"data": args.data, "embeddings": args.embeddings,
               "checkpoint": args.checkpoint, **gate_input}
     _write_manifest(

@@ -1,4 +1,5 @@
-"""Readers and writers for the dataset CSV and the prediction file format.
+"""Readers and writers for the dataset CSV and the prediction file format,
+and the atomic write (temp file + rename) of every file the package writes.
 
 The dataset is a CSV with a header row and columns ``spans`` and ``text``
 (blind test files carry ``text`` only).  The ``spans`` cell is a bracketed
@@ -42,9 +43,12 @@ import io
 import json
 import logging
 import operator
+import os
 import re
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
 from .errors import DataFormatError, ValidationError
@@ -208,6 +212,37 @@ def text_writer(sink: IO):
         yield wrapper
     finally:
         wrapper.detach()  # detaching flushes and leaves the sink open
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+_FILE_MODE = 0o666 & ~_umask()  # what a plain open() would create
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write via a uniquely named sibling temp file and rename, so readers
+    never see a partial file and concurrent writers never share a temp
+    file: the last rename wins with one writer's complete bytes."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"cannot write {path}: no directory {path.parent}")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.chmod(tmp, _FILE_MODE)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def parse_dataset(source: IO, has_gold: bool = True, lenient: bool = False) -> list[LabeledPost]:

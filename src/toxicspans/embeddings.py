@@ -25,9 +25,6 @@ from .dataio import text_reader
 from .errors import DataFormatError, ValidationError
 from .tokenizer import TokenSeq
 
-UNK_TOKEN = "<UNK>"
-PAD_TOKEN = "<PAD>"
-
 
 @dataclass
 class EmbeddingTable:

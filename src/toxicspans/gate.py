@@ -16,8 +16,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_write_text
-from .dataio import CharSpanSet, read_id_values
+from .dataio import CharSpanSet, atomic_write_text, read_id_values
 from .embeddings import EmbeddingTable, EncodedPost, mean_pooled
 from .errors import DataFormatError, ValidationError
 

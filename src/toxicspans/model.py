@@ -32,7 +32,8 @@ A pass keeps its arrays in an :class:`arena.Arena`, the caller's or a new
 one: the gathered embedding rows and the gradient vector, next to the
 LSTM's (see :mod:`lstm`).  ``predict_spans`` runs all of its passes in
 one arena.  What a call returns from an arena is valid until the next
-call that uses it.
+call that uses it.  :func:`tag_posts` tags raw posts and lets a gate
+empty the spans of each post that it calls non-toxic.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ import numpy as np
 from .arena import Arena
 from .batching import PackedSteps
 from .crf import CrfParams, crf_nll_grad, viterbi_decode
-from .dataio import CharSpanSet
-from .embeddings import EmbeddingTable, EncodedPost, encode_post
+from .dataio import CharSpanSet, LabeledPost
+from .embeddings import EmbeddingTable, EncodedPost, encode_post, mean_pooled
 from .errors import ValidationError
+from .gate import GateModel, apply_gate, gate_score
 from .lstm import LstmCache, LstmParams, lstm_backward, lstm_forward
 from .span_codec import BridgePolicy, labels_to_spans
 from .tokenizer import tokenize
@@ -298,6 +300,28 @@ def predict_spans(
             labels = viterbi_decode(by_post[start : start + lens[k]], params.crf)
             start += lens[k]
             spans[k] = labels_to_spans(posts[k].tokens, labels + [0] * (posts[k].true_len - lens[k]), policy)
+    return spans
+
+
+def tag_posts(
+    params: ModelParams, table: EmbeddingTable, posts: Sequence[LabeledPost], max_len: int,
+    policy: BridgePolicy, gate: GateModel | None = None,
+) -> list[CharSpanSet]:
+    """Spans of raw posts in input order, each tokenized once, tagged by
+    :func:`predict_spans` in input-order windows of :data:`INFER_BATCH` (one
+    window's encodings held at a time) that share one arena, then emptied
+    where ``gate`` scores the post below its threshold.  ``table`` is the
+    table the checkpoint was loaded against, which encodes the posts and
+    pools the gate's features: a fine-tuned model's ``params.embedding`` is
+    its tuned copy, and the gate was trained on the untuned table."""
+    spans, arena = [], Arena()
+    for lo in range(0, len(posts), INFER_BATCH):
+        window = posts[lo : lo + INFER_BATCH]
+        encoded = [encode_post(tokenize(post.text), table, max_len) for post in window]
+        for post, enc, found in zip(window, encoded, predict_spans(params, encoded, policy, arena)):
+            if gate is not None:
+                found = apply_gate(found, gate_score(gate, post.id, mean_pooled(enc, table)), gate.threshold)
+            spans.append(found)
     return spans
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-import toxicspans.cli
 import toxicspans.lstm
 import toxicspans.model
 import toxicspans.training
@@ -42,7 +41,7 @@ class PoisonedArena(Arena):
 
 def poison_arenas(monkeypatch) -> None:
     """Make every module that builds an arena build a :class:`PoisonedArena`."""
-    for module in (toxicspans.model, toxicspans.lstm, toxicspans.training, toxicspans.cli):
+    for module in (toxicspans.model, toxicspans.lstm, toxicspans.training):
         monkeypatch.setattr(module, "Arena", PoisonedArena)
 
 

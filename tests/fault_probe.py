@@ -3,11 +3,13 @@
 Trains a tagger on seeded synthetic posts (by default 1000 posts, 2 epochs,
 batch 16, H = 128, the synthetic 25-dimensional vectors) and prints one JSON
 line: ``ru_minflt`` and user and system CPU seconds of this process around
-the call, its wall seconds, the sha256 of the checkpoint it would save, and
+the call, its wall seconds, the sha256 of the checkpoint it would save,
 the sha256 of the prediction file of the trained model on 49 held-out
 posts, tagged by ``predict_spans`` in three packed passes and then a lone
-post's pass.  BLAS is pinned to one thread before numpy loads.  Run it from
-the repository root:
+post's pass, and the sha256 of the prediction file of the same posts
+tagged from their text by ``tag_posts`` and gated by an internal gate that
+``train_gate`` fits on the training posts.  BLAS is pinned to one thread
+before numpy loads.  Run it from the repository root:
 
     PYTHONPATH=src python tests/fault_probe.py [--hidden 128] [--posts 1000] [--max-len 128]
 
@@ -31,10 +33,13 @@ import json
 import resource
 import time
 
+import numpy as np
+
 from toxicspans.checkpoint import serialize_checkpoint
 from toxicspans.dataio import PostPrediction, write_predictions
-from toxicspans.embeddings import load_embeddings
-from toxicspans.model import INFER_BATCH, predict_spans
+from toxicspans.embeddings import load_embeddings, mean_pooled
+from toxicspans.gate import gate_score, train_gate
+from toxicspans.model import INFER_BATCH, predict_spans, tag_posts
 from toxicspans.span_codec import BridgePolicy
 from toxicspans.synthetic import generate_posts, write_embedding_file
 from toxicspans.training import TrainConfig, build_examples, train
@@ -64,12 +69,21 @@ def main() -> None:
     params, _ = train(examples, cfg, table)
     wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
 
-    held_out = build_examples(generate_posts(4 * INFER_BATCH, seed=args.seed + 1), table, args.max_len)
+    raw = generate_posts(4 * INFER_BATCH, seed=args.seed + 1)
+    held_out = build_examples(raw, table, args.max_len)
     held_out = [ex for ex in held_out if ex.encoded.effective_len][: 3 * INFER_BATCH + 1]
     policy = BridgePolicy(bridge_gaps=True, max_gap=cfg.bridge_gap)
     spans = predict_spans(params, [ex.encoded for ex in held_out], policy)
-    predictions = io.BytesIO()
-    write_predictions([PostPrediction(ex.post_id, s) for ex, s in zip(held_out, spans)], predictions)
+    gate = train_gate([(ex.encoded, bool(ex.gold)) for ex in examples], table)
+    # at the held-out posts' median score the gate empties about half of them
+    gate.threshold = float(np.median([gate_score(gate, 0, mean_pooled(ex.encoded, table)) for ex in held_out]))
+    gated = tag_posts(params, table, [raw[ex.post_id] for ex in held_out], args.max_len, policy, gate)
+
+    def digest(tagged):
+        predictions = io.BytesIO()
+        write_predictions([PostPrediction(ex.post_id, s) for ex, s in zip(held_out, tagged)], predictions)
+        return hashlib.sha256(predictions.getvalue()).hexdigest()
+
     print(json.dumps({
         "hidden": args.hidden,
         "posts": args.posts,
@@ -78,7 +92,8 @@ def main() -> None:
         "sys_s": round(after.ru_stime - before.ru_stime, 3),
         "wall_s": round(wall, 3),
         "checkpoint_sha256": hashlib.sha256(serialize_checkpoint(params, cfg, table)).hexdigest(),
-        "predictions_sha256": hashlib.sha256(predictions.getvalue()).hexdigest(),
+        "predictions_sha256": digest(spans),
+        "gated_predictions_sha256": digest(gated),
     }))
 
 

@@ -17,6 +17,7 @@ from oracles import grammar_parse_span_literal
 import toxicspans
 import toxicspans.cli
 import toxicspans.dataio
+import toxicspans.model
 from toxicspans.checkpoint import MAGIC
 from toxicspans.cli import DEFAULTS, main
 from toxicspans.dataio import read_predictions
@@ -635,13 +636,13 @@ class TestPredict:
         """Every window of posts is tagged in the same arena, so its
         buffers are made once per command, not once per window."""
         arenas = []
-        predict_spans = toxicspans.cli.predict_spans
+        predict_spans = toxicspans.model.predict_spans
 
         def spy(params, posts, policy, arena=None):
             arenas.append(arena)
             return predict_spans(params, posts, policy, arena)
 
-        monkeypatch.setattr(toxicspans.cli, "predict_spans", spy)
+        monkeypatch.setattr(toxicspans.model, "predict_spans", spy)
         assert run_predict(workspace, "shared.tsv") == 0
         assert len(arenas) == math.ceil(40 / INFER_BATCH) > 1
         assert arenas[0] is not None and all(arena is arenas[0] for arena in arenas)

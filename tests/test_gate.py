@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import json_values, make_table
+import toxicspans
 from toxicspans.dataio import CharSpanSet, text_writer
 from toxicspans.embeddings import encode_post, mean_pooled
 from toxicspans.errors import DataFormatError, ToxicSpansError, ValidationError
@@ -221,3 +226,15 @@ class TestGatePersistence:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValidationError):
             GateModel(kind=KIND_INTERNAL, threshold=1.5, weights=np.zeros(2))
+
+
+def test_importing_the_gate_loads_no_module_of_the_model_stack():
+    """The gate reads encoded posts and writes files; a fresh interpreter
+    that imports it loads neither the tagger nor its checkpoint format."""
+    stack = ["toxicspans.checkpoint", "toxicspans.model", "toxicspans.training", "toxicspans.lstm"]
+    code = f"import sys, toxicspans.gate; print([m for m in {stack!r} if m in sys.modules])"
+    src = str(Path(toxicspans.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -6,17 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import deep_equal, json_values, make_table, named_tensors
 from oracles import crf_nll, finite_difference, max_relative_error
-from toxicspans.dataio import CharSpanSet
-from toxicspans.embeddings import encode_post
+from toxicspans.dataio import CharSpanSet, LabeledPost
+from toxicspans.embeddings import encode_post, mean_pooled
 from toxicspans.errors import DataFormatError, ToxicSpansError, ValidationError
+from toxicspans.gate import KIND_EXTERNAL, KIND_INTERNAL, GateModel, apply_gate, gate_score
 from toxicspans.model import (
     _emissions,
     backward,
+    INFER_BATCH,
     TENSOR_NAMES,
     init_params,
     nll_and_gradients,
     params_from_vector,
     predict,
+    predict_spans,
+    tag_posts,
 )
 from toxicspans.span_codec import BridgePolicy
 from toxicspans.tokenizer import tokenize
@@ -177,9 +181,9 @@ class TestBackward:
         assert nll_before == nll_after
 
 
-def all_label_model(table, toxic: bool, seed=0):
+def all_label_model(table, toxic: bool, seed=0, finetune=False):
     """A model that deterministically labels every token one way."""
-    params = make_model(table, seed=seed)
+    params = make_model(table, seed=seed, finetune=finetune)
     params.emit.W_out[:] = 0.0
     params.emit.b_out[:] = [-10.0, 10.0] if toxic else [10.0, -10.0]
     params.crf.trans[:] = 0.0
@@ -211,6 +215,40 @@ class TestPredict:
         spans = predict(params, "w w w w", max_len=2,
                         policy=BridgePolicy(bridge_gaps=True, max_gap=1))
         assert spans.indexes == (0, 1, 2)  # first two tokens plus the bridge
+
+
+class TestTagPosts:
+    def test_equals_predict_spans_then_the_gate_in_input_order(self):
+        """33 posts, windows of 16, 16 and 1: each post's spans are those of
+        tagging it and gating it alone, in the order the posts came."""
+        words = ["the", "cat", "sat", "loser", "dog"]
+        table = make_table(words, dim=4)
+        params = make_model(table, hidden=3, seed=5)
+        rng = np.random.default_rng(2)
+        texts = [" ".join(rng.choice(words + ["idiot"], size=rng.integers(0, 12))) for _ in range(2 * INFER_BATCH + 1)]
+        posts = [LabeledPost(id=10 * k, text=text or "!", gold=CharSpanSet()) for k, text in enumerate(texts)]
+        policy = BridgePolicy(bridge_gaps=True, max_gap=1)
+        gate = GateModel(kind=KIND_EXTERNAL, threshold=0.5, scores={post.id: k % 3 / 2 for k, post in enumerate(posts)})
+        alone = [predict_spans(params, [encoded(table, post.text, 6)], policy)[0] for post in posts]
+        assert sum(map(bool, alone)) > 2
+        assert tag_posts(params, table, posts, 6, policy) == alone
+        assert tag_posts(params, table, posts, 6, policy, gate) == [
+            apply_gate(spans, gate.scores[post.id], 0.5) for post, spans in zip(posts, alone)
+        ] != alone
+
+    def test_a_fine_tuned_models_internal_gate_pools_over_the_loaded_table(self):
+        """The gate was trained on the table the checkpoint was loaded
+        against; pooling over the model's tuned copy would move this post's
+        score below the threshold and empty its spans."""
+        table = make_table(["the", "cat"], dim=3)
+        params = all_label_model(table, toxic=True, finetune=True)
+        table.matrix[:2, 0], params.embedding.matrix[:2, 0] = 1.0, -1.0
+        gate = GateModel(kind=KIND_INTERNAL, threshold=0.5, weights=np.array([4.0, 0.0, 0.0, 0.0]))
+        post = LabeledPost(id=0, text="the cat", gold=CharSpanSet())
+        tuned_score = gate_score(gate, 0, mean_pooled(encoded(table, post.text), params.embedding))
+        assert tuned_score < gate.threshold < gate_score(gate, 0, mean_pooled(encoded(table, post.text), table))
+        policy = BridgePolicy(bridge_gaps=True, max_gap=1)
+        assert tag_posts(params, table, [post], 8, policy, gate) == [CharSpanSet(tuple(range(7)))]
 
 
 class TestStackedDirections:
@@ -472,7 +510,7 @@ class TestCheckpoint:
                 ckpt.atomic_write_bytes(dst, b"second")  # ...while another writes and renames
             real_replace(src, dst)
 
-        monkeypatch.setattr(ckpt.os, "replace", replace_after_second_writer)
+        monkeypatch.setattr(os, "replace", replace_after_second_writer)
         ckpt.atomic_write_bytes(path, b"first")
         assert path.read_bytes() == b"first"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
