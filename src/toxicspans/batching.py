@@ -16,9 +16,10 @@ forward rows permuted by :attr:`PackedSteps.mirror`, an involution, so the
 same index takes forward rows to reversed ones and back.  Values given
 post by post (post 0's rows, then post 1's, ...) enter the layout through
 :meth:`PackedSteps.pack` and leave it through :meth:`PackedSteps.unpack`.
-When every post runs every step, as one post always does, the packed rows
-are the (T, B) steps themselves and a step is a plain index into their
-(T, B) view.
+
+Every per-step index is built the first time something reads it, so a
+one-post inference pass, which reads only its mirror (a reversed view),
+builds none of them.
 """
 
 from __future__ import annotations
@@ -47,40 +48,37 @@ class PackedSteps:
         if lengths[-1] < 1 or np.any(lengths[1:] > lengths[:-1]):
             raise ValidationError(f"lengths must be >= 1 and sorted longest first, got {lengths.tolist()}")
         self.lengths = lengths
-        self.T, self.B = T, B = int(lengths[0]), len(lengths)
-        self.full = lengths[-1] == T  # every post runs every step
-        # counts[s]: the posts longer than s, the first counts[s] of the batch
-        self.counts = counts = [B] * T if self.full else (
-            np.count_nonzero(lengths[None, :] > np.arange(T)[:, None], axis=1).tolist()
-        )
-        # Per step s: the index of its rows and (from step 1 on) of the rows
-        # of step s - 1 of the posts running at step s, in an array seen
-        # through by_step, and the selector of those first counts[s] posts
-        # in a (B, ...) array.  When every post runs every step the steps
-        # are plain integers into a (T, B, ...) view and the posts whole
-        # rows, which numpy indexes fastest.
-        if self.full:
-            self.offsets = range(0, T * B + 1, B)
-            self.rows, self.prev_rows = range(T), range(-1, T - 1)
-            self.heads = [slice(None)] * T
-        else:
-            self.offsets = offsets = list(accumulate(counts, initial=0))
-            self.rows = list(map(slice, offsets, offsets[1:]))
-            self.prev_rows = [None, *map(slice, offsets, map(add, offsets, counts[1:]))]
-            self.heads = list(map(slice, counts))
-        self.N = self.offsets[-1]
+        self.T, self.B = int(lengths[0]), len(lengths)
+        self.N = sum(lengths.tolist())  # a Python int, faster than ndarray.sum on a few lengths
 
-    def by_step(self, a: np.ndarray) -> np.ndarray:
-        """A view of packed ``a`` to index with :attr:`rows` and
-        :attr:`prev_rows`."""
-        return a.reshape((self.T, self.B) + a.shape[1:]) if self.full else a
+    @cached_property
+    def counts(self) -> list[int]:
+        """Per step ``s``: the posts longer than ``s``, which are the first
+        ``counts[s]`` of the batch."""
+        return np.count_nonzero(self.lengths[None, :] > np.arange(self.T)[:, None], axis=1).tolist()
 
-    def prev(self) -> slice | np.ndarray:
+    @cached_property
+    def offsets(self) -> list[int]:
+        """Per step ``s``: its first packed row; ``offsets[T]`` is N."""
+        return list(accumulate(self.counts, initial=0))
+
+    @cached_property
+    def rows(self) -> list[slice]:
+        """Per step ``s``: the slice of its packed rows."""
+        return list(map(slice, self.offsets, self.offsets[1:]))
+
+    @cached_property
+    def prev_rows(self) -> list[slice | None]:
+        """Per step ``s`` from 1 on: the slice of the rows of step ``s - 1``
+        of the posts running at step ``s``; None at step 0."""
+        return [None, *map(slice, self.offsets, map(add, self.offsets, self.counts[1:]))]
+
+    @cached_property
+    def prev(self) -> np.ndarray:
         """For every packed row from step 1 on, in order, the packed row of
-        the same post one step earlier."""
-        if self.full:
-            return slice(0, self.N - self.B)
-        return np.arange(self.B, self.N) - np.repeat(self.counts[:-1], self.counts[1:])
+        the same post one step earlier, as an int64 index array."""
+        counts = np.asarray(self.counts, dtype=np.int64)
+        return np.arange(self.B, self.N) - np.repeat(counts[:-1], counts[1:])
 
     @cached_property
     def coords(self) -> tuple[np.ndarray, np.ndarray]:

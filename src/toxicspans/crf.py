@@ -65,7 +65,7 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps):
     the expected transition counts of the batch.
     """
     B, L = steps.B, crf.num_labels
-    N, rows, prev_rows, heads = steps.N, steps.rows, steps.prev_rows, steps.heads
+    N, rows, prev_rows, counts = steps.N, steps.rows, steps.prev_rows, steps.counts
     mirror = np.arange(N)[steps.mirror]
     ems = np.empty((N, 2, L))
     ems[:, 0] = em
@@ -75,15 +75,14 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps):
     # each step's reduction before its emissions are added, so
     # reduced[:, 1] are the betas
     reduced, scores = np.empty((N, 2, L)), np.empty((N, 2, L))
-    reduceds, scoress, emss = map(steps.by_step, (reduced, scores, ems))
-    reduceds[rows[0]] = (crf.start, crf.stop)
-    np.add(reduceds[rows[0]], emss[rows[0]], out=scoress[rows[0]])
+    reduced[rows[0]] = (crf.start, crf.stop)
+    np.add(reduced[rows[0]], ems[rows[0]], out=scores[rows[0]])
     pairs = np.empty((B, 2, L, L))
     for s in range(1, steps.T):
-        r, step = rows[s], pairs[heads[s]]
-        np.add(scoress[prev_rows[s]][..., None], trans, out=step)
-        np.logaddexp.reduce(step, axis=2, out=reduceds[r])
-        np.add(reduceds[r], emss[r], out=scoress[r])
+        r, step = rows[s], pairs[: counts[s]]
+        np.add(scores[prev_rows[s]][..., None], trans, out=step)
+        np.logaddexp.reduce(step, axis=2, out=reduced[r])
+        np.add(reduced[r], ems[r], out=scores[r])
 
     alphas = scores[:, 0]
     log_z = np.logaddexp.reduce(alphas[mirror[:B]] + crf.stop, axis=1)
@@ -93,7 +92,7 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps):
     np.exp(marginals, out=marginals)
     # log-probability of label pair (i, j) at each row from step 1 on and
     # its previous row
-    pair = alphas[steps.prev(), :, None] + crf.trans
+    pair = alphas[steps.prev, :, None] + crf.trans
     pair += scores[mirror[B:], 1, None, :]
     pair -= log_z_rows[B:, :, None]
     expected = np.exp(pair, out=pair).sum(axis=0)
@@ -127,7 +126,7 @@ def crf_nll_grad(
     y = steps.pack(y)
 
     d_em, mirror, log_z, expected = _forward_backward(em, crf, steps)
-    at_gold, y_prev, last = (np.arange(steps.N), y), y[steps.prev()], mirror[:B]
+    at_gold, y_prev, last = (np.arange(steps.N), y), y[steps.prev], mirror[:B]
     gold = float(
         crf.start[y[:B]].sum()
         + em[at_gold].sum()

@@ -316,15 +316,13 @@ def _parse_dataset_stream(stream, has_gold: bool, lenient: bool) -> list[Labeled
 def write_predictions(preds: Iterable[PostPrediction], sink: IO) -> None:
     """Write predictions as ``<id>\\t[<i1>, <i2>, ...]`` lines.
 
-    Callers must supply predictions sorted by ascending id.
+    Raises :class:`ValidationError` unless the ids strictly ascend.
     """
     with text_writer(sink) as out:
         last_id = None
         for pred in preds:
             if last_id is not None and pred.id <= last_id:
-                raise ValueError(
-                    f"predictions not sorted by id: {pred.id} after {last_id}"
-                )
+                raise ValidationError(f"predictions not sorted by id: {pred.id} after {last_id}")
             last_id = pred.id
             out.write(f"{pred.id}\t{format_span_literal(pred.spans)}\n")
 

@@ -9,69 +9,52 @@ cell state:
     c_t = f * c_{t-1} + i * g
     h_t = o * tanh(c_t)
 
-Both kernels take and return the packed rows of :mod:`batching`: the N =
-sum(lengths) real slots of length-sorted posts, time-major in forward
-order, described by one :class:`batching.PackedSteps`.  Step ``s`` is one
-contiguous block of rows, so padding is never computed, stored or
-multiplied.  A reversed direction reads its inputs and writes its outputs
-through the involution :attr:`batching.PackedSteps.mirror`; as an
-involution it also gathers when it scatters, so ``a[mirror] = b`` mirrors
-``b`` into ``a`` with no temporary.
+Both kernels take and return the packed rows of :mod:`batching`, described
+by one :class:`batching.PackedSteps`: step ``s`` is one contiguous block of
+rows, so padding is never computed, stored or multiplied.  A reversed
+direction reads its inputs and writes its outputs through the involution
+:attr:`batching.PackedSteps.mirror`, so ``a[mirror] = b`` mirrors ``b``
+into ``a`` with no temporary.  All arithmetic is float64.
 
 :class:`LstmParams` stacks the weights of K directions on a leading axis
-(the BiLSTM has K = 2: forward, then backward), and every direction runs
-in the same time loop.  A direction has no type of its own: its weights
-are row ``k`` of each stacked tensor, and one direction alone is a stack
-of K = 1.  Step ``s`` of every direction touches the same rows, so the
-packed arrays interleave the directions as (N, K, ·): the rows of a step
-are one contiguous (rows, K, ·) block, and the activations, the cell
-update and the backward pass's scaling are each one numpy call for all
-directions.  The recurrent product is one stacked (K, rows, H) x
-(K, H, 4H) product.  Each direction does the same arithmetic in the same
-order as it would alone, so results do not depend on K.
+(the BiLSTM has K = 2: forward, then backward; one direction alone is a
+stack of K = 1).  The packed arrays interleave the directions as
+(N, K, ·), so a step's rows are one (rows, K, ·) block: the activations,
+the cell update and the backward pass's scaling are each one numpy call
+for all directions, and the recurrent product is one stacked
+(K, rows, H) x (K, H, 4H) product.  Each direction does the arithmetic it
+would do alone, in the same order, so results do not depend on K.
 
 Only ``W_rec h_{t-1}`` depends on the previous step, so each direction's
-input projection of all steps is one (N, D) x (D, 4H) product taken
-before the recurrence, and each step adds its recurrent product to its
-rows of the ``gates`` array and activates them in place.  The backward
-pass mirrors this: the local derivatives of all N rows are taken at once,
-the loop carries only the hidden and cell gradients and scales each
-step's rows of dZ, the pre-activation gradient, in place; each
-direction's parameter gradients are then products over the N rows, written
-straight into the caller's gradient block: dZ^T X, dZ^T H_prev (H_prev
-gathered from the previous step's rows), and sum(dZ).  The input gradient
+input projection of all N rows is one product taken before the
+recurrence, and each step adds its recurrent product to its rows of
+``gates`` and activates them in place.  The backward pass takes the local
+derivatives of all rows at once; its loop carries only the hidden and
+cell gradients and scales each step's rows of dZ, the pre-activation
+gradient, in place.  Each direction's parameter gradients are then
+products over the N rows, written straight into the caller's block:
+dZ^T X, dZ^T H_prev (H_prev gathered through
+:attr:`batching.PackedSteps.prev`) and sum(dZ).  The input gradient
 dZ W_in is formed only when the caller asks for it, which the model does
 only when fine-tuning embeddings.
 
-Two time loops run that recurrence with the same elementwise and BLAS
-operations on the same values, so they give the same bits.  A batch of
-several posts runs the packed loop.  One post (B = 1, which is how
-inference tags a post on its own) runs a loop of its own over its
-(T, K, ·) rows.  At B = 1 a step is about a dozen numpy calls on K * 4H
-elements, numpy's per-call cost has no batch axis to spread over, and a
-call on a strided (K, H) gate view costs about twice one on a contiguous
-block (tanh or multiply at K = 2, H = 32: 0.76–0.89 against 0.40–0.42 µs,
-one thread of a 2-vCPU x86-64 virtual machine).  So the one-post loop
-works gate-major.  It copies the post's pre-activations once into a
-(T, 4, K, H) scratch array, where each step's i, f, g and o are
-contiguous (K, H) blocks, and applies the sigmoid to a step's whole
-contiguous row.  tanh(g_t) goes into row t of a (T + 1, 2, K, H) scratch
-array whose row t holds c_{t-1} next to it, so one multiply by the
-adjacent i and f blocks gives both terms of c_t, which goes into row
-t + 1.  The only strided operand left is the recurrent product, which a
-step's add reads through a (4, K, H) transposed view (0.95–1.08 against
-0.38–0.43 µs for a contiguous one).  After the loop three whole-array
-copies rebuild the activated (T, K, 4H) ``gates`` cache that
-:func:`lstm_backward` reads (the sigmoid rows, then the tanh(g) block)
-and the ``cell`` states: 1–4% of the loop's time at T = 40 to 128.
+Two time loops run the recurrence with the same operations on the same
+values, so they give the same bits.  A batch of several posts runs the
+packed loop.  One post (B = 1, which is how inference tags a post on its
+own) runs a loop of its own over its (T, K, ·) rows that works
+gate-major, because a numpy call on a strided (K, H) gate view costs
+about twice one on a contiguous block.  It copies the pre-activations
+once into a (T, 4, K, H) scratch array, keeps tanh(g_t) next to c_{t-1}
+so one multiply by the adjacent i and f blocks gives both terms of c_t,
+and after the loop rebuilds the (T, K, 4H) ``gates`` cache and the
+``cell`` states that :func:`lstm_backward` reads.
 
 :class:`LstmCache` holds the packed rows in processing order: each
 direction's inputs (D), and the activated ``gates`` (4H, blocks in gate
 order) and the ``cell``, ``tanh_cell`` and ``hidden`` states (H) of all
 directions as (N, K, ·), plus the :class:`batching.PackedSteps` and which
 directions run reversed.  A reversed direction consumes its post back to
-front but reports hidden states in forward order.  All arithmetic is
-float64.
+front but reports hidden states in forward order.
 
 Every array of more than one step lives in an :class:`arena.Arena`, the
 caller's or a new one per call.  Named roles hold the mirrored inputs,
@@ -166,9 +149,7 @@ def lstm_forward(
         raise ValidationError(f"{len(reverse)} directions to run for {K} stacked directions")
     N = steps.N
     arena = Arena() if arena is None else arena
-    if steps.B == 1:
-        mirrored = inputs[steps.mirror]  # a reversed view
-    elif any(reverse):
+    if any(reverse):
         mirrored = arena.take("lstm.mirrored", inputs.shape)
         mirrored[steps.mirror] = inputs
     xs = [mirrored if rev else inputs for rev in reverse]
@@ -215,7 +196,7 @@ def _packed_steps(
 ) -> None:
     """The recurrence over the packed rows of a batch of several posts:
     activates ``gates`` in place and fills the states."""
-    B, heads = steps.B, steps.heads
+    B, counts = steps.B, steps.counts
     K, H = cell.shape[1:]
     i_, f_, g_, o_ = ((Ellipsis, slice(k * H, (k + 1) * H)) for k in range(4))
     # Several rows per step multiply faster against a contiguous copy,
@@ -223,23 +204,22 @@ def _packed_steps(
     W_rec_T = arena.scratch(0, (K, H, 4 * H))
     np.copyto(W_rec_T, W_rec.transpose(0, 2, 1))
     product = arena.scratch(1, (B, K, 4 * H))  # each step's recurrent product
-    zs, cells, tanhs, hs = map(steps.by_step, (gates, cell, tanh_cell, hidden))
     for s, (r, q) in enumerate(zip(steps.rows, steps.prev_rows)):
-        z = zs[r]
+        z = gates[r]
         if s:
-            step = product[heads[s]]
-            np.matmul(hs[q].transpose(1, 0, 2), W_rec_T, out=step.transpose(1, 0, 2))
+            step = product[: counts[s]]
+            np.matmul(hidden[q].transpose(1, 0, 2), W_rec_T, out=step.transpose(1, 0, 2))
             z += step
         g = np.tanh(z[g_])
         _sigmoid_inplace(z)
         z[g_] = g
-        c = cells[r]
+        c = cell[r]
         np.multiply(z[i_], g, out=c)
         if s:
-            c += z[f_] * cells[q]
-        tc = tanhs[r]
+            c += z[f_] * cell[q]
+        tc = tanh_cell[r]
         np.tanh(c, out=tc)
-        np.multiply(z[o_], tc, out=hs[r])
+        np.multiply(z[o_], tc, out=hidden[r])
 
 
 def _one_post_steps(
@@ -306,7 +286,7 @@ def lstm_backward(
     arena holds them in named roles.
     """
     steps = cache.steps
-    T, B, N, heads = steps.T, steps.B, steps.N, steps.heads
+    T, B, N, counts = steps.T, steps.B, steps.N, steps.counts
     K, H = cache.hidden.shape[1:]
     if d_hidden.shape != (N, K * H):
         raise ValidationError(f"upstream gradient shape {d_hidden.shape} != {(N, K * H)}")
@@ -320,9 +300,8 @@ def lstm_backward(
         d_h_seq[steps.mirror if rev else slice(None), k] = d_rows[:, k]
     # rows from step 1 on: the previous step's states of the same posts;
     # c_prev is read once, before dc_dh takes its slot
-    prev = steps.prev()
     c_prev, h_prev = (
-        state[prev] if steps.full else np.take(state, prev, axis=0, out=arena.scratch(slot, (N - B, K, H)), mode="clip")
+        np.take(state, steps.prev, axis=0, out=arena.scratch(slot, (N - B, K, H)), mode="clip")
         for state, slot in ((cache.cell, 2), (cache.hidden, 3))
     )
 
@@ -353,24 +332,22 @@ def lstm_backward(
     dZ_flat = dZ.reshape(N, K, 4 * H)
     product = arena.scratch(4, (B, K, H))  # each step's recurrent product
     rows = steps.rows
-    dZs, dZ_flats, d_hs, dc_dhs, fs = map(steps.by_step, (dZ, dZ_flat, d_h_seq, dc_dh, f))
-    dh = d_hs[rows[-1]]
-    dc = dh * dc_dhs[rows[-1]]
+    dh = d_h_seq[rows[-1]]
+    dc = dh * dc_dh[rows[-1]]
     for s in range(T - 1, -1, -1):
         r = rows[s]
-        dz = dZs[r]
+        dz = dZ[r]
         dz[..., :3, :] *= dc[..., None, :]
         dz[..., 3, :] *= dh
         if s:
-            # the posts running at s are the first rows of those at s - 1
-            q = rows[s - 1]
-            head = heads[s]
-            dh = d_hs[q].copy()
-            step = product[head]
-            np.matmul(dZ_flats[r].transpose(1, 0, 2), params.W_rec, out=step.transpose(1, 0, 2))
-            dh[head] += step
-            dc_prev = dh * dc_dhs[q]
-            dc_prev[head] += dc * fs[r]
+            # the posts running at s are the first n rows of those at s - 1
+            q, n = rows[s - 1], counts[s]
+            dh = d_h_seq[q].copy()
+            step = product[:n]
+            np.matmul(dZ_flat[r].transpose(1, 0, 2), params.W_rec, out=step.transpose(1, 0, 2))
+            dh[:n] += step
+            dc_prev = dh * dc_dh[q]
+            dc_prev[:n] += dc * f[r]
             dc = dc_prev
 
     for k, x in enumerate(cache.inputs):

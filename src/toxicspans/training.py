@@ -38,6 +38,9 @@ from .tokenizer import tokenize
 # Elements per chunk of an Adam update: its two scratch chunks (256 KB)
 # stay in cache while the parameters, gradients and moments stream through.
 ADAM_CHUNK = 1 << 14
+# Adam's decay rates of the first and second moments and its denominator's
+# epsilon.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -138,15 +141,13 @@ class EpochStats:
 
 @dataclass
 class AdamState:
-    """Adam's first and second moments, ``m`` and ``v``, each laid out like
-    the parameter vector (``ModelParams.vector``), and its settings."""
+    """Adam's learning rate, its first and second moments, ``m`` and ``v``,
+    each laid out like the parameter vector (``ModelParams.vector``), and
+    the steps taken."""
 
     learning_rate: float
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
 
 
@@ -197,8 +198,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, arena: Ar
     arena = Arena() if arena is None else arena
     state.step += 1
     t = state.step
-    correct1 = 1.0 - state.beta1**t
-    correct2 = 1.0 - state.beta2**t
+    correct1 = 1.0 - ADAM_BETA1**t
+    correct2 = 1.0 - ADAM_BETA2**t
     scratch = [arena.scratch(slot, grads[:ADAM_CHUNK].shape) for slot in (0, 1)]
     for lo in range(0, len(grads), ADAM_CHUNK):
         p, g, m, v = (a[lo : lo + ADAM_CHUNK] for a in (params, grads, state.m, state.v))
@@ -207,16 +208,16 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, arena: Ar
         # operations and their order are those of lr * (m / c1) /
         # (sqrt(v / c2) + eps) written out, so the result is bit for
         # bit the same
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=step)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=step)
         m += step
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=step)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
         step *= g
         v += step
         np.divide(v, correct2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.epsilon
+        denom += ADAM_EPSILON
         np.divide(m, correct1, out=step)
         step *= state.learning_rate
         step /= denom

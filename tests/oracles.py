@@ -206,7 +206,7 @@ def _slots(steps: PackedSteps, reverse: bool) -> slice | np.ndarray:
     ``reverse``), in order, its slot ``t * B + b`` in the (T * B, ...)
     flattening of a padded (T, B, ...) grid; index the grid with it to pack
     it, assign through it to unpack."""
-    if steps.full and not reverse:
+    if steps.lengths[-1] == steps.T and not reverse:  # every post runs every step
         return slice(None)
     if steps.B == 1:
         return slice(None, None, -1)
@@ -219,7 +219,7 @@ def _slots(steps: PackedSteps, reverse: bool) -> slice | np.ndarray:
 def _grid(steps: PackedSteps, width: int) -> np.ndarray:
     """A new (T * B, width) array to scatter packed rows into, at their
     :func:`_slots`; zero on padding."""
-    return (np.empty if steps.full else np.zeros)((steps.T * steps.B, width))
+    return (np.empty if steps.lengths[-1] == steps.T else np.zeros)((steps.T * steps.B, width))
 
 
 def padded(rows: np.ndarray, steps: PackedSteps, fill: np.ndarray | None = None) -> np.ndarray:
@@ -280,7 +280,7 @@ def reference_lstm_forward(
         raise ValidationError(f"{len(reverse)} directions to run for {K} stacked directions")
     T, B, D = inputs.shape
     steps = _check_grid_lengths(lengths, T, B)
-    N, heads = steps.N, steps.heads
+    N, counts = steps.N, steps.counts
     i_, f_, g_, o_ = ((Ellipsis, slice(k * H, (k + 1) * H)) for k in range(4))
     slots = [_slots(steps, rev) for rev in reverse]
     xs = [inputs.reshape(T * B, D)[sl] for sl in slots]
@@ -298,24 +298,23 @@ def reference_lstm_forward(
     if B > 1:
         W_rec_T = np.ascontiguousarray(W_rec_T)
     product = np.empty((B, K, 4 * H))  # each step's recurrent product
-    zs, cells, tanhs, hs = map(steps.by_step, (gates, cell, tanh_cell, hidden))
     with np.errstate(over="ignore"):
         for s, (r, q) in enumerate(zip(steps.rows, steps.prev_rows)):
-            z = zs[r]
+            z = gates[r]
             if s:
-                step = product[heads[s]]
-                np.matmul(hs[q].transpose(1, 0, 2), W_rec_T, out=step.transpose(1, 0, 2))
+                step = product[: counts[s]]
+                np.matmul(hidden[q].transpose(1, 0, 2), W_rec_T, out=step.transpose(1, 0, 2))
                 z += step
             g = np.tanh(z[g_])
             _reference_sigmoid_inplace(z)
             z[g_] = g
-            c = cells[r]
+            c = cell[r]
             np.multiply(z[i_], g, out=c)
             if s:
-                c += z[f_] * cells[q]
-            tc = tanhs[r]
+                c += z[f_] * cell[q]
+            tc = tanh_cell[r]
             np.tanh(c, out=tc)
-            np.multiply(z[o_], tc, out=hs[r])
+            np.multiply(z[o_], tc, out=hidden[r])
 
     # every finite state lies in [-1, 1], so the sum is finite exactly when
     # every state is
@@ -574,7 +573,7 @@ def numpy_viterbi_decode(em, trans, start, stop):
 
 
 def per_tensor_adam_state(params, learning_rate):
-    """A fresh :class:`training.AdamState`'s settings, with a zero moment
+    """A fresh :class:`training.AdamState`'s fields, with a zero moment
     pair per array of ``params``, for :func:`expression_adam_step`."""
     from toxicspans.training import AdamState
 
@@ -587,19 +586,21 @@ def per_tensor_adam_state(params, learning_rate):
 def expression_adam_step(params, grads, state):
     """One Adam update with a fresh temporary for every operation, of each
     array of ``params`` on its own (state from :func:`per_tensor_adam_state`)."""
+    from toxicspans.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+
     state.step += 1
     t = state.step
-    correct1 = 1.0 - state.beta1**t
-    correct2 = 1.0 - state.beta2**t
+    correct1 = 1.0 - ADAM_BETA1**t
+    correct2 = 1.0 - ADAM_BETA2**t
     for name, param in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        param -= state.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        param -= state.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPSILON)
 
 
 def per_tensor_clip(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -1,13 +1,12 @@
 """The packed layout's index helpers against their definitions, written as
-loops.  When every post runs every step, as one post always does,
-``PackedSteps`` takes shortcuts (integer steps into a (T, B) view, whole-row
-slices, a reversed view as the mirror) that must select exactly what the
-general index arrays select.
+loops.  The only shortcuts left are one post's: its ``mirror`` is a reversed
+view and its ``pack`` and ``unpack`` return their input, and they must
+select exactly what the general index arrays select.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from toxicspans.batching import PackedSteps
 from toxicspans.errors import ValidationError
@@ -31,22 +30,24 @@ def packed_rows(a, lengths):
 
 
 @given(LENGTHS)
+@example(np.array([1]))  # T = 1: prev is empty, and must still be an int64 index
+@example(np.array([1, 1, 1]))
 def test_step_index_selects_the_posts_still_running(lengths):
     a = time_major(lengths)
     steps, rows = packed_rows(a, lengths)
     expected = [a[s, j] for s in range(steps.T) for j in range(steps.B) if lengths[j] > s]
     assert np.array_equal(rows, np.array(expected))
     assert steps.N == len(rows) == lengths.sum()
-    prev = rows[steps.prev()]
-    by_step = steps.by_step(rows)
+    assert steps.prev.dtype == np.int64 and steps.prev.shape == (steps.N - steps.B,)
+    prev = rows[steps.prev]
     offsets = np.asarray(steps.offsets)
     for s in range(steps.T):
         n = int(np.count_nonzero(lengths > s))  # posts longer than s are the first n
         assert steps.counts[s] == n
-        assert np.array_equal(by_step[steps.rows[s]], a[s, :n])
+        assert np.array_equal(rows[steps.rows[s]], a[s, :n])
         if s:
-            assert np.array_equal(by_step[steps.prev_rows[s]], a[s - 1, :n])
-            # prev() lists the same rows for every row from step 1 on
+            assert np.array_equal(rows[steps.prev_rows[s]], a[s - 1, :n])
+            # prev lists the same rows for every row from step 1 on
             lo = steps.offsets[s] - steps.B
             assert np.array_equal(prev[lo : lo + n], a[s - 1, :n])
     for b, n in enumerate(lengths):  # post b is rows offsets[:n] + b

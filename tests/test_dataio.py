@@ -378,12 +378,10 @@ class TestPredictions:
         )
         assert sink.getvalue() == b"0\t[66, 67, 68, 69, 70]\n1\t[]\n"
 
-    def test_unsorted_ids_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            write_predictions(
-                [PostPrediction(1, CharSpanSet(())), PostPrediction(0, CharSpanSet(()))],
-                io.BytesIO(),
-            )
+    @pytest.mark.parametrize("ids", [(1, 0), (0, 0)], ids=["unsorted", "repeated"])
+    def test_unsorted_ids_rejected(self, ids):
+        with pytest.raises(ValidationError, match="sorted"):
+            write_predictions([PostPrediction(i, CharSpanSet(())) for i in ids], io.BytesIO())
 
     def test_non_utf8_bytes_name_the_byte_offset(self):
         with pytest.raises(DataFormatError, match="UTF-8 at byte 9: invalid continuation byte"):

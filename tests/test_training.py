@@ -22,6 +22,7 @@ from toxicspans.span_codec import BridgePolicy, spans_to_labels
 from toxicspans.synthetic import generate_posts, write_embedding_file
 from toxicspans.tokenizer import tokenize
 from toxicspans.training import (
+    ADAM_EPSILON,
     AdamState,
     TrainConfig,
     adam_step,
@@ -88,7 +89,7 @@ class TestAdam:
         state = AdamState(0.01, np.zeros(4), np.zeros(4))
         adam_step(params["w"], g.copy(), state)
         # first bias-corrected step is lr * g / (|g| + eps) = lr * sign(g)
-        expected = -0.01 * np.sign(g) * (np.abs(g) / (np.abs(g) + state.epsilon))
+        expected = -0.01 * np.sign(g) * (np.abs(g) / (np.abs(g) + ADAM_EPSILON))
         np.testing.assert_allclose(params["w"], expected, atol=1e-12)
 
     def test_matches_the_expression_form_exactly(self):
