@@ -45,9 +45,16 @@ own) runs a loop of its own over its (T, K, ·) rows that works
 gate-major, because a numpy call on a strided (K, H) gate view costs
 about twice one on a contiguous block.  It copies the pre-activations
 once into a (T, 4, K, H) scratch array, keeps tanh(g_t) next to c_{t-1}
-so one multiply by the adjacent i and f blocks gives both terms of c_t,
-and after the loop rebuilds the (T, K, 4H) ``gates`` cache and the
-``cell`` states that :func:`lstm_backward` reads.
+so one multiply by the adjacent i and f blocks gives both terms of c_t.
+Only for a caller that will run :func:`lstm_backward` does it rebuild,
+after the loop, the (T, K, 4H) ``gates`` cache and the ``cell`` states
+that the backward pass reads.
+
+Inference runs no backward pass, so it asks :func:`lstm_forward` for no
+cache, as cuDNN's inference mode writes no reserve space: no ``cell`` or
+``tanh_cell`` array is taken, the packed loop keeps its cells in scratch
+(the one-post loop's already live there), and each step's tanh(c) goes
+into a scratch block.  The arithmetic is the same, and so are the bits.
 
 :class:`LstmCache` holds the packed rows in processing order: each
 direction's inputs (D), and the activated ``gates`` (4H, blocks in gate
@@ -60,11 +67,11 @@ Every array of more than one step lives in an :class:`arena.Arena`, the
 caller's or a new one per call.  Named roles hold the mirrored inputs,
 the cache, the (N, K*H) output and the input gradient; scratch slots hold
 what one loop or pass uses and drops before it returns: the packed loop's
-contiguous copy of W_rec and per-step product, the one-post loop's
-gate-major rows and tanh(g) and c_{t-1} rows, and the backward pass's dZ,
-dc/dh, upstream gradients in processing order and gathered c_{t-1} and
-h_{t-1} rows.  What a call returns from an arena is valid until the next
-call that uses it.
+contiguous copy of W_rec and per-step product (and, with no cache, its
+cells and tanh(c)), the one-post loop's gate-major rows and tanh(g) and
+c_{t-1} rows, and the backward pass's dZ, dc/dh, upstream gradients in
+processing order and gathered c_{t-1} and h_{t-1} rows.  What a call
+returns from an arena is valid until the next call that uses it.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 from operator import iadd
 from typing import Sequence
 
@@ -127,17 +135,20 @@ def lstm_forward(
     steps: PackedSteps,
     reverse: Sequence[bool],
     arena: Arena | None = None,
-) -> tuple[np.ndarray, LstmCache]:
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, LstmCache | None]:
     """Run the K directions of ``params`` over the (N, D) packed input rows
     of the batch ``steps``; direction ``k`` reads each post back to front
     if ``reverse[k]``.
 
     Returns the (N, K*H) packed hidden states in forward order, direction k
     in columns k*H to (k+1)*H, plus the cache needed by
-    :func:`lstm_backward`.  Both live in ``arena`` (a new one by default)
-    until its next use.  Raises :class:`NonFiniteError` if any hidden
-    state diverges, which only happens when parameters or inputs are
-    already non-finite (the activations themselves are bounded).
+    :func:`lstm_backward`, or None unless ``keep_cache``: a caller that
+    will not run the backward pass builds no cache.  Both live in
+    ``arena`` (a new one by default) until its next use.  Raises
+    :class:`NonFiniteError` if any hidden state diverges, which only
+    happens when parameters or inputs are already non-finite (the
+    activations themselves are bounded).
     """
     if inputs.shape != (steps.N, params.input_size):
         raise ValidationError(
@@ -158,7 +169,11 @@ def lstm_forward(
     for k, x in enumerate(xs):
         np.matmul(x, params.W_in[k].T, out=gates[:, k])
     gates += params.b
-    cell, tanh_cell, hidden = (arena.take(role, (N, K, H)) for role in ("lstm.cell", "lstm.tanh_cell", "lstm.hidden"))
+    if keep_cache:
+        cell, tanh_cell = (arena.take(role, (N, K, H)) for role in ("lstm.cell", "lstm.tanh_cell"))
+    else:
+        cell = tanh_cell = None
+    hidden = arena.take("lstm.hidden", (N, K, H))
     with np.errstate(over="ignore"):
         if steps.B == 1:
             _one_post_steps(params.W_rec, gates, cell, tanh_cell, hidden, arena)
@@ -173,6 +188,8 @@ def lstm_forward(
     out = arena.take("lstm.out", (N, K * H))
     for k, rev in enumerate(reverse):
         out[steps.mirror if rev else slice(None), k * H : (k + 1) * H] = hidden[:, k]
+    if not keep_cache:
+        return out, None
     cache = LstmCache(
         inputs=xs,
         gates=gates,
@@ -189,21 +206,25 @@ def _packed_steps(
     W_rec: np.ndarray,
     steps: PackedSteps,
     gates: np.ndarray,
-    cell: np.ndarray,
-    tanh_cell: np.ndarray,
+    cell: np.ndarray | None,
+    tanh_cell: np.ndarray | None,
     hidden: np.ndarray,
     arena: Arena,
 ) -> None:
     """The recurrence over the packed rows of a batch of several posts:
-    activates ``gates`` in place and fills the states."""
+    activates ``gates`` in place and fills the states.  With no cache
+    (``cell`` and ``tanh_cell`` None) the cells go into scratch and each
+    step's tanh(c) into one scratch block."""
     B, counts = steps.B, steps.counts
-    K, H = cell.shape[1:]
+    K, H = hidden.shape[1:]
     i_, f_, g_, o_ = ((Ellipsis, slice(k * H, (k + 1) * H)) for k in range(4))
     # Several rows per step multiply faster against a contiguous copy,
     # which this loop makes in its own scratch on every call.
     W_rec_T = arena.scratch(0, (K, H, 4 * H))
     np.copyto(W_rec_T, W_rec.transpose(0, 2, 1))
     product = arena.scratch(1, (B, K, 4 * H))  # each step's recurrent product
+    if cell is None:
+        cell, tanh_step = arena.scratch(2, hidden.shape), arena.scratch(3, (B, K, H))
     for s, (r, q) in enumerate(zip(steps.rows, steps.prev_rows)):
         z = gates[r]
         if s:
@@ -217,19 +238,21 @@ def _packed_steps(
         np.multiply(z[i_], g, out=c)
         if s:
             c += z[f_] * cell[q]
-        tc = tanh_cell[r]
+        tc = tanh_step[: counts[s]] if tanh_cell is None else tanh_cell[r]
         np.tanh(c, out=tc)
         np.multiply(z[o_], tc, out=hidden[r])
 
 
 def _one_post_steps(
-    W_rec: np.ndarray, gates: np.ndarray, cell: np.ndarray, tanh_cell: np.ndarray, hidden: np.ndarray,
-    arena: Arena,
+    W_rec: np.ndarray, gates: np.ndarray, cell: np.ndarray | None, tanh_cell: np.ndarray | None,
+    hidden: np.ndarray, arena: Arena,
 ) -> None:
     """The recurrence of one post over its (T, K, ·) rows, one per step:
     :func:`_packed_steps`'s arithmetic on the same values, so the same
-    bits, on gate-major copies of the rows (see the module docstring)."""
-    T, K, H = cell.shape
+    bits, on gate-major copies of the rows (see the module docstring).
+    With no cache (``cell`` and ``tanh_cell`` None) each step's tanh(c)
+    goes into one scratch block and the cache is not rebuilt."""
+    T, K, H = hidden.shape
     # For one row a contiguous copy costs more than it saves, and BLAS
     # would sum its product in another order.
     W_rec_T = W_rec.transpose(0, 2, 1)
@@ -246,9 +269,10 @@ def _one_post_steps(
     rec = product.reshape(K, 4, H).transpose(1, 0, 2)  # gate-major view
     terms = np.empty((2, K, H))  # i * g, f * c_{t-1}
     ig, fc = terms
+    tanh_rows = repeat(np.empty((K, H))) if tanh_cell is None else tanh_cell
     h_prev = None
     for z, z_if, zg, zo, g_c_t, tg, c, tc, h, h_row in zip(
-        by_gate, by_gate[:, :2], by_gate[:, 2], by_gate[:, 3], g_c, g_c[:, 0], g_c[1:, 1], tanh_cell, hidden,
+        by_gate, by_gate[:, :2], by_gate[:, 2], by_gate[:, 3], g_c, g_c[:, 0], g_c[1:, 1], tanh_rows, hidden,
         hidden[:, :, None],
     ):
         if h_prev is not None:
@@ -264,6 +288,8 @@ def _one_post_steps(
         np.tanh(c, tc)
         np.multiply(zo, tc, h)
         h_prev = h_row
+    if cell is None:
+        return
     # the cache in gate order (sigmoid rows, then the tanh block) and the cells
     np.copyto(gates_rows, by_gate_rows)
     gates_rows[:, :, 2] = g_c[:T, 0]

@@ -14,7 +14,10 @@ LSTM's one-post time loop and any larger pass its packed loop; both give
 the same bits (see :mod:`lstm`).  The backward pass is fully manual
 (projection, then both LSTM directions) and writes gradients summed over
 the batch; only for a fine-tuned model does it ask the LSTM for the input
-gradient and accumulate embedding-row gradients from it.
+gradient and accumulate embedding-row gradients from it.  Only a training
+pass keeps what the backward pass reads: inference passes
+(``predict_spans`` and its callers) build no cache, in the model or in
+the LSTM.
 
 Both LSTM directions live in one stacked :class:`lstm.LstmParams` block
 (K = 2: forward, then backward) and run in lockstep, one
@@ -203,20 +206,22 @@ def init_params(
 
 
 def _emissions(
-    posts: Sequence[EncodedPost], params: ModelParams, arena: Arena | None = None
-) -> tuple[np.ndarray, BilstmCache]:
-    """(N, L) packed label scores of length-sorted posts, and the cache of
-    the pass, whose ``lstm_cache.steps`` is the batch's layout, which
-    lives in ``arena`` (a new one by default)."""
+    posts: Sequence[EncodedPost], params: ModelParams, arena: Arena | None = None, keep_cache: bool = True
+) -> tuple[np.ndarray, PackedSteps, BilstmCache | None]:
+    """(N, L) packed label scores of length-sorted posts, the batch's
+    layout, and the cache that :func:`backward` reads, or None unless
+    ``keep_cache``.  The scores and the cache live in ``arena`` (a new one
+    by default)."""
     arena = Arena() if arena is None else arena
     steps = PackedSteps([post.effective_len for post in posts])
     indices = steps.pack(np.concatenate([post.indices for post in posts]))
     matrix = params.embedding.matrix
     # encode_post's indices are rows of the table, so clipping moves none
     inputs = np.take(matrix, indices, axis=0, out=arena.take("inputs", (steps.N, matrix.shape[1])), mode="clip")
-    hidden, lstm_cache = lstm_forward(inputs, params.lstm, steps, REVERSE, arena)
+    hidden, lstm_cache = lstm_forward(inputs, params.lstm, steps, REVERSE, arena, keep_cache)
     emissions = hidden @ params.emit.W_out.T + params.emit.b_out  # (N, L): too small to fault
-    return emissions, BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden, arena=arena)
+    cache = BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden, arena=arena) if keep_cache else None
+    return emissions, steps, cache
 
 
 def backward(params: ModelParams, cache: BilstmCache, d_emissions: np.ndarray, grads: ModelParams) -> None:
@@ -265,13 +270,11 @@ def nll_and_gradients(
         raise ValidationError("empty minibatch")
     arena = Arena() if arena is None else arena
     order = sorted(range(len(posts)), key=lambda k: -posts[k].effective_len)
-    emissions, cache = _emissions([posts[k] for k in order], params, arena)
+    emissions, steps, cache = _emissions([posts[k] for k in order], params, arena)
     grads = params_from_vector(arena.take("gradients", params.vector.shape), params.hidden_size, params.embedding)
     if grads.finetuned:  # the only gradient that backward adds into
         grads.embedding.matrix.fill(0.0)
-    nll, d_em = crf_nll_grad(
-        emissions, params.crf, [labels[k] for k in order], cache.lstm_cache.steps, grads.crf
-    )
+    nll, d_em = crf_nll_grad(emissions, params.crf, [labels[k] for k in order], steps, grads.crf)
     backward(params, cache, d_em, grads)
     return nll, grads
 
@@ -294,8 +297,8 @@ def predict_spans(
     arena = Arena() if arena is None else arena
     for lo in range(0, len(order), INFER_BATCH):
         picked = order[lo : lo + INFER_BATCH]
-        emissions, cache = _emissions([posts[k] for k in picked], params, arena)
-        by_post, start = cache.lstm_cache.steps.unpack(emissions), 0
+        emissions, steps, _ = _emissions([posts[k] for k in picked], params, arena, keep_cache=False)
+        by_post, start = steps.unpack(emissions), 0
         for k in picked:
             labels = viterbi_decode(by_post[start : start + lens[k]], params.crf)
             start += lens[k]

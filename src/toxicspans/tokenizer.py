@@ -62,8 +62,10 @@ class TokenSeq:
 def tokenize(text: str) -> TokenSeq:
     """Segment ``text`` into offset-faithful tokens (empty text allowed)."""
     tokens = []
+    # tuple.__new__ builds each token in one step, past NamedTuple.__new__
+    append, new = tokens.append, tuple.__new__
     for match in _TOKEN.finditer(text):
         surface = match[0]
-        start, end = match.span()
-        tokens.append(Token(surface, surface.lower(), start, end))
+        start = match.start()
+        append(new(Token, (surface, surface.lower(), start, start + len(surface))))
     return TokenSeq(tokens=tuple(tokens), source_len=len(text))

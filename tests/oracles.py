@@ -337,13 +337,15 @@ def reference_lstm_forward(
 
 
 def packed_reference_lstm_forward(
-    inputs: np.ndarray, params: LstmParams, steps: PackedSteps, reverse: Sequence[bool], arena=None
-) -> tuple[np.ndarray, LstmCache]:
+    inputs: np.ndarray, params: LstmParams, steps: PackedSteps, reverse: Sequence[bool], arena=None,
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, LstmCache | None]:
     """:func:`reference_lstm_forward` with ``lstm_forward``'s packed
-    signature: the rows go through the padded grid and back.  It allocates
-    its own arrays and ignores ``arena``."""
+    signature: the rows go through the padded grid and back, with the
+    cache or, unless ``keep_cache``, None.  It allocates its own arrays
+    and ignores ``arena``."""
     hidden, cache = reference_lstm_forward(padded(inputs, steps), params, steps.lengths, reverse)
-    return packed(hidden, steps), cache
+    return packed(hidden, steps), cache if keep_cache else None
 
 
 def _logsumexp(a, axis):

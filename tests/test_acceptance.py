@@ -116,7 +116,7 @@ def test_criterion_3_gradient_correctness():
     def batch_loss():
         total = 0.0
         for post, labels in batch:
-            em, _ = _emissions([post], params)
+            em, _, _ = _emissions([post], params)
             total += crf_nll(em, params.crf, labels)
         return total / len(batch)
 

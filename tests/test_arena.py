@@ -172,13 +172,43 @@ def test_predict_spans_passes_give_the_bits_of_fresh_passes(monkeypatch):
     expected = []
     for lo in range(0, len(order), INFER_BATCH):
         picked = [posts[k] for k in order[lo : lo + INFER_BATCH]]
-        emissions, cache = _emissions(picked, params)
-        by_post, start = cache.lstm_cache.steps.unpack(emissions), 0
+        emissions, steps, _ = _emissions(picked, params)
+        by_post, start = steps.unpack(emissions), 0
         for post in picked:
             expected.append(by_post[start : start + post.effective_len])
             start += post.effective_len
     assert len(seen) == len(expected) == len(posts)
     assert all(np.array_equal(got, want) for got, want in zip(seen, expected))
+
+
+class RecordingArena(Arena):
+    """An arena that records every role it hands out."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.roles: set[str] = set()
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        self.roles.add(role)
+        return super().take(role, shape)
+
+
+BACKWARD_ONLY_ROLES = {"lstm.cell", "lstm.tanh_cell"}
+
+
+@pytest.mark.parametrize("n_posts", [1, INFER_BATCH + 3], ids=["one-post", "windows"])
+def test_only_a_training_pass_takes_the_backward_cache(n_posts):
+    """Tagging runs no backward pass, so it takes none of the roles that
+    only ``lstm_backward`` reads; a training pass still takes them."""
+    table, examples = synthetic_examples(n_posts)
+    params = init_params(table, 8, np.random.default_rng(3))
+    posts = [ex.encoded for ex in examples]
+    tagging = RecordingArena()
+    predict_spans(params, posts, BridgePolicy(), tagging)
+    assert "lstm.hidden" in tagging.roles and not tagging.roles & BACKWARD_ONLY_ROLES
+    training = RecordingArena()
+    nll_and_gradients(posts, [ex.labels[: ex.encoded.effective_len] for ex in examples], params, training)
+    assert training.roles >= BACKWARD_ONLY_ROLES
 
 
 # Traced peak of a warm step (nll_and_gradients, clip, Adam) at H = 128 and

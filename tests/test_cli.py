@@ -919,6 +919,53 @@ class TestOptionsCheckedFirst:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestRaiseSitesReachedFromTheCli:
+    """Each bad input that reaches a library check exits 2 with that
+    check's one error line, and no traceback."""
+
+    @staticmethod
+    def assert_exits_2(code, capsys, match):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and match in err and "Traceback" not in err
+
+    def train(self, workspace, tmp_path, *extra, data="train.csv", vectors="vectors.txt"):
+        return main(["train", "--data", str(workspace / data), "--embeddings", str(workspace / vectors),
+                     "--embedding-dim", str(DIM), "--out", str(tmp_path / "m.ckpt"), *extra])
+
+    def test_embedding_dim_zero(self, workspace, tmp_path, capsys):
+        code = self.train(workspace, tmp_path, "--embedding-dim", "0")
+        self.assert_exits_2(code, capsys, "expected_dim must be >= 1, got 0")
+
+    def test_nan_component_in_the_vector_file(self, workspace, tmp_path, capsys):
+        lines = (workspace / "vectors.txt").read_text().splitlines()
+        word, *values = lines[0].split(" ")
+        lines[0] = " ".join([word, "nan", *values[1:]])
+        (tmp_path / "nan.txt").write_text("\n".join(lines) + "\n")
+        code = self.train(workspace, tmp_path, vectors=tmp_path / "nan.txt")
+        self.assert_exits_2(code, capsys, "non-finite components")
+
+    def test_training_posts_all_whitespace(self, workspace, tmp_path, capsys):
+        (tmp_path / "blank.csv").write_bytes(csv_bytes([("[]", " "), ("[]", "\t \t"), ("[]", "   ")]).getvalue())
+        code = self.train(workspace, tmp_path, data=tmp_path / "blank.csv")
+        self.assert_exits_2(code, capsys, "no training example has at least one token")
+
+    def test_dataset_header_field_over_the_csv_field_limit(self, tmp_path, capsys):
+        (tmp_path / "wide.csv").write_text("spans,text," + "x" * 140_000 + "\n")
+        code = main(["stats", "--data", str(tmp_path / "wide.csv")])
+        self.assert_exits_2(code, capsys, "CSV header: field larger than field limit (131072)")
+
+    def test_checkpoint_train_config_not_an_object(self, workspace, tmp_path, capsys):
+        raw = (workspace / "model.ckpt").read_bytes()
+        header_end = raw.index(b"\n", len(MAGIC))
+        header = json.loads(raw[len(MAGIC) : header_end])
+        header["train_config"] = [1, 2]
+        (tmp_path / "bad.ckpt").write_bytes(MAGIC + json.dumps(header).encode() + raw[header_end:])
+        # the last --checkpoint given wins
+        code = run_predict(workspace, tmp_path / "x.tsv", "--checkpoint", str(tmp_path / "bad.ckpt"))
+        self.assert_exits_2(code, capsys, "a training config must be a mapping, got [1, 2]")
+
+
 def predict_quietly(workspace, *extra) -> tuple[int, str]:
     """``cli predict`` on a two-post file; the exit code and stderr."""
     data = workspace / "two_posts.csv"

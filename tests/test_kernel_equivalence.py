@@ -8,7 +8,8 @@ kernel must also return exactly the bits of the padded (T, B) kernel it
 replaced, kept in ``oracles``, on every real slot.  The
 LSTM's one-post loop must return exactly the bits of the forward pass that
 ran one post through the packed loop before it, also kept there, and its
-cache must give the backward pass the same gradients.  The hot cases scale
+cache must give the backward pass the same gradients; a pass that keeps no
+cache must return the caching pass's bits.  The hot cases scale
 the inputs by 50 (and the emissions by 50 for the CRF), so LSTM gates
 saturate and the sigmoid's exp overflows.
 """
@@ -16,7 +17,7 @@ saturate and the sigmoid's exp overflows.
 import numpy as np
 import pytest
 
-from conftest import pack_posts
+from conftest import PoisonedArena, pack_posts
 from oracles import (
     crf_grads,
     loop_crf_nll_grad,
@@ -83,6 +84,15 @@ def test_hot_inputs_saturate_gates_and_overflow_exp():
     assert np.any(cache.gates == 0.0) and np.any(cache.gates == 1.0)
 
 
+def stacked_params(rng, K, H):
+    """Random weights of K stacked directions."""
+    return LstmParams(
+        W_in=rng.uniform(-4.0, 4.0, size=(K, 4 * H, DIM)),
+        W_rec=rng.uniform(-0.4, 0.4, size=(K, 4 * H, H)),
+        b=rng.uniform(-0.4, 0.4, size=(K, 4 * H)),
+    )
+
+
 @pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("reverse", [(False,), (True,), (False, True)])
 @pytest.mark.parametrize("H", [1, 3, 32, 128])
@@ -90,11 +100,7 @@ def test_hot_inputs_saturate_gates_and_overflow_exp():
 def test_one_post_lstm_is_bitwise_the_packed_loop(T, H, reverse, scale):
     K = len(reverse)
     rng = np.random.default_rng(1000 * T + 10 * H + sum(reverse) + K)
-    params = LstmParams(
-        W_in=rng.uniform(-4.0, 4.0, size=(K, 4 * H, DIM)),
-        W_rec=rng.uniform(-0.4, 0.4, size=(K, 4 * H, H)),
-        b=rng.uniform(-0.4, 0.4, size=(K, 4 * H)),
-    )
+    params = stacked_params(rng, K, H)
     x, steps = pack_posts([rng.normal(size=(T, DIM)) * scale])
     d_hidden = rng.normal(size=(T, K * H))
     hidden, cache = lstm_forward(x, params, steps, reverse)
@@ -110,6 +116,26 @@ def test_one_post_lstm_is_bitwise_the_packed_loop(T, H, reverse, scale):
         for k in range(K):
             for name in ("W_in", "W_rec", "b"):
                 assert np.array_equal(grads[k][name], ref_grads[k][name])
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("batch", ["one-post", "ragged"])
+@pytest.mark.parametrize("reverse", [(False,), (True,), (False, True)])
+@pytest.mark.parametrize("H", [1, 3, 32, 128])
+@pytest.mark.parametrize("T", [1, 2, 100])
+def test_a_pass_without_cache_is_bitwise_the_caching_pass(T, H, reverse, batch, scale):
+    """Inference keeps no cache, in the one-post loop or the packed loop;
+    its hidden states must be the caching pass's.  It runs in a poisoned
+    arena, so a value read before it is written shows."""
+    K = len(reverse)
+    rng = np.random.default_rng(1000 * T + 10 * H + sum(reverse) + K)
+    params = stacked_params(rng, K, H)
+    lengths = [T] if batch == "one-post" else [T, (T + 1) // 2, (T + 1) // 2, 1]
+    x, steps = pack_posts([rng.normal(size=(n, DIM)) * scale for n in lengths])
+    hidden, cache = lstm_forward(x, params, steps, reverse)
+    bare, no_cache = lstm_forward(x, params, steps, reverse, PoisonedArena(), keep_cache=False)
+    assert cache is not None and no_cache is None
+    assert np.array_equal(bare, hidden)
 
 
 @pytest.mark.parametrize("scale", SCALES)

@@ -59,7 +59,7 @@ class TestEmissions:
         table = make_table(["a", "b", "c"])
         params = make_model(table)
         post = encoded(table, "a b c a b c a")
-        emissions, _ = _emissions([post], params)
+        emissions, _, _ = _emissions([post], params)
         assert emissions.shape == (7, 2)
 
     def test_zero_projection_yields_bias_everywhere(self):
@@ -68,7 +68,7 @@ class TestEmissions:
         params.emit.W_out[:] = 0.0
         params.emit.b_out[:] = [0.25, -1.5]
         post = encoded(table, "a b a")
-        emissions, _ = _emissions([post], params)
+        emissions, _, _ = _emissions([post], params)
         assert post.effective_len == 3
         np.testing.assert_allclose(emissions, np.tile([0.25, -1.5], (3, 1)))
 
@@ -82,9 +82,9 @@ class TestEmissions:
         table = make_table(["a", "b"])
         params = make_model(table)
         posts = [encoded(table, "a b a", max_len=12), encoded(table, "b", max_len=12)]
-        before, _ = _emissions(posts, params)
+        before, _, _ = _emissions(posts, params)
         params.embedding.matrix[table.pad_index] += 123.0
-        after, _ = _emissions(posts, params)
+        after, _, _ = _emissions(posts, params)
         np.testing.assert_array_equal(before, after)
 
 
@@ -93,7 +93,7 @@ class TestBackward:
         table = make_table(["a", "b"])
         params = make_model(table, finetune=True)
         post = encoded(table, "a b a b")
-        emissions, cache = _emissions([post], params)
+        emissions, _, cache = _emissions([post], params)
         grads = params.clone()
         grads.vector[:] = np.nan  # backward writes all but the CRF's tensors
         grads.embedding.matrix[:] = 0.0  # and adds into the embedding gradient
@@ -113,7 +113,7 @@ class TestBackward:
         def batch_loss():
             total = 0.0
             for post, labels in batch:
-                em, _ = _emissions([post], params)
+                em, _, _ = _emissions([post], params)
                 total += crf_nll(em, params.crf, labels)
             return total / len(batch)
 
@@ -139,7 +139,7 @@ class TestBackward:
         def batch_loss():
             total = 0.0
             for post, labs in zip(posts, labels):
-                em, _ = _emissions([post], params)
+                em, _, _ = _emissions([post], params)
                 total += crf_nll(em, params.crf, labs)
             return total
 

@@ -1,10 +1,11 @@
 import re
 import sys
 
+import pytest
 from hypothesis import given, strategies as st
 
 from oracles import scan_tokenize
-from toxicspans.tokenizer import Token, tokenize
+from toxicspans.tokenizer import _TOKEN, Token, tokenize
 
 KNUCKLEHEAD = "What a knucklehead. How can anyone not know this would be offensive??"
 HAOLE = (
@@ -119,6 +120,20 @@ class TestScannerOracle:
 
     def test_token_is_a_plain_tuple(self):
         assert tokenize("Hi!")[0] == ("Hi", "hi", 0, 2)
+
+    @pytest.mark.parametrize(
+        "text", [KNUCKLEHEAD, HAOLE, "İstanbul is İstanbul", '"quoted" words', "".join(PIECES)],
+        ids=["knucklehead", "haole", "longer-lowercase", "quoted", "pieces"],
+    )
+    def test_each_token_is_the_named_tuple_of_its_match(self, text):
+        """``tokenize`` builds each token past ``Token``'s constructor; it
+        must still be exactly a ``Token``, equal to the constructor's."""
+        matches = list(_TOKEN.finditer(text))
+        tokens = tokenize(text).tokens
+        assert len(tokens) == len(matches) > 0
+        for token, m in zip(tokens, matches):
+            assert type(token) is Token
+            assert token == Token(m[0], m[0].lower(), *m.span())
 
     def test_re_classes_match_the_string_predicates_on_every_code_point(self):
         every = "".join(map(chr, range(sys.maxunicode + 1)))
