@@ -39,22 +39,24 @@ dZ W_in is formed only when the caller asks for it, which the model does
 only when fine-tuning embeddings.
 
 Two time loops run the recurrence with the same operations on the same
-values, so they give the same bits.  A batch of several posts runs the
-packed loop.  One post (B = 1, which is how inference tags a post on its
-own) runs a loop of its own over its (T, K, ·) rows that works
-gate-major, because a numpy call on a strided (K, H) gate view costs
-about twice one on a contiguous block.  It copies the pre-activations
-once into a (T, 4, K, H) scratch array, keeps tanh(g_t) next to c_{t-1}
-so one multiply by the adjacent i and f blocks gives both terms of c_t.
-Only for a caller that will run :func:`lstm_backward` does it rebuild,
-after the loop, the (T, K, 4H) ``gates`` cache and the ``cell`` states
-that the backward pass reads.
+values, so they give the same bits.  Every pass that keeps a cache, and
+every pass over several posts, runs the packed loop; at B = 1 it
+multiplies each step's row against a strided view of W_rec, which sums
+in the one-post loop's order.  One post with no cache (B = 1, which is
+how inference tags a post on its own) runs a loop of its own over its
+(T, K, ·) rows that works gate-major, because a numpy call on a strided
+(K, H) gate view costs about twice one on a contiguous block.  It copies
+the pre-activations once into a (T, 4, K, H) scratch array, and keeps
+tanh(g_t) next to c_{t-1} in one (2, K, H) block, so one multiply by the
+adjacent i and f blocks gives both terms of c_t, which then overwrites
+c_{t-1}.
 
 Inference runs no backward pass, so it asks :func:`lstm_forward` for no
 cache, as cuDNN's inference mode writes no reserve space: no ``cell`` or
 ``tanh_cell`` array is taken, the packed loop keeps its cells in scratch
-(the one-post loop's already live there), and each step's tanh(c) goes
-into a scratch block.  The arithmetic is the same, and so are the bits.
+(the one-post loop keeps only the current step's), and each step's
+tanh(c) goes into a scratch block.  The arithmetic is the same, and so
+are the bits.
 
 :class:`LstmCache` holds the packed rows in processing order: each
 direction's inputs (D), and the activated ``gates`` (4H, blocks in gate
@@ -67,9 +69,9 @@ Every array of more than one step lives in an :class:`arena.Arena`, the
 caller's or a new one per call.  Named roles hold the mirrored inputs,
 the cache, the (N, K*H) output and the input gradient; scratch slots hold
 what one loop or pass uses and drops before it returns: the packed loop's
-contiguous copy of W_rec and per-step product (and, with no cache, its
-cells and tanh(c)), the one-post loop's gate-major rows and tanh(g) and
-c_{t-1} rows, and the backward pass's dZ, dc/dh, upstream gradients in
+contiguous copy of W_rec (for several posts) and per-step product (and,
+with no cache, its cells and tanh(c)), the one-post loop's gate-major
+rows, and the backward pass's dZ, dc/dh, upstream gradients in
 processing order and gathered c_{t-1} and h_{t-1} rows.  What a call
 returns from an arena is valid until the next call that uses it.
 """
@@ -79,7 +81,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
 from operator import iadd
 from typing import Sequence
 
@@ -175,8 +176,8 @@ def lstm_forward(
         cell = tanh_cell = None
     hidden = arena.take("lstm.hidden", (N, K, H))
     with np.errstate(over="ignore"):
-        if steps.B == 1:
-            _one_post_steps(params.W_rec, gates, cell, tanh_cell, hidden, arena)
+        if steps.B == 1 and not keep_cache:
+            _one_post_steps(params.W_rec, gates, hidden, arena)
         else:
             _packed_steps(params.W_rec, steps, gates, cell, tanh_cell, hidden, arena)
 
@@ -211,7 +212,7 @@ def _packed_steps(
     hidden: np.ndarray,
     arena: Arena,
 ) -> None:
-    """The recurrence over the packed rows of a batch of several posts:
+    """The recurrence over the packed rows of a batch, one post's included:
     activates ``gates`` in place and fills the states.  With no cache
     (``cell`` and ``tanh_cell`` None) the cells go into scratch and each
     step's tanh(c) into one scratch block."""
@@ -219,9 +220,13 @@ def _packed_steps(
     K, H = hidden.shape[1:]
     i_, f_, g_, o_ = ((Ellipsis, slice(k * H, (k + 1) * H)) for k in range(4))
     # Several rows per step multiply faster against a contiguous copy,
-    # which this loop makes in its own scratch on every call.
-    W_rec_T = arena.scratch(0, (K, H, 4 * H))
-    np.copyto(W_rec_T, W_rec.transpose(0, 2, 1))
+    # which this loop makes in its own scratch on every call.  For one row
+    # the copy costs more than it saves, and BLAS would sum the product in
+    # another order than the one-post loop's.
+    W_rec_T = W_rec.transpose(0, 2, 1)
+    if B > 1:
+        W_rec_T = arena.scratch(0, (K, H, 4 * H))
+        np.copyto(W_rec_T, W_rec.transpose(0, 2, 1))
     product = arena.scratch(1, (B, K, 4 * H))  # each step's recurrent product
     if cell is None:
         cell, tanh_step = arena.scratch(2, hidden.shape), arena.scratch(3, (B, K, H))
@@ -243,37 +248,29 @@ def _packed_steps(
         np.multiply(z[o_], tc, out=hidden[r])
 
 
-def _one_post_steps(
-    W_rec: np.ndarray, gates: np.ndarray, cell: np.ndarray | None, tanh_cell: np.ndarray | None,
-    hidden: np.ndarray, arena: Arena,
-) -> None:
-    """The recurrence of one post over its (T, K, ·) rows, one per step:
-    :func:`_packed_steps`'s arithmetic on the same values, so the same
-    bits, on gate-major copies of the rows (see the module docstring).
-    With no cache (``cell`` and ``tanh_cell`` None) each step's tanh(c)
-    goes into one scratch block and the cache is not rebuilt."""
+def _one_post_steps(W_rec: np.ndarray, gates: np.ndarray, hidden: np.ndarray, arena: Arena) -> None:
+    """The recurrence of one post over its (T, K, ·) rows, one per step,
+    with no cache: :func:`_packed_steps`'s arithmetic on the same values,
+    so the same bits, on gate-major copies of the rows (see the module
+    docstring).  It fills only ``hidden``."""
     T, K, H = hidden.shape
-    # For one row a contiguous copy costs more than it saves, and BLAS
-    # would sum its product in another order.
-    W_rec_T = W_rec.transpose(0, 2, 1)
+    W_rec_T = W_rec.transpose(0, 2, 1)  # as _packed_steps multiplies one row
     # Gate-major rows, in this loop's own scratch: step t's i, f, g and o
     # are contiguous (K, H) blocks.
     by_gate = arena.scratch(1, (T, 4, K, H))
-    by_gate_rows = by_gate.transpose(0, 2, 1, 3)
-    gates_rows = gates.reshape(T, K, 4, H)
-    np.copyto(by_gate_rows, gates_rows)
-    # Row t holds tanh(g_t), then c_{t-1}, so one multiply by step t's i
-    # and f blocks gives both terms of c_t, which goes into row t + 1.
-    g_c = arena.scratch(2, (T + 1, 2, K, H))
+    np.copyto(by_gate.transpose(0, 2, 1, 3), gates.reshape(T, K, 4, H))
+    # tanh(g_t), then c_{t-1}, so one multiply by step t's i and f blocks
+    # gives both terms of c_t, which then takes c_{t-1}'s place.
+    g_c = np.empty((2, K, H))
+    tg, c = g_c
     product = np.empty((K, 1, 4 * H))  # each step's recurrent product
     rec = product.reshape(K, 4, H).transpose(1, 0, 2)  # gate-major view
     terms = np.empty((2, K, H))  # i * g, f * c_{t-1}
     ig, fc = terms
-    tanh_rows = repeat(np.empty((K, H))) if tanh_cell is None else tanh_cell
+    tc = np.empty((K, H))
     h_prev = None
-    for z, z_if, zg, zo, g_c_t, tg, c, tc, h, h_row in zip(
-        by_gate, by_gate[:, :2], by_gate[:, 2], by_gate[:, 3], g_c, g_c[:, 0], g_c[1:, 1], tanh_rows, hidden,
-        hidden[:, :, None],
+    for z, z_if, zg, zo, h, h_row in zip(
+        by_gate, by_gate[:, :2], by_gate[:, 2], by_gate[:, 3], hidden, hidden[:, :, None]
     ):
         if h_prev is not None:
             np.matmul(h_prev, W_rec_T, product)
@@ -283,17 +280,11 @@ def _one_post_steps(
         if h_prev is None:  # c_{-1} = 0
             np.multiply(z_if[0], tg, c)
         else:
-            np.multiply(z_if, g_c_t, terms)
+            np.multiply(z_if, g_c, terms)
             np.add(ig, fc, c)
         np.tanh(c, tc)
         np.multiply(zo, tc, h)
         h_prev = h_row
-    if cell is None:
-        return
-    # the cache in gate order (sigmoid rows, then the tanh block) and the cells
-    np.copyto(gates_rows, by_gate_rows)
-    gates_rows[:, :, 2] = g_c[:T, 0]
-    np.copyto(cell, g_c[1:, 1])
 
 
 def lstm_backward(

@@ -8,14 +8,15 @@ only the N real token slots of the length-sorted posts, time-major.  The
 embedding rows are gathered straight from the posts' indices, the LSTM
 and the projection return (N, ·) rows, the CRF returns its gradients in
 those rows, and Viterbi decodes each post from its rows, put back post by
-post (``PackedSteps.unpack``); no padded slot is built.  A pass over one
-post (``predict`` of a post on its own, a training batch of one) runs the
-LSTM's one-post time loop and any larger pass its packed loop; both give
-the same bits (see :mod:`lstm`).  The backward pass is fully manual
-(projection, then both LSTM directions) and writes gradients summed over
-the batch; only for a fine-tuned model does it ask the LSTM for the input
-gradient and accumulate embedding-row gradients from it.  Only a training
-pass keeps what the backward pass reads: inference passes
+post (``PackedSteps.unpack``); no padded slot is built.  An inference
+pass over one post (``predict`` of a post on its own) runs the LSTM's
+one-post time loop, and every other pass, a training batch of one
+included, its packed loop; both give the same bits (see :mod:`lstm`).
+The backward pass is fully manual (projection, then both LSTM
+directions) and writes gradients summed over the batch; only for a
+fine-tuned model does it ask the LSTM for the input gradient and
+accumulate embedding-row gradients from it.  Only a training pass keeps
+what the backward pass reads: inference passes
 (``predict_spans`` and its callers) build no cache, in the model or in
 the LSTM.
 

@@ -5,13 +5,14 @@ Viterbi decoder must return exactly the numpy reference's path.
 The tolerance was fixed before the fused kernels were written: float64
 arithmetic reordered over at most a few hundred terms.  The packed CRF
 kernel must also return exactly the bits of the padded (T, B) kernel it
-replaced, kept in ``oracles``, on every real slot.  The
-LSTM's one-post loop must return exactly the bits of the forward pass that
-ran one post through the packed loop before it, also kept there, and its
-cache must give the backward pass the same gradients; a pass that keeps no
-cache must return the caching pass's bits.  The hot cases scale
-the inputs by 50 (and the emissions by 50 for the CRF), so LSTM gates
-saturate and the sigmoid's exp overflows.
+replaced, kept in ``oracles``, on every real slot.  One post must get
+exactly the bits of the lockstep forward pass kept there, which
+multiplies one post's rows against a strided W_rec as the packed loop
+does: in the caching pass, whose cache must give the backward pass the
+same gradients, and in the one-post loop, which runs only without a
+cache.  A pass that keeps no cache must return the caching pass's bits.
+The hot cases scale the inputs by 50 (and the emissions by 50 for the
+CRF), so LSTM gates saturate and the sigmoid's exp overflows.
 """
 
 import numpy as np
@@ -98,14 +99,19 @@ def stacked_params(rng, K, H):
 @pytest.mark.parametrize("H", [1, 3, 32, 128])
 @pytest.mark.parametrize("T", [1, 2, 7, 130])
 def test_one_post_lstm_is_bitwise_the_packed_loop(T, H, reverse, scale):
+    """One post against the lockstep reference: a caching pass (the packed
+    loop, with the backward pass's gradients) and a pass with no cache
+    (the one-post loop) must both give its bits."""
     K = len(reverse)
     rng = np.random.default_rng(1000 * T + 10 * H + sum(reverse) + K)
     params = stacked_params(rng, K, H)
     x, steps = pack_posts([rng.normal(size=(T, DIM)) * scale])
     d_hidden = rng.normal(size=(T, K * H))
     hidden, cache = lstm_forward(x, params, steps, reverse)
+    bare, _ = lstm_forward(x, params, steps, reverse, keep_cache=False)
     ref_hidden, ref_cache = reference_lstm_forward(x[:, None], params, [T], reverse)
     assert np.array_equal(hidden, ref_hidden[:, 0])
+    assert np.array_equal(bare, ref_hidden[:, 0])
     for name in ("gates", "cell", "tanh_cell", "hidden"):
         assert np.array_equal(getattr(cache, name), getattr(ref_cache, name))
     for input_grad in (False, True):

@@ -61,20 +61,21 @@ class TestForward:
             with pytest.raises(ValidationError):
                 lstm_forward(np.zeros((1, 4)), params, PackedSteps(lengths), [False])
 
+    @pytest.mark.parametrize("keep_cache", [True, False], ids=["cache", "no-cache"])
     @pytest.mark.parametrize("n_posts", [1, 2], ids=["one-post", "two-posts"])
     @pytest.mark.parametrize("row", [0, -1], ids=["first-row", "last-row"])
     @pytest.mark.parametrize("reverse", [(False,), (False, True)], ids=["fwd", "fwd-bwd"])
-    def test_non_finite_input_raises(self, reverse, row, n_posts):
+    def test_non_finite_input_raises(self, reverse, row, n_posts, keep_cache):
         """A NaN in the first or the last row of a post, the last being
-        what a reversed direction reads first, in the one-post loop and in
-        the packed loop."""
+        what a reversed direction reads first, in the packed loop and (one
+        post with no cache) in the one-post loop."""
         rng = np.random.default_rng(3)
         params = stacked([random_params(rng, hidden=3, dim=2) for _ in reverse])
         bad = np.array([[1.0, 0.0], [0.0, 0.0]])
         bad[row, 1] = np.nan
         x, steps = pack_posts([bad] if n_posts == 1 else [rng.normal(size=(3, 2)), bad])
         with pytest.raises(NonFiniteError):
-            lstm_forward(x, params, steps, list(reverse))
+            lstm_forward(x, params, steps, list(reverse), keep_cache=keep_cache)
 
     def test_hidden_states_are_bounded(self):
         rng = np.random.default_rng(4)

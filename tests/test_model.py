@@ -251,6 +251,36 @@ class TestTagPosts:
         assert tag_posts(params, table, [post], 8, policy, gate) == [CharSpanSet(tuple(range(7)))]
 
 
+class TestLstmLoops:
+    """Only a pass over one post that keeps no cache, as tagging a post on
+    its own does, runs the LSTM's one-post loop; every other pass runs the
+    packed loop."""
+
+    def test_only_one_post_inference_runs_the_one_post_loop(self, monkeypatch):
+        import toxicspans.lstm
+
+        calls = []
+        one_post_steps = toxicspans.lstm._one_post_steps
+
+        def spy(*args):
+            calls.append(args[-2].shape[0])  # the post's steps
+            one_post_steps(*args)
+
+        monkeypatch.setattr(toxicspans.lstm, "_one_post_steps", spy)
+        table = make_table(["a", "b", "c"])
+        params = make_model(table)
+        words = "a b c b a c c a".split()
+        posts = [encoded(table, " ".join(words[: 1 + k % len(words)])) for k in range(INFER_BATCH + 3)]
+        labels = [[k % 2] * post.effective_len for k, post in enumerate(posts)]
+        predict_spans(params, posts[2:3], BridgePolicy())
+        assert calls == [3]
+        calls.clear()
+        nll_and_gradients(posts[2:3], labels[2:3], params)
+        nll_and_gradients(posts, labels, params)
+        predict_spans(params, posts, BridgePolicy())
+        assert calls == []
+
+
 class TestStackedDirections:
     @pytest.mark.parametrize("source", ["init", "clone", "gradients", "checkpoint"])
     def test_every_view_writes_through_to_the_vector_in_tensor_order(self, tmp_path, source):

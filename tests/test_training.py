@@ -354,8 +354,9 @@ class TestParameterVector:
 
     @pytest.mark.parametrize("finetune", [False, True])
     def test_one_post_batches_train_bitwise_as_the_packed_loop(self, finetune, monkeypatch):
-        """Batches of one run the LSTM's one-post loop, whose cache the
-        backward pass reads; training must give the packed loop's bits."""
+        """Batches of one run the LSTM's packed loop against a strided
+        W_rec; training must give the bits of the packed reference, which
+        multiplies one post the same way."""
         table, posts = synthetic_setup(n_posts=40)
         examples = build_examples(posts, table, max_len=32)
         cfg = TrainConfig(epochs=2, batch_size=1, seed=4, hidden_size=3, max_len=32,
