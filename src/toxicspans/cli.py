@@ -1,10 +1,12 @@
 """Command-line entry point: stats, train, gate-train, predict, evaluate,
 analyze.
 
-Option resolution is CLI flag > config file > built-in default, and every
-command checks its options before it reads any input file.  Every command
-that writes an output also writes a ``<output>.manifest.json`` recording
-the resolved configuration, input digests, and wall-clock time.
+``main`` frames every command.  It merges the ``--config`` file into the
+parsed flags once (CLI flag > config file > built-in default), and when a
+command returns what it wrote, it writes ``<output>.manifest.json`` with
+the resolved configuration, input digests and wall-clock time.  Every
+command checks its options before it reads any input file, and rejects an
+``--out`` that names one of them.
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
 
@@ -12,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, replace
@@ -37,6 +39,7 @@ from .dataio import (
 from .embeddings import check_max_len, encode_post, load_embeddings
 from .errors import DataFormatError, ToxicSpansError, ValidationError
 from .gate import (
+    GATE_EPOCHS,
     GateModel,
     check_gate_options,
     load_external_gate,
@@ -71,8 +74,12 @@ DEFAULTS = {
     "gate_threshold": GateModel.threshold,
     "embedding_dim": 25,
     "samples": 3,
-    "gate_epochs": inspect.signature(train_gate).parameters["epochs"].default,
+    "gate_epochs": GATE_EPOCHS,
 }
+
+# What a command wrote, for its manifest: its resolved configuration, the
+# path of each input file by role, and the files it wrote.
+_Written = tuple[dict, dict[str, str], list[str]]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -163,13 +170,22 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, key: str, default=None):
-    """CLI flag beats config file beats ``default`` (None: the built-in one)."""
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in getattr(args, "_config_values", {}):
-        return args._config_values[key]
+    """The flag or config file value, else ``default`` (None: the built-in one)."""
+    value = getattr(args, key, None)
+    if value is not None:
+        return value
     return DEFAULTS[key] if default is None else default
+
+
+def _inputs(args: argparse.Namespace, **gate_file: str) -> dict[str, str]:
+    """The path of each file the command reads, by role, for its manifest;
+    an ``--out`` that names one of them or the config file is an error."""
+    inputs = {role: path for role in ("data", "embeddings", "checkpoint", "pred")
+              if (path := getattr(args, role, None)) is not None} | gate_file
+    read = {os.path.abspath(path) for path in [*inputs.values(), args.config] if path}
+    if args.out and os.path.abspath(args.out) in read:
+        raise ValidationError(f"--out {args.out} is an input file of {args.command}")
+    return inputs
 
 
 def _require_file(path: str, role: str) -> Path:
@@ -187,16 +203,10 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(
-    out_path: str,
-    command: str,
-    config: dict,
-    inputs: dict[str, str],
-    outputs: list[str],
-    started: float,
-) -> None:
+def _write_manifest(args: argparse.Namespace, written: _Written, started: float) -> None:
+    config, inputs, outputs = written
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "seed": config.get("seed"),
         "inputs": {
@@ -206,9 +216,7 @@ def _write_manifest(
         "outputs": outputs,
         "wall_clock_seconds": round(time.time() - started, 3),
     }
-    atomic_write_text(
-        str(out_path) + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True)
-    )
+    atomic_write_text(args.out + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _load_table(args: argparse.Namespace):
@@ -226,10 +234,17 @@ def _load_posts(args: argparse.Namespace, has_gold: bool):
         )
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    started = time.time()
+def _load_scored(args: argparse.Namespace):
+    """The gold posts of ``--data``, then the predictions of ``--pred``."""
+    golds = _load_posts(args, has_gold=True)
+    with open(_require_file(args.pred, "prediction"), "rb") as handle:
+        return golds, read_predictions(handle)
+
+
+def cmd_stats(args: argparse.Namespace) -> _Written | None:
     max_len = _resolve(args, "max_len")
     check_max_len(max_len)
+    inputs = _inputs(args)
     posts = _load_posts(args, has_gold=True)
     hist = span_word_histogram(posts)
     print(f"{'words':>6}  {'posts':>7}  {'percent':>8}")
@@ -238,24 +253,23 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"total posts: {len(posts)}")
     over = sum(1 for post in posts if len(tokenize(post.text)) > max_len)
     print(f"posts longer than {max_len} tokens: {over}")
-    if args.out:
-        lines = ["words,posts,percent"]
-        lines += [
-            f"{w},{c},{hist.percentages[w]:.4f}" for w, c in hist.counts.items()
-        ]
-        atomic_write_text(args.out, "\n".join(lines) + "\n")
-        _write_manifest(args.out, "stats", {"lenient": args.lenient},
-                        {"data": args.data}, [args.out], started)
-    return 0
+    if not args.out:
+        return None
+    lines = ["words,posts,percent"]
+    lines += [
+        f"{w},{c},{hist.percentages[w]:.4f}" for w, c in hist.counts.items()
+    ]
+    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    return {"lenient": args.lenient}, inputs, [args.out]
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_train(args: argparse.Namespace) -> _Written:
     cfg = TrainConfig(
         **{field: _resolve(args, key) for key, field in TRAIN_FIELDS.items()},
         finetune_embeddings=args.finetune_embeddings,
     )
     cfg.validate()
+    inputs = _inputs(args)
     table = _load_table(args)
     posts = _load_posts(args, has_gold=True)
     examples = build_examples(posts, table, cfg.max_len)
@@ -270,33 +284,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     params, history = train(examples, cfg, table, progress=report)
     save_checkpoint(args.out, params, cfg, table)
-    history_path = str(args.out) + ".history.json"
-    atomic_write_text(
-        history_path,
-        json.dumps(
-            {"epochs": [asdict(h) for h in history]},
-            indent=2,
-            sort_keys=True,
-        ),
-    )
+    history_path = args.out + ".history.json"
+    atomic_write_text(history_path, json.dumps({"epochs": [asdict(h) for h in history]}, indent=2, sort_keys=True))
     best = max(history, key=lambda h: h.dev_f1)
     print(f"best dev_f1 {best.dev_f1:.4f} at epoch {best.epoch}; checkpoint: {args.out}")
-    _write_manifest(
-        args.out,
-        "train",
-        {**cfg.to_dict(), "lenient": args.lenient},
-        {"data": args.data, "embeddings": args.embeddings},
-        [str(args.out), history_path],
-        started,
-    )
-    return 0
+    return {**cfg.to_dict(), "lenient": args.lenient}, inputs, [args.out, history_path]
 
 
-def cmd_gate_train(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_gate_train(args: argparse.Namespace) -> _Written:
     max_len, epochs, threshold = (_resolve(args, key) for key in ("max_len", "gate_epochs", "gate_threshold"))
     check_max_len(max_len)
     check_gate_options(epochs, threshold)
+    inputs = _inputs(args)
     table = _load_table(args)
     posts = _load_posts(args, has_gold=True)
     data = [
@@ -306,67 +305,60 @@ def cmd_gate_train(args: argparse.Namespace) -> int:
     model = train_gate(data, table, epochs=epochs, threshold=threshold)
     save_gate(model, args.out)
     print(f"gate model written to {args.out}")
-    _write_manifest(
-        args.out,
-        "gate-train",
-        {"max_len": max_len, "gate_threshold": model.threshold,
-         "gate_epochs": epochs, "lenient": args.lenient},
-        {"data": args.data, "embeddings": args.embeddings},
-        [str(args.out)],
-        started,
-    )
-    return 0
+    config = {"max_len": max_len, "gate_threshold": model.threshold,
+              "gate_epochs": epochs, "lenient": args.lenient}
+    return config, inputs, [args.out]
 
 
-def _check_gate_args(args: argparse.Namespace) -> None:
-    """Reject a bad ``--gate`` mode or threshold, or ``--gate internal`` without a model."""
+def _check_gate_args(args: argparse.Namespace) -> dict[str, str]:
+    """The file that ``--gate`` reads, as its manifest ``inputs`` entry (none
+    when the gate is off).  A bad mode or threshold, or ``--gate internal``
+    without a model, is an error."""
     mode = _resolve(args, "gate")
     if mode not in ("off", "internal") and not mode.startswith("scores:"):
         raise ValidationError(f"--gate must be off, internal, or scores:<path>, got {mode!r}")
     if mode == "internal" and not args.gate_model:
         raise ValidationError("--gate internal requires --gate-model <path>")
     check_gate_options(threshold=_resolve(args, "gate_threshold"))
-
-
-def _load_gate(args: argparse.Namespace, table) -> tuple[GateModel | None, dict[str, str]]:
-    """The gate that ``--gate`` names, and the manifest ``inputs`` entry of
-    the file it was read from (none when the gate is off)."""
-    mode = _resolve(args, "gate")
-    if mode == "off":
-        return None, {}
     if mode == "internal":
-        model = load_gate(_require_file(args.gate_model, "gate model"))
-        if model.vocab_hash not in (None, vocab_hash := table.fingerprint()):
-            raise ValidationError(
-                f"gate model {args.gate_model} was trained on another embedding table: vocab_hash "
-                f"{model.vocab_hash} != {vocab_hash} of {args.embeddings} (dim {table.dim})"
-            )
-        if model.vocab_hash is None:
-            print(f"warning: gate model {args.gate_model} records no embedding table, "
-                  f"so it was not checked against {args.embeddings}", file=sys.stderr)
-        # an explicit threshold (flag or config file) overrides the stored one
-        threshold = _resolve(args, "gate_threshold", default=model.threshold)
-        return replace(model, threshold=threshold), {"gate_model": args.gate_model}
-    path = mode.removeprefix("scores:")
-    gate = load_external_gate(_require_file(path, "gate score"), _resolve(args, "gate_threshold"))
-    return gate, {"gate_scores": path}
+        return {"gate_model": args.gate_model}
+    return {} if mode == "off" else {"gate_scores": mode.removeprefix("scores:")}
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    started = time.time()
+def _load_gate(args: argparse.Namespace, table, gate_file: dict[str, str]) -> GateModel | None:
+    """The gate in ``gate_file``, the result of ``_check_gate_args``."""
+    if not gate_file:
+        return None
+    if "gate_scores" in gate_file:
+        path = _require_file(gate_file["gate_scores"], "gate score")
+        return load_external_gate(path, _resolve(args, "gate_threshold"))
+    model = load_gate(_require_file(args.gate_model, "gate model"))
+    if model.vocab_hash not in (None, vocab_hash := table.fingerprint()):
+        raise ValidationError(
+            f"gate model {args.gate_model} was trained on another embedding table: vocab_hash "
+            f"{model.vocab_hash} != {vocab_hash} of {args.embeddings} (dim {table.dim})"
+        )
+    if model.vocab_hash is None:
+        print(f"warning: gate model {args.gate_model} records no embedding table, "
+              f"so it was not checked against {args.embeddings}", file=sys.stderr)
+    # an explicit threshold (flag or config file) overrides the stored one
+    return replace(model, threshold=_resolve(args, "gate_threshold", default=model.threshold))
+
+
+def cmd_predict(args: argparse.Namespace) -> _Written:
     # flag and config values before any file; a value the checkpoint
     # supplies passed TrainConfig.validate when the checkpoint was loaded
     check_max_len(_resolve(args, "max_len"))
     BridgePolicy(max_gap=_resolve(args, "bridge_gap"))
-    _check_gate_args(args)
+    gate_file = _check_gate_args(args)
+    inputs = _inputs(args, **gate_file)
     table = _load_table(args)
-    ckpt_path = _require_file(args.checkpoint, "checkpoint")
-    params, cfg = load_checkpoint(ckpt_path, table)
+    params, cfg = load_checkpoint(_require_file(args.checkpoint, "checkpoint"), table)
     max_len = _resolve(args, "max_len", default=cfg.max_len)
     # a flag or config value beats the gap the checkpoint was chosen with
     bridge_gap = _resolve(args, "bridge_gap", default=cfg.bridge_gap)
     policy = BridgePolicy(bridge_gaps=True, max_gap=bridge_gap)
-    gate, gate_input = _load_gate(args, table)
+    gate = _load_gate(args, table, gate_file)
     posts = _load_posts(args, has_gold=False)
     spans = tag_posts(params, table, posts, max_len, policy, gate)
     preds = [PostPrediction(id=post.id, spans=found) for post, found in zip(posts, spans)]
@@ -374,26 +366,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     write_predictions(preds, buffer)
     atomic_write_bytes(args.out, buffer.getvalue())
     print(f"{len(preds)} predictions written to {args.out}")
-    inputs = {"data": args.data, "embeddings": args.embeddings,
-              "checkpoint": args.checkpoint, **gate_input}
-    _write_manifest(
-        args.out,
-        "predict",
-        {"max_len": max_len, "gate": _resolve(args, "gate"),
-         "gate_threshold": None if gate is None else gate.threshold,
-         "bridge_gap": policy.max_gap},
-        inputs,
-        [str(args.out)],
-        started,
-    )
-    return 0
+    config = {"max_len": max_len, "gate": _resolve(args, "gate"),
+              "gate_threshold": None if gate is None else gate.threshold,
+              "bridge_gap": policy.max_gap}
+    return config, inputs, [args.out]
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    started = time.time()
-    golds = _load_posts(args, has_gold=True)
-    with open(_require_file(args.pred, "prediction"), "rb") as handle:
-        preds = read_predictions(handle)
+def cmd_evaluate(args: argparse.Namespace) -> _Written | None:
+    inputs = _inputs(args)
+    golds, preds = _load_scored(args)
     report = evaluate(preds, golds)
     lines = ["id\tprecision\trecall\tf1"]
     for pred, score in zip(preds, report.per_post):
@@ -402,23 +383,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     lines.append(f"mean_f1\t{report.mean_f1:.4f}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-        print(f"mean_f1\t{report.mean_f1:.4f}")
-        _write_manifest(args.out, "evaluate", {"lenient": args.lenient},
-                        {"data": args.data, "pred": args.pred}, [args.out], started)
-    else:
+    if not args.out:
         sys.stdout.write(text)
-    return 0
+        return None
+    atomic_write_text(args.out, text)
+    print(f"mean_f1\t{report.mean_f1:.4f}")
+    return {"lenient": args.lenient}, inputs, [args.out]
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     n_samples = _resolve(args, "samples")
     if n_samples < 0:
         raise ValidationError(f"samples must be >= 0, got {n_samples}")
-    golds = _load_posts(args, has_gold=True)
-    with open(_require_file(args.pred, "prediction"), "rb") as handle:
-        preds = read_predictions(handle)
+    golds, preds = _load_scored(args)
     buckets = categorize_errors(preds, golds)
     by_id = {post.id: post for post in golds}
     total = sum(len(b.post_ids) for b in buckets)
@@ -429,7 +406,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             text = by_id[post_id].text.replace("\n", " ")
             snippet = text[:60] + ("..." if len(text) > 60 else "")
             print(f"{'':>19}#{post_id}: {snippet}")
-    return 0
 
 
 _COMMANDS = {
@@ -452,8 +428,13 @@ def main(argv: list[str] | None = None) -> int:
     log = io.StringIO()
     with np.errstate(divide="log", over="log", invalid="log", call=log):
         try:
-            args._config_values = _read_config_file(args.config) if args.config else {}
-            code = _COMMANDS[args.command](args)
+            started = time.time()
+            for key, value in (_read_config_file(args.config) if args.config else {}).items():
+                if getattr(args, key, None) is None:  # a flag beats the config file
+                    setattr(args, key, value)
+            if written := _COMMANDS[args.command](args):
+                _write_manifest(args, written, started)
+            code = 0
         except (DataFormatError, ValidationError, FileNotFoundError) as exc:
             code, error = 2, exc
         except (ToxicSpansError, OSError, MemoryError) as exc:

@@ -22,6 +22,7 @@ from .errors import DataFormatError, ValidationError
 
 KIND_INTERNAL = "internal-logreg"
 KIND_EXTERNAL = "external-scores"
+GATE_EPOCHS = 400  # full-batch gradient steps of the internal gate
 
 
 @dataclass
@@ -72,7 +73,7 @@ def _fit_logreg(features: np.ndarray, targets: np.ndarray, epochs: int) -> np.nd
 def train_gate(
     data: Sequence[tuple[EncodedPost, bool]],
     table: EmbeddingTable,
-    epochs: int = 400,
+    epochs: int = GATE_EPOCHS,
     threshold: float = 0.5,
 ) -> GateModel:
     """Fit the internal logistic gate on mean-pooled embedding features."""

@@ -90,6 +90,11 @@ def manifest_config(out) -> dict:
     return json.loads(Path(f"{out}.manifest.json").read_text())["config"]
 
 
+def write_gold_predictions(path, posts) -> None:
+    """The posts' gold spans as a prediction file."""
+    path.write_text("".join(f"{post.id}\t{list(post.gold.indexes)}\n" for post in posts))
+
+
 def run_predict(workspace, out_name, *extra):
     """``cli predict`` on dev.csv; ``out_name`` is joined to the workspace,
     so an absolute path writes elsewhere."""
@@ -779,9 +784,7 @@ class TestManifests:
         data = ["--data", str(workspace / "train.csv")]
         vectors = ["--embeddings", str(workspace / "vectors.txt"), "--embedding-dim", str(DIM)]
         pred = tmp_path / "gold.tsv"
-        pred.write_text("".join(
-            f"{post.id}\t{list(post.gold.indexes)}\n" for post in generate_posts(120, seed=11)
-        ))
+        write_gold_predictions(pred, generate_posts(120, seed=11))
         outs = {"train": tmp_path / "m.ckpt", "gate-train": tmp_path / "g.json",
                 "evaluate": tmp_path / "report.tsv"}
         assert train_tiny(workspace, outs["train"], *flag) == 0
@@ -790,6 +793,57 @@ class TestManifests:
                      *flag]) == 0
         for out in outs.values():
             assert manifest_config(out)["lenient"] is lenient
+
+    @pytest.mark.parametrize(
+        "command, roles",
+        [("stats", {"data"}), ("train", {"data", "embeddings"}), ("gate-train", {"data", "embeddings"}),
+         ("predict", {"data", "embeddings", "checkpoint", "gate_model"}), ("evaluate", {"data", "pred"})],
+    )
+    def test_manifest_contract(self, workspace, gate_07, tmp_path, command, roles):
+        """A command that writes ``--out`` records its name, the fixed key
+        set, outputs that exist and the digest of each file it read."""
+        pred = tmp_path / "gold.tsv"
+        write_gold_predictions(pred, generate_posts(40, seed=12))
+        dev = ["--data", str(workspace / "dev.csv")]
+        vectors = ["--embeddings", str(workspace / "vectors.txt"), "--embedding-dim", str(DIM)]
+        argv = {
+            "stats": dev,
+            "train": ["--data", str(workspace / "train.csv"), *vectors, "--hidden", "4", "--epochs", "1"],
+            "gate-train": ["--data", str(workspace / "train.csv"), *vectors],
+            "predict": [*dev, *vectors, "--checkpoint", str(workspace / "model.ckpt"),
+                        "--gate", "internal", "--gate-model", str(gate_07)],
+            "evaluate": [*dev, "--pred", str(pred)],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *argv, "--out", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest) == {"command", "config", "seed", "inputs", "outputs", "wall_clock_seconds"}
+        assert manifest["outputs"][0] == str(out) and all(Path(p).is_file() for p in manifest["outputs"])
+        assert set(manifest["inputs"]) == roles
+        for entry in manifest["inputs"].values():
+            assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+
+    def test_no_output_no_manifest(self, workspace, gate_07, tmp_path, monkeypatch):
+        """``stats`` and ``evaluate`` without ``--out``, ``analyze``, and a
+        ``predict`` that exits 2 write nothing: no manifest, no predictions."""
+        inputs, work = tmp_path / "in", tmp_path / "work"
+        inputs.mkdir()
+        work.mkdir()
+        pred = inputs / "gold.tsv"
+        write_gold_predictions(pred, generate_posts(40, seed=12))
+        other_gate = inputs / "other_gate.json"
+        other_gate.write_text(json.dumps(json.loads(gate_07.read_text()) | {"vocab_hash": "0" * 64}))
+        dev = ["--data", str(workspace / "dev.csv")]
+        monkeypatch.chdir(work)
+        assert main(["stats", *dev]) == 0
+        assert main(["evaluate", *dev, "--pred", str(pred)]) == 0
+        assert main(["analyze", *dev, "--pred", str(pred)]) == 0
+        assert main(["predict", *dev, "--embeddings", str(workspace / "vectors.txt"),
+                     "--embedding-dim", str(DIM), "--checkpoint", str(workspace / "model.ckpt"),
+                     "--gate", "internal", "--gate-model", str(other_gate), "--out", "p.tsv"]) == 2
+        assert list(work.iterdir()) == []
+        assert sorted(p.name for p in inputs.iterdir()) == ["gold.tsv", "other_gate.json"]
 
 
 @pytest.fixture(scope="module")
@@ -917,6 +971,50 @@ class TestOptionsCheckedFirst:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ") and match in err[0]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutNamesAnInput:
+    """An ``--out`` that names a file the command reads, by another spelling,
+    exits 2 with one error line before any input but the config file is
+    read, and leaves every file as it was."""
+
+    FILES = {"data": "posts.csv", "embeddings": "vectors.txt", "checkpoint": "model.ckpt",
+             "gate_model": "gate.json", "gate_scores": "scores.tsv", "pred": "pred.tsv", "config": "options.cfg"}
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [("stats", "data"), ("stats", "config"), ("train", "data"), ("train", "embeddings"),
+         ("gate-train", "data"), ("gate-train", "embeddings"), ("predict", "data"),
+         ("predict", "embeddings"), ("predict", "checkpoint"), ("predict", "gate_model"),
+         ("predict", "gate_scores"), ("predict", "config"), ("evaluate", "data"), ("evaluate", "pred")],
+    )
+    def test_exits_2_and_keeps_the_input(
+        self, workspace, gate_07, tmp_path, monkeypatch, capsys, command, target
+    ):
+        sources = {"data": workspace / "dev.csv", "embeddings": workspace / "vectors.txt",
+                   "checkpoint": workspace / "model.ckpt", "gate_model": gate_07}
+        for role, name in self.FILES.items():
+            (tmp_path / name).write_bytes(sources[role].read_bytes() if role in sources else b"# none\n")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an input file was read before --out was checked")
+
+        monkeypatch.setattr(toxicspans.cli, "parse_dataset", unreachable)
+        monkeypatch.setattr(toxicspans.cli, "load_embeddings", unreachable)
+        monkeypatch.chdir(tmp_path)
+        vectors = ["--embeddings", "vectors.txt", "--embedding-dim", str(DIM)]
+        gate = {"gate_model": ["--gate", "internal", "--gate-model", "gate.json"],
+                "gate_scores": ["--gate", "scores:scores.tsv"]}.get(target, [])
+        argv = {"stats": [], "train": vectors, "gate-train": vectors, "evaluate": ["--pred", "pred.tsv"],
+                "predict": [*vectors, "--checkpoint", "model.ckpt", *gate]}[command]
+        # the inputs are relative names and --out the absolute path of one
+        code = main([command, "--data", "posts.csv", "--config", "options.cfg", *argv,
+                     "--out", str(tmp_path / self.FILES[target])])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: --out {tmp_path / self.FILES[target]} is an input file of {command}"]
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestRaiseSitesReachedFromTheCli:
