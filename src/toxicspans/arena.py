@@ -6,7 +6,9 @@ step page-faults it in again.  An :class:`Arena` keeps one flat float64
 buffer per role instead and hands out each array as a C-contiguous view of
 its buffer's first elements.  A view starts where its buffer starts, so a
 kernel writing into it sees the layout, and sums in the order, of a fresh
-array of that shape.
+array of that shape.  Every pass runs in the caller's arena; only the entry
+points ``training.train``, ``model.tag_posts`` and ``model.predict`` make
+one.
 
 A buffer is first made at the size asked for.  It grows only when a larger
 batch asks for more, and then to a power-of-two length, so it grows a few

@@ -6,7 +6,7 @@ parsed flags once (CLI flag > config file > built-in default), and when a
 command returns what it wrote, it writes ``<output>.manifest.json`` with
 the resolved configuration, input digests and wall-clock time.  Every
 command checks its options before it reads any input file, and rejects an
-``--out`` that names one of them.
+``--out`` that names one of them, or whose manifest or history would.
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
 
@@ -40,6 +40,7 @@ from .embeddings import check_max_len, encode_post, load_embeddings
 from .errors import DataFormatError, ToxicSpansError, ValidationError
 from .gate import (
     GATE_EPOCHS,
+    GATE_THRESHOLD,
     GateModel,
     check_gate_options,
     load_external_gate,
@@ -71,11 +72,16 @@ TRAIN_FIELDS = {
 DEFAULTS = {
     **{key: getattr(TrainConfig, field) for key, field in TRAIN_FIELDS.items()},
     "gate": "off",
-    "gate_threshold": GateModel.threshold,
+    "gate_threshold": GATE_THRESHOLD,
     "embedding_dim": 25,
     "samples": 3,
     "gate_epochs": GATE_EPOCHS,
 }
+
+# The side files next to ``--out``: every command's manifest, and train's
+# epoch history.
+MANIFEST_SUFFIX = ".manifest.json"
+HISTORY_SUFFIX = ".history.json"
 
 # What a command wrote, for its manifest: its resolved configuration, the
 # path of each input file by role, and the files it wrote.
@@ -179,12 +185,18 @@ def _resolve(args: argparse.Namespace, key: str, default=None):
 
 def _inputs(args: argparse.Namespace, **gate_file: str) -> dict[str, str]:
     """The path of each file the command reads, by role, for its manifest;
-    an ``--out`` that names one of them or the config file is an error."""
+    an ``--out`` that names one of them or the config file, or whose side
+    files (its manifest, and train's history) do, is an error."""
     inputs = {role: path for role in ("data", "embeddings", "checkpoint", "pred")
               if (path := getattr(args, role, None)) is not None} | gate_file
     read = {os.path.abspath(path) for path in [*inputs.values(), args.config] if path}
-    if args.out and os.path.abspath(args.out) in read:
+    if not args.out:
+        return inputs
+    if os.path.abspath(args.out) in read:
         raise ValidationError(f"--out {args.out} is an input file of {args.command}")
+    for suffix in (MANIFEST_SUFFIX, HISTORY_SUFFIX) if args.command == "train" else (MANIFEST_SUFFIX,):
+        if os.path.abspath(side := args.out + suffix) in read:
+            raise ValidationError(f"--out {args.out} would overwrite {side}, an input file of {args.command}")
     return inputs
 
 
@@ -216,7 +228,7 @@ def _write_manifest(args: argparse.Namespace, written: _Written, started: float)
         "outputs": outputs,
         "wall_clock_seconds": round(time.time() - started, 3),
     }
-    atomic_write_text(args.out + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+    atomic_write_text(args.out + MANIFEST_SUFFIX, json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _load_table(args: argparse.Namespace):
@@ -284,7 +296,7 @@ def cmd_train(args: argparse.Namespace) -> _Written:
 
     params, history = train(examples, cfg, table, progress=report)
     save_checkpoint(args.out, params, cfg, table)
-    history_path = args.out + ".history.json"
+    history_path = args.out + HISTORY_SUFFIX
     atomic_write_text(history_path, json.dumps({"epochs": [asdict(h) for h in history]}, indent=2, sort_keys=True))
     best = max(history, key=lambda h: h.dev_f1)
     print(f"best dev_f1 {best.dev_f1:.4f} at epoch {best.epoch}; checkpoint: {args.out}")
@@ -325,19 +337,15 @@ def _check_gate_args(args: argparse.Namespace) -> dict[str, str]:
     return {} if mode == "off" else {"gate_scores": mode.removeprefix("scores:")}
 
 
-def _load_gate(args: argparse.Namespace, table, gate_file: dict[str, str]) -> GateModel | None:
-    """The gate in ``gate_file``, the result of ``_check_gate_args``."""
+def _load_gate(args: argparse.Namespace, gate_file: dict[str, str]) -> GateModel | None:
+    """The gate in ``gate_file``, the result of ``_check_gate_args``;
+    ``tag_posts`` checks an internal gate's table."""
     if not gate_file:
         return None
     if "gate_scores" in gate_file:
         path = _require_file(gate_file["gate_scores"], "gate score")
         return load_external_gate(path, _resolve(args, "gate_threshold"))
     model = load_gate(_require_file(args.gate_model, "gate model"))
-    if model.vocab_hash not in (None, vocab_hash := table.fingerprint()):
-        raise ValidationError(
-            f"gate model {args.gate_model} was trained on another embedding table: vocab_hash "
-            f"{model.vocab_hash} != {vocab_hash} of {args.embeddings} (dim {table.dim})"
-        )
     if model.vocab_hash is None:
         print(f"warning: gate model {args.gate_model} records no embedding table, "
               f"so it was not checked against {args.embeddings}", file=sys.stderr)
@@ -358,7 +366,7 @@ def cmd_predict(args: argparse.Namespace) -> _Written:
     # a flag or config value beats the gap the checkpoint was chosen with
     bridge_gap = _resolve(args, "bridge_gap", default=cfg.bridge_gap)
     policy = BridgePolicy(bridge_gaps=True, max_gap=bridge_gap)
-    gate = _load_gate(args, table, gate_file)
+    gate = _load_gate(args, gate_file)
     posts = _load_posts(args, has_gold=False)
     spans = tag_posts(params, table, posts, max_len, policy, gate)
     preds = [PostPrediction(id=post.id, spans=found) for post, found in zip(posts, spans)]

@@ -162,15 +162,12 @@ def format_span_literal(spans: CharSpanSet) -> str:
 
 @contextmanager
 def text_reader(source: IO):
-    """Yield a text view of a possibly-binary stream without closing it.
+    """Yield a text view of a binary stream without closing it.
 
     Bytes that are not UTF-8 raise :class:`DataFormatError` naming the offset
     of the first bad byte from where reading began (when the stream can seek
     back to find it).
     """
-    if isinstance(source, io.TextIOBase):
-        yield source
-        return
     start = source.tell() if source.seekable() else None
     # utf-8-sig tolerates an optional BOM and is a strict superset of utf-8
     wrapper = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
@@ -202,11 +199,7 @@ def _first_bad_byte(source: IO, start: int) -> int | None:
 
 @contextmanager
 def text_writer(sink: IO):
-    """Yield a text view of a possibly-binary sink; flushes, never closes."""
-    if isinstance(sink, io.TextIOBase):
-        yield sink
-        sink.flush()
-        return
+    """Yield a text view of a binary sink; flushes, never closes."""
     wrapper = io.TextIOWrapper(sink, encoding="utf-8", newline="")
     try:
         yield wrapper

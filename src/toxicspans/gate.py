@@ -23,12 +23,13 @@ from .errors import DataFormatError, ValidationError
 KIND_INTERNAL = "internal-logreg"
 KIND_EXTERNAL = "external-scores"
 GATE_EPOCHS = 400  # full-batch gradient steps of the internal gate
+GATE_THRESHOLD = 0.5  # a post that scores below it is called non-toxic
 
 
 @dataclass
 class GateModel:
     kind: str
-    threshold: float = 0.5
+    threshold: float = GATE_THRESHOLD
     weights: np.ndarray | None = None  # (dim + 1,), last entry is the bias
     scores: dict[int, float] | None = None
     vocab_hash: str | None = None  # an internal gate's table.fingerprint(); None in old files
@@ -39,7 +40,7 @@ class GateModel:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
 
 
-def check_gate_options(epochs: int = 1, threshold: float = 0.5) -> None:
+def check_gate_options(epochs: int = 1, threshold: float = GATE_THRESHOLD) -> None:
     """Reject fewer than one training epoch, or a threshold outside [0, 1]."""
     if epochs < 1:
         raise ValidationError(f"gate epochs must be >= 1, got {epochs}")
@@ -74,7 +75,7 @@ def train_gate(
     data: Sequence[tuple[EncodedPost, bool]],
     table: EmbeddingTable,
     epochs: int = GATE_EPOCHS,
-    threshold: float = 0.5,
+    threshold: float = GATE_THRESHOLD,
 ) -> GateModel:
     """Fit the internal logistic gate on mean-pooled embedding features."""
     check_gate_options(epochs, threshold)
@@ -174,7 +175,7 @@ def load_gate(path: str | Path) -> GateModel:
         raise DataFormatError(f"bad gate model file {path}: {exc}") from None
 
 
-def load_external_gate(path: str | Path, threshold: float = 0.5) -> GateModel:
+def load_external_gate(path: str | Path, threshold: float = GATE_THRESHOLD) -> GateModel:
     with open(path, "rb") as handle:
         scores = read_score_file(handle)
     return GateModel(kind=KIND_EXTERNAL, threshold=threshold, scores=scores)

@@ -1,4 +1,4 @@
-"""LSTM forward pass and manual backward pass, K directions in lockstep.
+"""BiLSTM forward pass and manual backward pass, both directions in lockstep.
 
 Gate order in the stacked 4H parameter blocks is fixed: input, forget, cell
 candidate, output.  Each direction's recurrence starts from zero hidden and
@@ -11,19 +11,18 @@ cell state:
 
 Both kernels take and return the packed rows of :mod:`batching`, described
 by one :class:`batching.PackedSteps`: step ``s`` is one contiguous block of
-rows, so padding is never computed, stored or multiplied.  A reversed
+rows, so padding is never computed, stored or multiplied.  The backward
 direction reads its inputs and writes its outputs through the involution
 :attr:`batching.PackedSteps.mirror`, so ``a[mirror] = b`` mirrors ``b``
 into ``a`` with no temporary.  All arithmetic is float64.
 
-:class:`LstmParams` stacks the weights of K directions on a leading axis
-(the BiLSTM has K = 2: forward, then backward; one direction alone is a
-stack of K = 1).  The packed arrays interleave the directions as
-(N, K, ·), so a step's rows are one (rows, K, ·) block: the activations,
+:class:`LstmParams` stacks the weights of the BiLSTM's two directions on
+a leading axis (:data:`DIRECTIONS`): direction 0 reads each post front to
+back, direction 1 back to front.  The packed arrays interleave them as
+(N, 2, ·), so a step's rows are one (rows, 2, ·) block: the activations,
 the cell update and the backward pass's scaling are each one numpy call
-for all directions, and the recurrent product is one stacked
-(K, rows, H) x (K, H, 4H) product.  Each direction does the arithmetic it
-would do alone, in the same order, so results do not depend on K.
+for both directions, and the recurrent product is one stacked
+(2, rows, H) x (2, H, 4H) product.
 
 Only ``W_rec h_{t-1}`` depends on the previous step, so each direction's
 input projection of all N rows is one product taken before the
@@ -44,10 +43,10 @@ every pass over several posts, runs the packed loop; at B = 1 it
 multiplies each step's row against a strided view of W_rec, which sums
 in the one-post loop's order.  One post with no cache (B = 1, which is
 how inference tags a post on its own) runs a loop of its own over its
-(T, K, ·) rows that works gate-major, because a numpy call on a strided
-(K, H) gate view costs about twice one on a contiguous block.  It copies
-the pre-activations once into a (T, 4, K, H) scratch array, and keeps
-tanh(g_t) next to c_{t-1} in one (2, K, H) block, so one multiply by the
+(T, 2, ·) rows that works gate-major, because a numpy call on a strided
+(2, H) gate view costs about twice one on a contiguous block.  It copies
+the pre-activations once into a (T, 4, 2, H) scratch array, and keeps
+tanh(g_t) next to c_{t-1} in one (2, 2, H) block, so one multiply by the
 adjacent i and f blocks gives both terms of c_t, which then overwrites
 c_{t-1}.
 
@@ -60,15 +59,15 @@ are the bits.
 
 :class:`LstmCache` holds the packed rows in processing order: each
 direction's inputs (D), and the activated ``gates`` (4H, blocks in gate
-order) and the ``cell``, ``tanh_cell`` and ``hidden`` states (H) of all
-directions as (N, K, ·), plus the :class:`batching.PackedSteps` and which
-directions run reversed.  A reversed direction consumes its post back to
-front but reports hidden states in forward order.
+order) and the ``cell``, ``tanh_cell`` and ``hidden`` states (H) of both
+directions as (N, 2, ·), plus the :class:`batching.PackedSteps`.  The
+backward direction consumes its post back to front but reports hidden
+states in forward order.
 
-Every array of more than one step lives in an :class:`arena.Arena`, the
-caller's or a new one per call.  Named roles hold the mirrored inputs,
-the cache, the (N, K*H) output and the input gradient; scratch slots hold
-what one loop or pass uses and drops before it returns: the packed loop's
+Every array of more than one step lives in the caller's
+:class:`arena.Arena`.  Named roles hold the mirrored inputs, the cache,
+the (N, 2H) output and the input gradient; scratch slots hold what one
+loop or pass uses and drops before it returns: the packed loop's
 contiguous copy of W_rec (for several posts) and per-step product (and,
 with no cache, its cells and tanh(c)), the one-post loop's gate-major
 rows, and the backward pass's dZ, dc/dh, upstream gradients in
@@ -80,9 +79,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import iadd
-from typing import Sequence
 
 import numpy as np
 
@@ -90,14 +86,17 @@ from .arena import Arena
 from .batching import PackedSteps
 from .errors import NonFiniteError, ValidationError
 
+# The stacked directions: 0 reads each post front to back, 1 back to front.
+DIRECTIONS = 2
+
 
 @dataclass
 class LstmParams:
-    """Weights of K directions stacked on a leading axis."""
+    """Weights of the :data:`DIRECTIONS` directions stacked on a leading axis."""
 
-    W_in: np.ndarray  # (K, 4H, D)
-    W_rec: np.ndarray  # (K, 4H, H)
-    b: np.ndarray  # (K, 4H)
+    W_in: np.ndarray  # (2, 4H, D)
+    W_rec: np.ndarray  # (2, 4H, H)
+    b: np.ndarray  # (2, 4H)
 
     @property
     def hidden_size(self) -> int:
@@ -112,13 +111,12 @@ class LstmParams:
 class LstmCache:
     """Forward-pass intermediates over the packed rows, in processing order."""
 
-    inputs: list[np.ndarray]  # K arrays (N, D)
-    gates: np.ndarray  # (N, K, 4H) activated i, f, g, o
-    cell: np.ndarray  # (N, K, H)
+    inputs: list[np.ndarray]  # per direction (N, D)
+    gates: np.ndarray  # (N, 2, 4H) activated i, f, g, o
+    cell: np.ndarray  # (N, 2, H)
     tanh_cell: np.ndarray
     hidden: np.ndarray
     steps: PackedSteps
-    reverse: tuple[bool, ...]  # per direction: whether it reads posts back to front
 
 
 def _sigmoid_inplace(x: np.ndarray) -> None:
@@ -134,19 +132,19 @@ def lstm_forward(
     inputs: np.ndarray,
     params: LstmParams,
     steps: PackedSteps,
-    reverse: Sequence[bool],
-    arena: Arena | None = None,
+    arena: Arena,
     keep_cache: bool = True,
 ) -> tuple[np.ndarray, LstmCache | None]:
-    """Run the K directions of ``params`` over the (N, D) packed input rows
-    of the batch ``steps``; direction ``k`` reads each post back to front
-    if ``reverse[k]``.
+    """Run both directions of ``params`` over the (N, D) packed input rows
+    of the batch ``steps``: direction 0 reads each post front to back,
+    direction 1 back to front.
 
-    Returns the (N, K*H) packed hidden states in forward order, direction k
+    Returns the (N, 2H) packed hidden states in forward order, direction k
     in columns k*H to (k+1)*H, plus the cache needed by
     :func:`lstm_backward`, or None unless ``keep_cache``: a caller that
     will not run the backward pass builds no cache.  Both live in
-    ``arena`` (a new one by default) until its next use.  Raises
+    ``arena`` until its next use.  Raises :class:`ValidationError` unless
+    ``params`` stacks exactly :data:`DIRECTIONS` directions, and
     :class:`NonFiniteError` if any hidden state diverges, which only
     happens when parameters or inputs are already non-finite (the
     activations themselves are bounded).
@@ -155,16 +153,14 @@ def lstm_forward(
         raise ValidationError(
             f"inputs must be the batch's {steps.N} packed rows of width {params.input_size}, got {inputs.shape}"
         )
-    reverse = tuple(bool(rev) for rev in reverse)
-    K, H = params.W_in.shape[0], params.hidden_size
-    if len(reverse) != K:
-        raise ValidationError(f"{len(reverse)} directions to run for {K} stacked directions")
-    N = steps.N
-    arena = Arena() if arena is None else arena
-    if any(reverse):
-        mirrored = arena.take("lstm.mirrored", inputs.shape)
-        mirrored[steps.mirror] = inputs
-    xs = [mirrored if rev else inputs for rev in reverse]
+    if params.W_in.shape[0] != DIRECTIONS:
+        raise ValidationError(
+            f"an LSTM stack of {params.W_in.shape[0]} directions; the BiLSTM runs {DIRECTIONS}, forward then backward"
+        )
+    N, K, H = steps.N, DIRECTIONS, params.hidden_size
+    mirrored = arena.take("lstm.mirrored", inputs.shape)
+    mirrored[steps.mirror] = inputs
+    xs = [inputs, mirrored]
 
     gates = arena.take("lstm.gates", (N, K, 4 * H))  # pre-activations until a row is activated
     for k, x in enumerate(xs):
@@ -187,20 +183,11 @@ def lstm_forward(
         raise NonFiniteError("LSTM hidden state is non-finite; inputs or parameters diverged")
 
     out = arena.take("lstm.out", (N, K * H))
-    for k, rev in enumerate(reverse):
-        out[steps.mirror if rev else slice(None), k * H : (k + 1) * H] = hidden[:, k]
+    out[:, :H] = hidden[:, 0]
+    out[steps.mirror, H:] = hidden[:, 1]
     if not keep_cache:
         return out, None
-    cache = LstmCache(
-        inputs=xs,
-        gates=gates,
-        cell=cell,
-        tanh_cell=tanh_cell,
-        hidden=hidden,
-        steps=steps,
-        reverse=reverse,
-    )
-    return out, cache
+    return out, LstmCache(inputs=xs, gates=gates, cell=cell, tanh_cell=tanh_cell, hidden=hidden, steps=steps)
 
 
 def _packed_steps(
@@ -288,33 +275,32 @@ def _one_post_steps(W_rec: np.ndarray, gates: np.ndarray, hidden: np.ndarray, ar
 
 
 def lstm_backward(
-    d_hidden: np.ndarray, params: LstmParams, cache: LstmCache, grads: LstmParams, input_grad: bool = True,
-    arena: Arena | None = None,
+    d_hidden: np.ndarray, params: LstmParams, cache: LstmCache, grads: LstmParams, arena: Arena,
+    input_grad: bool = True,
 ) -> np.ndarray | None:
     """Backpropagate upstream hidden-state gradients through the recurrence.
 
-    ``d_hidden`` has the (N, K*H) shape of the forward pass's output, in
+    ``d_hidden`` has the (N, 2H) shape of the forward pass's output, in
     forward order.  Writes the parameter gradients, summed over the batch,
     into ``grads`` (shaped like ``params``; views are fine).  Returns the
     (N, D) input gradients in forward order, summed over the directions,
     or None unless ``input_grad``.  The input gradients live in ``arena``
-    (a new one by default) and the intermediates in its scratch slots, so
-    ``cache`` and ``d_hidden`` must not lie in those; the forward pass's
-    arena holds them in named roles.
+    and the intermediates in its scratch slots, so ``cache`` and
+    ``d_hidden`` must not lie in those; the forward pass's arena holds
+    them in named roles.
     """
     steps = cache.steps
     T, B, N, counts = steps.T, steps.B, steps.N, steps.counts
     K, H = cache.hidden.shape[1:]
     if d_hidden.shape != (N, K * H):
         raise ValidationError(f"upstream gradient shape {d_hidden.shape} != {(N, K * H)}")
-    arena = Arena() if arena is None else arena
     # slot 0, the largest, shares its buffer with the other large scratch
     # arrays: the forward loop's weight copy and the optimizer's
     dZ = arena.scratch(0, (N, K, 4, H))
     d_h_seq = arena.scratch(1, (N, K, H))
     d_rows = d_hidden.reshape(N, K, H)
-    for k, rev in enumerate(cache.reverse):
-        d_h_seq[steps.mirror if rev else slice(None), k] = d_rows[:, k]
+    d_h_seq[:, 0] = d_rows[:, 0]
+    d_h_seq[steps.mirror, 1] = d_rows[:, 1]
     # rows from step 1 on: the previous step's states of the same posts;
     # c_prev is read once, before dc_dh takes its slot
     c_prev, h_prev = (
@@ -378,14 +364,9 @@ def lstm_backward(
         dZ_rows.sum(axis=0, out=grads.b[k])
     if not input_grad:
         return None
-    d_xs = []
-    for k, rev in enumerate(cache.reverse):
-        # the first is returned, with the others summed into it
-        shape = (N, params.input_size)
-        d_x = arena.take("lstm.d_inputs", shape) if k == 0 else arena.scratch(4 + k, shape)
-        if rev:
-            d_x[steps.mirror] = np.matmul(dZ_flat[:, k], params.W_in[k], out=arena.scratch(4, shape))
-        else:
-            np.matmul(dZ_flat[:, k], params.W_in[k], out=d_x)
-        d_xs.append(d_x)
-    return reduce(iadd, d_xs)
+    shape = (N, params.input_size)
+    d_x = np.matmul(dZ_flat[:, 0], params.W_in[0], out=arena.take("lstm.d_inputs", shape))
+    d_back = arena.scratch(5, shape)
+    d_back[steps.mirror] = np.matmul(dZ_flat[:, 1], params.W_in[1], out=arena.scratch(4, shape))
+    d_x += d_back
+    return d_x

@@ -21,7 +21,7 @@ what the backward pass reads: inference passes
 the LSTM.
 
 Both LSTM directions live in one stacked :class:`lstm.LstmParams` block
-(K = 2: forward, then backward) and run in lockstep, one
+(:data:`lstm.DIRECTIONS`) and run in lockstep, one
 :func:`lstm.lstm_forward` and one :func:`lstm.lstm_backward` call per pass;
 the forward call's (N, 2H) output is the concatenation of the two
 directions' hidden states that the projection reads.  Every tensor is a
@@ -32,12 +32,12 @@ A fine-tuned embedding matrix is the vector's tail, so a fine-tuned
 model is one whose vector is that much longer (``ModelParams.finetuned``),
 and its matrix's gradient is the gradient vector's tail.
 
-A pass keeps its arrays in an :class:`arena.Arena`, the caller's or a new
-one: the gathered embedding rows and the gradient vector, next to the
-LSTM's (see :mod:`lstm`).  ``predict_spans`` runs all of its passes in
-one arena.  What a call returns from an arena is valid until the next
+A pass keeps its arrays in the caller's :class:`arena.Arena`: the
+gathered embedding rows and the gradient vector, next to the LSTM's (see
+:mod:`lstm`).  What a call returns from an arena is valid until the next
 call that uses it.  :func:`tag_posts` tags raw posts and lets a gate
-empty the spans of each post that it calls non-toxic.
+empty the spans of each post that it calls non-toxic; it and
+:func:`predict` are the entry points that make an arena of their own.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .dataio import CharSpanSet, LabeledPost
 from .embeddings import EmbeddingTable, EncodedPost, encode_post, mean_pooled
 from .errors import ValidationError
 from .gate import GateModel, apply_gate, gate_score
-from .lstm import LstmCache, LstmParams, lstm_backward, lstm_forward
+from .lstm import DIRECTIONS, LstmCache, LstmParams, lstm_backward, lstm_forward
 from .span_codec import BridgePolicy, labels_to_spans
 from .tokenizer import tokenize
 
@@ -74,8 +74,6 @@ TENSOR_NAMES = (
     "crf.trans", "crf.start", "crf.stop",
 )
 EMBEDDING_TENSOR = "embedding.matrix"
-# Whether each stacked LSTM direction (fwd, bwd) reads the posts back to front.
-REVERSE = (False, True)
 # Each tensor's shape and slice of the checkpoint body, by name (tensor_layout)
 Layout = dict[str, tuple[tuple[int, ...], slice]]
 
@@ -124,7 +122,6 @@ class BilstmCache:
     indices: np.ndarray  # (N,) packed embedding rows
     lstm_cache: LstmCache
     hidden: np.ndarray  # (N, 2H) packed hidden states
-    arena: Arena  # holds the pass's arrays, and will hold the backward pass's
 
 
 def _glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,7 +175,7 @@ def params_from_vector(vector: np.ndarray, hidden_size: int, table: EmbeddingTab
     if vector.size == tuned:
         table = table.with_matrix(vector[frozen:].reshape(table.matrix.shape))
     layout = list(tensor_layout(table, hidden_size).values())
-    K, S = len(REVERSE), layout[2][1].stop
+    K, S = DIRECTIONS, layout[2][1].stop
     blocks = vector[: K * S].reshape(K, S)
     views = [blocks[:, at].reshape(K, *shape) for shape, at in layout[:3]]
     views += [vector[at].reshape(shape) for shape, at in layout[3 * K :]]
@@ -207,41 +204,40 @@ def init_params(
 
 
 def _emissions(
-    posts: Sequence[EncodedPost], params: ModelParams, arena: Arena | None = None, keep_cache: bool = True
+    posts: Sequence[EncodedPost], params: ModelParams, arena: Arena, keep_cache: bool = True
 ) -> tuple[np.ndarray, PackedSteps, BilstmCache | None]:
     """(N, L) packed label scores of length-sorted posts, the batch's
     layout, and the cache that :func:`backward` reads, or None unless
-    ``keep_cache``.  The scores and the cache live in ``arena`` (a new one
-    by default)."""
-    arena = Arena() if arena is None else arena
+    ``keep_cache``.  The scores and the cache live in ``arena``."""
     steps = PackedSteps([post.effective_len for post in posts])
     indices = steps.pack(np.concatenate([post.indices for post in posts]))
     matrix = params.embedding.matrix
     # encode_post's indices are rows of the table, so clipping moves none
     inputs = np.take(matrix, indices, axis=0, out=arena.take("inputs", (steps.N, matrix.shape[1])), mode="clip")
-    hidden, lstm_cache = lstm_forward(inputs, params.lstm, steps, REVERSE, arena, keep_cache)
+    hidden, lstm_cache = lstm_forward(inputs, params.lstm, steps, arena, keep_cache)
     emissions = hidden @ params.emit.W_out.T + params.emit.b_out  # (N, L): too small to fault
-    cache = BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden, arena=arena) if keep_cache else None
+    cache = BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden) if keep_cache else None
     return emissions, steps, cache
 
 
-def backward(params: ModelParams, cache: BilstmCache, d_emissions: np.ndarray, grads: ModelParams) -> None:
+def backward(
+    params: ModelParams, cache: BilstmCache, d_emissions: np.ndarray, grads: ModelParams, arena: Arena
+) -> None:
     """Manual backprop through the projection and both LSTM directions.
 
     ``d_emissions`` has the (N, L) shape of the forward pass's emissions.
     Writes the emission and LSTM gradients, summed over a batch, into
     ``grads``, laid out like ``params`` (the CRF writes its own).  When
     ``params`` is fine-tuned, adds the embedding rows' gradients into
-    ``grads.embedding.matrix``.  Its intermediates live in the forward
-    pass's arena.
+    ``grads.embedding.matrix``.  Its intermediates live in ``arena``, the
+    forward pass's.
     """
     finetuned = params.finetuned
-    arena = cache.arena
     np.matmul(d_emissions.T, cache.hidden, out=grads.emit.W_out)
     d_emissions.sum(axis=0, out=grads.emit.b_out)
     # W_out's gradient was the hidden states' last reader: d_hidden takes their array
     d_hidden = np.matmul(d_emissions, params.emit.W_out, out=cache.hidden)
-    d_inputs = lstm_backward(d_hidden, params.lstm, cache.lstm_cache, grads.lstm, finetuned, arena)
+    d_inputs = lstm_backward(d_hidden, params.lstm, cache.lstm_cache, grads.lstm, arena, finetuned)
     if finetuned:
         np.add.at(grads.embedding.matrix, cache.indices, d_inputs)
 
@@ -250,7 +246,7 @@ def nll_and_gradients(
     posts: Sequence[EncodedPost],
     labels: Sequence[list[int]],
     params: ModelParams,
-    arena: Arena | None = None,
+    arena: Arena,
 ) -> tuple[float, ModelParams]:
     """Summed CRF negative log-likelihood of a minibatch and the summed
     gradients of every trainable tensor, in a vector laid out like
@@ -258,8 +254,8 @@ def nll_and_gradients(
     the returned ``embedding.matrix``, the vector's tail; otherwise the
     returned ``embedding`` is ``params.embedding``, and no gradient.
 
-    The gradients, and every array of the pass, live in ``arena`` (a new
-    one by default): they stay valid until the next call that uses it.
+    The gradients, and every array of the pass, live in ``arena``: they
+    stay valid until the next call that uses it.
 
     ``labels[k]`` must cover exactly the encoded tokens of ``posts[k]``.
     The batch runs as one packed pass, its posts sorted longest first (ties
@@ -269,33 +265,31 @@ def nll_and_gradients(
         raise ValidationError(f"{len(labels)} label lists for {len(posts)} posts")
     if not posts:
         raise ValidationError("empty minibatch")
-    arena = Arena() if arena is None else arena
     order = sorted(range(len(posts)), key=lambda k: -posts[k].effective_len)
     emissions, steps, cache = _emissions([posts[k] for k in order], params, arena)
     grads = params_from_vector(arena.take("gradients", params.vector.shape), params.hidden_size, params.embedding)
     if grads.finetuned:  # the only gradient that backward adds into
         grads.embedding.matrix.fill(0.0)
     nll, d_em = crf_nll_grad(emissions, params.crf, [labels[k] for k in order], steps, grads.crf)
-    backward(params, cache, d_em, grads)
+    backward(params, cache, d_em, grads, arena)
     return nll, grads
 
 
 def predict_spans(
-    params: ModelParams, posts: Sequence[EncodedPost], policy: BridgePolicy, arena: Arena | None = None
+    params: ModelParams, posts: Sequence[EncodedPost], policy: BridgePolicy, arena: Arena
 ) -> list[CharSpanSet]:
     """Decoded spans of encoded posts: each post's labels, decoded over the
     tokens it was encoded from.
 
     The posts run longest first (a stable sort) in passes of
     :data:`INFER_BATCH`, each one emission pass and a Viterbi decode per
-    post.  The passes share ``arena`` (a new one by default).  Tokens
-    truncated beyond an encoding's ``max_len`` are predicted non-toxic; a
-    post with no tokens yields the empty span set.
+    post.  The passes share ``arena``.  Tokens truncated beyond an
+    encoding's ``max_len`` are predicted non-toxic; a post with no tokens
+    yields the empty span set.
     """
     lens = [post.effective_len for post in posts]
     order = sorted((k for k in range(len(posts)) if lens[k]), key=lambda k: -lens[k])
     spans = [CharSpanSet() for _ in posts]
-    arena = Arena() if arena is None else arena
     for lo in range(0, len(order), INFER_BATCH):
         picked = order[lo : lo + INFER_BATCH]
         emissions, steps, _ = _emissions([posts[k] for k in picked], params, arena, keep_cache=False)
@@ -317,7 +311,14 @@ def tag_posts(
     where ``gate`` scores the post below its threshold.  ``table`` is the
     table the checkpoint was loaded against, which encodes the posts and
     pools the gate's features: a fine-tuned model's ``params.embedding`` is
-    its tuned copy, and the gate was trained on the untuned table."""
+    its tuned copy, and the gate was trained on the untuned table.  A gate
+    that records another table's ``vocab_hash`` raises
+    :class:`ValidationError`; one that records none is not checked."""
+    if gate is not None and gate.vocab_hash is not None and gate.vocab_hash != (digest := table.fingerprint()):
+        raise ValidationError(
+            f"the gate was trained on another embedding table: vocab_hash {gate.vocab_hash} != {digest} "
+            f"of the table given (dim {table.dim})"
+        )
     spans, arena = [], Arena()
     for lo in range(0, len(posts), INFER_BATCH):
         window = posts[lo : lo + INFER_BATCH]
@@ -338,6 +339,6 @@ def predict(
     """Full pipeline for one post: tokenize, encode, tag, decode to spans.
 
     Tokens truncated beyond ``max_len`` are predicted non-toxic; empty text
-    yields the empty span set.
+    yields the empty span set.  The pass runs in an arena of its own.
     """
-    return predict_spans(params, [encode_post(tokenize(text), params.embedding, max_len)], policy)[0]
+    return predict_spans(params, [encode_post(tokenize(text), params.embedding, max_len)], policy, Arena())[0]

@@ -10,11 +10,12 @@ vector laid out like the parameter vector, a fine-tuned embedding matrix
 included; the step scales and clips them there, and Adam updates the
 parameter vector from it in one pass.
 
-``train`` owns one :class:`arena.Arena` for the whole run: every step's
-forward cache, backward intermediates and gradients, the clip's squares,
-Adam's scratch and the dev passes' arrays are views of its buffers, so no
-step allocates and frees them again (see :mod:`arena`).  For the same
-reason each new best-dev state is copied into one kept copy.
+``train`` makes one :class:`arena.Arena` for the whole run, and each
+function it calls runs in the caller's arena: every step's forward cache,
+backward intermediates and gradients, the clip's squares, Adam's scratch
+and the dev passes' arrays are views of its buffers, so no step allocates
+and frees them again (see :mod:`arena`).  For the same reason each new
+best-dev state is copied into one kept copy.
 """
 
 from __future__ import annotations
@@ -166,17 +167,15 @@ def build_examples(
     return examples
 
 
-def clip_gradients(grads: ModelParams, max_norm: float, arena: Arena | None = None) -> float:
+def clip_gradients(grads: ModelParams, max_norm: float, arena: Arena) -> float:
     """Scale ``grads.vector`` in place so its global norm is <= max_norm.
 
     Returns the pre-clip global norm; a non-finite norm leaves the
     gradients as they are.  The vector is squared into one scratch array
-    in ``arena`` (a new one by default), and each tensor's squares are
-    summed on their own, in the order of :func:`model.tensor_layout`: a
-    pairwise sum over a tensor's slice has the bits of one over that
-    tensor alone.
+    in ``arena``, and each tensor's squares are summed on their own, in
+    the order of :func:`model.tensor_layout`: a pairwise sum over a
+    tensor's slice has the bits of one over that tensor alone.
     """
-    arena = Arena() if arena is None else arena
     squares = arena.scratch(0, grads.vector.shape)
     np.multiply(grads.vector, grads.vector, out=squares)
     total = 0.0
@@ -188,14 +187,13 @@ def clip_gradients(grads: ModelParams, max_norm: float, arena: Arena | None = No
     return norm
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, arena: Arena | None = None) -> None:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, arena: Arena) -> None:
     """One in-place Adam update of the parameter vector ``params`` from the
     gradient vector ``grads``; clip the gradients first with
-    :func:`clip_gradients`.  Its two scratch arrays live in ``arena`` (a
-    new one by default).  It runs over chunks of :data:`ADAM_CHUNK`
-    elements, so the scratch stays in cache; the arithmetic is
-    element-wise, so the chunks give the bits of one pass."""
-    arena = Arena() if arena is None else arena
+    :func:`clip_gradients`.  Its two scratch arrays live in ``arena``.  It
+    runs over chunks of :data:`ADAM_CHUNK` elements, so the scratch stays
+    in cache; the arithmetic is element-wise, so the chunks give the bits
+    of one pass."""
     state.step += 1
     t = state.step
     correct1 = 1.0 - ADAM_BETA1**t
@@ -225,10 +223,10 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, arena: Ar
 
 
 def dev_char_f1(
-    examples: Sequence[TrainExample], params: ModelParams, policy: BridgePolicy, arena: Arena | None = None
+    examples: Sequence[TrainExample], params: ModelParams, policy: BridgePolicy, arena: Arena
 ) -> float:
     """Mean per-post character F1 of the current model on a split; the
-    passes run in ``arena`` (a new one by default)."""
+    passes run in ``arena``."""
     if not examples:
         raise ValidationError("dev split is empty")
     spans = predict_spans(params, [ex.encoded for ex in examples], policy, arena)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-import toxicspans.lstm
 import toxicspans.model
 import toxicspans.training
 from toxicspans.arena import Arena
 from toxicspans.batching import PackedSteps
 from toxicspans.embeddings import EmbeddingTable
-from toxicspans.model import EMBEDDING_TENSOR, REVERSE, TENSOR_NAMES, ModelParams
+from toxicspans.lstm import DIRECTIONS
+from toxicspans.model import EMBEDDING_TENSOR, TENSOR_NAMES, ModelParams
 
 
 # Any JSON document, NaN and infinities included, for loader fuzz tests.
@@ -40,8 +40,9 @@ class PoisonedArena(Arena):
 
 
 def poison_arenas(monkeypatch) -> None:
-    """Make every module that builds an arena build a :class:`PoisonedArena`."""
-    for module in (toxicspans.model, toxicspans.lstm, toxicspans.training):
+    """Make every module that builds an arena (the entry points ``train``,
+    ``tag_posts`` and ``predict``) build a :class:`PoisonedArena`."""
+    for module in (toxicspans.model, toxicspans.training):
         monkeypatch.setattr(module, "Arena", PoisonedArena)
 
 
@@ -80,7 +81,7 @@ def named_tensors(params: ModelParams) -> dict[str, np.ndarray]:
     (checkpoint) order, from the model's own views: direction k of each
     stacked LSTM tensor, the emission and CRF tensors, then the embedding
     matrix if it is fine-tuned.  In-place edits show through both ways."""
-    lstm = [getattr(params.lstm, field)[k] for k in range(len(REVERSE)) for field in ("W_in", "W_rec", "b")]
+    lstm = [getattr(params.lstm, field)[k] for k in range(DIRECTIONS) for field in ("W_in", "W_rec", "b")]
     arrays = lstm + [params.emit.W_out, params.emit.b_out, params.crf.trans, params.crf.start, params.crf.stop]
     tensors = dict(zip(TENSOR_NAMES, arrays, strict=True))
     if params.finetuned:

@@ -35,6 +35,7 @@ import time
 
 import numpy as np
 
+from toxicspans.arena import Arena
 from toxicspans.checkpoint import serialize_checkpoint
 from toxicspans.dataio import PostPrediction, write_predictions
 from toxicspans.embeddings import load_embeddings, mean_pooled
@@ -73,7 +74,7 @@ def main() -> None:
     held_out = build_examples(raw, table, args.max_len)
     held_out = [ex for ex in held_out if ex.encoded.effective_len][: 3 * INFER_BATCH + 1]
     policy = BridgePolicy(bridge_gaps=True, max_gap=cfg.bridge_gap)
-    spans = predict_spans(params, [ex.encoded for ex in held_out], policy)
+    spans = predict_spans(params, [ex.encoded for ex in held_out], policy, Arena())
     gate = train_gate([(ex.encoded, bool(ex.gold)) for ex in examples], table)
     # at the held-out posts' median score the gate empties about half of them
     gate.threshold = float(np.median([gate_score(gate, 0, mean_pooled(ex.encoded, table)) for ex in held_out]))

@@ -43,10 +43,10 @@ import re
 from dataclasses import dataclass
 from itertools import pairwise
 from types import SimpleNamespace
-from typing import Sequence
 
 import numpy as np
 
+from toxicspans.arena import Arena
 from toxicspans.batching import PackedSteps
 from toxicspans.crf import CrfParams, _check_emissions, crf_nll_grad
 from toxicspans.crf import _forward_backward as _packed_forward_backward
@@ -138,13 +138,15 @@ def _sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def loop_lstm_forward(inputs, params, reverse=False):
-    """Step-by-step LSTM recurrence of the one direction of a K = 1
-    ``LstmParams``: (T, H) hidden states in original order plus a cache
-    dict in processing order for :func:`loop_lstm_backward`."""
+def loop_lstm_forward(inputs, params, direction):
+    """Step-by-step LSTM recurrence of one direction of a stacked
+    ``LstmParams``, the second reading the post back to front: (T, H)
+    hidden states in original order plus a cache dict in processing order
+    for :func:`loop_lstm_backward`."""
     T = inputs.shape[0]
     H = params.hidden_size
-    W_in, W_rec, b = params.W_in[0], params.W_rec[0], params.b[0]
+    W_in, W_rec, b = params.W_in[direction], params.W_rec[direction], params.b[direction]
+    reverse = direction == 1
     xs = inputs[::-1] if reverse else inputs
     cache = {name: np.empty((T, H)) for name in ("i", "f", "g", "o", "c", "tc", "h")}
     h = np.zeros(H)
@@ -161,20 +163,23 @@ def loop_lstm_forward(inputs, params, reverse=False):
         for name, value in (("i", i), ("f", f), ("g", g), ("o", o), ("c", c), ("tc", tc), ("h", h)):
             cache[name][s] = value
     cache["inputs"] = xs
-    cache["reverse"] = reverse
+    cache["direction"] = direction
     hidden = cache["h"]
     return (hidden[::-1].copy() if reverse else hidden), cache
 
 
 def loop_lstm_backward(d_hidden, params, cache):
-    """Backpropagation through time, one outer product per step and tensor;
-    the gradients are those of the direction, (4H, ·) each."""
+    """Backpropagation through time of the direction that made ``cache``,
+    from its (T, H) upstream gradients, one outer product per step and
+    tensor; the gradients are those of the direction, (4H, ·) each."""
     T, H = cache["h"].shape
-    W_in, W_rec = params.W_in[0], params.W_rec[0]
-    d_h_seq = d_hidden[::-1] if cache["reverse"] else d_hidden
+    direction = cache["direction"]
+    reverse = direction == 1
+    W_in, W_rec = params.W_in[direction], params.W_rec[direction]
+    d_h_seq = d_hidden[::-1] if reverse else d_hidden
     d_W_in = np.zeros_like(W_in)
     d_W_rec = np.zeros_like(W_rec)
-    d_b = np.zeros_like(params.b[0])
+    d_b = np.zeros_like(params.b[direction])
     d_x = np.empty_like(cache["inputs"])
     dh_next = np.zeros(H)
     dc_next = np.zeros(H)
@@ -197,7 +202,7 @@ def loop_lstm_backward(d_hidden, params, cache):
         d_x[s] = W_in.T @ dz
         dh_next = W_rec.T @ dz
         dc_next = dc * f
-    d_inputs = d_x[::-1].copy() if cache["reverse"] else d_x
+    d_inputs = d_x[::-1].copy() if reverse else d_x
     return d_inputs, {"W_in": d_W_in, "W_rec": d_W_rec, "b": d_b}
 
 
@@ -256,13 +261,12 @@ def reference_lstm_forward(
     inputs: np.ndarray,
     params: LstmParams,
     lengths: np.ndarray,
-    reverse: Sequence[bool],
 ) -> tuple[np.ndarray, LstmCache]:
-    """Run the K directions of ``params`` over a sorted (T, B, D) batch of
-    posts with the given ``lengths``; direction ``k`` reads each post back
-    to front if ``reverse[k]``.
+    """Run both directions of ``params`` over a sorted (T, B, D) batch of
+    posts with the given ``lengths``; the second reads each post back to
+    front.
 
-    Returns the (T, B, K*H) hidden states in original order (zero on
+    Returns the (T, B, 2H) hidden states in original order (zero on
     padding), direction k in columns k*H to (k+1)*H, plus the cache needed
     by :func:`lstm_backward`.  Raises :class:`NonFiniteError` if any hidden
     state diverges, which only happens when parameters or inputs are
@@ -274,10 +278,8 @@ def reference_lstm_forward(
         raise ValidationError(
             f"input width {inputs.shape[-1]} != parameter input size {params.input_size}"
         )
-    reverse = tuple(bool(rev) for rev in reverse)
-    K, H = params.W_in.shape[0], params.hidden_size
-    if len(reverse) != K:
-        raise ValidationError(f"{len(reverse)} directions to run for {K} stacked directions")
+    reverse = (False, True)
+    K, H = len(reverse), params.hidden_size
     T, B, D = inputs.shape
     steps = _check_grid_lengths(lengths, T, B)
     N, counts = steps.N, steps.counts
@@ -331,20 +333,18 @@ def reference_lstm_forward(
         tanh_cell=tanh_cell,
         hidden=hidden,
         steps=steps,
-        reverse=reverse,
     )
     return out.reshape(T, B, K * H), cache
 
 
 def packed_reference_lstm_forward(
-    inputs: np.ndarray, params: LstmParams, steps: PackedSteps, reverse: Sequence[bool], arena=None,
-    keep_cache: bool = True,
+    inputs: np.ndarray, params: LstmParams, steps: PackedSteps, arena, keep_cache: bool = True,
 ) -> tuple[np.ndarray, LstmCache | None]:
     """:func:`reference_lstm_forward` with ``lstm_forward``'s packed
     signature: the rows go through the padded grid and back, with the
     cache or, unless ``keep_cache``, None.  It allocates its own arrays
     and ignores ``arena``."""
-    hidden, cache = reference_lstm_forward(padded(inputs, steps), params, steps.lengths, reverse)
+    hidden, cache = reference_lstm_forward(padded(inputs, steps), params, steps.lengths)
     return packed(hidden, steps), cache if keep_cache else None
 
 
@@ -533,9 +533,10 @@ def crf_grads(em, crf, labels, steps):
 
 def lstm_grads(d_hidden, params, cache, input_grad=True):
     """``lstm_backward``'s input gradients, then one dict of the parameter
-    gradients it wrote per direction, keyed ``W_in`` / ``W_rec`` / ``b``."""
+    gradients it wrote per direction, keyed ``W_in`` / ``W_rec`` / ``b``;
+    the pass runs in an arena of its own."""
     grads = LstmParams(*_nan_like(params.W_in, params.W_rec, params.b))
-    d_inputs = lstm_backward(d_hidden, params, cache, grads, input_grad)
+    d_inputs = lstm_backward(d_hidden, params, cache, grads, Arena(), input_grad)
     names = ("W_in", "W_rec", "b")
     return d_inputs, [{name: getattr(grads, name)[k] for name in names} for k in range(len(grads.b))]
 
@@ -650,6 +651,7 @@ def reference_train(examples, cfg, table, policy):
                 [ex.encoded for ex in batch],
                 [ex.labels[: ex.encoded.effective_len] for ex in batch],
                 params,
+                Arena(),
             )
             grads = named_tensors(grads)
             for arr in grads.values():
@@ -661,7 +663,7 @@ def reference_train(examples, cfg, table, policy):
         stats = EpochStats(
             epoch=epoch,
             train_nll=nll_total / len(trainable),
-            dev_f1=dev_char_f1(dev, params, policy),
+            dev_f1=dev_char_f1(dev, params, policy, Arena()),
             grad_norm_mean=math.fsum(norms) / len(norms),
             grad_norm_max=max(norms),
             steps=len(norms),

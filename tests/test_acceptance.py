@@ -26,6 +26,7 @@ from oracles import (
     path_score,
 )
 from conftest import make_table, named_tensors
+from toxicspans.arena import Arena
 from toxicspans.cli import main
 from toxicspans.crf import CrfParams, viterbi_decode
 from toxicspans.dataio import CharSpanSet, read_predictions
@@ -116,12 +117,12 @@ def test_criterion_3_gradient_correctness():
     def batch_loss():
         total = 0.0
         for post, labels in batch:
-            em, _, _ = _emissions([post], params)
+            em, _, _ = _emissions([post], params, Arena())
             total += crf_nll(em, params.crf, labels)
         return total / len(batch)
 
     posts, label_lists = zip(*batch)
-    _, grads = nll_and_gradients(posts, label_lists, params)
+    _, grads = nll_and_gradients(posts, label_lists, params, Arena())
     analytic = {name: arr / len(batch) for name, arr in named_tensors(grads).items()}
 
     numeric = finite_difference(batch_loss, named_tensors(params), h=1e-5)

@@ -85,7 +85,7 @@ class TestPoisonedArena:
         assert all(post.effective_len for post in posts)
         decode = toxicspans.model.viterbi_decode
 
-        def tag():
+        def tag(arena):
             seen = []
 
             def recording_decode(em, crf):
@@ -93,12 +93,11 @@ class TestPoisonedArena:
                 return decode(em, crf)
 
             monkeypatch.setattr(toxicspans.model, "viterbi_decode", recording_decode)
-            return predict_spans(params, posts, BridgePolicy()), seen
+            return predict_spans(params, posts, BridgePolicy(), arena), seen
 
-        spans, emissions = tag()
+        spans, emissions = tag(Arena())
         assert any(spans)
-        poison_arenas(monkeypatch)
-        poisoned_spans, poisoned_emissions = tag()
+        poisoned_spans, poisoned_emissions = tag(PoisonedArena())
         assert poisoned_spans == spans
         assert len(emissions) == len(posts)
         assert all(np.array_equal(got, want) for got, want in zip(poisoned_emissions, emissions))
@@ -132,7 +131,7 @@ class TestStaleRows:
         first = gradient_bits(*nll_and_gradients(*long, params, arena))
         second = gradient_bits(*nll_and_gradients(*short, params, arena))
         for got, batch in ((first, long), (second, short)):
-            fresh = gradient_bits(*nll_and_gradients(*batch, params))
+            fresh = gradient_bits(*nll_and_gradients(*batch, params, Arena()))
             assert got[0] == fresh[0]
             assert np.array_equal(got[1], fresh[1])
             assert np.array_equal(got[2], fresh[2]) if finetune else got[2] is None
@@ -165,14 +164,14 @@ def test_predict_spans_passes_give_the_bits_of_fresh_passes(monkeypatch):
         return decode(em, crf)
 
     monkeypatch.setattr(toxicspans.model, "viterbi_decode", recording_decode)
-    predict_spans(params, posts, BridgePolicy())
+    predict_spans(params, posts, BridgePolicy(), Arena())
     monkeypatch.undo()
 
     order = sorted(range(len(posts)), key=lambda k: -posts[k].effective_len)
     expected = []
     for lo in range(0, len(order), INFER_BATCH):
         picked = [posts[k] for k in order[lo : lo + INFER_BATCH]]
-        emissions, steps, _ = _emissions(picked, params)
+        emissions, steps, _ = _emissions(picked, params, Arena())
         by_post, start = steps.unpack(emissions), 0
         for post in picked:
             expected.append(by_post[start : start + post.effective_len])
@@ -214,7 +213,7 @@ def test_only_a_training_pass_takes_the_backward_cache(n_posts):
 # Traced peak of a warm step (nll_and_gradients, clip, Adam) at H = 128 and
 # B = 16 (N = 173 rows), over the traced memory before it.  Measured with
 # numpy 2.4, frozen and fine-tuned alike: 0.29 MB with a warm arena,
-# against 8.3 MB for the same step with a fresh arena per call (7.6 MB
+# against 8.3 MB for the same step in a fresh arena (7.6 MB
 # before the arena existed).  What is left is the time loops' per-step
 # temporaries and the CRF's small arrays.
 WARM_STEP_PEAK_BYTES = 512 * 1024
@@ -246,6 +245,6 @@ def test_a_warm_training_step_allocates_almost_nothing(finetune):
     arena = Arena()
     step(arena)  # warm-up: the arena's buffers grow to the batch
     warm = traced_peak(arena)
-    fresh = traced_peak(None)
+    fresh = traced_peak(Arena())
     assert warm < WARM_STEP_PEAK_BYTES
     assert warm < fresh / 10

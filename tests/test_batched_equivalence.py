@@ -14,9 +14,10 @@ import pytest
 
 from conftest import make_table, named_tensors, pack_posts, split_posts
 from oracles import crf_grads, lstm_grads, packed, padded, padded_crf_nll_grad, reference_lstm_forward
+from toxicspans.arena import Arena
 from toxicspans.crf import CrfParams
 from toxicspans.embeddings import encode_post
-from toxicspans.lstm import LstmParams, lstm_forward
+from toxicspans.lstm import DIRECTIONS, LstmParams, lstm_forward
 import toxicspans.model
 from toxicspans.model import INFER_BATCH, _emissions, init_params, nll_and_gradients, predict, predict_spans
 from toxicspans.span_codec import BridgePolicy
@@ -52,34 +53,36 @@ def noise(rng, steps, width):
     return rng.normal(size=(steps.T, steps.B, width)) * 3.0
 
 
-@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("draw", [0, 1], ids=["draw0", "draw1"])
 @pytest.mark.parametrize("B, lengths", CASES, ids=IDS)
-def test_lstm_batch_matches_single_posts(B, lengths, reverse):
-    rng = np.random.default_rng(B * 100 + lengths[0] + reverse)
+def test_lstm_batch_matches_single_posts(B, lengths, draw):
+    rng = np.random.default_rng(B * 100 + lengths[0] + draw)
     params = LstmParams(
-        W_in=rng.uniform(-1.0, 1.0, size=(1, 4 * H, DIM)),
-        W_rec=rng.uniform(-0.5, 0.5, size=(1, 4 * H, H)),
-        b=rng.uniform(-0.4, 0.4, size=(1, 4 * H)),
+        W_in=rng.uniform(-1.0, 1.0, size=(DIRECTIONS, 4 * H, DIM)),
+        W_rec=rng.uniform(-0.5, 0.5, size=(DIRECTIONS, 4 * H, H)),
+        b=rng.uniform(-0.4, 0.4, size=(DIRECTIONS, 4 * H)),
     )
     xs = [rng.normal(size=(n, DIM)) for n in lengths]
-    d_hs = [rng.normal(size=(n, H)) for n in lengths]
+    d_hs = [rng.normal(size=(n, DIRECTIONS * H)) for n in lengths]
 
     x, steps = pack_posts(xs)
-    hidden, cache = lstm_forward(x, params, steps, [reverse])
-    d_inputs, [grads] = lstm_grads(pack_posts(d_hs)[0], params, cache)
+    hidden, cache = lstm_forward(x, params, steps, Arena())
+    d_inputs, grads = lstm_grads(pack_posts(d_hs)[0], params, cache)
 
-    total = {name: 0.0 for name in grads}
+    totals = [{name: 0.0 for name in direction} for direction in grads]
     posts = zip(xs, d_hs, split_posts(hidden, steps), split_posts(d_inputs, steps))
     for x, d_h, post_hidden, post_d_inputs in posts:
         one_x, one_steps = pack_posts([x])
-        ref_hidden, ref_cache = lstm_forward(one_x, params, one_steps, [reverse])
-        ref_d_inputs, [ref_grads] = lstm_grads(d_h, params, ref_cache)
+        ref_hidden, ref_cache = lstm_forward(one_x, params, one_steps, Arena())
+        ref_d_inputs, ref_grads = lstm_grads(d_h, params, ref_cache)
         assert_close(post_hidden, ref_hidden)
         assert_close(post_d_inputs, ref_d_inputs)
-        for name, arr in ref_grads.items():
-            total[name] = total[name] + arr
-    for name, arr in grads.items():
-        assert_close(arr, total[name])
+        for total, direction in zip(totals, ref_grads):
+            for name, arr in direction.items():
+                total[name] = total[name] + arr
+    for total, direction in zip(totals, grads):
+        for name, arr in direction.items():
+            assert_close(arr, total[name])
 
 
 @pytest.mark.parametrize("B, lengths", CASES, ids=IDS)
@@ -122,13 +125,13 @@ def test_nll_and_gradients_batch_matches_sum_of_single_posts(B, lengths, finetun
     posts = [encode_post(tokenize(text), table, max_len=64) for text in texts]
     labels = [[int(y) for y in rng.integers(2, size=n)] for n in shuffled]
 
-    nll, buffer = nll_and_gradients(posts, labels, params)
+    nll, buffer = nll_and_gradients(posts, labels, params, Arena())
     assert (buffer.embedding is params.embedding) != finetune  # only a tuned matrix gets a gradient
     grads = named_tensors(buffer)
 
     ref_nll, ref = 0.0, {}
     for post, labs in zip(posts, labels):
-        one_nll, one = nll_and_gradients([post], [labs], params)
+        one_nll, one = nll_and_gradients([post], [labs], params, Arena())
         ref_nll += one_nll
         for name, arr in named_tensors(one).items():
             ref[name] = ref.get(name, 0.0) + arr
@@ -164,7 +167,7 @@ def test_predict_spans_over_a_list_matches_single_posts(hidden, monkeypatch):
         return decode(em, crf)
 
     monkeypatch.setattr(toxicspans.model, "viterbi_decode", recording_decode)
-    spans = predict_spans(params, posts, policy)
+    spans = predict_spans(params, posts, policy, Arena())
     monkeypatch.undo()
 
     expected = [predict(params, text, max_len, policy) for text in texts]
@@ -173,7 +176,7 @@ def test_predict_spans_over_a_list_matches_single_posts(hidden, monkeypatch):
     order = sorted((k for k, post in enumerate(posts) if post.effective_len), key=lambda k: -posts[k].effective_len)
     assert len(seen) == len(order)
     for k, em in zip(order, seen):
-        assert_close(em, _emissions([posts[k]], params)[0])
+        assert_close(em, _emissions([posts[k]], params, Arena())[0])
 
 
 @pytest.mark.parametrize(
@@ -194,10 +197,9 @@ def test_lstm_is_bitwise_the_padded_reference(hidden, B, lengths):
     )
     x, steps = pack_posts([rng.normal(size=(n, DIM)) for n in lengths])
     d_hidden = rng.normal(size=(steps.N, 2 * hidden))
-    reverse = (False, True)
 
-    hidden, cache = lstm_forward(x, params, steps, reverse)
-    ref_hidden, ref_cache = reference_lstm_forward(padded(x, steps, noise(rng, steps, DIM)), params, lengths, reverse)
+    hidden, cache = lstm_forward(x, params, steps, Arena())
+    ref_hidden, ref_cache = reference_lstm_forward(padded(x, steps, noise(rng, steps, DIM)), params, lengths)
     assert np.array_equal(hidden, packed(ref_hidden, steps))
     for name in ("gates", "cell", "tanh_cell", "hidden"):
         assert np.array_equal(getattr(cache, name), getattr(ref_cache, name))

@@ -19,7 +19,7 @@ import toxicspans.cli
 import toxicspans.dataio
 import toxicspans.model
 from toxicspans.checkpoint import MAGIC
-from toxicspans.cli import DEFAULTS, main
+from toxicspans.cli import DEFAULTS, HISTORY_SUFFIX, MANIFEST_SUFFIX, main
 from toxicspans.dataio import read_predictions
 from toxicspans.embeddings import load_embeddings
 from toxicspans.model import INFER_BATCH
@@ -643,7 +643,7 @@ class TestPredict:
         arenas = []
         predict_spans = toxicspans.model.predict_spans
 
-        def spy(params, posts, policy, arena=None):
+        def spy(params, posts, policy, arena):
             arenas.append(arena)
             return predict_spans(params, posts, policy, arena)
 
@@ -1014,6 +1014,38 @@ class TestOutNamesAnInput:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert err == [f"error: --out {tmp_path / self.FILES[target]} is an input file of {command}"]
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "command, target, suffix",
+        [("stats", "data", MANIFEST_SUFFIX), ("train", "data", HISTORY_SUFFIX),
+         ("gate-train", "config", MANIFEST_SUFFIX)],
+    )
+    def test_a_side_file_of_out_that_names_an_input_exits_2(
+        self, workspace, tmp_path, monkeypatch, capsys, command, target, suffix
+    ):
+        """``<out>.manifest.json``, and train's ``<out>.history.json``, are
+        written too: one that names an input or the config file is an error
+        like ``--out`` itself, and nothing is read or written."""
+        names = {"data": "posts.csv", "config": "options.cfg", target: "out" + suffix}
+        (tmp_path / names["data"]).write_bytes((workspace / "dev.csv").read_bytes())
+        (tmp_path / names["config"]).write_bytes(b"# none\n")
+        (tmp_path / "vectors.txt").write_bytes((workspace / "vectors.txt").read_bytes())
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an input file was read before --out was checked")
+
+        monkeypatch.setattr(toxicspans.cli, "parse_dataset", unreachable)
+        monkeypatch.setattr(toxicspans.cli, "load_embeddings", unreachable)
+        monkeypatch.chdir(tmp_path)
+        vectors = ["--embeddings", "vectors.txt", "--embedding-dim", str(DIM)] if command != "stats" else []
+        out = tmp_path / "out"
+        code = main([command, "--data", names["data"], "--config", names["config"], *vectors, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {out} would overwrite {out}{suffix}, an input file of {command}"
+        ]
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 

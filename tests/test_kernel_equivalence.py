@@ -30,50 +30,66 @@ from oracles import (
     padded_crf_nll_grad,
     reference_lstm_forward,
 )
+from toxicspans.arena import Arena
 from toxicspans.batching import PackedSteps
 from toxicspans.crf import CrfParams, viterbi_decode
-from toxicspans.lstm import LstmParams, lstm_forward
+from toxicspans.lstm import DIRECTIONS, LstmParams, lstm_forward
 
 RTOL = 1e-9
 ATOL = 1e-12
 LENGTHS = [1, 2, 9, 130]
 SCALES = [1.0, 50.0]
 DIM = 6
+# Three random draws of weights and inputs for each bitwise case's shape.
+DRAWS = [1, 2, 3]
+DRAW_IDS = [f"draw{d}" for d in DRAWS]
 
 
 def assert_close(actual, desired):
     np.testing.assert_allclose(actual, desired, rtol=RTOL, atol=ATOL)
 
 
+def lstm_params(rng, H):
+    """Random weights of the forward and the backward direction."""
+    return LstmParams(
+        W_in=rng.uniform(-4.0, 4.0, size=(DIRECTIONS, 4 * H, DIM)),
+        W_rec=rng.uniform(-0.4, 0.4, size=(DIRECTIONS, 4 * H, H)),
+        b=rng.uniform(-0.4, 0.4, size=(DIRECTIONS, 4 * H)),
+    )
+
+
 def lstm_case(T, H, scale, seed):
     rng = np.random.default_rng(seed)
-    params = LstmParams(
-        W_in=rng.uniform(-4.0, 4.0, size=(1, 4 * H, DIM)),
-        W_rec=rng.uniform(-0.4, 0.4, size=(1, 4 * H, H)),
-        b=rng.uniform(-0.4, 0.4, size=(1, 4 * H)),
-    )
+    params = lstm_params(rng, H)
     inputs = rng.normal(size=(T, DIM)) * scale
-    d_hidden = rng.normal(size=(T, H))
+    d_hidden = rng.normal(size=(T, DIRECTIONS * H))
     return params, inputs, d_hidden
 
 
+@pytest.mark.parametrize("draw", [0, 1], ids=["draw0", "draw1"])
 @pytest.mark.parametrize("scale", SCALES)
-@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("H", [1, 4, 33])
 @pytest.mark.parametrize("T", LENGTHS)
-def test_lstm_matches_loop_reference(T, H, reverse, scale):
-    params, inputs, d_hidden = lstm_case(T, H, scale, seed=1000 * T + 10 * H + reverse)
+def test_lstm_matches_loop_reference(T, H, scale, draw):
+    """Each direction's half of the hidden states, cells and parameter
+    gradients against the loop of that direction, and the input gradient
+    against the sum of the two loops', over two random draws of each
+    shape."""
+    params, inputs, d_hidden = lstm_case(T, H, scale, seed=1000 * T + 10 * H + draw)
     x, steps = pack_posts([inputs])
-    hidden, cache = lstm_forward(x, params, steps, [reverse])
-    ref_hidden, ref_cache = loop_lstm_forward(inputs, params, reverse=reverse)
-    assert_close(hidden, ref_hidden)
-    assert_close(cache.cell[:, 0], ref_cache["c"])  # a post's packed rows are its steps
-
-    d_inputs, [grads] = lstm_grads(d_hidden, params, cache)
-    ref_d_inputs, ref_grads = loop_lstm_backward(d_hidden, params, ref_cache)
+    hidden, cache = lstm_forward(x, params, steps, Arena())
+    d_inputs, grads = lstm_grads(d_hidden, params, cache)
+    ref_d_inputs = 0.0
+    for k in range(DIRECTIONS):
+        cols = slice(k * H, (k + 1) * H)
+        ref_hidden, ref_cache = loop_lstm_forward(inputs, params, k)
+        assert_close(hidden[:, cols], ref_hidden)
+        assert_close(cache.cell[:, k], ref_cache["c"])  # a post's packed rows are its steps
+        ref_d_x, ref_grads = loop_lstm_backward(d_hidden[:, cols], params, ref_cache)
+        ref_d_inputs = ref_d_inputs + ref_d_x
+        for name in ("W_in", "W_rec", "b"):
+            assert_close(grads[k][name], ref_grads[name])
     assert_close(d_inputs, ref_d_inputs)
-    for name in ("W_in", "W_rec", "b"):
-        assert_close(grads[name], ref_grads[name])
 
 
 def test_hot_inputs_saturate_gates_and_overflow_exp():
@@ -81,35 +97,25 @@ def test_hot_inputs_saturate_gates_and_overflow_exp():
     pre = inputs @ params.W_in[0].T + params.b[0]
     assert pre.min() < -np.log(np.finfo(np.float64).max)
     x, steps = pack_posts([inputs])
-    _, cache = lstm_forward(x, params, steps, [False])
+    _, cache = lstm_forward(x, params, steps, Arena())
     assert np.any(cache.gates == 0.0) and np.any(cache.gates == 1.0)
 
 
-def stacked_params(rng, K, H):
-    """Random weights of K stacked directions."""
-    return LstmParams(
-        W_in=rng.uniform(-4.0, 4.0, size=(K, 4 * H, DIM)),
-        W_rec=rng.uniform(-0.4, 0.4, size=(K, 4 * H, H)),
-        b=rng.uniform(-0.4, 0.4, size=(K, 4 * H)),
-    )
-
-
+@pytest.mark.parametrize("draw", DRAWS, ids=DRAW_IDS)
 @pytest.mark.parametrize("scale", SCALES)
-@pytest.mark.parametrize("reverse", [(False,), (True,), (False, True)])
 @pytest.mark.parametrize("H", [1, 3, 32, 128])
 @pytest.mark.parametrize("T", [1, 2, 7, 130])
-def test_one_post_lstm_is_bitwise_the_packed_loop(T, H, reverse, scale):
+def test_one_post_lstm_is_bitwise_the_packed_loop(T, H, scale, draw):
     """One post against the lockstep reference: a caching pass (the packed
     loop, with the backward pass's gradients) and a pass with no cache
     (the one-post loop) must both give its bits."""
-    K = len(reverse)
-    rng = np.random.default_rng(1000 * T + 10 * H + sum(reverse) + K)
-    params = stacked_params(rng, K, H)
+    rng = np.random.default_rng(1000 * T + 10 * H + draw)
+    params = lstm_params(rng, H)
     x, steps = pack_posts([rng.normal(size=(T, DIM)) * scale])
-    d_hidden = rng.normal(size=(T, K * H))
-    hidden, cache = lstm_forward(x, params, steps, reverse)
-    bare, _ = lstm_forward(x, params, steps, reverse, keep_cache=False)
-    ref_hidden, ref_cache = reference_lstm_forward(x[:, None], params, [T], reverse)
+    d_hidden = rng.normal(size=(T, DIRECTIONS * H))
+    hidden, cache = lstm_forward(x, params, steps, Arena())
+    bare, _ = lstm_forward(x, params, steps, Arena(), keep_cache=False)
+    ref_hidden, ref_cache = reference_lstm_forward(x[:, None], params, [T])
     assert np.array_equal(hidden, ref_hidden[:, 0])
     assert np.array_equal(bare, ref_hidden[:, 0])
     for name in ("gates", "cell", "tanh_cell", "hidden"):
@@ -119,27 +125,26 @@ def test_one_post_lstm_is_bitwise_the_packed_loop(T, H, reverse, scale):
         ref_d_x, ref_grads = lstm_grads(d_hidden, params, ref_cache, input_grad)
         assert (d_x is None) == (not input_grad)
         assert d_x is None or np.array_equal(d_x, ref_d_x)
-        for k in range(K):
+        for k in range(DIRECTIONS):
             for name in ("W_in", "W_rec", "b"):
                 assert np.array_equal(grads[k][name], ref_grads[k][name])
 
 
+@pytest.mark.parametrize("draw", DRAWS, ids=DRAW_IDS)
 @pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize("batch", ["one-post", "ragged"])
-@pytest.mark.parametrize("reverse", [(False,), (True,), (False, True)])
 @pytest.mark.parametrize("H", [1, 3, 32, 128])
 @pytest.mark.parametrize("T", [1, 2, 100])
-def test_a_pass_without_cache_is_bitwise_the_caching_pass(T, H, reverse, batch, scale):
+def test_a_pass_without_cache_is_bitwise_the_caching_pass(T, H, batch, scale, draw):
     """Inference keeps no cache, in the one-post loop or the packed loop;
     its hidden states must be the caching pass's.  It runs in a poisoned
     arena, so a value read before it is written shows."""
-    K = len(reverse)
-    rng = np.random.default_rng(1000 * T + 10 * H + sum(reverse) + K)
-    params = stacked_params(rng, K, H)
+    rng = np.random.default_rng(1000 * T + 10 * H + draw)
+    params = lstm_params(rng, H)
     lengths = [T] if batch == "one-post" else [T, (T + 1) // 2, (T + 1) // 2, 1]
     x, steps = pack_posts([rng.normal(size=(n, DIM)) * scale for n in lengths])
-    hidden, cache = lstm_forward(x, params, steps, reverse)
-    bare, no_cache = lstm_forward(x, params, steps, reverse, PoisonedArena(), keep_cache=False)
+    hidden, cache = lstm_forward(x, params, steps, Arena())
+    bare, no_cache = lstm_forward(x, params, steps, PoisonedArena(), keep_cache=False)
     assert cache is not None and no_cache is None
     assert np.array_equal(bare, hidden)
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import deep_equal, json_values, make_table, named_tensors
 from oracles import crf_nll, finite_difference, max_relative_error
+import toxicspans.model
+from toxicspans.arena import Arena
 from toxicspans.dataio import CharSpanSet, LabeledPost
 from toxicspans.embeddings import encode_post, mean_pooled
 from toxicspans.errors import DataFormatError, ToxicSpansError, ValidationError
@@ -59,7 +62,7 @@ class TestEmissions:
         table = make_table(["a", "b", "c"])
         params = make_model(table)
         post = encoded(table, "a b c a b c a")
-        emissions, _, _ = _emissions([post], params)
+        emissions, _, _ = _emissions([post], params, Arena())
         assert emissions.shape == (7, 2)
 
     def test_zero_projection_yields_bias_everywhere(self):
@@ -68,7 +71,7 @@ class TestEmissions:
         params.emit.W_out[:] = 0.0
         params.emit.b_out[:] = [0.25, -1.5]
         post = encoded(table, "a b a")
-        emissions, _, _ = _emissions([post], params)
+        emissions, _, _ = _emissions([post], params, Arena())
         assert post.effective_len == 3
         np.testing.assert_allclose(emissions, np.tile([0.25, -1.5], (3, 1)))
 
@@ -76,15 +79,15 @@ class TestEmissions:
         table = make_table(["a"])
         params = make_model(table)
         with pytest.raises(ValidationError):
-            nll_and_gradients([encoded(table, "")], [[]], params)
+            nll_and_gradients([encoded(table, "")], [[]], params, Arena())
 
     def test_pad_rows_never_enter_the_computation(self):
         table = make_table(["a", "b"])
         params = make_model(table)
         posts = [encoded(table, "a b a", max_len=12), encoded(table, "b", max_len=12)]
-        before, _, _ = _emissions(posts, params)
+        before, _, _ = _emissions(posts, params, Arena())
         params.embedding.matrix[table.pad_index] += 123.0
-        after, _, _ = _emissions(posts, params)
+        after, _, _ = _emissions(posts, params, Arena())
         np.testing.assert_array_equal(before, after)
 
 
@@ -93,11 +96,12 @@ class TestBackward:
         table = make_table(["a", "b"])
         params = make_model(table, finetune=True)
         post = encoded(table, "a b a b")
-        emissions, _, cache = _emissions([post], params)
+        arena = Arena()
+        emissions, _, cache = _emissions([post], params, arena)
         grads = params.clone()
         grads.vector[:] = np.nan  # backward writes all but the CRF's tensors
         grads.embedding.matrix[:] = 0.0  # and adds into the embedding gradient
-        backward(params, cache, np.zeros_like(emissions), grads)
+        backward(params, cache, np.zeros_like(emissions), grads, arena)
         for name, arr in named_tensors(grads).items():
             assert name.startswith("crf.") or np.all(arr == 0.0), name
 
@@ -113,12 +117,12 @@ class TestBackward:
         def batch_loss():
             total = 0.0
             for post, labels in batch:
-                em, _, _ = _emissions([post], params)
+                em, _, _ = _emissions([post], params, Arena())
                 total += crf_nll(em, params.crf, labels)
             return total / len(batch)
 
         posts, label_lists = zip(*batch)
-        _, grads = nll_and_gradients(posts, label_lists, params)
+        _, grads = nll_and_gradients(posts, label_lists, params, Arena())
         analytic = {name: arr / len(batch) for name, arr in named_tensors(grads).items()}
 
         numeric = finite_difference(batch_loss, named_tensors(params), h=1e-5)
@@ -139,11 +143,11 @@ class TestBackward:
         def batch_loss():
             total = 0.0
             for post, labs in zip(posts, labels):
-                em, _, _ = _emissions([post], params)
+                em, _, _ = _emissions([post], params, Arena())
                 total += crf_nll(em, params.crf, labs)
             return total
 
-        _, grads = nll_and_gradients(posts, labels, params)
+        _, grads = nll_and_gradients(posts, labels, params, Arena())
         name = "embedding.matrix"
         numeric = finite_difference(batch_loss, {name: params.embedding.matrix}, h=1e-5)
         assert np.any(grads.embedding.matrix != 0.0)
@@ -155,8 +159,8 @@ class TestBackward:
         params = make_model(table, hidden=5, seed=8)
         tuned_params = make_model(table, hidden=5, seed=8, finetune=True)
         posts, labels = self.mixed_batch(table, rng)
-        nll, plain = nll_and_gradients(posts, labels, params)
-        tuned_nll, tuned = nll_and_gradients(posts, labels, tuned_params)
+        nll, plain = nll_and_gradients(posts, labels, params, Arena())
+        tuned_nll, tuned = nll_and_gradients(posts, labels, tuned_params, Arena())
         assert nll == tuned_nll
         assert np.array_equal(plain.vector, tuned.vector[: plain.vector.size])
         assert plain.embedding is params.embedding and tuned.embedding is not tuned_params.embedding
@@ -165,7 +169,7 @@ class TestBackward:
         table = make_table(["a", "b", "c"])
         params = make_model(table, finetune=True)
         post = encoded(table, "a a b", max_len=8)
-        _, grads = nll_and_gradients([post], [[1, 0, 1]], params)
+        _, grads = nll_and_gradients([post], [[1, 0, 1]], params, Arena())
         d_matrix = grads.embedding.matrix
         assert np.any(d_matrix[table.vocab["a"]] != 0.0)
         assert np.all(d_matrix[table.vocab["c"]] == 0.0)
@@ -175,9 +179,9 @@ class TestBackward:
         table = make_table(["a", "b"])
         params = make_model(table)
         post = encoded(table, "a b a", max_len=10)
-        nll_before, _ = nll_and_gradients([post], [[0, 1, 0]], params)
+        nll_before, _ = nll_and_gradients([post], [[0, 1, 0]], params, Arena())
         params.embedding.matrix[table.pad_index] += 7.5
-        nll_after, _ = nll_and_gradients([post], [[0, 1, 0]], params)
+        nll_after, _ = nll_and_gradients([post], [[0, 1, 0]], params, Arena())
         assert nll_before == nll_after
 
 
@@ -229,7 +233,7 @@ class TestTagPosts:
         posts = [LabeledPost(id=10 * k, text=text or "!", gold=CharSpanSet()) for k, text in enumerate(texts)]
         policy = BridgePolicy(bridge_gaps=True, max_gap=1)
         gate = GateModel(kind=KIND_EXTERNAL, threshold=0.5, scores={post.id: k % 3 / 2 for k, post in enumerate(posts)})
-        alone = [predict_spans(params, [encoded(table, post.text, 6)], policy)[0] for post in posts]
+        alone = [predict_spans(params, [encoded(table, post.text, 6)], policy, Arena())[0] for post in posts]
         assert sum(map(bool, alone)) > 2
         assert tag_posts(params, table, posts, 6, policy) == alone
         assert tag_posts(params, table, posts, 6, policy, gate) == [
@@ -249,6 +253,28 @@ class TestTagPosts:
         assert tuned_score < gate.threshold < gate_score(gate, 0, mean_pooled(encoded(table, post.text), table))
         policy = BridgePolicy(bridge_gaps=True, max_gap=1)
         assert tag_posts(params, table, [post], 8, policy, gate) == [CharSpanSet(tuple(range(7)))]
+
+
+    def test_an_internal_gate_of_another_table_raises_once(self, monkeypatch):
+        """A gate that records another table's digest raises, naming both
+        digests and the table's dimension, before any post is tagged; one
+        that records this table, or none, gates."""
+        table, other = make_table(["the", "cat"], dim=3), make_table(["the", "dog"], dim=3)
+        params = all_label_model(table, toxic=True)
+        posts = [LabeledPost(id=k, text="the cat", gold=CharSpanSet()) for k in range(INFER_BATCH + 1)]
+        policy = BridgePolicy(bridge_gaps=True, max_gap=1)
+        gate = GateModel(kind=KIND_INTERNAL, weights=np.array([0.0, 0.0, 0.0, 4.0]), vocab_hash=other.fingerprint())
+        tagged = []
+        monkeypatch.setattr(toxicspans.model, "predict_spans", lambda *args: tagged.append(args) or [])
+        with pytest.raises(ValidationError) as raised:
+            tag_posts(params, table, posts, 8, policy, gate)
+        message = str(raised.value)
+        assert other.fingerprint() in message and table.fingerprint() in message and "dim 3" in message
+        assert tagged == []
+        monkeypatch.undo()
+        want = [CharSpanSet(tuple(range(7)))] * len(posts)
+        for vocab_hash in (table.fingerprint(), None):
+            assert tag_posts(params, table, posts, 8, policy, replace(gate, vocab_hash=vocab_hash)) == want
 
 
 class TestLstmLoops:
@@ -272,12 +298,12 @@ class TestLstmLoops:
         words = "a b c b a c c a".split()
         posts = [encoded(table, " ".join(words[: 1 + k % len(words)])) for k in range(INFER_BATCH + 3)]
         labels = [[k % 2] * post.effective_len for k, post in enumerate(posts)]
-        predict_spans(params, posts[2:3], BridgePolicy())
+        predict_spans(params, posts[2:3], BridgePolicy(), Arena())
         assert calls == [3]
         calls.clear()
-        nll_and_gradients(posts[2:3], labels[2:3], params)
-        nll_and_gradients(posts, labels, params)
-        predict_spans(params, posts, BridgePolicy())
+        nll_and_gradients(posts[2:3], labels[2:3], params, Arena())
+        nll_and_gradients(posts, labels, params, Arena())
+        predict_spans(params, posts, BridgePolicy(), Arena())
         assert calls == []
 
 
@@ -291,7 +317,7 @@ class TestStackedDirections:
         if source == "clone":
             params = params.clone()
         elif source == "gradients":
-            params = nll_and_gradients([encoded(table, "a b a")], [[0, 1, 0]], params)[1]
+            params = nll_and_gradients([encoded(table, "a b a")], [[0, 1, 0]], params, Arena())[1]
         elif source == "checkpoint":
             save_checkpoint(tmp_path / "m.ckpt", params, TrainConfig(hidden_size=4), table)
             params = load_checkpoint(tmp_path / "m.ckpt", table)[0]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_table
+from toxicspans.arena import Arena
 from toxicspans.crf import CrfParams, viterbi_decode
 from toxicspans.embeddings import encode_post
 from toxicspans.errors import ValidationError
@@ -56,11 +57,11 @@ CASES = {
         "hidden_size must be >= 1, got 0",
     ),
     "label-list-count": (
-        lambda tmp_path: nll_and_gradients([post("a b"), post("b")], [[0, 1]], model()),
+        lambda tmp_path: nll_and_gradients([post("a b"), post("b")], [[0, 1]], model(), Arena()),
         "1 label lists for 2 posts",
     ),
-    "empty-minibatch": (lambda tmp_path: nll_and_gradients([], [], model()), "empty minibatch"),
-    "empty-dev-split": (lambda tmp_path: dev_char_f1([], model(), BridgePolicy()), "dev split is empty"),
+    "empty-minibatch": (lambda tmp_path: nll_and_gradients([], [], model(), Arena()), "empty minibatch"),
+    "empty-dev-split": (lambda tmp_path: dev_char_f1([], model(), BridgePolicy(), Arena()), "dev split is empty"),
 }
 
 

@@ -14,6 +14,7 @@ from oracles import (
 )
 import toxicspans.model
 import toxicspans.training
+from toxicspans.arena import Arena
 from toxicspans.dataio import CharSpanSet, LabeledPost
 from toxicspans.embeddings import load_embeddings
 from toxicspans.errors import NonFiniteError, TrainingDivergedError, ValidationError
@@ -79,7 +80,7 @@ class TestAdam:
         params = {"w": np.array([1.0, -2.0, 3.0])}
         grads = {"w": np.zeros(3)}
         state = AdamState(0.1, np.zeros(3), np.zeros(3))
-        adam_step(params["w"], grads["w"], state)
+        adam_step(params["w"], grads["w"], state, Arena())
         np.testing.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
         assert state.step == 1
 
@@ -87,7 +88,7 @@ class TestAdam:
         params = {"w": np.zeros(4)}
         g = np.array([0.5, -3.0, 1e-3, 0.0])
         state = AdamState(0.01, np.zeros(4), np.zeros(4))
-        adam_step(params["w"], g.copy(), state)
+        adam_step(params["w"], g.copy(), state, Arena())
         # first bias-corrected step is lr * g / (|g| + eps) = lr * sign(g)
         expected = -0.01 * np.sign(g) * (np.abs(g) / (np.abs(g) + ADAM_EPSILON))
         np.testing.assert_allclose(params["w"], expected, atol=1e-12)
@@ -109,7 +110,7 @@ class TestAdam:
         ref_state = per_tensor_adam_state(ref_params, learning_rate=3e-3)
         for _ in range(5):
             grads = named(rng.normal(size=vector.size))
-            adam_step(vector, np.concatenate([g.ravel() for g in grads.values()]), state)
+            adam_step(vector, np.concatenate([g.ravel() for g in grads.values()]), state, Arena())
             expression_adam_step(ref_params, grads, ref_state)
             for name in shapes:
                 assert np.array_equal(params[name], ref_params[name])
@@ -126,13 +127,13 @@ class TestAdam:
 
     def test_clipping_scales_by_global_norm(self):
         grads = self.gradients(6.0, 8.0)  # norm 10
-        norm = clip_gradients(grads, max_norm=1.0)
+        norm = clip_gradients(grads, max_norm=1.0, arena=Arena())
         assert norm == pytest.approx(10.0)
         np.testing.assert_allclose(grads.vector[:2], [0.6, 0.8])
 
     def test_no_clipping_below_threshold(self):
         grads = self.gradients(0.3, 0.4)
-        clip_gradients(grads, max_norm=1.0)
+        clip_gradients(grads, max_norm=1.0, arena=Arena())
         np.testing.assert_allclose(grads.vector[:2], [0.3, 0.4])
 
     @pytest.mark.parametrize("case", ["fires", "below", "nan", "inf"])
@@ -158,7 +159,7 @@ class TestAdam:
             before = grads.clone()
             ref = grads.clone()
             ref_norm = per_tensor_clip(named_tensors(ref), max_norm)
-            norm = clip_gradients(grads, max_norm)
+            norm = clip_gradients(grads, max_norm, Arena())
             assert norm == ref_norm or math.isnan(norm) and math.isnan(ref_norm)
             assert {"fires": max_norm < norm < math.inf, "below": norm <= max_norm,
                     "nan": math.isnan(norm), "inf": norm == math.inf}[case]
@@ -201,7 +202,7 @@ class TestTrain:
         examples = build_examples(posts, table, max_len=32)
         seen = []
 
-        def spy(dev, params, policy, arena=None):
+        def spy(dev, params, policy, arena):
             seen.append(policy)
             return dev_char_f1(dev, params, policy, arena)
 
@@ -241,7 +242,7 @@ class TestTrain:
         params, history = train(examples, cfg, table)
         assert max(h.dev_f1 for h in history) >= 0.95
         held_out = build_examples(generate_posts(50, seed=99), table, max_len=64)
-        assert dev_char_f1(held_out, params, BridgePolicy()) >= 0.95
+        assert dev_char_f1(held_out, params, BridgePolicy(), Arena()) >= 0.95
 
     def test_zero_token_examples_are_tolerated(self):
         table, posts = synthetic_setup(n_posts=20)
@@ -329,7 +330,7 @@ class TestTrain:
         order = rng.permutation(len(examples))
         dev = [examples[int(i)] for i in sorted(order[:dev_count])]
         best = max(h.dev_f1 for h in history)
-        assert dev_char_f1(dev, params, BridgePolicy()) == pytest.approx(best, abs=1e-12)
+        assert dev_char_f1(dev, params, BridgePolicy(), Arena()) == pytest.approx(best, abs=1e-12)
 
 
 class TestParameterVector:
@@ -384,11 +385,11 @@ class TestEpochTelemetry:
         steps = []  # (pre-clip norm, tokens) per step, in order
         nll_and_gradients = training_mod.nll_and_gradients
 
-        def spy_nll(posts, labels, params, arena=None):
+        def spy_nll(posts, labels, params, arena):
             steps.append([sum(post.effective_len for post in posts)])
             return nll_and_gradients(posts, labels, params, arena)
 
-        def spy_clip(grads, max_norm, arena=None):
+        def spy_clip(grads, max_norm, arena):
             norm = clip_gradients(grads, max_norm, arena)
             steps[-1].insert(0, norm)
             return norm
