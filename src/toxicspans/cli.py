@@ -6,7 +6,8 @@ parsed flags once (CLI flag > config file > built-in default), and when a
 command returns what it wrote, it writes ``<output>.manifest.json`` with
 the resolved configuration, input digests and wall-clock time.  Every
 command checks its options before it reads any input file, and rejects an
-``--out`` that names one of them, or whose manifest or history would.
+``--out`` that names one of them or a directory, or whose manifest or
+history would.
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
 
@@ -185,8 +186,9 @@ def _resolve(args: argparse.Namespace, key: str, default=None):
 
 def _inputs(args: argparse.Namespace, **gate_file: str) -> dict[str, str]:
     """The path of each file the command reads, by role, for its manifest;
-    an ``--out`` that names one of them or the config file, or whose side
-    files (its manifest, and train's history) do, is an error."""
+    an ``--out`` that names a directory, one of those files or the config
+    file, or whose side files (its manifest, and train's history) do, is an
+    error."""
     inputs = {role: path for role in ("data", "embeddings", "checkpoint", "pred")
               if (path := getattr(args, role, None)) is not None} | gate_file
     read = {os.path.abspath(path) for path in [*inputs.values(), args.config] if path}
@@ -194,16 +196,20 @@ def _inputs(args: argparse.Namespace, **gate_file: str) -> dict[str, str]:
         return inputs
     if os.path.abspath(args.out) in read:
         raise ValidationError(f"--out {args.out} is an input file of {args.command}")
+    if os.path.isdir(args.out):
+        raise ValidationError(f"--out {args.out} is a directory")
     for suffix in (MANIFEST_SUFFIX, HISTORY_SUFFIX) if args.command == "train" else (MANIFEST_SUFFIX,):
         if os.path.abspath(side := args.out + suffix) in read:
             raise ValidationError(f"--out {args.out} would overwrite {side}, an input file of {args.command}")
+        if os.path.isdir(side):
+            raise ValidationError(f"--out {args.out} would overwrite {side}, a directory")
     return inputs
 
 
 def _require_file(path: str, role: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        raise ValidationError(f"{role} file not found: {path}")
+        raise ValidationError(f"{role} file {'is not a regular file' if p.exists() else 'not found'}: {path}")
     return p
 
 

@@ -148,14 +148,46 @@ def viterbi_decode(em: np.ndarray, crf: CrfParams) -> list[int]:
     Runs on Python floats: at L = 2 a numpy call per position costs far more
     than its arithmetic.  Each candidate score is ``score[i] + trans[i][j]``
     and a later label replaces the best only if strictly greater, which is
-    the lower-index tie-break; the additions are the ones, in the order, a
-    vectorized max-plus step would make.
+    the lower-index tie-break (a NaN candidate never replaces, and a NaN
+    best is never replaced); the additions are the ones, in the order, a
+    vectorized max-plus step would make.  At L = 2 the loop is unrolled: a
+    position's two back-pointers are one int, bit j the best predecessor of
+    label j.  Any other L runs the general loop, with the same additions
+    and comparisons, so both give the same labels.
     """
     _check_emissions(em, crf)
-    rows = em.tolist()
     trans = crf.trans.tolist()
+    decode = _viterbi_two_labels if len(trans) == 2 else _viterbi_loop
+    return decode(em.tolist(), trans, crf.start.tolist(), crf.stop.tolist())
+
+
+def _viterbi_two_labels(rows: list, trans: list, start: list, stop: list) -> list[int]:
+    (t00, t01), (t10, t11) = trans
+    positions = iter(rows)
+    e0, e1 = next(positions)
+    s0, s1 = start[0] + e0, start[1] + e1
+    backptrs = []
+    for e0, e1 in positions:
+        best0, ptr = s0 + t00, 0
+        if (cand := s1 + t10) > best0:
+            best0, ptr = cand, 1
+        best1 = s0 + t01
+        if (cand := s1 + t11) > best1:
+            best1, ptr = cand, ptr | 2
+        backptrs.append(ptr)
+        s0, s1 = best0 + e0, best1 + e1
+    best = 1 if s1 + stop[1] > s0 + stop[0] else 0
+    path = [best]
+    for ptr in reversed(backptrs):
+        best = ptr >> best & 1
+        path.append(best)
+    path.reverse()
+    return path
+
+
+def _viterbi_loop(rows: list, trans: list, start: list, stop: list) -> list[int]:
     L = len(trans)
-    score = [s + e for s, e in zip(crf.start.tolist(), rows[0])]
+    score = [s + e for s, e in zip(start, rows[0])]
     backptrs = []
     for row in rows[1:]:
         ptr = []
@@ -170,7 +202,7 @@ def viterbi_decode(em: np.ndarray, crf: CrfParams) -> list[int]:
             nxt.append(best + row[j])
         backptrs.append(ptr)
         score = nxt
-    final = [s + p for s, p in zip(score, crf.stop.tolist())]
+    final = [s + p for s, p in zip(score, stop)]
     best = 0
     for j in range(1, L):
         if final[j] > final[best]:

@@ -146,7 +146,9 @@ def encode_post(toks: TokenSeq, table: EmbeddingTable, max_len: int) -> EncodedP
 
 
 def mean_pooled(post: EncodedPost, table: EmbeddingTable) -> np.ndarray:
-    """Mean of the post's embedding rows (zero vector for empty posts)."""
-    if not post.effective_len:
+    """Mean of the post's embedding rows (zero vector for empty posts): the
+    reduction and division ``.mean(axis=0)`` makes, with the same bits,
+    without its Python wrapper."""
+    if not (n := post.effective_len):
         return np.zeros(table.dim)
-    return table.matrix[post.indices].mean(axis=0)
+    return np.add.reduce(table.matrix[post.indices], axis=0) / n

@@ -93,7 +93,14 @@ def train_gate(
 def gate_score(
     model: GateModel, post_id: int, pooled: np.ndarray | None = None
 ) -> float:
-    """Probability that a post is toxic, per the gate's kind."""
+    """Probability that a post is toxic, per the gate's kind.
+
+    An internal gate's is the sigmoid of its logit kept inside
+    [1e-12, 1 - 1e-12], bit for bit ``np.clip`` of :func:`_sigmoid`, but
+    with no ``np.errstate`` or ``np.clip`` call: below a logit of -700 the
+    score is the floor and ``np.exp`` (which overflows only below -709.78)
+    is not called; above it, ``min`` and ``max`` clip ``np.exp``'s sigmoid.
+    """
     if model.kind == KIND_EXTERNAL:
         if model.scores is None or post_id not in model.scores:
             raise ValidationError(f"no external gate score for post id {post_id}")
@@ -106,8 +113,9 @@ def gate_score(
             f"vector needs {pooled.shape[0] + 1}"
         )
     logit = float(model.weights[:-1] @ pooled + model.weights[-1])
-    # keep the score strictly inside (0, 1) even when the sigmoid saturates
-    return float(np.clip(_sigmoid(np.float64(logit)), 1e-12, 1.0 - 1e-12))
+    if logit < -700.0:
+        return 1e-12
+    return float(min(max(1.0 / (1.0 + np.exp(-logit)), 1e-12), 1.0 - 1e-12))
 
 
 def apply_gate(detected: CharSpanSet, score: float, threshold: float) -> CharSpanSet:

@@ -5,10 +5,13 @@ directory and, from inside it with relative paths, runs: ``stats`` with and
 without ``--out``, ``train`` (flags over a ``--config`` file), ``gate-train``,
 ``predict`` without a gate, with an external score file, with the internal
 gate and with the internal gate under a ``--config`` file, ``evaluate`` with
-and without ``--out``, and ``analyze``.  Prints one JSON object: each
-command's exit code and the sha256 of its stdout and stderr, and the
-sha256 of every file in the directory afterwards, each manifest hashed
-without its ``wall_clock_seconds``.  BLAS is pinned to one thread before
+and without ``--out``, ``analyze``, ``predict`` with a hand-written internal
+gate whose bias of -1000 saturates its sigmoid (every post gated), and
+``predict`` with an ``--out`` that is an existing directory.  Prints one
+JSON object: each command's exit code and the sha256 of its stdout and
+stderr, and the sha256 of every file in the directory afterwards, each
+manifest hashed without its ``wall_clock_seconds`` and each directory as
+the list of its names.  BLAS is pinned to one thread before
 numpy loads.  Run it from the repository root:
 
     PYTHONPATH=src python tests/cli_walkthrough.py [--seed 0] [--hidden 16]
@@ -33,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 from toxicspans import cli
+from toxicspans.embeddings import load_embeddings
 from toxicspans.synthetic import generate_posts, write_corpus_csv, write_embedding_file
 
 
@@ -52,6 +56,8 @@ def run(argv: list[str]) -> dict:
 
 
 def file_digest(path: Path) -> str:
+    if path.is_dir():
+        return sha256("\n".join(sorted(child.name for child in path.iterdir())))
     if path.name.endswith(".manifest.json"):
         manifest = json.loads(path.read_text())
         manifest.pop("wall_clock_seconds")
@@ -71,6 +77,13 @@ def walkthrough(args: argparse.Namespace) -> dict:
     Path("scores.tsv").write_text("".join(f"{post.id}\t{0.9 if post.id % 3 else 0.1}\n" for post in dev))
     Path("train.cfg").write_text(f"epochs = {args.epochs}\nhidden = 4\nlr = 3e-3\n")
     Path("predict.cfg").write_text("gate_threshold = 0.3\nbridge_gap = 0\n")
+    with open("vectors.txt", "rb") as f:
+        table = load_embeddings(f, expected_dim=25)
+    # every logit is -1000, far below where the sigmoid saturates
+    Path("saturated.json").write_text(json.dumps({"kind": "internal-logreg", "threshold": 0.5,
+                                                  "weights": [0.0] * 25 + [-1000.0],
+                                                  "vocab_hash": table.fingerprint()}))
+    Path("outdir").mkdir()
     data, vectors = ["--data", "train.csv"], ["--embeddings", "vectors.txt"]
     predict = ["predict", "--data", "dev.csv", *vectors, "--checkpoint", "model.ckpt"]
     internal = ["--gate", "internal", "--gate-model", "gate.json"]
@@ -87,6 +100,8 @@ def walkthrough(args: argparse.Namespace) -> dict:
         ["evaluate", "--data", "dev.csv", "--pred", "dev.pred.tsv"],
         ["evaluate", "--data", "dev.csv", "--pred", "dev.pred.tsv", "--out", "report.tsv"],
         ["analyze", "--data", "dev.csv", "--pred", "dev.pred.tsv"],
+        [*predict, "--gate", "internal", "--gate-model", "saturated.json", "--out", "saturated.tsv"],
+        [*predict, "--out", "outdir"],
     ]
     return {
         "commands": [run(argv) for argv in commands],

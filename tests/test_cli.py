@@ -127,6 +127,15 @@ class TestStats:
         assert main(["stats", "--data", "/nonexistent.csv"]) == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["directory", "device"])
+    def test_input_that_is_not_a_regular_file_exits_2(self, tmp_path, capsys, target):
+        path = tmp_path if target == "directory" else Path(os.devnull)
+        if not path.exists():
+            pytest.skip(f"{os.devnull} does not exist here")
+        assert main(["stats", "--data", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: dataset file is not a regular file: {path}\n"
+
     def test_bad_span_literal_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text('spans,text\n"[1, oops]",hello there\n')
@@ -1047,6 +1056,39 @@ class TestOutNamesAnInput:
             f"error: --out {out} would overwrite {out}{suffix}, an input file of {command}"
         ]
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+class TestOutIsADirectory:
+    """An ``--out`` that is a directory, or whose side file is, exits 2 with
+    one error line before any input is read or any epoch runs, so no
+    temporary file is left next to it."""
+
+    @pytest.mark.parametrize(
+        "command, suffix",
+        [("stats", ""), ("train", ""), ("gate-train", ""), ("predict", ""), ("evaluate", ""),
+         ("stats", MANIFEST_SUFFIX), ("train", MANIFEST_SUFFIX), ("train", HISTORY_SUFFIX)],
+    )
+    def test_exits_2_before_any_work(self, workspace, gate_07, tmp_path, monkeypatch, capsys, command, suffix):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work ran before --out was checked")
+
+        for name in ("parse_dataset", "load_embeddings", "load_checkpoint", "train"):
+            monkeypatch.setattr(toxicspans.cli, name, unreachable)
+        out = tmp_path / "out"
+        directory = Path(f"{out}{suffix}")
+        directory.mkdir()
+        vectors = ["--embeddings", str(workspace / "vectors.txt"), "--embedding-dim", str(DIM)]
+        argv = {"stats": [], "train": vectors, "gate-train": vectors,
+                "predict": [*vectors, "--checkpoint", str(workspace / "model.ckpt"),
+                            "--gate", "internal", "--gate-model", str(gate_07)],
+                "evaluate": ["--pred", str(workspace / "dev.csv")]}[command]
+        code = main([command, "--data", str(workspace / "dev.csv"), *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        message = f"--out {out} would overwrite {directory}, a directory" if suffix else f"--out {out} is a directory"
+        assert captured.err == f"error: {message}\n"
+        assert "epoch" not in captured.out + captured.err
+        assert [path.name for path in tmp_path.iterdir()] == [directory.name] and list(directory.iterdir()) == []
 
 
 class TestRaiseSitesReachedFromTheCli:

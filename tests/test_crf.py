@@ -18,6 +18,8 @@ from oracles import (
 )
 from toxicspans.crf import (
     CrfParams,
+    _viterbi_loop,
+    _viterbi_two_labels,
     viterbi_decode,
 )
 from toxicspans.errors import ValidationError
@@ -236,6 +238,62 @@ class TestViterbi:
                 flipped = list(path)
                 flipped[t] = 1 - flipped[t]
                 assert base >= path_score(em, crf.trans, crf.start, crf.stop, flipped) - 1e-12
+
+
+def two_label_instances():
+    """Emissions and a CRF, as a named ``pytest.param``, for the unrolled
+    two-label Viterbi."""
+    rng = np.random.default_rng(15)
+    cases = []
+    for k in range(40):
+        cases.append((f"random-{k}", *random_instance(rng, T=int(rng.integers(1, 30)))))
+    for k in range(40):  # integer scores: ties at most positions and in the final pick
+        em, crf = random_instance(rng, T=int(rng.integers(1, 30)))
+        cases.append((f"tied-{k}", np.round(em), CrfParams(np.round(crf.trans), np.round(crf.start),
+                                                          np.round(crf.stop))))
+    cases.append(("all-zero", np.zeros((9, 2)), zero_crf()))
+    cases.append(("all-zero-T1", np.zeros((1, 2)), zero_crf()))
+    for k in range(10):
+        em, crf = random_instance(rng, T=12)
+        em[k] = np.nan
+        cases.append((f"nan-row-{k}", em, crf))
+    em, crf = random_instance(rng, T=8)
+    em[3, 1] = np.nan
+    cases.append(("nan-entry", em, crf))
+    em, crf = random_instance(rng, T=8)
+    crf.trans[1, 0] = np.nan
+    cases.append(("nan-transition", em, crf))
+    for k in range(5):
+        cases.append((f"T1-{k}", *random_instance(rng, T=1)))
+        cases.append((f"T200-{k}", *random_instance(rng, T=200)))
+    for scale in (1e150, 1e300):  # sums reach inf, and inf - inf is NaN
+        cases.append((f"large-{scale:g}", *random_instance(rng, T=20, scale=scale)))
+    return [pytest.param(em, crf, id=name) for name, em, crf in cases]
+
+
+class TestTwoLabelViterbi:
+    """At L = 2, ``viterbi_decode`` runs an unrolled loop; it returns the
+    general loop's labels, ties and NaN included."""
+
+    @pytest.mark.parametrize("em, crf", two_label_instances())
+    def test_matches_the_general_loop(self, em, crf):
+        args = (em.tolist(), crf.trans.tolist(), crf.start.tolist(), crf.stop.tolist())
+        want = _viterbi_loop(*args)
+        assert _viterbi_two_labels(*args) == want
+        assert viterbi_decode(em, crf) == want
+
+    def test_the_label_count_picks_the_loop(self, monkeypatch):
+        import toxicspans.crf
+
+        ran = []
+        for name in ("_viterbi_loop", "_viterbi_two_labels"):
+            loop = getattr(toxicspans.crf, name)
+            monkeypatch.setattr(toxicspans.crf, name,
+                                lambda *args, name=name, loop=loop: ran.append(name) or loop(*args))
+        rng = np.random.default_rng(16)
+        for L in (1, 2, 3, 4):
+            viterbi_decode(*random_instance(rng, T=5, L=L))
+        assert ran == ["_viterbi_loop", "_viterbi_two_labels", "_viterbi_loop", "_viterbi_loop"]
 
 
 class TestUniformShiftInvariance:

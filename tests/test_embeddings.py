@@ -143,3 +143,12 @@ class TestMeanPooled:
         post = encode_post(tokenize("a b"), table, max_len=8)
         expected = (table.matrix[0] + table.matrix[1]) / 2.0
         np.testing.assert_allclose(mean_pooled(post, table), expected)
+
+    def test_bitwise_the_mean_of_the_rows(self):
+        rng = np.random.default_rng(18)
+        words = [f"w{k}" for k in range(300)]
+        table = make_table(words, dim=25, seed=5)
+        for n in range(1, 201):
+            post = encode_post(tokenize(" ".join(rng.choice(words + ["unseen"], size=n))), table, max_len=n)
+            want = table.matrix[post.indices].mean(axis=0)
+            np.testing.assert_array_equal(mean_pooled(post, table).view(np.uint64), want.view(np.uint64))

@@ -116,6 +116,31 @@ class TestGateScore:
         assert 0.0 < p < 1.0
 
 
+def clipped_sigmoid(x: float) -> float:
+    """The internal gate's score before it was computed without np.clip."""
+    with np.errstate(over="ignore"):
+        return float(np.clip(1.0 / (1.0 + np.exp(-np.float64(x))), 1e-12, 1.0 - 1e-12))
+
+
+class TestGateScoreBits:
+    """The internal gate's score is bit for bit the clipped numpy sigmoid
+    of its logit, and calls no ``np.exp`` that overflows."""
+
+    @pytest.mark.parametrize("lo, hi, n", [(-720.0, -690.0, 6001), (-40.0, 40.0, 16001)])
+    def test_sweep(self, lo, hi, n):
+        logits = [*np.linspace(lo, hi, n).tolist(), *np.random.default_rng(17).uniform(lo, hi, 2000).tolist()]
+        logits += [np.nextafter(-700.0, -np.inf), -700.0, np.nextafter(-700.0, np.inf)] if lo < -700.0 else []
+        model = GateModel(kind=KIND_INTERNAL, weights=np.array([1.0, 0.0]))
+        with np.errstate(over="raise"):
+            got = [gate_score(model, 0, np.array([x])) for x in logits]
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(list(map(clipped_sigmoid, logits))).view(np.uint64))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zero(self, zero):
+        model = GateModel(kind=KIND_INTERNAL, weights=np.array([1.0, zero]))  # the logit is zero + zero
+        assert gate_score(model, 0, np.array([zero])) == clipped_sigmoid(zero) == 0.5
+
+
 class TestApplyGate:
     def test_low_score_empties_detected_spans(self):
         detected = CharSpanSet((66, 67, 68, 69, 70))
