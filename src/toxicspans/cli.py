@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(path, "rb") as handle, text_reader(handle) as stream:
+    with open(_require_file(path, "config"), "rb") as handle, text_reader(handle) as stream:
         lines = stream.read().splitlines()
     for line_no, line in enumerate(lines, 1):
         line = line.strip()

@@ -29,7 +29,11 @@ gives a list of plain ints.  Every such JSON array is also a literal of the
 grammar above, with the same values; anything else (Unicode digits or
 whitespace, leading zeros, floats, ``true``, nested lists, ints over the
 digit limit, malformed input) is read by the grammar path alone, so the
-result and any error message are the same either way.
+result and any error message are the same either way.  A scanned list whose
+text between the brackets is only ``[0-9, -]`` (so every value is a plain
+int) and whose values strictly ascend, the form :func:`format_span_literal`
+writes, is already the stored set and is kept as it is, without the type
+test and the re-sort.
 
 Every file must be UTF-8 (an optional BOM is skipped).  Character indexes
 always refer to positions in the decoded Unicode scalar sequence of the
@@ -48,6 +52,7 @@ import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import lt
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -60,6 +65,10 @@ logger = logging.getLogger(__name__)
 # \s, reads the same digits as \d, and rejects "", "--1", "- 1" and "1 2";
 # this class keeps out the "+" and "_" that int() would also accept.
 _SPAN_BODY_RE = re.compile(r"[\d\s,-]*")
+
+# The fast path's test that a scanned JSON list holds plain ints alone: no
+# ".", "e", "true", "null", quote or bracket between its brackets.
+_PLAIN_INTS_RE = re.compile(r"[0-9, -]*")
 
 # The json scanner: scan(string, start) -> (value, end).  It raises
 # StopIteration or a ValueError (JSONDecodeError, or the int digit limit) on
@@ -89,7 +98,8 @@ class CharSpanSet:
     def _of_sorted(cls, indexes: Iterable[int]) -> "CharSpanSet":
         """A set of plain ints that ``indexes`` already gives sorted and
         unique, built without the normalisation of ``__post_init__``: for the
-        package's own producers, which make them so."""
+        package's own producers, which make them so, and for a parsed literal
+        that :func:`parse_span_literal` has checked is so."""
         spans = object.__new__(cls)
         object.__setattr__(spans, "indexes", tuple(indexes))
         return spans
@@ -111,6 +121,10 @@ class CharSpanSet:
 
     def issubset(self, other: "CharSpanSet") -> bool:
         return set(self.indexes) <= set(other.indexes)
+
+
+# The one empty span set that the readers, the decoder and the gate hand out.
+NO_SPANS = CharSpanSet._of_sorted(())
 
 
 @dataclass(frozen=True)
@@ -139,13 +153,16 @@ def parse_span_literal(literal: str) -> CharSpanSet:
     except (StopIteration, ValueError, RecursionError):
         pass
     else:
-        # the type test keeps out bools, floats, strings and nested values
-        if end == len(body) and type(values) is list and set(map(type, values)) <= {int}:
-            return CharSpanSet._of_sorted(sorted(set(values)))
+        if end == len(body) and type(values) is list:
+            if _PLAIN_INTS_RE.fullmatch(body, 1, end - 1) and all(map(lt, values, values[1:])):
+                return CharSpanSet._of_sorted(values) if values else NO_SPANS
+            # the type test keeps out bools, floats, strings and nested values
+            if set(map(type, values)) <= {int}:
+                return CharSpanSet._of_sorted(sorted(set(values)))
     inner = body[1:-1]
     if len(body) >= 2 and body[0] == "[" and body[-1] == "]" and _SPAN_BODY_RE.fullmatch(inner):
         if not inner.strip():
-            return CharSpanSet()
+            return NO_SPANS
         try:
             return CharSpanSet._of_sorted(sorted(set(map(int, inner.split(",")))))
         except ValueError:  # a malformed item, or an int over the digit limit
@@ -263,6 +280,7 @@ def _parse_dataset_stream(stream, has_gold: bool, lenient: bool) -> list[Labeled
         raise DataFormatError("CSV header lacks required column 'text'")
     if has_gold and "spans" not in columns:
         raise DataFormatError("CSV header lacks required column 'spans'")
+    width, text_col, spans_col = len(header), columns["text"], columns.get("spans")
 
     posts: list[LabeledPost] = []
     while True:
@@ -275,19 +293,17 @@ def _parse_dataset_stream(stream, has_gold: bool, lenient: bool) -> list[Labeled
             break
         if not row:
             continue  # stray blank line
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"record {record_no}: expected {len(header)} fields, found {len(row)}"
-            )
-        text = row[columns["text"]]
+        if len(row) != width:
+            raise DataFormatError(f"record {record_no}: expected {width} fields, found {len(row)}")
+        text = row[text_col]
         if text == "":
             raise DataFormatError(f"record {record_no}: empty text")
         if has_gold:
             try:
-                gold = parse_span_literal(row[columns["spans"]])
+                gold = parse_span_literal(row[spans_col])
             except DataFormatError as exc:
                 raise DataFormatError(f"record {record_no}: {exc}") from None
-            if gold and (gold.indexes[0] < 0 or gold.indexes[-1] >= len(text)):
+            if (indexes := gold.indexes) and (indexes[0] < 0 or indexes[-1] >= len(text)):
                 out_of_range = [i for i in gold if i < 0 or i >= len(text)]
                 if not lenient:
                     raise DataFormatError(
@@ -301,7 +317,7 @@ def _parse_dataset_stream(stream, has_gold: bool, lenient: bool) -> list[Labeled
                 )
                 gold = gold - CharSpanSet(tuple(out_of_range))
         else:
-            gold = CharSpanSet()
+            gold = NO_SPANS
         posts.append(LabeledPost(id=len(posts), text=text, gold=gold))
     return posts
 
@@ -335,14 +351,15 @@ def read_id_values(source: IO, parse_value: Callable[[str], object]) -> list[tup
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataFormatError("expected '<id>\\t<value>'")
+            id_field, value_field = parts
             try:
-                post_id = int(parts[0])
+                post_id = int(id_field)
             except ValueError:
-                raise DataFormatError(f"bad id {parts[0]!r}") from None
+                raise DataFormatError(f"bad id {id_field!r}") from None
             if post_id in first_line:
                 raise DataFormatError(f"duplicate id {post_id} (first on line {first_line[post_id]})")
             first_line[post_id] = line_no
-            pairs.append((post_id, parse_value(parts[1])))
+            pairs.append((post_id, parse_value(value_field)))
         except DataFormatError as exc:
             raise DataFormatError(f"line {line_no}: {exc}") from None
     return pairs

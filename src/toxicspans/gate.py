@@ -16,7 +16,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .dataio import CharSpanSet, atomic_write_text, read_id_values
+from .dataio import NO_SPANS, CharSpanSet, atomic_write_text, read_id_values
 from .embeddings import EmbeddingTable, EncodedPost, mean_pooled
 from .errors import DataFormatError, ValidationError
 
@@ -121,7 +121,7 @@ def gate_score(
 def apply_gate(detected: CharSpanSet, score: float, threshold: float) -> CharSpanSet:
     """Empty the span set when the gate calls the post non-toxic."""
     if score < threshold:
-        return CharSpanSet()
+        return NO_SPANS
     return detected
 
 

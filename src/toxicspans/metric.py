@@ -30,15 +30,21 @@ class EvalReport:
     mean_f1: float
 
 
+# the scores of the empty-set cases, shared by every post that has one
+_BOTH_EMPTY = PostScore(precision=1.0, recall=1.0, f1=1.0)
+_ONE_EMPTY = PostScore(precision=0.0, recall=0.0, f1=0.0)
+
+
 def per_post_scores(pred: CharSpanSet, gold: CharSpanSet) -> PostScore:
     """Precision, recall, and F1 of one post's predicted character set."""
-    if not pred and not gold:
-        return PostScore(precision=1.0, recall=1.0, f1=1.0)
-    if not pred or not gold:
-        return PostScore(precision=0.0, recall=0.0, f1=0.0)
-    overlap = len(set(pred.indexes).intersection(gold.indexes))
-    precision = overlap / len(pred)
-    recall = overlap / len(gold)
+    predicted, actual = pred.indexes, gold.indexes
+    if not predicted:
+        return _ONE_EMPTY if actual else _BOTH_EMPTY
+    if not actual:
+        return _ONE_EMPTY
+    overlap = len(set(predicted).intersection(actual))
+    precision = overlap / len(predicted)
+    recall = overlap / len(actual)
     if precision + recall == 0.0:
         f1 = 0.0
     else:

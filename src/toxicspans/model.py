@@ -52,7 +52,7 @@ import numpy as np
 from .arena import Arena
 from .batching import PackedSteps
 from .crf import CrfParams, crf_nll_grad, viterbi_decode
-from .dataio import CharSpanSet, LabeledPost
+from .dataio import NO_SPANS, CharSpanSet, LabeledPost
 from .embeddings import EmbeddingTable, EncodedPost, encode_post, mean_pooled
 from .errors import ValidationError
 from .gate import GateModel, apply_gate, gate_score
@@ -289,7 +289,7 @@ def predict_spans(
     """
     lens = [post.effective_len for post in posts]
     order = sorted((k for k in range(len(posts)) if lens[k]), key=lambda k: -lens[k])
-    spans = [CharSpanSet() for _ in posts]
+    spans = [NO_SPANS] * len(posts)
     for lo in range(0, len(order), INFER_BATCH):
         picked = order[lo : lo + INFER_BATCH]
         emissions, steps, _ = _emissions([posts[k] for k in picked], params, arena, keep_cache=False)

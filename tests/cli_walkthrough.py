@@ -6,8 +6,12 @@ without ``--out``, ``train`` (flags over a ``--config`` file), ``gate-train``,
 ``predict`` without a gate, with an external score file, with the internal
 gate and with the internal gate under a ``--config`` file, ``evaluate`` with
 and without ``--out``, ``analyze``, ``predict`` with a hand-written internal
-gate whose bias of -1000 saturates its sigmoid (every post gated), and
-``predict`` with an ``--out`` that is an existing directory.  Prints one
+gate whose bias of -1000 saturates its sigmoid (every post gated),
+``predict`` with an ``--out`` that is an existing directory,
+``evaluate`` and ``analyze`` on a hand-written prediction file whose span
+literals the package never writes (unsorted, repeated, spaced, with leading
+zeros or other Unicode digits), and ``evaluate`` on one with a malformed
+literal.  Prints one
 JSON object: each command's exit code and the sha256 of its stdout and
 stderr, and the sha256 of every file in the directory afterwards, each
 manifest hashed without its ``wall_clock_seconds`` and each directory as
@@ -65,6 +69,20 @@ def file_digest(path: Path) -> str:
     return sha256(path.read_bytes())
 
 
+def handwritten_literal(post_id: int, gold) -> str:
+    """A span literal of ``gold`` in a form chosen by ``post_id``: unsorted
+    with a repeat, empty with a space inside, spaced, with leading zeros, or
+    in Arabic-Indic digits."""
+    items = list(map(str, gold))
+    return [
+        "[" + ", ".join(items[::-1] + items[:1]) + "]",
+        "[ ]",
+        " [ " + " ,".join(items) + " ] ",
+        "[" + ", ".join("00" + item for item in items) + "]",
+        "[" + ",".join(items).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")) + "]",
+    ][post_id % 5]
+
+
 def walkthrough(args: argparse.Namespace) -> dict:
     with open("vectors.txt", "wb") as f:
         write_embedding_file(f, dim=25, seed=7)
@@ -84,6 +102,10 @@ def walkthrough(args: argparse.Namespace) -> dict:
                                                   "weights": [0.0] * 25 + [-1000.0],
                                                   "vocab_hash": table.fingerprint()}))
     Path("outdir").mkdir()
+    Path("handwritten.tsv").write_text(
+        "".join(f"{post.id}\t{handwritten_literal(post.id, post.gold)}\n" for post in dev), encoding="utf-8"
+    )
+    Path("malformed.tsv").write_text("0\t[3, 1, 1]\n1\t[1, 2,]\n", encoding="utf-8")
     data, vectors = ["--data", "train.csv"], ["--embeddings", "vectors.txt"]
     predict = ["predict", "--data", "dev.csv", *vectors, "--checkpoint", "model.ckpt"]
     internal = ["--gate", "internal", "--gate-model", "gate.json"]
@@ -102,6 +124,9 @@ def walkthrough(args: argparse.Namespace) -> dict:
         ["analyze", "--data", "dev.csv", "--pred", "dev.pred.tsv"],
         [*predict, "--gate", "internal", "--gate-model", "saturated.json", "--out", "saturated.tsv"],
         [*predict, "--out", "outdir"],
+        ["evaluate", "--data", "dev.csv", "--pred", "handwritten.tsv"],
+        ["analyze", "--data", "dev.csv", "--pred", "handwritten.tsv"],
+        ["evaluate", "--data", "dev.csv", "--pred", "malformed.tsv"],
     ]
     return {
         "commands": [run(argv) for argv in commands],

@@ -28,8 +28,10 @@ it and the library's packed layout.
 
 The span-set functions at the very end are the regex span-literal parser,
 the grammar-only parser that read every literal before the json scanner's
-fast path, and the per-index set loops that the library's parser, span set
-and span codec must reproduce, outputs and errors alike.
+fast path, the scan-then-re-sort parser that read every literal before the
+canonical-list fast path, the per-post scorer that built a score for every
+post, and the per-index set loops that the library's parser, span set,
+scorer and span codec must reproduce, outputs and errors alike.
 
 ``scan_tokenize`` is the character-by-character scanner whose tokens the
 library's one-pattern tokenizer must reproduce exactly.
@@ -38,6 +40,7 @@ library's one-pattern tokenizer must reproduce exactly.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -53,6 +56,7 @@ from toxicspans.crf import _forward_backward as _packed_forward_backward
 from toxicspans.dataio import CharSpanSet
 from toxicspans.errors import DataFormatError, NonFiniteError, ValidationError
 from toxicspans.lstm import LstmCache, LstmParams, lstm_backward
+from toxicspans.metric import PostScore
 from toxicspans.tokenizer import Token, TokenSeq
 
 
@@ -716,6 +720,40 @@ def grammar_parse_span_literal(literal: str) -> CharSpanSet:
     # a long literal is quoted by its head, so the error stays one short line
     shown = repr(literal) if len(literal) <= 60 else f"{literal[:40]!r}... ({len(literal)} characters)"
     raise DataFormatError(f"malformed span literal: {shown}")
+
+
+_json_scan = json.JSONDecoder().scan_once
+
+
+def sorting_parse_span_literal(literal: str) -> CharSpanSet:
+    """The span-literal parser that type-checks every scanned JSON list and
+    sorts and deduplicates its values, canonical or not."""
+    body = literal.strip()
+    try:
+        values, end = _json_scan(body, 0)
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    else:
+        if end == len(body) and type(values) is list and set(map(type, values)) <= {int}:
+            return CharSpanSet._of_sorted(sorted(set(values)))
+    return grammar_parse_span_literal(literal)
+
+
+def fresh_per_post_scores(pred: CharSpanSet, gold: CharSpanSet) -> PostScore:
+    """Precision, recall and F1 of one post, as a new score for every call,
+    through the span sets' own truth and length."""
+    if not pred and not gold:
+        return PostScore(precision=1.0, recall=1.0, f1=1.0)
+    if not pred or not gold:
+        return PostScore(precision=0.0, recall=0.0, f1=0.0)
+    overlap = len(set(pred.indexes).intersection(gold.indexes))
+    precision = overlap / len(pred)
+    recall = overlap / len(gold)
+    if precision + recall == 0.0:
+        f1 = 0.0
+    else:
+        f1 = 2.0 * precision * recall / (precision + recall)
+    return PostScore(precision=precision, recall=recall, f1=f1)
 
 
 def loop_spans_to_labels(toks, gold_indexes) -> list[int]:

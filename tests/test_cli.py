@@ -150,6 +150,56 @@ class TestStats:
         assert "record 1" in err and "Traceback" not in err
 
 
+class TestConfigFileKinds:
+    """A ``--config`` path that is no regular file exits 2 with one error
+    line naming the config file, before any input is read or any output
+    written.  (The tests run as root, so a file without read permission
+    cannot be exercised here.)"""
+
+    @staticmethod
+    def config_path(tmp_path: Path, kind: str) -> tuple[Path, str]:
+        """A config path of ``kind`` and the error it gives."""
+        path = tmp_path / f"{kind}.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "fifo":
+            os.mkfifo(path)
+        elif kind == "dangling-symlink":
+            path.symlink_to(tmp_path / "nowhere.cfg")
+        problem = "is not a regular file" if kind in ("directory", "fifo") else "not found"
+        return path, f"error: config file {problem}: {path}"
+
+    @pytest.mark.parametrize("kind", ["directory", "dangling-symlink", "missing"])
+    def test_exits_2_with_one_error_line(self, workspace, tmp_path, monkeypatch, capsys, kind):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the dataset was read before the config file was checked")
+
+        monkeypatch.setattr(toxicspans.cli, "parse_dataset", unreachable)
+        config, message = self.config_path(tmp_path, kind)
+        out = tmp_path / "hist.csv"
+        code = main(["stats", "--data", str(workspace / "dev.csv"), "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == message + "\n" and captured.out == ""
+        assert not out.exists() and not Path(f"{out}{MANIFEST_SUFFIX}").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_fifo_exits_2_without_blocking(self, workspace, tmp_path):
+        # a separate interpreter with a timeout: opening a FIFO that no one
+        # writes blocks, and a regression must fail rather than hang the suite
+        config, message = self.config_path(tmp_path, "fifo")
+        out = tmp_path / "hist.csv"
+        run = subprocess.run(
+            [sys.executable, "-m", "toxicspans.cli", "stats", "--data", str(workspace / "dev.csv"),
+             "--config", str(config), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(toxicspans.__file__).parents[1])},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 2
+        assert run.stderr == message + "\n" and run.stdout == ""
+        assert not out.exists()
+
+
 class TestTrain:
     def test_outputs_exist(self, workspace):
         assert (workspace / "model.ckpt").exists()

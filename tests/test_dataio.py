@@ -1,4 +1,5 @@
 import io
+import random
 from itertools import pairwise
 
 import numpy as np
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import csv_bytes
-from oracles import grammar_parse_span_literal, normalize_indexes, regex_parse_span_literal
+from oracles import (
+    grammar_parse_span_literal,
+    normalize_indexes,
+    regex_parse_span_literal,
+    sorting_parse_span_literal,
+)
 from toxicspans.dataio import (
     CharSpanSet,
     DataFormatError,
@@ -364,6 +370,61 @@ class TestSpanLiteral:
     )
     def test_pinned_literals_match_the_grammar_parser(self, literal):
         assert_parses_like_the_grammar(literal)
+
+
+def literal_corpus(seed: int, count: int) -> list[str]:
+    """Span literals on both sides of the canonical-list fast path: the
+    ascending lists the package writes (negative values too), compact and
+    with spaces; unsorted, repeated and non-strictly ascending lists; empty
+    ones; tabs and newlines between the brackets; and lists that hold a
+    bool, float, ``null``, nested list, leading zero, trailing comma,
+    non-ASCII digit or an int past the digit limit."""
+    rng = random.Random(seed)
+    odd = ["true", "false", "null", "1.0", "1e3", "-0.0", "[1]", "[]", "01", "-00", "٣", "𝟙",
+           "9" * 4301, "-" + "9" * 4400, "7" * 4300, '"1"', "NaN"]
+    corpus = ["[]", "[ ]", "[\t]", "[\n]", " [] ", "[1, 1]", "[-1, -1]", "[0, 0, 1]", "[3, 1, 1]",
+              "[false, true]", "[0, true]", "[1.0, 2.0]", "[1e3]", "[1, 2,]", "[01, 2]", "[١, 2]",
+              "[" + "1" * 4301 + "]", "[1, " + "2" * 4301 + "]"]
+    while len(corpus) < count:
+        values = sorted(rng.sample(range(-50, 400), rng.randint(1, 12)))
+        shape = rng.randrange(8)
+        if shape == 1:  # unsorted
+            rng.shuffle(values)
+        elif shape == 2:  # a repeat, in place: ascending but not strictly
+            at = rng.randrange(len(values))
+            values.insert(at, values[at])
+        elif shape == 3:  # a repeat anywhere
+            values.append(rng.choice(values))
+        items = list(map(str, values))
+        if shape == 4:  # one item that is no plain int
+            items[rng.randrange(len(items))] = rng.choice(odd)
+        sep = ", " if shape != 5 else rng.choice([",", " ,", " , ", ",\t", ",\n", "\t,"])
+        literal = "[" + sep.join(items) + "]"
+        if shape == 6:
+            literal = rng.choice(["[ ", "[\t", "[\n"]) + literal[1:-1] + rng.choice([" ]", "\t]", "\n]"])
+        elif shape == 7:
+            literal = literal[:-1] + rng.choice([",]", ", ]", "]]", "", "]x"])
+        corpus.append(literal)
+    return corpus
+
+
+class TestCanonicalFastPath:
+    """The parser that keeps an ascending list of plain ints as it is reads
+    every literal like the parser that type-checked and re-sorted every
+    scanned list: the same indexes, or the same error."""
+
+    def test_matches_the_sorting_parser(self):
+        for literal in literal_corpus(seed=31, count=4000):
+            try:
+                expected = sorting_parse_span_literal(literal)
+            except DataFormatError as exc:
+                with pytest.raises(DataFormatError) as raised:
+                    parse_span_literal(literal)
+                assert str(raised.value) == str(exc), literal
+            else:
+                parsed = parse_span_literal(literal)
+                assert parsed.indexes == expected.indexes, literal
+                assert_normalized(parsed)
 
 
 class TestPredictions:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from toxicspans.dataio import CharSpanSet, LabeledPost, PostPrediction
+from oracles import fresh_per_post_scores
+from toxicspans.dataio import NO_SPANS, CharSpanSet, LabeledPost, PostPrediction
 from toxicspans.errors import ValidationError
 from toxicspans.metric import evaluate, per_post_scores
 
@@ -133,3 +136,28 @@ class TestEvaluate:
         ]
         assert report.mean_f1 == pytest.approx(sum(expected) / len(expected), abs=1e-12)
         assert [s.f1 for s in report.per_post] == pytest.approx(expected, abs=1e-12)
+
+    def test_bitwise_the_fresh_score_reference(self):
+        """Per-post scores and ``mean_f1`` equal, bit for bit, those of a
+        scorer that builds a new score for every post, over random pairs of
+        every kind: both empty (the shared empty set and a constructed one),
+        one empty, disjoint, overlapping, and with indexes outside any text."""
+        rng = random.Random(2021)
+
+        def spans(kind: str) -> CharSpanSet:
+            if kind == "empty":
+                return rng.choice([NO_SPANS, CharSpanSet(())])
+            low, high = {"low": (0, 60), "high": (200, 260), "outside": (-40, 10**6)}[kind]
+            return CharSpanSet(tuple(rng.randint(low, high) for _ in range(rng.randint(1, 120))))
+
+        kinds = [("empty", "empty"), ("empty", "low"), ("low", "empty"), ("low", "high"),
+                 ("low", "low"), ("outside", "low"), ("low", "outside"), ("outside", "outside")]
+        for round_no in range(40):
+            pairs = [(spans(p), spans(g)) for p, g in (rng.choice(kinds) for _ in range(rng.randint(1, 60)))]
+            preds = [PostPrediction(i, pred) for i, (pred, _) in enumerate(pairs)]
+            golds = [LabeledPost(i, "x" * 200, gold) for i, (_, gold) in enumerate(pairs)]
+            report = evaluate(preds, golds)
+            expected = [fresh_per_post_scores(pred, gold) for pred, gold in pairs]
+            bits = lambda scores: [(s.precision.hex(), s.recall.hex(), s.f1.hex()) for s in scores]
+            assert bits(report.per_post) == bits(expected)
+            assert report.mean_f1.hex() == (sum(s.f1 for s in expected) / len(expected)).hex()
