@@ -2,13 +2,14 @@
 
 Allocated afresh, a training step's megabytes are freed at its end, the C
 library hands the freed top of the heap back to the kernel, and the next
-step page-faults it in again.  An :class:`Arena` keeps one flat float64
-buffer per role instead and hands out each array as a C-contiguous view of
-its buffer's first elements.  A view starts where its buffer starts, so a
-kernel writing into it sees the layout, and sums in the order, of a fresh
-array of that shape.  Every pass runs in the caller's arena; only the entry
-points ``training.train``, ``model.tag_posts`` and ``model.predict`` make
-one.
+step page-faults it in again.  An :class:`Arena` keeps one flat buffer
+per role instead, all of one dtype (float64 unless the caller asks for
+another: inference passes run in a float32 arena), and hands out each
+array as a C-contiguous view of its buffer's first elements.  A view
+starts where its buffer starts, so a kernel writing into it sees the
+layout, and sums in the order, of a fresh array of that shape.  Every
+pass runs in the caller's arena; only the entry points ``training.train``,
+``model.tag_posts`` and ``model.predict`` make one.
 
 A buffer is first made at the size asked for.  It grows only when a larger
 batch asks for more, and then to a power-of-two length, so it grows a few
@@ -38,23 +39,25 @@ import numpy as np
 
 
 class Arena:
-    """Growable flat float64 buffers, one per role.  Whatever a call
-    returns in them is valid until the next call that uses the arena."""
+    """Growable flat buffers of one ``dtype``, one per role.  Whatever a
+    call returns in them is valid until the next call that uses the arena."""
 
-    def __init__(self) -> None:
+    def __init__(self, dtype: np.dtype | type = np.float64) -> None:
+        self.dtype = np.dtype(dtype)
         self._buffers: dict[str, np.ndarray] = {}
 
     def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialised C-contiguous float64 array of ``shape``: the
-        first elements of ``role``'s buffer, grown first if too small."""
+        """An uninitialised C-contiguous array of ``shape`` and the arena's
+        dtype: the first elements of ``role``'s buffer, grown first if too
+        small."""
         buffer = self._buffers.get(role)
         if buffer is None:
-            array = np.empty(shape)
+            array = np.empty(shape, self.dtype)
             self._buffers[role] = array.reshape(-1)
             return array
         n = math.prod(shape)
         if buffer.size < n:
-            buffer = self._buffers[role] = np.empty(1 << (n - 1).bit_length())
+            buffer = self._buffers[role] = np.empty(1 << (n - 1).bit_length(), self.dtype)
         return buffer[:n].reshape(shape)
 
     def scratch(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:

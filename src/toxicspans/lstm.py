@@ -14,7 +14,10 @@ by one :class:`batching.PackedSteps`: step ``s`` is one contiguous block of
 rows, so padding is never computed, stored or multiplied.  The backward
 direction reads its inputs and writes its outputs through the involution
 :attr:`batching.PackedSteps.mirror`, so ``a[mirror] = b`` mirrors ``b``
-into ``a`` with no temporary.  All arithmetic is float64.
+into ``a`` with no temporary.  The arithmetic runs in the dtype of the
+LSTM tensors, which must be the arena's: float64 in training and its dev
+passes, float32 in inference, which tags from a float32 copy of the
+tensors that a model makes once (:attr:`model.ModelParams.inference`).
 
 :class:`LstmParams` stacks the weights of the BiLSTM's two directions on
 a leading axis (:data:`DIRECTIONS`): direction 0 reads each post front to
@@ -52,10 +55,11 @@ c_{t-1}.
 
 Inference runs no backward pass, so it asks :func:`lstm_forward` for no
 cache, as cuDNN's inference mode writes no reserve space: no ``cell`` or
-``tanh_cell`` array is taken, the packed loop keeps its cells in scratch
-(the one-post loop keeps only the current step's), and each step's
-tanh(c) goes into a scratch block.  The arithmetic is the same, and so
-are the bits.
+``tanh_cell`` array is taken, the packed loop keeps the cells of alternate
+steps in two (B, 2, H) scratch blocks, as each step's rows are the first
+rows of the step before (the one-post loop keeps only the current step's),
+and each step's tanh(c) goes into a scratch block.  The arithmetic is the
+same, and so are the bits.
 
 :class:`LstmCache` holds the packed rows in processing order: each
 direction's inputs (D), and the activated ``gates`` (4H, blocks in gate
@@ -144,10 +148,11 @@ def lstm_forward(
     :func:`lstm_backward`, or None unless ``keep_cache``: a caller that
     will not run the backward pass builds no cache.  Both live in
     ``arena`` until its next use.  Raises :class:`ValidationError` unless
-    ``params`` stacks exactly :data:`DIRECTIONS` directions, and
-    :class:`NonFiniteError` if any hidden state diverges, which only
-    happens when parameters or inputs are already non-finite (the
-    activations themselves are bounded).
+    ``params`` stacks exactly :data:`DIRECTIONS` directions in the arena's
+    dtype, and :class:`NonFiniteError` if any hidden state diverges, which
+    happens only when parameters or inputs are already non-finite or when
+    products that overflow the dtype meet as inf - inf (the activations
+    themselves are bounded).
     """
     if inputs.shape != (steps.N, params.input_size):
         raise ValidationError(
@@ -157,21 +162,25 @@ def lstm_forward(
         raise ValidationError(
             f"an LSTM stack of {params.W_in.shape[0]} directions; the BiLSTM runs {DIRECTIONS}, forward then backward"
         )
+    if arena.dtype != params.W_rec.dtype:
+        raise ValidationError(f"an arena of {arena.dtype} for LSTM tensors of {params.W_rec.dtype}")
     N, K, H = steps.N, DIRECTIONS, params.hidden_size
     mirrored = arena.take("lstm.mirrored", inputs.shape)
     mirrored[steps.mirror] = inputs
     xs = [inputs, mirrored]
 
     gates = arena.take("lstm.gates", (N, K, 4 * H))  # pre-activations until a row is activated
-    for k, x in enumerate(xs):
-        np.matmul(x, params.W_in[k].T, out=gates[:, k])
-    gates += params.b
     if keep_cache:
         cell, tanh_cell = (arena.take(role, (N, K, H)) for role in ("lstm.cell", "lstm.tanh_cell"))
     else:
         cell = tanh_cell = None
     hidden = arena.take("lstm.hidden", (N, K, H))
-    with np.errstate(over="ignore"):
+    # an infinite pre-activation saturates its gate, and a NaN one (inf -
+    # inf) is the non-finite check's to report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, x in enumerate(xs):
+            np.matmul(x, params.W_in[k].T, out=gates[:, k])
+        gates += params.b
         if steps.B == 1 and not keep_cache:
             _one_post_steps(params.W_rec, gates, hidden, arena)
         else:
@@ -201,8 +210,8 @@ def _packed_steps(
 ) -> None:
     """The recurrence over the packed rows of a batch, one post's included:
     activates ``gates`` in place and fills the states.  With no cache
-    (``cell`` and ``tanh_cell`` None) the cells go into scratch and each
-    step's tanh(c) into one scratch block."""
+    (``cell`` and ``tanh_cell`` None) the cells of alternate steps go into
+    two scratch blocks, and each step's tanh(c) into a third."""
     B, counts = steps.B, steps.counts
     K, H = hidden.shape[1:]
     i_, f_, g_, o_ = ((Ellipsis, slice(k * H, (k + 1) * H)) for k in range(4))
@@ -216,23 +225,24 @@ def _packed_steps(
         np.copyto(W_rec_T, W_rec.transpose(0, 2, 1))
     product = arena.scratch(1, (B, K, 4 * H))  # each step's recurrent product
     if cell is None:
-        cell, tanh_step = arena.scratch(2, hidden.shape), arena.scratch(3, (B, K, H))
+        cells, tanh_step = arena.scratch(2, (2, B, K, H)), arena.scratch(3, (B, K, H))
     for s, (r, q) in enumerate(zip(steps.rows, steps.prev_rows)):
-        z = gates[r]
+        n, z = counts[s], gates[r]
         if s:
-            step = product[: counts[s]]
+            step = product[:n]
             np.matmul(hidden[q].transpose(1, 0, 2), W_rec_T, out=step.transpose(1, 0, 2))
             z += step
         g = np.tanh(z[g_])
         _sigmoid_inplace(z)
         z[g_] = g
-        c = cell[r]
+        c = cells[s % 2, :n] if cell is None else cell[r]
         np.multiply(z[i_], g, out=c)
-        if s:
-            c += z[f_] * cell[q]
-        tc = tanh_step[: counts[s]] if tanh_cell is None else tanh_cell[r]
+        if s:  # the posts running at s are the first n of those at s - 1
+            c += z[f_] * c_prev[:n]
+        tc = tanh_step[:n] if tanh_cell is None else tanh_cell[r]
         np.tanh(c, out=tc)
         np.multiply(z[o_], tc, out=hidden[r])
+        c_prev = c
 
 
 def _one_post_steps(W_rec: np.ndarray, gates: np.ndarray, hidden: np.ndarray, arena: Arena) -> None:
@@ -248,13 +258,13 @@ def _one_post_steps(W_rec: np.ndarray, gates: np.ndarray, hidden: np.ndarray, ar
     np.copyto(by_gate.transpose(0, 2, 1, 3), gates.reshape(T, K, 4, H))
     # tanh(g_t), then c_{t-1}, so one multiply by step t's i and f blocks
     # gives both terms of c_t, which then takes c_{t-1}'s place.
-    g_c = np.empty((2, K, H))
+    g_c = np.empty((2, K, H), W_rec.dtype)
     tg, c = g_c
-    product = np.empty((K, 1, 4 * H))  # each step's recurrent product
+    product = np.empty((K, 1, 4 * H), W_rec.dtype)  # each step's recurrent product
     rec = product.reshape(K, 4, H).transpose(1, 0, 2)  # gate-major view
-    terms = np.empty((2, K, H))  # i * g, f * c_{t-1}
+    terms = np.empty((2, K, H), W_rec.dtype)  # i * g, f * c_{t-1}
     ig, fc = terms
-    tc = np.empty((K, H))
+    tc = np.empty((K, H), W_rec.dtype)
     h_prev = None
     for z, z_if, zg, zo, h, h_row in zip(
         by_gate, by_gate[:, :2], by_gate[:, 2], by_gate[:, 3], hidden, hidden[:, :, None]

@@ -38,10 +38,20 @@ gathered embedding rows and the gradient vector, next to the LSTM's (see
 call that uses it.  :func:`tag_posts` tags raw posts and lets a gate
 empty the spans of each post that it calls non-toxic; it and
 :func:`predict` are the entry points that make an arena of their own.
+
+Those two are inference, and run the LSTM in float32 (the master-copy
+scheme of mixed-precision training): they tag with
+:attr:`ModelParams.inference`, a float32 copy of the LSTM tensors that a
+model makes on first use and keeps, in an arena of :data:`INFER_DTYPE`.
+The embedding rows are gathered in float64 and cast into that arena; the
+emission projection, the CRF and Viterbi read float64 tensors.  Training
+and its dev passes run the float64 model in a float64 arena, so
+checkpoints keep their bits.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -74,6 +84,9 @@ TENSOR_NAMES = (
     "crf.trans", "crf.start", "crf.stop",
 )
 EMBEDDING_TENSOR = "embedding.matrix"
+# The dtype that inference runs the LSTM in (ModelParams.inference)
+INFER_DTYPE = np.float32
+_INFER_MAX = float(np.finfo(INFER_DTYPE).max)
 # Each tensor's shape and slice of the checkpoint body, by name (tensor_layout)
 Layout = dict[str, tuple[tuple[int, ...], slice]]
 
@@ -111,8 +124,40 @@ class ModelParams:
 
     def clone(self) -> "ModelParams":
         """Deep copy of the trainable tensors, a fine-tuned matrix included;
-        a frozen model's table is shared."""
+        a frozen model's table is shared.  The copy is writable and has no
+        :attr:`inference` copy yet."""
         return params_from_vector(self.vector.copy(), self.hidden_size, self.embedding)
+
+    @functools.cached_property
+    def inference(self) -> "ModelParams":
+        """This model as inference runs it: the LSTM tensors cast to
+        :data:`INFER_DTYPE` on first use and kept, and this model's
+        emission, CRF and embedding tensors, which stay float64.
+
+        Raises :class:`ValidationError`, naming the tensor, if an LSTM
+        tensor or the embedding matrix holds a finite value beyond
+        float32's range.  Making the copy makes this model's vector and
+        tensors read-only, so no write can leave the copy stale;
+        :meth:`clone` gives a writable model."""
+        lstm = self.lstm
+        directions = [getattr(lstm, field)[k] for k in range(DIRECTIONS) for field in ("W_in", "W_rec", "b")]
+        named = dict(zip(TENSOR_NAMES, directions))
+        named[EMBEDDING_TENSOR] = self.embedding.matrix
+        for name, tensor in named.items():
+            with np.errstate(invalid="ignore"):  # NaN passes, as it does in float64
+                if -_INFER_MAX <= tensor.min() and tensor.max() <= _INFER_MAX:
+                    continue
+                peak = np.abs(tensor[np.isfinite(tensor)]).max(initial=0.0)
+            if peak > _INFER_MAX:
+                raise ValidationError(
+                    f"tensor {name} holds a value of magnitude {peak:.4g}, beyond the range of "
+                    f"{np.dtype(INFER_DTYPE).name} (up to {_INFER_MAX:.4g}) that inference runs the LSTM in"
+                )
+        frozen = [self.vector, lstm.W_in, lstm.W_rec, lstm.b, *vars(self.emit).values(), *vars(self.crf).values()]
+        for array in frozen + ([self.embedding.matrix] if self.finetuned else []):
+            array.flags.writeable = False
+        cast = LstmParams(*(tensor.astype(INFER_DTYPE) for tensor in (lstm.W_in, lstm.W_rec, lstm.b)))
+        return dataclasses.replace(self, lstm=cast)
 
 
 @dataclass
@@ -212,8 +257,13 @@ def _emissions(
     steps = PackedSteps([post.effective_len for post in posts])
     indices = steps.pack(np.concatenate([post.indices for post in posts]))
     matrix = params.embedding.matrix
-    # encode_post's indices are rows of the table, so clipping moves none
-    inputs = np.take(matrix, indices, axis=0, out=arena.take("inputs", (steps.N, matrix.shape[1])), mode="clip")
+    inputs = arena.take("inputs", (steps.N, matrix.shape[1]))
+    # encode_post's indices are rows of the table, so clipping moves none;
+    # an arena of another dtype takes the rows cast after they are gathered
+    if inputs.dtype == matrix.dtype:
+        np.take(matrix, indices, axis=0, out=inputs, mode="clip")
+    else:
+        inputs[...] = np.take(matrix, indices, axis=0, mode="clip")
     hidden, lstm_cache = lstm_forward(inputs, params.lstm, steps, arena, keep_cache)
     emissions = hidden @ params.emit.W_out.T + params.emit.b_out  # (N, L): too small to fault
     cache = BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden) if keep_cache else None
@@ -279,7 +329,10 @@ def predict_spans(
     params: ModelParams, posts: Sequence[EncodedPost], policy: BridgePolicy, arena: Arena
 ) -> list[CharSpanSet]:
     """Decoded spans of encoded posts: each post's labels, decoded over the
-    tokens it was encoded from.
+    tokens it was encoded from.  The LSTM runs in the dtype of
+    ``params.lstm``, which must be the arena's: ``params.inference`` in an
+    arena of :data:`INFER_DTYPE` tags as :func:`predict` does, and float64
+    params in a float64 arena as training's dev passes do.
 
     The posts run longest first (a stable sort) in passes of
     :data:`INFER_BATCH`, each one emission pass and a Viterbi decode per
@@ -306,24 +359,25 @@ def tag_posts(
     policy: BridgePolicy, gate: GateModel | None = None,
 ) -> list[CharSpanSet]:
     """Spans of raw posts in input order, each tokenized once, tagged by
-    :func:`predict_spans` in input-order windows of :data:`INFER_BATCH` (one
-    window's encodings held at a time) that share one arena, then emptied
-    where ``gate`` scores the post below its threshold.  ``table`` is the
-    table the checkpoint was loaded against, which encodes the posts and
-    pools the gate's features: a fine-tuned model's ``params.embedding`` is
-    its tuned copy, and the gate was trained on the untuned table.  A gate
-    that records another table's ``vocab_hash`` raises
-    :class:`ValidationError`; one that records none is not checked."""
+    :func:`predict_spans` with ``params.inference`` in input-order windows
+    of :data:`INFER_BATCH` (one window's encodings held at a time) that
+    share one arena, then emptied where ``gate`` scores the post below its
+    threshold.  ``table`` is the table the checkpoint was loaded against,
+    which encodes the posts and pools the gate's features: a fine-tuned
+    model's ``params.embedding`` is its tuned copy, and the gate was trained
+    on the untuned table.  A gate that records another table's
+    ``vocab_hash`` raises :class:`ValidationError`; one that records none is
+    not checked."""
     if gate is not None and gate.vocab_hash is not None and gate.vocab_hash != (digest := table.fingerprint()):
         raise ValidationError(
             f"the gate was trained on another embedding table: vocab_hash {gate.vocab_hash} != {digest} "
             f"of the table given (dim {table.dim})"
         )
-    spans, arena = [], Arena()
+    spans, inference, arena = [], params.inference, Arena(INFER_DTYPE)
     for lo in range(0, len(posts), INFER_BATCH):
         window = posts[lo : lo + INFER_BATCH]
         encoded = [encode_post(tokenize(post.text), table, max_len) for post in window]
-        for post, enc, found in zip(window, encoded, predict_spans(params, encoded, policy, arena)):
+        for post, enc, found in zip(window, encoded, predict_spans(inference, encoded, policy, arena)):
             if gate is not None:
                 found = apply_gate(found, gate_score(gate, post.id, mean_pooled(enc, table)), gate.threshold)
             spans.append(found)
@@ -339,6 +393,8 @@ def predict(
     """Full pipeline for one post: tokenize, encode, tag, decode to spans.
 
     Tokens truncated beyond ``max_len`` are predicted non-toxic; empty text
-    yields the empty span set.  The pass runs in an arena of its own.
+    yields the empty span set.  The pass runs ``params.inference`` in an
+    arena of its own.
     """
-    return predict_spans(params, [encode_post(tokenize(text), params.embedding, max_len)], policy, Arena())[0]
+    post = encode_post(tokenize(text), params.embedding, max_len)
+    return predict_spans(params.inference, [post], policy, Arena(INFER_DTYPE))[0]

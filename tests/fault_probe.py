@@ -6,10 +6,13 @@ line: ``ru_minflt`` and user and system CPU seconds of this process around
 the call, its wall seconds, the sha256 of the checkpoint it would save,
 the sha256 of the prediction file of the trained model on 49 held-out
 posts, tagged by ``predict_spans`` in three packed passes and then a lone
-post's pass, and the sha256 of the prediction file of the same posts
-tagged from their text by ``tag_posts`` and gated by an internal gate that
-``train_gate`` fits on the training posts.  BLAS is pinned to one thread
-before numpy loads.  Run it from the repository root:
+post's pass as inference runs them (the model's float32 LSTM copy in a
+float32 arena), the sha256 of the same file tagged by the float64 model in
+a float64 arena, as training's dev passes tag, and the sha256 of the
+prediction file of the same posts tagged from their text by ``tag_posts``
+and gated by an internal gate that ``train_gate`` fits on the training
+posts.  BLAS is pinned to one thread before numpy loads.  Run it from the
+repository root:
 
     PYTHONPATH=src python tests/fault_probe.py [--hidden 128] [--posts 1000] [--max-len 128]
 
@@ -40,7 +43,7 @@ from toxicspans.checkpoint import serialize_checkpoint
 from toxicspans.dataio import PostPrediction, write_predictions
 from toxicspans.embeddings import load_embeddings, mean_pooled
 from toxicspans.gate import gate_score, train_gate
-from toxicspans.model import INFER_BATCH, predict_spans, tag_posts
+from toxicspans.model import INFER_BATCH, INFER_DTYPE, predict_spans, tag_posts
 from toxicspans.span_codec import BridgePolicy
 from toxicspans.synthetic import generate_posts, write_embedding_file
 from toxicspans.training import TrainConfig, build_examples, train
@@ -74,7 +77,9 @@ def main() -> None:
     held_out = build_examples(raw, table, args.max_len)
     held_out = [ex for ex in held_out if ex.encoded.effective_len][: 3 * INFER_BATCH + 1]
     policy = BridgePolicy(bridge_gaps=True, max_gap=cfg.bridge_gap)
-    spans = predict_spans(params, [ex.encoded for ex in held_out], policy, Arena())
+    encoded = [ex.encoded for ex in held_out]
+    spans = predict_spans(params.inference, encoded, policy, Arena(INFER_DTYPE))
+    float64_spans = predict_spans(params, encoded, policy, Arena())
     gate = train_gate([(ex.encoded, bool(ex.gold)) for ex in examples], table)
     # at the held-out posts' median score the gate empties about half of them
     gate.threshold = float(np.median([gate_score(gate, 0, mean_pooled(ex.encoded, table)) for ex in held_out]))
@@ -94,6 +99,7 @@ def main() -> None:
         "wall_s": round(wall, 3),
         "checkpoint_sha256": hashlib.sha256(serialize_checkpoint(params, cfg, table)).hexdigest(),
         "predictions_sha256": digest(spans),
+        "float64_predictions_sha256": digest(float64_spans),
         "gated_predictions_sha256": digest(gated),
     }))
 

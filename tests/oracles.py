@@ -9,10 +9,12 @@ CRF forward-backward that the library's fused kernels must reproduce: one
 matrix-vector product and one outer product per time step, one transition
 table per position.  The numpy Viterbi decoder and the Adam step written as
 one expression per moment are the references of the library's scalar
-decoder and in-place update, which must match them exactly.  The padded
-CRF kernel and the training loop over the tensors are the references of
-the packed CRF kernel and of training on one parameter vector, which must
-return their bits.  The single-post CRF quantities (log-partition, gold
+decoder and in-place update, which must match them exactly; the best-path
+margin, from max-plus max-marginals, is how far a path's score may move
+before the decoded path can change.  The padded CRF kernel and the
+training loop over the tensors are the references of the packed CRF
+kernel and of training on one parameter vector, which must return their
+bits.  The single-post CRF quantities (log-partition, gold
 score, NLL, marginals) run one post as a batch of one through the
 library's kernels, for the tests that check them against the brute-force
 oracles.  :func:`crf_grads` and :func:`lstm_grads` call the library's
@@ -577,6 +579,22 @@ def numpy_viterbi_decode(em, trans, start, stop):
         path.append(best)
     path.reverse()
     return path
+
+
+def best_path_margin(em, trans, start, stop) -> float:
+    """The best path's score minus the best score of any path that differs
+    from it at some position (0 on a tie), for two labels or more, from the
+    max-marginals of a max-plus forward and backward pass: at each position
+    the best score of the paths through each label."""
+    T, L = em.shape
+    alpha, beta = np.empty((T, L)), np.empty((T, L))
+    alpha[0], beta[T - 1] = start + em[0], stop
+    for t in range(1, T):
+        alpha[t] = (alpha[t - 1][:, None] + trans).max(axis=0) + em[t]
+    for t in range(T - 2, -1, -1):
+        beta[t] = (trans + em[t + 1] + beta[t + 1]).max(axis=1)
+    through = np.sort(alpha + beta, axis=1)
+    return float((through[:, -1] - through[:, -2]).min())
 
 
 def per_tensor_adam_state(params, learning_rate):

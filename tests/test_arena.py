@@ -11,6 +11,7 @@ from conftest import PoisonedArena, poison_arenas
 import toxicspans.model
 from toxicspans.arena import Arena
 from toxicspans.embeddings import encode_post, load_embeddings
+from toxicspans.errors import ValidationError
 from toxicspans.model import INFER_BATCH, _emissions, init_params, nll_and_gradients, predict_spans
 from toxicspans.span_codec import BridgePolicy
 from toxicspans.synthetic import generate_posts, write_embedding_file
@@ -45,6 +46,26 @@ class TestArena:
         assert arena.scratch(0, (2, 2)).ctypes.data == a.ctypes.data
         assert arena.scratch(1, (3,)).ctypes.data == b.ctypes.data
         assert not np.shares_memory(arena.take("named", (4,)), a)
+
+    def test_every_array_has_the_arenas_dtype_float64_by_default(self):
+        assert Arena().dtype == np.float64 and Arena().take("r", (2,)).dtype == np.float64
+        arena = Arena(np.float32)
+        assert arena.dtype == np.float32
+        first = arena.take("r", (3,))
+        grown = arena.take("r", (5, 7))
+        assert first.dtype == grown.dtype == arena.scratch(0, (4,)).dtype == np.float32
+        assert arena.take("r", (2, 2)).ctypes.data == grown.ctypes.data
+
+    def test_an_arena_of_another_dtype_than_the_lstms_raises(self):
+        table, examples = synthetic_examples(3)
+        params = init_params(table, 4, np.random.default_rng(0))
+        posts = [ex.encoded for ex in examples if ex.encoded.effective_len]
+        with pytest.raises(ValidationError, match="an arena of float32 for LSTM tensors of float64"):
+            predict_spans(params, posts, BridgePolicy(), Arena(np.float32))
+        with pytest.raises(ValidationError, match="an arena of float64 for LSTM tensors of float32"):
+            predict_spans(params.inference, posts, BridgePolicy(), Arena())
+        with pytest.raises(ValidationError, match="an arena of float32"):
+            nll_and_gradients(posts, [ex.labels for ex in examples if ex.labels], params, Arena(np.float32))
 
 
 class TestPoisonedArena:
@@ -186,9 +207,11 @@ class RecordingArena(Arena):
     def __init__(self) -> None:
         super().__init__()
         self.roles: set[str] = set()
+        self.shapes: dict[str, list[tuple[int, ...]]] = {}
 
     def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
         self.roles.add(role)
+        self.shapes.setdefault(role, []).append(shape)
         return super().take(role, shape)
 
 
@@ -208,6 +231,18 @@ def test_only_a_training_pass_takes_the_backward_cache(n_posts):
     training = RecordingArena()
     nll_and_gradients(posts, [ex.labels[: ex.encoded.effective_len] for ex in examples], params, training)
     assert training.roles >= BACKWARD_ONLY_ROLES
+
+
+def test_a_pass_without_cache_keeps_two_steps_of_cells():
+    """The packed loop with no cache keeps the cells of alternate steps in
+    two (B, 2, H) scratch blocks, not one row per packed slot."""
+    table, examples = synthetic_examples(60)
+    params = init_params(table, 8, np.random.default_rng(3))
+    posts = sorted((ex.encoded for ex in examples if ex.encoded.effective_len), key=lambda p: -p.effective_len)
+    arena = RecordingArena()
+    _, steps, _ = _emissions(posts[:INFER_BATCH], params, arena, keep_cache=False)
+    assert steps.N > 4 * INFER_BATCH
+    assert arena.shapes["scratch 2"] == [(2, INFER_BATCH, 2, 8)]
 
 
 # Traced peak of a warm step (nll_and_gradients, clip, Adam) at H = 128 and

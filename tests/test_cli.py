@@ -452,6 +452,22 @@ class TestPredict:
         assert code == 2
         assert "vocabulary" in capsys.readouterr().err
 
+    def test_embedding_component_beyond_float32_exits_2(self, workspace, tmp_path, capsys):
+        """Inference runs the LSTM in float32: a vector component that does
+        not fit it is one error line naming the tensor, with no numpy
+        warning line and no output file."""
+        lines = (workspace / "vectors.txt").read_text().splitlines()
+        word, *values = lines[0].split(" ")
+        lines[0] = " ".join([word, "1e39", *values[1:]])
+        vectors = tmp_path / "big.txt"
+        vectors.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "big.tsv"
+        code = run_predict(workspace, out, "--embeddings", str(vectors))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: tensor embedding.matrix holds a value of magnitude 1e+39")
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
     def test_gate_scores_file_empties_flagged_posts(self, workspace):
         assert run_predict(workspace, "ungated.tsv") == 0
         with open(workspace / "ungated.tsv", "rb") as f:
