@@ -16,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .crf import NUM_LABELS
 from .dataio import atomic_write_bytes
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError, ValidationError
-from .model import NUM_LABELS, Layout, ModelParams, params_from_vector, tensor_layout
+from .model import Layout, ModelParams, params_from_vector, tensor_layout
 from .training import TrainConfig
 
 MAGIC = b"TOXICSPANS-CKPT-1\n"

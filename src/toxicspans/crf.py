@@ -1,16 +1,19 @@
-"""Linear-chain CRF: negative log-likelihood, its gradients, and Viterbi.
+"""Linear-chain CRF over the tagger's two labels (:data:`NUM_LABELS`):
+negative log-likelihood, its gradients, and Viterbi.
 
-A label sequence ``y`` over emissions ``em`` (T x L) scores
+A label sequence ``y`` over emissions ``em`` (T x 2) scores
 
     start[y_0] + sum_t em[t][y_t] + sum_t trans[y_{t-1}][y_t] + stop[y_{T-1}]
 
-and the CRF normalizes over all L^T sequences.  Everything runs in log space
-(``np.logaddexp`` reductions), so arbitrarily large scores cannot overflow.
+and the CRF normalizes over all 2^T sequences.  Everything runs in log space
+(binary ``np.logaddexp`` steps), so arbitrarily large scores cannot overflow.
 The forward-backward marginals double as the analytic gradient of the
 negative log-likelihood: d NLL / d em[t][l] = marginal[t][l] - 1{gold_t = l},
 and likewise expected-minus-observed for transitions, start, and stop.
+Emissions of another width, or a CRF whose tables are not (2, 2), (2,) and
+(2,), raise :class:`ValidationError`.
 
-:func:`crf_nll_grad` takes the (N, L) emissions of a batch in the packed
+:func:`crf_nll_grad` takes the (N, 2) emissions of a batch in the packed
 layout of :mod:`batching`, as the LSTM returns its states, and returns
 their gradients in the same rows; it writes the transition, start and stop
 gradients into the caller's buffer.  Beta is the alpha recursion run over
@@ -32,39 +35,38 @@ import numpy as np
 from .batching import PackedSteps
 from .errors import ValidationError
 
+NUM_LABELS = 2  # 0 = non-toxic, 1 = toxic
+_SHAPES = ((NUM_LABELS, NUM_LABELS), (NUM_LABELS,), (NUM_LABELS,))
+
 
 @dataclass
 class CrfParams:
     """Transition table plus start/stop scores; trans[i][j] scores i -> j."""
 
-    trans: np.ndarray  # (L, L)
-    start: np.ndarray  # (L,)
-    stop: np.ndarray  # (L,)
-
-    @property
-    def num_labels(self) -> int:
-        return self.start.shape[0]
+    trans: np.ndarray  # (2, 2)
+    start: np.ndarray  # (2,)
+    stop: np.ndarray  # (2,)
 
 
 def _check_emissions(em: np.ndarray, crf: CrfParams) -> None:
+    if (shapes := (crf.trans.shape, crf.start.shape, crf.stop.shape)) != _SHAPES:
+        raise ValidationError(f"CRF trans, start and stop shapes must be {_SHAPES} for {NUM_LABELS} labels, got {shapes}")
     if em.ndim != 2 or em.shape[0] < 1:
         raise ValidationError(f"emissions must be T x L with T >= 1, got shape {em.shape}")
-    if em.shape[1] != crf.num_labels:
-        raise ValidationError(
-            f"emission width {em.shape[1]} != label count {crf.num_labels}"
-        )
+    if em.shape[1] != NUM_LABELS:
+        raise ValidationError(f"emission width {em.shape[1]} != label count {NUM_LABELS}")
 
 
 def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps):
     """The one forward-backward pass every CRF quantity is read from, over
-    the packed (N, L) emissions of the batch ``steps``.
+    the packed (N, 2) emissions of the batch ``steps``.
 
     Returns, in forward (t, b) row order, the marginals; the
     :attr:`batching.PackedSteps.mirror` of every row as an index array
     (``mirror[:B]`` are the posts' last rows); the B log-partitions; and
     the expected transition counts of the batch.
     """
-    B, L = steps.B, crf.num_labels
+    B, L = steps.B, NUM_LABELS
     N, rows, prev_rows, counts = steps.N, steps.rows, steps.prev_rows, steps.counts
     mirror = np.arange(N)[steps.mirror]
     ems = np.empty((N, 2, L))
@@ -72,8 +74,8 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps):
     ems[:, 1] = em[mirror]
     trans = np.stack([crf.trans, crf.trans.T])
     # scores[:, 0] are the alphas and scores[:, 1] em + beta; reduced is
-    # each step's reduction before its emissions are added, so
-    # reduced[:, 1] are the betas
+    # each step's log-sum-exp over the previous label before its emissions
+    # are added, so reduced[:, 1] are the betas
     reduced, scores = np.empty((N, 2, L)), np.empty((N, 2, L))
     reduced[rows[0]] = (crf.start, crf.stop)
     np.add(reduced[rows[0]], ems[rows[0]], out=scores[rows[0]])
@@ -81,11 +83,12 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, steps: PackedSteps):
     for s in range(1, steps.T):
         r, step = rows[s], pairs[: counts[s]]
         np.add(scores[prev_rows[s]][..., None], trans, out=step)
-        np.logaddexp.reduce(step, axis=2, out=reduced[r])
+        np.logaddexp(step[..., 0, :], step[..., 1, :], out=reduced[r])
         np.add(reduced[r], ems[r], out=scores[r])
 
     alphas = scores[:, 0]
-    log_z = np.logaddexp.reduce(alphas[mirror[:B]] + crf.stop, axis=1)
+    final = alphas[mirror[:B]] + crf.stop
+    log_z = np.logaddexp(final[:, 0], final[:, 1])
     log_z_rows = log_z[steps.coords[1], None]
     marginals = alphas + reduced[mirror, 1]
     marginals -= log_z_rows
@@ -104,14 +107,15 @@ def crf_nll_grad(
 ) -> tuple[float, np.ndarray]:
     """NLL and its gradients wrt emissions, trans, start, and stop.
 
-    Takes the (N, L) packed emissions of the batch ``steps`` and one label
+    Takes the (N, 2) packed emissions of the batch ``steps`` and one label
     list per post, in the batch's order.  Returns the summed NLL and the
     packed emission gradients, and writes the summed trans, start and stop
     gradients into ``grads``.  Each gradient is the marginal expectation
     minus the gold indicator.
     """
-    L = crf.num_labels
-    if em.shape != (steps.N, L):
+    L = NUM_LABELS
+    _check_emissions(em, crf)
+    if len(em) != steps.N:
         raise ValidationError(f"emissions must be the {steps.N} packed rows x {L} labels, got shape {em.shape}")
     B = steps.B
     if len(labels) != B:
@@ -143,22 +147,19 @@ def crf_nll_grad(
 
 
 def viterbi_decode(em: np.ndarray, crf: CrfParams) -> list[int]:
-    """Maximum-score label sequence; ties break toward the lower label index.
+    """Maximum-score label sequence of (T, 2) emissions; ties break toward
+    label 0.
 
-    Runs on Python floats: at L = 2 a numpy call per position costs far more
-    than its arithmetic.  Each candidate score is ``score[i] + trans[i][j]``
-    and a later label replaces the best only if strictly greater, which is
-    the lower-index tie-break (a NaN candidate never replaces, and a NaN
-    best is never replaced); the additions are the ones, in the order, a
-    vectorized max-plus step would make.  At L = 2 the loop is unrolled: a
-    position's two back-pointers are one int, bit j the best predecessor of
-    label j.  Any other L runs the general loop, with the same additions
-    and comparisons, so both give the same labels.
+    Runs on Python floats: a numpy call per position costs far more than
+    its arithmetic.  Each candidate score is ``score[i] + trans[i][j]``,
+    and label 1's candidate replaces label 0's only if strictly greater (a
+    NaN candidate never replaces, and a NaN best is never replaced); the
+    additions are the ones, in the order, a vectorized max-plus step would
+    make.  A position's two back-pointers are one int, bit j the best
+    predecessor of label j.
     """
     _check_emissions(em, crf)
-    trans = crf.trans.tolist()
-    decode = _viterbi_two_labels if len(trans) == 2 else _viterbi_loop
-    return decode(em.tolist(), trans, crf.start.tolist(), crf.stop.tolist())
+    return _viterbi_two_labels(em.tolist(), crf.trans.tolist(), crf.start.tolist(), crf.stop.tolist())
 
 
 def _viterbi_two_labels(rows: list, trans: list, start: list, stop: list) -> list[int]:
@@ -180,36 +181,6 @@ def _viterbi_two_labels(rows: list, trans: list, start: list, stop: list) -> lis
     path = [best]
     for ptr in reversed(backptrs):
         best = ptr >> best & 1
-        path.append(best)
-    path.reverse()
-    return path
-
-
-def _viterbi_loop(rows: list, trans: list, start: list, stop: list) -> list[int]:
-    L = len(trans)
-    score = [s + e for s, e in zip(start, rows[0])]
-    backptrs = []
-    for row in rows[1:]:
-        ptr = []
-        nxt = []
-        for j in range(L):
-            best_i, best = 0, score[0] + trans[0][j]
-            for i in range(1, L):
-                cand = score[i] + trans[i][j]
-                if cand > best:
-                    best_i, best = i, cand
-            ptr.append(best_i)
-            nxt.append(best + row[j])
-        backptrs.append(ptr)
-        score = nxt
-    final = [s + p for s, p in zip(score, stop)]
-    best = 0
-    for j in range(1, L):
-        if final[j] > final[best]:
-            best = j
-    path = [best]
-    for ptr in reversed(backptrs):
-        best = ptr[best]
         path.append(best)
     path.reverse()
     return path

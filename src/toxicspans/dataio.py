@@ -272,7 +272,7 @@ def _parse_dataset_stream(stream, has_gold: bool, lenient: bool) -> list[Labeled
     try:
         header = next(reader)
     except StopIteration:
-        raise DataFormatError("empty file: missing CSV header") from None
+        raise DataFormatError("empty dataset file: missing CSV header") from None
     except csv.Error as exc:
         raise DataFormatError(f"CSV header: {exc}") from None
     columns = {name.strip(): pos for pos, name in enumerate(header)}

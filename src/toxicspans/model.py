@@ -1,17 +1,14 @@
 """The BiLSTM-CRF tagger: embedding lookup, both LSTM directions, a linear
-projection to per-label emission scores, and the CRF on top.
+projection to per-label emission scores, and the two-label CRF on top.
 
 Training runs a whole minibatch, and inference a chunk of up to
 :data:`INFER_BATCH` posts (one post is a chunk of one), as one pass in the
 packed layout of :mod:`batching`, from the embedding lookup to Viterbi:
-only the N real token slots of the length-sorted posts, time-major.  The
-embedding rows are gathered straight from the posts' indices, the LSTM
-and the projection return (N, ·) rows, the CRF returns its gradients in
-those rows, and Viterbi decodes each post from its rows, put back post by
-post (``PackedSteps.unpack``); no padded slot is built.  An inference
-pass over one post (``predict`` of a post on its own) runs the LSTM's
-one-post time loop, and every other pass, a training batch of one
-included, its packed loop; both give the same bits (see :mod:`lstm`).
+each layer reads and returns the batch's packed rows, and Viterbi decodes
+each post from its own (``PackedSteps.unpack``).  An inference pass over
+one post (``predict`` of a post on its own) runs the LSTM's one-post time
+loop, and every other pass, a training batch of one included, its packed
+loop; both give the same bits (see :mod:`lstm`).
 The backward pass is fully manual (projection, then both LSTM
 directions) and writes gradients summed over the batch; only for a
 fine-tuned model does it ask the LSTM for the input gradient and
@@ -61,7 +58,7 @@ import numpy as np
 
 from .arena import Arena
 from .batching import PackedSteps
-from .crf import CrfParams, crf_nll_grad, viterbi_decode
+from .crf import NUM_LABELS, CrfParams, crf_nll_grad, viterbi_decode
 from .dataio import NO_SPANS, CharSpanSet, LabeledPost
 from .embeddings import EmbeddingTable, EncodedPost, encode_post, mean_pooled
 from .errors import ValidationError
@@ -70,7 +67,6 @@ from .lstm import DIRECTIONS, LstmCache, LstmParams, lstm_backward, lstm_forward
 from .span_codec import BridgePolicy, labels_to_spans
 from .tokenizer import tokenize
 
-NUM_LABELS = 2  # 0 = non-toxic, 1 = toxic
 # Posts per inference pass: enough rows per step to spread numpy's per-call
 # cost, few enough that `cli predict` holds one small window at a time.
 INFER_BATCH = 16

@@ -7,9 +7,10 @@ come from central finite differences.  Keep them slow and obvious.
 The loop-form kernels at the end are the step-by-step LSTM recurrence and
 CRF forward-backward that the library's fused kernels must reproduce: one
 matrix-vector product and one outer product per time step, one transition
-table per position.  The numpy Viterbi decoder and the Adam step written as
-one expression per moment are the references of the library's scalar
-decoder and in-place update, which must match them exactly; the best-path
+table per position.  The numpy Viterbi decoder, the scalar Viterbi loop
+over any label count and the Adam step written as one expression per
+moment are the references of the library's unrolled two-label decoder and
+in-place update, which must match them exactly; the best-path
 margin, from max-plus max-marginals, is how far a path's score may move
 before the decoded path can change.  The padded CRF kernel and the
 training loop over the tensors are the references of the packed CRF
@@ -436,10 +437,13 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, lengths: np.ndarray) -> _F
     """The one forward-backward pass every CRF quantity is read from.
 
     ``em`` is a sorted batch with finite padding.  The recursions touch only
-    the rows of each step's active posts; every padded alpha and beta stays
-    -inf, so padding adds exp(-inf) = 0 to the marginals and transitions.
+    the rows of each step's active posts, and every padded alpha and beta
+    stays -inf.  The marginals are zero on padding and the transition counts
+    sum only the pairs inside a post, so a post with no finite path (its
+    log-partition -inf) turns only its own rows and pairs NaN.
     """
     T, B, _ = em.shape
+    valid = valid_mask(lengths, T)
     rows = [slice(0, n) for n in PackedSteps(lengths).counts]  # each step's running posts
     last, cols = lengths - 1, np.arange(B)
     alphas = np.full_like(em, -np.inf)
@@ -457,10 +461,11 @@ def _forward_backward(em: np.ndarray, crf: CrfParams, lengths: np.ndarray) -> _F
         )
     log_z = np.logaddexp.reduce(alphas[last, cols] + crf.stop, axis=1)
     marginals = np.exp(alphas + betas - log_z[:, None])
+    marginals[~valid] = 0.0
     # log-probability of label pair (i, j) at positions (t, t + 1), all t at once
     pair = alphas[:-1, :, :, None] + crf.trans + (em[1:] + betas[1:])[:, :, None, :]
     pair -= log_z[:, None, None]
-    expected = np.exp(pair).sum(axis=(0, 1))
+    expected = np.exp(pair)[valid[1:]].sum(axis=0)
     return _ForwardBackward(alphas, betas, log_z, marginals, expected)
 
 
@@ -475,9 +480,9 @@ def padded_crf_nll_grad(
     summed trans, start and stop gradients.  Each gradient is the marginal
     expectation minus the gold indicator.
     """
-    if em.ndim != 3 or em.shape[2] != crf.num_labels:
+    if em.ndim != 3 or em.shape[2] != len(crf.start):
         raise ValidationError(
-            f"emissions must be T x B x {crf.num_labels}, got shape {em.shape}"
+            f"emissions must be T x B x {len(crf.start)}, got shape {em.shape}"
         )
     lengths = _check_grid_lengths(lengths, em.shape[0], em.shape[1]).lengths
     if len(labels) != len(lengths):
@@ -576,6 +581,39 @@ def numpy_viterbi_decode(em, trans, start, stop):
     path = [best]
     for t in range(T - 1, 0, -1):
         best = int(backptr[t, best])
+        path.append(best)
+    path.reverse()
+    return path
+
+
+def loop_viterbi_decode(rows: list, trans: list, start: list, stop: list) -> list[int]:
+    """Viterbi on Python floats for any label count, with the additions and
+    comparisons of the library's unrolled two-label loop, so both give the
+    same labels."""
+    L = len(trans)
+    score = [s + e for s, e in zip(start, rows[0])]
+    backptrs = []
+    for row in rows[1:]:
+        ptr = []
+        nxt = []
+        for j in range(L):
+            best_i, best = 0, score[0] + trans[0][j]
+            for i in range(1, L):
+                cand = score[i] + trans[i][j]
+                if cand > best:
+                    best_i, best = i, cand
+            ptr.append(best_i)
+            nxt.append(best + row[j])
+        backptrs.append(ptr)
+        score = nxt
+    final = [s + p for s, p in zip(score, stop)]
+    best = 0
+    for j in range(1, L):
+        if final[j] > final[best]:
+            best = j
+    path = [best]
+    for ptr in reversed(backptrs):
+        best = ptr[best]
         path.append(best)
     path.reverse()
     return path

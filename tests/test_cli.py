@@ -150,54 +150,152 @@ class TestStats:
         assert "record 1" in err and "Traceback" not in err
 
 
-class TestConfigFileKinds:
-    """A ``--config`` path that is no regular file exits 2 with one error
-    line naming the config file, before any input is read or any output
-    written.  (The tests run as root, so a file without read permission
-    cannot be exercised here.)"""
+# Every path-taking flag of every command, and the role its errors name.
+PATH_FLAGS = [
+    *((command, "--data", "dataset") for command in ("stats", "train", "gate-train", "predict", "evaluate", "analyze")),
+    *((command, "--embeddings", "embedding") for command in ("train", "gate-train", "predict")),
+    ("predict", "--checkpoint", "checkpoint"),
+    ("predict", "--gate-model", "gate model"),
+    ("predict", "--gate", "gate score"),
+    ("evaluate", "--pred", "prediction"),
+    ("analyze", "--pred", "prediction"),
+    *((command, "--config", "config") for command in ("stats", "train", "gate-train", "predict", "evaluate", "analyze")),
+]
+PATH_KINDS = ["missing", "directory", "fifo", "devnull", "dangling-symlink", "symlink-loop", "empty"]
+# The entries that make_path leaves in its directory, by kind (else "input")
+PATH_ENTRIES = {"missing": set(), "devnull": set(), "symlink-loop": {"input", "loop"}}
+# Runs each argv list read from stdin through cli.main in one interpreter
+# and prints each one's exit code, stdout and stderr.
+CLI_DRIVER = """
+import contextlib, io, json, sys
+from toxicspans.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
 
-    @staticmethod
-    def config_path(tmp_path: Path, kind: str) -> tuple[Path, str]:
-        """A config path of ``kind`` and the error it gives."""
-        path = tmp_path / f"{kind}.cfg"
-        if kind == "directory":
-            path.mkdir()
-        elif kind == "fifo":
-            os.mkfifo(path)
-        elif kind == "dangling-symlink":
-            path.symlink_to(tmp_path / "nowhere.cfg")
-        problem = "is not a regular file" if kind in ("directory", "fifo") else "not found"
-        return path, f"error: config file {problem}: {path}"
 
-    @pytest.mark.parametrize("kind", ["directory", "dangling-symlink", "missing"])
-    def test_exits_2_with_one_error_line(self, workspace, tmp_path, monkeypatch, capsys, kind):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the dataset was read before the config file was checked")
+def make_path(directory: Path, kind: str) -> Path:
+    """A path of ``kind`` in ``directory`` (``os.devnull`` for "devnull")."""
+    if kind == "devnull":
+        return Path(os.devnull)
+    path = directory / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(path)
+    elif kind == "dangling-symlink":
+        path.symlink_to(directory / "nowhere")
+    elif kind == "symlink-loop":
+        path.symlink_to(directory / "loop")
+        (directory / "loop").symlink_to(path)
+    elif kind == "empty":
+        path.write_bytes(b"")
+    return path
 
-        monkeypatch.setattr(toxicspans.cli, "parse_dataset", unreachable)
-        config, message = self.config_path(tmp_path, kind)
-        out = tmp_path / "hist.csv"
-        code = main(["stats", "--data", str(workspace / "dev.csv"), "--config", str(config), "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == message + "\n" and captured.out == ""
-        assert not out.exists() and not Path(f"{out}{MANIFEST_SUFFIX}").exists()
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
-    def test_fifo_exits_2_without_blocking(self, workspace, tmp_path):
-        # a separate interpreter with a timeout: opening a FIFO that no one
-        # writes blocks, and a regression must fail rather than hang the suite
-        config, message = self.config_path(tmp_path, "fifo")
-        out = tmp_path / "hist.csv"
+def path_case_argv(workspace: Path, command: str, flag: str, path: Path, out: Path) -> list[str]:
+    """A valid small run of ``command`` whose ``flag`` names ``path``."""
+    data = ["--data", str(workspace / ("train.csv" if command in ("train", "gate-train") else "dev.csv"))]
+    vectors = ["--embeddings", str(workspace / "vectors.txt"), "--embedding-dim", str(DIM)]
+    argv = [command, *data, *{
+        "train": [*vectors, "--hidden", "4", "--epochs", "1", "--max-len", "32"],
+        "gate-train": [*vectors, "--gate-epochs", "1"],
+        "predict": [*vectors, "--checkpoint", str(workspace / "model.ckpt")],
+        "evaluate": ["--pred", str(workspace / "dev-gold.tsv")],
+        "analyze": ["--pred", str(workspace / "dev-gold.tsv")],
+    }.get(command, [])]
+    if command != "analyze":
+        argv += ["--out", str(out)]
+    if flag == "--gate-model":
+        argv += ["--gate", "internal"]
+    value = f"scores:{path}" if flag == "--gate" else str(path)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def path_workspace(workspace):
+    """The workspace, with dev.csv's gold spans as a prediction file."""
+    with open(workspace / "dev.csv", "rb") as handle:
+        write_gold_predictions(workspace / "dev-gold.tsv", toxicspans.dataio.parse_dataset(handle, has_gold=True))
+    return workspace
+
+
+@pytest.fixture(scope="module")
+def fifo_runs(path_workspace, tmp_path_factory):
+    """Each flag's FIFO case, run in one separate interpreter with a timeout
+    (opening a FIFO that no one writes blocks): its directory and its exit
+    code, stdout and stderr, by flag; None if the interpreter timed out."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes on this platform")
+    directories, argvs = [], []
+    for command, flag, _ in PATH_FLAGS:
+        directory = tmp_path_factory.mktemp("fifo")
+        directories.append(directory)
+        argvs.append(path_case_argv(path_workspace, command, flag, make_path(directory, "fifo"), directory / "result"))
+    try:
         run = subprocess.run(
-            [sys.executable, "-m", "toxicspans.cli", "stats", "--data", str(workspace / "dev.csv"),
-             "--config", str(config), "--out", str(out)],
+            [sys.executable, "-c", CLI_DRIVER], input=json.dumps(argvs),
             env={**os.environ, "PYTHONPATH": str(Path(toxicspans.__file__).parents[1])},
             capture_output=True, text=True, timeout=60,
         )
-        assert run.returncode == 2
-        assert run.stderr == message + "\n" and run.stdout == ""
-        assert not out.exists()
+    except subprocess.TimeoutExpired:
+        return None
+    assert run.returncode == 0, run.stderr
+    return {(command, flag): (directory, *result)
+            for (command, flag, _), directory, result in zip(PATH_FLAGS, directories, json.loads(run.stdout))}
+
+
+class TestPathKinds:
+    """Every path-taking flag of every command, crossed with every kind of
+    path that holds no input: each exits 2 with one error line naming the
+    file's role, prints no traceback and writes no output file.  A dangling
+    symlink and a symlink loop are "not found", like a missing file.
+
+    The one exception is an empty ``--config`` file, a valid config with no
+    keys: the command runs and exits 0.  A ``--config`` error comes before
+    any other input is read.  The tests run as root, so a file without read
+    permission cannot be exercised here."""
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    @pytest.mark.parametrize("command, flag, role", PATH_FLAGS,
+                             ids=[f"{command}{flag}" for command, flag, _ in PATH_FLAGS])
+    def test_exits_2_with_one_error_line(self, path_workspace, fifo_runs, tmp_path, monkeypatch, capsys,
+                                         command, flag, role, kind):
+        if kind == "fifo":
+            assert fifo_runs is not None, "the FIFO cases blocked"
+            directory, code, stdout, stderr = fifo_runs[command, flag]
+            path = directory / "input"
+        else:
+            directory, path = tmp_path, make_path(tmp_path, kind)
+            if flag == "--config" and kind != "empty":
+                def unreachable(*args, **kwargs):
+                    raise AssertionError("an input was read before the config file was checked")
+
+                for name in ("parse_dataset", "load_embeddings", "load_checkpoint"):
+                    monkeypatch.setattr(toxicspans.cli, name, unreachable)
+            code = main(path_case_argv(path_workspace, command, flag, path, tmp_path / "result"))
+            stdout, stderr = capsys.readouterr()
+        if flag == "--config" and kind == "empty":
+            assert code == 0 and "error:" not in stderr
+            return
+        assert code == 2
+        assert "Traceback" not in stderr and stdout == ""
+        [line] = stderr.splitlines()
+        if kind == "empty":  # each reader's own error
+            assert line.startswith("error: ") and role in line
+        else:
+            problem = "not found" if kind in ("missing", "dangling-symlink", "symlink-loop") else "is not a regular file"
+            assert line == f"error: {role} file {problem}: {path}"
+        assert {entry.name for entry in directory.iterdir()} == PATH_ENTRIES.get(kind, {"input"})
 
 
 class TestTrain:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,14 +15,11 @@ from oracles import (
     crf_marginals,
     crf_nll,
     finite_difference,
+    loop_viterbi_decode,
     path_score,
 )
-from toxicspans.crf import (
-    CrfParams,
-    _viterbi_loop,
-    _viterbi_two_labels,
-    viterbi_decode,
-)
+from toxicspans.batching import PackedSteps
+from toxicspans.crf import CrfParams, _viterbi_two_labels, viterbi_decode
 from toxicspans.errors import ValidationError
 
 
@@ -272,28 +270,42 @@ def two_label_instances():
 
 
 class TestTwoLabelViterbi:
-    """At L = 2, ``viterbi_decode`` runs an unrolled loop; it returns the
+    """``viterbi_decode`` runs an unrolled two-label loop; it returns the
     general loop's labels, ties and NaN included."""
 
     @pytest.mark.parametrize("em, crf", two_label_instances())
     def test_matches_the_general_loop(self, em, crf):
         args = (em.tolist(), crf.trans.tolist(), crf.start.tolist(), crf.stop.tolist())
-        want = _viterbi_loop(*args)
+        want = loop_viterbi_decode(*args)
         assert _viterbi_two_labels(*args) == want
         assert viterbi_decode(em, crf) == want
 
-    def test_the_label_count_picks_the_loop(self, monkeypatch):
-        import toxicspans.crf
 
-        ran = []
-        for name in ("_viterbi_loop", "_viterbi_two_labels"):
-            loop = getattr(toxicspans.crf, name)
-            monkeypatch.setattr(toxicspans.crf, name,
-                                lambda *args, name=name, loop=loop: ran.append(name) or loop(*args))
-        rng = np.random.default_rng(16)
-        for L in (1, 2, 3, 4):
-            viterbi_decode(*random_instance(rng, T=5, L=L))
-        assert ran == ["_viterbi_loop", "_viterbi_two_labels", "_viterbi_loop", "_viterbi_loop"]
+def other_widths():
+    """Emissions and a CRF of which one is not two labels wide, and the
+    start of the error it gives, as a named ``pytest.param``."""
+    rng = np.random.default_rng(16)
+    crf_error = "CRF trans, start and stop shapes must be ((2, 2), (2,), (2,)) for 2 labels"
+    cases = [(f"L{L}", *random_instance(rng, T=5, L=L), crf_error) for L in (1, 3, 4)]
+    em, crf = random_instance(rng, T=5)
+    for width in (1, 3):
+        cases.append((f"emissions-{width}-wide", rng.normal(size=(5, width)), crf,
+                      f"emission width {width} != label count 2"))
+        cases.append((f"crf-{width}-wide", em, random_instance(rng, T=1, L=width)[1], crf_error))
+    cases.append(("stop-3-wide", em, CrfParams(crf.trans, crf.start, np.zeros(3)), crf_error))
+    return [pytest.param(em, crf, error, id=name) for name, em, crf, error in cases]
+
+
+class TestTwoLabelWidth:
+    """The CRF has two labels: emissions or a CRF of another width raise
+    ``ValidationError`` from decoding and from the NLL gradient alike."""
+
+    @pytest.mark.parametrize("em, crf, error", other_widths())
+    def test_other_widths_are_rejected(self, em, crf, error):
+        with pytest.raises(ValidationError, match=re.escape(error)):
+            viterbi_decode(em, crf)
+        with pytest.raises(ValidationError, match=re.escape(error)):
+            crf_grads(em, crf, [[0] * len(em)], PackedSteps([len(em)]))
 
 
 class TestUniformShiftInvariance:

@@ -12,7 +12,8 @@ does: in the caching pass, whose cache must give the backward pass the
 same gradients, and in the one-post loop, which runs only without a
 cache.  A pass that keeps no cache must return the caching pass's bits.
 The hot cases scale the inputs by 50 (and the emissions by 50 for the
-CRF), so LSTM gates saturate and the sigmoid's exp overflows.
+CRF), so LSTM gates saturate and the sigmoid's exp overflows; the bitwise
+CRF cases also scale the emissions by 1e150 and 1e300.
 """
 
 import numpy as np
@@ -29,10 +30,11 @@ from oracles import (
     packed,
     padded_crf_nll_grad,
     reference_lstm_forward,
+    valid_mask,
 )
 from toxicspans.arena import Arena
 from toxicspans.batching import PackedSteps
-from toxicspans.crf import CrfParams, viterbi_decode
+from toxicspans.crf import NUM_LABELS, CrfParams, viterbi_decode
 from toxicspans.lstm import DIRECTIONS, LstmParams, lstm_forward
 
 RTOL = 1e-9
@@ -43,6 +45,10 @@ DIM = 6
 # Three random draws of weights and inputs for each bitwise case's shape.
 DRAWS = [1, 2, 3]
 DRAW_IDS = [f"draw{d}" for d in DRAWS]
+# Two random draws of each two-label CRF case, seeded as the cases of two
+# and of three labels were.
+CRF_DRAWS = [2, 3]
+CRF_DRAW_IDS = [f"draw{d}" for d in CRF_DRAWS]
 
 
 def assert_close(actual, desired):
@@ -149,18 +155,23 @@ def test_a_pass_without_cache_is_bitwise_the_caching_pass(T, H, batch, scale, dr
     assert np.array_equal(bare, hidden)
 
 
-@pytest.mark.parametrize("scale", SCALES)
-@pytest.mark.parametrize("L", [2, 3])
-@pytest.mark.parametrize("T", LENGTHS)
-def test_crf_nll_grad_matches_loop_reference(T, L, scale):
-    rng = np.random.default_rng(100 * T + L)
-    em = rng.uniform(-2.0, 2.0, size=(T, L)) * scale
-    crf = CrfParams(
-        trans=rng.uniform(-2.0, 2.0, size=(L, L)),
-        start=rng.uniform(-2.0, 2.0, size=L),
-        stop=rng.uniform(-2.0, 2.0, size=L),
+def crf_params(rng):
+    """Random two-label CRF tables."""
+    return CrfParams(
+        trans=rng.uniform(-2.0, 2.0, size=(NUM_LABELS, NUM_LABELS)),
+        start=rng.uniform(-2.0, 2.0, size=NUM_LABELS),
+        stop=rng.uniform(-2.0, 2.0, size=NUM_LABELS),
     )
-    labels = [int(y) for y in rng.integers(L, size=T)]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("draw", CRF_DRAWS, ids=CRF_DRAW_IDS)
+@pytest.mark.parametrize("T", LENGTHS)
+def test_crf_nll_grad_matches_loop_reference(T, draw, scale):
+    rng = np.random.default_rng(100 * T + draw)
+    em = rng.uniform(-2.0, 2.0, size=(T, NUM_LABELS)) * scale
+    crf = crf_params(rng)
+    labels = [int(y) for y in rng.integers(NUM_LABELS, size=T)]
     nll, d_em, d_trans, d_start, d_stop = crf_grads(em, crf, [labels], pack_posts([em])[1])
     got = (nll, d_em, d_trans, d_start, d_stop)
     want = loop_crf_nll_grad(em, crf.trans, crf.start, crf.stop, labels)
@@ -170,19 +181,15 @@ def test_crf_nll_grad_matches_loop_reference(T, L, scale):
 
 @pytest.mark.parametrize("zero_crf", [False, True], ids=["random-crf", "zero-crf"])
 @pytest.mark.parametrize("scale", SCALES)
-@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("draw", CRF_DRAWS, ids=CRF_DRAW_IDS)
 @pytest.mark.parametrize("T", LENGTHS)
-def test_viterbi_matches_numpy_reference(T, L, scale, zero_crf):
-    rng = np.random.default_rng(100 * T + L + zero_crf)
-    crf = CrfParams(
-        trans=rng.uniform(-2.0, 2.0, size=(L, L)),
-        start=rng.uniform(-2.0, 2.0, size=L),
-        stop=rng.uniform(-2.0, 2.0, size=L),
-    )
+def test_viterbi_matches_numpy_reference(T, draw, scale, zero_crf):
+    rng = np.random.default_rng(100 * T + draw + zero_crf)
+    crf = crf_params(rng)
     if zero_crf:
-        crf = CrfParams(np.zeros((L, L)), np.zeros(L), np.zeros(L))
+        crf = CrfParams(*(np.zeros_like(table) for table in (crf.trans, crf.start, crf.stop)))
     for _ in range(20):
-        em = rng.uniform(-2.0, 2.0, size=(T, L)) * scale
+        em = rng.uniform(-2.0, 2.0, size=(T, NUM_LABELS)) * scale
         if zero_crf:
             em = np.round(em / scale)  # integer scores: ties at most positions
         assert viterbi_decode(em, crf) == numpy_viterbi_decode(em, crf.trans, crf.start, crf.stop)
@@ -196,27 +203,38 @@ def sorted_batch_lengths(rng, B, T):
     return lengths
 
 
-@pytest.mark.parametrize("scale", SCALES)
-@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("scale", SCALES + [1e150, 1e300])
+@pytest.mark.parametrize("draw", CRF_DRAWS, ids=CRF_DRAW_IDS)
 @pytest.mark.parametrize(
     "B, T", [(1, 1), (1, 7), (3, 1), (2, 5), (4, 4), (16, 12), (16, 24), (24, 16), (32, 12), (48, 8)]
 )
-def test_crf_nll_grad_is_bitwise_the_padded_kernel(B, T, L, scale):
+def test_crf_nll_grad_is_bitwise_the_padded_kernel(B, T, draw, scale):
+    """The packed kernel's binary log-sum-exp steps against the padded
+    kernel's reductions: five draws of finite emissions, then two where one
+    label's emission is -inf on about a third of the real rows, the last
+    also with both labels -inf on one real row of any post (a post with no
+    finite path, so its log-partition is -inf and its marginals NaN).  At
+    the large scales rounding sends marginals to inf.  Every result must
+    have the reference's bits, NaN and inf in the same places."""
     assert T * B <= 384
-    rng = np.random.default_rng(10_000 * B + 100 * T + 10 * L + int(scale))
-    crf = CrfParams(
-        trans=rng.uniform(-2.0, 2.0, size=(L, L)),
-        start=rng.uniform(-2.0, 2.0, size=L),
-        stop=rng.uniform(-2.0, 2.0, size=L),
-    )
-    for trial in range(5):
+    rng = np.random.default_rng(10_000 * B + 100 * T + 10 * draw + int(scale))
+    crf = crf_params(rng)
+    for trial in range(7):
         lengths = sorted_batch_lengths(rng, B, T) if trial else np.full(B, T)
-        em = rng.uniform(-3.0, 3.0, size=(T, B, L)) * scale  # finite noise as padding
-        labels = [[int(y) for y in rng.integers(L, size=n)] for n in lengths]
+        em = rng.uniform(-3.0, 3.0, size=(T, B, NUM_LABELS)) * scale  # finite noise as padding
+        labels = [[int(y) for y in rng.integers(NUM_LABELS, size=n)] for n in lengths]
+        if trial >= 5:
+            t, b = np.nonzero(valid_mask(lengths, T) & (rng.random((T, B)) < 0.3))
+            em[t, b, rng.integers(NUM_LABELS, size=len(t))] = -np.inf
+        if trial == 6:
+            t, b = np.nonzero(valid_mask(lengths, T))
+            pick = rng.integers(len(t))
+            em[t[pick], b[pick]] = -np.inf
         steps = PackedSteps(lengths)
-        nll, d_em, *rest = crf_grads(packed(em, steps), crf, labels, steps)
-        want_nll, want_d_em, *want_rest = padded_crf_nll_grad(em, crf, labels, lengths)
-        assert nll == want_nll
-        assert np.array_equal(d_em, packed(want_d_em, steps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            nll, d_em, *rest = crf_grads(packed(em, steps), crf, labels, steps)
+            want_nll, want_d_em, *want_rest = padded_crf_nll_grad(em, crf, labels, lengths)
+        assert np.array_equal(nll, want_nll, equal_nan=True)
+        assert np.array_equal(d_em, packed(want_d_em, steps), equal_nan=True)
         for actual, desired in zip(rest, want_rest):
-            assert np.array_equal(actual, desired)
+            assert np.array_equal(actual, desired, equal_nan=True)

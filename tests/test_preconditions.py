@@ -10,7 +10,8 @@ import pytest
 
 from conftest import make_table
 from toxicspans.arena import Arena
-from toxicspans.crf import CrfParams, viterbi_decode
+from toxicspans.batching import PackedSteps
+from toxicspans.crf import CrfParams, crf_nll_grad, viterbi_decode
 from toxicspans.embeddings import encode_post
 from toxicspans.errors import ValidationError
 from toxicspans.gate import GateModel, load_external_gate, save_gate
@@ -20,7 +21,7 @@ from toxicspans.tokenizer import tokenize
 from toxicspans.training import dev_char_f1
 
 TABLE = make_table(["a", "b"], dim=3)
-CRF = CrfParams(trans=np.zeros((2, 2)), start=np.zeros(2), stop=np.zeros(2))
+CRF, CRF1, CRF3 = (CrfParams(trans=np.zeros((L, L)), start=np.zeros(L), stop=np.zeros(L)) for L in (2, 1, 3))
 
 
 def model():
@@ -51,6 +52,18 @@ CASES = {
     "viterbi-emission-width": (
         lambda tmp_path: viterbi_decode(np.zeros((3, 3)), CRF),
         "emission width 3 != label count 2",
+    ),
+    "viterbi-crf-width": (
+        lambda tmp_path: viterbi_decode(np.zeros((3, 3)), CRF3),
+        "CRF trans, start and stop shapes must be ((2, 2), (2,), (2,)) for 2 labels, got ((3, 3), (3,), (3,))",
+    ),
+    "nll-grad-crf-width": (
+        lambda tmp_path: crf_nll_grad(np.zeros((3, 2)), CRF1, [[0, 0, 0]], PackedSteps([3]), CRF1),
+        "CRF trans, start and stop shapes must be ((2, 2), (2,), (2,)) for 2 labels, got ((1, 1), (1,), (1,))",
+    ),
+    "nll-grad-emission-width": (
+        lambda tmp_path: crf_nll_grad(np.zeros((3, 1)), CRF, [[0, 0, 0]], PackedSteps([3]), CRF),
+        "emission width 1 != label count 2",
     ),
     "hidden-size": (
         lambda tmp_path: init_params(TABLE, 0, np.random.default_rng(0)),
