@@ -74,7 +74,7 @@ def categorize_errors(
             category = "spurious-on-clean"
         elif not predicted:
             category = "missed-all"
-        elif (predicted & gold) and predicted.issubset(gold):
+        elif predicted.issubset(gold):  # a non-empty subset of gold overlaps it
             category = "partial-span"
         else:
             category = "wrong-offsets"

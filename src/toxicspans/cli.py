@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -157,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(_require_file(path, "config"), "rb") as handle, text_reader(handle) as stream:
+    with _input_file(path, "config") as handle, text_reader(handle) as stream:
         lines = stream.read().splitlines()
     for line_no, line in enumerate(lines, 1):
         line = line.strip()
@@ -213,6 +214,17 @@ def _require_file(path: str, role: str) -> Path:
     return p
 
 
+@contextmanager
+def _input_file(path: str, role: str):
+    """The binary stream of the ``role`` file at ``path``; a
+    :class:`DataFormatError` raised while it is read names the file."""
+    with open(_require_file(path, role), "rb") as handle:
+        try:
+            yield handle
+        except DataFormatError as exc:
+            raise DataFormatError(f"{role} file {path}: {exc}") from None
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -238,24 +250,19 @@ def _write_manifest(args: argparse.Namespace, written: _Written, started: float)
 
 
 def _load_table(args: argparse.Namespace):
-    path = _require_file(args.embeddings, "embedding")
-    dim = _resolve(args, "embedding_dim")
-    with open(path, "rb") as handle:
-        return load_embeddings(handle, expected_dim=dim)
+    with _input_file(args.embeddings, "embedding") as handle:
+        return load_embeddings(handle, expected_dim=_resolve(args, "embedding_dim"))
 
 
 def _load_posts(args: argparse.Namespace, has_gold: bool):
-    path = _require_file(args.data, "dataset")
-    with open(path, "rb") as handle:
-        return parse_dataset(
-            handle, has_gold=has_gold, lenient=getattr(args, "lenient", False)
-        )
+    with _input_file(args.data, "dataset") as handle:
+        return parse_dataset(handle, has_gold=has_gold, lenient=getattr(args, "lenient", False))
 
 
 def _load_scored(args: argparse.Namespace):
     """The gold posts of ``--data``, then the predictions of ``--pred``."""
     golds = _load_posts(args, has_gold=True)
-    with open(_require_file(args.pred, "prediction"), "rb") as handle:
+    with _input_file(args.pred, "prediction") as handle:
         return golds, read_predictions(handle)
 
 
@@ -349,8 +356,8 @@ def _load_gate(args: argparse.Namespace, gate_file: dict[str, str]) -> GateModel
     if not gate_file:
         return None
     if "gate_scores" in gate_file:
-        path = _require_file(gate_file["gate_scores"], "gate score")
-        return load_external_gate(path, _resolve(args, "gate_threshold"))
+        with _input_file(gate_file["gate_scores"], "gate score") as handle:
+            return load_external_gate(handle, _resolve(args, "gate_threshold"))
     model = load_gate(_require_file(args.gate_model, "gate model"))
     if model.vocab_hash is None:
         print(f"warning: gate model {args.gate_model} records no embedding table, "

@@ -22,18 +22,14 @@ e.g. ``٣`` as well as ``3``)::
 No ``+`` sign, ``_`` separator, trailing comma, or space inside an integer.
 Order and repeats are free; the parsed set is sorted and deduplicated.
 
-A literal is first offered to the json module's scanner, which reads the
-common case (ASCII digits, ``[ \t\r\n]`` whitespace, no leading zeros) in C.
-Its result is taken only when it consumes the whole stripped literal and
-gives a list of plain ints.  Every such JSON array is also a literal of the
-grammar above, with the same values; anything else (Unicode digits or
+A literal has two readings.  The canonical form, plain ASCII ints that
+strictly ascend as :func:`format_span_literal` writes them, is read by the
+json module's C scanner and kept as it is: it is already the stored set.
+Every other literal (out of order or repeated values, Unicode digits or
 whitespace, leading zeros, floats, ``true``, nested lists, ints over the
-digit limit, malformed input) is read by the grammar path alone, so the
-result and any error message are the same either way.  A scanned list whose
-text between the brackets is only ``[0-9, -]`` (so every value is a plain
-int) and whose values strictly ascend, the form :func:`format_span_literal`
-writes, is already the stored set and is kept as it is, without the type
-test and the re-sort.
+digit limit, malformed input) is read by the grammar path alone.
+A canonical literal is also a literal of the grammar with the same values,
+so the result and any error message are the same either way.
 
 Every file must be UTF-8 (an optional BOM is skipped).  Character indexes
 always refer to positions in the decoded Unicode scalar sequence of the
@@ -113,9 +109,6 @@ class CharSpanSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.indexes)
 
-    def __and__(self, other: "CharSpanSet") -> "CharSpanSet":
-        return CharSpanSet._of_sorted(sorted(set(self.indexes).intersection(other.indexes)))
-
     def __sub__(self, other: "CharSpanSet") -> "CharSpanSet":
         return CharSpanSet._of_sorted(sorted(set(self.indexes).difference(other.indexes)))
 
@@ -156,9 +149,6 @@ def parse_span_literal(literal: str) -> CharSpanSet:
         if end == len(body) and type(values) is list:
             if _PLAIN_INTS_RE.fullmatch(body, 1, end - 1) and all(map(lt, values, values[1:])):
                 return CharSpanSet._of_sorted(values) if values else NO_SPANS
-            # the type test keeps out bools, floats, strings and nested values
-            if set(map(type, values)) <= {int}:
-                return CharSpanSet._of_sorted(sorted(set(values)))
     inner = body[1:-1]
     if len(body) >= 2 and body[0] == "[" and body[-1] == "]" and _SPAN_BODY_RE.fullmatch(inner):
         if not inner.strip():
@@ -272,7 +262,7 @@ def _parse_dataset_stream(stream, has_gold: bool, lenient: bool) -> list[Labeled
     try:
         header = next(reader)
     except StopIteration:
-        raise DataFormatError("empty dataset file: missing CSV header") from None
+        raise DataFormatError("empty file: missing CSV header") from None
     except csv.Error as exc:
         raise DataFormatError(f"CSV header: {exc}") from None
     columns = {name.strip(): pos for pos, name in enumerate(header)}

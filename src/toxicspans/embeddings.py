@@ -109,11 +109,11 @@ def load_embeddings(source: IO, expected_dim: int) -> EmbeddingTable:
         words.append(word)
         rows.append(values)
     if not rows:
-        raise DataFormatError("embedding file contains no vectors")
+        raise DataFormatError("contains no vectors")
 
     loaded = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(loaded)):
-        raise DataFormatError("embedding file contains non-finite components")
+        raise DataFormatError("contains non-finite components")
     matrix = np.vstack([loaded, loaded.mean(axis=0, keepdims=True), np.zeros((1, expected_dim))])
     return EmbeddingTable(
         dim=expected_dim,
@@ -128,8 +128,8 @@ def check_max_len(max_len: int) -> None:
     """Reject a ``max_len`` below 1 or above ``csv.field_size_limit()``.
 
     A parsed post is one CSV field, so it has at most that many characters
-    and hence tokens; a larger ``max_len`` would truncate nothing and only
-    allocate its padding.
+    and hence tokens; a larger ``max_len`` truncates nothing that the limit
+    does not, so the bound rules out no setting that changes an encoding.
     """
     limit = csv.field_size_limit()
     if not 1 <= max_len <= limit:

@@ -183,7 +183,6 @@ def load_gate(path: str | Path) -> GateModel:
         raise DataFormatError(f"bad gate model file {path}: {exc}") from None
 
 
-def load_external_gate(path: str | Path, threshold: float = GATE_THRESHOLD) -> GateModel:
-    with open(path, "rb") as handle:
-        scores = read_score_file(handle)
-    return GateModel(kind=KIND_EXTERNAL, threshold=threshold, scores=scores)
+def load_external_gate(source: IO, threshold: float = GATE_THRESHOLD) -> GateModel:
+    """An external gate over the scores of a binary ``<id>\\t<probability>`` stream."""
+    return GateModel(kind=KIND_EXTERNAL, threshold=threshold, scores=read_score_file(source))

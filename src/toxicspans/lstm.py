@@ -14,10 +14,7 @@ by one :class:`batching.PackedSteps`: step ``s`` is one contiguous block of
 rows, so padding is never computed, stored or multiplied.  The backward
 direction reads its inputs and writes its outputs through the involution
 :attr:`batching.PackedSteps.mirror`, so ``a[mirror] = b`` mirrors ``b``
-into ``a`` with no temporary.  The arithmetic runs in the dtype of the
-LSTM tensors, which must be the arena's: float64 in training and its dev
-passes, float32 in inference, which tags from a float32 copy of the
-tensors that a model makes once (:attr:`model.ModelParams.inference`).
+into ``a`` with no temporary.
 
 :class:`LstmParams` stacks the weights of the BiLSTM's two directions on
 a leading axis (:data:`DIRECTIONS`): direction 0 reads each post front to
@@ -61,13 +58,6 @@ rows of the step before (the one-post loop keeps only the current step's),
 and each step's tanh(c) goes into a scratch block.  The arithmetic is the
 same, and so are the bits.
 
-:class:`LstmCache` holds the packed rows in processing order: each
-direction's inputs (D), and the activated ``gates`` (4H, blocks in gate
-order) and the ``cell``, ``tanh_cell`` and ``hidden`` states (H) of both
-directions as (N, 2, ·), plus the :class:`batching.PackedSteps`.  The
-backward direction consumes its post back to front but reports hidden
-states in forward order.
-
 Every array of more than one step lives in the caller's
 :class:`arena.Arena`.  Named roles hold the mirrored inputs, the cache,
 the (N, 2H) output and the input gradient; scratch slots hold what one
@@ -75,8 +65,7 @@ loop or pass uses and drops before it returns: the packed loop's
 contiguous copy of W_rec (for several posts) and per-step product (and,
 with no cache, its cells and tanh(c)), the one-post loop's gate-major
 rows, and the backward pass's dZ, dc/dh, upstream gradients in
-processing order and gathered c_{t-1} and h_{t-1} rows.  What a call
-returns from an arena is valid until the next call that uses it.
+processing order and gathered c_{t-1} and h_{t-1} rows.
 """
 
 from __future__ import annotations
@@ -147,7 +136,7 @@ def lstm_forward(
     in columns k*H to (k+1)*H, plus the cache needed by
     :func:`lstm_backward`, or None unless ``keep_cache``: a caller that
     will not run the backward pass builds no cache.  Both live in
-    ``arena`` until its next use.  Raises :class:`ValidationError` unless
+    ``arena``.  Raises :class:`ValidationError` unless
     ``params`` stacks exactly :data:`DIRECTIONS` directions in the arena's
     dtype, and :class:`NonFiniteError` if any hidden state diverges, which
     happens only when parameters or inputs are already non-finite or when

@@ -1,49 +1,17 @@
-"""The BiLSTM-CRF tagger: embedding lookup, both LSTM directions, a linear
-projection to per-label emission scores, and the two-label CRF on top.
+"""The BiLSTM-CRF tagger: embedding lookup, both LSTM directions
+(:mod:`lstm`), a linear projection to per-label emission scores, and the
+two-label CRF (:mod:`crf`) on top.
 
-Training runs a whole minibatch, and inference a chunk of up to
-:data:`INFER_BATCH` posts (one post is a chunk of one), as one pass in the
-packed layout of :mod:`batching`, from the embedding lookup to Viterbi:
-each layer reads and returns the batch's packed rows, and Viterbi decodes
-each post from its own (``PackedSteps.unpack``).  An inference pass over
-one post (``predict`` of a post on its own) runs the LSTM's one-post time
-loop, and every other pass, a training batch of one included, its packed
-loop; both give the same bits (see :mod:`lstm`).
-The backward pass is fully manual (projection, then both LSTM
-directions) and writes gradients summed over the batch; only for a
-fine-tuned model does it ask the LSTM for the input gradient and
-accumulate embedding-row gradients from it.  Only a training pass keeps
-what the backward pass reads: inference passes
-(``predict_spans`` and its callers) build no cache, in the model or in
-the LSTM.
-
-Both LSTM directions live in one stacked :class:`lstm.LstmParams` block
-(:data:`lstm.DIRECTIONS`) and run in lockstep, one
-:func:`lstm.lstm_forward` and one :func:`lstm.lstm_backward` call per pass;
-the forward call's (N, 2H) output is the concatenation of the two
-directions' hidden states that the projection reads.  Every tensor is a
-view into one parameter vector, and a batch's gradients are written into
-a buffer laid out the same way: :func:`tensor_layout`, each tensor's
-name, shape and slice, read by the views, the clip and the checkpoint.
-A fine-tuned embedding matrix is the vector's tail, so a fine-tuned
-model is one whose vector is that much longer (``ModelParams.finetuned``),
-and its matrix's gradient is the gradient vector's tail.
-
-A pass keeps its arrays in the caller's :class:`arena.Arena`: the
-gathered embedding rows and the gradient vector, next to the LSTM's (see
-:mod:`lstm`).  What a call returns from an arena is valid until the next
-call that uses it.  :func:`tag_posts` tags raw posts and lets a gate
-empty the spans of each post that it calls non-toxic; it and
-:func:`predict` are the entry points that make an arena of their own.
-
-Those two are inference, and run the LSTM in float32 (the master-copy
-scheme of mixed-precision training): they tag with
-:attr:`ModelParams.inference`, a float32 copy of the LSTM tensors that a
-model makes on first use and keeps, in an arena of :data:`INFER_DTYPE`.
-The embedding rows are gathered in float64 and cast into that arena; the
-emission projection, the CRF and Viterbi read float64 tensors.  Training
-and its dev passes run the float64 model in a float64 arena, so
-checkpoints keep their bits.
+A training minibatch, and an inference chunk of up to :data:`INFER_BATCH`
+posts, runs as one pass over the packed rows of :mod:`batching`.  The
+backward pass is manual (projection, then both LSTM directions) and sums
+the gradients over the batch; only a fine-tuned model asks the LSTM for
+the input gradient, from which it accumulates embedding-row gradients.
+Every tensor is a view into one parameter vector, and a batch's gradients
+fill a buffer laid out alike: :func:`tensor_layout`, read by the views, the
+clip and the checkpoint.  A fine-tuned embedding matrix is the vector's
+tail.  Every pass runs in its caller's :class:`arena.Arena`; :func:`tag_posts`
+and :func:`predict` make their own and tag with :attr:`ModelParams.inference`.
 """
 
 from __future__ import annotations
@@ -249,7 +217,7 @@ def _emissions(
 ) -> tuple[np.ndarray, PackedSteps, BilstmCache | None]:
     """(N, L) packed label scores of length-sorted posts, the batch's
     layout, and the cache that :func:`backward` reads, or None unless
-    ``keep_cache``.  The scores and the cache live in ``arena``."""
+    ``keep_cache``."""
     steps = PackedSteps([post.effective_len for post in posts])
     indices = steps.pack(np.concatenate([post.indices for post in posts]))
     matrix = params.embedding.matrix
@@ -300,9 +268,6 @@ def nll_and_gradients(
     the returned ``embedding.matrix``, the vector's tail; otherwise the
     returned ``embedding`` is ``params.embedding``, and no gradient.
 
-    The gradients, and every array of the pass, live in ``arena``: they
-    stay valid until the next call that uses it.
-
     ``labels[k]`` must cover exactly the encoded tokens of ``posts[k]``.
     The batch runs as one packed pass, its posts sorted longest first (ties
     keep their given order).
@@ -325,16 +290,14 @@ def predict_spans(
     params: ModelParams, posts: Sequence[EncodedPost], policy: BridgePolicy, arena: Arena
 ) -> list[CharSpanSet]:
     """Decoded spans of encoded posts: each post's labels, decoded over the
-    tokens it was encoded from.  The LSTM runs in the dtype of
-    ``params.lstm``, which must be the arena's: ``params.inference`` in an
-    arena of :data:`INFER_DTYPE` tags as :func:`predict` does, and float64
-    params in a float64 arena as training's dev passes do.
+    tokens it was encoded from.
 
     The posts run longest first (a stable sort) in passes of
     :data:`INFER_BATCH`, each one emission pass and a Viterbi decode per
-    post.  The passes share ``arena``.  Tokens truncated beyond an
-    encoding's ``max_len`` are predicted non-toxic; a post with no tokens
-    yields the empty span set.
+    post.  The passes share ``arena``, whose dtype must be
+    ``params.lstm``'s.  Tokens truncated beyond an encoding's ``max_len``
+    are predicted non-toxic; a post with no tokens yields the empty span
+    set.
     """
     lens = [post.effective_len for post in posts]
     order = sorted((k for k in range(len(posts)) if lens[k]), key=lambda k: -lens[k])
@@ -356,9 +319,8 @@ def tag_posts(
 ) -> list[CharSpanSet]:
     """Spans of raw posts in input order, each tokenized once, tagged by
     :func:`predict_spans` with ``params.inference`` in input-order windows
-    of :data:`INFER_BATCH` (one window's encodings held at a time) that
-    share one arena, then emptied where ``gate`` scores the post below its
-    threshold.  ``table`` is the table the checkpoint was loaded against,
+    of :data:`INFER_BATCH` (one window's encodings held at a time), then
+    emptied where ``gate`` scores the post below its threshold.  ``table`` is the table the checkpoint was loaded against,
     which encodes the posts and pools the gate's features: a fine-tuned
     model's ``params.embedding`` is its tuned copy, and the gate was trained
     on the untuned table.  A gate that records another table's
@@ -389,8 +351,7 @@ def predict(
     """Full pipeline for one post: tokenize, encode, tag, decode to spans.
 
     Tokens truncated beyond ``max_len`` are predicted non-toxic; empty text
-    yields the empty span set.  The pass runs ``params.inference`` in an
-    arena of its own.
+    yields the empty span set.
     """
     post = encode_post(tokenize(text), params.embedding, max_len)
     return predict_spans(params.inference, [post], policy, Arena(INFER_DTYPE))[0]

@@ -29,7 +29,7 @@ class BridgePolicy:
 
     def __post_init__(self) -> None:
         if self.max_gap < 0:
-            raise ValidationError(f"max_gap must be >= 0, got {self.max_gap}")
+            raise ValidationError(f"bridge_gap (max_gap) must be >= 0, got {self.max_gap}")
 
 
 def spans_to_labels(toks: TokenSeq, gold: CharSpanSet) -> LabelSeq:

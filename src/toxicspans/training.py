@@ -10,12 +10,9 @@ vector laid out like the parameter vector, a fine-tuned embedding matrix
 included; the step scales and clips them there, and Adam updates the
 parameter vector from it in one pass.
 
-``train`` makes one :class:`arena.Arena` for the whole run, and each
-function it calls runs in the caller's arena: every step's forward cache,
-backward intermediates and gradients, the clip's squares, Adam's scratch
-and the dev passes' arrays are views of its buffers, so no step allocates
-and frees them again (see :mod:`arena`).  For the same reason each new
-best-dev state is copied into one kept copy.
+``train`` runs every step and dev pass in one :class:`arena.Arena`, and
+copies each new best-dev state into one kept copy, so no step allocates
+its arrays afresh.
 """
 
 from __future__ import annotations
@@ -86,8 +83,7 @@ class TrainConfig:
                 f"dev_fraction must be in (0, 1), got {self.dev_fraction}"
             )
         check_max_len(self.max_len)
-        if self.bridge_gap < 0:
-            raise ValidationError(f"bridge_gap must be >= 0, got {self.bridge_gap}")
+        BridgePolicy(max_gap=self.bridge_gap)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -125,3 +125,41 @@ class TestCategorizeErrors:
         assert [b.category for b in buckets] == list(CATEGORIES)
         seen = [i for b in buckets for i in b.post_ids]
         assert sorted(seen) == list(range(len(pairs)))
+
+
+def bucket_of(predicted: set, gold: set) -> str:
+    """The bucket rule written with Python sets, overlap test included."""
+    if predicted == gold:
+        return "exact"
+    if not gold:
+        return "spurious-on-clean"
+    if not predicted:
+        return "missed-all"
+    if (predicted & gold) and predicted <= gold:
+        return "partial-span"
+    return "wrong-offsets"
+
+
+@st.composite
+def set_pairs(draw):
+    """A (predicted, gold) pair of small int sets in one of the shapes the
+    buckets tell apart: any, equal, subset, superset or disjoint."""
+    gold = draw(st.frozensets(st.integers(0, 20), max_size=8))
+    shape = draw(st.sampled_from(["any", "equal", "subset", "superset", "disjoint"]))
+    if shape == "equal":
+        return gold, gold
+    if shape == "subset":
+        return frozenset(draw(st.sets(st.sampled_from(sorted(gold))))) if gold else frozenset(), gold
+    if shape == "superset":
+        return gold | draw(st.frozensets(st.integers(0, 30), max_size=8)), gold
+    if shape == "disjoint":
+        return draw(st.frozensets(st.integers(21, 30), max_size=8)), gold
+    return draw(st.frozensets(st.integers(0, 20), max_size=8)), gold
+
+
+@given(st.lists(set_pairs(), max_size=12))
+def test_categorize_errors_matches_the_set_rule(pairs):
+    golds = [post(i, "z" * 40, gold) for i, (_, gold) in enumerate(pairs)]
+    preds = [PostPrediction(i, CharSpanSet(tuple(predicted))) for i, (predicted, _) in enumerate(pairs)]
+    found = {post_id: bucket.category for bucket in categorize_errors(preds, golds) for post_id in bucket.post_ids}
+    assert found == {i: bucket_of(set(predicted), set(gold)) for i, (predicted, gold) in enumerate(pairs)}

@@ -22,7 +22,9 @@ from toxicspans.checkpoint import MAGIC
 from toxicspans.cli import DEFAULTS, HISTORY_SUFFIX, MANIFEST_SUFFIX, main
 from toxicspans.dataio import read_predictions
 from toxicspans.embeddings import load_embeddings
+from toxicspans.errors import ValidationError
 from toxicspans.model import INFER_BATCH
+from toxicspans.span_codec import BridgePolicy
 from toxicspans.synthetic import generate_posts, write_corpus_csv, write_embedding_file
 
 DIM = 16
@@ -162,6 +164,14 @@ PATH_FLAGS = [
     *((command, "--config", "config") for command in ("stats", "train", "gate-train", "predict", "evaluate", "analyze")),
 ]
 PATH_KINDS = ["missing", "directory", "fifo", "devnull", "dangling-symlink", "symlink-loop", "empty"]
+# The flags whose file's read errors the CLI raises again with the file's
+# role and path in front, and a file of each whose first record is malformed
+READ_ERROR_FLAGS = {
+    "--data": b"spans,text\n[1],hello there,extra\n",
+    "--embeddings": b"word 0.5\n",
+    "--pred": b"0\t[1, oops]\n",
+    "--gate": b"0\tmaybe\n",
+}
 # The entries that make_path leaves in its directory, by kind (else "input")
 PATH_ENTRIES = {"missing": set(), "devnull": set(), "symlink-loop": {"input", "loop"}}
 # Runs each argv list read from stdin through cli.main in one interpreter
@@ -292,10 +302,31 @@ class TestPathKinds:
         [line] = stderr.splitlines()
         if kind == "empty":  # each reader's own error
             assert line.startswith("error: ") and role in line
+            if flag in ("--data", "--embeddings"):
+                prefix = f"error: {role} file {path}: "
+                assert line.startswith(prefix) and role not in line.removeprefix(prefix)
+            elif flag in ("--checkpoint", "--gate-model"):
+                assert str(path) in line
+            # an empty --pred or --gate scores: file holds no entries, which
+            # is no read error: the count mismatch or the missing score that
+            # follows names no file
         else:
             problem = "not found" if kind in ("missing", "dangling-symlink", "symlink-loop") else "is not a regular file"
             assert line == f"error: {role} file {problem}: {path}"
         assert {entry.name for entry in directory.iterdir()} == PATH_ENTRIES.get(kind, {"input"})
+
+    @pytest.mark.parametrize("command, flag, role", [row for row in PATH_FLAGS if row[1] in READ_ERROR_FLAGS],
+                             ids=[f"{command}{flag}" for command, flag, _ in PATH_FLAGS if flag in READ_ERROR_FLAGS])
+    def test_a_malformed_record_names_the_file(self, path_workspace, tmp_path, capsys, command, flag, role):
+        path = tmp_path / "input"
+        path.write_bytes(READ_ERROR_FLAGS[flag])
+        code = main(path_case_argv(path_workspace, command, flag, path, tmp_path / "result"))
+        stdout, stderr = capsys.readouterr()
+        assert code == 2 and stdout == "" and "Traceback" not in stderr
+        [line] = stderr.splitlines()
+        prefix = f"error: {role} file {path}: "
+        assert line.startswith(prefix) and role not in line.removeprefix(prefix)
+        assert {entry.name for entry in tmp_path.iterdir()} == {"input"}
 
 
 class TestTrain:
@@ -1144,6 +1175,48 @@ class TestOptionsCheckedFirst:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ") and match in err[0]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOneBridgeGapMessage:
+    """A negative bridge gap fails with :class:`BridgePolicy`'s one message
+    wherever it comes from: a ``train`` or ``predict`` flag, a config file,
+    or a checkpoint's recorded training config."""
+
+    @staticmethod
+    def policy_message() -> str:
+        with pytest.raises(ValidationError) as info:
+            BridgePolicy(max_gap=-1)
+        return str(info.value)
+
+    def run(self, workspace, tmp_path, capsys, command, *extra, checkpoint=None) -> list[str]:
+        argv = [command, "--data", str(workspace / "dev.csv"), "--embeddings", str(workspace / "vectors.txt"),
+                "--embedding-dim", str(DIM), "--out", str(tmp_path / "out"), *extra]
+        if command == "predict":
+            argv += ["--checkpoint", str(checkpoint or workspace / "model.ckpt")]
+        code = main(argv)
+        assert code == 2
+        return capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_flag_and_config_file(self, workspace, tmp_path, capsys, command, source):
+        if source == "flag":
+            extra = ["--bridge-gap", "-1"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("bridge_gap = -1\n")
+            extra = ["--config", str(config)]
+        assert self.run(workspace, tmp_path, capsys, command, *extra) == [f"error: {self.policy_message()}"]
+
+    def test_checkpoint(self, workspace, tmp_path, capsys):
+        raw = (workspace / "model.ckpt").read_bytes()
+        header_end = raw.index(b"\n", len(MAGIC))
+        header = json.loads(raw[len(MAGIC) : header_end])
+        header["train_config"]["bridge_gap"] = -1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(MAGIC + json.dumps(header).encode() + raw[header_end:])
+        [line] = self.run(workspace, tmp_path, capsys, "predict", checkpoint=bad)
+        assert line.startswith("error: ") and line.endswith(f": {self.policy_message()}")
 
 
 class TestOutNamesAnInput:

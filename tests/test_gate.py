@@ -183,10 +183,8 @@ class TestScoreFiles:
         with pytest.raises(DataFormatError, match=r"line 3: duplicate id 0 \(first on line 1\)"):
             read_score_file(io.BytesIO(b"0\t0.5\n1\t0.2\n0\t0.9\n"))
 
-    def test_load_external_gate(self, tmp_path):
-        path = tmp_path / "scores.tsv"
-        path.write_bytes(b"0\t0.9\n1\t0.1\n")
-        model = load_external_gate(path, threshold=0.6)
+    def test_load_external_gate(self):
+        model = load_external_gate(io.BytesIO(b"0\t0.9\n1\t0.1\n"), threshold=0.6)
         assert model.kind == KIND_EXTERNAL
         assert gate_score(model, 0) == 0.9
 

@@ -3,6 +3,7 @@ first or only a library caller can break them: each raises
 :class:`ValidationError` with its own message when called through a public
 function."""
 
+import io
 import re
 
 import numpy as np
@@ -33,9 +34,7 @@ def post(text):
 
 
 def save_external_gate(tmp_path):
-    scores = tmp_path / "scores.tsv"
-    scores.write_bytes(b"0\t0.9\n")
-    save_gate(load_external_gate(scores), tmp_path / "gate.json")
+    save_gate(load_external_gate(io.BytesIO(b"0\t0.9\n")), tmp_path / "gate.json")
 
 
 CASES = {
