@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .crf import NUM_LABELS
-from .dataio import atomic_write_bytes
+from .dataio import atomic_write_bytes, input_file
 from .embeddings import EmbeddingTable
 from .errors import DataFormatError, ValidationError
 from .model import Layout, ModelParams, params_from_vector, tensor_layout
@@ -93,78 +93,76 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path, table: EmbeddingTable
 ) -> tuple[ModelParams, TrainConfig]:
-    """Rebuild parameters against ``table``; rejects hash/dim mismatches.
+    """Rebuild parameters against ``table`` from the checkpoint file that
+    :func:`dataio.input_file` opens at ``path``; rejects hash/dim mismatches.
 
     A malformed header (dims, train_config, a dimension or fine-tuning flag
     that disagrees with train_config, or a tensor list that disagrees with
     :func:`model.tensor_layout`) or a tensor holding NaN or infinity raises
     :class:`DataFormatError`.
     """
-    raw = Path(path).read_bytes()
-    if not raw.startswith(MAGIC):
-        raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
-    newline = raw.find(b"\n", len(MAGIC))
-    if newline < 0:
-        raise DataFormatError(f"{path}: truncated checkpoint: header has no end")
-    try:
-        header = json.loads(raw[len(MAGIC) : newline].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{path}: corrupt checkpoint header: {exc}") from None
-    if not isinstance(header, dict):
-        raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise DataFormatError(f"{path}: checkpoint header lacks {missing}")
-    dims = header["dims"]
-    if not isinstance(dims, dict) or not all(
-        type(dims.get(key)) is int and dims[key] >= 1 for key in _DIM_KEYS
-    ):
-        raise DataFormatError(
-            f"{path}: checkpoint header dims must give {list(_DIM_KEYS)} as positive integers"
-        )
-    try:
-        cfg = TrainConfig.from_dict(header["train_config"])
-    except ValidationError as exc:
-        raise DataFormatError(f"{path}: checkpoint train_config: {exc}") from None
-    # the header states these twice; a file whose copies disagree was edited
-    for name, found, source, want in (
-        ("dims.hidden_size", dims["hidden_size"], "train_config.hidden_size", cfg.hidden_size),
-        ("dims.max_len", dims.get("max_len"), "train_config.max_len", cfg.max_len),
-        ("dims.num_labels", dims.get("num_labels"), "the tagger's label count", NUM_LABELS),
-        ("finetuned_embeddings", header.get("finetuned_embeddings"), "train_config.finetune_embeddings",
-         cfg.finetune_embeddings),
-    ):
-        if type(found) is not type(want) or found != want:
-            raise DataFormatError(f"{path}: checkpoint {name} is {found!r}, but {source} is {want!r}")
+    with input_file(path, "checkpoint") as handle:
+        raw = handle.read()
+        if not raw.startswith(MAGIC):
+            raise DataFormatError("bad magic")
+        newline = raw.find(b"\n", len(MAGIC))
+        if newline < 0:
+            raise DataFormatError("truncated: the header has no end")
+        try:
+            header = json.loads(raw[len(MAGIC) : newline].decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataFormatError(f"corrupt header: {exc}") from None
+        if not isinstance(header, dict):
+            raise DataFormatError("header is not a JSON object")
+        missing = [key for key in _HEADER_KEYS if key not in header]
+        if missing:
+            raise DataFormatError(f"header lacks {missing}")
+        dims = header["dims"]
+        if not isinstance(dims, dict) or not all(
+            type(dims.get(key)) is int and dims[key] >= 1 for key in _DIM_KEYS
+        ):
+            raise DataFormatError(f"header dims must give {list(_DIM_KEYS)} as positive integers")
+        try:
+            cfg = TrainConfig.from_dict(header["train_config"])
+        except ValidationError as exc:
+            raise DataFormatError(f"train_config: {exc}") from None
+        # the header states these twice; a file whose copies disagree was edited
+        for name, found, source, want in (
+            ("dims.hidden_size", dims["hidden_size"], "train_config.hidden_size", cfg.hidden_size),
+            ("dims.max_len", dims.get("max_len"), "train_config.max_len", cfg.max_len),
+            ("dims.num_labels", dims.get("num_labels"), "the tagger's label count", NUM_LABELS),
+            ("finetuned_embeddings", header.get("finetuned_embeddings"), "train_config.finetune_embeddings",
+             cfg.finetune_embeddings),
+        ):
+            if type(found) is not type(want) or found != want:
+                raise DataFormatError(f"{name} is {found!r}, but {source} is {want!r}")
 
-    if header["dtype"] != _DTYPE:
-        raise DataFormatError(f"{path}: unsupported tensor dtype {header['dtype']!r}")
-    if dims["input_dim"] != table.dim:
-        raise ValidationError(
-            f"checkpoint input dim {dims['input_dim']} != embedding dim {table.dim}"
-        )
-    if header["vocab_hash"] != table.fingerprint():
-        raise ValidationError(
-            "checkpoint vocabulary hash does not match the supplied embedding table"
-        )
+        if header["dtype"] != _DTYPE:
+            raise DataFormatError(f"unsupported tensor dtype {header['dtype']!r}")
+        if dims["input_dim"] != table.dim:
+            raise ValidationError(
+                f"checkpoint input dim {dims['input_dim']} != embedding dim {table.dim}"
+            )
+        if header["vocab_hash"] != table.fingerprint():
+            raise ValidationError(
+                "checkpoint vocabulary hash does not match the supplied embedding table"
+            )
 
-    layout, expected = _body_layout(table, cfg)
-    if header["tensors"] != expected:
-        raise DataFormatError(
-            f"{path}: checkpoint tensor list does not match its dims; expected {expected}"
-        )
+        layout, expected = _body_layout(table, cfg)
+        if header["tensors"] != expected:
+            raise DataFormatError(f"tensor list does not match its dims; expected {expected}")
 
-    # the tensor that holds each body element e is the first whose end > e
-    names, ends = list(layout), [at.stop for _, at in layout.values()]
-    stored = len(raw) - newline - 1
-    if stored < 8 * ends[-1]:
-        name = names[np.searchsorted(ends, stored // 8, "right")]
-        raise DataFormatError(f"{path}: truncated tensor data for {name}")
-    if stored > 8 * ends[-1]:
-        raise DataFormatError(f"{path}: {stored - 8 * ends[-1]} trailing bytes")
-    body = np.frombuffer(raw, dtype=_DTYPE, offset=newline + 1).copy()
-    finite = np.isfinite(body)
-    if not finite.all():
-        name = names[np.searchsorted(ends, finite.argmin(), "right")]
-        raise DataFormatError(f"{path}: tensor {name} holds NaN or infinite values")
-    return params_from_vector(body, cfg.hidden_size, table), cfg
+        # the tensor that holds each body element e is the first whose end > e
+        names, ends = list(layout), [at.stop for _, at in layout.values()]
+        stored = len(raw) - newline - 1
+        if stored < 8 * ends[-1]:
+            name = names[np.searchsorted(ends, stored // 8, "right")]
+            raise DataFormatError(f"truncated tensor data for {name}")
+        if stored > 8 * ends[-1]:
+            raise DataFormatError(f"{stored - 8 * ends[-1]} trailing bytes")
+        body = np.frombuffer(raw, dtype=_DTYPE, offset=newline + 1).copy()
+        finite = np.isfinite(body)
+        if not finite.all():
+            name = names[np.searchsorted(ends, finite.argmin(), "right")]
+            raise DataFormatError(f"tensor {name} holds NaN or infinite values")
+        return params_from_vector(body, cfg.hidden_size, table), cfg

@@ -20,9 +20,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +30,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .dataio import (
     atomic_write_bytes,
     atomic_write_text,
+    input_file,
     parse_dataset,
     read_predictions,
     text_reader,
@@ -158,22 +157,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with _input_file(path, "config") as handle, text_reader(handle) as stream:
-        lines = stream.read().splitlines()
-    for line_no, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, raw = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in DEFAULTS:
-            raise ValidationError(f"{path}:{line_no}: unknown option {key!r}")
-        try:
-            values[key] = type(DEFAULTS[key])(raw.strip())
-        except ValueError:
-            raise ValidationError(f"{path}:{line_no}: bad value for {key!r}") from None
+    with input_file(path, "config") as handle:
+        with text_reader(handle) as stream:
+            lines = stream.read().splitlines()
+        for line_no, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise DataFormatError(f"line {line_no}: expected 'key = value'")
+            key, _, raw = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key not in DEFAULTS:
+                raise DataFormatError(f"line {line_no}: unknown option {key!r}")
+            try:
+                values[key] = type(DEFAULTS[key])(raw.strip())
+            except ValueError:
+                raise DataFormatError(f"line {line_no}: bad value for {key!r}") from None
     return values
 
 
@@ -207,25 +207,7 @@ def _inputs(args: argparse.Namespace, **gate_file: str) -> dict[str, str]:
     return inputs
 
 
-def _require_file(path: str, role: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise ValidationError(f"{role} file {'is not a regular file' if p.exists() else 'not found'}: {path}")
-    return p
-
-
-@contextmanager
-def _input_file(path: str, role: str):
-    """The binary stream of the ``role`` file at ``path``; a
-    :class:`DataFormatError` raised while it is read names the file."""
-    with open(_require_file(path, role), "rb") as handle:
-        try:
-            yield handle
-        except DataFormatError as exc:
-            raise DataFormatError(f"{role} file {path}: {exc}") from None
-
-
-def _sha256(path: Path) -> str:
+def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
@@ -240,7 +222,7 @@ def _write_manifest(args: argparse.Namespace, written: _Written, started: float)
         "config": config,
         "seed": config.get("seed"),
         "inputs": {
-            role: {"path": str(path), "sha256": _sha256(Path(path))}
+            role: {"path": str(path), "sha256": _sha256(path)}
             for role, path in inputs.items()
         },
         "outputs": outputs,
@@ -250,19 +232,19 @@ def _write_manifest(args: argparse.Namespace, written: _Written, started: float)
 
 
 def _load_table(args: argparse.Namespace):
-    with _input_file(args.embeddings, "embedding") as handle:
+    with input_file(args.embeddings, "embedding") as handle:
         return load_embeddings(handle, expected_dim=_resolve(args, "embedding_dim"))
 
 
 def _load_posts(args: argparse.Namespace, has_gold: bool):
-    with _input_file(args.data, "dataset") as handle:
+    with input_file(args.data, "dataset") as handle:
         return parse_dataset(handle, has_gold=has_gold, lenient=getattr(args, "lenient", False))
 
 
 def _load_scored(args: argparse.Namespace):
     """The gold posts of ``--data``, then the predictions of ``--pred``."""
     golds = _load_posts(args, has_gold=True)
-    with _input_file(args.pred, "prediction") as handle:
+    with input_file(args.pred, "prediction") as handle:
         return golds, read_predictions(handle)
 
 
@@ -356,9 +338,9 @@ def _load_gate(args: argparse.Namespace, gate_file: dict[str, str]) -> GateModel
     if not gate_file:
         return None
     if "gate_scores" in gate_file:
-        with _input_file(gate_file["gate_scores"], "gate score") as handle:
+        with input_file(gate_file["gate_scores"], "gate score") as handle:
             return load_external_gate(handle, _resolve(args, "gate_threshold"))
-    model = load_gate(_require_file(args.gate_model, "gate model"))
+    model = load_gate(args.gate_model)
     if model.vocab_hash is None:
         print(f"warning: gate model {args.gate_model} records no embedding table, "
               f"so it was not checked against {args.embeddings}", file=sys.stderr)
@@ -374,7 +356,7 @@ def cmd_predict(args: argparse.Namespace) -> _Written:
     gate_file = _check_gate_args(args)
     inputs = _inputs(args, **gate_file)
     table = _load_table(args)
-    params, cfg = load_checkpoint(_require_file(args.checkpoint, "checkpoint"), table)
+    params, cfg = load_checkpoint(args.checkpoint, table)
     max_len = _resolve(args, "max_len", default=cfg.max_len)
     # a flag or config value beats the gap the checkpoint was chosen with
     bridge_gap = _resolve(args, "bridge_gap", default=cfg.bridge_gap)

@@ -1,5 +1,11 @@
 """Readers and writers for the dataset CSV and the prediction file format,
-and the atomic write (temp file + rename) of every file the package writes.
+the opener of every file the package reads, and the atomic write (temp
+file + rename) of every file the package writes.
+
+:func:`input_file` opens each input file under its role (``dataset``,
+``checkpoint``, ``gate model``, ...): a path that is not a regular file is a
+:class:`ValidationError`, and a :class:`DataFormatError` raised while the
+file is read is raised again as ``<role> file <path>: <message>``.
 
 The dataset is a CSV with a header row and columns ``spans`` and ``text``
 (blind test files carry ``text`` only).  The ``spans`` cell is a bracketed
@@ -212,6 +218,18 @@ def text_writer(sink: IO):
         yield wrapper
     finally:
         wrapper.detach()  # detaching flushes and leaves the sink open
+
+
+@contextmanager
+def input_file(path: str | Path, role: str) -> Iterator[IO[bytes]]:
+    """The binary stream of the ``role`` file at ``path``, by the module docstring's rules."""
+    if not os.path.isfile(path):
+        raise ValidationError(f"{role} file {'is not a regular file' if os.path.exists(path) else 'not found'}: {path}")
+    with open(path, "rb") as handle:
+        try:
+            yield handle
+        except DataFormatError as exc:
+            raise DataFormatError(f"{role} file {path}: {exc}") from None
 
 
 def _umask() -> int:

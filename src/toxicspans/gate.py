@@ -16,7 +16,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .dataio import NO_SPANS, CharSpanSet, atomic_write_text, read_id_values
+from .dataio import NO_SPANS, CharSpanSet, atomic_write_text, input_file, read_id_values, text_reader
 from .embeddings import EmbeddingTable, EncodedPost, mean_pooled
 from .errors import DataFormatError, ValidationError
 
@@ -161,26 +161,30 @@ def _number(value) -> float:
 
 
 def load_gate(path: str | Path) -> GateModel:
-    """Read a gate written by :func:`save_gate`; any malformed file raises
+    """Read a gate written by :func:`save_gate` from the gate model file that
+    :func:`dataio.input_file` opens at ``path``; any malformed file raises
     :class:`DataFormatError`."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise TypeError(f"expected a JSON object, got {payload!r}")
-        if not isinstance(payload["weights"], list):
-            raise TypeError(f"weights must be a list, got {payload['weights']!r}")
-        weights = np.array([_number(w) for w in payload["weights"]], dtype=np.float64)
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite (json reads NaN and Infinity)")
-        if payload["kind"] != KIND_INTERNAL:
-            raise ValueError(f"kind must be {KIND_INTERNAL!r}, got {payload['kind']!r}")
-        vocab_hash = payload.get("vocab_hash")
-        if not isinstance(vocab_hash, (str, type(None))):
-            raise TypeError(f"vocab_hash must be a string, got {vocab_hash!r}")
-        return GateModel(kind=payload["kind"], threshold=_number(payload["threshold"]), weights=weights,
-                         vocab_hash=vocab_hash)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(f"bad gate model file {path}: {exc}") from None
+    with input_file(path, "gate model") as handle:
+        with text_reader(handle) as stream:
+            text = stream.read()
+        try:
+            payload = json.loads(text)
+            if not isinstance(payload, dict):
+                raise TypeError(f"expected a JSON object, got {payload!r}")
+            if not isinstance(payload["weights"], list):
+                raise TypeError(f"weights must be a list, got {payload['weights']!r}")
+            weights = np.array([_number(w) for w in payload["weights"]], dtype=np.float64)
+            if not np.all(np.isfinite(weights)):
+                raise ValueError("weights must be finite (json reads NaN and Infinity)")
+            if payload["kind"] != KIND_INTERNAL:
+                raise ValueError(f"kind must be {KIND_INTERNAL!r}, got {payload['kind']!r}")
+            vocab_hash = payload.get("vocab_hash")
+            if not isinstance(vocab_hash, (str, type(None))):
+                raise TypeError(f"vocab_hash must be a string, got {vocab_hash!r}")
+            return GateModel(kind=payload["kind"], threshold=_number(payload["threshold"]), weights=weights,
+                             vocab_hash=vocab_hash)
+        except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
+            raise DataFormatError(str(exc)) from None
 
 
 def load_external_gate(source: IO, threshold: float = GATE_THRESHOLD) -> GateModel:

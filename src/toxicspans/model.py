@@ -222,12 +222,8 @@ def _emissions(
     indices = steps.pack(np.concatenate([post.indices for post in posts]))
     matrix = params.embedding.matrix
     inputs = arena.take("inputs", (steps.N, matrix.shape[1]))
-    # encode_post's indices are rows of the table, so clipping moves none;
-    # an arena of another dtype takes the rows cast after they are gathered
-    if inputs.dtype == matrix.dtype:
-        np.take(matrix, indices, axis=0, out=inputs, mode="clip")
-    else:
-        inputs[...] = np.take(matrix, indices, axis=0, mode="clip")
+    # encode_post's indices are rows of the table, so clipping moves none
+    inputs[...] = np.take(matrix, indices, axis=0, mode="clip")
     hidden, lstm_cache = lstm_forward(inputs, params.lstm, steps, arena, keep_cache)
     emissions = hidden @ params.emit.W_out.T + params.emit.b_out  # (N, L): too small to fault
     cache = BilstmCache(indices=indices, lstm_cache=lstm_cache, hidden=hidden) if keep_cache else None

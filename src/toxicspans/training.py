@@ -239,8 +239,9 @@ def train(
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Train a fresh tagger, returning the best-dev parameters and history.
 
-    Dev F1 decodes with ``policy``, by default bridging gaps of up to
-    ``cfg.bridge_gap`` characters.
+    Dev F1 decodes with ``BridgePolicy(max_gap=cfg.bridge_gap)``, the policy
+    the checkpoint records; a ``policy`` other than that one is a
+    :class:`ValidationError`.
 
     Zero-token examples are excluded from gradient batches (the CRF needs at
     least one position) but still count in the dev F1, where the model
@@ -253,8 +254,9 @@ def train(
     cfg.validate()
     if not examples:
         raise ValidationError("training data is empty")
-    if policy is None:
-        policy = BridgePolicy(bridge_gaps=True, max_gap=cfg.bridge_gap)
+    configured = BridgePolicy(max_gap=cfg.bridge_gap)
+    if policy not in (None, configured):
+        raise ValidationError(f"dev F1 decodes with bridge_gap {cfg.bridge_gap} from the config, not with {policy}")
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(table, cfg.hidden_size, rng, cfg.finetune_embeddings)
@@ -312,7 +314,7 @@ def train(
         stats = EpochStats(
             epoch=epoch,
             train_nll=nll_total / len(trainable),
-            dev_f1=dev_char_f1(dev, params, policy, arena),
+            dev_f1=dev_char_f1(dev, params, configured, arena),
             grad_norm_mean=math.fsum(norms) / len(norms),
             grad_norm_max=max(norms),
             steps=len(norms),

@@ -11,7 +11,9 @@ gate whose bias of -1000 saturates its sigmoid (every post gated),
 ``evaluate`` and ``analyze`` on a hand-written prediction file whose span
 literals the package never writes (unsorted, repeated, spaced, with leading
 zeros or other Unicode digits), and ``evaluate`` on one with a malformed
-literal.  Prints one
+literal; then ``predict`` with a truncated copy of the checkpoint, with a
+malformed internal gate model and with the gate model behind a UTF-8 BOM,
+and ``train`` with a ``--config`` file that sets an unknown key.  Prints one
 JSON object: each command's exit code and the sha256 of its stdout and
 stderr, and the sha256 of every file in the directory afterwards, each
 manifest hashed without its ``wall_clock_seconds`` and each directory as
@@ -128,8 +130,22 @@ def walkthrough(args: argparse.Namespace) -> dict:
         ["analyze", "--data", "dev.csv", "--pred", "handwritten.tsv"],
         ["evaluate", "--data", "dev.csv", "--pred", "malformed.tsv"],
     ]
+    results = [run(argv) for argv in commands]
+    # read errors in the files that train and gate-train wrote, or in a config
+    checkpoint = Path("model.ckpt").read_bytes()
+    Path("cut.ckpt").write_bytes(checkpoint[: len(checkpoint) - 100])
+    gate = Path("gate.json").read_bytes()
+    Path("malformed-gate.json").write_bytes(gate[: len(gate) // 2])
+    Path("bom-gate.json").write_bytes(b"\xef\xbb\xbf" + gate)
+    Path("unknown.cfg").write_text("epochs = 2\nbogus = 1\n")
+    commands = [
+        ["predict", "--data", "dev.csv", *vectors, "--checkpoint", "cut.ckpt", "--out", "cut.tsv"],
+        [*predict, "--gate", "internal", "--gate-model", "malformed-gate.json", "--out", "malformed-gate.tsv"],
+        [*predict, "--gate", "internal", "--gate-model", "bom-gate.json", "--out", "bom-gate.tsv"],
+        ["train", *data, *vectors, "--out", "unknown.ckpt", "--config", "unknown.cfg"],
+    ]
     return {
-        "commands": [run(argv) for argv in commands],
+        "commands": results + [run(argv) for argv in commands],
         "files": {path.name: file_digest(path) for path in sorted(Path().iterdir())},
     }
 

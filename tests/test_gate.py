@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +216,31 @@ class TestGatePersistence:
     def test_numeric_vocab_hash_rejected(self, tmp_path):
         path = tmp_path / "gate.json"
         path.write_text(json.dumps({"kind": KIND_INTERNAL, "threshold": 0.5, "weights": [0.0] * 5, "vocab_hash": 7}))
-        with pytest.raises(DataFormatError, match="bad gate model file"):
+        with pytest.raises(DataFormatError, match=f"^gate model file {re.escape(str(path))}: vocab_hash must"):
+            load_gate(path)
+
+    def test_a_bom_is_skipped(self, tmp_path):
+        table = make_table(["bad", "nice"], dim=4, seed=3)
+        path = tmp_path / "gate.json"
+        save_gate(train_gate(separable_data(table), table), path)
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, behind_bom = load_gate(path), load_gate(bom)
+        np.testing.assert_array_equal(behind_bom.weights, plain.weights)
+        assert replace(behind_bom, weights=None) == replace(plain, weights=None)
+
+    def test_a_non_utf8_byte_is_named_by_its_offset(self, tmp_path):
+        path = tmp_path / "gate.json"
+        head = b'{"kind": "internal-logreg", "threshold": 0.5, "vocab_hash": "'
+        path.write_bytes(head + b'\xff", "weights": [0.0]}')
+        with pytest.raises(DataFormatError) as raised:
+            load_gate(path)
+        assert str(raised.value).startswith(f"gate model file {path}: not valid UTF-8 at byte {len(head)}: ")
+
+    def test_a_stored_threshold_outside_the_unit_interval_names_the_file(self, tmp_path):
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps({"kind": KIND_INTERNAL, "threshold": 1.5, "weights": [0.0] * 5}))
+        with pytest.raises(DataFormatError, match=f"^gate model file {re.escape(str(path))}: threshold must be in"):
             load_gate(path)
 
     @pytest.mark.parametrize("kind", [KIND_EXTERNAL, "logreg"])

@@ -209,8 +209,11 @@ class TestTrain:
         monkeypatch.setattr(toxicspans.training, "dev_char_f1", spy)
         cfg = TrainConfig(epochs=1, hidden_size=4, max_len=32, bridge_gap=3)
         train(examples, cfg, table)
-        train(examples, cfg, table, policy=BridgePolicy(bridge_gaps=False))
-        assert seen == [BridgePolicy(bridge_gaps=True, max_gap=3), BridgePolicy(bridge_gaps=False)]
+        train(examples, cfg, table, policy=BridgePolicy(bridge_gaps=True, max_gap=3))
+        assert seen == [BridgePolicy(bridge_gaps=True, max_gap=3)] * 2
+        with pytest.raises(ValidationError, match=r"bridge_gap 3 .*max_gap=1\)"):
+            train(examples, cfg, table, policy=BridgePolicy(bridge_gaps=False))
+        assert len(seen) == 2
 
     def test_different_seed_changes_the_run(self):
         table, posts = synthetic_setup(n_posts=30)
